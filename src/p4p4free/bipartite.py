@@ -9,11 +9,22 @@ leaf every branching route in the package eventually reduces to.
 
 from __future__ import annotations
 
-from .errors import ClassViolation, StructureViolation
+from .errors import StructureViolation
 from .graph import Graph, SolveResult, certified_result, components_with_certificates
-from .recognition import find_induced_p4, find_triangle
+from .recognition import uncertified_p4
 
-__all__ = ["solve_cb_components", "cb_weight_mask"]
+__all__ = ["solve_cb_components", "cb_weight_mask", "heavier_side"]
+
+
+def heavier_side(g: Graph, sides: tuple[int, int]) -> tuple[int, int]:
+    """(weight, side) of the heavier side of a component's certificate.
+
+    Ties go to side_a, which holds the component's smallest vertex; a
+    trivial component's certificate (self, empty) yields the vertex itself.
+    """
+    side_a, side_b = sides
+    w_a, w_b = g.weight_of(side_a), g.weight_of(side_b)
+    return (w_b, side_b) if w_b > w_a else (w_a, side_a)
 
 
 def cb_weight_mask(g: Graph, host: int) -> tuple[int, int]:
@@ -28,28 +39,18 @@ def cb_weight_mask(g: Graph, host: int) -> tuple[int, int]:
         StructureViolation: a component is triangle-free but still not
             complete bipartite (the witness carries an induced P4 of it).
     """
-    chosen = 0
+    total = chosen = 0
     for comp in components_with_certificates(g, host).parts:
-        if comp.trivial:
-            chosen |= comp.members
-            continue
         if comp.sides is None:
-            tri = find_triangle(g, comp.members)
-            if tri is not None:
-                raise ClassViolation(
-                    "component contains a triangle", ("triangle", tri)
-                )
-            p4 = find_induced_p4(g, comp.members)
+            p4 = uncertified_p4(g, comp.members)
             raise StructureViolation(
                 "component expected to be complete bipartite is not",
                 ("incomplete_component", comp.members, p4),
             )
-        side_a, side_b = comp.sides
-        w_a = g.weight_of(side_a)
-        w_b = g.weight_of(side_b)
-        # tie -> side_a, which holds the component's smallest vertex
-        chosen |= side_b if w_b > w_a else side_a
-    return g.weight_of(chosen), chosen
+        w, side = heavier_side(g, comp.sides)
+        total += w
+        chosen |= side
+    return total, chosen
 
 
 def solve_cb_components(g: Graph, host: int | None = None) -> SolveResult:

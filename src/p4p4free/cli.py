@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     StructureViolation,
 )
-from .graph import Graph, bits
+from .graph import Graph, bits, components_with_certificates
 from .recognition import is_class_member
 from .solver import solve, solve_with_cover
 from .testkit import gen_instance, oracle_wis
@@ -190,56 +190,30 @@ def _cmd_check(args) -> int:
     verdict = is_class_member(_read_graph(args))
     if verdict.is_member:
         _emit(args, ["MEMBER"], {"member": True})
-    elif verdict.triangle is not None:
-        tri = _ids(verdict.triangle)
-        _emit(
-            args,
-            ["NOT_MEMBER", "witness triangle " + " ".join(map(str, tri))],
-            {"member": False, "witness": {"kind": "triangle", "vertices": tri}},
-        )
+        return 0
+    if verdict.triangle is not None:
+        kind, body = "triangle", (verdict.triangle,)
+        detail = {"vertices": _ids(verdict.triangle)}
     else:
-        first, second = verdict.p4_pair
-        a, b = _ids(first.vertices), _ids(second.vertices)
-        _emit(
-            args,
-            [
-                "NOT_MEMBER",
-                "witness p4_pair "
-                + " ".join(map(str, a))
-                + " / "
-                + " ".join(map(str, b)),
-            ],
-            {
-                "member": False,
-                "witness": {"kind": "p4_pair", "first": a, "second": b},
-            },
-        )
+        kind, body = "p4_pair", tuple(p.vertices for p in verdict.p4_pair)
+        detail = {"first": _ids(body[0]), "second": _ids(body[1])}
+    _emit(
+        args,
+        ["NOT_MEMBER", f"witness {kind} {_witness_text(body)}"],
+        {"member": False, "witness": {"kind": kind, **detail}},
+    )
     return 0
-
-
-def _two_colorable(g: Graph, mask: int) -> bool:
-    color: dict[int, int] = {}
-    for start in bits(mask):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in bits(g.adj[v] & mask):
-                if w not in color:
-                    color[w] = color[v] ^ 1
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
 
 
 def _cmd_cover(args) -> int:
     g = _read_graph(args)
     res, fam = solve_with_cover(g, jobs=args.jobs)
     members = [sorted(_ids(bits(m))) for m in fam.members]
-    bipartite = sum(1 for m in fam.members if _two_colorable(g, m))
+    bipartite = sum(
+        1
+        for m in fam.members
+        if all(c.sides is not None for c in components_with_certificates(g, m).parts)
+    )
     lines = _result_lines(res)
     lines.append(f"members {len(members)}")
     lines += ["member " + " ".join(map(str, m)) for m in members]
@@ -344,10 +318,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except InputError as err:
+    except (ParseError, InputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except GuardError as err:

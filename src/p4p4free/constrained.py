@@ -17,18 +17,20 @@ The {b, d} variant is the same computation on the reversed path.
 from __future__ import annotations
 
 from .errors import ClassViolation, InputError, StructureViolation
-from .graph import (
-    ContactClass,
-    Graph,
-    SolveResult,
-    bits,
-    certified_result,
-    components,
-    components_with_certificates,
-    contact_class,
+from .graph import Graph, SolveResult, bits, certified_result
+from .recognition import (
+    InducedP4,
+    find_induced_p4,
+    neighborhood_partition,
+    p4_pair_violation,
 )
-from .recognition import InducedP4, find_induced_p4, neighborhood_partition
-from .split_solver import _certified_members, _solve_raw, branch_via_bipartial
+from .split_solver import (
+    _bipartial_blocks,
+    _certified_members,
+    _keep_or_drop,
+    _solve_raw,
+    branch_via_bipartial,
+)
 
 __all__ = ["solve_containing_ac", "solve_containing_bd"]
 
@@ -49,15 +51,6 @@ def _select_branch_vertex(g: Graph, cands: list[int], t_comps: list[int], t_mask
         if not dominated:
             keep.append(v)
     return min(keep)
-
-
-def _has_bipartial(g: Graph, vertices: int, members) -> bool:
-    for v in bits(vertices):
-        for m in members:
-            if not m.trivial and g.adj[v] & m.members:
-                if contact_class(g, v, m) is ContactClass.BI_PARTIAL:
-                    return True
-    return False
 
 
 def _solve_second_phase(
@@ -85,14 +78,14 @@ def _solve_second_phase(
             "constrained branching exceeded its depth budget; "
             "structure assumptions must have been violated undetected"
         )
+
+    def redispatch(host2: int, depth2: int):
+        return _solve_second_phase(
+            g, stars, passive, active, both, anti, host2, depth2, False, leaves
+        )
+
     members = _certified_members(g, anti & host)
-    if _has_bipartial(g, active & host, members):
-
-        def redispatch(host2: int, depth2: int):
-            return _solve_second_phase(
-                g, stars, passive, active, both, anti, host2, depth2, False, leaves
-            )
-
+    if any(_bipartial_blocks(g, v, members) for v in bits(active & host)):
         return branch_via_bipartial(g, host, active, anti, redispatch, depth)
     region = (active | anti) & host
     found = find_induced_p4(g, region)
@@ -108,13 +101,7 @@ def _solve_second_phase(
         )
     # fall back to plain anti-neighborhood branching on a path vertex
     x = found.a
-    keep = _solve_second_phase(
-        g, stars, passive, active, both, anti, host & ~g.adj[x], depth + 1, False, leaves
-    )
-    drop = _solve_second_phase(
-        g, stars, passive, active, both, anti, host & ~(1 << x), depth + 1, False, leaves
-    )
-    return keep if keep[0] >= drop[0] else drop
+    return _keep_or_drop(redispatch, host & ~g.adj[x], host & ~(1 << x), depth)
 
 
 def _pair_branch(g: Graph, part, sb: int, sd: int, leaves):
@@ -130,7 +117,8 @@ def _pair_branch(g: Graph, part, sb: int, sd: int, leaves):
             cand = _solve_raw(g, stars | part.s_bd, part.anti, host, depth, 0, leaves)
             return cand if cand[0] > best[0] else best
         t_mask = part.anti & host
-        t_comps = components(g, t_mask)
+        anchored = _certified_members(g, t_mask)
+        t_comps = [m.members for m in anchored]
         v = _select_branch_vertex(g, list(bits(live_b | live_d)), t_comps, t_mask)
         if live_b >> v & 1:
             active, passive = part.s_d, part.s_b
@@ -138,8 +126,9 @@ def _pair_branch(g: Graph, part, sb: int, sd: int, leaves):
             active, passive = part.s_b, part.s_d
         picked = stars | (1 << v)
         keep_host = host & ~g.adj[v]
-        anchored = _certified_members(g, t_mask)
-        hard = not _has_bipartial(g, active & keep_host & ~picked, anchored)
+        hard = not any(
+            _bipartial_blocks(g, u, anchored) for u in bits(active & keep_host & ~picked)
+        )
         cand = _solve_second_phase(
             g,
             picked,
@@ -199,12 +188,7 @@ def solve_containing_ac(
         # anti-neighborhood, so a four-vertex path found in one is
         # vertex-disjoint from and non-adjacent to p: a forbidden pair
         if err.witness[0] == "incomplete_block" and err.witness[2] is not None:
-            q = err.witness[2]
-            raise ClassViolation(
-                "an induced four-vertex path lies fully outside another's "
-                "closed neighborhood",
-                ("p4_pair", (p.vertices, q.vertices)),
-            ) from None
+            raise p4_pair_violation(p, err.witness[2]) from None
         raise
     forced = (1 << p.a) | (1 << p.c)
     if leaves is not None:

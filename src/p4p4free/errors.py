@@ -34,10 +34,11 @@ class ClassViolation(RuntimeError):
     """The graph is not triangle-free or contains two independent induced P4s.
 
     Attributes:
-        witness: tuple describing the forbidden structure, e.g.
-            ("triangle", (u, v, w)) or ("p4_pair", (p, q)) or
-            ("trace", v, trace) for a vertex whose adjacency into a P4
-            cannot occur in a triangle-free graph.
+        witness: tuple describing the forbidden structure:
+            ("triangle", (u, v, w)) or ("p4_pair", (p, q)) with p and q the
+            vertex tuples of two separated induced P4s.  Witnesses leaving
+            ``solve`` and ``solve_with_cover`` have been re-checked against
+            the input.
     """
 
     def __init__(self, message: str, witness: tuple | None = None):

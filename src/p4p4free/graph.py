@@ -6,6 +6,9 @@ are expressed as a live "host" mask over the original graph (no
 re-indexing ever happens).  Iteration over a mask is always in ascending
 vertex order, which is what makes every tie-break in the package
 deterministic.
+
+``components_with_certificates`` is the one decomposition primitive: it
+finds and certifies each component in a single breadth-first search.
 """
 
 from __future__ import annotations
@@ -24,10 +27,8 @@ __all__ = [
     "SolveResult",
     "bits",
     "mask_of",
-    "bit_count",
     "neighborhood",
     "anti_neighborhood",
-    "components",
     "components_with_certificates",
     "contact_class",
     "certified_result",
@@ -48,10 +49,6 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         out |= 1 << v
     return out
-
-
-def bit_count(mask: int) -> int:
-    return mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -160,32 +157,6 @@ def anti_neighborhood(g: Graph, u: int, host: int | None = None) -> int:
     return host & ~u & ~neighborhood(g, u)
 
 
-def components(g: Graph, host: int) -> list[int]:
-    """Connected components of the induced subgraph on ``host``.
-
-    Returns component masks sorted by their smallest vertex.
-    """
-    g._check_host(host)
-    adj = g.adj
-    out = []
-    rest = host
-    while rest:
-        comp = rest & -rest
-        frontier = comp
-        while frontier:
-            grow = 0
-            m = frontier
-            while m:
-                low = m & -m
-                grow |= adj[low.bit_length() - 1]
-                m ^= low
-            frontier = grow & host & ~comp
-            comp |= frontier
-        out.append(comp)
-        rest &= ~comp
-    return out
-
-
 class ContactClass(Enum):
     """How a vertex meets a complete bipartite component: not at all,
     partially into one side, or fully covering one side."""
@@ -220,60 +191,58 @@ class ComponentStructure:
     host: int
     parts: tuple[Component, ...]
 
-    def nontrivial(self) -> tuple[Component, ...]:
-        return tuple(c for c in self.parts if not c.trivial)
-
-
-def _certify_complete_bipartite(g: Graph, comp: int) -> tuple[int, int] | None:
-    """Two-color ``comp`` and check completeness; None when either fails."""
-    adj = g.adj
-    start = comp & -comp
-    side_a = start
-    side_b = 0
-    frontier = start
-    color_of_frontier = 0
-    while frontier:
-        grow = 0
-        m = frontier
-        while m:
-            low = m & -m
-            grow |= adj[low.bit_length() - 1]
-            m ^= low
-        grow &= comp
-        if color_of_frontier == 0:
-            if grow & side_a:
-                return None  # odd cycle
-            new = grow & ~side_b
-            side_b |= new
-        else:
-            if grow & side_b:
-                return None
-            new = grow & ~side_a
-            side_a |= new
-        frontier = new
-        color_of_frontier ^= 1
-    for v in bits(side_a):
-        if adj[v] & comp != side_b:
-            return None
-    for v in bits(side_b):
-        if adj[v] & comp != side_a:
-            return None
-    return side_a, side_b
-
 
 def components_with_certificates(g: Graph, host: int) -> ComponentStructure:
     """Decompose ``host`` and certify each nontrivial component.
 
-    Every nontrivial component is tested for being complete bipartite; the
-    certificate (the two sides) is attached when the test succeeds and left
-    as None otherwise.  Trivial components always certify as (self, empty).
+    One breadth-first search per component, from its smallest vertex,
+    puts even layers in side_a and odd layers in side_b.  While a layer is
+    expanded, the union and the intersection of its vertices' neighbour
+    sets are kept per side; the component is complete bipartite exactly
+    when, for each side, both equal the other side (within the host every
+    neighbour of a component vertex lies in the component).  The sides
+    are attached as the certificate then, and None otherwise.  Trivial
+    components always certify as (self, empty).  Components come in
+    smallest-vertex order.
     """
+    g._check_host(host)
+    adj = g.adj
     parts = []
-    for comp in components(g, host):
-        if comp & (comp - 1) == 0:
-            parts.append(Component(comp, True, (comp, 0)))
-        else:
-            parts.append(Component(comp, False, _certify_complete_bipartite(g, comp)))
+    rest = host
+    while rest:
+        start = rest & -rest
+        if not adj[start.bit_length() - 1] & host:
+            parts.append(Component(start, True, (start, 0)))
+            rest ^= start
+            continue
+        comp = frontier = start
+        sides = [start, 0]
+        union = [0, 0]
+        meet = [host, host]
+        parity = 0
+        while frontier:
+            grow = 0
+            common = meet[parity]
+            m = frontier
+            while m:
+                low = m & -m
+                nbrs = adj[low.bit_length() - 1]
+                grow |= nbrs
+                common &= nbrs
+                m ^= low
+            union[parity] |= grow
+            meet[parity] = common
+            frontier = grow & host & ~comp
+            comp |= frontier
+            parity ^= 1
+            sides[parity] |= frontier
+        side_a, side_b = sides
+        complete = (
+            union[0] & host == meet[0] & host == side_b
+            and union[1] & host == meet[1] & host == side_a
+        )
+        parts.append(Component(comp, False, (side_a, side_b) if complete else None))
+        rest &= ~comp
     return ComponentStructure(host, tuple(parts))
 
 
@@ -315,15 +284,13 @@ class SolveResult:
     Attributes:
         weight: total weight of ``chosen``.
         chosen: the vertices, ascending.
-        leaves: base-case records when tracing was requested, else None.
     """
 
     weight: int
     chosen: tuple[int, ...]
-    leaves: tuple | None = None
 
 
-def certified_result(g: Graph, mask: int, leaves: tuple | None = None) -> SolveResult:
+def certified_result(g: Graph, mask: int) -> SolveResult:
     """Wrap a solution mask in a SolveResult, re-verifying it first.
 
     Every public return path goes through this: the chosen set is checked
@@ -337,4 +304,4 @@ def certified_result(g: Graph, mask: int, leaves: tuple | None = None) -> SolveR
                 f"self-certification failed: vertex {v} has a chosen neighbor"
             )
         total += g.weights[v]
-    return SolveResult(total, tuple(bits(mask)), leaves)
+    return SolveResult(total, tuple(bits(mask)))

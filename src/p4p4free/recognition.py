@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ClassViolation, InputError
-from .graph import Graph, anti_neighborhood, bits, mask_of
+from .graph import Graph, anti_neighborhood, bits, neighborhood
 
 __all__ = [
     "InducedP4",
@@ -29,7 +29,10 @@ __all__ = [
     "find_triangle",
     "enumerate_induced_p4",
     "find_induced_p4",
+    "p4_pair_violation",
+    "uncertified_p4",
     "is_class_member",
+    "witness_holds",
     "neighborhood_partition",
 ]
 
@@ -122,9 +125,35 @@ def enumerate_induced_p4(g: Graph, host: int | None = None) -> list[InducedP4]:
 def find_induced_p4(g: Graph, host: int) -> InducedP4 | None:
     """Some induced P4 of g[host], or None; deterministic, early exit."""
     g._check_host(host)
-    for p in _p4_scan(g, host):
-        return p
-    return None
+    return next(_p4_scan(g, host), None)
+
+
+def p4_pair_violation(p: InducedP4, q: InducedP4) -> ClassViolation:
+    """The refusal for two induced P4s that are vertex-disjoint and
+    mutually non-adjacent."""
+    return ClassViolation(
+        "an induced four-vertex path lies fully outside another's "
+        "closed neighborhood",
+        ("p4_pair", (p.vertices, q.vertices)),
+    )
+
+
+def uncertified_p4(g: Graph, comp: int) -> InducedP4:
+    """Explain why the connected component ``comp`` is not complete
+    bipartite: an induced P4 inside it.
+
+    A connected triangle-free graph that is not complete bipartite has an
+    induced P4, so a component without a certificate has a triangle or a
+    path.
+
+    Raises:
+        ClassViolation: the component contains a triangle (witness
+            attached).
+    """
+    tri = find_triangle(g, comp)
+    if tri is not None:
+        raise ClassViolation("component contains a triangle", ("triangle", tri))
+    return find_induced_p4(g, comp)
 
 
 @dataclass(frozen=True)
@@ -159,6 +188,34 @@ def is_class_member(g: Graph) -> MembershipVerdict:
         if q is not None:
             return MembershipVerdict(False, p4_pair=(p, q))
     return MembershipVerdict(True)
+
+
+def witness_holds(g: Graph, witness) -> bool:
+    """Re-check a refusal witness against ``g``.
+
+    Accepts ``("triangle", (u, v, w))`` with three mutually adjacent
+    vertices, and ``("p4_pair", (p, q))`` with two vertex tuples that each
+    induce a P4 and are vertex-disjoint with no edge between them.
+    """
+    if not isinstance(witness, tuple) or len(witness) != 2:
+        return False
+    kind, body = witness
+    try:
+        if kind == "triangle":
+            u, v, w = body
+            return (
+                len({u, v, w}) == 3
+                and all(0 <= x < g.n for x in body)
+                and g.adjacent(u, v)
+                and g.adjacent(v, w)
+                and g.adjacent(u, w)
+            )
+        if kind == "p4_pair":
+            p, q = (InducedP4.of(g, *path) for path in body)
+            return not p.mask & (q.mask | neighborhood(g, q.mask))
+    except (TypeError, ValueError):
+        return False
+    return False
 
 
 @dataclass(frozen=True)
@@ -227,16 +284,12 @@ def neighborhood_partition(
         )
         name = _TRACE_TO_CLASS.get(trace)
         if name is None:
-            for i, j in _PATH_EDGES:
-                if trace >> i & 1 and trace >> j & 1:
-                    raise ClassViolation(
-                        f"vertex {v} is adjacent to consecutive path vertices "
-                        f"{pv[i]} and {pv[j]}",
-                        ("triangle", tuple(sorted((v, pv[i], pv[j])))),
-                    )
-            raise ClassViolation(  # unreachable: every invalid trace has a path edge
-                f"vertex {v} has an impossible trace {trace:04b}",
-                ("trace", v, trace),
+            # every other trace holds two consecutive path vertices
+            i, j = next(e for e in _PATH_EDGES if trace >> e[0] & trace >> e[1] & 1)
+            raise ClassViolation(
+                f"vertex {v} is adjacent to consecutive path vertices "
+                f"{pv[i]} and {pv[j]}",
+                ("triangle", tuple(sorted((v, pv[i], pv[j])))),
             )
         classes[name] |= bit
     return NeighborhoodPartition(

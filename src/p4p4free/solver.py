@@ -13,18 +13,32 @@ every base case reached anywhere in the branching is recorded as a
 ``LeafRecord`` whose member set induces a bipartite subgraph, and the
 isolated-flavor step is widened with extra constrained solves so that the
 deduplicated family provably contains every maximal independent set.
+
+Every refusal leaves through one boundary: a ``ClassViolation`` whose
+witness re-checks against the input (a triangle, or two separated induced
+four-vertex paths) passes as it is; any other refusal is replaced by the
+recognizer's witness, or re-raised unchanged if the recognizer accepts the
+graph, since that can only be an internal fault.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NoReturn
 
-from .bipartite import solve_cb_components
+from .bipartite import cb_weight_mask
 from .constrained import solve_containing_ac, solve_containing_bd
 from .errors import ClassViolation, InputError, StructureViolation
 from .graph import Graph, SolveResult, bits, certified_result, mask_of
-from .recognition import InducedP4, enumerate_induced_p4, neighborhood_partition
+from .recognition import (
+    InducedP4,
+    enumerate_induced_p4,
+    is_class_member,
+    neighborhood_partition,
+    p4_pair_violation,
+    witness_holds,
+)
 
 __all__ = ["LeafRecord", "CoverFamily", "solve", "solve_with_cover"]
 
@@ -65,30 +79,8 @@ def _q3_region(g: Graph, p: InducedP4, part) -> int:
     anti-neighborhood: a region made of complete bipartite components."""
     flavors = part.s_b | part.s_c
     ambient = flavors | part.anti
-    lonely = 0
-    for v in bits(flavors):
-        if not g.adj[v] & ambient:
-            lonely |= 1 << v
+    lonely = mask_of(v for v in bits(flavors) if not g.adj[v] & ambient)
     return (1 << p.a) | (1 << p.d) | lonely | part.anti
-
-
-def _cb_or_pair_witness(g: Graph, region: int, p: InducedP4) -> SolveResult:
-    """Bipartite solve of a path's side region.
-
-    A component of the region that fails certification without a triangle
-    contains an induced path that is vertex-disjoint from and non-adjacent
-    to ``p`` (the region avoids N(V(p))), so it is converted into the
-    forbidden-pair witness instead of surfacing as a structure error.
-    """
-    try:
-        return solve_cb_components(g, region)
-    except StructureViolation as err:
-        q = err.witness[2]
-        raise ClassViolation(
-            "an induced four-vertex path lies fully outside another's "
-            "closed neighborhood",
-            ("p4_pair", (p.vertices, q.vertices)),
-        ) from None
 
 
 def _complete_path(
@@ -113,25 +105,25 @@ def _per_path(g: Graph, p: InducedP4, cover: bool):
     """Best (weight, mask) over this path's branches, plus leaf records."""
     records: list[LeafRecord] = []
     leaves: list[int] | None = [] if cover else None
+    best_w, best_m = -1, 0
 
-    q1 = solve_containing_ac(g, p, leaves=leaves)
-    if cover:
-        _drain(leaves, (1 << p.a) | (1 << p.c), records)
-    best_w, best_m = q1.weight, mask_of(q1.chosen)
-
-    q2 = solve_containing_bd(g, p, leaves=leaves)
-    if cover:
-        _drain(leaves, (1 << p.b) | (1 << p.d), records)
-    if q2.weight > best_w:
-        best_w, best_m = q2.weight, mask_of(q2.chosen)
+    for solve_pair, pair in (
+        (solve_containing_ac, (1 << p.a) | (1 << p.c)),
+        (solve_containing_bd, (1 << p.b) | (1 << p.d)),
+    ):
+        res = solve_pair(g, p, leaves=leaves)
+        if cover:
+            _drain(leaves, pair, records)
+        if res.weight > best_w:
+            best_w, best_m = res.weight, mask_of(res.chosen)
 
     part = neighborhood_partition(g, p)
     region = _q3_region(g, p, part)
-    q3 = _cb_or_pair_witness(g, region, p)
+    q3_w, q3_m = cb_weight_mask(g, region)
     if cover:
         records.append(LeafRecord(0, region))
-    if q3.weight > best_w:
-        best_w, best_m = q3.weight, mask_of(q3.chosen)
+    if q3_w > best_w:
+        best_w, best_m = q3_w, q3_m
 
     if cover:
         # non-isolated flavor vertices are not covered by the region above;
@@ -139,30 +131,22 @@ def _per_path(g: Graph, p: InducedP4, cover: bool):
         # far endpoint by removing its neighborhood (it rides along as an
         # isolated vertex of every leaf)
         lonely = region & (part.s_b | part.s_c)
-        for b2 in bits(part.s_b & ~lonely):
-            fresh = _complete_path(
-                g, p.a, p.b, b2, (part.s_c | part.anti) & g.adj[b2]
-            )
-            if fresh is None:
-                continue
-            extra = solve_containing_ac(
-                g, fresh, host=g.full_mask & ~g.adj[p.d], leaves=leaves
-            )
-            _drain(leaves, (1 << fresh.a) | (1 << fresh.c), records)
-            if extra.weight > best_w:
-                best_w, best_m = extra.weight, mask_of(extra.chosen)
-        for c2 in bits(part.s_c & ~lonely):
-            fresh = _complete_path(
-                g, p.d, p.c, c2, (part.s_b | part.anti) & g.adj[c2]
-            )
-            if fresh is None:
-                continue
-            extra = solve_containing_ac(
-                g, fresh, host=g.full_mask & ~g.adj[p.a], leaves=leaves
-            )
-            _drain(leaves, (1 << fresh.a) | (1 << fresh.c), records)
-            if extra.weight > best_w:
-                best_w, best_m = extra.weight, mask_of(extra.chosen)
+        for end, mid, flavor, other, far in (
+            (p.a, p.b, part.s_b, part.s_c, p.d),
+            (p.d, p.c, part.s_c, part.s_b, p.a),
+        ):
+            for x in bits(flavor & ~lonely):
+                fresh = _complete_path(
+                    g, end, mid, x, (other | part.anti) & g.adj[x]
+                )
+                if fresh is None:
+                    continue
+                extra = solve_containing_ac(
+                    g, fresh, host=g.full_mask & ~g.adj[far], leaves=leaves
+                )
+                _drain(leaves, (1 << fresh.a) | (1 << fresh.c), records)
+                if extra.weight > best_w:
+                    best_w, best_m = extra.weight, mask_of(extra.chosen)
 
     return best_w, best_m, records
 
@@ -174,6 +158,33 @@ def _per_path_task(args):
 def _run(g: Graph, cover: bool, jobs: int):
     if jobs < 1:
         raise InputError("jobs must be at least 1")
+    try:
+        return _solve_all(g, cover, jobs)
+    except ClassViolation as err:
+        if witness_holds(g, err.witness):
+            raise
+        _refuse(g, err)
+    except StructureViolation as err:
+        _refuse(g, err)
+
+
+def _refuse(g: Graph, err: Exception) -> NoReturn:
+    """Refuse g with the recognizer's witness in place of ``err``'s.
+
+    Re-raises ``err`` itself when the recognizer accepts g: a refusal of a
+    class member is an internal fault, not a property of the input.
+    """
+    verdict = is_class_member(g)
+    if verdict.is_member:
+        raise err
+    if verdict.triangle is not None:
+        raise ClassViolation(
+            "graph contains a triangle", ("triangle", verdict.triangle)
+        ) from err
+    raise p4_pair_violation(*verdict.p4_pair) from err
+
+
+def _solve_all(g: Graph, cover: bool, jobs: int):
     paths = enumerate_induced_p4(g)
     best = (-1, 0)
     records: list[LeafRecord] = []
@@ -198,11 +209,11 @@ def _run(g: Graph, cover: bool, jobs: int):
     for p in paths:
         on_some_path |= p.mask
     white_host = g.full_mask & ~on_some_path
-    white = solve_cb_components(g, white_host)
+    white = cb_weight_mask(g, white_host)
     if cover:
         records.append(LeafRecord(0, white_host))
-    if white.weight > best[0]:
-        best = (white.weight, mask_of(white.chosen))
+    if white[0] > best[0]:
+        best = white
 
     result = certified_result(g, best[1])
     if not cover:
@@ -227,7 +238,8 @@ def solve(g: Graph, jobs: int = 1) -> SolveResult:
 
     Raises:
         ClassViolation: g contains a triangle or two separated induced
-            four-vertex paths along an examined branch (witness attached).
+            four-vertex paths; the attached witness has been re-checked
+            against g.
     """
     result, _ = _run(g, cover=False, jobs=jobs)
     return result

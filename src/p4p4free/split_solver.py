@@ -7,7 +7,11 @@ fail the complete-bipartite certificate (two failing components would each
 contain an induced P4, and the pair would be forbidden).  The dispatcher
 therefore solves every certified component by side selection and recurses
 only into the single uncertified one, choosing a branch vertex whose
-anti-neighborhood branching provably lands back in simpler shapes.
+anti-neighborhood branching provably lands back in simpler shapes.  When
+some vertex of the independent part is bi-partial to two blocks, the
+branch vertex is a sink of the branching order (u before v when v is
+bi-partial to two blocks left after removing N(u)), found by a direct
+search over the candidates.
 
 All branching is of the form max(solve(host minus N(v)), solve(host minus
 v)) or a covering family of induced-subgraph restrictions, so the optimum
@@ -20,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ClassViolation, InputError, StructureViolation
+from .bipartite import heavier_side
+from .errors import InputError, StructureViolation
 from .graph import (
     Component,
     ContactClass,
@@ -32,16 +37,9 @@ from .graph import (
     neighborhood,
     SolveResult,
 )
-from .recognition import find_induced_p4, find_triangle
+from .recognition import p4_pair_violation, uncertified_p4
 
-__all__ = [
-    "SplitInstance",
-    "PartialOrderDigraph",
-    "solve_split",
-    "order_less",
-    "build_order_digraph",
-    "branch_via_bipartial",
-]
+__all__ = ["SplitInstance", "solve_split", "branch_via_bipartial"]
 
 
 @dataclass(frozen=True)
@@ -79,111 +77,39 @@ class SplitInstance:
         return self.s_part | self.t_part
 
 
-@dataclass(frozen=True)
-class PartialOrderDigraph:
-    """Digraph of the branching order on the independent part.
-
-    There is an edge (u, v) exactly when ``order_less(inst, u, v)``; the
-    solver only ever needs one sink, but the full digraph is exposed so
-    tests can verify acyclicity directly.
-    """
-
-    nodes: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    def sinks(self) -> tuple[int, ...]:
-        out = {u for u, _ in self.edges}
-        return tuple(v for v in self.nodes if v not in out)
-
-    def is_acyclic(self) -> bool:
-        succ = {v: [] for v in self.nodes}
-        for u, v in self.edges:
-            succ[u].append(v)
-        state: dict[int, int] = {}  # 1 = on stack, 2 = done
-
-        def dfs(v: int) -> bool:
-            state[v] = 1
-            for w in succ[v]:
-                mark = state.get(w)
-                if mark == 1:
-                    return False
-                if mark is None and not dfs(w):
-                    return False
-            state[v] = 2
-            return True
-
-        return all(state.get(v) == 2 or dfs(v) for v in self.nodes)
-
-
-def _count_bipartial(g: Graph, v: int, members) -> int:
-    """Nontrivial members of ``members`` that v is bi-partial to."""
-    n = 0
-    for m in members:
-        if not m.trivial and g.adj[v] & m.members:
-            if contact_class(g, v, m) is ContactClass.BI_PARTIAL:
-                n += 1
-    return n
-
-
-def order_less(inst: SplitInstance, u: int, v: int) -> bool:
-    """True when v is bi-partial to two or more nontrivial blocks of the
-    block part with N(u) removed."""
-    if u == v:
-        raise InputError("order is irreflexive")
-    for w in (u, v):
-        if not inst.s_part >> w & 1:
-            raise InputError(f"vertex {w} is not in the independent part")
-    residual = inst.t_part & ~inst.g.adj[u]
-    members = components_with_certificates(inst.g, residual).parts
-    return _count_bipartial(inst.g, v, members) >= 2
-
-
-def build_order_digraph(inst: SplitInstance) -> PartialOrderDigraph:
-    nodes = tuple(bits(inst.s_part))
-    edges = []
-    for u in nodes:
-        residual = inst.t_part & ~inst.g.adj[u]
-        members = components_with_certificates(inst.g, residual).parts
-        for v in nodes:
-            if v != u and _count_bipartial(inst.g, v, members) >= 2:
-                edges.append((u, v))
-    return PartialOrderDigraph(nodes, tuple(edges))
+def _bipartial_blocks(g: Graph, v: int, members) -> list[Component]:
+    """The nontrivial certified members that vertex v is bi-partial to."""
+    return [
+        m
+        for m in members
+        if not m.trivial
+        and g.adj[v] & m.members
+        and contact_class(g, v, m) is ContactClass.BI_PARTIAL
+    ]
 
 
 def _certified_members(g: Graph, t_live: int):
+    """Components of a block part, each certified complete bipartite.
+
+    A component without a certificate raises: ClassViolation for a
+    triangle, else StructureViolation carrying an induced P4 of it, for
+    callers that can tell whether it is separated from their branch path.
+    """
     members = components_with_certificates(g, t_live).parts
     for m in members:
         if m.sides is None:
-            tri = find_triangle(g, m.members)
-            if tri is not None:
-                raise ClassViolation(
-                    "block part contains a triangle", ("triangle", tri)
-                )
-            # connected, triangle-free and not complete bipartite forces an
-            # induced four-vertex path; attach it for callers that can tell
-            # whether it is separated from their branch path
             raise StructureViolation(
                 "block part lost its complete-bipartite shape",
-                ("incomplete_block", m.members, find_induced_p4(g, m.members)),
+                ("incomplete_block", m.members, uncertified_p4(g, m.members)),
             )
     return members
 
 
-def _bad_comp_witness(g: Graph, first: int, second: int):
-    """Turn two uncertified components into a concrete forbidden pattern."""
-    for comp in (first, second):
-        tri = find_triangle(g, comp)
-        if tri is not None:
-            raise ClassViolation(
-                "triangle inside a branching host", ("triangle", tri)
-            )
-    p = find_induced_p4(g, first)
-    q = find_induced_p4(g, second)
-    # a triangle-free component without a certificate must contain a path
-    raise ClassViolation(
-        "two separated components each carry an induced four-vertex path",
-        ("p4_pair", (p.vertices, q.vertices)),
-    )
+def _keep_or_drop(redispatch, keep_host: int, drop_host: int, depth: int):
+    """The heavier of the two branches, the kept one on ties."""
+    keep = redispatch(keep_host, depth + 1)
+    drop = redispatch(drop_host, depth + 1)
+    return keep if keep[0] >= drop[0] else drop
 
 
 def branch_via_bipartial(g, host, active, t_mask, redispatch, depth):
@@ -202,48 +128,36 @@ def branch_via_bipartial(g, host, active, t_mask, redispatch, depth):
     members = _certified_members(g, t_live)
     bp_of: dict[int, list[Component]] = {}
     for s in bits(act):
-        found = [
-            m
-            for m in members
-            if not m.trivial
-            and g.adj[s] & m.members
-            and contact_class(g, s, m) is ContactClass.BI_PARTIAL
-        ]
+        found = _bipartial_blocks(g, s, members)
         if found:
             bp_of[s] = found
     if not bp_of:
         raise InputError("no bi-partial vertex to branch on")
 
     if any(len(found) >= 2 for found in bp_of.values()):
-        # several blocks involved: branch on a sink of the order digraph,
+        # several blocks involved: branch on a sink of the branching order,
         # which guarantees the kept residual has single-block contacts only
-        sink = None
         act_list = list(bits(act))
-        for v in act_list:
-            residual_members = components_with_certificates(
-                g, t_live & ~g.adj[v]
-            ).parts
-            if all(
-                w == v or _count_bipartial(g, w, residual_members) < 2
-                for w in act_list
-            ):
-                sink = v
-                break
+
+        def is_sink(v: int) -> bool:
+            residual = components_with_certificates(g, t_live & ~g.adj[v]).parts
+            return all(
+                w == v or len(_bipartial_blocks(g, w, residual)) < 2 for w in act_list
+            )
+
+        sink = next((v for v in act_list if is_sink(v)), None)
         if sink is None:
             raise StructureViolation(
                 "branching order has no sink", ("order_cycle", tuple(act_list))
             )
-        keep = redispatch(host & ~g.adj[sink], depth + 1)
-        drop = redispatch(host & ~(1 << sink), depth + 1)
-        return keep if keep[0] >= drop[0] else drop
+        return _keep_or_drop(redispatch, host & ~g.adj[sink], host & ~(1 << sink), depth)
 
-    # single-block case: pick the vertex contacting the most nontrivial blocks
-    pick = -1
-    pick_count = -1
-    for s in sorted(bp_of):
-        cnt = sum(1 for m in members if not m.trivial and g.adj[s] & m.members)
-        if cnt > pick_count:
-            pick, pick_count = s, cnt
+    # single-block case: pick the vertex contacting the most nontrivial
+    # blocks, the smallest on ties
+    pick = max(
+        bp_of,
+        key=lambda s: sum(1 for m in members if not m.trivial and g.adj[s] & m.members),
+    )
     prime = bp_of[pick][0].members  # the block `pick` is bi-partial to
 
     kept = host & ~g.adj[pick]
@@ -253,11 +167,7 @@ def branch_via_bipartial(g, host, active, t_mask, redispatch, depth):
     for z in z_struct.parts:
         if z.trivial or z.sides is None:
             continue
-        if any(
-            contact_class(g, s, z) is ContactClass.BI_PARTIAL
-            for s in bits(act & ~z.members)
-            if g.adj[s] & z.members
-        ):
+        if any(_bipartial_blocks(g, s, (z,)) for s in bits(act & ~z.members)):
             regions.append(z.members)
     if len(regions) > 1:
         raise StructureViolation(
@@ -277,11 +187,8 @@ def branch_via_bipartial(g, host, active, t_mask, redispatch, depth):
         for hp in bits(prime & kept):
             if not g.adjacent(h, hp):
                 residuals.append(kept & ~(g.adj[h] | g.adj[hp]))
-    best = redispatch(residuals[0], depth + 1)
-    for r in residuals[1:]:
-        cand = redispatch(r, depth + 1)
-        if cand[0] > best[0]:
-            best = cand
+    # ties keep the earliest residual
+    best = max((redispatch(r, depth + 1) for r in residuals), key=lambda c: c[0])
     drop = redispatch(host & ~(1 << pick), depth + 1)
     return best if best[0] >= drop[0] else drop
 
@@ -322,14 +229,8 @@ def _solve_bad_comp(g, s_mask, t_mask, comp, depth, ambient, leaves):
         # branch on the vertex spanning the most blocks (singletons count:
         # a vertex tying several singletons together is what breaks the
         # component's complete-bipartite shape in the first place)
-        pick = -1
-        pick_count = -1
-        for s in sorted(multi):
-            if contacted_count[s] > pick_count:
-                pick, pick_count = s, contacted_count[s]
-        keep = redispatch(comp & ~g.adj[pick], depth + 1)
-        drop = redispatch(comp & ~(1 << pick), depth + 1)
-        return keep if keep[0] >= drop[0] else drop
+        pick = max(multi, key=contacted_count.get)
+        return _keep_or_drop(redispatch, comp & ~g.adj[pick], comp & ~(1 << pick), depth)
 
     # every contact is universal into one side of a single block; the
     # component can only fail its certificate by having attachments on
@@ -343,9 +244,7 @@ def _solve_bad_comp(g, s_mask, t_mask, comp, depth, ambient, leaves):
             ("side_split_blocks", tuple(m.members for m in split_blocks)),
         )
     side = split_blocks[0].sides[0]
-    keep = redispatch(comp & ~neighborhood(g, side), depth + 1)
-    drop = redispatch(comp & ~side, depth + 1)
-    return keep if keep[0] >= drop[0] else drop
+    return _keep_or_drop(redispatch, comp & ~neighborhood(g, side), comp & ~side, depth)
 
 
 def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves):
@@ -365,13 +264,11 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves):
         if comp.sides is None:
             bad.append(comp)
             continue
-        side_a, side_b = comp.sides
-        wa, wb = g.weight_of(side_a), g.weight_of(side_b)
-        chosen = side_a if wa >= wb else side_b
-        total_w += max(wa, wb)
-        total_m |= chosen
+        w, side = heavier_side(g, comp.sides)
+        total_w += w
+        total_m |= side
     if len(bad) > 1:
-        _bad_comp_witness(g, bad[0].members, bad[1].members)
+        raise p4_pair_violation(*(uncertified_p4(g, c.members) for c in bad[:2]))
     if not bad:
         if leaves is not None:
             leaves.append(ambient | host)

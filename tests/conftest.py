@@ -127,3 +127,21 @@ def two_colorable(g: Graph, mask: int) -> bool:
                 elif color[w] == color[v]:
                     return False
     return True
+
+
+def witness_checks(g: Graph, witness) -> bool:
+    """A refusal witness re-checked by the scans above: a triangle, or two
+    induced P4s that are vertex-disjoint with no edge between them."""
+    kind, body = witness
+    if kind == "triangle":
+        return tuple(sorted(body)) in scan_triangles(g)
+    if kind != "p4_pair":
+        return False
+    found = scan_p4s(g)
+    p, q = (tuple(path) if path[0] < path[3] else tuple(reversed(path)) for path in body)
+    return (
+        p in found
+        and q in found
+        and not set(p) & set(q)
+        and not any(g.adjacent(u, v) for u in p for v in q)
+    )

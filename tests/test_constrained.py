@@ -12,7 +12,7 @@ from p4p4free.constrained import (
     solve_containing_bd,
 )
 from p4p4free.errors import ClassViolation, InputError
-from p4p4free.graph import Graph, bits, components, mask_of
+from p4p4free.graph import Graph, bits, components_with_certificates, mask_of
 from p4p4free.recognition import (
     InducedP4,
     enumerate_induced_p4,
@@ -81,6 +81,10 @@ class TestErrors:
         kind, detail = err.value.witness
         assert kind == "triangle"
         assert detail == (0, 1, 4)
+
+
+def components(g: Graph, host: int) -> list[int]:
+    return [c.members for c in components_with_certificates(g, host).parts]
 
 
 class TestBranchVertexSelection:

@@ -10,6 +10,7 @@ from conftest import (
     is_independent,
     path_graph,
     random_graph,
+    two_colorable,
 )
 
 from p4p4free.errors import ClassViolation, InputError, StructureViolation
@@ -19,12 +20,12 @@ from p4p4free.graph import (
     anti_neighborhood,
     bits,
     certified_result,
-    components,
     components_with_certificates,
     contact_class,
     mask_of,
     neighborhood,
 )
+from p4p4free.testkit import XorShift64Star
 
 
 def test_bits_yields_ascending_ids():
@@ -142,7 +143,7 @@ class TestComponents:
     def test_components_are_a_partition_in_smallest_vertex_order(self):
         for seed in range(15):
             g = random_graph(seed, 11, 0.15)
-            comps = components(g, g.full_mask)
+            comps = [c.members for c in components_with_certificates(g, g.full_mask).parts]
             union = 0
             prev_low = -1
             for comp in comps:
@@ -155,8 +156,9 @@ class TestComponents:
 
     def test_rerunning_on_a_component_returns_it(self):
         g = random_graph(3, 11, 0.15)
-        for comp in components(g, g.full_mask):
-            assert components(g, comp) == [comp]
+        for comp in components_with_certificates(g, g.full_mask).parts:
+            again = components_with_certificates(g, comp.members).parts
+            assert again == (comp,)
 
     def test_certificates_are_sound(self):
         """Whenever sides are reported, completeness and independence hold."""
@@ -174,6 +176,42 @@ class TestComponents:
                 for side in comp.sides:
                     assert is_independent(g, side)
 
+    @staticmethod
+    def _blocks_plus_noise(seed: int) -> Graph:
+        """Random complete bipartite blocks, some broken by extra edges."""
+        rng = XorShift64Star(seed)
+        edges, n = [], 0
+        for _ in range(4):
+            a, b = 1 + rng.below(3), 1 + rng.below(3)
+            edges += [(n + i, n + a + j) for i in range(a) for j in range(b)]
+            n += a + b
+        for _ in range(rng.below(4)):
+            u, v = rng.below(n), rng.below(n)
+            if u != v:
+                edges.append((u, v))
+        return Graph.from_edges(n, edges)
+
+    def test_certificates_are_complete(self):
+        """Every complete bipartite component gets its certificate."""
+        certified = rejected = 0
+        for seed in range(80):
+            g = self._blocks_plus_noise(700 + seed)
+            for comp in components_with_certificates(g, g.full_mask).parts:
+                members = list(bits(comp.members))
+                if len(members) < 2 or not two_colorable(g, comp.members):
+                    continue
+                # a complete bipartite component splits into the smallest
+                # vertex's neighbours and the rest, every cross pair adjacent
+                opposite = g.adj[members[0]] & comp.members
+                side = comp.members & ~opposite
+                if all(g.adjacent(u, v) for u in bits(side) for v in bits(opposite)):
+                    assert comp.sides == (side, opposite), (seed, members)
+                    certified += len(members) > 2
+                else:
+                    assert comp.sides is None, (seed, members)
+                    rejected += 1
+        assert certified >= 100 and rejected >= 30
+
     def test_odd_cycle_is_uncertified(self):
         g = cycle_graph(5)
         assert components_with_certificates(g, g.full_mask).parts[0].sides is None
@@ -181,7 +219,7 @@ class TestComponents:
     def test_nontrivial_filter(self):
         g = Graph.from_edges(3, [(0, 1)])
         cs = components_with_certificates(g, g.full_mask)
-        assert [c.members for c in cs.nontrivial()] == [mask_of([0, 1])]
+        assert [c.members for c in cs.parts if not c.trivial] == [mask_of([0, 1])]
 
 
 class TestContactClass:

@@ -24,6 +24,8 @@ from p4p4free.recognition import (
     find_triangle,
     is_class_member,
     neighborhood_partition,
+    uncertified_p4,
+    witness_holds,
 )
 
 
@@ -155,6 +157,55 @@ class TestMembership:
                 assert all(
                     not g.adjacent(u, v) for u in p.vertices for v in q.vertices
                 )
+
+
+class TestWitnessHolds:
+    def test_genuine_witnesses_hold(self):
+        two_paths = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+        assert witness_holds(two_paths, ("p4_pair", ((3, 2, 1, 0), (4, 5, 6, 7))))
+        assert witness_holds(complete_graph(3), ("triangle", (2, 0, 1)))
+
+    def test_touching_paths_fail(self):
+        g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)])
+        assert not witness_holds(g, ("p4_pair", ((0, 1, 2, 3), (4, 5, 6, 7))))
+
+    @pytest.mark.parametrize(
+        "witness",
+        [
+            ("triangle", (0, 1, 2)),
+            ("triangle", (0, 1)),
+            ("triangle", (0, 1, 9)),
+            ("p4_pair", ((0, 1, 2, 3),)),
+            ("unexpected_p4", (0, 1, 2, 3)),
+            ("side_split_blocks", ()),
+            None,
+        ],
+    )
+    def test_malformed_or_false_witnesses_fail(self, witness):
+        assert not witness_holds(path_graph(4), witness)
+
+    def test_agrees_with_the_recognizer_on_random_graphs(self):
+        for seed in range(40):
+            g = random_graph(seed, 12, 0.25)
+            verdict = is_class_member(g)
+            if verdict.triangle is not None:
+                assert witness_holds(g, ("triangle", verdict.triangle))
+            elif verdict.p4_pair is not None:
+                p, q = verdict.p4_pair
+                assert witness_holds(g, ("p4_pair", (p.vertices, q.vertices)))
+
+
+class TestUncertifiedP4:
+    def test_path_component_yields_a_path(self):
+        g = path_graph(5)
+        p = uncertified_p4(g, g.full_mask)
+        assert p.vertices in scan_p4s(g) or p.reverse().vertices in scan_p4s(g)
+
+    def test_triangle_is_a_violation(self):
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        with pytest.raises(ClassViolation) as exc:
+            uncertified_p4(g, g.full_mask)
+        assert exc.value.witness == ("triangle", (0, 1, 2))
 
 
 class TestNeighborhoodPartition:

@@ -8,10 +8,13 @@ from conftest import (
     cycle_graph,
     is_independent,
     path_graph,
+    random_graph,
     two_colorable,
+    witness_checks,
 )
 
-from p4p4free.errors import ClassViolation, InputError
+from p4p4free import solver
+from p4p4free.errors import ClassViolation, InputError, StructureViolation
 from p4p4free.graph import Graph, bits, mask_of
 from p4p4free.solver import solve, solve_with_cover
 from p4p4free.testkit import (
@@ -84,6 +87,40 @@ class TestViolations:
         kind, (first, second) = info.value.witness
         assert kind == "p4_pair"
         assert set(first).isdisjoint(second)
+
+    # non-members whose refusal once escaped without a forbidden pattern:
+    # a bare StructureViolation("side_split_blocks"), or a ClassViolation
+    # carrying a single induced path ("unexpected_p4")
+    @pytest.mark.parametrize(
+        "seed, n, p", [(900_106, 16, 0.22), (2858, 18, 0.14), (950_479, 20, 0.12)]
+    )
+    @pytest.mark.parametrize("entry", [solve, solve_with_cover])
+    def test_refusal_carries_a_checked_witness(self, seed, n, p, entry):
+        g = random_graph(seed, n, p)
+        with pytest.raises(ClassViolation) as info:
+            entry(g)
+        assert witness_checks(g, info.value.witness), info.value.witness
+
+    def test_unchecked_witness_is_replaced_by_the_recognizer(self, monkeypatch):
+        def bogus(g, cover, jobs):
+            raise ClassViolation("bogus", ("unexpected_p4", (0, 1, 2, 3)))
+
+        monkeypatch.setattr(solver, "_solve_all", bogus)
+        g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+        with pytest.raises(ClassViolation) as info:
+            solve(g)
+        assert info.value.witness == ("p4_pair", ((0, 1, 2, 3), (4, 5, 6, 7)))
+
+    def test_internal_fault_on_a_member_is_reraised(self, monkeypatch):
+        fault = StructureViolation("internal", ("side_split_blocks", ()))
+
+        def broken(g, cover, jobs):
+            raise fault
+
+        monkeypatch.setattr(solver, "_solve_all", broken)
+        with pytest.raises(StructureViolation) as info:
+            solve(path_graph(4))
+        assert info.value is fault
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(InputError):

@@ -12,13 +12,7 @@ from p4p4free.graph import (
     components_with_certificates,
     mask_of,
 )
-from p4p4free.split_solver import (
-    PartialOrderDigraph,
-    SplitInstance,
-    build_order_digraph,
-    order_less,
-    solve_split,
-)
+from p4p4free.split_solver import SplitInstance, solve_split
 from p4p4free.testkit import gen_split_instance, oracle_wis
 
 
@@ -124,50 +118,15 @@ class TestForbiddenShapesSurface:
 
 
 class TestBranchingOrder:
-    def _two_star_instance(self):
-        # blocks {0;1,2} and {3;4,5}; vertex 7 bi-partial to both leaf sides
+    def test_sink_branch_matches_the_oracle_on_two_stars(self):
+        # blocks {0;1,2} and {3;4,5}; vertex 7 is bi-partial to both, so the
+        # branch vertex is a sink of the branching order
         edges = [(0, 1), (0, 2), (3, 4), (3, 5), (7, 1), (7, 4)]
-        g = Graph.from_edges(8, edges)
-        return split(g, [6, 7], range(6))
-
-    def test_single_block_never_orders(self):
-        g = complete_bipartite(2, 2)
-        edges = list(g.edges()) + [(4, 0), (5, 2)]
-        g2 = Graph.from_edges(6, edges)
-        inst = split(g2, [4, 5], range(4))
-        assert not order_less(inst, 4, 5)
-        assert not order_less(inst, 5, 4)
-
-    def test_isolated_vertex_exposes_double_contact(self):
-        inst = self._two_star_instance()
-        assert order_less(inst, 6, 7)  # removing N(6) leaves both blocks
-        assert not order_less(inst, 7, 6)
-
-    def test_order_rejects_foreign_vertices(self):
-        inst = self._two_star_instance()
-        with pytest.raises(InputError):
-            order_less(inst, 0, 7)
-        with pytest.raises(InputError):
-            order_less(inst, 7, 7)
-
-    def test_digraph_shape_and_sinks(self):
-        inst = self._two_star_instance()
-        dg = build_order_digraph(inst)
-        assert dg.nodes == (6, 7)
-        assert (6, 7) in dg.edges and (7, 6) not in dg.edges
-        assert dg.sinks() == (7,)
-        assert dg.is_acyclic()
-
-    def test_cycle_detection_works(self):
-        dg = PartialOrderDigraph((1, 2, 3), ((1, 2), (2, 3), (3, 1)))
-        assert not dg.is_acyclic()
-        assert dg.sinks() == ()
-
-    def test_digraph_acyclic_on_generated_instances(self):
-        for seed in range(60):
-            g, s_mask, t_mask = gen_split_instance(12, 0.5, seed)
-            inst = SplitInstance(g, s_mask, t_mask)
-            assert build_order_digraph(inst).is_acyclic()
+        for weights in ([1] * 8, [1, 4, 4, 1, 4, 4, 2, 9], [5, 1, 1, 5, 1, 1, 3, 1]):
+            g = Graph.from_edges(8, edges, weights)
+            got = solve_split(split(g, [6, 7], range(6)))
+            assert got.weight == oracle_wis(g).weight, weights
+            assert is_independent(g, mask_of(got.chosen))
 
 
 class TestOracleBattle:
