@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import StructureViolation
 from .graph import Graph, SolveResult, certified_result, components_with_certificates
-from .recognition import uncertified_p4
+from .recognition import checked_refusals, uncertified_p4
 
 __all__ = ["solve_cb_components", "cb_weight_mask", "heavier_side"]
 
@@ -40,7 +40,7 @@ def cb_weight_mask(g: Graph, host: int) -> tuple[int, int]:
             complete bipartite (the witness carries an induced P4 of it).
     """
     total = chosen = 0
-    for comp in components_with_certificates(g, host).parts:
+    for comp in components_with_certificates(g, host):
         if comp.sides is None:
             p4 = uncertified_p4(g, comp.members)
             raise StructureViolation(
@@ -54,9 +54,14 @@ def cb_weight_mask(g: Graph, host: int) -> tuple[int, int]:
 
 
 def solve_cb_components(g: Graph, host: int | None = None) -> SolveResult:
-    """Solve a host whose components are all complete bipartite."""
+    """Solve a host whose components are all complete bipartite.
+
+    Refuses through ``checked_refusals``: a non-member g raises a
+    ``ClassViolation`` with a checked witness.
+    """
     if host is None:
         host = g.full_mask
     g._check_host(host)
-    _, mask = cb_weight_mask(g, host)
+    with checked_refusals(g):
+        _, mask = cb_weight_mask(g, host)
     return certified_result(g, mask)

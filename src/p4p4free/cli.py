@@ -212,7 +212,7 @@ def _cmd_cover(args) -> int:
     bipartite = sum(
         1
         for m in fam.members
-        if all(c.sides is not None for c in components_with_certificates(g, m).parts)
+        if all(c.sides is not None for c in components_with_certificates(g, m))
     )
     lines = _result_lines(res)
     lines.append(f"members {len(members)}")

@@ -12,14 +12,20 @@ bottoming out in a split-instance solve once the opposite-class-plus-anti
 region is verified path-free).
 
 The {b, d} variant is the same computation on the reversed path.
+
+The internal ``_solve_containing`` returns ``(weight, mask)`` for a given
+partition, the forced pair left out; only the public solvers fold the pair
+in, certify the result and refuse through ``checked_refusals``.
 """
 
 from __future__ import annotations
 
-from .errors import ClassViolation, InputError, StructureViolation
+from .errors import ClassViolation, StructureViolation
 from .graph import Graph, SolveResult, bits, certified_result
 from .recognition import (
     InducedP4,
+    NeighborhoodPartition,
+    checked_refusals,
     find_induced_p4,
     neighborhood_partition,
     p4_pair_violation,
@@ -55,10 +61,8 @@ def _select_branch_vertex(g: Graph, cands: list[int], t_comps: list[int], t_mask
 
 def _solve_second_phase(
     g: Graph,
-    stars: int,
-    passive: int,
+    s_mask: int,
     active: int,
-    both: int,
     anti: int,
     host: int,
     depth: int,
@@ -66,7 +70,8 @@ def _solve_second_phase(
     leaves,
 ):
     """Handle a kept residual: branch away remaining bi-partial contacts of
-    the active class, then reduce to a split instance.
+    the active class, then reduce to a split instance whose independent
+    part is ``s_mask``.
 
     ``hard`` records whether the caller verified that no active-class
     vertex was bi-partial to any block of the pre-removal block region; in
@@ -81,7 +86,7 @@ def _solve_second_phase(
 
     def redispatch(host2: int, depth2: int):
         return _solve_second_phase(
-            g, stars, passive, active, both, anti, host2, depth2, False, leaves
+            g, s_mask, active, anti, host2, depth2, False, leaves
         )
 
     members = _certified_members(g, anti & host)
@@ -90,9 +95,7 @@ def _solve_second_phase(
     region = (active | anti) & host
     found = find_induced_p4(g, region)
     if found is None:
-        return _solve_raw(
-            g, stars | passive | both, active | anti, host, depth, 0, leaves
-        )
+        return _solve_raw(g, s_mask, active | anti, host, depth, 0, leaves)
     if hard:
         raise ClassViolation(
             "reduced region contains an induced four-vertex path although "
@@ -131,10 +134,8 @@ def _pair_branch(g: Graph, part, sb: int, sd: int, leaves):
         )
         cand = _solve_second_phase(
             g,
-            picked,
-            passive & ~picked,
+            picked | passive | part.s_bd,
             active & ~picked,
-            part.s_bd,
             part.anti,
             keep_host,
             depth + 1,
@@ -147,26 +148,15 @@ def _pair_branch(g: Graph, part, sb: int, sd: int, leaves):
         depth += 1
 
 
-def solve_containing_ac(
-    g: Graph, p: InducedP4, host: int | None = None, leaves: list[int] | None = None
-) -> SolveResult:
-    """Maximum weight independent set of g[host] containing {p.a, p.c}.
+def _solve_containing(
+    g: Graph, part: NeighborhoodPartition, leaves: list[int] | None
+) -> tuple[int, int]:
+    """(weight, mask) of a maximum weight independent set of the partition's
+    host containing {a, c} of its path, with a and c left out of both.
 
-    Optional ``leaves`` collects the base-case host masks (with the two
-    forced vertices merged in), the raw material of cover extraction.
-
-    Raises:
-        InputError: p not inside the host.
-        ClassViolation: the host violates the supported class in a way the
-            branching relies on (witness attached).
+    Optional ``leaves`` collects the base-case host masks, also without a
+    and c.
     """
-    if host is None:
-        host = g.full_mask
-    g._check_host(host)
-    if p.mask & ~host:
-        raise InputError("the path must lie inside the host")
-    part = neighborhood_partition(g, p, host)
-    mark = len(leaves) if leaves is not None else 0
     best = (-1, 0)
     try:
         # class-dropping branches: no b- and no d-class, d-class only,
@@ -186,15 +176,34 @@ def solve_containing_ac(
     except StructureViolation as err:
         # every block region examined here sits inside the path's
         # anti-neighborhood, so a four-vertex path found in one is
-        # vertex-disjoint from and non-adjacent to p: a forbidden pair
+        # vertex-disjoint from and non-adjacent to the path: a forbidden pair
         if err.witness[0] == "incomplete_block" and err.witness[2] is not None:
-            raise p4_pair_violation(p, err.witness[2]) from None
+            raise p4_pair_violation(part.p, err.witness[2]) from None
         raise
+    return best
+
+
+def solve_containing_ac(
+    g: Graph, p: InducedP4, host: int | None = None, leaves: list[int] | None = None
+) -> SolveResult:
+    """Maximum weight independent set of g[host] containing {p.a, p.c}.
+
+    Optional ``leaves`` collects the base-case host masks (with the two
+    forced vertices merged in), the raw material of cover extraction.
+
+    Raises:
+        InputError: p not inside the host.
+        ClassViolation: g is outside the supported class; the witness (a
+            triangle or a separated induced P4 pair) has been re-checked
+            against g.
+    """
+    mark = len(leaves) if leaves is not None else 0
+    with checked_refusals(g):
+        _, mask = _solve_containing(g, neighborhood_partition(g, p, host), leaves)
     forced = (1 << p.a) | (1 << p.c)
     if leaves is not None:
-        for i in range(mark, len(leaves)):
-            leaves[i] |= forced
-    return certified_result(g, best[1] | forced)
+        leaves[mark:] = [leaf | forced for leaf in leaves[mark:]]
+    return certified_result(g, mask | forced)
 
 
 def solve_containing_bd(

@@ -22,7 +22,6 @@ from .errors import ClassViolation, InputError, StructureViolation
 __all__ = [
     "Graph",
     "Component",
-    "ComponentStructure",
     "ContactClass",
     "SolveResult",
     "bits",
@@ -184,15 +183,7 @@ class Component:
     sides: tuple[int, int] | None
 
 
-@dataclass(frozen=True)
-class ComponentStructure:
-    """All components of one induced subgraph, smallest-vertex order."""
-
-    host: int
-    parts: tuple[Component, ...]
-
-
-def components_with_certificates(g: Graph, host: int) -> ComponentStructure:
+def components_with_certificates(g: Graph, host: int) -> tuple[Component, ...]:
     """Decompose ``host`` and certify each nontrivial component.
 
     One breadth-first search per component, from its smallest vertex,
@@ -243,7 +234,7 @@ def components_with_certificates(g: Graph, host: int) -> ComponentStructure:
         )
         parts.append(Component(comp, False, (side_a, side_b) if complete else None))
         rest &= ~comp
-    return ComponentStructure(host, tuple(parts))
+    return tuple(parts)
 
 
 def contact_class(g: Graph, v: int, comp: Component) -> ContactClass:

@@ -13,13 +13,18 @@ neighbor of the path to one of seven adjacency traces: {a}, {b}, {c}, {d},
 vertices and exhibits a triangle.  ``neighborhood_partition`` materializes
 those seven classes plus the anti-neighborhood; all of the branching
 machinery downstream is phrased in terms of them.
+
+``checked_refusals`` is the one refusal boundary every public solver goes
+through: a refusal leaves it as a ``ClassViolation`` whose witness has
+been re-checked against the input, or as an internal fault on a member.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .errors import ClassViolation, InputError
+from .errors import ClassViolation, InputError, StructureViolation
 from .graph import Graph, anti_neighborhood, bits, neighborhood
 
 __all__ = [
@@ -33,6 +38,7 @@ __all__ = [
     "uncertified_p4",
     "is_class_member",
     "witness_holds",
+    "checked_refusals",
     "neighborhood_partition",
 ]
 
@@ -216,6 +222,32 @@ def witness_holds(g: Graph, witness) -> bool:
     except (TypeError, ValueError):
         return False
     return False
+
+
+@contextmanager
+def checked_refusals(g: Graph):
+    """Let only checked refusals of ``g`` leave the block.
+
+    A ``ClassViolation`` whose witness re-checks against g (``witness_holds``)
+    passes as it is.  Any other ``ClassViolation``, and any
+    ``StructureViolation``, is replaced by the recognizer's triangle or
+    separated path pair; when the recognizer accepts g, the original error
+    is re-raised unchanged: a refusal of a class member is an internal
+    fault, not a property of the input.
+    """
+    try:
+        yield
+    except (ClassViolation, StructureViolation) as err:
+        if isinstance(err, ClassViolation) and witness_holds(g, err.witness):
+            raise
+        verdict = is_class_member(g)
+        if verdict.is_member:
+            raise
+        if verdict.triangle is not None:
+            raise ClassViolation(
+                "graph contains a triangle", ("triangle", verdict.triangle)
+            ) from err
+        raise p4_pair_violation(*verdict.p4_pair) from err
 
 
 @dataclass(frozen=True)

@@ -14,30 +14,28 @@ every base case reached anywhere in the branching is recorded as a
 isolated-flavor step is widened with extra constrained solves so that the
 deduplicated family provably contains every maximal independent set.
 
-Every refusal leaves through one boundary: a ``ClassViolation`` whose
-witness re-checks against the input (a triangle, or two separated induced
-four-vertex paths) passes as it is; any other refusal is replaced by the
-recognizer's witness, or re-raised unchanged if the recognizer accepts the
-graph, since that can only be an internal fault.
+Below the public calls every candidate is a ``(weight, mask)`` pair: each
+path builds its neighborhood partition once and adds each forced pair to
+what the internal ``constrained._solve_containing`` returns.  The chosen
+set is certified once, at the end, and every refusal leaves through
+``recognition.checked_refusals``.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NoReturn
+from itertools import repeat
 
 from .bipartite import cb_weight_mask
-from .constrained import solve_containing_ac, solve_containing_bd
-from .errors import ClassViolation, InputError, StructureViolation
+from .constrained import _solve_containing
+from .errors import InputError
 from .graph import Graph, SolveResult, bits, certified_result, mask_of
 from .recognition import (
     InducedP4,
+    checked_refusals,
     enumerate_induced_p4,
-    is_class_member,
     neighborhood_partition,
-    p4_pair_violation,
-    witness_holds,
 )
 
 __all__ = ["LeafRecord", "CoverFamily", "solve", "solve_with_cover"]
@@ -83,49 +81,36 @@ def _q3_region(g: Graph, p: InducedP4, part) -> int:
     return (1 << p.a) | (1 << p.d) | lonely | part.anti
 
 
-def _complete_path(
-    g: Graph, u: int, v: int, w: int, candidates: int
-) -> InducedP4 | None:
-    """Smallest x among ``candidates`` with u-v-w-x an induced path."""
-    for x in bits(candidates):
-        try:
-            return InducedP4.of(g, u, v, w, x)
-        except InputError:
-            continue
-    return None
+def _forced_pair(g: Graph, part, leaves, records) -> tuple[int, int]:
+    """(weight, mask) of the best set through {a, c} of the partition's
+    path; the leaves it reaches become records forcing that pair."""
+    q = part.p
+    pair = (1 << q.a) | (1 << q.c)
+    w, m = _solve_containing(g, part, leaves)
+    if leaves is not None:
+        records.extend(LeafRecord(pair, residual) for residual in leaves)
+        leaves.clear()
+    return w + g.weights[q.a] + g.weights[q.c], m | pair
 
 
-def _drain(leaves: list[int], forced: int, records: list[LeafRecord]) -> None:
-    for entry in leaves:
-        records.append(LeafRecord(forced, entry & ~forced))
-    leaves.clear()
+def _first_best(cands) -> tuple[int, int]:
+    """The heaviest (weight, mask) candidate, the earliest on ties."""
+    return max(cands, key=lambda c: c[0])
 
 
 def _per_path(g: Graph, p: InducedP4, cover: bool):
     """Best (weight, mask) over this path's branches, plus leaf records."""
     records: list[LeafRecord] = []
     leaves: list[int] | None = [] if cover else None
-    best_w, best_m = -1, 0
-
-    for solve_pair, pair in (
-        (solve_containing_ac, (1 << p.a) | (1 << p.c)),
-        (solve_containing_bd, (1 << p.b) | (1 << p.d)),
-    ):
-        res = solve_pair(g, p, leaves=leaves)
-        if cover:
-            _drain(leaves, pair, records)
-        if res.weight > best_w:
-            best_w, best_m = res.weight, mask_of(res.chosen)
-
     part = neighborhood_partition(g, p)
     region = _q3_region(g, p, part)
-    q3_w, q3_m = cb_weight_mask(g, region)
+    cands = [
+        _forced_pair(g, part, leaves, records),
+        _forced_pair(g, neighborhood_partition(g, p.reverse()), leaves, records),
+        cb_weight_mask(g, region),
+    ]
     if cover:
         records.append(LeafRecord(0, region))
-    if q3_w > best_w:
-        best_w, best_m = q3_w, q3_m
-
-    if cover:
         # non-isolated flavor vertices are not covered by the region above;
         # force each into a fresh path and solve constrained, pinning the
         # far endpoint by removing its neighborhood (it rides along as an
@@ -136,96 +121,61 @@ def _per_path(g: Graph, p: InducedP4, cover: bool):
             (p.d, p.c, part.s_c, part.s_b, p.a),
         ):
             for x in bits(flavor & ~lonely):
-                fresh = _complete_path(
-                    g, end, mid, x, (other | part.anti) & g.adj[x]
-                )
-                if fresh is None:
+                # every such y makes end-mid-x-y an induced path: y misses
+                # end and mid by its class, x misses them by its own
+                y = next(bits((other | part.anti) & g.adj[x]), None)
+                if y is None:
                     continue
-                extra = solve_containing_ac(
-                    g, fresh, host=g.full_mask & ~g.adj[far], leaves=leaves
+                fresh = InducedP4.of(g, end, mid, x, y)
+                host = g.full_mask & ~g.adj[far]
+                cands.append(
+                    _forced_pair(
+                        g, neighborhood_partition(g, fresh, host), leaves, records
+                    )
                 )
-                _drain(leaves, (1 << fresh.a) | (1 << fresh.c), records)
-                if extra.weight > best_w:
-                    best_w, best_m = extra.weight, mask_of(extra.chosen)
-
+    best_w, best_m = _first_best(cands)
     return best_w, best_m, records
-
-
-def _per_path_task(args):
-    return _per_path(*args)
 
 
 def _run(g: Graph, cover: bool, jobs: int):
     if jobs < 1:
         raise InputError("jobs must be at least 1")
-    try:
+    with checked_refusals(g):
         return _solve_all(g, cover, jobs)
-    except ClassViolation as err:
-        if witness_holds(g, err.witness):
-            raise
-        _refuse(g, err)
-    except StructureViolation as err:
-        _refuse(g, err)
-
-
-def _refuse(g: Graph, err: Exception) -> NoReturn:
-    """Refuse g with the recognizer's witness in place of ``err``'s.
-
-    Re-raises ``err`` itself when the recognizer accepts g: a refusal of a
-    class member is an internal fault, not a property of the input.
-    """
-    verdict = is_class_member(g)
-    if verdict.is_member:
-        raise err
-    if verdict.triangle is not None:
-        raise ClassViolation(
-            "graph contains a triangle", ("triangle", verdict.triangle)
-        ) from err
-    raise p4_pair_violation(*verdict.p4_pair) from err
 
 
 def _solve_all(g: Graph, cover: bool, jobs: int):
     paths = enumerate_induced_p4(g)
-    best = (-1, 0)
-    records: list[LeafRecord] = []
-    if paths:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outs = list(
-                    pool.map(
-                        _per_path_task,
-                        ((g, p, cover) for p in paths),
-                        chunksize=max(1, len(paths) // (jobs * 4)),
-                    )
+    if jobs > 1 and paths:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outs = list(
+                pool.map(
+                    _per_path,
+                    repeat(g),
+                    paths,
+                    repeat(cover),
+                    chunksize=max(1, len(paths) // (jobs * 4)),
                 )
-        else:
-            outs = [_per_path(g, p, cover) for p in paths]
-        for w, m, recs in outs:
-            records.extend(recs)
-            if w > best[0]:
-                best = (w, m)
+            )
+    else:
+        outs = [_per_path(g, p, cover) for p in paths]
+    records = [rec for _, _, recs in outs for rec in recs]
 
     on_some_path = 0
     for p in paths:
         on_some_path |= p.mask
     white_host = g.full_mask & ~on_some_path
-    white = cb_weight_mask(g, white_host)
     if cover:
         records.append(LeafRecord(0, white_host))
-    if white[0] > best[0]:
-        best = white
+    cands = [(w, m) for w, m, _ in outs]
+    cands.append(cb_weight_mask(g, white_host))
+    best = _first_best(cands)
 
     result = certified_result(g, best[1])
     if not cover:
         return result, None
-    seen: set[int] = set()
-    members: list[int] = []
-    for rec in records:
-        m = rec.member
-        if m not in seen:
-            seen.add(m)
-            members.append(m)
-    return result, CoverFamily(tuple(members), tuple(records))
+    members = tuple(dict.fromkeys(rec.member for rec in records))
+    return result, CoverFamily(members, tuple(records))
 
 
 def solve(g: Graph, jobs: int = 1) -> SolveResult:
@@ -241,8 +191,7 @@ def solve(g: Graph, jobs: int = 1) -> SolveResult:
             four-vertex paths; the attached witness has been re-checked
             against g.
     """
-    result, _ = _run(g, cover=False, jobs=jobs)
-    return result
+    return _run(g, cover=False, jobs=jobs)[0]
 
 
 def solve_with_cover(g: Graph, jobs: int = 1) -> tuple[SolveResult, CoverFamily]:
@@ -253,5 +202,4 @@ def solve_with_cover(g: Graph, jobs: int = 1) -> tuple[SolveResult, CoverFamily]
     solves forcing each non-isolated flavor vertex; the resulting family
     contains every maximal independent set of g in some member.
     """
-    result, family = _run(g, cover=True, jobs=jobs)
-    return result, family
+    return _run(g, cover=True, jobs=jobs)

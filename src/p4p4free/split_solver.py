@@ -37,7 +37,7 @@ from .graph import (
     neighborhood,
     SolveResult,
 )
-from .recognition import p4_pair_violation, uncertified_p4
+from .recognition import checked_refusals, p4_pair_violation, uncertified_p4
 
 __all__ = ["SplitInstance", "solve_split", "branch_via_bipartial"]
 
@@ -66,7 +66,7 @@ class SplitInstance:
         for v in bits(self.s_part):
             if g.adj[v] & self.s_part:
                 raise InputError(f"independent part has an internal edge at {v}")
-        for comp in components_with_certificates(g, self.t_part).parts:
+        for comp in components_with_certificates(g, self.t_part):
             if comp.sides is None:
                 raise InputError(
                     "block part has a component that is not complete bipartite"
@@ -95,7 +95,7 @@ def _certified_members(g: Graph, t_live: int):
     triangle, else StructureViolation carrying an induced P4 of it, for
     callers that can tell whether it is separated from their branch path.
     """
-    members = components_with_certificates(g, t_live).parts
+    members = components_with_certificates(g, t_live)
     for m in members:
         if m.sides is None:
             raise StructureViolation(
@@ -140,7 +140,7 @@ def branch_via_bipartial(g, host, active, t_mask, redispatch, depth):
         act_list = list(bits(act))
 
         def is_sink(v: int) -> bool:
-            residual = components_with_certificates(g, t_live & ~g.adj[v]).parts
+            residual = components_with_certificates(g, t_live & ~g.adj[v])
             return all(
                 w == v or len(_bipartial_blocks(g, w, residual)) < 2 for w in act_list
             )
@@ -162,9 +162,8 @@ def branch_via_bipartial(g, host, active, t_mask, redispatch, depth):
 
     kept = host & ~g.adj[pick]
     # at most one other block region may still hold a bi-partial vertex
-    z_struct = components_with_certificates(g, (t_live & ~prime) & kept)
     regions = []
-    for z in z_struct.parts:
+    for z in components_with_certificates(g, (t_live & ~prime) & kept):
         if z.trivial or z.sides is None:
             continue
         if any(_bipartial_blocks(g, s, (z,)) for s in bits(act & ~z.members)):
@@ -260,7 +259,7 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves):
     total_w = 0
     total_m = 0
     bad: list[Component] = []
-    for comp in components_with_certificates(g, host).parts:
+    for comp in components_with_certificates(g, host):
         if comp.sides is None:
             bad.append(comp)
             continue
@@ -286,9 +285,10 @@ def solve_split(inst: SplitInstance, leaves: list[int] | None = None) -> SolveRe
     When ``leaves`` is a list, the host mask of every certified base case
     reached during branching is appended to it (including the certified
     components peeled off along the way); this is the raw material for
-    bipartite cover extraction.
+    bipartite cover extraction.  Refuses through ``checked_refusals``.
     """
-    w, mask = _solve_raw(
-        inst.g, inst.s_part, inst.t_part, inst.host, 0, 0, leaves
-    )
+    with checked_refusals(inst.g):
+        _, mask = _solve_raw(
+            inst.g, inst.s_part, inst.t_part, inst.host, 0, 0, leaves
+        )
     return certified_result(inst.g, mask)

@@ -77,6 +77,13 @@ def test_path_component_raises_structure_violation():
     assert exc.value.witness[0] == "incomplete_component"
 
 
+def test_separated_paths_are_refused_with_a_checked_witness():
+    g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+    with pytest.raises(ClassViolation) as exc:
+        solve_cb_components(g)
+    assert exc.value.witness == ("p4_pair", ((0, 1, 2, 3), (4, 5, 6, 7)))
+
+
 def test_triangle_component_raises_class_violation():
     g = complete_graph(3)
     with pytest.raises(ClassViolation) as exc:

@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import pytest
-from conftest import is_independent, path_graph, two_colorable
+from conftest import (
+    is_independent,
+    path_graph,
+    random_graph,
+    two_colorable,
+    witness_checks,
+)
 
 from p4p4free import constrained
 from p4p4free.constrained import (
@@ -83,8 +89,23 @@ class TestErrors:
         assert detail == (0, 1, 4)
 
 
+    # non-members on some of whose paths the branching itself fails
+    # (side_split_blocks, or a lone induced path as the witness)
+    @pytest.mark.parametrize("seed, n, p", [(2858, 18, 0.14), (900_106, 16, 0.22)])
+    @pytest.mark.parametrize("op", [solve_containing_ac, solve_containing_bd])
+    def test_every_path_returns_or_refuses_with_a_checked_witness(self, seed, n, p, op):
+        g = random_graph(seed, n, p)
+        paths = enumerate_induced_p4(g)
+        assert len(paths) > 100
+        for path in paths:
+            try:
+                op(g, path)
+            except ClassViolation as err:
+                assert witness_checks(g, err.witness), (path, err.witness)
+
+
 def components(g: Graph, host: int) -> list[int]:
-    return [c.members for c in components_with_certificates(g, host).parts]
+    return [c.members for c in components_with_certificates(g, host)]
 
 
 class TestBranchVertexSelection:

@@ -120,8 +120,8 @@ class TestComponents:
     def test_k23_single_certified_component(self):
         g = complete_bipartite(2, 3)
         cs = components_with_certificates(g, g.full_mask)
-        assert len(cs.parts) == 1
-        comp = cs.parts[0]
+        assert len(cs) == 1
+        comp = cs[0]
         assert not comp.trivial
         assert comp.sides is not None
         side_a, side_b = comp.sides
@@ -131,19 +131,19 @@ class TestComponents:
     def test_path_component_has_no_certificate(self):
         g = path_graph(4)
         cs = components_with_certificates(g, g.full_mask)
-        assert len(cs.parts) == 1
-        assert cs.parts[0].sides is None
+        assert len(cs) == 1
+        assert cs[0].sides is None
 
     def test_isolated_vertices_are_trivial(self):
         g = Graph.from_edges(3, [])
         cs = components_with_certificates(g, g.full_mask)
-        assert [c.trivial for c in cs.parts] == [True, True, True]
-        assert all(c.sides == (c.members, 0) for c in cs.parts)
+        assert [c.trivial for c in cs] == [True, True, True]
+        assert all(c.sides == (c.members, 0) for c in cs)
 
     def test_components_are_a_partition_in_smallest_vertex_order(self):
         for seed in range(15):
             g = random_graph(seed, 11, 0.15)
-            comps = [c.members for c in components_with_certificates(g, g.full_mask).parts]
+            comps = [c.members for c in components_with_certificates(g, g.full_mask)]
             union = 0
             prev_low = -1
             for comp in comps:
@@ -156,15 +156,15 @@ class TestComponents:
 
     def test_rerunning_on_a_component_returns_it(self):
         g = random_graph(3, 11, 0.15)
-        for comp in components_with_certificates(g, g.full_mask).parts:
-            again = components_with_certificates(g, comp.members).parts
+        for comp in components_with_certificates(g, g.full_mask):
+            again = components_with_certificates(g, comp.members)
             assert again == (comp,)
 
     def test_certificates_are_sound(self):
         """Whenever sides are reported, completeness and independence hold."""
         for seed in range(25):
             g = random_graph(seed, 10, 0.25)
-            for comp in components_with_certificates(g, g.full_mask).parts:
+            for comp in components_with_certificates(g, g.full_mask):
                 if comp.sides is None:
                     continue
                 side_a, side_b = comp.sides
@@ -196,7 +196,7 @@ class TestComponents:
         certified = rejected = 0
         for seed in range(80):
             g = self._blocks_plus_noise(700 + seed)
-            for comp in components_with_certificates(g, g.full_mask).parts:
+            for comp in components_with_certificates(g, g.full_mask):
                 members = list(bits(comp.members))
                 if len(members) < 2 or not two_colorable(g, comp.members):
                     continue
@@ -214,12 +214,12 @@ class TestComponents:
 
     def test_odd_cycle_is_uncertified(self):
         g = cycle_graph(5)
-        assert components_with_certificates(g, g.full_mask).parts[0].sides is None
+        assert components_with_certificates(g, g.full_mask)[0].sides is None
 
     def test_nontrivial_filter(self):
         g = Graph.from_edges(3, [(0, 1)])
         cs = components_with_certificates(g, g.full_mask)
-        assert [c.members for c in cs.parts if not c.trivial] == [mask_of([0, 1])]
+        assert [c.members for c in cs if not c.trivial] == [mask_of([0, 1])]
 
 
 class TestContactClass:
@@ -227,7 +227,7 @@ class TestContactClass:
         # K_{2,3} on 0..4, probe vertex 5
         edges = [(u, 2 + v) for u in range(2) for v in range(3)] + extra_edges
         g = Graph.from_edges(6, edges)
-        comp = components_with_certificates(g, mask_of(range(5))).parts[0]
+        comp = components_with_certificates(g, mask_of(range(5)))[0]
         return g, comp
 
     def test_universal_to_a_side(self):
@@ -253,7 +253,7 @@ class TestContactClass:
 
     def test_uncertified_component_rejected(self):
         g = path_graph(5)
-        comp = components_with_certificates(g, mask_of(range(4))).parts[0]
+        comp = components_with_certificates(g, mask_of(range(4)))[0]
         with pytest.raises(StructureViolation):
             contact_class(g, 4, comp)
 
@@ -264,7 +264,7 @@ class TestContactClass:
 
     def test_trivial_component_contact_is_universal(self):
         g = Graph.from_edges(2, [(0, 1)])
-        comp = components_with_certificates(g, mask_of([0])).parts[0]
+        comp = components_with_certificates(g, mask_of([0]))[0]
         assert contact_class(g, 1, comp) is ContactClass.BI_UNIVERSAL
 
 

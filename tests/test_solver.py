@@ -13,9 +13,10 @@ from conftest import (
     witness_checks,
 )
 
-from p4p4free import solver
+from p4p4free import constrained, solver
 from p4p4free.errors import ClassViolation, InputError, StructureViolation
-from p4p4free.graph import Graph, bits, mask_of
+from p4p4free.graph import Graph, bits, certified_result, mask_of
+from p4p4free.recognition import enumerate_induced_p4
 from p4p4free.solver import solve, solve_with_cover
 from p4p4free.testkit import (
     XorShift64Star,
@@ -125,6 +126,23 @@ class TestViolations:
     def test_jobs_must_be_positive(self):
         with pytest.raises(InputError):
             solve(path_graph(3), jobs=0)
+
+
+class TestCertifyOnce:
+    @pytest.mark.parametrize("entry", [solve, solve_with_cover])
+    def test_one_certification_per_public_call(self, monkeypatch, entry):
+        calls = []
+
+        def counting(g, mask):
+            calls.append(mask)
+            return certified_result(g, mask)
+
+        monkeypatch.setattr(solver, "certified_result", counting)
+        monkeypatch.setattr(constrained, "certified_result", counting)
+        g = gen_instance(model="clustered", n=14, density=0.5, seed=11)
+        assert enumerate_induced_p4(g)
+        entry(g)
+        assert len(calls) == 1
 
 
 class TestAgainstOracle:

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
-from conftest import complete_bipartite, is_independent
+from conftest import complete_bipartite, is_independent, witness_checks
 
-from p4p4free.errors import ClassViolation, InputError
+from p4p4free import split_solver
+from p4p4free.errors import ClassViolation, InputError, StructureViolation
 from p4p4free.graph import (
     Graph,
     bits,
@@ -117,6 +118,22 @@ class TestForbiddenShapesSurface:
         assert exc.value.witness == ("triangle", (0, 1, 2))
 
 
+    def test_internal_failure_on_a_non_member_is_refused_with_a_witness(
+        self, monkeypatch
+    ):
+        # no natural split instance is known to fail this way, so the
+        # dispatcher is made to fail on one that lies outside the class
+        def broken(*args):
+            raise StructureViolation("broken", ("side_split_blocks", ()))
+
+        monkeypatch.setattr(split_solver, "_solve_raw", broken)
+        edges = [(2, 0), (2, 1), (3, 0), (6, 4), (6, 5), (7, 4)]
+        g = Graph.from_edges(8, edges)
+        with pytest.raises(ClassViolation) as exc:
+            solve_split(split(g, [2, 3, 6, 7], [0, 1, 4, 5]))
+        assert witness_checks(g, exc.value.witness)
+
+
 class TestBranchingOrder:
     def test_sink_branch_matches_the_oracle_on_two_stars(self):
         # blocks {0;1,2} and {3;4,5}; vertex 7 is bi-partial to both, so the
@@ -167,4 +184,4 @@ class TestLeafRecording:
             solve_split(SplitInstance(g, s_mask, t_mask), leaves)
             for leaf in leaves:
                 cs = components_with_certificates(g, leaf)
-                assert all(c.sides is not None for c in cs.parts)
+                assert all(c.sides is not None for c in cs)

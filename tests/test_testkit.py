@@ -211,7 +211,7 @@ class TestGenerators:
 
         g = gen_instance("clustered", 14, 0.0, 7)
         cs = components_with_certificates(g, g.full_mask)
-        uncertified = [c for c in cs.parts if c.sides is None]
+        uncertified = [c for c in cs if c.sides is None]
         assert len(uncertified) == 1  # exactly the planted path
         assert len(enumerate_induced_p4(g, uncertified[0].members)) == 1
 
@@ -254,7 +254,7 @@ class TestGenerators:
             assert is_independent(g, s_mask)
             assert is_class_member(g).is_member
             cs = components_with_certificates(g, t_mask)
-            assert all(c.sides is not None for c in cs.parts)
-            if any(not c.trivial for c in cs.parts):
+            assert all(c.sides is not None for c in cs)
+            if any(not c.trivial for c in cs):
                 interesting += 1
         assert interesting > 10
