@@ -9,9 +9,10 @@ Graph file format (whitespace-separated, 1-based vertex ids):
 
 Commands: solve, check, oracle, cover, gen, bench.  Results go to stdout
 as text or, with --format json, as one deterministic JSON line (sorted
-keys).  Exit codes are part of the contract: 0 success, 2 the graph is
-outside the supported class (witness printed), 3 unusable input (bad file,
-bad flags), 4 an exponential helper exceeded its size guard.
+keys).  Exit codes are part of the contract: 0 success, 1 an internal
+fault on a graph the recognizer accepts, 2 the graph is outside the
+supported class (witness printed), 3 unusable input (bad file, bad flags),
+4 an exponential helper exceeded its size guard.
 """
 
 from __future__ import annotations
@@ -331,8 +332,9 @@ def run(argv: list[str] | None = None) -> int:
             print(f"witness {kind} {_witness_text(tuple(rest))}", file=sys.stderr)
         return 2
     except StructureViolation as err:
-        print(f"class violation: {err}", file=sys.stderr)
-        return 2
+        # the solvers let it out only on class members: a fault of ours
+        print(f"internal error: {err}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -1,18 +1,30 @@
 """Exact maximum weight independent set for the supported class.
 
-The driver enumerates induced four-vertex paths.  For each path it takes
-the best of three covering computations: the optimum forced through the
-first-and-third vertices, through the second-and-fourth, and the plain
-bipartite optimum of the region made of the two endpoints, the flavor
-vertices isolated among their peers, and the path's anti-neighborhood.
-Finally the path-free remainder of the graph (which has only complete
-bipartite components) competes as well, and the best candidate wins.
+The driver enumerates induced four-vertex paths and splits the graph at
+the connected component of the first one, its home.  Two paths in
+different components would be vertex-disjoint and non-adjacent, so in a
+class member every other component is path-free and triangle-free, that
+is complete bipartite, and is solved once by side selection.  A path
+found outside home is refused at once, paired with the first path; so is
+a triangle there.
+
+Inside home, for each path the driver takes the best of three covering
+computations: the optimum forced through the first-and-third vertices,
+through the second-and-fourth, and the plain bipartite optimum of the
+region made of the two endpoints, the flavor vertices isolated among
+their peers, and the path's anti-neighborhood.  Finally the path-free
+remainder of home (which has only complete bipartite components) competes
+as well, and the best candidate wins.  Every branching step removes a
+vertex of home or its neighborhood, so each candidate would make the same
+choice outside home: the best candidate of home plus the side selection
+of the rest is the optimum of the whole graph.
 
 ``solve_with_cover`` runs the same computation with leaf instrumentation:
 every base case reached anywhere in the branching is recorded as a
-``LeafRecord`` whose member set induces a bipartite subgraph, and the
-isolated-flavor step is widened with extra constrained solves so that the
-deduplicated family provably contains every maximal independent set.
+``LeafRecord`` whose member set induces a bipartite subgraph (its residual
+holds all of the graph outside home), and the isolated-flavor step is
+widened with extra constrained solves so that the deduplicated family
+provably contains every maximal independent set.
 
 Below the public calls every candidate is a ``(weight, mask)`` pair: each
 path builds its neighborhood partition once and adds each forced pair to
@@ -29,13 +41,14 @@ from itertools import repeat
 
 from .bipartite import cb_weight_mask
 from .constrained import _solve_containing
-from .errors import InputError
-from .graph import Graph, SolveResult, bits, certified_result, mask_of
+from .errors import InputError, StructureViolation
+from .graph import Graph, SolveResult, bits, certified_result, mask_of, neighborhood
 from .recognition import (
     InducedP4,
     checked_refusals,
     enumerate_induced_p4,
     neighborhood_partition,
+    p4_pair_violation,
 )
 
 __all__ = ["LeafRecord", "CoverFamily", "solve", "solve_with_cover"]
@@ -98,15 +111,16 @@ def _first_best(cands) -> tuple[int, int]:
     return max(cands, key=lambda c: c[0])
 
 
-def _per_path(g: Graph, p: InducedP4, cover: bool):
-    """Best (weight, mask) over this path's branches, plus leaf records."""
+def _per_path(g: Graph, p: InducedP4, home: int, cover: bool):
+    """Best (weight, mask) of g[home] over this path's branches, plus leaf
+    records; ``home`` is the connected component holding the path."""
     records: list[LeafRecord] = []
     leaves: list[int] | None = [] if cover else None
-    part = neighborhood_partition(g, p)
+    part = neighborhood_partition(g, p, home)
     region = _q3_region(g, p, part)
     cands = [
         _forced_pair(g, part, leaves, records),
-        _forced_pair(g, neighborhood_partition(g, p.reverse()), leaves, records),
+        _forced_pair(g, neighborhood_partition(g, p.reverse(), home), leaves, records),
         cb_weight_mask(g, region),
     ]
     if cover:
@@ -127,7 +141,7 @@ def _per_path(g: Graph, p: InducedP4, cover: bool):
                 if y is None:
                     continue
                 fresh = InducedP4.of(g, end, mid, x, y)
-                host = g.full_mask & ~g.adj[far]
+                host = home & ~g.adj[far]
                 cands.append(
                     _forced_pair(
                         g, neighborhood_partition(g, fresh, host), leaves, records
@@ -146,6 +160,21 @@ def _run(g: Graph, cover: bool, jobs: int):
 
 def _solve_all(g: Graph, cover: bool, jobs: int):
     paths = enumerate_induced_p4(g)
+    # branching stays in home, the first path's component
+    home = frontier = paths[0].mask if paths else 0
+    while frontier:
+        frontier = neighborhood(g, frontier) & ~home
+        home |= frontier
+    # every other component is complete bipartite unless it holds a
+    # triangle or a path; side selection solves it once for all candidates
+    rest = g.full_mask & ~home
+    try:
+        _, rest_mask = cb_weight_mask(g, rest)
+    except StructureViolation as err:
+        # the induced path it carries lies outside home, so it is
+        # vertex-disjoint from the first path and non-adjacent to it
+        raise p4_pair_violation(paths[0], err.witness[2]) from None
+
     if jobs > 1 and paths:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outs = list(
@@ -153,27 +182,29 @@ def _solve_all(g: Graph, cover: bool, jobs: int):
                     _per_path,
                     repeat(g),
                     paths,
+                    repeat(home),
                     repeat(cover),
                     chunksize=max(1, len(paths) // (jobs * 4)),
                 )
             )
     else:
-        outs = [_per_path(g, p, cover) for p in paths]
+        outs = [_per_path(g, p, home, cover) for p in paths]
     records = [rec for _, _, recs in outs for rec in recs]
 
     on_some_path = 0
     for p in paths:
         on_some_path |= p.mask
-    white_host = g.full_mask & ~on_some_path
+    white_host = home & ~on_some_path
     if cover:
         records.append(LeafRecord(0, white_host))
     cands = [(w, m) for w, m, _ in outs]
     cands.append(cb_weight_mask(g, white_host))
     best = _first_best(cands)
 
-    result = certified_result(g, best[1])
+    result = certified_result(g, best[1] | rest_mask)
     if not cover:
         return result, None
+    records = [LeafRecord(rec.forced, rec.residual | rest) for rec in records]
     members = tuple(dict.fromkeys(rec.member for rec in records))
     return result, CoverFamily(members, tuple(records))
 
@@ -181,15 +212,19 @@ def _solve_all(g: Graph, cover: bool, jobs: int):
 def solve(g: Graph, jobs: int = 1) -> SolveResult:
     """Maximum weight independent set of g.
 
-    Candidates are evaluated in a fixed order (paths in canonical order,
-    per-path branches, then the path-free remainder) with strictly-better
-    replacement, so the returned set is deterministic; ``jobs`` only
-    parallelizes the per-path work and never changes the answer.
+    The paths' component is solved first: candidates are evaluated in a
+    fixed order (paths in canonical order, per-path branches, then the
+    component's path-free remainder), the earliest heaviest winning.  The
+    rest of the graph is then added by side selection of each of its
+    complete bipartite components.  The returned set is deterministic;
+    ``jobs`` only parallelizes the per-path work and never changes the
+    answer.
 
     Raises:
         ClassViolation: g contains a triangle or two separated induced
-            four-vertex paths; the attached witness has been re-checked
-            against g.
+            four-vertex paths (two paths in different components are
+            refused before any branching); the attached witness has been
+            re-checked against g.
     """
     return _run(g, cover=False, jobs=jobs)[0]
 

@@ -6,8 +6,9 @@ import json
 
 import pytest
 
+from p4p4free import solver
 from p4p4free.cli import format_graph, parse_graph, run
-from p4p4free.errors import ParseError
+from p4p4free.errors import ParseError, StructureViolation
 from p4p4free.graph import Graph
 from p4p4free.testkit import XorShift64Star, gen_instance
 
@@ -17,6 +18,12 @@ TWO_PATHS = (
     "p wis 8 6\n"
     + "".join(f"v {i} 1\n" for i in range(1, 9))
     + "e 1 2\ne 2 3\ne 3 4\ne 5 6\ne 6 7\ne 7 8\n"
+)
+
+PATH4 = (
+    "p wis 4 3\n"
+    + "".join(f"v {i} 1\n" for i in range(1, 5))
+    + "e 1 2\ne 2 3\ne 3 4\n"
 )
 
 TRIANGLE = "p wis 3 3\nv 1 1\nv 2 1\nv 3 1\ne 1 2\ne 2 3\ne 1 3\n"
@@ -136,6 +143,14 @@ class TestRun:
     def test_solve_triangle_exits_2(self, wis_file, capsys):
         assert run(["solve", wis_file(TRIANGLE)]) == 2
         assert "witness triangle 1 2 3" in capsys.readouterr().err
+
+    def test_internal_fault_on_a_member_exits_1(self, wis_file, capsys, monkeypatch):
+        def broken(g, cover, jobs):
+            raise StructureViolation("internal", ("side_split_blocks", ()))
+
+        monkeypatch.setattr(solver, "_solve_all", broken)
+        assert run(["solve", wis_file(PATH4)]) == 1
+        assert capsys.readouterr().err == "internal error: internal\n"
 
     def test_check_triangle_json(self, wis_file, capsys):
         assert run(["check", wis_file(TRIANGLE), "--format", "json"]) == 0

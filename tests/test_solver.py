@@ -13,9 +13,15 @@ from conftest import (
     witness_checks,
 )
 
-from p4p4free import constrained, solver
+from p4p4free import constrained, solver, split_solver
 from p4p4free.errors import ClassViolation, InputError, StructureViolation
-from p4p4free.graph import Graph, bits, certified_result, mask_of
+from p4p4free.graph import (
+    Graph,
+    bits,
+    certified_result,
+    components_with_certificates,
+    mask_of,
+)
 from p4p4free.recognition import enumerate_induced_p4
 from p4p4free.solver import solve, solve_with_cover
 from p4p4free.testkit import (
@@ -122,6 +128,23 @@ class TestViolations:
         with pytest.raises(StructureViolation) as info:
             solve(path_graph(4))
         assert info.value is fault
+
+    @pytest.mark.parametrize("entry", [solve, solve_with_cover])
+    def test_paths_in_two_components_are_refused_before_branching(
+        self, monkeypatch, entry
+    ):
+        def unreachable(*args):
+            raise AssertionError("a refused graph reached the per-path work")
+
+        monkeypatch.setattr(solver, "_per_path", unreachable)
+        # the path 5-0-8-2, the isolated vertex 1, the path 3-6-4-7
+        g = Graph.from_edges(9, [(5, 0), (0, 8), (8, 2), (3, 6), (6, 4), (4, 7)])
+        paths = enumerate_induced_p4(g)
+        assert paths[0].vertices == (2, 8, 0, 5)
+        with pytest.raises(ClassViolation) as info:
+            entry(g)
+        assert info.value.witness == ("p4_pair", ((2, 8, 0, 5), (3, 6, 4, 7)))
+        assert witness_checks(g, info.value.witness)
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(InputError):
@@ -232,3 +255,64 @@ class TestCoverFamily:
                 seen.add(rec.member)
             assert seen == set(fam.members)
             assert len(fam.members) == len(set(fam.members))
+
+
+def _relabelled(rng, n: int, edges, weights) -> Graph:
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    relabelled = [0] * n
+    for v, w in enumerate(weights):
+        relabelled[perm[v]] = w
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges], relabelled)
+
+
+class TestComponentSplit:
+    def test_branching_stays_in_the_paths_component(self, monkeypatch):
+        g = gen_instance("clustered", 60, 0.5, 700_008)
+        paths = enumerate_induced_p4(g)
+        comps = components_with_certificates(g, g.full_mask)
+        home = next(c.members for c in comps if c.members & paths[0].mask)
+        assert all(p.mask & home == p.mask for p in paths)
+        assert any(not c.trivial for c in comps if not c.members & home)
+        hosts = []
+        original = split_solver._solve_raw
+
+        def recording(g, s_mask, t_mask, host, *rest):
+            hosts.append(host)
+            return original(g, s_mask, t_mask, host, *rest)
+
+        monkeypatch.setattr(split_solver, "_solve_raw", recording)
+        monkeypatch.setattr(constrained, "_solve_raw", recording)
+        solve(g)
+        solve_with_cover(g)
+        assert hosts
+        assert all(host & ~home == 0 for host in hosts)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_small_unions_match_the_oracles(self, seed):
+        # a P4, one or two K_{2,3} and 0-2 isolated vertices (n <= 16),
+        # relabelled; each component's two sides weigh the same
+        rng = XorShift64Star(31_000 + seed)
+        k, j = 1 + rng.below(5), 1 + rng.below(5)
+        edges = [(0, 1), (1, 2), (2, 3)]
+        weights = [k, k, k, k]
+        for _ in range(1 + seed % 2):
+            base = len(weights)
+            edges += [(base + u, base + v) for u in (0, 1) for v in (2, 3, 4)]
+            weights += [3 * j, 3 * j, 2 * j, 2 * j, 2 * j]
+        weights += [rng.below(4) for _ in range(seed % 3)]
+        g = _relabelled(rng, len(weights), edges, weights)
+        assert g.n <= 16
+        want = oracle_wis(g)
+        for entry in (solve, lambda g: solve_with_cover(g)[0]):
+            got = entry(g)
+            assert got.weight == want.weight
+            assert is_independent(g, mask_of(got.chosen))
+        _, fam = solve_with_cover(g)
+        for member in fam.members:
+            assert two_colorable(g, member)
+        for s in enumerate_maximal_is(g):
+            m = mask_of(s)
+            assert any(m & ~member == 0 for member in fam.members), s
