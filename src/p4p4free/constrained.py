@@ -79,9 +79,8 @@ def _solve_second_phase(
     path there is a class violation rather than a case to branch on.
     """
     if depth > g.n + 8:
-        raise RuntimeError(
-            "constrained branching exceeded its depth budget; "
-            "structure assumptions must have been violated undetected"
+        raise StructureViolation(
+            "constrained branching exceeded its depth budget", ("depth_budget", depth)
         )
 
     def redispatch(host2: int, depth2: int):

@@ -184,16 +184,29 @@ def is_class_member(g: Graph) -> MembershipVerdict:
     construction guarantees the two paths are disjoint and mutually
     non-adjacent, so the pair is a genuine witness.
     """
-    tri = find_triangle(g)
+    return _host_verdict(g, g.full_mask)
+
+
+def _host_verdict(g: Graph, host: int) -> MembershipVerdict:
+    """Membership of g[host]: a triangle first, then, for each induced P4
+    in scan order, a second P4 in its anti-neighborhood within host."""
+    tri = find_triangle(g, host)
     if tri is not None:
         return MembershipVerdict(False, triangle=tri)
-    full = g.full_mask
-    for p in _p4_scan(g, full):
-        far = anti_neighborhood(g, p.mask, full)
-        q = find_induced_p4(g, far)
+    for p in _p4_scan(g, host):
+        q = find_induced_p4(g, anti_neighborhood(g, p.mask, host))
         if q is not None:
             return MembershipVerdict(False, p4_pair=(p, q))
     return MembershipVerdict(True)
+
+
+def _refusal(verdict: MembershipVerdict) -> ClassViolation:
+    """The refusal carrying a non-member verdict's witness."""
+    if verdict.triangle is not None:
+        return ClassViolation(
+            "graph contains a triangle", ("triangle", verdict.triangle)
+        )
+    return p4_pair_violation(*verdict.p4_pair)
 
 
 def witness_holds(g: Graph, witness) -> bool:
@@ -243,11 +256,7 @@ def checked_refusals(g: Graph):
         verdict = is_class_member(g)
         if verdict.is_member:
             raise
-        if verdict.triangle is not None:
-            raise ClassViolation(
-                "graph contains a triangle", ("triangle", verdict.triangle)
-            ) from err
-        raise p4_pair_violation(*verdict.p4_pair) from err
+        raise _refusal(verdict) from err
 
 
 @dataclass(frozen=True)

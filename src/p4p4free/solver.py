@@ -14,10 +14,24 @@ through the second-and-fourth, and the plain bipartite optimum of the
 region made of the two endpoints, the flavor vertices isolated among
 their peers, and the path's anti-neighborhood.  Finally the path-free
 remainder of home (which has only complete bipartite components) competes
-as well, and the best candidate wins.  Every branching step removes a
-vertex of home or its neighborhood, so each candidate would make the same
-choice outside home: the best candidate of home plus the side selection
-of the rest is the optimum of the whole graph.
+as well, and the earliest heaviest candidate wins.  Every branching step
+removes a vertex of home or its neighborhood, so each candidate would make
+the same choice outside home: the best candidate of home plus the side
+selection of the rest is the optimum of the whole graph.
+
+Candidates are evaluated in one serial loop (paths in canonical order;
+per path {a, c}, {b, d}, the region; the remainder last), and ``solve``
+skips a candidate that cannot beat the running best strictly.  Its upper
+bound is the region's weight, or for a forced pair the pair's weight plus
+a matching bound on what the pair leaves of home: in a triangle-free
+graph every clique is a vertex or an edge, so a greedy maximal matching
+is a clique cover, and an independent set takes at most the heavier end
+of each edge (the clique-cover bound of weighted branch and bound).  A
+skipped candidate could not have changed the answer on a class member,
+but it could have held the refusal of a non-member; so after a skip
+``solve`` decides the membership of home itself, by the recognizer's own
+scan (a triangle, or a second path in some path's anti-neighborhood), and
+refuses with the witness it finds.
 
 ``solve_with_cover`` runs the same computation with leaf instrumentation:
 every base case reached anywhere in the branching is recorded as a
@@ -35,9 +49,8 @@ set is certified once, at the end, and every refusal leaves through
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from functools import partial
 
 from .bipartite import cb_weight_mask
 from .constrained import _solve_containing
@@ -45,6 +58,8 @@ from .errors import InputError, StructureViolation
 from .graph import Graph, SolveResult, bits, certified_result, mask_of, neighborhood
 from .recognition import (
     InducedP4,
+    _host_verdict,
+    _refusal,
     checked_refusals,
     enumerate_induced_p4,
     neighborhood_partition,
@@ -106,59 +121,92 @@ def _forced_pair(g: Graph, part, leaves, records) -> tuple[int, int]:
     return w + g.weights[q.a] + g.weights[q.c], m | pair
 
 
-def _first_best(cands) -> tuple[int, int]:
-    """The heaviest (weight, mask) candidate, the earliest on ties."""
-    return max(cands, key=lambda c: c[0])
+def _matching_bound(g: Graph, host: int) -> int:
+    """Upper bound on the weight of an independent set of g[host].
+
+    A greedy maximal matching, taken in ascending vertex order, covers
+    host by edges and single vertices, and an independent set meets each
+    edge at most once: each matched edge counts its heavier end, each
+    unmatched vertex its own weight.
+    """
+    adj, weights = g.adj, g.weights
+    total = 0
+    left = host
+    while left:
+        low = left & -left
+        v = low.bit_length() - 1
+        left ^= low
+        mates = adj[v] & left
+        if mates:
+            mate = mates & -mates
+            left ^= mate
+            total += max(weights[v], weights[mate.bit_length() - 1])
+        else:
+            total += weights[v]
+    return total
 
 
-def _per_path(g: Graph, p: InducedP4, home: int, cover: bool):
-    """Best (weight, mask) of g[home] over this path's branches, plus leaf
-    records; ``home`` is the connected component holding the path."""
-    records: list[LeafRecord] = []
-    leaves: list[int] | None = [] if cover else None
+def _pair_bound(g: Graph, x: int, y: int, home: int) -> int:
+    """Upper bound on the weight of an independent set of g[home] through
+    the non-adjacent pair {x, y}."""
+    closed = g.adj[x] | g.adj[y] | 1 << x | 1 << y
+    return g.weights[x] + g.weights[y] + _matching_bound(g, home & ~closed)
+
+
+def _per_path(g: Graph, p: InducedP4, home: int, leaves, records):
+    """This path's candidates for g[home] in evaluation order, as pairs of
+    thunks ``(bound, make)``: ``make()`` returns a (weight, mask) candidate,
+    and ``bound()`` is at least its weight on a class member.
+
+    A cover solve (``leaves`` a list) also gets the widening candidates,
+    which carry no bound, and every ``make()`` appends its leaf records to
+    ``records``; it runs before the next pair is drawn, so the records
+    keep evaluation order.
+    """
     part = neighborhood_partition(g, p, home)
     region = _q3_region(g, p, part)
-    cands = [
-        _forced_pair(g, part, leaves, records),
-        _forced_pair(g, neighborhood_partition(g, p.reverse(), home), leaves, records),
-        cb_weight_mask(g, region),
-    ]
-    if cover:
-        records.append(LeafRecord(0, region))
-        # non-isolated flavor vertices are not covered by the region above;
-        # force each into a fresh path and solve constrained, pinning the
-        # far endpoint by removing its neighborhood (it rides along as an
-        # isolated vertex of every leaf)
-        lonely = region & (part.s_b | part.s_c)
-        for end, mid, flavor, other, far in (
-            (p.a, p.b, part.s_b, part.s_c, p.d),
-            (p.d, p.c, part.s_c, part.s_b, p.a),
-        ):
-            for x in bits(flavor & ~lonely):
-                # every such y makes end-mid-x-y an induced path: y misses
-                # end and mid by its class, x misses them by its own
-                y = next(bits((other | part.anti) & g.adj[x]), None)
-                if y is None:
-                    continue
-                fresh = InducedP4.of(g, end, mid, x, y)
-                host = home & ~g.adj[far]
-                cands.append(
-                    _forced_pair(
-                        g, neighborhood_partition(g, fresh, host), leaves, records
-                    )
-                )
-    best_w, best_m = _first_best(cands)
-    return best_w, best_m, records
+    yield (
+        lambda: _pair_bound(g, p.a, p.c, home),
+        lambda: _forced_pair(g, part, leaves, records),
+    )
+    yield (
+        lambda: _pair_bound(g, p.b, p.d, home),
+        lambda: _forced_pair(
+            g, neighborhood_partition(g, p.reverse(), home), leaves, records
+        ),
+    )
+    yield lambda: g.weight_of(region), lambda: cb_weight_mask(g, region)
+    if leaves is None:
+        return
+    records.append(LeafRecord(0, region))
+    # non-isolated flavor vertices are not covered by the region above;
+    # force each into a fresh path and solve constrained, pinning the far
+    # endpoint by removing its neighborhood (it rides along as an isolated
+    # vertex of every leaf)
+    lonely = region & (part.s_b | part.s_c)
+    for end, mid, flavor, other, far in (
+        (p.a, p.b, part.s_b, part.s_c, p.d),
+        (p.d, p.c, part.s_c, part.s_b, p.a),
+    ):
+        for x in bits(flavor & ~lonely):
+            # every such y makes end-mid-x-y an induced path: y misses end
+            # and mid by its class, x misses them by its own
+            y = next(bits((other | part.anti) & g.adj[x]), None)
+            if y is None:
+                continue
+            fresh = InducedP4.of(g, end, mid, x, y)
+            fresh_part = neighborhood_partition(g, fresh, home & ~g.adj[far])
+            yield None, partial(_forced_pair, g, fresh_part, leaves, records)
 
 
 def _run(g: Graph, cover: bool, jobs: int):
     if jobs < 1:
         raise InputError("jobs must be at least 1")
     with checked_refusals(g):
-        return _solve_all(g, cover, jobs)
+        return _solve_all(g, cover)
 
 
-def _solve_all(g: Graph, cover: bool, jobs: int):
+def _solve_all(g: Graph, cover: bool):
     paths = enumerate_induced_p4(g)
     # branching stays in home, the first path's component
     home = frontier = paths[0].mask if paths else 0
@@ -175,31 +223,35 @@ def _solve_all(g: Graph, cover: bool, jobs: int):
         # vertex-disjoint from the first path and non-adjacent to it
         raise p4_pair_violation(paths[0], err.witness[2]) from None
 
-    if jobs > 1 and paths:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outs = list(
-                pool.map(
-                    _per_path,
-                    repeat(g),
-                    paths,
-                    repeat(home),
-                    repeat(cover),
-                    chunksize=max(1, len(paths) // (jobs * 4)),
-                )
-            )
-    else:
-        outs = [_per_path(g, p, home, cover) for p in paths]
-    records = [rec for _, _, recs in outs for rec in recs]
-
+    records: list[LeafRecord] = []
+    leaves: list[int] | None = [] if cover else None
+    best = None  # the earliest heaviest (weight, mask) so far
+    skipped = False
     on_some_path = 0
     for p in paths:
         on_some_path |= p.mask
+        for bound, make in _per_path(g, p, home, leaves, records):
+            # only a strictly heavier candidate replaces best, so one that
+            # cannot beat it is skipped; the cover visits every leaf
+            if best is not None and not cover and bound() <= best[0]:
+                skipped = True
+                continue
+            cand = make()
+            if best is None or cand[0] > best[0]:
+                best = cand
+
     white_host = home & ~on_some_path
     if cover:
         records.append(LeafRecord(0, white_host))
-    cands = [(w, m) for w, m, _ in outs]
-    cands.append(cb_weight_mask(g, white_host))
-    best = _first_best(cands)
+    cand = cb_weight_mask(g, white_host)
+    if best is None or cand[0] > best[0]:
+        best = cand
+    if skipped:
+        # a skipped branch may have held the refusal of a non-member, so
+        # decide membership of home; outside it, cb_weight_mask(rest) did
+        verdict = _host_verdict(g, home)
+        if not verdict.is_member:
+            raise _refusal(verdict)
 
     result = certified_result(g, best[1] | rest_mask)
     if not cover:
@@ -214,11 +266,11 @@ def solve(g: Graph, jobs: int = 1) -> SolveResult:
 
     The paths' component is solved first: candidates are evaluated in a
     fixed order (paths in canonical order, per-path branches, then the
-    component's path-free remainder), the earliest heaviest winning.  The
-    rest of the graph is then added by side selection of each of its
-    complete bipartite components.  The returned set is deterministic;
-    ``jobs`` only parallelizes the per-path work and never changes the
-    answer.
+    component's path-free remainder), the earliest heaviest winning, and a
+    candidate whose upper bound cannot beat the best so far is skipped.
+    The rest of the graph is then added by side selection of each of its
+    complete bipartite components.  The returned set is deterministic.
+    ``jobs`` must be at least 1 and has no effect: the loop is serial.
 
     Raises:
         ClassViolation: g contains a triangle or two separated induced
@@ -235,6 +287,8 @@ def solve_with_cover(g: Graph, jobs: int = 1) -> tuple[SolveResult, CoverFamily]
     The solve is instrumented so every branching base case contributes a
     leaf, and the isolated-flavor branch is widened with constrained
     solves forcing each non-isolated flavor vertex; the resulting family
-    contains every maximal independent set of g in some member.
+    contains every maximal independent set of g in some member.  No
+    candidate is skipped, and the result equals ``solve(g)``.  ``jobs``
+    must be at least 1 and has no effect.
     """
     return _run(g, cover=True, jobs=jobs)

@@ -250,9 +250,10 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves):
     """Dispatcher: certified components by side selection, then recurse
     into the unique uncertified one.  Returns (weight, mask)."""
     if depth > g.n + 8:
-        raise RuntimeError(
-            "branching recursion exceeded its depth budget; "
-            "structure assumptions must have been violated undetected"
+        # every branch removes a vertex, so only a structure assumption
+        # violated undetected can get here
+        raise StructureViolation(
+            "branching recursion exceeded its depth budget", ("depth_budget", depth)
         )
     if host & ~(s_mask | t_mask):
         raise InputError("host contains vertices outside both parts")

@@ -36,6 +36,13 @@ def complete_bipartite(a: int, b: int, weights=None) -> Graph:
     return Graph.from_edges(a + b, edges, weights)
 
 
+def crown_graph(k: int, weights=None) -> Graph:
+    """K_{k,k} minus a perfect matching: a_i = i and b_j = k + j are
+    adjacent exactly when i != j."""
+    edges = [(i, k + j) for i in range(k) for j in range(k) if i != j]
+    return Graph.from_edges(2 * k, edges, weights)
+
+
 def petersen() -> Graph:
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]

@@ -193,7 +193,17 @@ def test_criterion_7_scaling():
         assert elapsed < 60.0
     for prev, cur in zip(times, times[1:]):
         assert cur < 50.0 * max(prev, 1e-9)
-    return "n 30/45/60 in " + "/".join(f"{t:.3f}s" for t in times)
+    # a hard size: connected, dense and path-heavy (10,337 induced P4s)
+    g = gen_instance(model="rejection", n=40, density=0.9, seed=7)
+    start = time.perf_counter()
+    solve(g)
+    hard = time.perf_counter() - start
+    assert hard < 60.0
+    return (
+        "n 30/45/60 in "
+        + "/".join(f"{t:.3f}s" for t in times)
+        + f", hard n 40 in {hard:.3f}s"
+    )
 
 
 @criterion(8, "deterministic output")

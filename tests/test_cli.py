@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from p4p4free import solver
+from p4p4free import constrained, solver, split_solver
 from p4p4free.cli import format_graph, parse_graph, run
 from p4p4free.errors import ParseError, StructureViolation
 from p4p4free.graph import Graph
@@ -145,12 +145,25 @@ class TestRun:
         assert "witness triangle 1 2 3" in capsys.readouterr().err
 
     def test_internal_fault_on_a_member_exits_1(self, wis_file, capsys, monkeypatch):
-        def broken(g, cover, jobs):
+        def broken(g, cover):
             raise StructureViolation("internal", ("side_split_blocks", ()))
 
         monkeypatch.setattr(solver, "_solve_all", broken)
         assert run(["solve", wis_file(PATH4)]) == 1
         assert capsys.readouterr().err == "internal error: internal\n"
+
+    def test_depth_budget_overrun_on_a_member_exits_1(
+        self, wis_file, capsys, monkeypatch
+    ):
+        original = split_solver._solve_raw
+
+        def deep(g, s_mask, t_mask, host, depth, *rest):
+            return original(g, s_mask, t_mask, host, depth + g.n + 9, *rest)
+
+        monkeypatch.setattr(constrained, "_solve_raw", deep)
+        assert run(["solve", wis_file(PATH4)]) == 1
+        err = capsys.readouterr().err
+        assert err == "internal error: branching recursion exceeded its depth budget\n"
 
     def test_check_triangle_json(self, wis_file, capsys):
         assert run(["check", wis_file(TRIANGLE), "--format", "json"]) == 0

@@ -17,7 +17,7 @@ from p4p4free.constrained import (
     solve_containing_ac,
     solve_containing_bd,
 )
-from p4p4free.errors import ClassViolation, InputError
+from p4p4free.errors import ClassViolation, InputError, StructureViolation
 from p4p4free.graph import Graph, bits, components_with_certificates, mask_of
 from p4p4free.recognition import (
     InducedP4,
@@ -78,6 +78,15 @@ class TestErrors:
         g = path_graph(5)
         with pytest.raises(InputError):
             solve_containing_ac(g, InducedP4(0, 1, 2, 3), host=mask_of([0, 1, 2]))
+
+    def test_second_phase_depth_overrun_is_a_structure_violation(self):
+        g = path_graph(4)
+        depth = g.n + 9
+        with pytest.raises(StructureViolation) as info:
+            constrained._solve_second_phase(
+                g, 0, 0, 0, g.full_mask, depth, False, None
+            )
+        assert info.value.witness == ("depth_budget", depth)
 
     def test_triangle_on_the_path_neighborhood(self):
         # 4 sees both 0 and 1, so {0, 1, 4} is a triangle

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from conftest import (
     complete_bipartite,
+    crown_graph,
     cycle_graph,
     is_independent,
     path_graph,
@@ -22,7 +25,7 @@ from p4p4free.graph import (
     components_with_certificates,
     mask_of,
 )
-from p4p4free.recognition import enumerate_induced_p4
+from p4p4free.recognition import enumerate_induced_p4, is_class_member, witness_holds
 from p4p4free.solver import solve, solve_with_cover
 from p4p4free.testkit import (
     XorShift64Star,
@@ -109,7 +112,7 @@ class TestViolations:
         assert witness_checks(g, info.value.witness), info.value.witness
 
     def test_unchecked_witness_is_replaced_by_the_recognizer(self, monkeypatch):
-        def bogus(g, cover, jobs):
+        def bogus(g, cover):
             raise ClassViolation("bogus", ("unexpected_p4", (0, 1, 2, 3)))
 
         monkeypatch.setattr(solver, "_solve_all", bogus)
@@ -121,7 +124,7 @@ class TestViolations:
     def test_internal_fault_on_a_member_is_reraised(self, monkeypatch):
         fault = StructureViolation("internal", ("side_split_blocks", ()))
 
-        def broken(g, cover, jobs):
+        def broken(g, cover):
             raise fault
 
         monkeypatch.setattr(solver, "_solve_all", broken)
@@ -316,3 +319,95 @@ class TestComponentSplit:
         for s in enumerate_maximal_is(g):
             m = mask_of(s)
             assert any(m & ~member == 0 for member in fam.members), s
+
+
+def _crown(k: int, heavy: bool) -> Graph:
+    """A crown with seeded weights in [0, 20]; ``heavy`` makes one matched
+    pair {a_i, b_i} outweigh either side."""
+    rng = random.Random(4_200 + k)
+    weights = [rng.randrange(21) for _ in range(2 * k)]
+    if heavy:
+        i = rng.randrange(k)
+        weights[i] = weights[k + i] = 20 * k
+    return crown_graph(k, weights)
+
+
+def _fuzz_graph(j: int) -> Graph:
+    """Draw j of the package's non-member fuzz family."""
+    return random_graph(900_000 + j, 6 + j % 11, 0.08 + (j % 22) * 0.01)
+
+
+class TestBoundAndSkip:
+    def test_matching_bound_is_an_upper_bound(self):
+        rng = XorShift64Star(606)
+        for i in range(80):
+            g = random_graph(60_000 + i, 4 + rng.below(9), 0.1 + 0.05 * rng.below(9))
+            host = rng.below(1 << g.n)
+            best = sub = 0
+            while True:  # every independent subset of host
+                if is_independent(g, sub):
+                    best = max(best, g.weight_of(sub))
+                sub = (sub - host) & host
+                if not sub:
+                    break
+            assert best <= solver._matching_bound(g, host) <= g.weight_of(host)
+
+    @pytest.mark.parametrize("family", ["criterion_1", "crowns"])
+    def test_solve_agrees_with_the_unbounded_cover_path(self, family):
+        if family == "crowns":
+            graphs = [_crown(k, heavy=k % 2 == 1) for k in range(4, 11)]
+        else:
+            graphs = [
+                gen_instance(
+                    model="clustered" if i % 2 else "rejection",
+                    n=8 + i % 11,
+                    density=0.3 + 0.05 * (i % 9),
+                    seed=100_000 + i,
+                )
+                for i in range(99)  # each (n, density) pair once
+            ]
+        for g in graphs:
+            assert solve(g) == solve_with_cover(g)[0]
+
+    @pytest.mark.parametrize("k", range(4, 21))
+    def test_crown_matches_its_closed_form(self, k):
+        g = _crown(k, heavy=k % 2 == 1)
+        w = g.weights
+        # an independent set meeting both sides is a matched pair {a_i, b_i}
+        pair = max(w[i] + w[k + i] for i in range(k))
+        want = max(sum(w[:k]), sum(w[k:]), pair)
+        assert (want == pair) == (k % 2 == 1)
+        got = solve(g)
+        assert got.weight == want
+        assert is_independent(g, mask_of(got.chosen))
+
+    # draws of the fuzz family whose refusal comes from the membership check
+    # of home after a skip: every branch that would have refused was skipped
+    @pytest.mark.parametrize("j", [733, 3791])
+    def test_home_check_refuses_after_a_skip(self, monkeypatch, j):
+        verdicts = []
+        check = solver._host_verdict
+
+        def recording(*args):
+            verdicts.append(check(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(solver, "_host_verdict", recording)
+        g = _fuzz_graph(j)
+        with pytest.raises(ClassViolation) as info:
+            solve(g)
+        assert witness_holds(g, info.value.witness)
+        assert witness_checks(g, info.value.witness)
+        assert [v.is_member for v in verdicts] == [False]
+
+    def test_fuzz_non_members_are_refused_with_checked_witnesses(self):
+        refused = 0
+        for j in range(600):
+            g = _fuzz_graph(j)
+            if is_class_member(g).is_member:
+                continue
+            with pytest.raises(ClassViolation) as info:
+                solve(g)
+            assert witness_checks(g, info.value.witness), (j, info.value.witness)
+            refused += 1
+        assert refused > 300

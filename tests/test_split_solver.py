@@ -134,6 +134,28 @@ class TestForbiddenShapesSurface:
         assert witness_checks(g, exc.value.witness)
 
 
+class TestDepthBudget:
+    def test_overrun_on_a_member_is_a_structure_violation(self):
+        g = complete_bipartite(2, 3)
+        depth = g.n + 9
+        with pytest.raises(StructureViolation) as exc:
+            split_solver._solve_raw(g, 0, g.full_mask, g.full_mask, depth, 0, None)
+        assert exc.value.witness == ("depth_budget", depth)
+
+    def test_overrun_on_a_non_member_is_refused_with_a_witness(self, monkeypatch):
+        original = split_solver._solve_raw
+
+        def deep(g, s_mask, t_mask, host, depth, *rest):
+            return original(g, s_mask, t_mask, host, depth + g.n + 9, *rest)
+
+        monkeypatch.setattr(split_solver, "_solve_raw", deep)
+        edges = [(2, 0), (2, 1), (3, 0), (6, 4), (6, 5), (7, 4)]
+        g = Graph.from_edges(8, edges)
+        with pytest.raises(ClassViolation) as exc:
+            solve_split(split(g, [2, 3, 6, 7], [0, 1, 4, 5]))
+        assert witness_checks(g, exc.value.witness)
+
+
 class TestBranchingOrder:
     def test_sink_branch_matches_the_oracle_on_two_stars(self):
         # blocks {0;1,2} and {3;4,5}; vertex 7 is bi-partial to both, so the
