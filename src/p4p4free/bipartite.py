@@ -5,13 +5,17 @@ component: trivial components are always taken (weights are nonnegative),
 and for a complete bipartite component the heavier side wins, with ties
 going to the side containing the component's smallest vertex.  This is the
 leaf every branching route in the package eventually reduces to.
+
+``cb_weight_mask`` is the internal leaf and explains a component that
+fails its certificate; ``solve_cb_components`` decides membership of the
+whole graph first and refuses a non-member with a re-checked witness.
 """
 
 from __future__ import annotations
 
 from .errors import StructureViolation
 from .graph import Graph, SolveResult, certified_result, components_with_certificates
-from .recognition import checked_refusals, uncertified_p4
+from .recognition import is_class_member, uncertified_p4, verified_member
 
 __all__ = ["solve_cb_components", "cb_weight_mask", "heavier_side"]
 
@@ -56,12 +60,15 @@ def cb_weight_mask(g: Graph, host: int) -> tuple[int, int]:
 def solve_cb_components(g: Graph, host: int | None = None) -> SolveResult:
     """Solve a host whose components are all complete bipartite.
 
-    Refuses through ``checked_refusals``: a non-member g raises a
-    ``ClassViolation`` with a checked witness.
+    Raises:
+        ClassViolation: g is outside the supported class, even when g[host]
+            alone would solve; the witness has been re-checked against g.
+        StructureViolation: a component of g[host] is not complete
+            bipartite (the witness carries an induced P4 of it).
     """
     if host is None:
         host = g.full_mask
     g._check_host(host)
-    with checked_refusals(g):
+    with verified_member(g, is_class_member(g)):
         _, mask = cb_weight_mask(g, host)
     return certified_result(g, mask)

@@ -14,21 +14,23 @@ region is verified path-free).
 The {b, d} variant is the same computation on the reversed path.
 
 The internal ``_solve_containing`` returns ``(weight, mask)`` for a given
-partition, the forced pair left out; only the public solvers fold the pair
-in, certify the result and refuse through ``checked_refusals``.
+partition, the forced pair left out, and assumes a class member: it
+raises no refusal of its own.  The public solvers decide membership
+first, refusing a non-member with a re-checked witness, then fold the
+pair in and certify the result.
 """
 
 from __future__ import annotations
 
-from .errors import ClassViolation, StructureViolation
+from .errors import StructureViolation
 from .graph import Graph, SolveResult, bits, certified_result
 from .recognition import (
     InducedP4,
     NeighborhoodPartition,
-    checked_refusals,
     find_induced_p4,
+    is_class_member,
     neighborhood_partition,
-    p4_pair_violation,
+    verified_member,
 )
 from .split_solver import (
     _bipartial_blocks,
@@ -66,17 +68,12 @@ def _solve_second_phase(
     anti: int,
     host: int,
     depth: int,
-    hard: bool,
     leaves,
 ):
     """Handle a kept residual: branch away remaining bi-partial contacts of
     the active class, then reduce to a split instance whose independent
-    part is ``s_mask``.
-
-    ``hard`` records whether the caller verified that no active-class
-    vertex was bi-partial to any block of the pre-removal block region; in
-    that situation the reduced region is guaranteed path-free, so finding a
-    path there is a class violation rather than a case to branch on.
+    part is ``s_mask``, branching on a vertex of any path left in the
+    reduced region.
     """
     if depth > g.n + 8:
         raise StructureViolation(
@@ -84,9 +81,7 @@ def _solve_second_phase(
         )
 
     def redispatch(host2: int, depth2: int):
-        return _solve_second_phase(
-            g, s_mask, active, anti, host2, depth2, False, leaves
-        )
+        return _solve_second_phase(g, s_mask, active, anti, host2, depth2, leaves)
 
     members = _certified_members(g, anti & host)
     if any(_bipartial_blocks(g, v, members) for v in bits(active & host)):
@@ -95,12 +90,6 @@ def _solve_second_phase(
     found = find_induced_p4(g, region)
     if found is None:
         return _solve_raw(g, s_mask, active | anti, host, depth, 0, leaves)
-    if hard:
-        raise ClassViolation(
-            "reduced region contains an induced four-vertex path although "
-            "no bi-partial contact was left",
-            ("unexpected_p4", found.vertices),
-        )
     # fall back to plain anti-neighborhood branching on a path vertex
     x = found.a
     return _keep_or_drop(redispatch, host & ~g.adj[x], host & ~(1 << x), depth)
@@ -119,26 +108,20 @@ def _pair_branch(g: Graph, part, sb: int, sd: int, leaves):
             cand = _solve_raw(g, stars | part.s_bd, part.anti, host, depth, 0, leaves)
             return cand if cand[0] > best[0] else best
         t_mask = part.anti & host
-        anchored = _certified_members(g, t_mask)
-        t_comps = [m.members for m in anchored]
+        t_comps = [m.members for m in _certified_members(g, t_mask)]
         v = _select_branch_vertex(g, list(bits(live_b | live_d)), t_comps, t_mask)
         if live_b >> v & 1:
             active, passive = part.s_d, part.s_b
         else:
             active, passive = part.s_b, part.s_d
         picked = stars | (1 << v)
-        keep_host = host & ~g.adj[v]
-        hard = not any(
-            _bipartial_blocks(g, u, anchored) for u in bits(active & keep_host & ~picked)
-        )
         cand = _solve_second_phase(
             g,
             picked | passive | part.s_bd,
             active & ~picked,
             part.anti,
-            keep_host,
+            host & ~g.adj[v],
             depth + 1,
-            hard,
             leaves,
         )
         if cand[0] > best[0]:
@@ -157,28 +140,18 @@ def _solve_containing(
     and c.
     """
     best = (-1, 0)
-    try:
-        # class-dropping branches: no b- and no d-class, d-class only,
-        # b-class only
-        for s_role in (part.s_bd, part.s_d | part.s_bd, part.s_b | part.s_bd):
-            cand = _solve_raw(
-                g, s_role, part.anti, s_role | part.anti, 0, 0, leaves
-            )
-            if cand[0] > best[0]:
-                best = cand
-        for one_b in bits(part.s_b):
-            for one_d in bits(part.s_d):
-                if not g.adjacent(one_b, one_d):
-                    cand = _pair_branch(g, part, one_b, one_d, leaves)
-                    if cand[0] > best[0]:
-                        best = cand
-    except StructureViolation as err:
-        # every block region examined here sits inside the path's
-        # anti-neighborhood, so a four-vertex path found in one is
-        # vertex-disjoint from and non-adjacent to the path: a forbidden pair
-        if err.witness[0] == "incomplete_block" and err.witness[2] is not None:
-            raise p4_pair_violation(part.p, err.witness[2]) from None
-        raise
+    # class-dropping branches: no b- and no d-class, d-class only, b-class
+    # only
+    for s_role in (part.s_bd, part.s_d | part.s_bd, part.s_b | part.s_bd):
+        cand = _solve_raw(g, s_role, part.anti, s_role | part.anti, 0, 0, leaves)
+        if cand[0] > best[0]:
+            best = cand
+    for one_b in bits(part.s_b):
+        for one_d in bits(part.s_d):
+            if not g.adjacent(one_b, one_d):
+                cand = _pair_branch(g, part, one_b, one_d, leaves)
+                if cand[0] > best[0]:
+                    best = cand
     return best
 
 
@@ -191,13 +164,15 @@ def solve_containing_ac(
     forced vertices merged in), the raw material of cover extraction.
 
     Raises:
+        ClassViolation: g is outside the supported class, even when g[host]
+            alone would solve; decided before any branching, and the
+            witness (a triangle or a separated induced P4 pair) has been
+            re-checked against g.
         InputError: p not inside the host.
-        ClassViolation: g is outside the supported class; the witness (a
-            triangle or a separated induced P4 pair) has been re-checked
-            against g.
+        StructureViolation: an internal fault.
     """
     mark = len(leaves) if leaves is not None else 0
-    with checked_refusals(g):
+    with verified_member(g, is_class_member(g)):
         _, mask = _solve_containing(g, neighborhood_partition(g, p, host), leaves)
     forced = (1 << p.a) | (1 << p.c)
     if leaves is not None:

@@ -37,8 +37,7 @@ class ClassViolation(RuntimeError):
         witness: tuple describing the forbidden structure:
             ("triangle", (u, v, w)) or ("p4_pair", (p, q)) with p and q the
             vertex tuples of two separated induced P4s.  Witnesses leaving
-            ``solve`` and ``solve_with_cover`` have been re-checked against
-            the input.
+            the public solvers have been re-checked against the input.
     """
 
     def __init__(self, message: str, witness: tuple | None = None):
@@ -51,7 +50,9 @@ class StructureViolation(RuntimeError):
 
     Raised when a claimed decomposition property is contradicted by the
     instance (e.g. a component that should carry a complete-bipartite
-    certificate does not).  Carries the offending object as ``witness``.
+    certificate does not), or when the branching refuses an input already
+    verified to be a class member.  Carries the offending object as
+    ``witness``.
     """
 
     def __init__(self, message: str, witness: tuple | None = None):

@@ -14,15 +14,17 @@ vertices and exhibits a triangle.  ``neighborhood_partition`` materializes
 those seven classes plus the anti-neighborhood; all of the branching
 machinery downstream is phrased in terms of them.
 
-``checked_refusals`` is the one refusal boundary every public solver goes
-through: a refusal leaves it as a ``ClassViolation`` whose witness has
-been re-checked against the input, or as an internal fault on a member.
+Every public solver decides membership before it branches and refuses
+only through ``refuse``: a ``ClassViolation`` leaves once its witness
+re-checks against the input, and one that does not is an internal fault.
+``verified_member`` wraps the branching that follows a member verdict.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .errors import ClassViolation, InputError, StructureViolation
 from .graph import Graph, anti_neighborhood, bits, neighborhood
@@ -38,7 +40,8 @@ __all__ = [
     "uncertified_p4",
     "is_class_member",
     "witness_holds",
-    "checked_refusals",
+    "refuse",
+    "verified_member",
     "neighborhood_partition",
 ]
 
@@ -200,15 +203,6 @@ def _host_verdict(g: Graph, host: int) -> MembershipVerdict:
     return MembershipVerdict(True)
 
 
-def _refusal(verdict: MembershipVerdict) -> ClassViolation:
-    """The refusal carrying a non-member verdict's witness."""
-    if verdict.triangle is not None:
-        return ClassViolation(
-            "graph contains a triangle", ("triangle", verdict.triangle)
-        )
-    return p4_pair_violation(*verdict.p4_pair)
-
-
 def witness_holds(g: Graph, witness) -> bool:
     """Re-check a refusal witness against ``g``.
 
@@ -237,26 +231,37 @@ def witness_holds(g: Graph, witness) -> bool:
     return False
 
 
-@contextmanager
-def checked_refusals(g: Graph):
-    """Let only checked refusals of ``g`` leave the block.
+def refuse(g: Graph, refusal: ClassViolation) -> NoReturn:
+    """Raise ``refusal`` once its witness re-checks against g.
 
-    A ``ClassViolation`` whose witness re-checks against g (``witness_holds``)
-    passes as it is.  Any other ``ClassViolation``, and any
-    ``StructureViolation``, is replaced by the recognizer's triangle or
-    separated path pair; when the recognizer accepts g, the original error
-    is re-raised unchanged: a refusal of a class member is an internal
-    fault, not a property of the input.
+    Raises:
+        ClassViolation: ``refusal``, its witness re-checked.
+        StructureViolation: the witness does not hold, an internal fault.
     """
+    if not witness_holds(g, refusal.witness):
+        raise StructureViolation(
+            f"refusal witness does not hold: {refusal}",
+            ("unchecked_witness", refusal.witness),
+        ) from refusal
+    raise refusal from None
+
+
+@contextmanager
+def verified_member(g: Graph, verdict: MembershipVerdict):
+    """Refuse g with the witness of a non-member ``verdict`` before the
+    block runs.  Inside the block g is a verified member, so a
+    ``ClassViolation`` raised there is an internal fault: it leaves as a
+    ``StructureViolation`` carrying the same witness.
+    """
+    if verdict.triangle is not None:
+        witness = ("triangle", verdict.triangle)
+        refuse(g, ClassViolation("graph contains a triangle", witness))
+    if verdict.p4_pair is not None:
+        refuse(g, p4_pair_violation(*verdict.p4_pair))
     try:
         yield
-    except (ClassViolation, StructureViolation) as err:
-        if isinstance(err, ClassViolation) and witness_holds(g, err.witness):
-            raise
-        verdict = is_class_member(g)
-        if verdict.is_member:
-            raise
-        raise _refusal(verdict) from err
+    except ClassViolation as err:
+        raise StructureViolation(f"class member refused: {err}", err.witness) from err
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,7 @@ The driver enumerates induced four-vertex paths and splits the graph at
 the connected component of the first one, its home.  Two paths in
 different components would be vertex-disjoint and non-adjacent, so in a
 class member every other component is path-free and triangle-free, that
-is complete bipartite, and is solved once by side selection.  A path
-found outside home is refused at once, paired with the first path; so is
-a triangle there.
+is complete bipartite, and is solved once by side selection.
 
 Inside home, for each path the driver takes the best of three covering
 computations: the optimum forced through the first-and-third vertices,
@@ -19,6 +17,14 @@ removes a vertex of home or its neighborhood, so each candidate would make
 the same choice outside home: the best candidate of home plus the side
 selection of the rest is the optimum of the whole graph.
 
+Membership is decided before any branching, in one front step.  Side
+selection of the rest refuses a triangle there, or a path there paired
+with the first path; home then gets the recognizer's own scan (a
+triangle, or a second path in some path's anti-neighborhood).  Every
+refusal is raised there, once its witness re-checks.  Past that step the
+input is a verified member, so a refusal raised by the branching is an
+internal fault and leaves as a ``StructureViolation``.
+
 Candidates are evaluated in one serial loop (paths in canonical order;
 per path {a, c}, {b, d}, the region; the remainder last), and ``solve``
 skips a candidate that cannot beat the running best strictly.  Its upper
@@ -26,12 +32,8 @@ bound is the region's weight, or for a forced pair the pair's weight plus
 a matching bound on what the pair leaves of home: in a triangle-free
 graph every clique is a vertex or an edge, so a greedy maximal matching
 is a clique cover, and an independent set takes at most the heavier end
-of each edge (the clique-cover bound of weighted branch and bound).  A
-skipped candidate could not have changed the answer on a class member,
-but it could have held the refusal of a non-member; so after a skip
-``solve`` decides the membership of home itself, by the recognizer's own
-scan (a triangle, or a second path in some path's anti-neighborhood), and
-refuses with the witness it finds.
+of each edge (the clique-cover bound of weighted branch and bound).  On
+a member a skipped candidate cannot change the answer.
 
 ``solve_with_cover`` runs the same computation with leaf instrumentation:
 every base case reached anywhere in the branching is recorded as a
@@ -43,8 +45,7 @@ provably contains every maximal independent set.
 Below the public calls every candidate is a ``(weight, mask)`` pair: each
 path builds its neighborhood partition once and adds each forced pair to
 what the internal ``constrained._solve_containing`` returns.  The chosen
-set is certified once, at the end, and every refusal leaves through
-``recognition.checked_refusals``.
+set is certified once, at the end.
 """
 
 from __future__ import annotations
@@ -54,16 +55,16 @@ from functools import partial
 
 from .bipartite import cb_weight_mask
 from .constrained import _solve_containing
-from .errors import InputError, StructureViolation
+from .errors import ClassViolation, InputError, StructureViolation
 from .graph import Graph, SolveResult, bits, certified_result, mask_of, neighborhood
 from .recognition import (
     InducedP4,
     _host_verdict,
-    _refusal,
-    checked_refusals,
     enumerate_induced_p4,
     neighborhood_partition,
     p4_pair_violation,
+    refuse,
+    verified_member,
 )
 
 __all__ = ["LeafRecord", "CoverFamily", "solve", "solve_with_cover"]
@@ -202,11 +203,14 @@ def _per_path(g: Graph, p: InducedP4, home: int, leaves, records):
 def _run(g: Graph, cover: bool, jobs: int):
     if jobs < 1:
         raise InputError("jobs must be at least 1")
-    with checked_refusals(g):
-        return _solve_all(g, cover)
+    paths, home, rest_mask = _home_and_rest(g)
+    with verified_member(g, _host_verdict(g, home)):
+        return _solve_all(g, paths, home, rest_mask, cover)
 
 
-def _solve_all(g: Graph, cover: bool):
+def _home_and_rest(g: Graph):
+    """g's paths in canonical order, home, and the side selection of the
+    rest; a triangle or a path in the rest is refused."""
     paths = enumerate_induced_p4(g)
     # branching stays in home, the first path's component
     home = frontier = paths[0].mask if paths else 0
@@ -215,18 +219,21 @@ def _solve_all(g: Graph, cover: bool):
         home |= frontier
     # every other component is complete bipartite unless it holds a
     # triangle or a path; side selection solves it once for all candidates
-    rest = g.full_mask & ~home
     try:
-        _, rest_mask = cb_weight_mask(g, rest)
+        _, rest_mask = cb_weight_mask(g, g.full_mask & ~home)
+    except ClassViolation as err:
+        refuse(g, err)
     except StructureViolation as err:
         # the induced path it carries lies outside home, so it is
         # vertex-disjoint from the first path and non-adjacent to it
-        raise p4_pair_violation(paths[0], err.witness[2]) from None
+        refuse(g, p4_pair_violation(paths[0], err.witness[2]))
+    return paths, home, rest_mask
 
+
+def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool):
     records: list[LeafRecord] = []
     leaves: list[int] | None = [] if cover else None
     best = None  # the earliest heaviest (weight, mask) so far
-    skipped = False
     on_some_path = 0
     for p in paths:
         on_some_path |= p.mask
@@ -234,7 +241,6 @@ def _solve_all(g: Graph, cover: bool):
             # only a strictly heavier candidate replaces best, so one that
             # cannot beat it is skipped; the cover visits every leaf
             if best is not None and not cover and bound() <= best[0]:
-                skipped = True
                 continue
             cand = make()
             if best is None or cand[0] > best[0]:
@@ -246,16 +252,11 @@ def _solve_all(g: Graph, cover: bool):
     cand = cb_weight_mask(g, white_host)
     if best is None or cand[0] > best[0]:
         best = cand
-    if skipped:
-        # a skipped branch may have held the refusal of a non-member, so
-        # decide membership of home; outside it, cb_weight_mask(rest) did
-        verdict = _host_verdict(g, home)
-        if not verdict.is_member:
-            raise _refusal(verdict)
 
     result = certified_result(g, best[1] | rest_mask)
     if not cover:
         return result, None
+    rest = g.full_mask & ~home
     records = [LeafRecord(rec.forced, rec.residual | rest) for rec in records]
     members = tuple(dict.fromkeys(rec.member for rec in records))
     return result, CoverFamily(members, tuple(records))
@@ -274,9 +275,9 @@ def solve(g: Graph, jobs: int = 1) -> SolveResult:
 
     Raises:
         ClassViolation: g contains a triangle or two separated induced
-            four-vertex paths (two paths in different components are
-            refused before any branching); the attached witness has been
-            re-checked against g.
+            four-vertex paths, found before any branching; the attached
+            witness has been re-checked against g.
+        StructureViolation: an internal fault.
     """
     return _run(g, cover=False, jobs=jobs)[0]
 
@@ -289,6 +290,7 @@ def solve_with_cover(g: Graph, jobs: int = 1) -> tuple[SolveResult, CoverFamily]
     solves forcing each non-isolated flavor vertex; the resulting family
     contains every maximal independent set of g in some member.  No
     candidate is skipped, and the result equals ``solve(g)``.  ``jobs``
-    must be at least 1 and has no effect.
+    must be at least 1 and has no effect.  Refuses exactly as ``solve``
+    does, with the same witness.
     """
     return _run(g, cover=True, jobs=jobs)

@@ -15,9 +15,11 @@ search over the candidates.
 
 All branching is of the form max(solve(host minus N(v)), solve(host minus
 v)) or a covering family of induced-subgraph restrictions, so the optimum
-is preserved regardless of which structural sub-case was detected; the
-structural claims themselves are enforced as assertions that surface as
-StructureViolation/ClassViolation instead of silent wrong answers.
+is preserved regardless of which structural sub-case was detected.  The
+branching assumes a class member and refuses nothing itself: ``solve_split``
+decides membership first, and the structural claims are enforced as
+assertions that surface as a ``StructureViolation``, an internal fault,
+instead of a silent wrong answer.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .graph import (
     neighborhood,
     SolveResult,
 )
-from .recognition import checked_refusals, p4_pair_violation, uncertified_p4
+from .recognition import is_class_member, verified_member
 
 __all__ = ["SplitInstance", "solve_split", "branch_via_bipartial"]
 
@@ -89,18 +91,14 @@ def _bipartial_blocks(g: Graph, v: int, members) -> list[Component]:
 
 
 def _certified_members(g: Graph, t_live: int):
-    """Components of a block part, each certified complete bipartite.
-
-    A component without a certificate raises: ClassViolation for a
-    triangle, else StructureViolation carrying an induced P4 of it, for
-    callers that can tell whether it is separated from their branch path.
-    """
+    """Components of a block part, each certified complete bipartite; a
+    component without a certificate is an internal fault."""
     members = components_with_certificates(g, t_live)
     for m in members:
         if m.sides is None:
             raise StructureViolation(
                 "block part lost its complete-bipartite shape",
-                ("incomplete_block", m.members, uncertified_p4(g, m.members)),
+                ("incomplete_block", m.members),
             )
     return members
 
@@ -268,7 +266,11 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves):
         total_w += w
         total_m |= side
     if len(bad) > 1:
-        raise p4_pair_violation(*(uncertified_p4(g, c.members) for c in bad[:2]))
+        # in a class member each would hold an induced P4, a separated pair
+        raise StructureViolation(
+            "more than one uncertified component",
+            ("uncertified_components", tuple(c.members for c in bad)),
+        )
     if not bad:
         if leaves is not None:
             leaves.append(ambient | host)
@@ -286,10 +288,15 @@ def solve_split(inst: SplitInstance, leaves: list[int] | None = None) -> SolveRe
     When ``leaves`` is a list, the host mask of every certified base case
     reached during branching is appended to it (including the certified
     components peeled off along the way); this is the raw material for
-    bipartite cover extraction.  Refuses through ``checked_refusals``.
+    bipartite cover extraction.
+
+    Raises:
+        ClassViolation: the ambient graph is outside the supported class,
+            even when the split host alone would solve; decided before any
+            branching, and the witness has been re-checked.
+        StructureViolation: an internal fault.
     """
-    with checked_refusals(inst.g):
-        _, mask = _solve_raw(
-            inst.g, inst.s_part, inst.t_part, inst.host, 0, 0, leaves
-        )
-    return certified_result(inst.g, mask)
+    g = inst.g
+    with verified_member(g, is_class_member(g)):
+        _, mask = _solve_raw(g, inst.s_part, inst.t_part, inst.host, 0, 0, leaves)
+    return certified_result(g, mask)

@@ -11,16 +11,19 @@ import functools
 import json
 import time
 
+import pytest
 from conftest import (
     acceptance_report,
     is_independent,
     random_graph,
     scan_member,
     two_colorable,
+    witness_checks,
 )
 
 from p4p4free.cli import format_graph, run
 from p4p4free.constrained import solve_containing_ac, solve_containing_bd
+from p4p4free.errors import ClassViolation
 from p4p4free.graph import Graph, bits, mask_of
 from p4p4free.bipartite import solve_cb_components
 from p4p4free.recognition import enumerate_induced_p4, is_class_member
@@ -221,3 +224,28 @@ def test_criterion_8_determinism(tmp_path, capsys):
     assert len(outputs["solve"]) == 1
     assert len(outputs["cover"]) == 1
     return "solve and cover JSON byte-identical across runs and jobs"
+
+
+@criterion(9, "non-member fuzz")
+def test_criterion_9_non_member_fuzz():
+    rng = XorShift64Star(99)
+    members = refused = 0
+    for i in range(600):
+        n = 6 + rng.below(13)
+        g = random_graph(seed=900_000 + i * 7919, n=n, p=0.06 + 0.02 * rng.below(12))
+        if is_class_member(g).is_member:
+            assert solve(g).weight == oracle_wis(g).weight
+            members += 1
+            continue
+        # both calls refuse before branching, with one re-checked witness;
+        # a StructureViolation escaping either fails the criterion
+        witnesses = []
+        for entry in (solve, solve_with_cover):
+            with pytest.raises(ClassViolation) as info:
+                entry(g)
+            witnesses.append(info.value.witness)
+        assert witnesses[0] == witnesses[1]
+        assert witness_checks(g, witnesses[0])
+        refused += 1
+    assert members > 100 and refused > 200
+    return f"600 random graphs, n 6..18: {members} matched the oracle, {refused} refused"

@@ -84,6 +84,13 @@ def test_separated_paths_are_refused_with_a_checked_witness():
     assert exc.value.witness == ("p4_pair", ((0, 1, 2, 3), (4, 5, 6, 7)))
 
 
+def test_non_member_is_refused_even_when_its_host_would_solve():
+    g = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
+    with pytest.raises(ClassViolation) as exc:
+        solve_cb_components(g, mask_of([0, 1]))
+    assert exc.value.witness == ("triangle", (2, 3, 4))
+
+
 def test_triangle_component_raises_class_violation():
     g = complete_graph(3)
     with pytest.raises(ClassViolation) as exc:

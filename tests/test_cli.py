@@ -8,7 +8,7 @@ import pytest
 
 from p4p4free import constrained, solver, split_solver
 from p4p4free.cli import format_graph, parse_graph, run
-from p4p4free.errors import ParseError, StructureViolation
+from p4p4free.errors import ClassViolation, ParseError, StructureViolation
 from p4p4free.graph import Graph
 from p4p4free.testkit import XorShift64Star, gen_instance
 
@@ -145,12 +145,24 @@ class TestRun:
         assert "witness triangle 1 2 3" in capsys.readouterr().err
 
     def test_internal_fault_on_a_member_exits_1(self, wis_file, capsys, monkeypatch):
-        def broken(g, cover):
+        def broken(g, paths, home, rest_mask, cover):
             raise StructureViolation("internal", ("side_split_blocks", ()))
 
         monkeypatch.setattr(solver, "_solve_all", broken)
         assert run(["solve", wis_file(PATH4)]) == 1
         assert capsys.readouterr().err == "internal error: internal\n"
+
+    def test_refusal_inside_the_branching_of_a_member_exits_1(
+        self, wis_file, capsys, monkeypatch
+    ):
+        def bogus(*args):
+            raise ClassViolation("bogus", ("unexpected_p4", (0, 1, 2, 3)))
+
+        monkeypatch.setattr(solver, "_solve_containing", bogus)
+        assert run(["solve", wis_file(PATH4)]) == 1
+        assert capsys.readouterr().err == (
+            "internal error: class member refused: bogus\n"
+        )
 
     def test_depth_budget_overrun_on_a_member_exits_1(
         self, wis_file, capsys, monkeypatch

@@ -83,9 +83,7 @@ class TestErrors:
         g = path_graph(4)
         depth = g.n + 9
         with pytest.raises(StructureViolation) as info:
-            constrained._solve_second_phase(
-                g, 0, 0, 0, g.full_mask, depth, False, None
-            )
+            constrained._solve_second_phase(g, 0, 0, 0, g.full_mask, depth, None)
         assert info.value.witness == ("depth_budget", depth)
 
     def test_triangle_on_the_path_neighborhood(self):
@@ -97,6 +95,25 @@ class TestErrors:
         assert kind == "triangle"
         assert detail == (0, 1, 4)
 
+
+    def test_non_member_is_refused_even_when_its_host_would_solve(self):
+        # the host is the first path alone; the second path lies outside it
+        edges = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]
+        g = Graph.from_edges(8, edges)
+        with pytest.raises(ClassViolation) as err:
+            solve_containing_ac(g, InducedP4(0, 1, 2, 3), host=mask_of(range(4)))
+        assert err.value.witness == ("p4_pair", ((0, 1, 2, 3), (4, 5, 6, 7)))
+
+    def test_refusal_inside_the_branching_of_a_member_is_an_internal_fault(
+        self, monkeypatch
+    ):
+        def refusing(*args):
+            raise ClassViolation("bogus", ("unexpected_p4", (0, 1, 2, 3)))
+
+        monkeypatch.setattr(constrained, "_solve_containing", refusing)
+        with pytest.raises(StructureViolation) as err:
+            solve_containing_bd(path_graph(4), InducedP4(0, 1, 2, 3))
+        assert err.value.witness == ("unexpected_p4", (0, 1, 2, 3))
 
     # non-members on some of whose paths the branching itself fails
     # (side_split_blocks, or a lone induced path as the witness)

@@ -25,7 +25,11 @@ from p4p4free.graph import (
     components_with_certificates,
     mask_of,
 )
-from p4p4free.recognition import enumerate_induced_p4, is_class_member, witness_holds
+from p4p4free.recognition import (
+    MembershipVerdict,
+    enumerate_induced_p4,
+    is_class_member,
+)
 from p4p4free.solver import solve, solve_with_cover
 from p4p4free.testkit import (
     XorShift64Star,
@@ -111,26 +115,80 @@ class TestViolations:
             entry(g)
         assert witness_checks(g, info.value.witness), info.value.witness
 
-    def test_unchecked_witness_is_replaced_by_the_recognizer(self, monkeypatch):
-        def bogus(g, cover):
-            raise ClassViolation("bogus", ("unexpected_p4", (0, 1, 2, 3)))
-
-        monkeypatch.setattr(solver, "_solve_all", bogus)
-        g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
-        with pytest.raises(ClassViolation) as info:
-            solve(g)
-        assert info.value.witness == ("p4_pair", ((0, 1, 2, 3), (4, 5, 6, 7)))
-
     def test_internal_fault_on_a_member_is_reraised(self, monkeypatch):
         fault = StructureViolation("internal", ("side_split_blocks", ()))
 
-        def broken(g, cover):
+        def broken(g, paths, home, rest_mask, cover):
             raise fault
 
         monkeypatch.setattr(solver, "_solve_all", broken)
         with pytest.raises(StructureViolation) as info:
             solve(path_graph(4))
         assert info.value is fault
+
+    @pytest.mark.parametrize("entry", [solve, solve_with_cover])
+    def test_refusal_inside_the_branching_of_a_member_is_an_internal_fault(
+        self, monkeypatch, entry
+    ):
+        bogus = ClassViolation("bogus", ("unexpected_p4", (0, 1, 2, 3)))
+
+        def refusing(*args):
+            raise bogus
+
+        monkeypatch.setattr(solver, "_solve_containing", refusing)
+        with pytest.raises(StructureViolation) as info:
+            entry(path_graph(4))
+        assert info.value.witness == bogus.witness
+        assert info.value.__cause__ is bogus
+
+    @pytest.mark.parametrize("entry", [solve, solve_with_cover])
+    def test_a_witness_that_does_not_hold_is_an_internal_fault(
+        self, monkeypatch, entry
+    ):
+        def wrong(g, host):
+            return MembershipVerdict(False, triangle=(0, 1, 2))
+
+        monkeypatch.setattr(solver, "_host_verdict", wrong)
+        with pytest.raises(StructureViolation) as info:
+            entry(path_graph(4))
+        assert info.value.witness == ("unchecked_witness", ("triangle", (0, 1, 2)))
+
+    # the non-members among the fuzz draws (on 733 and 3791 the skip rule
+    # would pass over every branch that meets a forbidden shape) and the
+    # graphs on which the branching itself breaks (FAILING in
+    # perfbench/corpus.py)
+    def test_non_members_are_refused_before_branching(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a non-member reached the branching")
+
+        monkeypatch.setattr(solver, "_per_path", unreachable)
+        monkeypatch.setattr(split_solver, "_solve_raw", unreachable)
+        named = [
+            random_graph(seed, n, p)
+            for seed, n, p in (
+                (900_106, 16, 0.22),
+                (900_032, 16, 0.18),
+                (900_072, 12, 0.14),
+                (900_260, 13, 0.26),
+                (2858, 18, 0.14),
+                (950_479, 20, 0.12),
+                (951_730, 19, 0.12),
+            )
+        ]
+        fuzz = [_fuzz_graph(j) for j in [*range(600), 733, 3791]]
+        refused = 0
+        for g in fuzz + named:
+            if is_class_member(g).is_member:
+                continue
+            witnesses = []
+            for entry in (solve, solve_with_cover):
+                with pytest.raises(ClassViolation) as info:
+                    entry(g)
+                witnesses.append(info.value.witness)
+            assert witnesses[0] == witnesses[1]
+            assert witness_checks(g, witnesses[0]), witnesses[0]
+            refused += 1
+        assert refused > 300 + len(named)
 
     @pytest.mark.parametrize("entry", [solve, solve_with_cover])
     def test_paths_in_two_components_are_refused_before_branching(
@@ -380,25 +438,6 @@ class TestBoundAndSkip:
         got = solve(g)
         assert got.weight == want
         assert is_independent(g, mask_of(got.chosen))
-
-    # draws of the fuzz family whose refusal comes from the membership check
-    # of home after a skip: every branch that would have refused was skipped
-    @pytest.mark.parametrize("j", [733, 3791])
-    def test_home_check_refuses_after_a_skip(self, monkeypatch, j):
-        verdicts = []
-        check = solver._host_verdict
-
-        def recording(*args):
-            verdicts.append(check(*args))
-            return verdicts[-1]
-
-        monkeypatch.setattr(solver, "_host_verdict", recording)
-        g = _fuzz_graph(j)
-        with pytest.raises(ClassViolation) as info:
-            solve(g)
-        assert witness_holds(g, info.value.witness)
-        assert witness_checks(g, info.value.witness)
-        assert [v.is_member for v in verdicts] == [False]
 
     def test_fuzz_non_members_are_refused_with_checked_witnesses(self):
         refused = 0

@@ -134,6 +134,25 @@ class TestForbiddenShapesSurface:
         assert witness_checks(g, exc.value.witness)
 
 
+    def test_non_member_is_refused_even_when_its_host_would_solve(self):
+        # the split host is one star; the triangle lies outside it
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (3, 4), (4, 5), (3, 5)])
+        with pytest.raises(ClassViolation) as exc:
+            solve_split(split(g, [0], [1, 2]))
+        assert exc.value.witness == ("triangle", (3, 4, 5))
+
+    def test_refusal_inside_the_branching_of_a_member_is_an_internal_fault(
+        self, monkeypatch
+    ):
+        def refusing(*args):
+            raise ClassViolation("bogus", ("triangle", (0, 1, 2)))
+
+        monkeypatch.setattr(split_solver, "_solve_raw", refusing)
+        with pytest.raises(StructureViolation) as exc:
+            solve_split(split(complete_bipartite(2, 3), [0, 1], [2, 3, 4]))
+        assert exc.value.witness == ("triangle", (0, 1, 2))
+
+
 class TestDepthBudget:
     def test_overrun_on_a_member_is_a_structure_violation(self):
         g = complete_bipartite(2, 3)
