@@ -29,6 +29,7 @@ from p4p4free.recognition import (
     MembershipVerdict,
     enumerate_induced_p4,
     is_class_member,
+    witness_holds,
 )
 from p4p4free.solver import solve, solve_with_cover
 from p4p4free.testkit import (
@@ -114,6 +115,18 @@ class TestViolations:
         with pytest.raises(ClassViolation) as info:
             entry(g)
         assert witness_checks(g, info.value.witness), info.value.witness
+
+    # a refusal comes from the recognizer's witness, never from the
+    # branching: a non-member is refused before the branching runs
+    def test_unchecked_witness_is_replaced_by_the_recognizer(self, monkeypatch):
+        def bogus(*args):
+            raise ClassViolation("bogus", ("unexpected_p4", (0, 1, 2, 3)))
+
+        monkeypatch.setattr(solver, "_solve_all", bogus)
+        g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+        with pytest.raises(ClassViolation) as info:
+            solve(g)
+        assert info.value.witness == ("p4_pair", ((0, 1, 2, 3), (4, 5, 6, 7)))
 
     def test_internal_fault_on_a_member_is_reraised(self, monkeypatch):
         fault = StructureViolation("internal", ("side_split_blocks", ()))
@@ -438,6 +451,26 @@ class TestBoundAndSkip:
         got = solve(g)
         assert got.weight == want
         assert is_independent(g, mask_of(got.chosen))
+
+    # draws of the fuzz family on which the skip rule would pass over every
+    # branch that meets a forbidden shape: the one membership check of home
+    # refuses them before any branch runs
+    @pytest.mark.parametrize("j", [733, 3791])
+    def test_home_check_refuses_after_a_skip(self, monkeypatch, j):
+        verdicts = []
+        check = solver._host_verdict
+
+        def recording(*args):
+            verdicts.append(check(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(solver, "_host_verdict", recording)
+        g = _fuzz_graph(j)
+        with pytest.raises(ClassViolation) as info:
+            solve(g)
+        assert witness_holds(g, info.value.witness)
+        assert witness_checks(g, info.value.witness)
+        assert [v.is_member for v in verdicts] == [False]
 
     def test_fuzz_non_members_are_refused_with_checked_witnesses(self):
         refused = 0
