@@ -287,12 +287,16 @@ def certified_result(g: Graph, mask: int) -> SolveResult:
     Every public return path goes through this: the chosen set is checked
     for independence and the weight is recomputed from scratch, so a bug in
     the branching machinery cannot silently return garbage.
+
+    Raises:
+        StructureViolation: the set is not independent, an internal fault.
     """
     total = 0
     for v in bits(mask):
         if g.adj[v] & mask:
-            raise RuntimeError(
-                f"self-certification failed: vertex {v} has a chosen neighbor"
+            raise StructureViolation(
+                f"self-certification failed: vertex {v} has a chosen neighbor",
+                ("dependent_set", mask),
             )
         total += g.weights[v]
     return SolveResult(total, tuple(bits(mask)))

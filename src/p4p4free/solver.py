@@ -1,10 +1,12 @@
 """Exact maximum weight independent set for the supported class.
 
-The driver enumerates induced four-vertex paths and splits the graph at
-the connected component of the first one, its home.  Two paths in
-different components would be vertex-disjoint and non-adjacent, so in a
-class member every other component is path-free and triangle-free, that
-is complete bipartite, and is solved once by side selection.
+The driver decomposes the graph into certified components once.  Home is
+the union of the components without a complete-bipartite certificate;
+every other component is solved once by side selection.  Each triangle
+and each induced four-vertex path lies inside one component, and a
+complete bipartite component holds neither, so home holds them all.  Two
+paths in different components would be vertex-disjoint and non-adjacent,
+so in a class member home is at most one component.
 
 Inside home, for each path the driver takes the best of three covering
 computations: the optimum forced through the first-and-third vertices,
@@ -17,13 +19,14 @@ removes a vertex of home or its neighborhood, so each candidate would make
 the same choice outside home: the best candidate of home plus the side
 selection of the rest is the optimum of the whole graph.
 
-Membership is decided before any branching, in one front step.  Side
-selection of the rest refuses a triangle there, or a path there paired
-with the first path; home then gets the recognizer's own scan (a
-triangle, or a second path in some path's anti-neighborhood).  Every
-refusal is raised there, once its witness re-checks.  Past that step the
-input is a verified member, so a refusal raised by the branching is an
-internal fault and leaves as a ``StructureViolation``.
+Membership is decided before any branching, in one front step: the
+recognizer's own scan of home (the least triangle, then for each path in
+scan order a second path in its anti-neighborhood).  Since home holds
+every triangle and path, its verdict and witness are those of
+``is_class_member(g)``; the refusal is raised once its witness re-checks.
+Only then are home's paths enumerated.  Past that step the input is a
+verified member, so a refusal raised by the branching is an internal
+fault and leaves as a ``StructureViolation``.
 
 Candidates are evaluated in one serial loop (paths in canonical order;
 per path {a, c}, {b, d}, the region; the remainder last), and ``solve``
@@ -53,17 +56,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .bipartite import cb_weight_mask
+from .bipartite import cb_weight_mask, heavier_side
 from .constrained import _solve_containing
-from .errors import ClassViolation, InputError, StructureViolation
-from .graph import Graph, SolveResult, bits, certified_result, mask_of, neighborhood
+from .errors import InputError
+from .graph import (
+    Graph,
+    SolveResult,
+    bits,
+    certified_result,
+    components_with_certificates,
+    mask_of,
+)
 from .recognition import (
     InducedP4,
     _host_verdict,
     enumerate_induced_p4,
     neighborhood_partition,
-    p4_pair_violation,
-    refuse,
     verified_member,
 )
 
@@ -203,31 +211,17 @@ def _per_path(g: Graph, p: InducedP4, home: int, leaves, records):
 def _run(g: Graph, cover: bool, jobs: int):
     if jobs < 1:
         raise InputError("jobs must be at least 1")
-    paths, home, rest_mask = _home_and_rest(g)
+    # home is every component without a certificate; side selection
+    # solves the rest once for all candidates
+    home = rest_mask = 0
+    for comp in components_with_certificates(g, g.full_mask):
+        if comp.sides is None:
+            home |= comp.members
+        else:
+            rest_mask |= heavier_side(g, comp.sides)[1]
     with verified_member(g, _host_verdict(g, home)):
+        paths = enumerate_induced_p4(g, home)
         return _solve_all(g, paths, home, rest_mask, cover)
-
-
-def _home_and_rest(g: Graph):
-    """g's paths in canonical order, home, and the side selection of the
-    rest; a triangle or a path in the rest is refused."""
-    paths = enumerate_induced_p4(g)
-    # branching stays in home, the first path's component
-    home = frontier = paths[0].mask if paths else 0
-    while frontier:
-        frontier = neighborhood(g, frontier) & ~home
-        home |= frontier
-    # every other component is complete bipartite unless it holds a
-    # triangle or a path; side selection solves it once for all candidates
-    try:
-        _, rest_mask = cb_weight_mask(g, g.full_mask & ~home)
-    except ClassViolation as err:
-        refuse(g, err)
-    except StructureViolation as err:
-        # the induced path it carries lies outside home, so it is
-        # vertex-disjoint from the first path and non-adjacent to it
-        refuse(g, p4_pair_violation(paths[0], err.witness[2]))
-    return paths, home, rest_mask
 
 
 def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool):
@@ -275,8 +269,8 @@ def solve(g: Graph, jobs: int = 1) -> SolveResult:
 
     Raises:
         ClassViolation: g contains a triangle or two separated induced
-            four-vertex paths, found before any branching; the attached
-            witness has been re-checked against g.
+            four-vertex paths, found before any branching; the witness is
+            that of ``is_class_member(g)``, re-checked against g.
         StructureViolation: an internal fault.
     """
     return _run(g, cover=False, jobs=jobs)[0]
@@ -291,6 +285,6 @@ def solve_with_cover(g: Graph, jobs: int = 1) -> tuple[SolveResult, CoverFamily]
     contains every maximal independent set of g in some member.  No
     candidate is skipped, and the result equals ``solve(g)``.  ``jobs``
     must be at least 1 and has no effect.  Refuses exactly as ``solve``
-    does, with the same witness.
+    does, with the witness of ``is_class_member(g)``.
     """
     return _run(g, cover=True, jobs=jobs)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from conftest import random_graph
 
 from p4p4free import constrained, solver, split_solver
 from p4p4free.cli import format_graph, parse_graph, run
@@ -163,6 +164,27 @@ class TestRun:
         assert capsys.readouterr().err == (
             "internal error: class member refused: bogus\n"
         )
+
+    def test_failed_self_certification_exits_1(self, wis_file, capsys, monkeypatch):
+        def dependent(g, part, leaves):
+            return 0, g.full_mask
+
+        monkeypatch.setattr(solver, "_solve_containing", dependent)
+        assert run(["solve", wis_file(PATH4)]) == 1
+        assert capsys.readouterr().err == (
+            "internal error: self-certification failed: "
+            "vertex 0 has a chosen neighbor\n"
+        )
+
+    def test_solve_refuses_with_the_witness_check_prints(self, wis_file, capsys):
+        # draw 31 of the non-member fuzz family: the least triangle lies in
+        # the first path's component, a second path in another component
+        path = wis_file(format_graph(random_graph(900_031, 15, 0.17)))
+        assert run(["solve", path]) == 2
+        refused = capsys.readouterr().err.splitlines()
+        assert run(["check", path]) == 0
+        checked = capsys.readouterr().out.splitlines()
+        assert refused[-1] == checked[-1] == "witness triangle 3 14 15"
 
     def test_depth_budget_overrun_on_a_member_exits_1(
         self, wis_file, capsys, monkeypatch
