@@ -2,10 +2,12 @@
 
 The solver works on triangle-free graphs that contain no two induced P4s
 that are vertex-disjoint and mutually non-adjacent.  Membership is decided
-directly from that definition: a triangle scan, then for every induced P4
-a search for a second P4 inside its anti-neighborhood (any two independent
-P4s certify non-membership this way, because the second one lies entirely
-at distance >= 2 from the first).
+directly from that definition: a triangle scan first, then for every
+induced P4 a search for a second P4 inside its anti-neighborhood (any two
+independent P4s certify non-membership this way, because the second one
+lies entirely at distance >= 2 from the first).  A connected triangle-free
+graph without an induced P4 is complete bipartite, so paths are sought
+only in the components without a certificate.
 
 Around a fixed induced P4 (a, b, c, d), triangle-freeness pins every
 neighbor of the path to one of seven adjacency traces: {a}, {b}, {c}, {d},
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 from .errors import ClassViolation, InputError, StructureViolation
-from .graph import Graph, anti_neighborhood, bits, neighborhood
+from .graph import Graph, bits, components_with_certificates, neighborhood
 
 __all__ = [
     "InducedP4",
@@ -90,16 +92,22 @@ def find_triangle(g: Graph, host: int | None = None) -> tuple[int, int, int] | N
     """Lexicographically least triangle (u, v, w), u < v < w, or None."""
     if host is None:
         host = g.full_mask
+    g._check_host(host)
     adj = g.adj
-    for u in bits(host):
-        above_u = host >> (u + 1) << (u + 1)
-        cand = adj[u] & above_u
-        for v in bits(cand):
-            common = adj[v] & cand
-            common = common >> (v + 1) << (v + 1)
+    above_u = host
+    while above_u:
+        low = above_u & -above_u
+        above_u ^= low
+        cand = adj[low.bit_length() - 1] & above_u
+        m = cand
+        while m:
+            v_low = m & -m
+            # the least v of cand with a neighbour in cand has none below it
+            common = adj[v_low.bit_length() - 1] & cand
             if common:
-                w = (common & -common).bit_length() - 1
-                return (u, v, w)
+                u, v = low.bit_length() - 1, v_low.bit_length() - 1
+                return (u, v, (common & -common).bit_length() - 1)
+            m ^= v_low
     return None
 
 
@@ -108,19 +116,35 @@ def _p4_scan(g: Graph, host: int):
 
     Iterates over ordered middle edges (b, c); for the canonical
     orientation only one of the two orders survives the a < d filter, so no
-    deduplication is needed.  Yield order is scan order, not sorted.
+    deduplication is needed.  Yield order is scan order: ascending by
+    (b, c, a, d).
     """
     adj = g.adj
-    for b in bits(host):
-        for c in bits(adj[b] & host):
-            a_cand = adj[b] & ~adj[c] & host & ~(1 << c)
-            d_cand = adj[c] & ~adj[b] & host & ~(1 << b)
+    bs = host
+    while bs:
+        b_low = bs & -bs
+        bs ^= b_low
+        b = b_low.bit_length() - 1
+        adj_b = adj[b] & host
+        cs = adj_b
+        while cs:
+            c_low = cs & -cs
+            cs ^= c_low
+            c = c_low.bit_length() - 1
+            adj_c = adj[c] & host
+            a_cand = adj_b & ~adj_c & ~c_low
+            d_cand = adj_c & ~adj_b & ~b_low
             if not a_cand or not d_cand:
                 continue
-            for a in bits(a_cand):
-                above_a = ~((2 << a) - 1)
-                for d in bits(d_cand & ~adj[a] & above_a):
-                    yield InducedP4(a, b, c, d)
+            while a_cand:
+                a_low = a_cand & -a_cand
+                a_cand ^= a_low
+                a = a_low.bit_length() - 1
+                ds = d_cand & ~adj[a] & ~((a_low << 1) - 1)
+                while ds:
+                    d_low = ds & -ds
+                    ds ^= d_low
+                    yield InducedP4(a, b, c, d_low.bit_length() - 1)
 
 
 def enumerate_induced_p4(g: Graph, host: int | None = None) -> list[InducedP4]:
@@ -182,12 +206,20 @@ class MembershipVerdict:
 def is_class_member(g: Graph) -> MembershipVerdict:
     """Decide membership in the supported class, with witnesses.
 
-    A triangle is searched first; then each induced P4 (in scan order) has
-    its anti-neighborhood searched for a second P4.  The anti-neighborhood
-    construction guarantees the two paths are disjoint and mutually
-    non-adjacent, so the pair is a genuine witness.
+    A triangle is searched first, over the whole graph.  Then, only in the
+    components without a certificate (where every P4 lies), each induced
+    P4 in scan order has its anti-neighborhood searched for a second P4;
+    the two are disjoint and mutually non-adjacent, a genuine witness.
+    Verdict and witness equal those of the same scan over the whole graph.
     """
-    return _host_verdict(g, g.full_mask)
+    tri = find_triangle(g)
+    if tri is not None:
+        return MembershipVerdict(False, triangle=tri)
+    home = 0
+    for comp in components_with_certificates(g, g.full_mask):
+        if comp.sides is None:
+            home |= comp.members
+    return _pair_verdict(g, home)
 
 
 def _host_verdict(g: Graph, host: int) -> MembershipVerdict:
@@ -196,8 +228,16 @@ def _host_verdict(g: Graph, host: int) -> MembershipVerdict:
     tri = find_triangle(g, host)
     if tri is not None:
         return MembershipVerdict(False, triangle=tri)
+    return _pair_verdict(g, host)
+
+
+def _pair_verdict(g: Graph, host: int) -> MembershipVerdict:
+    """For each induced P4 of triangle-free g[host] in scan order, the
+    first P4 of its anti-neighborhood within host makes the pair."""
+    adj = g.adj
     for p in _p4_scan(g, host):
-        q = find_induced_p4(g, anti_neighborhood(g, p.mask, host))
+        near = p.mask | adj[p.a] | adj[p.b] | adj[p.c] | adj[p.d]
+        q = find_induced_p4(g, host & ~near)
         if q is not None:
             return MembershipVerdict(False, p4_pair=(p, q))
     return MembershipVerdict(True)

@@ -57,6 +57,11 @@ def random_graph(seed: int, n: int, p: float, weighted: bool = True) -> Graph:
     return Graph.from_edges(n, edges, weights)
 
 
+def fuzz_graph(j: int) -> Graph:
+    """Draw j of the package's non-member fuzz family."""
+    return random_graph(900_000 + j, 6 + j % 11, 0.08 + (j % 22) * 0.01)
+
+
 def is_independent(g: Graph, mask: int) -> bool:
     return all(not g.adj[v] & mask for v in bits(mask))
 
@@ -115,6 +120,32 @@ def scan_two_disjoint_p4s(g: Graph) -> bool:
 
 def scan_member(g: Graph) -> bool:
     return not scan_triangles(g) and not scan_two_disjoint_p4s(g)
+
+
+def scan_verdict(g: Graph):
+    """The recognizer's witness by exhaustive scans, None for a member: the
+    least triangle, else the first P4 p in (b, c, a, d) order whose
+    anti-neighbourhood holds a P4, paired with the least such q."""
+    triangles = scan_triangles(g)
+    if triangles:
+        return ("triangle", triangles[0])
+    paths = sorted(scan_p4s(g), key=lambda p: (p[1], p[2], p[0], p[3]))
+    for p in paths:
+        near = set(p) | {v for u in p for v in range(g.n) if g.adjacent(u, v)}
+        far = [q for q in paths if not near & set(q)]
+        if far:
+            return ("p4_pair", (p, far[0]))
+    return None
+
+
+def verdict_witness(verdict):
+    """A membership verdict in ``ClassViolation`` witness form, None for a
+    member; ``scan_verdict`` answers in the same form."""
+    if verdict.triangle is not None:
+        return ("triangle", verdict.triangle)
+    if verdict.p4_pair is not None:
+        return ("p4_pair", tuple(p.vertices for p in verdict.p4_pair))
+    return None
 
 
 def two_colorable(g: Graph, mask: int) -> bool:

@@ -268,6 +268,7 @@ class TestRun:
         assert [row["n"] for row in rows] == [10, 14]
         for row in rows:
             assert row["time_s"] >= 0
+            assert row["check_s"] >= 0
             assert row["weight"] > 0
 
     def test_bench_bad_sizes_exit_3(self, capsys):

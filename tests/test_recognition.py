@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     complete_graph,
     cycle_graph,
+    fuzz_graph,
     is_independent,
     path_graph,
     petersen,
@@ -13,12 +14,15 @@ from conftest import (
     scan_member,
     scan_p4s,
     scan_triangles,
+    scan_verdict,
+    verdict_witness,
 )
 
 from p4p4free.errors import ClassViolation, InputError
 from p4p4free.graph import Graph, anti_neighborhood, bits, mask_of
 from p4p4free.recognition import (
     InducedP4,
+    _host_verdict,
     enumerate_induced_p4,
     find_induced_p4,
     find_triangle,
@@ -27,6 +31,7 @@ from p4p4free.recognition import (
     uncertified_p4,
     witness_holds,
 )
+from p4p4free.testkit import XorShift64Star, gen_instance
 
 
 class TestFindTriangle:
@@ -50,6 +55,19 @@ class TestFindTriangle:
         g = complete_graph(4)
         assert find_triangle(g, mask_of([0, 1])) is None
         assert find_triangle(g, mask_of([1, 2, 3])) == (1, 2, 3)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_hosts_agree_with_restricted_scan(self, seed):
+        g = random_graph(seed, 12, 0.3)
+        host = XorShift64Star(seed).below(1 << g.n)
+        inside = [t for t in scan_triangles(g) if all(host >> v & 1 for v in t)]
+        assert find_triangle(g, host) == (min(inside) if inside else None)
+
+    @pytest.mark.parametrize("host", [1 << 5, -1])
+    def test_out_of_range_host_is_an_input_error(self, host):
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(InputError):
+            find_triangle(g, host)
 
 
 class TestInducedP4Type:
@@ -103,16 +121,14 @@ class TestEnumerateP4:
         assert [p.vertices for p in inside] == [(0, 1, 2, 3)]
 
     def test_find_first_matches_enumeration(self):
+        rng = XorShift64Star(15)
         for seed in range(15):
             g = random_graph(seed, 10, 0.3)
-            all_p4s = enumerate_induced_p4(g)
-            first = find_induced_p4(g, g.full_mask)
-            if all_p4s:
-                assert first is not None and first.vertices in {
-                    p.vertices for p in all_p4s
-                }
-            else:
-                assert first is None
+            for host in (g.full_mask, rng.below(1 << g.n), rng.below(1 << g.n)):
+                all_p4s = enumerate_induced_p4(g, host)
+                # the scan yields paths in (b, c, a, d) order
+                first = min(all_p4s, key=lambda p: (p.b, p.c, p.a, p.d), default=None)
+                assert find_induced_p4(g, host) == first
 
 
 class TestMembership:
@@ -141,6 +157,26 @@ class TestMembership:
         n = 8 + seed % 5
         g = random_graph(seed, n, 0.2 + (seed % 3) * 0.15)
         assert is_class_member(g).is_member == scan_member(g)
+
+    def test_witness_matches_the_scan_on_fuzz_draws(self):
+        for j in range(600):
+            g = fuzz_graph(j)
+            assert verdict_witness(is_class_member(g)) == scan_verdict(g), j
+
+    def test_witness_when_complete_bipartite_blocks_come_first(self):
+        # two K_{2,3} on 0-4 and 5-9, then two separated paths on 10-17
+        blocks = [(s + i, s + j) for s in (0, 5) for i in range(2) for j in (2, 3, 4)]
+        paths = [(v, v + 1) for s in (10, 14) for v in range(s, s + 3)]
+        g = Graph.from_edges(18, blocks + paths)
+        want = ("p4_pair", ((10, 11, 12, 13), (14, 15, 16, 17)))
+        assert verdict_witness(is_class_member(g)) == scan_verdict(g) == want
+
+    @pytest.mark.parametrize("i", range(6))
+    def test_clustered_members_agree_with_the_full_scan(self, i):
+        g = gen_instance("clustered", 45 + 15 * i, 0.5, 700_000 + i)
+        verdict = is_class_member(g)
+        assert verdict.is_member
+        assert verdict == _host_verdict(g, g.full_mask)
 
     def test_witnesses_are_genuine(self):
         for seed in range(40):

@@ -9,10 +9,12 @@ from conftest import (
     complete_bipartite,
     crown_graph,
     cycle_graph,
+    fuzz_graph,
     is_independent,
     path_graph,
     random_graph,
     two_colorable,
+    verdict_witness,
     witness_checks,
 )
 
@@ -188,7 +190,7 @@ class TestViolations:
                 (951_730, 19, 0.12),
             )
         ]
-        fuzz = [_fuzz_graph(j) for j in [*range(600), 733, 3791]]
+        fuzz = [fuzz_graph(j) for j in [*range(600), 733, 3791]]
         refused = 0
         for g in fuzz + named:
             if is_class_member(g).is_member:
@@ -198,7 +200,7 @@ class TestViolations:
                 with pytest.raises(ClassViolation) as info:
                     entry(g)
                 witnesses.append(info.value.witness)
-            assert witnesses[0] == witnesses[1] == _recognizer_witness(g)
+            assert witnesses[0] == witnesses[1] == verdict_witness(is_class_member(g))
             assert witness_checks(g, witnesses[0]), witnesses[0]
             refused += 1
         assert refused > 300 + len(named)
@@ -219,7 +221,7 @@ class TestViolations:
             entry(g)
         # the recognizer's scan order, not the canonical order of the paths
         assert info.value.witness == ("p4_pair", ((3, 6, 4, 7), (2, 8, 0, 5)))
-        assert info.value.witness == _recognizer_witness(g)
+        assert info.value.witness == verdict_witness(is_class_member(g))
         assert witness_checks(g, info.value.witness)
 
     def test_jobs_must_be_positive(self):
@@ -405,19 +407,6 @@ def _crown(k: int, heavy: bool) -> Graph:
     return crown_graph(k, weights)
 
 
-def _recognizer_witness(g: Graph) -> tuple:
-    """The witness of ``is_class_member(g)`` in ``ClassViolation`` form."""
-    verdict = is_class_member(g)
-    if verdict.triangle is not None:
-        return ("triangle", verdict.triangle)
-    return ("p4_pair", tuple(p.vertices for p in verdict.p4_pair))
-
-
-def _fuzz_graph(j: int) -> Graph:
-    """Draw j of the package's non-member fuzz family."""
-    return random_graph(900_000 + j, 6 + j % 11, 0.08 + (j % 22) * 0.01)
-
-
 class TestBoundAndSkip:
     def test_matching_bound_is_an_upper_bound(self):
         rng = XorShift64Star(606)
@@ -475,7 +464,7 @@ class TestBoundAndSkip:
             return verdicts[-1]
 
         monkeypatch.setattr(solver, "_host_verdict", recording)
-        g = _fuzz_graph(j)
+        g = fuzz_graph(j)
         with pytest.raises(ClassViolation) as info:
             solve(g)
         assert witness_holds(g, info.value.witness)
@@ -485,7 +474,7 @@ class TestBoundAndSkip:
     def test_fuzz_non_members_are_refused_with_checked_witnesses(self):
         refused = 0
         for j in range(600):
-            g = _fuzz_graph(j)
+            g = fuzz_graph(j)
             if is_class_member(g).is_member:
                 continue
             with pytest.raises(ClassViolation) as info:
