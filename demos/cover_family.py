@@ -14,6 +14,7 @@ from p4p4free import (
     mask_of,
     solve_with_cover,
 )
+from p4p4free.graph import components_with_certificates
 
 # A seeded in-class instance: 14 vertices, both generation and solving are
 # fully deterministic.
@@ -33,8 +34,10 @@ for chosen in maximal_sets:
     assert any(mask & ~member == 0 for member in family.members)
 print("all", len(maximal_sets), "maximal independent sets are covered")
 
-# Every member also records which vertices were forced by branching and
-# which remained as the final bipartite residual.
-record = family.records[0]
-print("first leaf: forced", tuple(bits(record.forced)),
-      "residual", tuple(bits(record.residual)))
+# Why each member is bipartite: every component of its induced subgraph
+# carries a complete-bipartite certificate, its two sides.
+components = [components_with_certificates(g, member) for member in family.members]
+assert all(c.sides is not None for comps in components for c in comps)
+fewest = min(components, key=len)
+print("the member with the fewest components, as their sides:",
+      [(tuple(bits(a)), tuple(bits(b))) for a, b in (c.sides for c in fewest)])

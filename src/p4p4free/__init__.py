@@ -28,7 +28,7 @@ from .recognition import (
     is_class_member,
     neighborhood_partition,
 )
-from .solver import CoverFamily, LeafRecord, solve, solve_with_cover
+from .solver import CoverFamily, solve, solve_with_cover
 from .testkit import (
     enumerate_maximal_is,
     gen_instance,
@@ -45,7 +45,6 @@ __all__ = [
     "solve",
     "solve_with_cover",
     "CoverFamily",
-    "LeafRecord",
     "solve_containing_ac",
     "solve_containing_bd",
     "solve_cb_components",

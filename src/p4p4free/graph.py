@@ -13,6 +13,7 @@ finds and certifies each component in a single breadth-first search.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -27,7 +28,6 @@ __all__ = [
     "bits",
     "mask_of",
     "neighborhood",
-    "anti_neighborhood",
     "components_with_certificates",
     "contact_class",
     "certified_result",
@@ -78,11 +78,15 @@ class Graph:
             weights: per-vertex nonnegative integers; defaults to all 1.
 
         Raises:
-            InputError: on out-of-range ids, loops, or negative weights.
+            InputError: on out-of-range ids, loops, or weights that are
+                negative or not integers.
         """
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
-        w = tuple(int(x) for x in weights) if weights is not None else (1,) * n
+        try:
+            w = (1,) * n if weights is None else tuple(map(operator.index, weights))
+        except TypeError as err:
+            raise InputError(f"weights must be integers: {err}") from None
         if len(w) != n:
             raise InputError(f"expected {n} weights, got {len(w)}")
         if any(x < 0 for x in w):
@@ -139,21 +143,6 @@ def neighborhood(g: Graph, u: int) -> int:
         out |= g.adj[low.bit_length() - 1]
         m ^= low
     return out & ~u
-
-
-def anti_neighborhood(g: Graph, u: int, host: int | None = None) -> int:
-    """Vertices of ``host`` at distance >= 2 from every vertex of ``u``.
-
-    Args:
-        g: the graph.
-        u: vertex set whose anti-neighborhood is wanted.
-        host: restrict the answer to this mask (defaults to all of g).
-    """
-    if host is None:
-        host = g.full_mask
-    g._check_host(u)
-    g._check_host(host)
-    return host & ~u & ~neighborhood(g, u)
 
 
 class ContactClass(Enum):

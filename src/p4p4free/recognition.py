@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 from .errors import ClassViolation, InputError, StructureViolation
-from .graph import Graph, bits, components_with_certificates, neighborhood
+from .graph import Component, Graph, bits, components_with_certificates, neighborhood
 
 __all__ = [
     "InducedP4",
@@ -212,35 +212,28 @@ def is_class_member(g: Graph) -> MembershipVerdict:
     the two are disjoint and mutually non-adjacent, a genuine witness.
     Verdict and witness equal those of the same scan over the whole graph.
     """
+    return _membership(g)[0]
+
+
+def _membership(g: Graph) -> tuple[MembershipVerdict, tuple[Component, ...]]:
+    """``is_class_member(g)`` with the ``components_with_certificates(g,
+    g.full_mask)`` it decided from; no components when a triangle decided
+    it before the decomposition."""
     tri = find_triangle(g)
     if tri is not None:
-        return MembershipVerdict(False, triangle=tri)
+        return MembershipVerdict(False, triangle=tri), ()
+    comps = components_with_certificates(g, g.full_mask)
     home = 0
-    for comp in components_with_certificates(g, g.full_mask):
+    for comp in comps:
         if comp.sides is None:
             home |= comp.members
-    return _pair_verdict(g, home)
-
-
-def _host_verdict(g: Graph, host: int) -> MembershipVerdict:
-    """Membership of g[host]: a triangle first, then, for each induced P4
-    in scan order, a second P4 in its anti-neighborhood within host."""
-    tri = find_triangle(g, host)
-    if tri is not None:
-        return MembershipVerdict(False, triangle=tri)
-    return _pair_verdict(g, host)
-
-
-def _pair_verdict(g: Graph, host: int) -> MembershipVerdict:
-    """For each induced P4 of triangle-free g[host] in scan order, the
-    first P4 of its anti-neighborhood within host makes the pair."""
     adj = g.adj
-    for p in _p4_scan(g, host):
+    for p in _p4_scan(g, home):
         near = p.mask | adj[p.a] | adj[p.b] | adj[p.c] | adj[p.d]
-        q = find_induced_p4(g, host & ~near)
+        q = find_induced_p4(g, home & ~near)
         if q is not None:
-            return MembershipVerdict(False, p4_pair=(p, q))
-    return MembershipVerdict(True)
+            return MembershipVerdict(False, p4_pair=(p, q)), comps
+    return MembershipVerdict(True), comps
 
 
 def witness_holds(g: Graph, witness) -> bool:

@@ -20,13 +20,15 @@ the same choice outside home: the best candidate of home plus the side
 selection of the rest is the optimum of the whole graph.
 
 Membership is decided before any branching, in one front step: the
-recognizer's own scan of home (the least triangle, then for each path in
-scan order a second path in its anti-neighborhood).  Since home holds
-every triangle and path, its verdict and witness are those of
-``is_class_member(g)``; the refusal is raised once its witness re-checks.
-Only then are home's paths enumerated.  Past that step the input is a
-verified member, so a refusal raised by the branching is an internal
-fault and leaves as a ``StructureViolation``.
+recognizer's own pass, which looks for the least triangle of the whole
+graph and, when there is none, decomposes it once and scans home (for
+each path in scan order, a second path in its anti-neighborhood).  The
+verdict and witness are those of ``is_class_member(g)``; the refusal is
+raised once its witness re-checks, and a triangle is refused before any
+decomposition.  Home and the rest's sides come from the components of
+that same pass, and only then are home's paths enumerated.  Past that
+step the input is a verified member, so a refusal raised by the
+branching is an internal fault and leaves as a ``StructureViolation``.
 
 Candidates are evaluated in one serial loop (paths in canonical order;
 per path {a, c}, {b, d}, the region; the remainder last), and ``solve``
@@ -39,11 +41,13 @@ of each edge (the clique-cover bound of weighted branch and bound).  On
 a member a skipped candidate cannot change the answer.
 
 ``solve_with_cover`` runs the same computation with leaf instrumentation:
-every base case reached anywhere in the branching is recorded as a
-``LeafRecord`` whose member set induces a bipartite subgraph (its residual
-holds all of the graph outside home), and the isolated-flavor step is
-widened with extra constrained solves so that the deduplicated family
-provably contains every maximal independent set.
+every base case reached anywhere in the branching becomes a member mask,
+the vertices the branch forced plus its final host, whose nontrivial
+components are complete bipartite, so the member induces a bipartite
+subgraph.  The region and home's path-free remainder are members too, and
+every member also holds all of the graph outside home.  The
+isolated-flavor step is widened with extra constrained solves so that the
+deduplicated family provably contains every maximal independent set.
 
 Below the public calls every candidate is a ``(weight, mask)`` pair: each
 path builds its neighborhood partition once and adds each forced pair to
@@ -59,41 +63,16 @@ from functools import partial
 from .bipartite import cb_weight_mask, heavier_side
 from .constrained import _solve_containing
 from .errors import InputError
-from .graph import (
-    Graph,
-    SolveResult,
-    bits,
-    certified_result,
-    components_with_certificates,
-    mask_of,
-)
+from .graph import Graph, SolveResult, bits, certified_result, mask_of
 from .recognition import (
     InducedP4,
-    _host_verdict,
+    _membership,
     enumerate_induced_p4,
     neighborhood_partition,
     verified_member,
 )
 
-__all__ = ["LeafRecord", "CoverFamily", "solve", "solve_with_cover"]
-
-
-@dataclass(frozen=True)
-class LeafRecord:
-    """One branching base case.
-
-    ``forced`` holds the vertices the branch committed to (independent,
-    with all their neighbors removed from play); ``residual`` is the final
-    base-case host, whose nontrivial components are all complete
-    bipartite.  Their union therefore induces a bipartite subgraph.
-    """
-
-    forced: int
-    residual: int
-
-    @property
-    def member(self) -> int:
-        return self.forced | self.residual
+__all__ = ["CoverFamily", "solve", "solve_with_cover"]
 
 
 @dataclass(frozen=True)
@@ -101,12 +80,11 @@ class CoverFamily:
     """Vertex sets, each inducing a bipartite subgraph, that jointly
     contain every maximal independent set of the solved graph.
 
-    ``members`` is deduplicated in first-seen order; ``records`` keeps the
-    raw leaves the members came from.
+    ``members`` are vertex bitmasks, deduplicated in first-seen order.
+    Each holds every vertex outside the paths' component.
     """
 
     members: tuple[int, ...]
-    records: tuple[LeafRecord, ...]
 
 
 def _q3_region(g: Graph, p: InducedP4, part) -> int:
@@ -118,15 +96,16 @@ def _q3_region(g: Graph, p: InducedP4, part) -> int:
     return (1 << p.a) | (1 << p.d) | lonely | part.anti
 
 
-def _forced_pair(g: Graph, part, leaves, records) -> tuple[int, int]:
+def _forced_pair(g: Graph, part, members) -> tuple[int, int]:
     """(weight, mask) of the best set through {a, c} of the partition's
-    path; the leaves it reaches become records forcing that pair."""
+    path; in a cover solve each leaf it reaches, with that pair, is
+    appended to ``members``."""
     q = part.p
     pair = (1 << q.a) | (1 << q.c)
+    leaves = None if members is None else []
     w, m = _solve_containing(g, part, leaves)
-    if leaves is not None:
-        records.extend(LeafRecord(pair, residual) for residual in leaves)
-        leaves.clear()
+    if leaves:
+        members.extend(pair | leaf for leaf in leaves)
     return w + g.weights[q.a] + g.weights[q.c], m | pair
 
 
@@ -162,32 +141,30 @@ def _pair_bound(g: Graph, x: int, y: int, home: int) -> int:
     return g.weights[x] + g.weights[y] + _matching_bound(g, home & ~closed)
 
 
-def _per_path(g: Graph, p: InducedP4, home: int, leaves, records):
+def _per_path(g: Graph, p: InducedP4, home: int, members):
     """This path's candidates for g[home] in evaluation order, as pairs of
     thunks ``(bound, make)``: ``make()`` returns a (weight, mask) candidate,
     and ``bound()`` is at least its weight on a class member.
 
-    A cover solve (``leaves`` a list) also gets the widening candidates,
-    which carry no bound, and every ``make()`` appends its leaf records to
-    ``records``; it runs before the next pair is drawn, so the records
+    A cover solve (``members`` a list) also gets the widening candidates,
+    which carry no bound, and every ``make()`` appends its cover members to
+    ``members``; it runs before the next pair is drawn, so the members
     keep evaluation order.
     """
     part = neighborhood_partition(g, p, home)
     region = _q3_region(g, p, part)
     yield (
         lambda: _pair_bound(g, p.a, p.c, home),
-        lambda: _forced_pair(g, part, leaves, records),
+        lambda: _forced_pair(g, part, members),
     )
     yield (
         lambda: _pair_bound(g, p.b, p.d, home),
-        lambda: _forced_pair(
-            g, neighborhood_partition(g, p.reverse(), home), leaves, records
-        ),
+        lambda: _forced_pair(g, neighborhood_partition(g, p.reverse(), home), members),
     )
     yield lambda: g.weight_of(region), lambda: cb_weight_mask(g, region)
-    if leaves is None:
+    if members is None:
         return
-    records.append(LeafRecord(0, region))
+    members.append(region)
     # non-isolated flavor vertices are not covered by the region above;
     # force each into a fresh path and solve constrained, pinning the far
     # endpoint by removing its neighborhood (it rides along as an isolated
@@ -205,33 +182,33 @@ def _per_path(g: Graph, p: InducedP4, home: int, leaves, records):
                 continue
             fresh = InducedP4.of(g, end, mid, x, y)
             fresh_part = neighborhood_partition(g, fresh, home & ~g.adj[far])
-            yield None, partial(_forced_pair, g, fresh_part, leaves, records)
+            yield None, partial(_forced_pair, g, fresh_part, members)
 
 
 def _run(g: Graph, cover: bool, jobs: int):
     if jobs < 1:
         raise InputError("jobs must be at least 1")
-    # home is every component without a certificate; side selection
-    # solves the rest once for all candidates
-    home = rest_mask = 0
-    for comp in components_with_certificates(g, g.full_mask):
-        if comp.sides is None:
-            home |= comp.members
-        else:
-            rest_mask |= heavier_side(g, comp.sides)[1]
-    with verified_member(g, _host_verdict(g, home)):
+    verdict, comps = _membership(g)
+    with verified_member(g, verdict):
+        # home is every component without a certificate; side selection
+        # solves the rest once for all candidates
+        home = rest_mask = 0
+        for comp in comps:
+            if comp.sides is None:
+                home |= comp.members
+            else:
+                rest_mask |= heavier_side(g, comp.sides)[1]
         paths = enumerate_induced_p4(g, home)
         return _solve_all(g, paths, home, rest_mask, cover)
 
 
 def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool):
-    records: list[LeafRecord] = []
-    leaves: list[int] | None = [] if cover else None
+    members: list[int] | None = [] if cover else None
     best = None  # the earliest heaviest (weight, mask) so far
     on_some_path = 0
     for p in paths:
         on_some_path |= p.mask
-        for bound, make in _per_path(g, p, home, leaves, records):
+        for bound, make in _per_path(g, p, home, members):
             # only a strictly heavier candidate replaces best, so one that
             # cannot beat it is skipped; the cover visits every leaf
             if best is not None and not cover and bound() <= best[0]:
@@ -242,7 +219,7 @@ def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool):
 
     white_host = home & ~on_some_path
     if cover:
-        records.append(LeafRecord(0, white_host))
+        members.append(white_host)
     cand = cb_weight_mask(g, white_host)
     if best is None or cand[0] > best[0]:
         best = cand
@@ -251,9 +228,7 @@ def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool):
     if not cover:
         return result, None
     rest = g.full_mask & ~home
-    records = [LeafRecord(rec.forced, rec.residual | rest) for rec in records]
-    members = tuple(dict.fromkeys(rec.member for rec in records))
-    return result, CoverFamily(members, tuple(records))
+    return result, CoverFamily(tuple(dict.fromkeys(m | rest for m in members)))
 
 
 def solve(g: Graph, jobs: int = 1) -> SolveResult:

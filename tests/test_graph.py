@@ -17,7 +17,6 @@ from p4p4free.errors import ClassViolation, InputError, StructureViolation
 from p4p4free.graph import (
     ContactClass,
     Graph,
-    anti_neighborhood,
     bits,
     certified_result,
     components_with_certificates,
@@ -59,6 +58,15 @@ class TestGraphConstruction:
         with pytest.raises(InputError):
             Graph.from_edges(1, [], [-3])
 
+    @pytest.mark.parametrize(
+        "weights",
+        [[0.4, 0.6], ["3", "07"], [float("nan"), 1]],
+        ids=["float", "str", "nan"],
+    )
+    def test_rejects_weights_that_are_not_integers(self, weights):
+        with pytest.raises(InputError):
+            Graph.from_edges(2, [(0, 1)], weights)
+
     def test_rejects_weight_count_mismatch(self):
         with pytest.raises(InputError):
             Graph.from_edges(2, [], [1])
@@ -79,20 +87,6 @@ class TestNeighborhoods:
         g = path_graph(4)
         assert neighborhood(g, mask_of([1, 2])) == mask_of([0, 3])
 
-    def test_anti_of_whole_path_is_empty(self):
-        g = path_graph(4)
-        assert anti_neighborhood(g, g.full_mask) == 0
-
-    def test_anti_on_longer_path(self):
-        g = path_graph(5)
-        assert anti_neighborhood(g, mask_of([0, 1])) == mask_of([3, 4])
-        assert anti_neighborhood(g, mask_of([0, 1, 2, 3])) == 0
-
-    def test_host_restriction(self):
-        g = path_graph(5)
-        host = mask_of([0, 1, 3])
-        assert anti_neighborhood(g, mask_of([0]), host) == mask_of([3])
-
     def test_out_of_range_rejected(self):
         g = path_graph(3)
         with pytest.raises(InputError):
@@ -100,13 +94,11 @@ class TestNeighborhoods:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_partition_into_set_neighbors_and_rest(self, seed):
-        """u, N(u), A(u) are disjoint and cover every vertex."""
+        """N(u) misses u and holds every outside vertex with a neighbour in u."""
         g = random_graph(seed, 12, 0.3)
         u = mask_of(v for v in range(12) if (seed >> v) & 1) or 1
         nb = neighborhood(g, u)
-        anti = anti_neighborhood(g, u)
-        assert u & nb == 0 and u & anti == 0 and nb & anti == 0
-        assert u | nb | anti == g.full_mask
+        assert u & nb == 0
         # against a direct pairwise scan
         expected = mask_of(
             w

@@ -18,11 +18,10 @@ from conftest import (
     witness_checks,
 )
 
-from p4p4free import constrained, solver, split_solver
+from p4p4free import bipartite, constrained, graph, recognition, solver, split_solver
 from p4p4free.errors import ClassViolation, InputError, StructureViolation
 from p4p4free.graph import (
     Graph,
-    bits,
     certified_result,
     components_with_certificates,
     mask_of,
@@ -160,10 +159,10 @@ class TestViolations:
     def test_a_witness_that_does_not_hold_is_an_internal_fault(
         self, monkeypatch, entry
     ):
-        def wrong(g, host):
-            return MembershipVerdict(False, triangle=(0, 1, 2))
+        def wrong(g):
+            return MembershipVerdict(False, triangle=(0, 1, 2)), ()
 
-        monkeypatch.setattr(solver, "_host_verdict", wrong)
+        monkeypatch.setattr(solver, "_membership", wrong)
         with pytest.raises(StructureViolation) as info:
             entry(path_graph(4))
         assert info.value.witness == ("unchecked_witness", ("triangle", (0, 1, 2)))
@@ -224,6 +223,20 @@ class TestViolations:
         assert info.value.witness == verdict_witness(is_class_member(g))
         assert witness_checks(g, info.value.witness)
 
+    @pytest.mark.parametrize("entry", [solve, solve_with_cover])
+    def test_a_triangle_is_refused_without_a_decomposition(self, monkeypatch, entry):
+        def tripwire(*args):
+            raise AssertionError("a graph with a triangle was decomposed")
+
+        for module in (recognition, solver):
+            if hasattr(module, "components_with_certificates"):
+                monkeypatch.setattr(module, "components_with_certificates", tripwire)
+        # a triangle beside a path
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)])
+        with pytest.raises(ClassViolation) as info:
+            entry(g)
+        assert info.value.witness == ("triangle", (0, 1, 2))
+
     def test_jobs_must_be_positive(self):
         with pytest.raises(InputError):
             solve(path_graph(3), jobs=0)
@@ -244,6 +257,25 @@ class TestCertifyOnce:
         assert enumerate_induced_p4(g)
         entry(g)
         assert len(calls) == 1
+
+
+class TestDecomposeOnce:
+    @pytest.mark.parametrize("entry", [solve, solve_with_cover])
+    def test_one_full_decomposition_per_public_call(self, monkeypatch, entry):
+        g = gen_instance(model="clustered", n=30, density=0.5, seed=11)
+        assert enumerate_induced_p4(g)
+        hosts = []
+        original = graph.components_with_certificates
+
+        def counting(g, host):
+            hosts.append(host)
+            return original(g, host)
+
+        for module in (recognition, solver, bipartite, constrained, split_solver):
+            if hasattr(module, "components_with_certificates"):
+                monkeypatch.setattr(module, "components_with_certificates", counting)
+        entry(g)
+        assert hosts.count(g.full_mask) == 1
 
 
 class TestAgainstOracle:
@@ -305,6 +337,7 @@ class TestCoverFamily:
             res, fam = solve_with_cover(g)
             assert res.weight == solve(g).weight
             assert len(fam.members) <= 10 * max(1, g.n) ** 8
+            assert len(fam.members) == len(set(fam.members))
             for member in fam.members:
                 assert two_colorable(g, member)
             for s in enumerate_maximal_is(g):
@@ -323,16 +356,11 @@ class TestCoverFamily:
                 seed=40 + i,
             )
             _, fam = solve_with_cover(g)
-            seen = set()
-            for rec in fam.records:
-                assert rec.forced & rec.residual == 0
-                assert rec.member == rec.forced | rec.residual
-                assert is_independent(g, rec.forced)
-                for v in bits(rec.forced):
-                    assert not g.adj[v] & rec.residual
-                seen.add(rec.member)
-            assert seen == set(fam.members)
-            assert len(fam.members) == len(set(fam.members))
+            # forced vertices are isolated in their member, and each
+            # residual component is complete bipartite
+            for member in fam.members:
+                comps = components_with_certificates(g, member)
+                assert all(c.sides is not None for c in comps)
 
 
 def _relabelled(rng, n: int, edges, weights) -> Graph:
@@ -389,8 +417,14 @@ class TestComponentSplit:
             assert got.weight == want.weight
             assert is_independent(g, mask_of(got.chosen))
         _, fam = solve_with_cover(g)
+        # every member holds all of the graph outside the path's component
+        path = enumerate_induced_p4(g)[0].mask
+        comps = components_with_certificates(g, g.full_mask)
+        rest = g.full_mask & ~next(c.members for c in comps if c.members & path)
+        assert rest
         for member in fam.members:
             assert two_colorable(g, member)
+            assert member & rest == rest
         for s in enumerate_maximal_is(g):
             m = mask_of(s)
             assert any(m & ~member == 0 for member in fam.members), s
@@ -457,13 +491,14 @@ class TestBoundAndSkip:
     @pytest.mark.parametrize("j", [733, 3791])
     def test_home_check_refuses_after_a_skip(self, monkeypatch, j):
         verdicts = []
-        check = solver._host_verdict
+        check = solver._membership
 
-        def recording(*args):
-            verdicts.append(check(*args))
-            return verdicts[-1]
+        def recording(g):
+            verdict, comps = check(g)
+            verdicts.append(verdict)
+            return verdict, comps
 
-        monkeypatch.setattr(solver, "_host_verdict", recording)
+        monkeypatch.setattr(solver, "_membership", recording)
         g = fuzz_graph(j)
         with pytest.raises(ClassViolation) as info:
             solve(g)
