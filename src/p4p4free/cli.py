@@ -121,7 +121,7 @@ def parse_graph(text: str) -> Graph:
 
 def format_graph(g: Graph) -> str:
     """The graph rendered in the file format; parses back to an equal graph."""
-    edges = [(u, v) for u in range(g.n) for v in bits(g.adj[u]) if v > u]
+    edges = list(g.edges())
     lines = [f"p wis {g.n} {len(edges)}"]
     lines += [f"v {v + 1} {w}" for v, w in enumerate(g.weights)]
     lines += [f"e {u + 1} {v + 1}" for u, v in edges]

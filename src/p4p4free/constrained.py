@@ -136,8 +136,9 @@ def _solve_containing(
     """(weight, mask) of a maximum weight independent set of the partition's
     host containing {a, c} of its path, with a and c left out of both.
 
-    Optional ``leaves`` collects the base-case host masks, also without a
-    and c.
+    When ``leaves`` is a list, the base-case host masks of the branching
+    are appended to it, also without a and c; ``solve_with_cover`` folds
+    them into its cover family.
     """
     best = (-1, 0)
     # class-dropping branches: no b- and no d-class, d-class only, b-class
@@ -155,37 +156,26 @@ def _solve_containing(
     return best
 
 
-def solve_containing_ac(
-    g: Graph, p: InducedP4, host: int | None = None, leaves: list[int] | None = None
-) -> SolveResult:
+def solve_containing_ac(g: Graph, p: InducedP4, host: int | None = None) -> SolveResult:
     """Maximum weight independent set of g[host] containing {p.a, p.c}.
-
-    Optional ``leaves`` collects the base-case host masks (with the two
-    forced vertices merged in), the raw material of cover extraction.
 
     Raises:
         ClassViolation: g is outside the supported class, even when g[host]
             alone would solve; decided before any branching, and the
             witness (a triangle or a separated induced P4 pair) has been
             re-checked against g.
-        InputError: p not inside the host.
+        InputError: p not an induced P4 of g, or not inside the host.
         StructureViolation: an internal fault.
     """
-    mark = len(leaves) if leaves is not None else 0
     with verified_member(g, is_class_member(g)):
-        _, mask = _solve_containing(g, neighborhood_partition(g, p, host), leaves)
-    forced = (1 << p.a) | (1 << p.c)
-    if leaves is not None:
-        leaves[mark:] = [leaf | forced for leaf in leaves[mark:]]
-    return certified_result(g, mask | forced)
+        _, mask = _solve_containing(g, neighborhood_partition(g, p, host), None)
+    return certified_result(g, mask | (1 << p.a) | (1 << p.c))
 
 
-def solve_containing_bd(
-    g: Graph, p: InducedP4, host: int | None = None, leaves: list[int] | None = None
-) -> SolveResult:
+def solve_containing_bd(g: Graph, p: InducedP4, host: int | None = None) -> SolveResult:
     """Maximum weight independent set of g[host] containing {p.b, p.d}.
 
     The second and fourth vertices of the path are the first and third of
     its reversal, so this is the {a, c} computation on the reversed path.
     """
-    return solve_containing_ac(g, p.reverse(), host, leaves)
+    return solve_containing_ac(g, p.reverse(), host)

@@ -76,16 +76,22 @@ class InducedP4:
     @staticmethod
     def of(g: Graph, a: int, b: int, c: int, d: int) -> "InducedP4":
         """Validate that (a, b, c, d) really induces a P4 in ``g``."""
-        vs = (a, b, c, d)
-        if len(set(vs)) != 4 or not all(0 <= v < g.n for v in vs):
-            raise InputError(f"not four distinct vertices: {vs}")
-        path = ((a, b), (b, c), (c, d))
-        gaps = ((a, c), (a, d), (b, d))
-        if not all(g.adjacent(u, v) for u, v in path) or any(
-            g.adjacent(u, v) for u, v in gaps
-        ):
-            raise InputError(f"{vs} does not induce a P4")
+        _check_induced_p4(g, (a, b, c, d))
         return InducedP4(a, b, c, d)
+
+
+def _check_induced_p4(g: Graph, vs: tuple[int, int, int, int]) -> None:
+    """Raise ``InputError`` unless ``vs`` induces the path a-b-c-d in g."""
+    a, b, c, d = vs
+    n = g.n
+    in_range = 0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= d < n
+    if not in_range or len({a, b, c, d}) != 4:
+        raise InputError(f"not four distinct vertices: {vs}")
+    adj = g.adj
+    path = adj[a] >> b & adj[b] >> c & adj[c] >> d & 1
+    chords = (adj[a] >> c | adj[a] >> d | adj[b] >> d) & 1
+    if not path or chords:
+        raise InputError(f"{vs} does not induce a P4")
 
 
 def find_triangle(g: Graph, host: int | None = None) -> tuple[int, int, int] | None:
@@ -341,12 +347,14 @@ def neighborhood_partition(
         host: live vertex mask (defaults to all of g).
 
     Raises:
+        InputError: p does not induce a P4 in g, or leaves the host.
         ClassViolation: when some neighbor's trace includes two consecutive
             path vertices; the witness is the resulting triangle.
     """
     if host is None:
         host = g.full_mask
     g._check_host(host)
+    _check_induced_p4(g, p.vertices)
     if p.mask & host != p.mask:
         raise InputError("path vertices must lie inside the host")
     pv = p.vertices

@@ -16,15 +16,14 @@ search over the candidates.
 All branching is of the form max(solve(host minus N(v)), solve(host minus
 v)) or a covering family of induced-subgraph restrictions, so the optimum
 is preserved regardless of which structural sub-case was detected.  The
-branching assumes a class member and refuses nothing itself: ``solve_split``
-decides membership first, and the structural claims are enforced as
-assertions that surface as a ``StructureViolation``, an internal fault,
+branching assumes a class member and refuses nothing itself: the public
+solvers that reach it (``solve``, ``solve_with_cover`` and the constrained
+solves) decide membership first, and the structural claims are enforced
+as assertions that surface as a ``StructureViolation``, an internal fault,
 instead of a silent wrong answer.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .bipartite import heavier_side
 from .errors import InputError, StructureViolation
@@ -33,50 +32,12 @@ from .graph import (
     ContactClass,
     Graph,
     bits,
-    certified_result,
     components_with_certificates,
     contact_class,
     neighborhood,
-    SolveResult,
 )
-from .recognition import is_class_member, verified_member
 
-__all__ = ["SplitInstance", "solve_split", "branch_via_bipartial"]
-
-
-@dataclass(frozen=True)
-class SplitInstance:
-    """A host split into an independent part and a block part.
-
-    Attributes:
-        g: the ambient graph.
-        s_part: independent vertex set (bitmask).
-        t_part: vertex set whose induced subgraph is a disjoint union of
-            singletons and complete bipartite blocks (bitmask).
-    """
-
-    g: Graph
-    s_part: int
-    t_part: int
-
-    def __post_init__(self):
-        g = self.g
-        g._check_host(self.s_part)
-        g._check_host(self.t_part)
-        if self.s_part & self.t_part:
-            raise InputError("the two parts must be disjoint")
-        for v in bits(self.s_part):
-            if g.adj[v] & self.s_part:
-                raise InputError(f"independent part has an internal edge at {v}")
-        for comp in components_with_certificates(g, self.t_part):
-            if comp.sides is None:
-                raise InputError(
-                    "block part has a component that is not complete bipartite"
-                )
-
-    @property
-    def host(self) -> int:
-        return self.s_part | self.t_part
+__all__ = ["branch_via_bipartial"]
 
 
 def _bipartial_blocks(g: Graph, v: int, members) -> list[Component]:
@@ -246,7 +207,13 @@ def _solve_bad_comp(g, s_mask, t_mask, comp, depth, ambient, leaves):
 
 def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves):
     """Dispatcher: certified components by side selection, then recurse
-    into the unique uncertified one.  Returns (weight, mask)."""
+    into the unique uncertified one.  Returns (weight, mask).
+
+    ``host`` must lie inside ``s_mask | t_mask``.  When ``leaves`` is a
+    list, ``ambient | host`` of every certified base case is appended to
+    it, the raw material of cover extraction; ``ambient`` is the part of
+    the enclosing host already peeled off as certified components.
+    """
     if depth > g.n + 8:
         # every branch removes a vertex, so only a structure assumption
         # violated undetected can get here
@@ -281,22 +248,3 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves):
     )
     return total_w + w, total_m | m
 
-
-def solve_split(inst: SplitInstance, leaves: list[int] | None = None) -> SolveResult:
-    """Maximum weight independent set of the split host.
-
-    When ``leaves`` is a list, the host mask of every certified base case
-    reached during branching is appended to it (including the certified
-    components peeled off along the way); this is the raw material for
-    bipartite cover extraction.
-
-    Raises:
-        ClassViolation: the ambient graph is outside the supported class,
-            even when the split host alone would solve; decided before any
-            branching, and the witness has been re-checked.
-        StructureViolation: an internal fault.
-    """
-    g = inst.g
-    with verified_member(g, is_class_member(g)):
-        _, mask = _solve_raw(g, inst.s_part, inst.t_part, inst.host, 0, 0, leaves)
-    return certified_result(g, mask)

@@ -86,6 +86,8 @@ def _better(cand: tuple[int, int], best: tuple[int, int]) -> bool:
 
 
 def _check_guard(host: int, guard: int, what: str) -> None:
+    if guard < 0:
+        raise InputError(f"guard must be non-negative, got {guard}")
     size = host.bit_count()
     if size > guard:
         raise GuardError(f"{what} called on {size} vertices (guard is {guard})")
@@ -101,6 +103,7 @@ def oracle_wis(g: Graph, host: int | None = None, guard: int = 30) -> SolveResul
 
     Raises:
         GuardError: when the host exceeds ``guard`` vertices (default 30).
+        InputError: when ``guard`` is negative.
     """
     if host is None:
         host = g.full_mask

@@ -75,23 +75,36 @@ def scan_triangles(g: Graph) -> list[tuple[int, int, int]]:
 
 
 def scan_p4s(g: Graph, host: int | None = None) -> set[tuple[int, int, int, int]]:
-    """Canonical induced P4s (endpoint-smaller orientation) by 4-subset scan."""
-    verts = list(bits(host)) if host is not None else range(g.n)
+    """Canonical induced P4s (endpoint-smaller orientation) by 4-subset scan.
+
+    Reads the subsets u < v < w < t in order, skipping only those that
+    cannot induce a P4: every three vertices of a P4 span an edge, and the
+    fourth has a neighbor among the other three.  A subset is a P4 exactly
+    when its inner degrees are 1, 1, 2, 2.
+    """
+    if host is None:
+        host = g.full_mask
+    adj = [nbrs & host for nbrs in g.adj]
     found = set()
-    for quad in combinations(verts, 4):
-        inside = [(u, v) for u, v in combinations(quad, 2) if g.adjacent(u, v)]
-        if len(inside) != 3:
-            continue
-        deg = {v: 0 for v in quad}
-        for u, v in inside:
-            deg[u] += 1
-            deg[v] += 1
-        if sorted(deg.values()) != [1, 1, 2, 2]:
-            continue
-        a, d = sorted(v for v in quad if deg[v] == 1)
-        b = next(v for v in quad if deg[v] == 2 and g.adjacent(a, v))
-        c = next(v for v in quad if deg[v] == 2 and v != b)
-        found.add((a, b, c, d))
+
+    def above(x: int) -> int:
+        return host >> (x + 1) << (x + 1)
+
+    for u in bits(host):
+        for v in bits(above(u)):
+            # {u, v, w} must span an edge
+            ws = above(v) if adj[u] >> v & 1 else above(v) & (adj[u] | adj[v])
+            for w in bits(ws):
+                for t in bits(above(w) & (adj[u] | adj[v] | adj[w])):
+                    quad = (u, v, w, t)
+                    qmask = 1 << u | 1 << v | 1 << w | 1 << t
+                    deg = {x: (adj[x] & qmask).bit_count() for x in quad}
+                    if sorted(deg.values()) != [1, 1, 2, 2]:
+                        continue
+                    a, d = (x for x in quad if deg[x] == 1)
+                    b = next(x for x in quad if deg[x] == 2 and adj[a] >> x & 1)
+                    c = next(x for x in quad if deg[x] == 2 and x != b)
+                    found.add((a, b, c, d))
     return found
 
 

@@ -224,6 +224,11 @@ class TestRun:
         path = wis_file(format_graph(gen_instance("clustered", 34, 0.5, 3)))
         assert run(["oracle", path, "--guard-n", "40"]) == 0
 
+    def test_negative_oracle_guard_exits_3(self, wis_file, capsys):
+        for text in ("p wis 0 0\n", TWO):
+            assert run(["oracle", wis_file(text), "--guard-n", "-1"]) == 3
+            assert "guard must be non-negative" in capsys.readouterr().err
+
     def test_parse_error_exits_3(self, wis_file, capsys):
         assert run(["solve", wis_file("p wis 1 0\nv 1 1\ne 1 1\n")]) == 3
         assert "error:" in capsys.readouterr().err

@@ -79,6 +79,31 @@ class TestErrors:
         with pytest.raises(InputError):
             solve_containing_ac(g, InducedP4(0, 1, 2, 3), host=mask_of([0, 1, 2]))
 
+    def test_non_path_on_a_member_is_an_input_error(self):
+        # 4-5-6-1 is no path here; read as one, the {a, c} solve returned
+        # 229 against the true optimum 243 through {4, 6}
+        g = gen_instance("rejection", 7, 0.3, 5000)
+        assert oracle_wis_containing(g, mask_of([4, 6])).weight == 243
+        for op in (solve_containing_ac, solve_containing_bd):
+            with pytest.raises(InputError):
+                op(g, InducedP4(4, 5, 6, 1))
+
+    def test_non_paths_on_members_are_input_errors(self):
+        rng = XorShift64Star(4242)
+        refused = 0
+        for i in range(60):
+            g = gen_instance("clustered" if i % 2 else "rejection", 7 + i % 6, 0.5, i)
+            paths = {p.vertices for p in enumerate_induced_p4(g)}
+            for _ in range(10):
+                vs = tuple(rng.below(g.n) for _ in range(4))
+                if vs in paths or vs[::-1] in paths:
+                    continue
+                for op in (solve_containing_ac, solve_containing_bd):
+                    with pytest.raises(InputError):
+                        op(g, InducedP4(*vs))
+                refused += 1
+        assert refused > 500
+
     def test_second_phase_depth_overrun_is_a_structure_violation(self):
         g = path_graph(4)
         depth = g.n + 9
@@ -295,11 +320,12 @@ class TestLeafRecording:
         for _ in range(25):
             g = gen_instance("clustered", 7 + rng.below(5), 0.6, rng.next_u64())
             for p in enumerate_induced_p4(g)[:4]:
-                leaves: list[int] = []
-                solve_containing_ac(g, p, leaves=leaves)
-                assert leaves
                 part = neighborhood_partition(g, p)
                 forced = (1 << p.a) | (1 << p.c)
+                leaves: list[int] = []
+                constrained._solve_containing(g, part, leaves)
+                assert leaves
+                leaves = [leaf | forced for leaf in leaves]
                 ground = forced | part.s_b | part.s_d | part.s_bd | part.anti
                 for leaf in leaves:
                     assert leaf & forced == forced

@@ -337,3 +337,17 @@ class TestNeighborhoodPartition:
         )
         assert part.s_d == 0
         assert part.anti == 0
+
+    def test_non_path_is_refused_before_any_trace(self):
+        # 0-1 is no edge, so the tuple is no path; read as one, vertex 4
+        # would give the false triangle witness (0, 1, 4)
+        g = Graph.from_edges(5, [(0, 2), (2, 3), (4, 0), (4, 1)])
+        assert is_class_member(g).is_member
+        with pytest.raises(InputError):
+            neighborhood_partition(g, InducedP4(0, 1, 2, 3))
+
+    @pytest.mark.parametrize("vs", [(-1, 0, 1, 2), (0, 1, 0, 2), (0, 1, 2, 0)])
+    def test_negative_or_repeated_ids_are_input_errors(self, vs):
+        g = path_graph(5)
+        with pytest.raises(InputError):
+            neighborhood_partition(g, InducedP4(*vs))

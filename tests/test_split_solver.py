@@ -1,70 +1,65 @@
-"""Split-instance solver: dispatch, branching order, oracle battles."""
+"""Split-instance dispatcher: base shapes, branching order, oracle battles.
+
+``split_solver._solve_raw`` is driven directly on hosts ``S | T`` with S
+independent and G[T] a disjoint union of singletons and complete
+bipartite blocks; it returns ``(weight, mask)`` and assumes a class
+member.
+"""
 
 from __future__ import annotations
 
 import pytest
-from conftest import complete_bipartite, is_independent, witness_checks
+from conftest import complete_bipartite, is_independent, scan_p4s, witness_checks
 
-from p4p4free import split_solver
+from p4p4free import constrained, split_solver
+from p4p4free.constrained import solve_containing_ac
 from p4p4free.errors import ClassViolation, InputError, StructureViolation
-from p4p4free.graph import (
-    Graph,
-    bits,
-    components_with_certificates,
-    mask_of,
-)
-from p4p4free.split_solver import SplitInstance, solve_split
-from p4p4free.testkit import gen_split_instance, oracle_wis
+from p4p4free.graph import Graph, components_with_certificates, mask_of
+from p4p4free.recognition import InducedP4
+from p4p4free.testkit import enumerate_maximal_is, gen_split_instance, oracle_wis
+
+# two disjoint copies of the induced path s-t-s-t; not a class member
+TWO_PATHS = Graph.from_edges(8, [(2, 0), (2, 1), (3, 0), (6, 4), (6, 5), (7, 4)])
 
 
-def split(g: Graph, s, t) -> SplitInstance:
-    return SplitInstance(g, mask_of(s), mask_of(t))
+def solve_raw(g: Graph, s_mask: int, t_mask: int, leaves=None) -> tuple[int, int]:
+    return split_solver._solve_raw(g, s_mask, t_mask, s_mask | t_mask, 0, 0, leaves)
+
+
+def split(g: Graph, s, t) -> tuple[int, int]:
+    return solve_raw(g, mask_of(s), mask_of(t))
 
 
 class TestInstanceValidation:
-    def test_rejects_overlapping_parts(self):
-        g = Graph.from_edges(2, [(0, 1)])
-        with pytest.raises(InputError):
-            SplitInstance(g, 0b11, 0b10)
-
-    def test_rejects_dependent_independent_part(self):
-        g = Graph.from_edges(3, [(0, 1)])
-        with pytest.raises(InputError):
-            split(g, [0, 1], [2])
-
     def test_rejects_path_shaped_block_part(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        with pytest.raises(InputError):
+        with pytest.raises(StructureViolation) as exc:
             split(g, [], [0, 1, 2, 3])
+        assert exc.value.witness == ("incomplete_block", g.full_mask)
 
-    def test_accepts_valid_instance(self):
+    def test_rejects_host_outside_both_parts(self):
         g = complete_bipartite(2, 3)
-        inst = split(g, [], range(5))
-        assert inst.host == g.full_mask
+        with pytest.raises(InputError):
+            split_solver._solve_raw(g, 0, 0b11, g.full_mask, 0, 0, None)
 
 
 class TestBaseShapes:
     def test_block_part_only(self):
         g = complete_bipartite(2, 3)
-        res = solve_split(split(g, [], range(5)))
-        assert res.weight == 3
+        assert split(g, [], range(5)) == (3, mask_of([2, 3, 4]))
 
     def test_universal_attachment_to_an_edge(self):
         # s (weight 5) covers one endpoint of a single edge (weights 1, 1)
         g = Graph.from_edges(3, [(0, 1), (2, 0)], [1, 1, 5])
-        res = solve_split(split(g, [2], [0, 1]))
-        assert res.weight == 6
-        assert res.chosen == (1, 2)
+        assert split(g, [2], [0, 1]) == (6, mask_of([1, 2]))
 
     def test_empty_instance(self):
         g = Graph.from_edges(1, [])
-        res = solve_split(split(g, [], []))
-        assert res.weight == 0
+        assert split(g, [], []) == (0, 0)
 
     def test_isolated_independent_part(self):
         g = Graph.from_edges(3, [], [7, 1, 2])
-        res = solve_split(split(g, [0, 1], [2]))
-        assert res.weight == 10
+        assert split(g, [0, 1], [2])[0] == 10
 
 
 class TestBranchingShapes:
@@ -73,73 +68,55 @@ class TestBranchingShapes:
         # bipartite and must split on a side choice
         edges = [(0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (4, 1), (5, 2), (5, 3)]
         g = Graph.from_edges(6, edges)
-        inst = split(g, [4, 5], [0, 1, 2, 3])
-        res = solve_split(inst)
-        assert res.weight == oracle_wis(g).weight == 3
+        assert split(g, [4, 5], [0, 1, 2, 3])[0] == oracle_wis(g).weight == 3
 
     def test_vertex_tying_two_singletons(self):
         # s3-t0-s2-t1 is an induced path; branching must recover optimum 2
         g = Graph.from_edges(4, [(2, 0), (2, 1), (3, 0)])
-        res = solve_split(split(g, [2, 3], [0, 1]))
-        assert res.weight == oracle_wis(g).weight == 2
+        assert split(g, [2, 3], [0, 1])[0] == oracle_wis(g).weight == 2
 
     def test_partial_attachment_branches(self):
         # bi-partial contact into one side of K_{2,2}
         edges = [(0, 2), (0, 3), (1, 2), (1, 3), (4, 0)]
         g = Graph.from_edges(5, edges, [1, 1, 1, 1, 5])
-        res = solve_split(split(g, [4], [0, 1, 2, 3]))
-        assert res.weight == oracle_wis(g).weight == 7
+        assert split(g, [4], [0, 1, 2, 3])[0] == oracle_wis(g).weight == 7
 
     def test_weights_pull_the_side_choice(self):
         edges = [(0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (4, 1), (5, 2), (5, 3)]
         for weights in ([9, 9, 1, 1, 1, 1], [1, 1, 1, 1, 9, 9], [1, 1, 9, 9, 5, 1]):
             g = Graph.from_edges(6, edges, weights)
-            inst = split(g, [4, 5], [0, 1, 2, 3])
-            assert solve_split(inst).weight == oracle_wis(g).weight
+            assert split(g, [4, 5], [0, 1, 2, 3])[0] == oracle_wis(g).weight
 
 
 class TestForbiddenShapesSurface:
     def test_two_broken_components_raise_with_path_pair(self):
-        # two disjoint copies of the induced path s-t-s-t shape
-        edges = [(2, 0), (2, 1), (3, 0), (6, 4), (6, 5), (7, 4)]
-        g = Graph.from_edges(8, edges)
-        inst = split(g, [2, 3, 6, 7], [0, 1, 4, 5])
-        with pytest.raises(ClassViolation) as exc:
-            solve_split(inst)
+        g = TWO_PATHS
+        with pytest.raises(StructureViolation) as exc:
+            split(g, [2, 3, 6, 7], [0, 1, 4, 5])
         kind, (p, q) = exc.value.witness
-        assert kind == "p4_pair"
-        assert set(p) & set(q) == set()
+        assert kind == "uncertified_components"
+        assert p & q == 0
+        assert scan_p4s(g, p) and scan_p4s(g, q)
 
     def test_contact_on_both_sides_of_an_edge_is_a_triangle(self):
         g = Graph.from_edges(3, [(0, 1), (2, 0), (2, 1)])
-        inst = split(g, [2], [0, 1])
         with pytest.raises(ClassViolation) as exc:
-            solve_split(inst)
+            split(g, [2], [0, 1])
         assert exc.value.witness == ("triangle", (0, 1, 2))
-
 
     def test_internal_failure_on_a_non_member_is_refused_with_a_witness(
         self, monkeypatch
     ):
-        # no natural split instance is known to fail this way, so the
-        # dispatcher is made to fail on one that lies outside the class
+        # no natural split host is known to fail this way, so the
+        # dispatcher is made to fail under a public solver that reaches it
         def broken(*args):
             raise StructureViolation("broken", ("side_split_blocks", ()))
 
-        monkeypatch.setattr(split_solver, "_solve_raw", broken)
-        edges = [(2, 0), (2, 1), (3, 0), (6, 4), (6, 5), (7, 4)]
-        g = Graph.from_edges(8, edges)
+        monkeypatch.setattr(constrained, "_solve_raw", broken)
+        g = TWO_PATHS
         with pytest.raises(ClassViolation) as exc:
-            solve_split(split(g, [2, 3, 6, 7], [0, 1, 4, 5]))
+            solve_containing_ac(g, InducedP4.of(g, 3, 0, 2, 1))
         assert witness_checks(g, exc.value.witness)
-
-
-    def test_non_member_is_refused_even_when_its_host_would_solve(self):
-        # the split host is one star; the triangle lies outside it
-        g = Graph.from_edges(6, [(0, 1), (0, 2), (3, 4), (4, 5), (3, 5)])
-        with pytest.raises(ClassViolation) as exc:
-            solve_split(split(g, [0], [1, 2]))
-        assert exc.value.witness == ("triangle", (3, 4, 5))
 
     def test_refusal_inside_the_branching_of_a_member_is_an_internal_fault(
         self, monkeypatch
@@ -147,9 +124,10 @@ class TestForbiddenShapesSurface:
         def refusing(*args):
             raise ClassViolation("bogus", ("triangle", (0, 1, 2)))
 
-        monkeypatch.setattr(split_solver, "_solve_raw", refusing)
+        monkeypatch.setattr(constrained, "_solve_raw", refusing)
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(StructureViolation) as exc:
-            solve_split(split(complete_bipartite(2, 3), [0, 1], [2, 3, 4]))
+            solve_containing_ac(g, InducedP4(0, 1, 2, 3))
         assert exc.value.witness == ("triangle", (0, 1, 2))
 
 
@@ -167,11 +145,10 @@ class TestDepthBudget:
         def deep(g, s_mask, t_mask, host, depth, *rest):
             return original(g, s_mask, t_mask, host, depth + g.n + 9, *rest)
 
-        monkeypatch.setattr(split_solver, "_solve_raw", deep)
-        edges = [(2, 0), (2, 1), (3, 0), (6, 4), (6, 5), (7, 4)]
-        g = Graph.from_edges(8, edges)
+        monkeypatch.setattr(constrained, "_solve_raw", deep)
+        g = TWO_PATHS
         with pytest.raises(ClassViolation) as exc:
-            solve_split(split(g, [2, 3, 6, 7], [0, 1, 4, 5]))
+            solve_containing_ac(g, InducedP4.of(g, 3, 0, 2, 1))
         assert witness_checks(g, exc.value.witness)
 
 
@@ -182,9 +159,9 @@ class TestBranchingOrder:
         edges = [(0, 1), (0, 2), (3, 4), (3, 5), (7, 1), (7, 4)]
         for weights in ([1] * 8, [1, 4, 4, 1, 4, 4, 2, 9], [5, 1, 1, 5, 1, 1, 3, 1]):
             g = Graph.from_edges(8, edges, weights)
-            got = solve_split(split(g, [6, 7], range(6)))
-            assert got.weight == oracle_wis(g).weight, weights
-            assert is_independent(g, mask_of(got.chosen))
+            weight, mask = split(g, [6, 7], range(6))
+            assert weight == oracle_wis(g).weight, weights
+            assert is_independent(g, mask)
 
 
 class TestOracleBattle:
@@ -192,27 +169,22 @@ class TestOracleBattle:
         for seed in range(500):
             n = 6 + seed % 11
             g, s_mask, t_mask = gen_split_instance(n, 0.3 + (seed % 5) * 0.15, seed)
-            inst = SplitInstance(g, s_mask, t_mask)
-            got = solve_split(inst)
+            weight, mask = solve_raw(g, s_mask, t_mask)
             want = oracle_wis(g)
-            assert got.weight == want.weight, (seed, n, got, want)
-            assert is_independent(g, mask_of(got.chosen))
+            assert weight == want.weight == g.weight_of(mask), (seed, n, want)
+            assert is_independent(g, mask)
 
     def test_deterministic(self):
         g, s_mask, t_mask = gen_split_instance(14, 0.6, 3)
-        inst = SplitInstance(g, s_mask, t_mask)
-        assert solve_split(inst) == solve_split(inst)
+        assert solve_raw(g, s_mask, t_mask) == solve_raw(g, s_mask, t_mask)
 
 
 class TestLeafRecording:
     def test_every_maximal_set_lies_in_a_leaf(self):
-        from p4p4free.testkit import enumerate_maximal_is
-
         for seed in range(100):
             g, s_mask, t_mask = gen_split_instance(11, 0.5, seed)
-            inst = SplitInstance(g, s_mask, t_mask)
             leaves: list[int] = []
-            solve_split(inst, leaves)
+            solve_raw(g, s_mask, t_mask, leaves)
             assert leaves
             for chosen in enumerate_maximal_is(g):
                 m = mask_of(chosen)
@@ -222,7 +194,7 @@ class TestLeafRecording:
         for seed in range(40):
             g, s_mask, t_mask = gen_split_instance(11, 0.5, seed)
             leaves: list[int] = []
-            solve_split(SplitInstance(g, s_mask, t_mask), leaves)
+            solve_raw(g, s_mask, t_mask, leaves)
             for leaf in leaves:
                 cs = components_with_certificates(g, leaf)
                 assert all(c.sides is not None for c in cs)
