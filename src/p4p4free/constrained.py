@@ -69,6 +69,7 @@ def _solve_second_phase(
     host: int,
     depth: int,
     leaves,
+    memo: dict,
 ):
     """Handle a kept residual: branch away remaining bi-partial contacts of
     the active class, then reduce to a split instance whose independent
@@ -81,7 +82,9 @@ def _solve_second_phase(
         )
 
     def redispatch(host2: int, depth2: int):
-        return _solve_second_phase(g, s_mask, active, anti, host2, depth2, leaves)
+        return _solve_second_phase(
+            g, s_mask, active, anti, host2, depth2, leaves, memo
+        )
 
     members = _certified_members(g, anti & host)
     if any(_bipartial_blocks(g, v, members) for v in bits(active & host)):
@@ -89,13 +92,13 @@ def _solve_second_phase(
     region = (active | anti) & host
     found = find_induced_p4(g, region)
     if found is None:
-        return _solve_raw(g, s_mask, active | anti, host, depth, 0, leaves)
+        return _solve_raw(g, s_mask, active | anti, host, depth, 0, leaves, memo)
     # fall back to plain anti-neighborhood branching on a path vertex
     x = found.a
     return _keep_or_drop(redispatch, host & ~g.adj[x], host & ~(1 << x), depth)
 
 
-def _pair_branch(g: Graph, part, sb: int, sd: int, leaves):
+def _pair_branch(g: Graph, part, sb: int, sd: int, leaves, memo: dict):
     """Best independent set of the reduced host containing the pair."""
     stars = (1 << sb) | (1 << sd)
     host = (part.s_b | part.s_d | part.s_bd | part.anti) & ~(g.adj[sb] | g.adj[sd])
@@ -105,7 +108,9 @@ def _pair_branch(g: Graph, part, sb: int, sd: int, leaves):
         live_b = part.s_b & host & ~stars
         live_d = part.s_d & host & ~stars
         if not (live_b | live_d):
-            cand = _solve_raw(g, stars | part.s_bd, part.anti, host, depth, 0, leaves)
+            cand = _solve_raw(
+                g, stars | part.s_bd, part.anti, host, depth, 0, leaves, memo
+            )
             return cand if cand[0] > best[0] else best
         t_mask = part.anti & host
         t_comps = [m.members for m in _certified_members(g, t_mask)]
@@ -123,6 +128,7 @@ def _pair_branch(g: Graph, part, sb: int, sd: int, leaves):
             host & ~g.adj[v],
             depth + 1,
             leaves,
+            memo,
         )
         if cand[0] > best[0]:
             best = cand
@@ -131,26 +137,28 @@ def _pair_branch(g: Graph, part, sb: int, sd: int, leaves):
 
 
 def _solve_containing(
-    g: Graph, part: NeighborhoodPartition, leaves: list[int] | None
+    g: Graph, part: NeighborhoodPartition, leaves: list[int] | None, memo: dict
 ) -> tuple[int, int]:
     """(weight, mask) of a maximum weight independent set of the partition's
     host containing {a, c} of its path, with a and c left out of both.
 
     When ``leaves`` is a list, the base-case host masks of the branching
     are appended to it, also without a and c; ``solve_with_cover`` folds
-    them into its cover family.
+    them into its cover family.  ``memo`` is the public call's dict of
+    side-selection folds, shared by every branch (see ``split_solver``).
     """
     best = (-1, 0)
     # class-dropping branches: no b- and no d-class, d-class only, b-class
     # only
     for s_role in (part.s_bd, part.s_d | part.s_bd, part.s_b | part.s_bd):
-        cand = _solve_raw(g, s_role, part.anti, s_role | part.anti, 0, 0, leaves)
+        host = s_role | part.anti
+        cand = _solve_raw(g, s_role, part.anti, host, 0, 0, leaves, memo)
         if cand[0] > best[0]:
             best = cand
     for one_b in bits(part.s_b):
         for one_d in bits(part.s_d):
             if not g.adjacent(one_b, one_d):
-                cand = _pair_branch(g, part, one_b, one_d, leaves)
+                cand = _pair_branch(g, part, one_b, one_d, leaves, memo)
                 if cand[0] > best[0]:
                     best = cand
     return best
@@ -168,7 +176,7 @@ def solve_containing_ac(g: Graph, p: InducedP4, host: int | None = None) -> Solv
         StructureViolation: an internal fault.
     """
     with verified_member(g, is_class_member(g)):
-        _, mask = _solve_containing(g, neighborhood_partition(g, p, host), None)
+        _, mask = _solve_containing(g, neighborhood_partition(g, p, host), None, {})
     return certified_result(g, mask | (1 << p.a) | (1 << p.c))
 
 

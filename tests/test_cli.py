@@ -146,7 +146,7 @@ class TestRun:
         assert "witness triangle 1 2 3" in capsys.readouterr().err
 
     def test_internal_fault_on_a_member_exits_1(self, wis_file, capsys, monkeypatch):
-        def broken(g, paths, home, rest_mask, cover):
+        def broken(g, paths, home, rest_mask, cover, memo):
             raise StructureViolation("internal", ("side_split_blocks", ()))
 
         monkeypatch.setattr(solver, "_solve_all", broken)
@@ -166,7 +166,7 @@ class TestRun:
         )
 
     def test_failed_self_certification_exits_1(self, wis_file, capsys, monkeypatch):
-        def dependent(g, part, leaves):
+        def dependent(g, part, leaves, memo):
             return 0, g.full_mask
 
         monkeypatch.setattr(solver, "_solve_containing", dependent)

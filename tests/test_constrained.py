@@ -108,7 +108,7 @@ class TestErrors:
         g = path_graph(4)
         depth = g.n + 9
         with pytest.raises(StructureViolation) as info:
-            constrained._solve_second_phase(g, 0, 0, 0, g.full_mask, depth, None)
+            constrained._solve_second_phase(g, 0, 0, 0, g.full_mask, depth, None, {})
         assert info.value.witness == ("depth_budget", depth)
 
     def test_triangle_on_the_path_neighborhood(self):
@@ -323,7 +323,7 @@ class TestLeafRecording:
                 part = neighborhood_partition(g, p)
                 forced = (1 << p.a) | (1 << p.c)
                 leaves: list[int] = []
-                constrained._solve_containing(g, part, leaves)
+                constrained._solve_containing(g, part, leaves, {})
                 assert leaves
                 leaves = [leaf | forced for leaf in leaves]
                 ground = forced | part.s_b | part.s_d | part.s_bd | part.anti

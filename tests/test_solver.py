@@ -132,7 +132,7 @@ class TestViolations:
     def test_internal_fault_on_a_member_is_reraised(self, monkeypatch):
         fault = StructureViolation("internal", ("side_split_blocks", ()))
 
-        def broken(g, paths, home, rest_mask, cover):
+        def broken(g, paths, home, rest_mask, cover, memo):
             raise fault
 
         monkeypatch.setattr(solver, "_solve_all", broken)

@@ -11,19 +11,26 @@ from __future__ import annotations
 import pytest
 from conftest import complete_bipartite, is_independent, scan_p4s, witness_checks
 
-from p4p4free import constrained, split_solver
+from p4p4free import constrained, solve, solve_with_cover, split_solver
 from p4p4free.constrained import solve_containing_ac
 from p4p4free.errors import ClassViolation, InputError, StructureViolation
 from p4p4free.graph import Graph, components_with_certificates, mask_of
-from p4p4free.recognition import InducedP4
-from p4p4free.testkit import enumerate_maximal_is, gen_split_instance, oracle_wis
+from p4p4free.recognition import InducedP4, enumerate_induced_p4
+from p4p4free.testkit import (
+    enumerate_maximal_is,
+    gen_instance,
+    gen_split_instance,
+    oracle_wis,
+    oracle_wis_containing,
+)
 
 # two disjoint copies of the induced path s-t-s-t; not a class member
 TWO_PATHS = Graph.from_edges(8, [(2, 0), (2, 1), (3, 0), (6, 4), (6, 5), (7, 4)])
 
 
 def solve_raw(g: Graph, s_mask: int, t_mask: int, leaves=None) -> tuple[int, int]:
-    return split_solver._solve_raw(g, s_mask, t_mask, s_mask | t_mask, 0, 0, leaves)
+    host = s_mask | t_mask
+    return split_solver._solve_raw(g, s_mask, t_mask, host, 0, 0, leaves, {})
 
 
 def split(g: Graph, s, t) -> tuple[int, int]:
@@ -40,7 +47,7 @@ class TestInstanceValidation:
     def test_rejects_host_outside_both_parts(self):
         g = complete_bipartite(2, 3)
         with pytest.raises(InputError):
-            split_solver._solve_raw(g, 0, 0b11, g.full_mask, 0, 0, None)
+            split_solver._solve_raw(g, 0, 0b11, g.full_mask, 0, 0, None, {})
 
 
 class TestBaseShapes:
@@ -136,7 +143,7 @@ class TestDepthBudget:
         g = complete_bipartite(2, 3)
         depth = g.n + 9
         with pytest.raises(StructureViolation) as exc:
-            split_solver._solve_raw(g, 0, g.full_mask, g.full_mask, depth, 0, None)
+            split_solver._solve_raw(g, 0, g.full_mask, g.full_mask, depth, 0, None, {})
         assert exc.value.witness == ("depth_budget", depth)
 
     def test_overrun_on_a_non_member_is_refused_with_a_witness(self, monkeypatch):
@@ -198,3 +205,89 @@ class TestLeafRecording:
             for leaf in leaves:
                 cs = components_with_certificates(g, leaf)
                 assert all(c.sides is not None for c in cs)
+
+
+class TestSideFoldMemo:
+    """The memo of side-selection folds lives for one public call, and the
+    dispatcher's per-call checks run on a hit as on a miss."""
+
+    @staticmethod
+    def hit(monkeypatch, memo, host):
+        # a second call on ``host`` must not decompose it again
+        assert host in memo
+
+        def unreachable(*args):
+            raise AssertionError("a memoised host was decomposed again")
+
+        monkeypatch.setattr(split_solver, "components_with_certificates", unreachable)
+
+    def test_out_of_parts_host_raises_on_a_hit(self, monkeypatch):
+        g = complete_bipartite(2, 3)
+        memo: dict = {}
+        raw = split_solver._solve_raw
+        assert raw(g, 0, g.full_mask, g.full_mask, 0, 0, None, memo) == (3, 0b11100)
+        self.hit(monkeypatch, memo, g.full_mask)
+        with pytest.raises(InputError):
+            raw(g, 0, 0b11, g.full_mask, 0, 0, None, memo)
+
+    def test_depth_budget_raises_on_a_hit(self, monkeypatch):
+        g = complete_bipartite(2, 3)
+        memo: dict = {}
+        raw = split_solver._solve_raw
+        raw(g, 0, g.full_mask, g.full_mask, 0, 0, None, memo)
+        self.hit(monkeypatch, memo, g.full_mask)
+        depth = g.n + 9
+        with pytest.raises(StructureViolation) as exc:
+            raw(g, 0, g.full_mask, g.full_mask, depth, 0, None, memo)
+        assert exc.value.witness == ("depth_budget", depth)
+
+    def test_two_uncertified_components_raise_on_a_hit(self, monkeypatch):
+        g = TWO_PATHS
+        s_mask, t_mask = mask_of([2, 3, 6, 7]), mask_of([0, 1, 4, 5])
+        memo: dict = {}
+        witnesses = []
+        for call in range(2):
+            if call:
+                self.hit(monkeypatch, memo, g.full_mask)
+            with pytest.raises(StructureViolation) as exc:
+                split_solver._solve_raw(g, s_mask, t_mask, g.full_mask, 0, 0, None, memo)
+            witnesses.append(exc.value.witness)
+        assert witnesses[0] == witnesses[1]
+        assert witnesses[1][0] == "uncertified_components"
+
+    def test_certified_host_records_its_leaf_on_a_hit(self, monkeypatch):
+        g = complete_bipartite(2, 3)
+        memo: dict = {}
+        host = mask_of([0, 2, 3])
+        raw = split_solver._solve_raw
+        for call, ambient in enumerate((0, 0b10)):
+            if call:
+                self.hit(monkeypatch, memo, host)
+            leaves: list[int] = []
+            assert raw(g, 0, g.full_mask, host, 0, ambient, leaves, memo) == (
+                2,
+                mask_of([2, 3]),
+            )
+            assert leaves == [ambient | host]
+
+    def test_no_entry_outlives_its_call(self):
+        # two graphs on one adjacency with different weights, solved back
+        # to back: an entry kept from the first would carry its weights
+        # into the second
+        checked = 0
+        for seed in range(6):
+            base = gen_instance("clustered", 14, 0.6, 800_000 + seed)
+            paths = enumerate_induced_p4(base)
+            if not paths:
+                continue
+            p = paths[0]
+            forced = (1 << p.a) | (1 << p.c)
+            for weights in (base.weights, base.weights[::-1], base.weights):
+                g = Graph(base.n, weights, base.adj)
+                want = oracle_wis(g).weight
+                assert solve(g).weight == want
+                assert solve_with_cover(g)[0].weight == want
+                got = solve_containing_ac(g, p).weight
+                assert got == oracle_wis_containing(g, forced).weight
+                checked += 1
+        assert checked >= 9
