@@ -43,6 +43,15 @@ first bounded by the weight of home minus N(a) and N(d), which holds
 it, so a path's neighborhood partition is built only once one of its
 candidates survives its bound.
 
+``solve`` also evaluates each forced pair once: a pair drawn before, by
+this path or another (the {a, c} of one path and the {b, d} of another
+are one pair when their masks are equal), is skipped before its bound
+or partition is computed.  The best set through a non-adjacent pair
+{x, y} lives in home minus N[x] and N[y], so its weight depends on the
+pair alone; the first draw weighed at most the best then (or was skipped
+by a bound at most the best), and the best only grows, so a repeat
+cannot beat it strictly.  The set of drawn pairs lives for one call.
+
 ``solve_with_cover`` runs the same computation with leaf instrumentation:
 every base case reached anywhere in the branching becomes a member mask,
 the vertices the branch forced plus its final host, whose nontrivial
@@ -67,7 +76,7 @@ another graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 from .bipartite import cb_weight_mask, heavier_side
 from .constrained import _solve_containing
@@ -151,34 +160,50 @@ def _pair_bound(g: Graph, x: int, y: int, home: int) -> int:
 
 
 def _per_path(g: Graph, p: InducedP4, home: int, members, memo: dict):
-    """This path's candidates for g[home] in evaluation order, as pairs
-    ``(bounds, make)``: ``make()`` returns a (weight, mask) candidate, and
+    """This path's candidates for g[home] in evaluation order, as triples
+    ``(pair, bounds, make)``: ``make()`` returns a (weight, mask) candidate,
     each thunk of ``bounds``, loosest first, is at least its weight on a
-    class member.
+    class member, and ``pair`` is the mask of the vertex pair it forces
+    through home (0 for any other candidate).
 
-    The path's neighbourhood partition is built on first use, so a solve
-    that skips every candidate of the path never builds it: the region is
-    first bounded by the weight of home minus N(a) and N(d), which holds
-    it, and is only built when that bound beats the best.
+    The path's neighbourhood partition and region are built on first use,
+    so a solve that skips every candidate of the path never builds them:
+    the region is first bounded by the weight of home minus N(a) and N(d),
+    which holds it, and is only built when that bound beats the best.
 
     A cover solve (``members`` a list) also gets the widening candidates,
     which carry no bound, and every ``make()`` appends its cover members to
     ``members``; it runs before the next pair is drawn, so the members
     keep evaluation order.
     """
-    partition = cache(lambda: neighborhood_partition(g, p, home))
-    region = cache(lambda: _q3_region(g, p, partition()))
+    part = q3 = None
+
+    def partition():
+        nonlocal part
+        if part is None:
+            part = neighborhood_partition(g, p, home)
+        return part
+
+    def region():
+        nonlocal q3
+        if q3 is None:
+            q3 = _q3_region(g, p, partition())
+        return q3
+
     yield (
+        1 << p.a | 1 << p.c,
         (lambda: _pair_bound(g, p.a, p.c, home),),
         lambda: _forced_pair(g, partition(), members, memo),
     )
     yield (
+        1 << p.b | 1 << p.d,
         (lambda: _pair_bound(g, p.b, p.d, home),),
         lambda: _forced_pair(
             g, neighborhood_partition(g, p.reverse(), home), members, memo
         ),
     )
     yield (
+        0,
         (
             lambda: g.weight_of(home & ~(g.adj[p.a] | g.adj[p.d])),
             lambda: g.weight_of(region()),
@@ -187,13 +212,12 @@ def _per_path(g: Graph, p: InducedP4, home: int, members, memo: dict):
     )
     if members is None:
         return
-    part = partition()
-    members.append(region())
+    members.append(region())  # fills part and q3
     # non-isolated flavor vertices are not covered by the region above;
     # force each into a fresh path and solve constrained, pinning the far
     # endpoint by removing its neighborhood (it rides along as an isolated
     # vertex of every leaf)
-    lonely = region() & (part.s_b | part.s_c)
+    lonely = q3 & (part.s_b | part.s_c)
     for end, mid, flavor, other, far in (
         (p.a, p.b, part.s_b, part.s_c, p.d),
         (p.d, p.c, part.s_c, part.s_b, p.a),
@@ -206,12 +230,14 @@ def _per_path(g: Graph, p: InducedP4, home: int, members, memo: dict):
                 continue
             fresh = InducedP4.of(g, end, mid, x, y)
             fresh_part = neighborhood_partition(g, fresh, home & ~g.adj[far])
-            yield (), partial(_forced_pair, g, fresh_part, members, memo)
+            # the fresh path's host is not home, so its pair is not keyed
+            yield 0, (), partial(_forced_pair, g, fresh_part, members, memo)
 
 
 def _run(g: Graph, cover: bool, jobs: int):
-    if jobs < 1:
-        raise InputError("jobs must be at least 1")
+    # type(True) is bool, so a bool is refused with every non-int
+    if type(jobs) is not int or jobs < 1:
+        raise InputError(f"jobs must be an int of at least 1, got {jobs!r}")
     verdict, comps = _membership(g)
     with verified_member(g, verdict):
         # home is every component without a certificate; side selection
@@ -231,18 +257,21 @@ def _run(g: Graph, cover: bool, jobs: int):
 def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool, memo: dict):
     members: list[int] | None = [] if cover else None
     best = None  # the earliest heaviest (weight, mask) so far
+    drawn: set[int] = set()  # the forced-pair masks this solve has drawn
     on_some_path = 0
     for p in paths:
         on_some_path |= p.mask
-        for bounds, make in _per_path(g, p, home, members, memo):
+        for pair, bounds, make in _per_path(g, p, home, members, memo):
             # only a strictly heavier candidate replaces best, so one that
-            # cannot beat it is skipped; the cover visits every leaf
-            if (
-                best is not None
-                and not cover
-                and any(bound() <= best[0] for bound in bounds)
-            ):
-                continue
+            # cannot beat it is skipped, and so is a pair drawn before (see
+            # the module docstring); the cover visits every leaf
+            if not cover:
+                if pair:
+                    if pair in drawn:
+                        continue
+                    drawn.add(pair)
+                if best is not None and any(bound() <= best[0] for bound in bounds):
+                    continue
             cand = make()
             if best is None or cand[0] > best[0]:
                 best = cand
@@ -268,14 +297,18 @@ def solve(g: Graph, jobs: int = 1) -> SolveResult:
     fixed order (paths in canonical order, per-path branches, then the
     component's path-free remainder), the earliest heaviest winning, and a
     candidate whose upper bound cannot beat the best so far is skipped.
+    So is a forced vertex pair drawn before by any path: its weight depends
+    on the pair alone and its first draw could not beat the best since.
     The rest of the graph is then added by side selection of each of its
     complete bipartite components.  The returned set is deterministic.
-    ``jobs`` must be at least 1 and has no effect: the loop is serial.
+    ``jobs`` must be an int of at least 1 and has no effect: the loop is
+    serial.
 
     Raises:
         ClassViolation: g contains a triangle or two separated induced
             four-vertex paths, found before any branching; the witness is
             that of ``is_class_member(g)``, re-checked against g.
+        InputError: ``jobs`` is below 1 or not an int (a bool is not one).
         StructureViolation: an internal fault.
     """
     return _run(g, cover=False, jobs=jobs)[0]
@@ -289,7 +322,7 @@ def solve_with_cover(g: Graph, jobs: int = 1) -> tuple[SolveResult, CoverFamily]
     solves forcing each non-isolated flavor vertex; the resulting family
     contains every maximal independent set of g in some member.  No
     candidate is skipped, and the result equals ``solve(g)``.  ``jobs``
-    must be at least 1 and has no effect.  Refuses exactly as ``solve``
-    does, with the witness of ``is_class_member(g)``.
+    must be an int of at least 1 and has no effect.  Refuses exactly as
+    ``solve`` does, with the witness of ``is_class_member(g)``.
     """
     return _run(g, cover=True, jobs=jobs)

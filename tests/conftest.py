@@ -43,6 +43,37 @@ def crown_graph(k: int, weights=None) -> Graph:
     return Graph.from_edges(2 * k, edges, weights)
 
 
+def blowup_graph(k: int, s: int, seed: int) -> Graph:
+    """Complete blow-up of the cycle C_k: class i is the independent set
+    i*s .. i*s+s-1, consecutive classes are joined completely, and the
+    weights are seeded draws from 0..100.  For 5 <= k < 10 every induced
+    P4 runs through four consecutive classes and no two are separated, so
+    the graph is a class member."""
+    rng = XorShift64Star(seed)
+    edges = [
+        (i * s + u, (i + 1) % k * s + v)
+        for i in range(k)
+        for u in range(s)
+        for v in range(s)
+    ]
+    return Graph.from_edges(k * s, edges, [rng.below(101) for _ in range(k * s)])
+
+
+def blowup_optimum(g: Graph, k: int) -> int:
+    """Closed-form optimum of ``blowup_graph(k, s, ...)``: an independent
+    set meets no two consecutive classes and may take whole classes, so it
+    is the best summed class weight over the independent index sets of
+    C_k."""
+    s = g.n // k
+    class_weight = [sum(g.weights[i * s : (i + 1) * s]) for i in range(k)]
+    full = (1 << k) - 1
+    return max(
+        sum(class_weight[i] for i in bits(sub))
+        for sub in range(1 << k)
+        if not sub & ((sub << 1 | sub >> (k - 1)) & full)
+    )
+
+
 def petersen() -> Graph:
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]

@@ -14,6 +14,8 @@ import time
 import pytest
 from conftest import (
     acceptance_report,
+    blowup_graph,
+    blowup_optimum,
     is_independent,
     random_graph,
     scan_member,
@@ -204,10 +206,17 @@ def test_criterion_7_scaling():
     solve(g)
     hard = time.perf_counter() - start
     assert hard < 60.0
+    # a dense member that is not bipartite (4,375 induced P4s)
+    g = blowup_graph(7, 5, seed=705)
+    start = time.perf_counter()
+    got = solve(g)
+    blowup = time.perf_counter() - start
+    assert blowup < 60.0
+    assert got.weight == blowup_optimum(g, 7)
     return (
         "n 30/45/60 in "
         + "/".join(f"{t:.3f}s" for t in times)
-        + f", hard n 40 in {hard:.3f}s"
+        + f", hard n 40 in {hard:.3f}s, C7 blow-up with classes of 5 in {blowup:.3f}s"
     )
 
 

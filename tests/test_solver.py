@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 from conftest import (
+    blowup_graph,
+    blowup_optimum,
     complete_bipartite,
     crown_graph,
     cycle_graph,
@@ -240,6 +243,12 @@ class TestViolations:
     def test_jobs_must_be_positive(self):
         with pytest.raises(InputError):
             solve(path_graph(3), jobs=0)
+
+    @pytest.mark.parametrize("jobs", ["2", None, 1.5, True, False])
+    @pytest.mark.parametrize("entry", [solve, solve_with_cover])
+    def test_jobs_must_be_an_int(self, entry, jobs):
+        with pytest.raises(InputError):
+            entry(path_graph(3), jobs=jobs)
 
 
 class TestCertifyOnce:
@@ -517,3 +526,97 @@ class TestBoundAndSkip:
             assert witness_checks(g, info.value.witness), (j, info.value.witness)
             refused += 1
         assert refused > 300
+
+
+# graphs on which many paths share a forced pair
+PAIR_GRAPHS = {
+    "c7_classes_of_3": lambda: blowup_graph(7, 3, seed=73),
+    "rejection_14": lambda: gen_instance("rejection", 14, 0.6, 2),
+}
+
+
+def _count_forced_pairs(monkeypatch, fault_at: int | None = None) -> list[int]:
+    """Record the pair mask of every ``_solve_containing`` call; with
+    ``fault_at``, raise a refusal on the first draw of that many-th
+    distinct pair."""
+    drawn: list[int] = []
+    real = solver._solve_containing
+
+    def counting(g, part, leaves, memo):
+        pair = 1 << part.p.a | 1 << part.p.c
+        if pair not in drawn and len(set(drawn)) + 1 == fault_at:
+            raise ClassViolation("bogus", ("unexpected_p4", part.p.vertices))
+        drawn.append(pair)
+        return real(g, part, leaves, memo)
+
+    monkeypatch.setattr(solver, "_solve_containing", counting)
+    return drawn
+
+
+class TestForcedPairOnce:
+    # the cover draws every pair of every path, plus the widening solves:
+    # its _solve_containing calls, member count and member digest
+    COVER = {
+        "c7_classes_of_3": (1134, 281, "94ef10fda2182790"),
+        "rejection_14": (677, 464, "f64c7f0cd8cfd452"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PAIR_GRAPHS))
+    def test_solve_evaluates_each_pair_once(self, monkeypatch, name):
+        g = PAIR_GRAPHS[name]()
+        paths = enumerate_induced_p4(g)
+        pairs = {1 << p.a | 1 << p.c for p in paths}
+        pairs |= {1 << p.b | 1 << p.d for p in paths}
+        drawn = _count_forced_pairs(monkeypatch)
+        got = solve(g)
+        assert len(drawn) == len(set(drawn))
+        assert set(drawn) <= pairs
+        assert got.weight == oracle_wis(g).weight
+        assert is_independent(g, mask_of(got.chosen))
+
+    @pytest.mark.parametrize("name", sorted(PAIR_GRAPHS))
+    def test_cover_evaluates_every_draw(self, monkeypatch, name):
+        g = PAIR_GRAPHS[name]()
+        drawn = _count_forced_pairs(monkeypatch)
+        result, family = solve_with_cover(g)
+        calls, size, digest = self.COVER[name]
+        assert len(drawn) == calls
+        assert len(drawn) >= 2 * len(enumerate_induced_p4(g)) > len(set(drawn))
+        assert len(family.members) == size
+        assert hashlib.sha256(repr(family.members).encode()).hexdigest()[:16] == digest
+        monkeypatch.undo()
+        assert result == solve(g)
+
+    @pytest.mark.parametrize("fault_at", [1, 3])
+    @pytest.mark.parametrize("name", sorted(PAIR_GRAPHS))
+    def test_a_fault_on_a_first_draw_is_an_internal_fault(
+        self, monkeypatch, name, fault_at
+    ):
+        g = PAIR_GRAPHS[name]()
+        drawn = _count_forced_pairs(monkeypatch, fault_at)
+        with pytest.raises(StructureViolation) as info:
+            solve(g)
+        assert isinstance(info.value.__cause__, ClassViolation)
+        assert len(set(drawn)) == fault_at - 1
+
+
+# complete blow-ups of C5 and C7: dense, not bipartite, and members
+BLOWUPS = [(5, s) for s in range(2, 7)] + [(7, s) for s in range(2, 5)]
+
+
+class TestDenseBlowups:
+    @pytest.mark.parametrize("k, s", BLOWUPS)
+    def test_blowups_are_members(self, k, s):
+        assert is_class_member(blowup_graph(k, s, seed=100 * k + s)).is_member
+
+    @pytest.mark.parametrize("k, s", BLOWUPS)
+    def test_solve_matches_the_closed_form(self, k, s):
+        g = blowup_graph(k, s, seed=100 * k + s)
+        got = solve(g)
+        assert got.weight == blowup_optimum(g, k) == oracle_wis(g).weight
+        assert is_independent(g, mask_of(got.chosen))
+
+    @pytest.mark.parametrize("k, s", [(5, 2), (5, 3), (5, 4), (7, 2), (7, 3)])
+    def test_cover_agrees_with_solve(self, k, s):
+        g = blowup_graph(k, s, seed=100 * k + s)
+        assert solve_with_cover(g)[0] == solve(g)
