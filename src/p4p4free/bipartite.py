@@ -14,10 +14,17 @@ whole graph first and refuses a non-member with a re-checked witness.
 from __future__ import annotations
 
 from .errors import StructureViolation
-from .graph import Graph, SolveResult, certified_result, components_with_certificates
+from .graph import (
+    Graph,
+    SolveResult,
+    bits,
+    certified_result,
+    components_with_certificates,
+    mask_of,
+)
 from .recognition import is_class_member, uncertified_p4, verified_member
 
-__all__ = ["solve_cb_components", "cb_weight_mask", "heavier_side"]
+__all__ = ["solve_cb_components", "cb_weight_mask", "heavier_side", "lp_bound"]
 
 
 def heavier_side(g: Graph, sides: tuple[int, int]) -> tuple[int, int]:
@@ -55,6 +62,102 @@ def cb_weight_mask(g: Graph, host: int) -> tuple[int, int]:
         total += w
         chosen |= side
     return total, chosen
+
+
+def lp_bound(g: Graph, host: int) -> int:
+    """Upper bound on the weight of an independent set of g[host]: the
+    floor of its Nemhauser–Trotter LP value, exact when g[host] is
+    bipartite (König–Egerváry).
+
+    The LP value is W - F/2, with W the weight of host and F the maximum
+    flow of the bipartite double cover: source -> v' and v'' -> sink with
+    capacity w(v), and u' -> v'' unbounded for each edge uv of g[host] in
+    both directions.  F is the least weight of a vertex cover of the
+    double cover, so 2W - F is its heaviest independent set, twice the LP
+    value.  F comes from Dinic's algorithm on vertex masks: each phase
+    layers the residual graph breadth-first, alternating v' and v''
+    layers, and saturates the layers by iterative depth-first search.
+    """
+    adj, weights = g.adj, g.weights
+    nbrs = [adj[v] & host for v in range(g.n)]
+    # the v' with residual source capacity and the v'' with residual sink
+    # capacity; an isolated or weightless vertex carries no flow
+    supply = mask_of(v for v in bits(host) if nbrs[v] and weights[v])
+    demand = supply
+    src, snk = list(weights), list(weights)
+    flow: dict[tuple[int, int], int] = {}  # (u, v): flow on u' -> v''
+    back = [0] * g.n  # back[v]: every u' with flow into v''
+    total = 0
+    while True:
+        # (v' mask, v'' mask) per layer: u' -> v'' is never full, and
+        # v'' -> u' is open while u' sends flow to v''
+        layers = []
+        left, seen_l, seen_r = supply, supply, 0
+        while left:
+            right = 0
+            for u in bits(left):
+                right |= nbrs[u]
+            right &= ~seen_r
+            if right & demand:
+                layers.append((left, right & demand))
+                break
+            layers.append((left, right))
+            seen_r |= right
+            left = 0
+            for v in bits(right):
+                left |= back[v]
+            left &= ~seen_l
+            seen_l |= left
+        else:
+            break  # the sink is out of reach: the flow is maximum
+        # the path alternates u' (even index) and v'' (odd index), the
+        # nodes at indices 2i and 2i + 1 lying in layer i, so it reaches a
+        # v'' of the last layer, open to the sink, at this length
+        full = 2 * len(layers)
+        dead_l = dead_r = 0
+        while True:
+            starts = supply & layers[0][0] & ~dead_l
+            if not starts:
+                break
+            path = [(starts & -starts).bit_length() - 1]
+            while path and len(path) < full:
+                top = path[-1]
+                i = len(path) // 2
+                if len(path) % 2:
+                    nxt = nbrs[top] & layers[i][1] & ~dead_r
+                else:
+                    nxt = back[top] & layers[i][0] & ~dead_l
+                if nxt:
+                    path.append((nxt & -nxt).bit_length() - 1)
+                    continue
+                if len(path) % 2:
+                    dead_l |= 1 << top
+                else:
+                    dead_r |= 1 << top
+                path.pop()
+            if not path:
+                continue
+            d = min(src[path[0]], snk[path[-1]])
+            for j in range(1, len(path) - 1, 2):
+                d = min(d, flow[path[j + 1], path[j]])
+            total += d
+            src[path[0]] -= d
+            if not src[path[0]]:
+                supply ^= 1 << path[0]
+            snk[path[-1]] -= d
+            if not snk[path[-1]]:
+                demand ^= 1 << path[-1]
+                dead_r |= 1 << path[-1]
+            for j in range(0, len(path), 2):
+                u, v = path[j], path[j + 1]
+                flow[u, v] = flow.get((u, v), 0) + d
+                back[v] |= 1 << u
+                if j + 2 < len(path):
+                    w = path[j + 2]
+                    flow[w, v] -= d
+                    if not flow[w, v]:
+                        back[v] ^= 1 << w
+    return (2 * g.weight_of(host) - total) // 2
 
 
 def solve_cb_components(g: Graph, host: int | None = None) -> SolveResult:

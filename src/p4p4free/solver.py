@@ -52,6 +52,20 @@ pair alone; the first draw weighed at most the best then (or was skipped
 by a bound at most the best), and the best only grows, so a repeat
 cannot beat it strictly.  The set of drawn pairs lives for one call.
 
+``solve`` stops as soon as the best reaches an upper bound U on all of
+home, computed once before the first path: the floor of home's
+Nemhauser–Trotter LP value (``bipartite.lp_bound``, one max-flow on the
+bipartite double cover).  Every candidate is an independent set of
+g[home], so none weighs more than U, and only a strictly heavier one
+replaces the best: no candidate after the stop could change the answer,
+so the output is the one the full loop returns.  The stop also skips the
+path-free remainder, which is home minus every path and so is not known
+until the last path is drawn (minus the paths drawn so far it may still
+hold a path).  U is exact on a bipartite home (König–Egerváry), where
+the best often reaches it at the first path; on a non-bipartite home,
+such as a complete blow-up of C5 or C7, it can stay above the optimum
+and every path is visited.  A solve without paths computes no bound.
+
 ``solve_with_cover`` runs the same computation with leaf instrumentation:
 every base case reached anywhere in the branching becomes a member mask,
 the vertices the branch forced plus its final host, whose nontrivial
@@ -78,7 +92,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .bipartite import cb_weight_mask, heavier_side
+from .bipartite import cb_weight_mask, heavier_side, lp_bound
 from .constrained import _solve_containing
 from .errors import InputError
 from .graph import Graph, SolveResult, bits, certified_result, mask_of
@@ -254,34 +268,43 @@ def _run(g: Graph, cover: bool, jobs: int):
         return _solve_all(g, paths, home, rest_mask, cover, memo)
 
 
+def _candidates(g: Graph, paths, home: int, members, memo: dict):
+    """Every candidate of g[home] in evaluation order, as ``_per_path``
+    triples: each path's, then the path-free remainder of home, which is
+    only known once every path has been drawn."""
+    on_some_path = 0
+    for p in paths:
+        on_some_path |= p.mask
+        yield from _per_path(g, p, home, members, memo)
+    white_host = home & ~on_some_path
+    if members is not None:
+        members.append(white_host)
+    yield 0, (), lambda: cb_weight_mask(g, white_host)
+
+
 def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool, memo: dict):
     members: list[int] | None = [] if cover else None
     best = None  # the earliest heaviest (weight, mask) so far
     drawn: set[int] = set()  # the forced-pair masks this solve has drawn
-    on_some_path = 0
-    for p in paths:
-        on_some_path |= p.mask
-        for pair, bounds, make in _per_path(g, p, home, members, memo):
-            # only a strictly heavier candidate replaces best, so one that
-            # cannot beat it is skipped, and so is a pair drawn before (see
-            # the module docstring); the cover visits every leaf
-            if not cover:
-                if pair:
-                    if pair in drawn:
-                        continue
-                    drawn.add(pair)
-                if best is not None and any(bound() <= best[0] for bound in bounds):
+    # no candidate outweighs home's LP bound, so once the best reaches it
+    # the rest cannot beat it strictly (see the module docstring)
+    top = lp_bound(g, home) if paths and not cover else None
+    for pair, bounds, make in _candidates(g, paths, home, members, memo):
+        # only a strictly heavier candidate replaces best, so one that
+        # cannot beat it is skipped, and so is a pair drawn before (see
+        # the module docstring); the cover visits every leaf
+        if not cover:
+            if pair:
+                if pair in drawn:
                     continue
-            cand = make()
-            if best is None or cand[0] > best[0]:
-                best = cand
-
-    white_host = home & ~on_some_path
-    if cover:
-        members.append(white_host)
-    cand = cb_weight_mask(g, white_host)
-    if best is None or cand[0] > best[0]:
-        best = cand
+                drawn.add(pair)
+            if best is not None and any(bound() <= best[0] for bound in bounds):
+                continue
+        cand = make()
+        if best is None or cand[0] > best[0]:
+            best = cand
+            if best[0] == top:
+                break
 
     result = certified_result(g, best[1] | rest_mask)
     if not cover:
@@ -299,6 +322,9 @@ def solve(g: Graph, jobs: int = 1) -> SolveResult:
     candidate whose upper bound cannot beat the best so far is skipped.
     So is a forced vertex pair drawn before by any path: its weight depends
     on the pair alone and its first draw could not beat the best since.
+    The loop stops once the best reaches the floor of the component's LP
+    relaxation value, which no candidate exceeds, so a later candidate
+    could not replace it; the path-free remainder is then skipped too.
     The rest of the graph is then added by side selection of each of its
     complete bipartite components.  The returned set is deterministic.
     ``jobs`` must be an int of at least 1 and has no effect: the loop is

@@ -43,6 +43,15 @@ def crown_graph(k: int, weights=None) -> Graph:
     return Graph.from_edges(2 * k, edges, weights)
 
 
+def crown_optimum(g: Graph, k: int) -> int:
+    """Closed-form optimum of ``crown_graph(k, ...)``: an independent set
+    meeting both sides holds a_i and b_i only, so the optimum is the
+    heavier side or the heaviest matched pair."""
+    w = g.weights
+    pair = max(w[i] + w[k + i] for i in range(k))
+    return max(sum(w[:k]), sum(w[k:]), pair)
+
+
 def blowup_graph(k: int, s: int, seed: int) -> Graph:
     """Complete blow-up of the cycle C_k: class i is the independent set
     i*s .. i*s+s-1, consecutive classes are joined completely, and the

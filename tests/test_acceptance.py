@@ -16,6 +16,8 @@ from conftest import (
     acceptance_report,
     blowup_graph,
     blowup_optimum,
+    crown_graph,
+    crown_optimum,
     is_independent,
     random_graph,
     scan_member,
@@ -213,10 +215,19 @@ def test_criterion_7_scaling():
     blowup = time.perf_counter() - start
     assert blowup < 60.0
     assert got.weight == blowup_optimum(g, 7)
+    # a crown, k = 30: 60 vertices and 24,360 induced P4s
+    rng = XorShift64Star(3030)
+    g = crown_graph(30, [rng.below(101) for _ in range(60)])
+    start = time.perf_counter()
+    got = solve(g)
+    crown = time.perf_counter() - start
+    assert crown < 60.0
+    assert got.weight == crown_optimum(g, 30)
     return (
         "n 30/45/60 in "
         + "/".join(f"{t:.3f}s" for t in times)
         + f", hard n 40 in {hard:.3f}s, C7 blow-up with classes of 5 in {blowup:.3f}s"
+        + f", crown k 30 in {crown:.3f}s"
     )
 
 

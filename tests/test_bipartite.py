@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import pytest
-from conftest import complete_bipartite, complete_graph, path_graph
+from conftest import (
+    blowup_graph,
+    blowup_optimum,
+    complete_bipartite,
+    complete_graph,
+    crown_graph,
+    crown_optimum,
+    path_graph,
+    two_colorable,
+)
 
 from p4p4free.errors import ClassViolation, StructureViolation
 from p4p4free.graph import Graph, mask_of
-from p4p4free.bipartite import solve_cb_components
-from p4p4free.testkit import XorShift64Star, wis_by_enumeration
+from p4p4free.bipartite import lp_bound, solve_cb_components
+from p4p4free.testkit import XorShift64Star, gen_instance, oracle_wis, wis_by_enumeration
 
 
 def test_single_edge_picks_heavier_endpoint():
@@ -102,3 +111,63 @@ def test_triangle_component_raises_class_violation():
 def test_deterministic_across_runs():
     g = complete_bipartite(3, 3, [2, 2, 2, 3, 3, 0])
     assert solve_cb_components(g) == solve_cb_components(g)
+
+
+class TestLpBound:
+    """``lp_bound`` is the floor of the Nemhauser–Trotter LP value: the
+    optimum on a bipartite host, at least the optimum on any host."""
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_equals_the_optimum_on_crowns(self, k):
+        rng = XorShift64Star(2_000 + k)
+        g = crown_graph(k, [rng.below(101) for _ in range(2 * k)])
+        assert lp_bound(g, g.full_mask) == oracle_wis(g).weight == crown_optimum(g, k)
+
+    def test_equals_the_optimum_on_rejection_members(self):
+        for i in range(30):
+            g = gen_instance("rejection", 6 + i % 13, 0.3 + 0.05 * (i % 9), 3_000 + i)
+            assert two_colorable(g, g.full_mask)
+            assert lp_bound(g, g.full_mask) == oracle_wis(g).weight, i
+
+    def test_bounds_the_optimum_on_clustered_members(self):
+        for i in range(40):
+            g = gen_instance("clustered", 8 + i % 11, 0.3 + 0.05 * (i % 9), 4_000 + i)
+            assert lp_bound(g, g.full_mask) >= oracle_wis(g).weight, i
+
+    def test_bounds_the_optimum_on_blowups_and_is_loose_on_some(self):
+        loose = 0
+        for k, s in [(5, 2), (5, 3), (5, 4), (5, 6), (7, 2), (7, 3), (7, 4)]:
+            g = blowup_graph(k, s, seed=100 * k + s)
+            optimum = blowup_optimum(g, k)
+            bound = lp_bound(g, g.full_mask)
+            assert bound >= optimum
+            loose += bound > optimum
+        assert loose >= 1
+
+    def test_empty_host_is_zero(self):
+        g = path_graph(5, [3, 1, 4, 1, 5])
+        assert lp_bound(g, 0) == 0
+        assert lp_bound(Graph.from_edges(0, []), 0) == 0
+
+    def test_reads_only_the_host(self):
+        # on the whole path 0-1-2-3-4 the optimum is {0, 2, 4} = 12; on
+        # {1, 2, 3} alone it is {1, 3} = 18
+        g = path_graph(5, [3, 9, 4, 9, 5])
+        assert lp_bound(g, g.full_mask) == 18
+        assert lp_bound(g, mask_of([1, 2, 3])) == 18
+        assert lp_bound(g, mask_of([0, 2, 4])) == 12
+        assert lp_bound(g, mask_of([2, 3, 4])) == 9
+        rng = XorShift64Star(77)
+        g = crown_graph(8, [rng.below(101) for _ in range(16)])
+        for _ in range(20):
+            host = rng.below(1 << g.n)
+            assert lp_bound(g, host) == oracle_wis(g, host).weight
+
+    def test_long_path_without_recursion(self):
+        rng = XorShift64Star(2_000)
+        weights = [rng.below(101) for _ in range(2_000)]
+        g = path_graph(2_000, weights)
+        take = skip = 0  # best sets of the prefix with / without its last vertex
+        for w in weights:
+            take, skip = skip + w, max(take, skip)
+        assert lp_bound(g, g.full_mask) == max(take, skip)

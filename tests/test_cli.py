@@ -251,6 +251,13 @@ class TestRun:
         g = parse_graph(capsys.readouterr().out)
         assert g.n == 10
 
+    def test_gen_rejection_without_a_member_exits_3(self, capsys):
+        argv = ["gen", "--n", "30", "--density", "0.5", "--seed", "7", "--model", "rejection"]
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: rejection model found no member in 1000 attempts" in captured.err
+
     def test_cover_reports_family(self, wis_file, capsys):
         path = wis_file("p wis 4 3\nv 1 1\nv 2 1\nv 3 1\nv 4 1\ne 1 2\ne 2 3\ne 3 4\n")
         assert run(["cover", path, "--format", "json"]) == 0

@@ -25,6 +25,7 @@ from p4p4free import bipartite, constrained, graph, recognition, solver, split_s
 from p4p4free.errors import ClassViolation, InputError, StructureViolation
 from p4p4free.graph import (
     Graph,
+    bits,
     certified_result,
     components_with_certificates,
     mask_of,
@@ -593,6 +594,9 @@ class TestForcedPairOnce:
         self, monkeypatch, name, fault_at
     ):
         g = PAIR_GRAPHS[name]()
+        # both solves reach home's LP bound, and stop, before their third
+        # distinct pair; a bound no candidate reaches keeps every pair drawn
+        monkeypatch.setattr(solver, "lp_bound", lambda g, host: g.weight_of(host) + 1)
         drawn = _count_forced_pairs(monkeypatch, fault_at)
         with pytest.raises(StructureViolation) as info:
             solve(g)
@@ -616,7 +620,117 @@ class TestDenseBlowups:
         assert got.weight == blowup_optimum(g, k) == oracle_wis(g).weight
         assert is_independent(g, mask_of(got.chosen))
 
-    @pytest.mark.parametrize("k, s", [(5, 2), (5, 3), (5, 4), (7, 2), (7, 3)])
+    # C7 with classes of 4 is left out: its cover alone takes about 5 s
+    @pytest.mark.parametrize("k, s", [(5, s) for s in range(2, 7)] + [(7, 2), (7, 3)])
     def test_cover_agrees_with_solve(self, k, s):
         g = blowup_graph(k, s, seed=100 * k + s)
         assert solve_with_cover(g)[0] == solve(g)
+
+
+class _StopTrace:
+    """What one ``solve`` evaluates, recorded in order: each candidate's
+    weight (a forced pair's through ``_solve_containing``, a region's or
+    the remainder's through ``cb_weight_mask``), the hosts handed to
+    ``cb_weight_mask``, the number of paths whose candidates were drawn,
+    and home's LP bound; ``unreachable`` replaces that bound by one no
+    candidate reaches, which turns the stop off."""
+
+    def __init__(self, monkeypatch, unreachable: bool = False):
+        self.weights: list[int] = []
+        self.hosts: list[int] = []
+        self.paths = 0
+        self.bound = None
+        containing, cb_weight_mask = solver._solve_containing, solver.cb_weight_mask
+        per_path, lp_bound = solver._per_path, solver.lp_bound
+
+        def counting_containing(g, part, leaves, memo):
+            w, m = containing(g, part, leaves, memo)
+            self.weights.append(w + g.weights[part.p.a] + g.weights[part.p.c])
+            return w, m
+
+        def counting_cb(g, host):
+            self.hosts.append(host)
+            w, m = cb_weight_mask(g, host)
+            self.weights.append(w)
+            return w, m
+
+        def counting_paths(*args):
+            self.paths += 1
+            return per_path(*args)
+
+        def recording_bound(g, host):
+            self.bound = lp_bound(g, host) + (g.weight_of(host) + 1 if unreachable else 0)
+            return self.bound
+
+        monkeypatch.setattr(solver, "_solve_containing", counting_containing)
+        monkeypatch.setattr(solver, "cb_weight_mask", counting_cb)
+        monkeypatch.setattr(solver, "_per_path", counting_paths)
+        monkeypatch.setattr(solver, "lp_bound", recording_bound)
+
+
+def _on_paths(g: Graph) -> int:
+    return mask_of(v for p in enumerate_induced_p4(g) for v in p.vertices)
+
+
+# bipartite members, so home's LP bound is the optimum; the crown's stop
+# fires at path 393 of 504, the rejection member's at its first of 174
+STOP_GRAPHS = {
+    "crown_9_heavy": lambda: _crown(9, heavy=True),
+    "rejection_14": lambda: gen_instance("rejection", 14, 0.6, 2),
+}
+
+
+class TestStopAtTheLpBound:
+    @pytest.mark.parametrize("name", sorted(STOP_GRAPHS))
+    def test_nothing_is_evaluated_after_the_bound_is_reached(self, monkeypatch, name):
+        g = STOP_GRAPHS[name]()
+        paths = enumerate_induced_p4(g)
+        on_paths = _on_paths(g)
+        trace = _StopTrace(monkeypatch)
+        got = solve(g)
+        assert trace.bound == got.weight == oracle_wis(g).weight
+        # the candidate that reaches the bound is the last one evaluated
+        assert trace.weights[-1] == trace.bound
+        assert all(w < trace.bound for w in trace.weights[:-1])
+        assert trace.paths < len(paths)
+        # every region holds its path's endpoints; the remainder holds no
+        # vertex of any path, and is never evaluated
+        assert all(host & on_paths for host in trace.hosts)
+        monkeypatch.undo()
+        full = _StopTrace(monkeypatch, unreachable=True)
+        assert solve(g) == got
+        assert full.paths == len(paths)
+        assert len(full.weights) > len(trace.weights)
+        assert not full.hosts[-1] & on_paths
+
+    @pytest.mark.parametrize("args", [(14, 0.6, 2), (16, 0.7, 5), (18, 0.8, 9)])
+    def test_a_stop_before_the_last_path_skips_the_remainder(self, monkeypatch, args):
+        g = gen_instance("rejection", *args)
+        paths = enumerate_induced_p4(g)
+        home = mask_of(
+            v
+            for comp in components_with_certificates(g, g.full_mask)
+            if comp.sides is None
+            for v in bits(comp.members)
+        )
+        trace = _StopTrace(monkeypatch)
+        got = solve(g)
+        assert got.weight == oracle_wis(g).weight
+        assert is_independent(g, mask_of(got.chosen))
+        assert trace.paths < len(paths)
+        # home minus the paths drawn before the stop still holds a path, so
+        # a remainder built from them is not a valid leaf
+        drawn = mask_of(v for p in paths[: trace.paths] for v in p.vertices)
+        assert enumerate_induced_p4(g, home & ~drawn)
+
+    def test_a_loose_bound_visits_every_path(self, monkeypatch):
+        g = blowup_graph(5, 3, seed=504)
+        paths = enumerate_induced_p4(g)
+        trace = _StopTrace(monkeypatch)
+        got = solve(g)
+        assert got.weight == blowup_optimum(g, 5) == oracle_wis(g).weight
+        assert trace.bound > got.weight
+        assert trace.paths == len(paths)
+        # every vertex lies on a path, so the remainder is empty, and it is
+        # still evaluated last
+        assert trace.hosts[-1] == 0 == g.full_mask & ~_on_paths(g)

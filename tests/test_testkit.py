@@ -202,6 +202,14 @@ class TestGenerators:
                 g = gen_instance(model, 4 + seed % 13, 0.5, seed)
                 assert is_class_member(g).is_member
 
+    def test_rejection_without_a_member_raises(self):
+        # 1000 draws, none a member: an error, not a graph of another model
+        with pytest.raises(InputError) as info:
+            gen_instance("rejection", 30, 0.5, 7)
+        message = str(info.value)
+        for part in ("rejection", "1000 attempts", "n=30", "density=0.5"):
+            assert part in message
+
     def test_weights_in_range(self):
         g = gen_instance("clustered", 25, 0.5, 3)
         assert all(0 <= w <= 100 for w in g.weights)
