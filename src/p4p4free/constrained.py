@@ -86,9 +86,9 @@ def _solve_second_phase(
             g, s_mask, active, anti, host2, depth2, leaves, memo
         )
 
-    members = _certified_members(g, anti & host)
+    members = _certified_members(g, anti & host, memo)
     if any(_bipartial_blocks(g, v, members) for v in bits(active & host)):
-        return branch_via_bipartial(g, host, active, anti, redispatch, depth)
+        return branch_via_bipartial(g, host, active, anti, redispatch, depth, memo)
     region = (active | anti) & host
     found = find_induced_p4(g, region)
     if found is None:
@@ -113,7 +113,7 @@ def _pair_branch(g: Graph, part, sb: int, sd: int, leaves, memo: dict):
             )
             return cand if cand[0] > best[0] else best
         t_mask = part.anti & host
-        t_comps = [m.members for m in _certified_members(g, t_mask)]
+        t_comps = [m.members for m in _certified_members(g, t_mask, memo)]
         v = _select_branch_vertex(g, list(bits(live_b | live_d)), t_comps, t_mask)
         if live_b >> v & 1:
             active, passive = part.s_d, part.s_b

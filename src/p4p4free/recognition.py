@@ -322,18 +322,20 @@ class NeighborhoodPartition:
     s_bd: int
     anti: int
 
-
-_TRACE_TO_CLASS = {
-    0b0001: "s_a",
-    0b0010: "s_b",
-    0b0100: "s_c",
-    0b1000: "s_d",
-    0b0101: "s_ac",
-    0b1001: "s_ad",
-    0b1010: "s_bd",
-}
-
-_PATH_EDGES = ((0, 1), (1, 2), (2, 3))
+    def reverse(self) -> "NeighborhoodPartition":
+        """The partition of the reversed path in the same host: the trace
+        classes are relabelled (a↔d, b↔c), no vertex is rescanned."""
+        return NeighborhoodPartition(
+            p=self.p.reverse(),
+            s_a=self.s_d,
+            s_b=self.s_c,
+            s_c=self.s_b,
+            s_d=self.s_a,
+            s_ac=self.s_bd,
+            s_ad=self.s_ad,
+            s_bd=self.s_ac,
+            anti=self.anti,
+        )
 
 
 def neighborhood_partition(
@@ -358,29 +360,28 @@ def neighborhood_partition(
     if p.mask & host != p.mask:
         raise InputError("path vertices must lie inside the host")
     pv = p.vertices
-    path_adj = tuple(g.adj[v] for v in pv)
-    nbrs = (path_adj[0] | path_adj[1] | path_adj[2] | path_adj[3]) & host & ~p.mask
-    classes = {name: 0 for name in _TRACE_TO_CLASS.values()}
-    for v in bits(nbrs):
-        bit = 1 << v
-        trace = (
-            (1 if path_adj[0] & bit else 0)
-            | (2 if path_adj[1] & bit else 0)
-            | (4 if path_adj[2] & bit else 0)
-            | (8 if path_adj[3] & bit else 0)
+    live = host & ~p.mask
+    sides = na, nb, nc, nd = [g.adj[v] & live for v in pv]
+    clash = na & nb | nb & nc | nc & nd
+    if clash:
+        # the least such vertex, with its first consecutive pair
+        v = (clash & -clash).bit_length() - 1
+        i = next(i for i in range(3) if (sides[i] & sides[i + 1]) >> v & 1)
+        raise ClassViolation(
+            f"vertex {v} is adjacent to consecutive path vertices "
+            f"{pv[i]} and {pv[i + 1]}",
+            ("triangle", tuple(sorted((v, pv[i], pv[i + 1])))),
         )
-        name = _TRACE_TO_CLASS.get(trace)
-        if name is None:
-            # every other trace holds two consecutive path vertices
-            i, j = next(e for e in _PATH_EDGES if trace >> e[0] & trace >> e[1] & 1)
-            raise ClassViolation(
-                f"vertex {v} is adjacent to consecutive path vertices "
-                f"{pv[i]} and {pv[j]}",
-                ("triangle", tuple(sorted((v, pv[i], pv[j])))),
-            )
-        classes[name] |= bit
+    # no vertex meets two consecutive path vertices, so each of the seven
+    # traces is fixed by the path vertices it can still share
     return NeighborhoodPartition(
         p=p,
-        anti=host & ~p.mask & ~nbrs,
-        **classes,
+        s_a=na & ~(nc | nd),
+        s_b=nb & ~nd,
+        s_c=nc & ~na,
+        s_d=nd & ~(na | nb),
+        s_ac=na & nc,
+        s_ad=na & nd,
+        s_bd=nb & nd,
+        anti=live & ~(na | nb | nc | nd),
     )

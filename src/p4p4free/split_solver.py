@@ -27,14 +27,20 @@ under different parts and depths.  What the dispatcher derives from the
 host alone, its side-selection fold (the summed heavier sides of the
 certified components and the member masks of the uncertified ones),
 depends on the graph and the host only, so it is memoised in a plain
-dict keyed by host.  The public solvers create that dict after their
-membership verdict and drop it when they return; nothing outlives the
-call, so a later graph never sees an earlier one's entries.  The values
-are tuples of ints, not ``Component`` objects: a memo of those held
-361 MB at the peak of ``solve`` on ``gen_instance("rejection", 60, 0.9,
-7)``, the int fold 37 MB.  The checks that depend on the call (the depth
-budget, the host against the parts, the uncertified-component count and
-the leaf record) run on every call, hit or miss.
+dict keyed by host.  The block parts that ``_certified_members``
+decomposes repeat even more (the cover of a complete blow-up of C7 with
+classes of 4 makes 26,880 calls on one mask), so their ``Component``
+tuples are kept in the same dict under ``~t``, a negative int that no
+host meets.  The public solvers create that dict after their membership
+verdict and drop it when they return; nothing outlives the call, so a
+later graph never sees an earlier one's entries.  Folds are kept as
+ints, not as ``Component`` objects: a memo of components for every host
+once held 361 MB at the peak of ``solve`` on ``gen_instance("rejection",
+60, 0.9, 7)``, the int fold 37 MB.  Block parts are far fewer than
+hosts: that solve now peaks near 29 MB with their components kept or
+not.  The checks that depend on the call (the depth budget, the host
+against the parts, the uncertified-component count, the block part's
+certificate and the leaf record) run on every call, hit or miss.
 """
 
 from __future__ import annotations
@@ -65,10 +71,14 @@ def _bipartial_blocks(g: Graph, v: int, members) -> list[Component]:
     ]
 
 
-def _certified_members(g: Graph, t_live: int):
+def _certified_members(g: Graph, t_live: int, memo: dict):
     """Components of a block part, each certified complete bipartite; a
-    component without a certificate is an internal fault."""
-    members = components_with_certificates(g, t_live)
+    component without a certificate is an internal fault, on a memo hit
+    as on a miss."""
+    # ~t_live < 0, so this key cannot meet a fold's host (at least 0)
+    members = memo.get(~t_live)
+    if members is None:
+        members = memo[~t_live] = components_with_certificates(g, t_live)
     for m in members:
         if m.sides is None:
             raise StructureViolation(
@@ -85,7 +95,7 @@ def _keep_or_drop(redispatch, keep_host: int, drop_host: int, depth: int):
     return keep if keep[0] >= drop[0] else drop
 
 
-def branch_via_bipartial(g, host, active, t_mask, redispatch, depth):
+def branch_via_bipartial(g, host, active, t_mask, redispatch, depth, memo):
     """Branch around a vertex of ``active`` that is bi-partial to a block.
 
     Precondition: some vertex of ``active & host`` is bi-partial to a
@@ -95,10 +105,11 @@ def branch_via_bipartial(g, host, active, t_mask, redispatch, depth):
     region; otherwise it finds a sink of the branching order first.  Every
     residual is handed back to ``redispatch`` for re-examination, so this
     routine is agnostic to what the caller does at its base cases.
+    ``memo`` is the public call's memo (see the module docstring).
     """
     t_live = t_mask & host
     act = active & host
-    members = _certified_members(g, t_live)
+    members = _certified_members(g, t_live, memo)
     bp_of: dict[int, list[Component]] = {}
     for s in bits(act):
         found = _bipartial_blocks(g, s, members)
@@ -168,7 +179,7 @@ def branch_via_bipartial(g, host, active, t_mask, redispatch, depth):
 def _solve_bad_comp(g, s_mask, t_mask, comp, depth, ambient, leaves, memo):
     s_live = s_mask & comp
     t_live = t_mask & comp
-    members = _certified_members(g, t_live)
+    members = _certified_members(g, t_live, memo)
 
     def redispatch(host2, depth2):
         return _solve_raw(g, s_mask, t_mask, host2, depth2, ambient, leaves, memo)
@@ -194,7 +205,7 @@ def _solve_bad_comp(g, s_mask, t_mask, comp, depth, ambient, leaves, memo):
         contacted_count[s] = cnt
 
     if has_bipartial:
-        return branch_via_bipartial(g, comp, s_live, t_live, redispatch, depth)
+        return branch_via_bipartial(g, comp, s_live, t_live, redispatch, depth, memo)
 
     multi = [s for s, cnt in contacted_count.items() if cnt >= 2]
     if multi:

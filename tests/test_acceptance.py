@@ -215,6 +215,12 @@ def test_criterion_7_scaling():
     blowup = time.perf_counter() - start
     assert blowup < 60.0
     assert got.weight == blowup_optimum(g, 7)
+    # its cover family: every draw of every path, 1,926 members
+    start = time.perf_counter()
+    covered, _ = solve_with_cover(g)
+    blowup_cover = time.perf_counter() - start
+    assert blowup_cover < 60.0
+    assert covered == got
     # a crown, k = 30: 60 vertices and 24,360 induced P4s
     rng = XorShift64Star(3030)
     g = crown_graph(30, [rng.below(101) for _ in range(60)])
@@ -227,6 +233,7 @@ def test_criterion_7_scaling():
         "n 30/45/60 in "
         + "/".join(f"{t:.3f}s" for t in times)
         + f", hard n 40 in {hard:.3f}s, C7 blow-up with classes of 5 in {blowup:.3f}s"
+        + f" (cover {blowup_cover:.3f}s)"
         + f", crown k 30 in {crown:.3f}s"
     )
 

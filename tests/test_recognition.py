@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 from conftest import (
+    blowup_graph,
     complete_graph,
+    crown_graph,
     cycle_graph,
     fuzz_graph,
     is_independent,
@@ -19,7 +21,13 @@ from conftest import (
 )
 
 from p4p4free.errors import ClassViolation, InputError
-from p4p4free.graph import Graph, bits, mask_of, neighborhood
+from p4p4free.graph import (
+    Graph,
+    bits,
+    components_with_certificates,
+    mask_of,
+    neighborhood,
+)
 from p4p4free.recognition import (
     InducedP4,
     enumerate_induced_p4,
@@ -329,6 +337,29 @@ class TestNeighborhoodPartition:
                 assert is_independent(g, part.s_d | part.s_bd)
                 assert is_independent(g, part.s_b)
                 assert is_independent(g, part.s_c)
+
+    @pytest.mark.parametrize(
+        "g",
+        [gen_instance("clustered", 14, 0.6, 800_000 + seed) for seed in range(4)]
+        + [gen_instance("rejection", 12, 0.6, seed) for seed in (2, 6)]
+        + [blowup_graph(7, 2, seed=702), crown_graph(5)],
+    )
+    def test_reverse_equals_the_reversed_paths_partition(self, g):
+        # in the whole graph and in home, the union of its uncertified
+        # components, where the solver partitions
+        home = mask_of(
+            v
+            for comp in components_with_certificates(g, g.full_mask)
+            if comp.sides is None
+            for v in bits(comp.members)
+        )
+        paths = enumerate_induced_p4(g)
+        assert paths
+        for host in (g.full_mask, home):
+            for p in paths:
+                part = neighborhood_partition(g, p, host)
+                assert part.reverse() == neighborhood_partition(g, p.reverse(), host)
+                assert part.reverse().reverse() == part
 
     def test_host_restriction(self):
         g = path_graph(5)

@@ -554,12 +554,31 @@ def _count_forced_pairs(monkeypatch, fault_at: int | None = None) -> list[int]:
     return drawn
 
 
+def _partition_key(part) -> tuple[int, int, int, int]:
+    """The classes of a partition that ``_solve_containing`` reads."""
+    return part.s_b, part.s_d, part.s_bd, part.anti
+
+
+def _record_draws(monkeypatch) -> list:
+    """Record the partition of every ``_forced_pair`` draw."""
+    parts: list = []
+    real = solver._forced_pair
+
+    def recording(g, part, members, memo):
+        parts.append(part)
+        return real(g, part, members, memo)
+
+    monkeypatch.setattr(solver, "_forced_pair", recording)
+    return parts
+
+
 class TestForcedPairOnce:
-    # the cover draws every pair of every path, plus the widening solves:
-    # its _solve_containing calls, member count and member digest
+    # the cover draws every pair of every path, plus the widening solves,
+    # and solves each distinct partition once: its _forced_pair draws,
+    # _solve_containing calls, member count and member digest
     COVER = {
-        "c7_classes_of_3": (1134, 281, "94ef10fda2182790"),
-        "rejection_14": (677, 464, "f64c7f0cd8cfd452"),
+        "c7_classes_of_3": (1134, 126, 281, "94ef10fda2182790"),
+        "rejection_14": (677, 441, 464, "f64c7f0cd8cfd452"),
     }
 
     @pytest.mark.parametrize("name", sorted(PAIR_GRAPHS))
@@ -578,15 +597,53 @@ class TestForcedPairOnce:
     @pytest.mark.parametrize("name", sorted(PAIR_GRAPHS))
     def test_cover_evaluates_every_draw(self, monkeypatch, name):
         g = PAIR_GRAPHS[name]()
-        drawn = _count_forced_pairs(monkeypatch)
+        parts = _record_draws(monkeypatch)
+        solved = _count_forced_pairs(monkeypatch)
         result, family = solve_with_cover(g)
-        calls, size, digest = self.COVER[name]
+        calls, distinct, size, digest = self.COVER[name]
+        drawn = [1 << part.p.a | 1 << part.p.c for part in parts]
         assert len(drawn) == calls
         assert len(drawn) >= 2 * len(enumerate_induced_p4(g)) > len(set(drawn))
+        # one constrained solve per distinct partition
+        assert len(solved) == len({_partition_key(part) for part in parts}) == distinct
         assert len(family.members) == size
         assert hashlib.sha256(repr(family.members).encode()).hexdigest()[:16] == digest
         monkeypatch.undo()
         assert result == solve(g)
+
+    def test_a_hit_under_another_pair_carries_that_pair(self, monkeypatch):
+        # two forced pairs of this member, {0, 5} and {6, 9}, leave the same
+        # four classes to the constrained solve
+        g = gen_instance("rejection", 10, 0.6, 6)
+        forced_pair = solver._forced_pair
+        draws = []
+
+        def recording(g, part, members, memo):
+            hit = _partition_key(part) in memo
+            start = len(members)
+            got = forced_pair(g, part, members, memo)
+            draws.append((part, hit, members[start:], got))
+            return got
+
+        monkeypatch.setattr(solver, "_forced_pair", recording)
+        solve_with_cover(g)
+        first_pair: dict[tuple, int] = {}
+        other_pairs = 0
+        for part, hit, added, got in draws:
+            pair = 1 << part.p.a | 1 << part.p.c
+            key = _partition_key(part)
+            assert hit == (key in first_pair)
+            first_pair.setdefault(key, pair)
+            if not hit:
+                continue
+            # a hit returns, and appends, what a fresh solve of this
+            # partition would: every member carries this draw's pair
+            fresh: list[int] = []
+            assert forced_pair(g, part, fresh, {}) == got
+            assert added == fresh
+            assert all(m & pair == pair for m in added)
+            other_pairs += first_pair[key] != pair
+        assert other_pairs >= 1
 
     @pytest.mark.parametrize("fault_at", [1, 3])
     @pytest.mark.parametrize("name", sorted(PAIR_GRAPHS))
@@ -620,8 +677,7 @@ class TestDenseBlowups:
         assert got.weight == blowup_optimum(g, k) == oracle_wis(g).weight
         assert is_independent(g, mask_of(got.chosen))
 
-    # C7 with classes of 4 is left out: its cover alone takes about 5 s
-    @pytest.mark.parametrize("k, s", [(5, s) for s in range(2, 7)] + [(7, 2), (7, 3)])
+    @pytest.mark.parametrize("k, s", BLOWUPS)
     def test_cover_agrees_with_solve(self, k, s):
         g = blowup_graph(k, s, seed=100 * k + s)
         assert solve_with_cover(g)[0] == solve(g)

@@ -208,8 +208,9 @@ class TestLeafRecording:
 
 
 class TestSideFoldMemo:
-    """The memo of side-selection folds lives for one public call, and the
-    dispatcher's per-call checks run on a hit as on a miss."""
+    """The memo of side-selection folds and block-part decompositions
+    lives for one public call, and the per-call checks run on a hit as on
+    a miss."""
 
     @staticmethod
     def hit(monkeypatch, memo, host):
@@ -269,6 +270,33 @@ class TestSideFoldMemo:
                 mask_of([2, 3]),
             )
             assert leaves == [ambient | host]
+
+    def test_uncertified_block_part_raises_on_a_hit(self, monkeypatch):
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])  # a P4 and a singleton
+        memo: dict = {}
+        witnesses = []
+        for call in range(2):
+            if call:
+                self.hit(monkeypatch, memo, ~g.full_mask)
+            with pytest.raises(StructureViolation) as exc:
+                split_solver._certified_members(g, g.full_mask, memo)
+            witnesses.append(exc.value.witness)
+        assert witnesses[0] == witnesses[1] == ("incomplete_block", 0b1111)
+
+    def test_block_part_and_fold_share_a_memo(self, monkeypatch):
+        # one mask as a block part and as a host: the two entries must not
+        # meet, and neither is computed twice
+        g = complete_bipartite(2, 3)
+        full = g.full_mask
+        want = components_with_certificates(g, full)
+        memo: dict = {}
+        raw = split_solver._solve_raw
+        for call in range(2):
+            if call:
+                self.hit(monkeypatch, memo, full)
+                self.hit(monkeypatch, memo, ~full)
+            assert split_solver._certified_members(g, full, memo) == want
+            assert raw(g, 0, full, full, 0, 0, None, memo) == (3, 0b11100)
 
     def test_no_entry_outlives_its_call(self):
         # two graphs on one adjacency with different weights, solved back

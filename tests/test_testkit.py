@@ -11,7 +11,8 @@ from conftest import (
     random_graph,
 )
 
-from p4p4free.errors import GuardError, InputError
+from p4p4free import testkit
+from p4p4free.errors import GuardError, InputError, StructureViolation
 from p4p4free.graph import Graph, bits, mask_of
 from p4p4free.recognition import enumerate_induced_p4, is_class_member
 from p4p4free.testkit import (
@@ -209,6 +210,36 @@ class TestGenerators:
         message = str(info.value)
         for part in ("rejection", "1000 attempts", "n=30", "density=0.5"):
             assert part in message
+
+    def test_clustered_drops_refused_attachments(self, monkeypatch):
+        # at n = 60 the unchecked attachments of seed 9 leave two separated
+        # paths, so the graph keeps the planted edges alone
+        g = gen_instance("clustered", 60, 0.5, 9)
+        assert is_class_member(g).is_member
+        checked = []
+
+        def recording(h):
+            checked.append(h)
+            return is_class_member(h)
+
+        monkeypatch.setattr(testkit, "is_class_member", recording)
+        assert gen_instance("clustered", 60, 0.5, 9) == g
+        full, planted = checked
+        assert not is_class_member(full).is_member
+        assert planted == g and set(planted.edges()) < set(full.edges())
+
+    @pytest.mark.parametrize("n", [14, 30])
+    def test_clustered_without_a_member_raises(self, monkeypatch, n):
+        # a recognizer that refuses everything refuses the final graph and
+        # the planted structure (below 21 vertices, every proposed edge too)
+        refused = is_class_member(complete_graph(3))
+        monkeypatch.setattr(testkit, "is_class_member", lambda g: refused)
+        with pytest.raises(StructureViolation) as info:
+            gen_instance("clustered", n, 0.5, 7)
+        message = str(info.value)
+        for part in ("clustered", f"n={n}", "density=0.5", "seed=7"):
+            assert part in message
+        assert info.value.witness == ("clustered_non_member", (n, 0.5, 7))
 
     def test_weights_in_range(self):
         g = gen_instance("clustered", 25, 0.5, 3)
