@@ -35,9 +35,10 @@ for chosen in maximal_sets:
 print("all", len(maximal_sets), "maximal independent sets are covered")
 
 # Why each member is bipartite: every component of its induced subgraph
-# carries a complete-bipartite certificate, its two sides.
-components = [components_with_certificates(g, member) for member in family.members]
-assert all(c.sides is not None for comps in components for c in comps)
-fewest = min(components, key=len)
+# carries a complete-bipartite certificate, its two sides, and none is
+# left uncertified.
+decompositions = [components_with_certificates(g, m) for m in family.members]
+assert not any(uncertified for _, uncertified in decompositions)
+fewest = min((certified for certified, _ in decompositions), key=len)
 print("the member with the fewest components, as their sides:",
-      [(tuple(bits(a)), tuple(bits(b))) for a, b in (c.sides for c in fewest)])
+      [(tuple(bits(a)), tuple(bits(b))) for a, b in fewest])

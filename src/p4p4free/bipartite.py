@@ -6,9 +6,11 @@ and for a complete bipartite component the heavier side wins, with ties
 going to the side containing the component's smallest vertex.  This is the
 leaf every branching route in the package eventually reduces to.
 
-``cb_weight_mask`` is the internal leaf and explains a component that
-fails its certificate; ``solve_cb_components`` decides membership of the
-whole graph first and refuses a non-member with a re-checked witness.
+``side_selection`` is that rule, written once: every layer that solves
+certified components calls it on their side pairs.  ``cb_weight_mask`` is
+the internal leaf and explains a component that fails its certificate;
+``solve_cb_components`` decides membership of the whole graph first and
+refuses a non-member with a re-checked witness.
 """
 
 from __future__ import annotations
@@ -24,18 +26,26 @@ from .graph import (
 )
 from .recognition import is_class_member, uncertified_p4, verified_member
 
-__all__ = ["solve_cb_components", "cb_weight_mask", "heavier_side", "lp_bound"]
+__all__ = ["solve_cb_components", "cb_weight_mask", "side_selection", "lp_bound"]
 
 
-def heavier_side(g: Graph, sides: tuple[int, int]) -> tuple[int, int]:
-    """(weight, side) of the heavier side of a component's certificate.
+def side_selection(g: Graph, certified) -> tuple[int, int]:
+    """(weight, mask) of the heavier side of each certified component.
 
-    Ties go to side_a, which holds the component's smallest vertex; a
-    trivial component's certificate (self, empty) yields the vertex itself.
+    ``certified`` holds side pairs as ``components_with_certificates``
+    returns them.  Ties go to side_a, which holds the component's smallest
+    vertex, so a trivial component ``(v, 0)`` yields v itself.
     """
-    side_a, side_b = sides
-    w_a, w_b = g.weight_of(side_a), g.weight_of(side_b)
-    return (w_b, side_b) if w_b > w_a else (w_a, side_a)
+    total = chosen = 0
+    for side_a, side_b in certified:
+        w_a, w_b = g.weight_of(side_a), g.weight_of(side_b)
+        if w_b > w_a:
+            total += w_b
+            chosen |= side_b
+        else:
+            total += w_a
+            chosen |= side_a
+    return total, chosen
 
 
 def cb_weight_mask(g: Graph, host: int) -> tuple[int, int]:
@@ -50,18 +60,14 @@ def cb_weight_mask(g: Graph, host: int) -> tuple[int, int]:
         StructureViolation: a component is triangle-free but still not
             complete bipartite (the witness carries an induced P4 of it).
     """
-    total = chosen = 0
-    for comp in components_with_certificates(g, host):
-        if comp.sides is None:
-            p4 = uncertified_p4(g, comp.members)
-            raise StructureViolation(
-                "component expected to be complete bipartite is not",
-                ("incomplete_component", comp.members, p4),
-            )
-        w, side = heavier_side(g, comp.sides)
-        total += w
-        chosen |= side
-    return total, chosen
+    certified, uncertified = components_with_certificates(g, host)
+    if uncertified:
+        comp = uncertified[0]
+        raise StructureViolation(
+            "component expected to be complete bipartite is not",
+            ("incomplete_component", comp, uncertified_p4(g, comp)),
+        )
+    return side_selection(g, certified)
 
 
 def lp_bound(g: Graph, host: int) -> int:

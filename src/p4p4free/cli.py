@@ -210,11 +210,8 @@ def _cmd_cover(args) -> int:
     g = _read_graph(args)
     res, fam = solve_with_cover(g, jobs=args.jobs)
     members = [sorted(_ids(bits(m))) for m in fam.members]
-    bipartite = sum(
-        1
-        for m in fam.members
-        if all(c.sides is not None for c in components_with_certificates(g, m))
-    )
+    # a member is bipartite when none of its components is uncertified
+    bipartite = sum(1 for m in fam.members if not components_with_certificates(g, m)[1])
     lines = _result_lines(res)
     lines.append(f"members {len(members)}")
     lines += ["member " + " ".join(map(str, m)) for m in members]

@@ -113,7 +113,7 @@ def _pair_branch(g: Graph, part, sb: int, sd: int, leaves, memo: dict):
             )
             return cand if cand[0] > best[0] else best
         t_mask = part.anti & host
-        t_comps = [m.members for m in _certified_members(g, t_mask, memo)]
+        t_comps = [a | b for a, b in _certified_members(g, t_mask, memo)]
         v = _select_branch_vertex(g, list(bits(live_b | live_d)), t_comps, t_mask)
         if live_b >> v & 1:
             active, passive = part.s_d, part.s_b
@@ -144,8 +144,8 @@ def _solve_containing(
 
     When ``leaves`` is a list, the base-case host masks of the branching
     are appended to it, also without a and c; ``solve_with_cover`` folds
-    them into its cover family.  ``memo`` is the public call's dict of
-    side-selection folds, shared by every branch (see ``split_solver``).
+    them into its cover family.  ``memo`` is the public call's memo,
+    shared by every branch (see the ``solver`` module docstring).
     """
     best = (-1, 0)
     # class-dropping branches: no b- and no d-class, d-class only, b-class

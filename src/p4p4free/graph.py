@@ -8,28 +8,26 @@ vertex order, which is what makes every tie-break in the package
 deterministic.
 
 ``components_with_certificates`` is the one decomposition primitive: it
-finds and certifies each component in a single breadth-first search.
+finds and certifies each component in a single breadth-first search, and
+hands a component on as plain ints: a complete bipartite one as its two
+sides, any other as its member mask.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator
 
-from .errors import ClassViolation, InputError, StructureViolation
+from .errors import InputError, StructureViolation
 
 __all__ = [
     "Graph",
-    "Component",
-    "ContactClass",
     "SolveResult",
     "bits",
     "mask_of",
     "neighborhood",
     "components_with_certificates",
-    "contact_class",
     "certified_result",
 ]
 
@@ -145,54 +143,31 @@ def neighborhood(g: Graph, u: int) -> int:
     return out & ~u
 
 
-class ContactClass(Enum):
-    """How a vertex meets a complete bipartite component: not at all,
-    partially into one side, or fully covering one side."""
+def components_with_certificates(
+    g: Graph, host: int
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """Decompose ``host`` and certify each component.
 
-    NONE = "none"
-    BI_PARTIAL = "bi_partial"
-    BI_UNIVERSAL = "bi_universal"
-
-
-@dataclass(frozen=True)
-class Component:
-    """One connected component of an induced subgraph.
-
-    Attributes:
-        members: bitmask of the component's vertices.
-        trivial: True when the component is a single vertex.
-        sides: complete-bipartite certificate (side_a, side_b) as masks,
-            ordered so side_a contains the smallest vertex; None when the
-            component is not complete bipartite.  Trivial components carry
-            (members, 0).
-    """
-
-    members: int
-    trivial: bool
-    sides: tuple[int, int] | None
-
-
-def components_with_certificates(g: Graph, host: int) -> tuple[Component, ...]:
-    """Decompose ``host`` and certify each nontrivial component.
+    Returns ``(certified, uncertified)``: the complete bipartite
+    components as side pairs ``(side_a, side_b)``, side_a holding the
+    smallest vertex, and the member masks of the others, each in
+    smallest-vertex order.  A trivial component is ``(v, 0)``.
 
     One breadth-first search per component, from its smallest vertex,
     puts even layers in side_a and odd layers in side_b.  While a layer is
     expanded, the union and the intersection of its vertices' neighbour
     sets are kept per side; the component is complete bipartite exactly
     when, for each side, both equal the other side (within the host every
-    neighbour of a component vertex lies in the component).  The sides
-    are attached as the certificate then, and None otherwise.  Trivial
-    components always certify as (self, empty).  Components come in
-    smallest-vertex order.
+    neighbour of a component vertex lies in the component).
     """
     g._check_host(host)
     adj = g.adj
-    parts = []
+    certified, uncertified = [], []
     rest = host
     while rest:
         start = rest & -rest
         if not adj[start.bit_length() - 1] & host:
-            parts.append(Component(start, True, (start, 0)))
+            certified.append((start, 0))
             rest ^= start
             continue
         comp = frontier = start
@@ -217,44 +192,15 @@ def components_with_certificates(g: Graph, host: int) -> tuple[Component, ...]:
             parity ^= 1
             sides[parity] |= frontier
         side_a, side_b = sides
-        complete = (
+        if (
             union[0] & host == meet[0] & host == side_b
             and union[1] & host == meet[1] & host == side_a
-        )
-        parts.append(Component(comp, False, (side_a, side_b) if complete else None))
+        ):
+            certified.append((side_a, side_b))
+        else:
+            uncertified.append(comp)
         rest &= ~comp
-    return tuple(parts)
-
-
-def contact_class(g: Graph, v: int, comp: Component) -> ContactClass:
-    """Classify how vertex ``v`` (outside ``comp``) meets the component.
-
-    Raises:
-        ClassViolation: if v has neighbors on both certified sides, which
-            exhibits a triangle.
-        StructureViolation: if the component carries no certificate.
-    """
-    if comp.sides is None:
-        raise StructureViolation(
-            "contact query against an uncertified component",
-            ("missing_certificate", comp.members),
-        )
-    if 1 << v & comp.members:
-        raise InputError(f"vertex {v} lies inside the component")
-    side_a, side_b = comp.sides
-    hit_a = g.adj[v] & side_a
-    hit_b = g.adj[v] & side_b
-    if hit_a and hit_b:
-        x = (hit_a & -hit_a).bit_length() - 1
-        y = (hit_b & -hit_b).bit_length() - 1
-        raise ClassViolation(
-            f"vertex {v} meets both sides of a complete bipartite component",
-            ("triangle", tuple(sorted((v, x, y)))),
-        )
-    hit, side = (hit_a, side_a) if hit_a else (hit_b, side_b)
-    if not hit:
-        return ContactClass.NONE
-    return ContactClass.BI_UNIVERSAL if hit == side else ContactClass.BI_PARTIAL
+    return tuple(certified), tuple(uncertified)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 from .errors import ClassViolation, InputError, StructureViolation
-from .graph import Component, Graph, bits, components_with_certificates, neighborhood
+from .graph import Graph, components_with_certificates, neighborhood
 
 __all__ = [
     "InducedP4",
@@ -221,25 +221,25 @@ def is_class_member(g: Graph) -> MembershipVerdict:
     return _membership(g)[0]
 
 
-def _membership(g: Graph) -> tuple[MembershipVerdict, tuple[Component, ...]]:
-    """``is_class_member(g)`` with the ``components_with_certificates(g,
-    g.full_mask)`` it decided from; no components when a triangle decided
-    it before the decomposition."""
+def _membership(g: Graph) -> tuple[MembershipVerdict, int, tuple[tuple[int, int], ...]]:
+    """``is_class_member(g)`` with what it decided from: home, the union
+    of the uncertified components of ``components_with_certificates(g,
+    g.full_mask)``, and the side pairs of the certified ones; home 0 and
+    no pairs when a triangle decided it before the decomposition."""
     tri = find_triangle(g)
     if tri is not None:
-        return MembershipVerdict(False, triangle=tri), ()
-    comps = components_with_certificates(g, g.full_mask)
+        return MembershipVerdict(False, triangle=tri), 0, ()
+    certified, uncertified = components_with_certificates(g, g.full_mask)
     home = 0
-    for comp in comps:
-        if comp.sides is None:
-            home |= comp.members
+    for comp in uncertified:
+        home |= comp
     adj = g.adj
     for p in _p4_scan(g, home):
         near = p.mask | adj[p.a] | adj[p.b] | adj[p.c] | adj[p.d]
         q = find_induced_p4(g, home & ~near)
         if q is not None:
-            return MembershipVerdict(False, p4_pair=(p, q)), comps
-    return MembershipVerdict(True), comps
+            return MembershipVerdict(False, p4_pair=(p, q)), home, certified
+    return MembershipVerdict(True), home, certified
 
 
 def witness_holds(g: Graph, witness) -> bool:

@@ -86,10 +86,11 @@ down every candidate: a plain dict, dropped when the call returns, so a
 refusal allocates none and no entry reaches another graph.  Its keys are
 of three kinds that cannot meet:
 
-- a host (an int, at least 0): the split dispatcher's side-selection
-  fold of that host (see ``split_solver``);
-- ``~t`` for a block part t (an int below 0): its certified components
-  (see ``split_solver``);
+- a host (an int, at least 0): the split dispatcher's side selection
+  of that host's certified components and the member masks of its
+  uncertified ones (see ``split_solver``);
+- ``~t`` for a certified block part t (an int below 0): the side pairs
+  of its components (see ``split_solver``);
 - ``(s_b, s_d, s_bd, anti)`` of a neighborhood partition: the
   ``(weight, mask, leaves)`` of its constrained solve, ``leaves`` None
   outside a cover.  ``_solve_containing`` reads no other field and not
@@ -106,7 +107,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .bipartite import cb_weight_mask, heavier_side, lp_bound
+from .bipartite import cb_weight_mask, lp_bound, side_selection
 from .constrained import _solve_containing
 from .errors import InputError
 from .graph import Graph, SolveResult, bits, certified_result, mask_of
@@ -271,16 +272,11 @@ def _run(g: Graph, cover: bool, jobs: int):
     # type(True) is bool, so a bool is refused with every non-int
     if type(jobs) is not int or jobs < 1:
         raise InputError(f"jobs must be an int of at least 1, got {jobs!r}")
-    verdict, comps = _membership(g)
+    verdict, home, certified = _membership(g)
     with verified_member(g, verdict):
-        # home is every component without a certificate; side selection
-        # solves the rest once for all candidates
-        home = rest_mask = 0
-        for comp in comps:
-            if comp.sides is None:
-                home |= comp.members
-            else:
-                rest_mask |= heavier_side(g, comp.sides)[1]
+        # side selection solves every component outside home once for all
+        # candidates
+        rest_mask = side_selection(g, certified)[1]
         paths = enumerate_induced_p4(g, home)
         # this call's repeated subproblems (see the module docstring)
         memo: dict = {}

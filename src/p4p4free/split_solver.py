@@ -24,67 +24,75 @@ instead of a silent wrong answer.
 
 Within one public call the branching reaches the same host many times,
 under different parts and depths.  What the dispatcher derives from the
-host alone, its side-selection fold (the summed heavier sides of the
-certified components and the member masks of the uncertified ones),
-depends on the graph and the host only, so it is memoised in a plain
-dict keyed by host.  The block parts that ``_certified_members``
-decomposes repeat even more (the cover of a complete blow-up of C7 with
-classes of 4 makes 26,880 calls on one mask), so their ``Component``
-tuples are kept in the same dict under ``~t``, a negative int that no
-host meets.  The public solvers create that dict after their membership
-verdict and drop it when they return; nothing outlives the call, so a
-later graph never sees an earlier one's entries.  Folds are kept as
-ints, not as ``Component`` objects: a memo of components for every host
-once held 361 MB at the peak of ``solve`` on ``gen_instance("rejection",
-60, 0.9, 7)``, the int fold 37 MB.  Block parts are far fewer than
-hosts: that solve now peaks near 29 MB with their components kept or
-not.  The checks that depend on the call (the depth budget, the host
-against the parts, the uncertified-component count, the block part's
-certificate and the leaf record) run on every call, hit or miss.
+host alone, the side selection of its certified components and the
+member masks of the others, depends on the graph and the host only, so it
+is memoised in a plain dict keyed by host.  The block parts that
+``_certified_members`` decomposes repeat even more (the cover of a
+complete blow-up of C7 with classes of 4 makes 26,880 calls on one mask),
+so a certified block part's side pairs are kept in the same dict under
+``~t``, a negative int that no host meets.  The public solvers create
+that dict after their membership verdict and drop it when they return;
+nothing outlives the call, so a later graph never sees an earlier one's
+entries.  The checks that depend on the call (the depth budget, the host
+against the parts, the uncertified-component count and the leaf record)
+run on every call, hit or miss, and a block part without a certificate
+is never memoised, so it fails on every call.
 """
 
 from __future__ import annotations
 
-from .bipartite import heavier_side
-from .errors import InputError, StructureViolation
-from .graph import (
-    Component,
-    ContactClass,
-    Graph,
-    bits,
-    components_with_certificates,
-    contact_class,
-    neighborhood,
-)
+from .bipartite import side_selection
+from .errors import ClassViolation, StructureViolation
+from .graph import Graph, bits, components_with_certificates, neighborhood
 
 __all__ = ["branch_via_bipartial"]
 
 
-def _bipartial_blocks(g: Graph, v: int, members) -> list[Component]:
-    """The nontrivial certified members that vertex v is bi-partial to."""
-    return [
-        m
-        for m in members
-        if not m.trivial
-        and g.adj[v] & m.members
-        and contact_class(g, v, m) is ContactClass.BI_PARTIAL
-    ]
+def _hits(g: Graph, v: int, sides: tuple[int, int]) -> tuple[int, int]:
+    """v's neighbours on each side of a certified block, ``(hit_a,
+    hit_b)``; v meets a side partially when its hit is neither empty nor
+    the whole side.
+
+    Raises:
+        ClassViolation: v has neighbours on both sides, a triangle.
+    """
+    side_a, side_b = sides
+    hit_a, hit_b = g.adj[v] & side_a, g.adj[v] & side_b
+    if hit_a and hit_b:
+        x = (hit_a & -hit_a).bit_length() - 1
+        y = (hit_b & -hit_b).bit_length() - 1
+        raise ClassViolation(
+            f"vertex {v} meets both sides of a complete bipartite component",
+            ("triangle", tuple(sorted((v, x, y)))),
+        )
+    return hit_a, hit_b
+
+
+def _bipartial_blocks(g: Graph, v: int, members) -> list[tuple[int, int]]:
+    """The side pairs of the blocks that vertex v is bi-partial to: it
+    meets one side, but not all of it."""
+    found = []
+    for sides in members:
+        hit_a, hit_b = _hits(g, v, sides)
+        if hit_a | hit_b not in (0, *sides):
+            found.append(sides)
+    return found
 
 
 def _certified_members(g: Graph, t_live: int, memo: dict):
-    """Components of a block part, each certified complete bipartite; a
-    component without a certificate is an internal fault, on a memo hit
-    as on a miss."""
-    # ~t_live < 0, so this key cannot meet a fold's host (at least 0)
+    """Side pairs of the components of a block part, each certified
+    complete bipartite; a component without a certificate is an internal
+    fault.  Only a certified part is memoised."""
+    # ~t_live < 0, so this key cannot meet a host's (at least 0)
     members = memo.get(~t_live)
     if members is None:
-        members = memo[~t_live] = components_with_certificates(g, t_live)
-    for m in members:
-        if m.sides is None:
+        members, uncertified = components_with_certificates(g, t_live)
+        if uncertified:
             raise StructureViolation(
                 "block part lost its complete-bipartite shape",
-                ("incomplete_block", m.members),
+                ("incomplete_block", uncertified[0]),
             )
+        memo[~t_live] = members
     return members
 
 
@@ -110,13 +118,15 @@ def branch_via_bipartial(g, host, active, t_mask, redispatch, depth, memo):
     t_live = t_mask & host
     act = active & host
     members = _certified_members(g, t_live, memo)
-    bp_of: dict[int, list[Component]] = {}
+    bp_of: dict[int, list[tuple[int, int]]] = {}
     for s in bits(act):
         found = _bipartial_blocks(g, s, members)
         if found:
             bp_of[s] = found
     if not bp_of:
-        raise InputError("no bi-partial vertex to branch on")
+        raise StructureViolation(
+            "no bi-partial vertex to branch on", ("no_bipartial_vertex", act)
+        )
 
     if any(len(found) >= 2 for found in bp_of.values()):
         # several blocks involved: branch on a sink of the branching order,
@@ -124,7 +134,9 @@ def branch_via_bipartial(g, host, active, t_mask, redispatch, depth, memo):
         act_list = list(bits(act))
 
         def is_sink(v: int) -> bool:
-            residual = components_with_certificates(g, t_live & ~g.adj[v])
+            # vertices taken from complete bipartite blocks leave blocks
+            # and singletons, so every component here is certified
+            residual = components_with_certificates(g, t_live & ~g.adj[v])[0]
             return all(
                 w == v or len(_bipartial_blocks(g, w, residual)) < 2 for w in act_list
             )
@@ -139,19 +151,17 @@ def branch_via_bipartial(g, host, active, t_mask, redispatch, depth, memo):
     # single-block case: pick the vertex contacting the most nontrivial
     # blocks, the smallest on ties
     pick = max(
-        bp_of,
-        key=lambda s: sum(1 for m in members if not m.trivial and g.adj[s] & m.members),
+        bp_of, key=lambda s: sum(1 for a, b in members if b and g.adj[s] & (a | b))
     )
-    prime = bp_of[pick][0].members  # the block `pick` is bi-partial to
+    side_a, side_b = bp_of[pick][0]
+    prime = side_a | side_b  # the block `pick` is bi-partial to
 
     kept = host & ~g.adj[pick]
     # at most one other block region may still hold a bi-partial vertex
     regions = []
-    for z in components_with_certificates(g, (t_live & ~prime) & kept):
-        if z.trivial or z.sides is None:
-            continue
-        if any(_bipartial_blocks(g, s, (z,)) for s in bits(act & ~z.members)):
-            regions.append(z.members)
+    for sides in components_with_certificates(g, (t_live & ~prime) & kept)[0]:
+        if any(_bipartial_blocks(g, s, (sides,)) for s in bits(act)):
+            regions.append(sides[0] | sides[1])
     if len(regions) > 1:
         raise StructureViolation(
             "more than one bi-partial region beside the chosen block",
@@ -159,7 +169,7 @@ def branch_via_bipartial(g, host, active, t_mask, redispatch, depth, memo):
         )
     other = 0
     if regions:
-        other = next(m.members for m in members if m.members & regions[0])
+        other = next(a | b for a, b in members if (a | b) & regions[0])
 
     residuals = [kept & ~(other | prime)]
     for hp in bits(prime & kept):
@@ -186,22 +196,18 @@ def _solve_bad_comp(g, s_mask, t_mask, comp, depth, ambient, leaves, memo):
 
     contacted_count: dict[int, int] = {}
     has_bipartial = False
-    side_a_hits: dict[int, bool] = {}
-    side_b_hits: dict[int, bool] = {}
+    on_a, on_b = set(), set()  # nontrivial blocks met wholly on each side
     for s in bits(s_live):
         cnt = 0
-        for idx, m in enumerate(members):
-            if not g.adj[s] & m.members:
+        for idx, sides in enumerate(members):
+            hit_a, hit_b = _hits(g, s, sides)  # both-sides contact raises here
+            if not hit_a | hit_b:
                 continue
             cnt += 1
-            cls = contact_class(g, s, m)  # both-sides contact raises here
-            if cls is ContactClass.BI_PARTIAL:
+            if hit_a | hit_b not in sides:
                 has_bipartial = True
-            elif not m.trivial:
-                if g.adj[s] & m.sides[0]:
-                    side_a_hits[idx] = True
-                else:
-                    side_b_hits[idx] = True
+            elif sides[1]:
+                (on_a if hit_a else on_b).add(idx)
         contacted_count[s] = cnt
 
     if has_bipartial:
@@ -218,42 +224,26 @@ def _solve_bad_comp(g, s_mask, t_mask, comp, depth, ambient, leaves, memo):
     # every contact is universal into one side of a single block; the
     # component can only fail its certificate by having attachments on
     # both sides of one block
-    split_blocks = [
-        members[idx] for idx in sorted(side_a_hits.keys() & side_b_hits.keys())
-    ]
+    split_blocks = [members[idx] for idx in sorted(on_a & on_b)]
     if len(split_blocks) != 1:
         raise StructureViolation(
             "single-contact component should split across exactly one block",
-            ("side_split_blocks", tuple(m.members for m in split_blocks)),
+            ("side_split_blocks", tuple(a | b for a, b in split_blocks)),
         )
-    side = split_blocks[0].sides[0]
+    side = split_blocks[0][0]
     return _keep_or_drop(redispatch, comp & ~neighborhood(g, side), comp & ~side, depth)
-
-
-def _side_fold(g: Graph, host: int) -> tuple[int, int, tuple[int, ...]]:
-    """(weight, mask, uncertified) of g[host]: the summed heavier sides of
-    its certified components, and the member masks of the others."""
-    total_w = total_m = 0
-    bad = []
-    for comp in components_with_certificates(g, host):
-        if comp.sides is None:
-            bad.append(comp.members)
-            continue
-        w, side = heavier_side(g, comp.sides)
-        total_w += w
-        total_m |= side
-    return total_w, total_m, tuple(bad)
 
 
 def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo):
     """Dispatcher: certified components by side selection, then recurse
     into the unique uncertified one.  Returns (weight, mask).
 
-    ``host`` must lie inside ``s_mask | t_mask``.  When ``leaves`` is a
-    list, ``ambient | host`` of every certified base case is appended to
-    it, the raw material of cover extraction; ``ambient`` is the part of
-    the enclosing host already peeled off as certified components.
-    ``memo`` is the public call's dict of side-selection folds by host.
+    ``host`` must lie inside ``s_mask | t_mask`` and hold no vertex of
+    both.  When ``leaves`` is a list, ``ambient | host`` of every
+    certified base case is appended to it, the raw material of cover
+    extraction; ``ambient`` is the part of the enclosing host already
+    peeled off as certified components.  ``memo`` is the public call's
+    memo (see the module docstring).
     """
     if depth > g.n + 8:
         # every branch removes a vertex, so only a structure assumption
@@ -261,11 +251,15 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo):
         raise StructureViolation(
             "branching recursion exceeded its depth budget", ("depth_budget", depth)
         )
-    if host & ~(s_mask | t_mask):
-        raise InputError("host contains vertices outside both parts")
+    stray = host & (s_mask & t_mask | ~(s_mask | t_mask))
+    if stray:
+        raise StructureViolation(
+            "host vertices outside both parts or inside both", ("split_parts", stray)
+        )
     fold = memo.get(host)
     if fold is None:
-        fold = memo[host] = _side_fold(g, host)
+        certified, uncertified = components_with_certificates(g, host)
+        fold = memo[host] = (*side_selection(g, certified), uncertified)
     total_w, total_m, bad = fold
     if len(bad) > 1:
         # in a class member each would hold an induced P4, a separated pair

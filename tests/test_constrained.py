@@ -156,7 +156,9 @@ class TestErrors:
 
 
 def components(g: Graph, host: int) -> list[int]:
-    return [c.members for c in components_with_certificates(g, host)]
+    """Member masks of the components of g[host], certified ones first."""
+    certified, uncertified = components_with_certificates(g, host)
+    return [a | b for a, b in certified] + list(uncertified)
 
 
 class TestBranchVertexSelection:

@@ -1,0 +1,62 @@
+"""Golden digest: the solver's outputs on a fixed corpus, byte for byte.
+
+One sha256 covers, for every graph of the corpus, the verdict of
+``is_class_member`` and what ``solve`` and ``solve_with_cover`` return:
+the chosen set with its weight and the cover members in order on a
+member, the ``ClassViolation`` witness on a non-member.  A refactor or a
+speed-up must leave every one of those bytes as it was; a deliberate
+change of output updates ``DIGEST`` and says why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from conftest import blowup_graph, crown_graph, fuzz_graph
+
+from p4p4free.errors import ClassViolation
+from p4p4free.recognition import is_class_member
+from p4p4free.solver import solve, solve_with_cover
+from p4p4free.testkit import gen_instance
+
+DIGEST = "87b447c6bb0c74b24556c0747833a818ab0671829f4b2a109dbd98f0c5d2c5cc"
+
+
+def _corpus():
+    for i in range(28):
+        n = 14 + i % 7
+        density = (0.3, 0.5, 0.7, 0.9)[i // 7 % 4]
+        yield gen_instance("clustered", n, density, 800_000 + i)
+    yield blowup_graph(7, 3, seed=703)
+    yield crown_graph(8)
+    yield gen_instance("rejection", 14, 0.6, 2)
+    yield gen_instance("clustered", 60, 0.5, 700_008)
+    for j in range(400):
+        yield fuzz_graph(j)
+
+
+def _outputs(g):
+    """The verdict, then solve's and the cover's output or refusal."""
+    verdict = is_class_member(g)
+    pair = verdict.p4_pair and tuple(p.vertices for p in verdict.p4_pair)
+    yield ("verdict", verdict.is_member, verdict.triangle, pair)
+    try:
+        result = solve(g)
+    except ClassViolation as err:
+        yield ("solve_refused", err.witness)
+    else:
+        yield ("solve", result.weight, result.chosen)
+    try:
+        result, family = solve_with_cover(g)
+    except ClassViolation as err:
+        yield ("cover_refused", err.witness)
+    else:
+        yield ("cover", result.weight, result.chosen, family.members)
+
+
+def test_outputs_match_the_golden_digest():
+    digest = hashlib.sha256()
+    for g in _corpus():
+        for line in _outputs(g):
+            digest.update(repr(line).encode() + b"\n")
+    assert digest.hexdigest() == DIGEST

@@ -13,14 +13,12 @@ from conftest import (
     two_colorable,
 )
 
-from p4p4free.errors import ClassViolation, InputError, StructureViolation
+from p4p4free.errors import InputError
 from p4p4free.graph import (
-    ContactClass,
     Graph,
     bits,
     certified_result,
     components_with_certificates,
-    contact_class,
     mask_of,
     neighborhood,
 )
@@ -111,61 +109,63 @@ class TestNeighborhoods:
 class TestComponents:
     def test_k23_single_certified_component(self):
         g = complete_bipartite(2, 3)
-        cs = components_with_certificates(g, g.full_mask)
-        assert len(cs) == 1
-        comp = cs[0]
-        assert not comp.trivial
-        assert comp.sides is not None
-        side_a, side_b = comp.sides
+        certified, uncertified = components_with_certificates(g, g.full_mask)
+        assert uncertified == ()
+        assert len(certified) == 1
+        side_a, side_b = certified[0]
         assert {side_a.bit_count(), side_b.bit_count()} == {2, 3}
         assert side_a == mask_of([0, 1])  # the side holding vertex 0 comes first
 
     def test_path_component_has_no_certificate(self):
         g = path_graph(4)
-        cs = components_with_certificates(g, g.full_mask)
-        assert len(cs) == 1
-        assert cs[0].sides is None
+        assert components_with_certificates(g, g.full_mask) == ((), (g.full_mask,))
 
     def test_isolated_vertices_are_trivial(self):
         g = Graph.from_edges(3, [])
-        cs = components_with_certificates(g, g.full_mask)
-        assert [c.trivial for c in cs] == [True, True, True]
-        assert all(c.sides == (c.members, 0) for c in cs)
+        certified, uncertified = components_with_certificates(g, g.full_mask)
+        assert certified == ((0b1, 0), (0b10, 0), (0b100, 0))
+        assert uncertified == ()
 
     def test_components_are_a_partition_in_smallest_vertex_order(self):
+        uncertified_seen = 0
         for seed in range(15):
             g = random_graph(seed, 11, 0.15)
-            comps = [c.members for c in components_with_certificates(g, g.full_mask)]
+            certified, uncertified = components_with_certificates(g, g.full_mask)
+            uncertified_seen += len(uncertified)
             union = 0
-            prev_low = -1
-            for comp in comps:
-                assert comp & union == 0
-                union |= comp
-                low = (comp & -comp).bit_length() - 1
-                assert low > prev_low
-                prev_low = low
+            for comps in ([a | b for a, b in certified], uncertified):
+                prev_low = -1
+                for comp in comps:
+                    assert comp & union == 0
+                    union |= comp
+                    low = (comp & -comp).bit_length() - 1
+                    assert low > prev_low
+                    prev_low = low
             assert union == g.full_mask
+        assert uncertified_seen
 
     def test_rerunning_on_a_component_returns_it(self):
         g = random_graph(3, 11, 0.15)
-        for comp in components_with_certificates(g, g.full_mask):
-            again = components_with_certificates(g, comp.members)
-            assert again == (comp,)
+        certified, uncertified = components_with_certificates(g, g.full_mask)
+        assert uncertified
+        for side_a, side_b in certified:
+            again = components_with_certificates(g, side_a | side_b)
+            assert again == (((side_a, side_b),), ())
+        for comp in uncertified:
+            assert components_with_certificates(g, comp) == ((), (comp,))
 
     def test_certificates_are_sound(self):
         """Whenever sides are reported, completeness and independence hold."""
         for seed in range(25):
             g = random_graph(seed, 10, 0.25)
-            for comp in components_with_certificates(g, g.full_mask):
-                if comp.sides is None:
-                    continue
-                side_a, side_b = comp.sides
-                assert side_a | side_b == comp.members
+            for side_a, side_b in components_with_certificates(g, g.full_mask)[0]:
+                comp = side_a | side_b
                 assert side_a & side_b == 0
+                assert comp & -comp & side_a  # side_a holds the smallest vertex
                 for u in bits(side_a):
                     for v in bits(side_b):
                         assert g.adjacent(u, v)
-                for side in comp.sides:
+                for side in (side_a, side_b):
                     assert is_independent(g, side)
 
     @staticmethod
@@ -188,76 +188,32 @@ class TestComponents:
         certified = rejected = 0
         for seed in range(80):
             g = self._blocks_plus_noise(700 + seed)
-            for comp in components_with_certificates(g, g.full_mask):
-                members = list(bits(comp.members))
-                if len(members) < 2 or not two_colorable(g, comp.members):
+            found, uncertified = components_with_certificates(g, g.full_mask)
+            sides_of = {a | b: (a, b) for a, b in found}
+            for comp in [*sides_of, *uncertified]:
+                members = list(bits(comp))
+                if len(members) < 2 or not two_colorable(g, comp):
                     continue
                 # a complete bipartite component splits into the smallest
                 # vertex's neighbours and the rest, every cross pair adjacent
-                opposite = g.adj[members[0]] & comp.members
-                side = comp.members & ~opposite
+                opposite = g.adj[members[0]] & comp
+                side = comp & ~opposite
                 if all(g.adjacent(u, v) for u in bits(side) for v in bits(opposite)):
-                    assert comp.sides == (side, opposite), (seed, members)
+                    assert sides_of.get(comp) == (side, opposite), (seed, members)
                     certified += len(members) > 2
                 else:
-                    assert comp.sides is None, (seed, members)
+                    assert comp in uncertified, (seed, members)
                     rejected += 1
         assert certified >= 100 and rejected >= 30
 
     def test_odd_cycle_is_uncertified(self):
         g = cycle_graph(5)
-        assert components_with_certificates(g, g.full_mask)[0].sides is None
+        assert components_with_certificates(g, g.full_mask) == ((), (g.full_mask,))
 
     def test_nontrivial_filter(self):
         g = Graph.from_edges(3, [(0, 1)])
-        cs = components_with_certificates(g, g.full_mask)
-        assert [c.members for c in cs if not c.trivial] == [mask_of([0, 1])]
-
-
-class TestContactClass:
-    def _k23_plus(self, extra_edges):
-        # K_{2,3} on 0..4, probe vertex 5
-        edges = [(u, 2 + v) for u in range(2) for v in range(3)] + extra_edges
-        g = Graph.from_edges(6, edges)
-        comp = components_with_certificates(g, mask_of(range(5)))[0]
-        return g, comp
-
-    def test_universal_to_a_side(self):
-        g, comp = self._k23_plus([(5, 0), (5, 1)])
-        assert contact_class(g, 5, comp) is ContactClass.BI_UNIVERSAL
-
-    def test_partial_into_a_side(self):
-        g, comp = self._k23_plus([(5, 2)])
-        assert contact_class(g, 5, comp) is ContactClass.BI_PARTIAL
-
-    def test_no_contact(self):
-        g, comp = self._k23_plus([])
-        assert contact_class(g, 5, comp) is ContactClass.NONE
-
-    def test_both_sides_is_a_violation_with_triangle(self):
-        g, comp = self._k23_plus([(5, 0), (5, 2)])
-        with pytest.raises(ClassViolation) as exc:
-            contact_class(g, 5, comp)
-        kind, triangle = exc.value.witness
-        assert kind == "triangle"
-        u, v, w = triangle
-        assert g.adjacent(u, v) and g.adjacent(u, w) and g.adjacent(v, w)
-
-    def test_uncertified_component_rejected(self):
-        g = path_graph(5)
-        comp = components_with_certificates(g, mask_of(range(4)))[0]
-        with pytest.raises(StructureViolation):
-            contact_class(g, 4, comp)
-
-    def test_vertex_inside_component_rejected(self):
-        g, comp = self._k23_plus([])
-        with pytest.raises(InputError):
-            contact_class(g, 0, comp)
-
-    def test_trivial_component_contact_is_universal(self):
-        g = Graph.from_edges(2, [(0, 1)])
-        comp = components_with_certificates(g, mask_of([0]))[0]
-        assert contact_class(g, 1, comp) is ContactClass.BI_UNIVERSAL
+        certified, _ = components_with_certificates(g, g.full_mask)
+        assert [a | b for a, b in certified if b] == [mask_of([0, 1])]
 
 
 class TestCertifiedResult:

@@ -347,12 +347,7 @@ class TestNeighborhoodPartition:
     def test_reverse_equals_the_reversed_paths_partition(self, g):
         # in the whole graph and in home, the union of its uncertified
         # components, where the solver partitions
-        home = mask_of(
-            v
-            for comp in components_with_certificates(g, g.full_mask)
-            if comp.sides is None
-            for v in bits(comp.members)
-        )
+        home = sum(components_with_certificates(g, g.full_mask)[1])  # disjoint masks
         paths = enumerate_induced_p4(g)
         assert paths
         for host in (g.full_mask, home):

@@ -25,7 +25,6 @@ from p4p4free import bipartite, constrained, graph, recognition, solver, split_s
 from p4p4free.errors import ClassViolation, InputError, StructureViolation
 from p4p4free.graph import (
     Graph,
-    bits,
     certified_result,
     components_with_certificates,
     mask_of,
@@ -164,7 +163,7 @@ class TestViolations:
         self, monkeypatch, entry
     ):
         def wrong(g):
-            return MembershipVerdict(False, triangle=(0, 1, 2)), ()
+            return MembershipVerdict(False, triangle=(0, 1, 2)), 0, ()
 
         monkeypatch.setattr(solver, "_membership", wrong)
         with pytest.raises(StructureViolation) as info:
@@ -369,8 +368,7 @@ class TestCoverFamily:
             # forced vertices are isolated in their member, and each
             # residual component is complete bipartite
             for member in fam.members:
-                comps = components_with_certificates(g, member)
-                assert all(c.sides is not None for c in comps)
+                assert not components_with_certificates(g, member)[1]
 
 
 def _relabelled(rng, n: int, edges, weights) -> Graph:
@@ -388,10 +386,9 @@ class TestComponentSplit:
     def test_branching_stays_in_the_paths_component(self, monkeypatch):
         g = gen_instance("clustered", 60, 0.5, 700_008)
         paths = enumerate_induced_p4(g)
-        comps = components_with_certificates(g, g.full_mask)
-        home = next(c.members for c in comps if c.members & paths[0].mask)
+        certified, (home,) = components_with_certificates(g, g.full_mask)
         assert all(p.mask & home == p.mask for p in paths)
-        assert any(not c.trivial for c in comps if not c.members & home)
+        assert any(b for _, b in certified)  # a nontrivial block outside home
         hosts = []
         original = split_solver._solve_raw
 
@@ -429,8 +426,9 @@ class TestComponentSplit:
         _, fam = solve_with_cover(g)
         # every member holds all of the graph outside the path's component
         path = enumerate_induced_p4(g)[0].mask
-        comps = components_with_certificates(g, g.full_mask)
-        rest = g.full_mask & ~next(c.members for c in comps if c.members & path)
+        _, (home,) = components_with_certificates(g, g.full_mask)
+        assert path & home == path
+        rest = g.full_mask & ~home
         assert rest
         for member in fam.members:
             assert two_colorable(g, member)
@@ -504,9 +502,9 @@ class TestBoundAndSkip:
         check = solver._membership
 
         def recording(g):
-            verdict, comps = check(g)
+            verdict, home, certified = check(g)
             verdicts.append(verdict)
-            return verdict, comps
+            return verdict, home, certified
 
         monkeypatch.setattr(solver, "_membership", recording)
         g = fuzz_graph(j)
@@ -763,12 +761,7 @@ class TestStopAtTheLpBound:
     def test_a_stop_before_the_last_path_skips_the_remainder(self, monkeypatch, args):
         g = gen_instance("rejection", *args)
         paths = enumerate_induced_p4(g)
-        home = mask_of(
-            v
-            for comp in components_with_certificates(g, g.full_mask)
-            if comp.sides is None
-            for v in bits(comp.members)
-        )
+        home = sum(components_with_certificates(g, g.full_mask)[1])  # disjoint masks
         trace = _StopTrace(monkeypatch)
         got = solve(g)
         assert got.weight == oracle_wis(g).weight

@@ -13,7 +13,7 @@ from conftest import complete_bipartite, is_independent, scan_p4s, witness_check
 
 from p4p4free import constrained, solve, solve_with_cover, split_solver
 from p4p4free.constrained import solve_containing_ac
-from p4p4free.errors import ClassViolation, InputError, StructureViolation
+from p4p4free.errors import ClassViolation, StructureViolation
 from p4p4free.graph import Graph, components_with_certificates, mask_of
 from p4p4free.recognition import InducedP4, enumerate_induced_p4
 from p4p4free.testkit import (
@@ -46,8 +46,71 @@ class TestInstanceValidation:
 
     def test_rejects_host_outside_both_parts(self):
         g = complete_bipartite(2, 3)
-        with pytest.raises(InputError):
+        with pytest.raises(StructureViolation) as exc:
             split_solver._solve_raw(g, 0, 0b11, g.full_mask, 0, 0, None, {})
+        assert exc.value.witness == ("split_parts", 0b11100)
+
+    def test_rejects_parts_that_overlap_in_the_host(self):
+        # vertex 0 lies in both parts; outside the host an overlap is
+        # harmless
+        g = complete_bipartite(2, 3)
+        raw = split_solver._solve_raw
+        with pytest.raises(StructureViolation) as exc:
+            raw(g, mask_of([0, 4]), g.full_mask, mask_of([0, 2, 3]), 0, 0, None, {})
+        assert exc.value.witness == ("split_parts", 0b1)
+        host = mask_of([1, 2, 3])
+        assert raw(g, 0b1, g.full_mask, host, 0, 0, None, {}) == (2, mask_of([2, 3]))
+
+    def test_no_bipartial_vertex_is_an_internal_fault(self):
+        # 4 meets the block {0, 1; 2, 3} wholly on one side
+        g = Graph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (4, 1)])
+        t_mask = mask_of(range(4))
+        branch = split_solver.branch_via_bipartial
+        with pytest.raises(StructureViolation) as exc:
+            branch(g, g.full_mask, 1 << 4, t_mask, None, 0, {})
+        assert exc.value.witness == ("no_bipartial_vertex", 1 << 4)
+
+
+class TestContactHits:
+    """How a vertex meets a certified block: its neighbours on each side."""
+
+    def _k23_plus(self, extra_edges):
+        # K_{2,3} on 0..4, probe vertex 5
+        edges = [(u, 2 + v) for u in range(2) for v in range(3)] + extra_edges
+        g = Graph.from_edges(6, edges)
+        (sides,), _ = components_with_certificates(g, mask_of(range(5)))
+        return g, sides
+
+    def test_universal_to_a_side(self):
+        g, sides = self._k23_plus([(5, 0), (5, 1)])
+        assert split_solver._hits(g, 5, sides) == (mask_of([0, 1]), 0)
+        assert sides[0] == mask_of([0, 1])
+        assert split_solver._bipartial_blocks(g, 5, (sides,)) == []
+
+    def test_partial_into_a_side(self):
+        g, sides = self._k23_plus([(5, 2)])
+        assert split_solver._hits(g, 5, sides) == (0, 1 << 2)
+        assert split_solver._bipartial_blocks(g, 5, (sides,)) == [sides]
+
+    def test_no_contact(self):
+        g, sides = self._k23_plus([])
+        assert split_solver._hits(g, 5, sides) == (0, 0)
+        assert split_solver._bipartial_blocks(g, 5, (sides,)) == []
+
+    def test_both_sides_is_a_violation_with_triangle(self):
+        g, sides = self._k23_plus([(5, 0), (5, 2)])
+        with pytest.raises(ClassViolation) as exc:
+            split_solver._hits(g, 5, sides)
+        kind, (u, v, w) = exc.value.witness
+        assert kind == "triangle"
+        assert g.adjacent(u, v) and g.adjacent(u, w) and g.adjacent(v, w)
+
+    def test_trivial_component_contact_is_universal(self):
+        g = Graph.from_edges(2, [(0, 1)])
+        (sides,), _ = components_with_certificates(g, mask_of([0]))
+        assert sides == (1, 0)
+        assert split_solver._hits(g, 1, sides) == (1, 0)
+        assert split_solver._bipartial_blocks(g, 1, (sides,)) == []
 
 
 class TestBaseShapes:
@@ -203,8 +266,7 @@ class TestLeafRecording:
             leaves: list[int] = []
             solve_raw(g, s_mask, t_mask, leaves)
             for leaf in leaves:
-                cs = components_with_certificates(g, leaf)
-                assert all(c.sides is not None for c in cs)
+                assert not components_with_certificates(g, leaf)[1]
 
 
 class TestSideFoldMemo:
@@ -228,8 +290,9 @@ class TestSideFoldMemo:
         raw = split_solver._solve_raw
         assert raw(g, 0, g.full_mask, g.full_mask, 0, 0, None, memo) == (3, 0b11100)
         self.hit(monkeypatch, memo, g.full_mask)
-        with pytest.raises(InputError):
+        with pytest.raises(StructureViolation) as exc:
             raw(g, 0, 0b11, g.full_mask, 0, 0, None, memo)
+        assert exc.value.witness == ("split_parts", 0b11100)
 
     def test_depth_budget_raises_on_a_hit(self, monkeypatch):
         g = complete_bipartite(2, 3)
@@ -271,16 +334,15 @@ class TestSideFoldMemo:
             )
             assert leaves == [ambient | host]
 
-    def test_uncertified_block_part_raises_on_a_hit(self, monkeypatch):
+    def test_uncertified_block_part_is_never_memoised(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])  # a P4 and a singleton
         memo: dict = {}
         witnesses = []
-        for call in range(2):
-            if call:
-                self.hit(monkeypatch, memo, ~g.full_mask)
+        for _ in range(2):
             with pytest.raises(StructureViolation) as exc:
                 split_solver._certified_members(g, g.full_mask, memo)
             witnesses.append(exc.value.witness)
+            assert memo == {}
         assert witnesses[0] == witnesses[1] == ("incomplete_block", 0b1111)
 
     def test_block_part_and_fold_share_a_memo(self, monkeypatch):
@@ -288,7 +350,7 @@ class TestSideFoldMemo:
         # meet, and neither is computed twice
         g = complete_bipartite(2, 3)
         full = g.full_mask
-        want = components_with_certificates(g, full)
+        want = components_with_certificates(g, full)[0]
         memo: dict = {}
         raw = split_solver._solve_raw
         for call in range(2):

@@ -249,10 +249,9 @@ class TestGenerators:
         from p4p4free.graph import components_with_certificates
 
         g = gen_instance("clustered", 14, 0.0, 7)
-        cs = components_with_certificates(g, g.full_mask)
-        uncertified = [c for c in cs if c.sides is None]
+        _, uncertified = components_with_certificates(g, g.full_mask)
         assert len(uncertified) == 1  # exactly the planted path
-        assert len(enumerate_induced_p4(g, uncertified[0].members)) == 1
+        assert len(enumerate_induced_p4(g, uncertified[0])) == 1
 
     def test_small_sizes(self):
         for n in (1, 2, 3, 4):
@@ -292,8 +291,8 @@ class TestGenerators:
             assert s_mask | t_mask == g.full_mask
             assert is_independent(g, s_mask)
             assert is_class_member(g).is_member
-            cs = components_with_certificates(g, t_mask)
-            assert all(c.sides is not None for c in cs)
-            if any(not c.trivial for c in cs):
+            certified, uncertified = components_with_certificates(g, t_mask)
+            assert not uncertified
+            if any(side_b for _, side_b in certified):
                 interesting += 1
         assert interesting > 10
