@@ -54,7 +54,8 @@ def parse_graph(text: str) -> Graph:
     """
     n = -1
     declared_edges = -1
-    weights: list[int | None] = []
+    # only the ids the file names: a declared n allocates nothing
+    weights: dict[int, int] = {}
     edges: set[tuple[int, int]] = set()
     edge_lines = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -74,7 +75,6 @@ def parse_graph(text: str) -> Graph:
             declared_edges = _int_field(fields[3], lineno)
             if n < 0 or declared_edges < 0:
                 raise ParseError("counts must be nonnegative", lineno)
-            weights = [None] * n
         elif kind == "v":
             if n < 0:
                 raise ParseError("vertex line before the problem line", lineno)
@@ -84,11 +84,11 @@ def parse_graph(text: str) -> Graph:
             w = _int_field(fields[2], lineno)
             if not 1 <= vid <= n:
                 raise ParseError(f"vertex id {vid} out of range 1..{n}", lineno)
-            if weights[vid - 1] is not None:
+            if vid in weights:
                 raise ParseError(f"vertex {vid} declared twice", lineno)
             if w < 0:
                 raise ParseError("weights must be nonnegative", lineno)
-            weights[vid - 1] = w
+            weights[vid] = w
         elif kind == "e":
             if n < 0:
                 raise ParseError("edge line before the problem line", lineno)
@@ -109,14 +109,15 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"unknown line type {kind!r}", lineno)
     if n < 0:
         raise ParseError("missing problem line")
-    for vid, w in enumerate(weights, start=1):
-        if w is None:
-            raise ParseError(f"vertex {vid} has no weight line")
+    if len(weights) < n:
+        missing = next(vid for vid in range(1, n + 1) if vid not in weights)
+        raise ParseError(f"vertex {missing} has no weight line")
     if edge_lines != declared_edges:
         raise ParseError(
             f"problem line declares {declared_edges} edges, file has {edge_lines}"
         )
-    return Graph.from_edges(n, sorted(edges), weights)
+    ordered = [weights[vid] for vid in range(1, n + 1)]
+    return Graph.from_edges(n, sorted(edges), ordered)
 
 
 def format_graph(g: Graph) -> str:

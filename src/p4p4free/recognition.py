@@ -221,25 +221,31 @@ def is_class_member(g: Graph) -> MembershipVerdict:
     return _membership(g)[0]
 
 
-def _membership(g: Graph) -> tuple[MembershipVerdict, int, tuple[tuple[int, int], ...]]:
+def _membership(
+    g: Graph,
+) -> tuple[MembershipVerdict, int, tuple[tuple[int, int], ...], tuple[InducedP4, ...]]:
     """``is_class_member(g)`` with what it decided from: home, the union
     of the uncertified components of ``components_with_certificates(g,
-    g.full_mask)``, and the side pairs of the certified ones; home 0 and
-    no pairs when a triangle decided it before the decomposition."""
+    g.full_mask)``, the side pairs of the certified ones, and on a member
+    every induced P4 of g[home] in scan order, which the verdict had to
+    visit; home 0 and no pairs when a triangle decided it before the
+    decomposition, and no paths on a refusal."""
     tri = find_triangle(g)
     if tri is not None:
-        return MembershipVerdict(False, triangle=tri), 0, ()
+        return MembershipVerdict(False, triangle=tri), 0, (), ()
     certified, uncertified = components_with_certificates(g, g.full_mask)
     home = 0
     for comp in uncertified:
         home |= comp
     adj = g.adj
+    paths = []
     for p in _p4_scan(g, home):
         near = p.mask | adj[p.a] | adj[p.b] | adj[p.c] | adj[p.d]
         q = find_induced_p4(g, home & ~near)
         if q is not None:
-            return MembershipVerdict(False, p4_pair=(p, q)), home, certified
-    return MembershipVerdict(True), home, certified
+            return MembershipVerdict(False, p4_pair=(p, q)), home, certified, ()
+        paths.append(p)
+    return MembershipVerdict(True), home, certified, tuple(paths)
 
 
 def witness_holds(g: Graph, witness) -> bool:

@@ -25,10 +25,12 @@ graph and, when there is none, decomposes it once and scans home (for
 each path in scan order, a second path in its anti-neighborhood).  The
 verdict and witness are those of ``is_class_member(g)``; the refusal is
 raised once its witness re-checks, and a triangle is refused before any
-decomposition.  Home and the rest's sides come from the components of
-that same pass, and only then are home's paths enumerated.  Past that
-step the input is a verified member, so a refusal raised by the
-branching is an internal fault and leaves as a ``StructureViolation``.
+decomposition.  Home, the rest's sides and home's paths all come from
+that same pass: to accept a member the scan visits every path of home,
+so the paths are scanned once and only sorted into canonical order
+here.  Past that step the input is a verified member, so a refusal
+raised by the branching is an internal fault and leaves as a
+``StructureViolation``.
 
 Candidates are evaluated in one serial loop (paths in canonical order;
 per path {a, c}, {b, d}, the region; the remainder last), and ``solve``
@@ -105,7 +107,7 @@ of three kinds that cannot meet:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from operator import attrgetter
 
 from .bipartite import cb_weight_mask, lp_bound, side_selection
 from .constrained import _solve_containing
@@ -114,7 +116,6 @@ from .graph import Graph, SolveResult, bits, certified_result, mask_of
 from .recognition import (
     InducedP4,
     _membership,
-    enumerate_induced_p4,
     neighborhood_partition,
     verified_member,
 )
@@ -195,58 +196,57 @@ def _pair_bound(g: Graph, x: int, y: int, home: int) -> int:
     return g.weights[x] + g.weights[y] + _matching_bound(g, home & ~closed)
 
 
-def _per_path(g: Graph, p: InducedP4, home: int, members, memo: dict):
-    """This path's candidates for g[home] in evaluation order, as triples
-    ``(pair, bounds, make)``: ``make()`` returns a (weight, mask) candidate,
-    each thunk of ``bounds``, loosest first, is at least its weight on a
-    class member, and ``pair`` is the mask of the vertex pair it forces
-    through home (0 for any other candidate).
+def _per_path(
+    g: Graph, p: InducedP4, home: int, best, top, drawn: set, members, memo: dict
+):
+    """The earliest heaviest of ``best`` and this path's candidates for
+    g[home], evaluated in order: {a, c}, {b, d}, the region, and in a cover
+    solve the widening solves.  Returns as soon as a strictly heavier
+    candidate reaches ``top``.
 
-    The path's neighbourhood partition and region are built on first use,
-    so a solve that skips every candidate of the path never builds them:
-    the region is first bounded by the weight of home minus N(a) and N(d),
-    which holds it, and is only built when that bound beats the best.
+    ``solve`` (``members`` None) adds each forced pair's mask to ``drawn``
+    and skips a pair drawn before, then any candidate whose upper bound
+    cannot beat the best: a pair's is ``_pair_bound``, the region's the
+    weight of home minus N(a) and N(d), which holds it, then its own
+    weight.  So the path's neighbourhood partition and region are built
+    only once a candidate that needs them survives its bounds.
 
-    A cover solve (``members`` a list) also gets the widening candidates,
-    which carry no bound, and every ``make()`` appends its cover members to
-    ``members``; it runs before the next pair is drawn, so the members
-    keep evaluation order.
+    A cover solve (``members`` a list) skips nothing and appends each
+    candidate's cover members to ``members`` as it is evaluated, so the
+    members keep evaluation order.
     """
-    part = q3 = None
-
-    def partition():
-        nonlocal part
+    cover = members is not None
+    part = None
+    for x, y in ((p.a, p.c), (p.b, p.d)):
+        if not cover:
+            pair = 1 << x | 1 << y
+            if pair in drawn:
+                continue
+            drawn.add(pair)
+            if _pair_bound(g, x, y, home) <= best[0]:
+                continue
         if part is None:
             part = neighborhood_partition(g, p, home)
-        return part
-
-    def region():
-        nonlocal q3
-        if q3 is None:
-            q3 = _q3_region(g, p, partition())
-        return q3
-
-    yield (
-        1 << p.a | 1 << p.c,
-        (lambda: _pair_bound(g, p.a, p.c, home),),
-        lambda: _forced_pair(g, partition(), members, memo),
-    )
-    yield (
-        1 << p.b | 1 << p.d,
-        (lambda: _pair_bound(g, p.b, p.d, home),),
-        lambda: _forced_pair(g, partition().reverse(), members, memo),
-    )
-    yield (
-        0,
-        (
-            lambda: g.weight_of(home & ~(g.adj[p.a] | g.adj[p.d])),
-            lambda: g.weight_of(region()),
-        ),
-        lambda: cb_weight_mask(g, region()),
-    )
-    if members is None:
-        return
-    members.append(region())  # fills part and q3
+        cand = _forced_pair(g, part if x == p.a else part.reverse(), members, memo)
+        if cand[0] > best[0]:
+            best = cand
+            if best[0] == top:
+                return best
+    if not cover and g.weight_of(home & ~(g.adj[p.a] | g.adj[p.d])) <= best[0]:
+        return best
+    if part is None:
+        part = neighborhood_partition(g, p, home)
+    q3 = _q3_region(g, p, part)
+    if not cover and g.weight_of(q3) <= best[0]:
+        return best
+    cand = cb_weight_mask(g, q3)
+    if cand[0] > best[0]:
+        best = cand
+    if not cover:
+        # the region is this path's last candidate, so a stop is left to
+        # the caller
+        return best
+    members.append(q3)
     # non-isolated flavor vertices are not covered by the region above;
     # force each into a fresh path and solve constrained, pinning the far
     # endpoint by removing its neighborhood (it rides along as an isolated
@@ -265,61 +265,52 @@ def _per_path(g: Graph, p: InducedP4, home: int, members, memo: dict):
             fresh = InducedP4.of(g, end, mid, x, y)
             fresh_part = neighborhood_partition(g, fresh, home & ~g.adj[far])
             # the fresh path's host is not home, so its pair is not keyed
-            yield 0, (), partial(_forced_pair, g, fresh_part, members, memo)
+            cand = _forced_pair(g, fresh_part, members, memo)
+            if cand[0] > best[0]:
+                best = cand
+    return best
 
 
 def _run(g: Graph, cover: bool, jobs: int):
     # type(True) is bool, so a bool is refused with every non-int
     if type(jobs) is not int or jobs < 1:
         raise InputError(f"jobs must be an int of at least 1, got {jobs!r}")
-    verdict, home, certified = _membership(g)
+    verdict, home, certified, paths = _membership(g)
     with verified_member(g, verdict):
         # side selection solves every component outside home once for all
         # candidates
         rest_mask = side_selection(g, certified)[1]
-        paths = enumerate_induced_p4(g, home)
+        # the membership scan's paths, in canonical order
+        paths = sorted(paths, key=attrgetter("vertices"))
         # this call's repeated subproblems (see the module docstring)
         memo: dict = {}
         return _solve_all(g, paths, home, rest_mask, cover, memo)
 
 
-def _candidates(g: Graph, paths, home: int, members, memo: dict):
-    """Every candidate of g[home] in evaluation order, as ``_per_path``
-    triples: each path's, then the path-free remainder of home, which is
-    only known once every path has been drawn."""
-    on_some_path = 0
-    for p in paths:
-        on_some_path |= p.mask
-        yield from _per_path(g, p, home, members, memo)
-    white_host = home & ~on_some_path
-    if members is not None:
-        members.append(white_host)
-    yield 0, (), lambda: cb_weight_mask(g, white_host)
-
-
 def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool, memo: dict):
     members: list[int] | None = [] if cover else None
-    best = None  # the earliest heaviest (weight, mask) so far
+    # the earliest heaviest (weight, mask) so far; every candidate weighs
+    # at least 0, so the first one replaces this
+    best = (-1, 0)
     drawn: set[int] = set()  # the forced-pair masks this solve has drawn
     # no candidate outweighs home's LP bound, so once the best reaches it
     # the rest cannot beat it strictly (see the module docstring)
     top = lp_bound(g, home) if paths and not cover else None
-    for pair, bounds, make in _candidates(g, paths, home, members, memo):
-        # only a strictly heavier candidate replaces best, so one that
-        # cannot beat it is skipped, and so is a pair drawn before (see
-        # the module docstring); the cover visits every leaf
-        if not cover:
-            if pair:
-                if pair in drawn:
-                    continue
-                drawn.add(pair)
-            if best is not None and any(bound() <= best[0] for bound in bounds):
-                continue
-        cand = make()
-        if best is None or cand[0] > best[0]:
+    for p in paths:
+        best = _per_path(g, p, home, best, top, drawn, members, memo)
+        if best[0] == top:
+            break
+    else:
+        # the path-free remainder of home, only known once every path has
+        # been drawn
+        white_host = home
+        for p in paths:
+            white_host &= ~p.mask
+        if cover:
+            members.append(white_host)
+        cand = cb_weight_mask(g, white_host)
+        if cand[0] > best[0]:
             best = cand
-            if best[0] == top:
-                break
 
     result = certified_result(g, best[1] | rest_mask)
     if not cover:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 from conftest import random_graph
@@ -80,6 +81,20 @@ class TestParseGraph:
     def test_missing_declarations(self, text):
         with pytest.raises(ParseError):
             parse_graph(text)
+
+    def test_the_first_missing_vertex_is_named(self):
+        with pytest.raises(ParseError, match="^vertex 2 has no weight line$"):
+            parse_graph("p wis 3 0\nv 3 7\nv 1 5\n")
+
+    def test_a_declared_count_allocates_nothing_before_the_vertex_lines(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="^vertex 1 has no weight line$"):
+                parse_graph("p wis 1000000 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_round_trip_random_instances(self):
         rng = XorShift64Star(5)

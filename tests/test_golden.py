@@ -6,6 +6,10 @@ the chosen set with its weight and the cover members in order on a
 member, the ``ClassViolation`` witness on a non-member.  A refactor or a
 speed-up must leave every one of those bytes as it was; a deliberate
 change of output updates ``DIGEST`` and says why.
+
+``HARD_DIGEST`` covers ``solve``'s chosen set and weight on three
+path-heavy members, thousands of induced P4s each, where the corpus
+above has at most a few hundred.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ from conftest import blowup_graph, crown_graph, fuzz_graph
 from p4p4free.errors import ClassViolation
 from p4p4free.recognition import is_class_member
 from p4p4free.solver import solve, solve_with_cover
-from p4p4free.testkit import gen_instance
+from p4p4free.testkit import XorShift64Star, gen_instance
 
 DIGEST = "87b447c6bb0c74b24556c0747833a818ab0671829f4b2a109dbd98f0c5d2c5cc"
+HARD_DIGEST = "839168be3bdf41f4a7ccd3720a344993120f4e6ffeb2dfbf412c85c62c70dc91"
 
 
 def _corpus():
@@ -33,6 +38,15 @@ def _corpus():
     yield gen_instance("clustered", 60, 0.5, 700_008)
     for j in range(400):
         yield fuzz_graph(j)
+
+
+def _hard_rows():
+    """The path-heavy members of the acceptance scaling check: 10,337,
+    4,375 and 24,360 induced P4s."""
+    yield gen_instance("rejection", 40, 0.9, 7)
+    yield blowup_graph(7, 5, seed=705)
+    rng = XorShift64Star(3030)
+    yield crown_graph(30, [rng.below(101) for _ in range(60)])
 
 
 def _outputs(g):
@@ -60,3 +74,11 @@ def test_outputs_match_the_golden_digest():
         for line in _outputs(g):
             digest.update(repr(line).encode() + b"\n")
     assert digest.hexdigest() == DIGEST
+
+
+def test_hard_rows_match_their_digest():
+    digest = hashlib.sha256()
+    for g in _hard_rows():
+        result = solve(g)
+        digest.update(repr(("solve", result.weight, result.chosen)).encode() + b"\n")
+    assert digest.hexdigest() == HARD_DIGEST

@@ -163,7 +163,7 @@ class TestViolations:
         self, monkeypatch, entry
     ):
         def wrong(g):
-            return MembershipVerdict(False, triangle=(0, 1, 2)), 0, ()
+            return MembershipVerdict(False, triangle=(0, 1, 2)), 0, (), ()
 
         monkeypatch.setattr(solver, "_membership", wrong)
         with pytest.raises(StructureViolation) as info:
@@ -285,6 +285,42 @@ class TestDecomposeOnce:
                 monkeypatch.setattr(module, "components_with_certificates", counting)
         entry(g)
         assert hosts.count(g.full_mask) == 1
+
+
+# members with home's paths everywhere: clustered, rejection, a complete
+# blow-up of C7 and a crown
+SCAN_GRAPHS = {
+    "clustered_30": lambda: gen_instance("clustered", 30, 0.5, 11),
+    "rejection_14": lambda: gen_instance("rejection", 14, 0.6, 2),
+    "c7_classes_of_3": lambda: blowup_graph(7, 3, seed=73),
+    "crown_9": lambda: crown_graph(9),
+}
+
+
+class TestScanHomeOnce:
+    @pytest.mark.parametrize("entry", [solve, solve_with_cover])
+    @pytest.mark.parametrize("name", sorted(SCAN_GRAPHS))
+    def test_one_scan_of_home_per_public_call(self, monkeypatch, name, entry):
+        g = SCAN_GRAPHS[name]()
+        home = sum(components_with_certificates(g, g.full_mask)[1])  # disjoint masks
+        want = enumerate_induced_p4(g, home)
+        assert want
+        scanned, passed = [], []
+        scan, solve_all = recognition._p4_scan, solver._solve_all
+
+        def counting(g, host):
+            scanned.append(host)
+            return scan(g, host)
+
+        def recording(g, paths, *rest):
+            passed.append(list(paths))
+            return solve_all(g, paths, *rest)
+
+        monkeypatch.setattr(recognition, "_p4_scan", counting)
+        monkeypatch.setattr(solver, "_solve_all", recording)
+        entry(g)
+        assert scanned.count(home) == 1
+        assert passed == [want]
 
 
 class TestAgainstOracle:
@@ -502,9 +538,9 @@ class TestBoundAndSkip:
         check = solver._membership
 
         def recording(g):
-            verdict, home, certified = check(g)
-            verdicts.append(verdict)
-            return verdict, home, certified
+            found = check(g)
+            verdicts.append(found[0])
+            return found
 
         monkeypatch.setattr(solver, "_membership", recording)
         g = fuzz_graph(j)
