@@ -9,6 +9,16 @@ lies entirely at distance >= 2 from the first).  A connected triangle-free
 graph without an induced P4 is complete bipartite, so paths are sought
 only in the components without a certificate.
 
+Many paths share an anti-neighborhood, and most anti-neighborhoods are
+tiny, so one membership call searches each at most once.  Holding no P4
+is hereditary: fewer than 4 vertices hold none, and a region already
+found path-free holds none again, so both are skipped.  The witness is
+the full scan's: every skipped region holds no P4, so the first path in
+scan order whose region holds one is still searched, on that same region.
+The scan yields plain ``(a, b, c, d)`` tuples; an ``InducedP4`` is built
+only where a path is handed on (a witness, an enumeration, a path the
+solver draws).
+
 Around a fixed induced P4 (a, b, c, d), triangle-freeness pins every
 neighbor of the path to one of seven adjacency traces: {a}, {b}, {c}, {d},
 {a,c}, {a,d}, {b,d}.  Any other trace contains two consecutive path
@@ -118,12 +128,13 @@ def find_triangle(g: Graph, host: int | None = None) -> tuple[int, int, int] | N
 
 
 def _p4_scan(g: Graph, host: int):
-    """Yield canonical induced P4s of g[host] (each exactly once, a < d).
+    """Yield the canonical induced P4s of g[host] (each exactly once,
+    a < d) as plain ``(a, b, c, d)`` tuples.
 
     Iterates over ordered middle edges (b, c); for the canonical
     orientation only one of the two orders survives the a < d filter, so no
     deduplication is needed.  Yield order is scan order: ascending by
-    (b, c, a, d).
+    (b, c, a, d).  Callers that hand a path on wrap it in ``InducedP4``.
     """
     adj = g.adj
     bs = host
@@ -150,7 +161,7 @@ def _p4_scan(g: Graph, host: int):
                 while ds:
                     d_low = ds & -ds
                     ds ^= d_low
-                    yield InducedP4(a, b, c, d_low.bit_length() - 1)
+                    yield (a, b, c, d_low.bit_length() - 1)
 
 
 def enumerate_induced_p4(g: Graph, host: int | None = None) -> list[InducedP4]:
@@ -158,13 +169,14 @@ def enumerate_induced_p4(g: Graph, host: int | None = None) -> list[InducedP4]:
     if host is None:
         host = g.full_mask
     g._check_host(host)
-    return sorted(_p4_scan(g, host), key=lambda p: p.vertices)
+    return [InducedP4(*t) for t in sorted(_p4_scan(g, host))]
 
 
 def find_induced_p4(g: Graph, host: int) -> InducedP4 | None:
     """Some induced P4 of g[host], or None; deterministic, early exit."""
     g._check_host(host)
-    return next(_p4_scan(g, host), None)
+    t = next(_p4_scan(g, host), None)
+    return None if t is None else InducedP4(*t)
 
 
 def p4_pair_violation(p: InducedP4, q: InducedP4) -> ClassViolation:
@@ -216,20 +228,37 @@ def is_class_member(g: Graph) -> MembershipVerdict:
     components without a certificate (where every P4 lies), each induced
     P4 in scan order has its anti-neighborhood searched for a second P4;
     the two are disjoint and mutually non-adjacent, a genuine witness.
-    Verdict and witness equal those of the same scan over the whole graph.
+    Verdict and witness equal those of the same scan over the whole graph,
+    though an anti-neighborhood that cannot hold a P4 is not searched (see
+    ``_membership``).
     """
     return _membership(g)[0]
 
 
 def _membership(
     g: Graph,
-) -> tuple[MembershipVerdict, int, tuple[tuple[int, int], ...], tuple[InducedP4, ...]]:
+) -> tuple[
+    MembershipVerdict,
+    int,
+    tuple[tuple[int, int], ...],
+    tuple[tuple[int, int, int, int], ...],
+]:
     """``is_class_member(g)`` with what it decided from: home, the union
     of the uncertified components of ``components_with_certificates(g,
     g.full_mask)``, the side pairs of the certified ones, and on a member
-    every induced P4 of g[home] in scan order, which the verdict had to
-    visit; home 0 and no pairs when a triangle decided it before the
-    decomposition, and no paths on a refusal."""
+    every induced P4 of g[home] as an ``(a, b, c, d)`` tuple in scan
+    order, which the verdict had to visit; home 0 and no pairs when a
+    triangle decided it before the decomposition, and no paths on a
+    refusal.
+
+    Each path's region, home minus the path's closed neighbourhood, is
+    searched for a second path at most once per call.  Holding no P4 is
+    hereditary: a region of fewer than 4 vertices holds none, and neither
+    does a region already found path-free, so both are skipped.  The
+    witness is unchanged: every skipped region holds no P4, so the first
+    path in scan order whose region holds one is still searched, on that
+    same region, and ``find_induced_p4`` returns the same second path.
+    """
     tri = find_triangle(g)
     if tri is not None:
         return MembershipVerdict(False, triangle=tri), 0, (), ()
@@ -239,12 +268,19 @@ def _membership(
         home |= comp
     adj = g.adj
     paths = []
-    for p in _p4_scan(g, home):
-        near = p.mask | adj[p.a] | adj[p.b] | adj[p.c] | adj[p.d]
-        q = find_induced_p4(g, home & ~near)
-        if q is not None:
-            return MembershipVerdict(False, p4_pair=(p, q)), home, certified, ()
-        paths.append(p)
+    path_free = set()  # regions of at least 4 vertices searched in vain
+    for t in _p4_scan(g, home):
+        a, b, c, d = t
+        # each path vertex is a neighbour of another, so this is home
+        # minus the path's closed neighbourhood
+        region = home & ~(adj[a] | adj[b] | adj[c] | adj[d])
+        if region.bit_count() >= 4 and region not in path_free:
+            q = find_induced_p4(g, region)
+            if q is not None:
+                verdict = MembershipVerdict(False, p4_pair=(InducedP4(*t), q))
+                return verdict, home, certified, ()
+            path_free.add(region)
+        paths.append(t)
     return MembershipVerdict(True), home, certified, tuple(paths)
 
 

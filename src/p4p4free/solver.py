@@ -25,12 +25,17 @@ graph and, when there is none, decomposes it once and scans home (for
 each path in scan order, a second path in its anti-neighborhood).  The
 verdict and witness are those of ``is_class_member(g)``; the refusal is
 raised once its witness re-checks, and a triangle is refused before any
-decomposition.  Home, the rest's sides and home's paths all come from
-that same pass: to accept a member the scan visits every path of home,
-so the paths are scanned once and only sorted into canonical order
-here.  Past that step the input is a verified member, so a refusal
-raised by the branching is an internal fault and leaves as a
-``StructureViolation``.
+decomposition.  The scan searches each anti-neighborhood of at least 4
+vertices once per call: a region found path-free stays path-free, and a
+smaller one holds no P4, so skipping them leaves the first path whose
+region holds one, and so the witness, unchanged.  Home, the rest's
+sides and home's paths all come from that same pass: to accept a member
+the scan visits every path of home, so the paths are scanned once and
+only sorted into canonical order here.  They arrive as plain
+``(a, b, c, d)`` tuples; the loop builds an ``InducedP4`` only for a path
+it draws, and ``solve`` often stops after a few.  Past that step the
+input is a verified member, so a refusal raised by the branching is an
+internal fault and leaves as a ``StructureViolation``.
 
 Candidates are evaluated in one serial loop (paths in canonical order;
 per path {a, c}, {b, d}, the region; the remainder last), and ``solve``
@@ -107,7 +112,6 @@ of three kinds that cannot meet:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .bipartite import cb_weight_mask, lp_bound, side_selection
 from .constrained import _solve_containing
@@ -281,7 +285,7 @@ def _run(g: Graph, cover: bool, jobs: int):
         # candidates
         rest_mask = side_selection(g, certified)[1]
         # the membership scan's paths, in canonical order
-        paths = sorted(paths, key=attrgetter("vertices"))
+        paths = sorted(paths)
         # this call's repeated subproblems (see the module docstring)
         memo: dict = {}
         return _solve_all(g, paths, home, rest_mask, cover, memo)
@@ -296,16 +300,16 @@ def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool, memo: di
     # no candidate outweighs home's LP bound, so once the best reaches it
     # the rest cannot beat it strictly (see the module docstring)
     top = lp_bound(g, home) if paths and not cover else None
-    for p in paths:
-        best = _per_path(g, p, home, best, top, drawn, members, memo)
+    for t in paths:
+        best = _per_path(g, InducedP4(*t), home, best, top, drawn, members, memo)
         if best[0] == top:
             break
     else:
         # the path-free remainder of home, only known once every path has
         # been drawn
         white_host = home
-        for p in paths:
-            white_host &= ~p.mask
+        for a, b, c, d in paths:
+            white_host &= ~(1 << a | 1 << b | 1 << c | 1 << d)
         if cover:
             members.append(white_host)
         cand = cb_weight_mask(g, white_host)

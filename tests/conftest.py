@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from p4p4free.graph import Graph, bits, mask_of
+from p4p4free.recognition import is_class_member
 from p4p4free.testkit import XorShift64Star
 
 acceptance_report: list[str] = []
@@ -100,6 +101,35 @@ def random_graph(seed: int, n: int, p: float, weighted: bool = True) -> Graph:
 def fuzz_graph(j: int) -> Graph:
     """Draw j of the package's non-member fuzz family."""
     return random_graph(900_000 + j, 6 + j % 11, 0.08 + (j % 22) * 0.01)
+
+
+def triangle_free_graph(seed: int, n: int, p: float) -> Graph:
+    """Random triangle-free graph: each pair u < v, in order, becomes an
+    edge with chance p unless u and v already have a common neighbour.
+    Odd cycles survive, so the graph need not be bipartite."""
+    rng = XorShift64Star(seed)
+    adj = [0] * n
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.chance(p) and not adj[u] & adj[v]:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                edges.append((u, v))
+    return Graph.from_edges(n, edges, [rng.below(101) for _ in range(n)])
+
+
+def triangle_free_non_members(count: int, start: int = 0):
+    """The first ``count`` draws of ``triangle_free_graph`` (seeds from
+    610_000 + start, n 14-30, p 0.25-0.55) that ``is_class_member`` refuses,
+    so each holds two separated induced P4s."""
+    seed = 610_000 + start
+    while count:
+        g = triangle_free_graph(seed, 14 + seed % 17, 0.25 + seed % 7 * 0.05)
+        seed += 1
+        if not is_class_member(g).is_member:
+            count -= 1
+            yield g
 
 
 def is_independent(g: Graph, mask: int) -> bool:

@@ -10,13 +10,18 @@ change of output updates ``DIGEST`` and says why.
 ``HARD_DIGEST`` covers ``solve``'s chosen set and weight on three
 path-heavy members, thousands of induced P4s each, where the corpus
 above has at most a few hundred.
+
+``REFUSAL_DIGEST`` covers the refusal witnesses of ``is_class_member``,
+``solve`` and ``solve_with_cover`` on 200 seeded triangle-free
+non-members, where the corpus above has only 19 refusals by a pair of
+separated paths.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from conftest import blowup_graph, crown_graph, fuzz_graph
+from conftest import blowup_graph, crown_graph, fuzz_graph, triangle_free_non_members
 
 from p4p4free.errors import ClassViolation
 from p4p4free.recognition import is_class_member
@@ -25,6 +30,7 @@ from p4p4free.testkit import XorShift64Star, gen_instance
 
 DIGEST = "87b447c6bb0c74b24556c0747833a818ab0671829f4b2a109dbd98f0c5d2c5cc"
 HARD_DIGEST = "839168be3bdf41f4a7ccd3720a344993120f4e6ffeb2dfbf412c85c62c70dc91"
+REFUSAL_DIGEST = "c33f9abb4f2b45776d565704df334f5c6ccf524b8e7e4f4e1e81d43f54706fe0"
 
 
 def _corpus():
@@ -82,3 +88,11 @@ def test_hard_rows_match_their_digest():
         result = solve(g)
         digest.update(repr(("solve", result.weight, result.chosen)).encode() + b"\n")
     assert digest.hexdigest() == HARD_DIGEST
+
+
+def test_refusals_match_their_digest():
+    digest = hashlib.sha256()
+    for g in triangle_free_non_members(200):
+        for line in _outputs(g):
+            digest.update(repr(line).encode() + b"\n")
+    assert digest.hexdigest() == REFUSAL_DIGEST

@@ -17,6 +17,8 @@ from conftest import (
     scan_p4s,
     scan_triangles,
     scan_verdict,
+    triangle_free_graph,
+    triangle_free_non_members,
     verdict_witness,
 )
 
@@ -28,8 +30,10 @@ from p4p4free.graph import (
     mask_of,
     neighborhood,
 )
+from p4p4free import recognition
 from p4p4free.recognition import (
     InducedP4,
+    _membership,
     enumerate_induced_p4,
     find_induced_p4,
     find_triangle,
@@ -199,6 +203,79 @@ class TestMembership:
                 assert all(
                     not g.adjacent(u, v) for u in p.vertices for v in q.vertices
                 )
+
+
+def _region(g: Graph, home: int, t) -> int:
+    """Home minus the closed neighbourhood of the path t."""
+    a, b, c, d = t
+    return home & ~(g.adj[a] | g.adj[b] | g.adj[c] | g.adj[d] | mask_of(t))
+
+
+def _reference_membership(g: Graph):
+    """The membership scan without its region memo or size skip: every
+    path of home, in scan order, has its region searched.  Returns the
+    witness in ``verdict_witness`` form (None for a member) and, on a
+    member, the paths as vertex tuples."""
+    tri = find_triangle(g)
+    if tri is not None:
+        return ("triangle", tri), ()
+    home = sum(components_with_certificates(g, g.full_mask)[1])  # disjoint masks
+    paths = enumerate_induced_p4(g, home)
+    paths.sort(key=lambda p: (p.b, p.c, p.a, p.d))
+    for p in paths:
+        q = find_induced_p4(g, _region(g, home, p.vertices))
+        if q is not None:
+            return ("p4_pair", (p.vertices, q.vertices)), ()
+    return None, tuple(p.vertices for p in paths)
+
+
+REGION_GRAPHS = {
+    "rejection_14": lambda: gen_instance("rejection", 14, 0.6, 2),
+    "crown_9": lambda: crown_graph(9),
+    "clustered_30": lambda: gen_instance("clustered", 30, 0.5, 11),
+}
+
+
+class TestMembershipRegions:
+    def test_verdict_and_paths_equal_the_unmemoised_scan_on_fuzz_draws(self):
+        for j in range(600):
+            g = fuzz_graph(j)
+            verdict, _, _, paths = _membership(g)
+            assert (verdict_witness(verdict), paths) == _reference_membership(g), j
+
+    def test_verdict_equals_the_unmemoised_scan_on_triangle_free_graphs(self):
+        graphs = list(triangle_free_non_members(120, start=5_000))
+        graphs += [triangle_free_graph(seed, 12 + seed % 9, 0.2) for seed in range(60)]
+        for i, g in enumerate(graphs):
+            verdict, _, _, paths = _membership(g)
+            assert (verdict_witness(verdict), paths) == _reference_membership(g), i
+
+    @pytest.mark.parametrize("name", sorted(REGION_GRAPHS))
+    def test_each_region_of_four_or_more_is_searched_once(self, monkeypatch, name):
+        g = REGION_GRAPHS[name]()
+        home = sum(components_with_certificates(g, g.full_mask)[1])  # disjoint masks
+        regions = {_region(g, home, p.vertices) for p in enumerate_induced_p4(g, home)}
+        want = sorted(r for r in regions if r.bit_count() >= 4)
+        searched = []
+        find = recognition.find_induced_p4
+
+        def counting(g, host):
+            searched.append(host)
+            return find(g, host)
+
+        monkeypatch.setattr(recognition, "find_induced_p4", counting)
+        assert is_class_member(g).is_member
+        assert sorted(searched) == want
+
+    @pytest.mark.parametrize("name", sorted(REGION_GRAPHS))
+    def test_paths_are_tuples_in_scan_order(self, name):
+        g = REGION_GRAPHS[name]()
+        verdict, home, _, paths = _membership(g)
+        assert verdict.is_member and paths
+        assert all(type(t) is tuple for t in paths)
+        assert list(paths) == sorted(paths, key=lambda t: (t[1], t[2], t[0], t[3]))
+        assert set(paths) == {p.vertices for p in enumerate_induced_p4(g, home)}
+        assert len(set(paths)) == len(paths)
 
 
 class TestWitnessHolds:

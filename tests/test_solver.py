@@ -320,7 +320,8 @@ class TestScanHomeOnce:
         monkeypatch.setattr(solver, "_solve_all", recording)
         entry(g)
         assert scanned.count(home) == 1
-        assert passed == [want]
+        # _solve_all takes the paths as (a, b, c, d) tuples
+        assert passed == [[p.vertices for p in want]]
 
 
 class TestAgainstOracle:
