@@ -159,6 +159,8 @@ def _read_graph(args) -> Graph:
             return parse_graph(handle.read())
     except OSError as err:
         raise ParseError(f"cannot read {args.file}: {err.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {args.file}: not UTF-8 text") from None
 
 
 def _result_lines(res) -> list[str]:

@@ -6,10 +6,15 @@ nor c: the b-only, d-only and b-and-d neighbor classes plus the path's
 anti-neighborhood.  That subgraph is attacked by a covering family of
 branches: drop both one-letter classes, drop one, or commit to a concrete
 non-adjacent pair (one vertex from each one-letter class) and run an
-iterative selection loop whose kept residuals are handled by a second
-phase (bi-partial machinery over the class opposite the picked vertex,
-bottoming out in a split-instance solve once the opposite-class-plus-anti
-region is verified path-free).
+iterative selection loop whose kept residuals go to a second phase.  It
+searches the region of the class opposite the picked vertex plus the
+anti-neighborhood for an induced P4 once (fewer than 4 vertices hold
+none): a path-free region is solved as a split instance, and one with a
+path is branched on, by ``branch_via_bipartial`` while a vertex of the
+class is bi-partial to a block, else on a vertex of the path.  A
+bi-partial v meets a1 but not a2 on one side of a block and nothing of
+the other, so v-a1-b-a2 is an induced P4 of the region: only
+``split_solver`` needs to know what bi-partial means.
 
 The {b, d} variant is the same computation on the reversed path.
 
@@ -33,7 +38,6 @@ from .recognition import (
     verified_member,
 )
 from .split_solver import (
-    _bipartial_blocks,
     _certified_members,
     _keep_or_drop,
     _solve_raw,
@@ -71,29 +75,25 @@ def _solve_second_phase(
     leaves,
     memo: dict,
 ):
-    """Handle a kept residual: branch away remaining bi-partial contacts of
-    the active class, then reduce to a split instance whose independent
-    part is ``s_mask``, branching on a vertex of any path left in the
-    reduced region.
-    """
+    """Handle a kept residual: a split instance with independent part
+    ``s_mask`` once its region holds no induced P4, else branched on (see
+    the module docstring)."""
     if depth > g.n + 8:
         raise StructureViolation(
             "constrained branching exceeded its depth budget", ("depth_budget", depth)
         )
 
     def redispatch(host2: int, depth2: int):
-        return _solve_second_phase(
-            g, s_mask, active, anti, host2, depth2, leaves, memo
-        )
+        return _solve_second_phase(g, s_mask, active, anti, host2, depth2, leaves, memo)
 
-    members = _certified_members(g, anti & host, memo)
-    if any(_bipartial_blocks(g, v, members) for v in bits(active & host)):
-        return branch_via_bipartial(g, host, active, anti, redispatch, depth, memo)
     region = (active | anti) & host
-    found = find_induced_p4(g, region)
+    found = find_induced_p4(g, region) if region.bit_count() >= 4 else None
     if found is None:
         return _solve_raw(g, s_mask, active | anti, host, depth, 0, leaves, memo)
-    # fall back to plain anti-neighborhood branching on a path vertex
+    branched = branch_via_bipartial(g, host, active, anti, redispatch, depth, memo)
+    if branched is not None:
+        return branched
+    # no bi-partial vertex: plain anti-neighborhood branching on the path
     x = found.a
     return _keep_or_drop(redispatch, host & ~g.adj[x], host & ~(1 << x), depth)
 

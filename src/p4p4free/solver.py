@@ -266,7 +266,7 @@ def _per_path(
             y = next(bits((other | part.anti) & g.adj[x]), None)
             if y is None:
                 continue
-            fresh = InducedP4.of(g, end, mid, x, y)
+            fresh = InducedP4(end, mid, x, y)
             fresh_part = neighborhood_partition(g, fresh, home & ~g.adj[far])
             # the fresh path's host is not home, so its pair is not keyed
             cand = _forced_pair(g, fresh_part, members, memo)

@@ -104,10 +104,9 @@ def _keep_or_drop(redispatch, keep_host: int, drop_host: int, depth: int):
 
 
 def branch_via_bipartial(g, host, active, t_mask, redispatch, depth, memo):
-    """Branch around a vertex of ``active`` that is bi-partial to a block.
-
-    Precondition: some vertex of ``active & host`` is bi-partial to a
-    nontrivial block of ``t_mask & host``.  When every such vertex touches
+    """Branch around a vertex of ``active`` that is bi-partial to a block
+    of ``t_mask & host``, or return None, calling nothing back, when no
+    vertex of ``active & host`` is.  When every such vertex touches
     exactly one block this picks the contact-richest one and splits its
     kept residual along the (at most one, asserted) second bi-partial
     region; otherwise it finds a sink of the branching order first.  Every
@@ -124,9 +123,7 @@ def branch_via_bipartial(g, host, active, t_mask, redispatch, depth, memo):
         if found:
             bp_of[s] = found
     if not bp_of:
-        raise StructureViolation(
-            "no bi-partial vertex to branch on", ("no_bipartial_vertex", act)
-        )
+        return None
 
     if any(len(found) >= 2 for found in bp_of.values()):
         # several blocks involved: branch on a sink of the branching order,

@@ -91,6 +91,19 @@ def petersen() -> Graph:
     return Graph.from_edges(10, edges)
 
 
+# spine 0-1-2-3 with one extra vertex per neighbor class and a block
+# {9,11} x {8,10} contacted partially from both sides: after the pair
+# (4, 5) is committed and 6 is picked, 7 is still bi-partial to the
+# surviving block, forcing the second phase through its branching path
+INTERLOCKED = [
+    (0, 1), (1, 2), (2, 3),
+    (4, 1), (5, 3),
+    (6, 1), (6, 9),
+    (7, 3), (7, 8),
+    (9, 8), (9, 10), (11, 8), (11, 10),
+]
+
+
 def random_graph(seed: int, n: int, p: float, weighted: bool = True) -> Graph:
     rng = XorShift64Star(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.chance(p)]

@@ -252,6 +252,12 @@ class TestRun:
         assert run(["solve", "/nonexistent/g.wis"]) == 3
         assert "cannot read" in capsys.readouterr().err
 
+    def test_file_not_utf8_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "g.wis"
+        path.write_bytes(b"p wis 1 0\nv 1 \xff\n")
+        assert run(["solve", str(path)]) == 3
+        assert "not UTF-8 text" in capsys.readouterr().err
+
     def test_bad_flag_exits_3(self, wis_file, capsys):
         assert run(["solve", wis_file(TWO), "--format", "yaml"]) == 3
         capsys.readouterr()

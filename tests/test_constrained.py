@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 from conftest import (
+    INTERLOCKED,
     is_independent,
     path_graph,
     random_graph,
+    triangle_free_graph,
     two_colorable,
     witness_checks,
 )
@@ -22,6 +24,7 @@ from p4p4free.graph import Graph, bits, components_with_certificates, mask_of
 from p4p4free.recognition import (
     InducedP4,
     enumerate_induced_p4,
+    find_induced_p4,
     neighborhood_partition,
 )
 from p4p4free.split_solver import branch_via_bipartial
@@ -275,18 +278,6 @@ class TestAgainstOracle:
 
 
 class TestBranchCoverage:
-    # spine 0-1-2-3 with one extra vertex per neighbor class and a block
-    # {9,11} x {8,10} contacted partially from both sides: after the pair
-    # (4, 5) is committed and 6 is picked, 7 is still bi-partial to the
-    # surviving block, forcing the second phase through its branching path
-    INTERLOCKED = [
-        (0, 1), (1, 2), (2, 3),
-        (4, 1), (5, 3),
-        (6, 1), (6, 9),
-        (7, 3), (7, 8),
-        (9, 8), (9, 10), (11, 8), (11, 10),
-    ]
-
     def test_bipartial_machinery_is_reached(self, monkeypatch):
         hits = []
 
@@ -295,18 +286,46 @@ class TestBranchCoverage:
             return branch_via_bipartial(*args, **kwargs)
 
         monkeypatch.setattr(constrained, "branch_via_bipartial", counting)
-        g = Graph.from_edges(12, self.INTERLOCKED)
+        g = Graph.from_edges(12, INTERLOCKED)
         p = InducedP4(0, 1, 2, 3)
         res = solve_containing_ac(g, p)
         assert hits
         assert res.weight == oracle_wis_containing(g, mask_of([0, 2])).weight
+
+    def test_second_phase_searches_its_region_before_it_branches(self, monkeypatch):
+        # a region of fewer than 4 vertices holds no P4 and is not searched,
+        # and branch_via_bipartial is asked only about a region with a path
+        events = []
+
+        def search(g, region):
+            found = find_induced_p4(g, region)
+            events.append(("search", region.bit_count(), found is not None))
+            return found
+
+        def branch(*args):
+            events.append(("branch",))
+            return branch_via_bipartial(*args)
+
+        monkeypatch.setattr(constrained, "find_induced_p4", search)
+        monkeypatch.setattr(constrained, "branch_via_bipartial", branch)
+        graphs = Graph.from_edges(12, INTERLOCKED), triangle_free_graph(1_031_684, 14, 0.35)
+        for g in graphs:
+            for p in enumerate_induced_p4(g):
+                solve_containing_ac(g, p)
+                solve_containing_bd(g, p)
+        assert ("branch",) in events
+        for before, event in zip([None, *events], events):
+            if event[0] == "search":
+                assert event[1] >= 4
+            else:
+                assert before is not None and before[0] == "search" and before[2]
 
     def test_weighted_variants_match_oracle(self):
         rng = XorShift64Star(314)
         p = InducedP4(0, 1, 2, 3)
         for _ in range(20):
             weights = [1 + rng.below(50) for _ in range(12)]
-            g = Graph.from_edges(12, self.INTERLOCKED, weights=weights)
+            g = Graph.from_edges(12, INTERLOCKED, weights=weights)
             got = solve_containing_ac(g, p)
             want = oracle_wis_containing(g, mask_of([0, 2]))
             assert got.weight == want.weight

@@ -15,22 +15,40 @@ above has at most a few hundred.
 ``solve`` and ``solve_with_cover`` on 200 seeded triangle-free
 non-members, where the corpus above has only 19 refusals by a pair of
 separated paths.
+
+``BRANCH_DIGEST`` covers the members that reach the constrained second
+phase's two branches, which none of the graphs above reaches: ``solve``,
+the ``solve_with_cover`` members, and ``solve_containing_ac`` and
+``solve_containing_bd`` on every induced P4.  The test also checks that
+each graph still reaches its branch.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
-from conftest import blowup_graph, crown_graph, fuzz_graph, triangle_free_non_members
+from conftest import (
+    INTERLOCKED,
+    blowup_graph,
+    crown_graph,
+    fuzz_graph,
+    triangle_free_graph,
+    triangle_free_non_members,
+)
 
+from p4p4free import constrained
+from p4p4free.constrained import solve_containing_ac, solve_containing_bd
 from p4p4free.errors import ClassViolation
-from p4p4free.recognition import is_class_member
+from p4p4free.graph import Graph
+from p4p4free.recognition import enumerate_induced_p4, is_class_member
 from p4p4free.solver import solve, solve_with_cover
 from p4p4free.testkit import XorShift64Star, gen_instance
 
 DIGEST = "87b447c6bb0c74b24556c0747833a818ab0671829f4b2a109dbd98f0c5d2c5cc"
 HARD_DIGEST = "839168be3bdf41f4a7ccd3720a344993120f4e6ffeb2dfbf412c85c62c70dc91"
 REFUSAL_DIGEST = "c33f9abb4f2b45776d565704df334f5c6ccf524b8e7e4f4e1e81d43f54706fe0"
+BRANCH_DIGEST = "cdc9108e65cef69b0fc6ab8cadaedfb579907bceb060899bbb619bddc197d925"
 
 
 def _corpus():
@@ -53,6 +71,24 @@ def _hard_rows():
     yield blowup_graph(7, 5, seed=705)
     rng = XorShift64Star(3030)
     yield crown_graph(30, [rng.below(101) for _ in range(60)])
+
+
+def _branch_rows():
+    """Each member with the second-phase branch it reaches: the
+    interlocked block, with unit and with seeded weights, reaches
+    ``branch_via_bipartial`` in ``solve`` and in the cover; the four
+    triangle-free draws reach the keep-or-drop on a path vertex in their
+    covers."""
+    rng = XorShift64Star(314)
+    for weights in (None, [1 + rng.below(50) for _ in range(12)]):
+        yield Graph.from_edges(12, INTERLOCKED, weights), "bipartial"
+    for seed, n, p in (
+        (1_019_418, 18, 0.4),
+        (1_020_203, 23, 0.5),
+        (1_031_684, 14, 0.35),
+        (1_032_579, 24, 0.55),
+    ):
+        yield triangle_free_graph(seed, n, p), "fallback"
 
 
 def _outputs(g):
@@ -96,3 +132,37 @@ def test_refusals_match_their_digest():
         for line in _outputs(g):
             digest.update(repr(line).encode() + b"\n")
     assert digest.hexdigest() == REFUSAL_DIGEST
+
+
+def test_second_phase_branches_match_their_digest(monkeypatch):
+    reached = Counter()
+    branch_via_bipartial = constrained.branch_via_bipartial
+    keep_or_drop = constrained._keep_or_drop
+
+    def bipartial(*args):
+        found = branch_via_bipartial(*args)
+        reached["bipartial"] += found is not None
+        return found
+
+    def fallback(*args):
+        reached["fallback"] += 1
+        return keep_or_drop(*args)
+
+    monkeypatch.setattr(constrained, "branch_via_bipartial", bipartial)
+    monkeypatch.setattr(constrained, "_keep_or_drop", fallback)
+    digest = hashlib.sha256()
+    for g, branch in _branch_rows():
+        reached.clear()
+        result = solve(g)
+        in_solve = reached[branch]
+        _, family = solve_with_cover(g)
+        assert reached[branch] > in_solve
+        assert in_solve or branch == "fallback"
+        lines = [("solve", result.weight, result.chosen), ("cover", family.members)]
+        for p in enumerate_induced_p4(g):
+            for forced in (solve_containing_ac, solve_containing_bd):
+                result = forced(g, p)
+                lines.append((forced.__name__, p.vertices, result.weight, result.chosen))
+        for line in lines:
+            digest.update(repr(line).encode() + b"\n")
+    assert digest.hexdigest() == BRANCH_DIGEST

@@ -14,8 +14,8 @@ from conftest import complete_bipartite, is_independent, scan_p4s, witness_check
 from p4p4free import constrained, solve, solve_with_cover, split_solver
 from p4p4free.constrained import solve_containing_ac
 from p4p4free.errors import ClassViolation, StructureViolation
-from p4p4free.graph import Graph, components_with_certificates, mask_of
-from p4p4free.recognition import InducedP4, enumerate_induced_p4
+from p4p4free.graph import Graph, bits, components_with_certificates, mask_of
+from p4p4free.recognition import InducedP4, enumerate_induced_p4, find_induced_p4
 from p4p4free.testkit import (
     enumerate_maximal_is,
     gen_instance,
@@ -60,15 +60,6 @@ class TestInstanceValidation:
         assert exc.value.witness == ("split_parts", 0b1)
         host = mask_of([1, 2, 3])
         assert raw(g, 0b1, g.full_mask, host, 0, 0, None, {}) == (2, mask_of([2, 3]))
-
-    def test_no_bipartial_vertex_is_an_internal_fault(self):
-        # 4 meets the block {0, 1; 2, 3} wholly on one side
-        g = Graph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (4, 1)])
-        t_mask = mask_of(range(4))
-        branch = split_solver.branch_via_bipartial
-        with pytest.raises(StructureViolation) as exc:
-            branch(g, g.full_mask, 1 << 4, t_mask, None, 0, {})
-        assert exc.value.witness == ("no_bipartial_vertex", 1 << 4)
 
 
 class TestContactHits:
@@ -157,6 +148,20 @@ class TestBranchingShapes:
             g = Graph.from_edges(6, edges, weights)
             assert split(g, [4, 5], [0, 1, 2, 3])[0] == oracle_wis(g).weight
 
+    def test_without_a_bipartial_vertex_nothing_is_branched(self):
+        # 4 meets the block {0, 1; 2, 3} wholly on one side
+        g = Graph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (4, 1)])
+        t_mask = mask_of(range(4))
+        hosts = []
+
+        def redispatch(host, depth):
+            hosts.append(host)
+            return 0, 0
+
+        branch = split_solver.branch_via_bipartial
+        assert branch(g, g.full_mask, 1 << 4, t_mask, redispatch, 0, {}) is None
+        assert hosts == []
+
 
 class TestForbiddenShapesSurface:
     def test_two_broken_components_raise_with_path_pair(self):
@@ -220,6 +225,24 @@ class TestDepthBudget:
         with pytest.raises(ClassViolation) as exc:
             solve_containing_ac(g, InducedP4.of(g, 3, 0, 2, 1))
         assert witness_checks(g, exc.value.witness)
+
+
+class TestBipartialLemma:
+    def test_a_bipartial_vertex_leaves_an_induced_path(self):
+        # v meets a1 but not a2 on one side of a block and nothing of the
+        # other side, so v-a1-b-a2 is induced for any b of that side: a
+        # path-free region has no bi-partial vertex
+        seen = 0
+        for seed in range(300):
+            n = 6 + seed % 9
+            g, s_mask, t_mask = gen_split_instance(n, 0.3 + seed % 5 * 0.15, seed)
+            members = components_with_certificates(g, t_mask)[0]
+            for v in bits(s_mask):
+                for a, b in split_solver._bipartial_blocks(g, v, members):
+                    seen += 1
+                    assert find_induced_p4(g, 1 << v | a | b) is not None, seed
+                    assert find_induced_p4(g, s_mask | t_mask) is not None, seed
+        assert seen > 50
 
 
 class TestBranchingOrder:
