@@ -175,9 +175,7 @@ def solve_cb_components(g: Graph, host: int | None = None) -> SolveResult:
         StructureViolation: a component of g[host] is not complete
             bipartite (the witness carries an induced P4 of it).
     """
-    if host is None:
-        host = g.full_mask
-    g._check_host(host)
+    host = g._check_host(host)
     with verified_member(g, is_class_member(g)):
         _, mask = cb_weight_mask(g, host)
     return certified_result(g, mask)

@@ -143,6 +143,12 @@ def _witness_text(obj) -> str:
     return str(obj)
 
 
+def _witness_line(witness: tuple) -> str:
+    """The line naming a ``ClassViolation``'s witness, 1-based."""
+    kind, body = witness
+    return f"witness {kind} {_witness_text(body)}"
+
+
 def _emit(args, text_lines: list[str], payload: dict) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -152,15 +158,18 @@ def _emit(args, text_lines: list[str], payload: dict) -> None:
 
 
 def _read_graph(args) -> Graph:
-    if args.file == "-":
-        return parse_graph(sys.stdin.read())
     try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            return parse_graph(handle.read())
+        if args.file == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(args.file, "rb") as handle:
+                data = handle.read()
+        text = data.decode("utf-8")
     except OSError as err:
         raise ParseError(f"cannot read {args.file}: {err.strerror}") from None
     except UnicodeDecodeError:
         raise ParseError(f"cannot read {args.file}: not UTF-8 text") from None
+    return parse_graph(text)
 
 
 def _result_lines(res) -> list[str]:
@@ -191,19 +200,18 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    verdict = is_class_member(_read_graph(args))
-    if verdict.is_member:
+    refusal = is_class_member(_read_graph(args)).violation()
+    if refusal is None:
         _emit(args, ["MEMBER"], {"member": True})
         return 0
-    if verdict.triangle is not None:
-        kind, body = "triangle", (verdict.triangle,)
-        detail = {"vertices": _ids(verdict.triangle)}
+    kind, body = refusal.witness
+    if kind == "triangle":
+        detail = {"vertices": _ids(body)}
     else:
-        kind, body = "p4_pair", tuple(p.vertices for p in verdict.p4_pair)
         detail = {"first": _ids(body[0]), "second": _ids(body[1])}
     _emit(
         args,
-        ["NOT_MEMBER", f"witness {kind} {_witness_text(body)}"],
+        ["NOT_MEMBER", _witness_line(refusal.witness)],
         {"member": False, "witness": {"kind": kind, **detail}},
     )
     return 0
@@ -332,8 +340,7 @@ def run(argv: list[str] | None = None) -> int:
     except ClassViolation as err:
         print(f"class violation: {err}", file=sys.stderr)
         if err.witness is not None:
-            kind, *rest = err.witness
-            print(f"witness {kind} {_witness_text(tuple(rest))}", file=sys.stderr)
+            print(_witness_line(err.witness), file=sys.stderr)
         return 2
     except StructureViolation as err:
         # the solvers let it out only on class members: a fault of ours

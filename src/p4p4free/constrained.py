@@ -27,7 +27,6 @@ pair in and certify the result.
 
 from __future__ import annotations
 
-from .errors import StructureViolation
 from .graph import Graph, SolveResult, bits, certified_result
 from .recognition import (
     InducedP4,
@@ -39,6 +38,7 @@ from .recognition import (
 )
 from .split_solver import (
     _certified_members,
+    _check_depth,
     _keep_or_drop,
     _solve_raw,
     branch_via_bipartial,
@@ -78,10 +78,7 @@ def _solve_second_phase(
     """Handle a kept residual: a split instance with independent part
     ``s_mask`` once its region holds no induced P4, else branched on (see
     the module docstring)."""
-    if depth > g.n + 8:
-        raise StructureViolation(
-            "constrained branching exceeded its depth budget", ("depth_budget", depth)
-        )
+    _check_depth(g, depth)
 
     def redispatch(host2: int, depth2: int):
         return _solve_second_phase(g, s_mask, active, anti, host2, depth2, leaves, memo)
@@ -102,6 +99,10 @@ def _pair_branch(g: Graph, part, sb: int, sd: int, leaves, memo: dict):
     """Best independent set of the reduced host containing the pair."""
     stars = (1 << sb) | (1 << sd)
     host = (part.s_b | part.s_d | part.s_bd | part.anti) & ~(g.adj[sb] | g.adj[sd])
+    # each pick removes a b- or d-class vertex, so the block part and its
+    # blocks stay fixed through the loop
+    t_mask = part.anti & host
+    t_comps = None
     best = (-1, 0)
     depth = 1
     while True:
@@ -112,8 +113,8 @@ def _pair_branch(g: Graph, part, sb: int, sd: int, leaves, memo: dict):
                 g, stars | part.s_bd, part.anti, host, depth, 0, leaves, memo
             )
             return cand if cand[0] > best[0] else best
-        t_mask = part.anti & host
-        t_comps = [a | b for a, b in _certified_members(g, t_mask, memo)]
+        if t_comps is None:
+            t_comps = [a | b for a, b in _certified_members(g, t_mask, memo)]
         v = _select_branch_vertex(g, list(bits(live_b | live_d)), t_comps, t_mask)
         if live_b >> v & 1:
             active, passive = part.s_d, part.s_b

@@ -123,9 +123,13 @@ class Graph:
             for v in bits(rest):
                 yield u, v
 
-    def _check_host(self, host: int) -> None:
+    def _check_host(self, host: int | None = None) -> int:
+        """``host`` checked against the vertex range, or the full mask for None."""
+        if host is None:
+            return self.full_mask
         if host < 0 or host >> self.n:
             raise InputError(f"host mask {bin(host)} out of range for n={self.n}")
+        return host
 
 
 def neighborhood(g: Graph, u: int) -> int:

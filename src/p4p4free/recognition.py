@@ -29,7 +29,9 @@ machinery downstream is phrased in terms of them.
 Every public solver decides membership before it branches and refuses
 only through ``refuse``: a ``ClassViolation`` leaves once its witness
 re-checks against the input, and one that does not is an internal fault.
-``verified_member`` wraps the branching that follows a member verdict.
+A verdict's ``violation()`` is its refusal, written once for the solvers
+and the CLI's ``check``; ``verified_member`` refuses with it and wraps the
+branching that follows a member verdict.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "find_triangle",
     "enumerate_induced_p4",
     "find_induced_p4",
-    "p4_pair_violation",
     "uncertified_p4",
     "is_class_member",
     "witness_holds",
@@ -106,9 +107,7 @@ def _check_induced_p4(g: Graph, vs: tuple[int, int, int, int]) -> None:
 
 def find_triangle(g: Graph, host: int | None = None) -> tuple[int, int, int] | None:
     """Lexicographically least triangle (u, v, w), u < v < w, or None."""
-    if host is None:
-        host = g.full_mask
-    g._check_host(host)
+    host = g._check_host(host)
     adj = g.adj
     above_u = host
     while above_u:
@@ -166,9 +165,7 @@ def _p4_scan(g: Graph, host: int):
 
 def enumerate_induced_p4(g: Graph, host: int | None = None) -> list[InducedP4]:
     """All induced P4s of g[host], canonical (a < d), lexicographic order."""
-    if host is None:
-        host = g.full_mask
-    g._check_host(host)
+    host = g._check_host(host)
     return [InducedP4(*t) for t in sorted(_p4_scan(g, host))]
 
 
@@ -177,16 +174,6 @@ def find_induced_p4(g: Graph, host: int) -> InducedP4 | None:
     g._check_host(host)
     t = next(_p4_scan(g, host), None)
     return None if t is None else InducedP4(*t)
-
-
-def p4_pair_violation(p: InducedP4, q: InducedP4) -> ClassViolation:
-    """The refusal for two induced P4s that are vertex-disjoint and
-    mutually non-adjacent."""
-    return ClassViolation(
-        "an induced four-vertex path lies fully outside another's "
-        "closed neighborhood",
-        ("p4_pair", (p.vertices, q.vertices)),
-    )
 
 
 def uncertified_p4(g: Graph, comp: int) -> InducedP4:
@@ -219,6 +206,18 @@ class MembershipVerdict:
     is_member: bool
     triangle: tuple[int, int, int] | None = None
     p4_pair: tuple[InducedP4, InducedP4] | None = None
+
+    def violation(self) -> ClassViolation | None:
+        """The refusal this verdict stands for, None for a member."""
+        if self.triangle is not None:
+            return ClassViolation("graph contains a triangle", ("triangle", self.triangle))
+        if self.p4_pair is not None:
+            return ClassViolation(
+                "an induced four-vertex path lies fully outside another's "
+                "closed neighborhood",
+                ("p4_pair", tuple(p.vertices for p in self.p4_pair)),
+            )
+        return None
 
 
 def is_class_member(g: Graph) -> MembershipVerdict:
@@ -334,11 +333,9 @@ def verified_member(g: Graph, verdict: MembershipVerdict):
     ``ClassViolation`` raised there is an internal fault: it leaves as a
     ``StructureViolation`` carrying the same witness.
     """
-    if verdict.triangle is not None:
-        witness = ("triangle", verdict.triangle)
-        refuse(g, ClassViolation("graph contains a triangle", witness))
-    if verdict.p4_pair is not None:
-        refuse(g, p4_pair_violation(*verdict.p4_pair))
+    refusal = verdict.violation()
+    if refusal is not None:
+        refuse(g, refusal)
     try:
         yield
     except ClassViolation as err:
@@ -395,9 +392,7 @@ def neighborhood_partition(
         ClassViolation: when some neighbor's trace includes two consecutive
             path vertices; the witness is the resulting triangle.
     """
-    if host is None:
-        host = g.full_mask
-    g._check_host(host)
+    host = g._check_host(host)
     _check_induced_p4(g, p.vertices)
     if p.mask & host != p.mask:
         raise InputError("path vertices must lie inside the host")

@@ -7,9 +7,13 @@ fail the complete-bipartite certificate (two failing components would each
 contain an induced P4, and the pair would be forbidden).  The dispatcher
 therefore solves every certified component by side selection and recurses
 only into the single uncertified one, choosing a branch vertex whose
-anti-neighborhood branching provably lands back in simpler shapes.  When
-some vertex of the independent part is bi-partial to two blocks, the
-branch vertex is a sink of the branching order (u before v when v is
+anti-neighborhood branching provably lands back in simpler shapes.  Like
+the constrained second phase, it branches through ``branch_via_bipartial``
+first, the one test of whether a vertex of the independent part is
+bi-partial to a block (meets one side, but not all of it); only when none
+is does it branch on a vertex contacting several blocks, or across the
+one block met on both sides.  When a vertex is bi-partial to two blocks,
+the branch vertex is a sink of the branching order (u before v when v is
 bi-partial to two blocks left after removing N(u)), found by a direct
 search over the candidates.
 
@@ -94,6 +98,16 @@ def _certified_members(g: Graph, t_live: int, memo: dict):
             )
         memo[~t_live] = members
     return members
+
+
+def _check_depth(g: Graph, depth: int) -> None:
+    """Raise the depth-budget fault once a branching recursion is deeper
+    than ``n + 8`` levels.  Every branch removes a vertex, so only a
+    structure assumption violated undetected can get there."""
+    if depth > g.n + 8:
+        raise StructureViolation(
+            "branching recursion exceeded its depth budget", ("depth_budget", depth)
+        )
 
 
 def _keep_or_drop(redispatch, keep_host: int, drop_host: int, depth: int):
@@ -184,44 +198,37 @@ def branch_via_bipartial(g, host, active, t_mask, redispatch, depth, memo):
 
 
 def _solve_bad_comp(g, s_mask, t_mask, comp, depth, ambient, leaves, memo):
-    s_live = s_mask & comp
-    t_live = t_mask & comp
-    members = _certified_members(g, t_live, memo)
+    """Branch on the uncertified component ``comp``: through
+    ``branch_via_bipartial`` while a vertex of the independent part is
+    bi-partial to a block, else on the vertex contacting the most blocks
+    once one contacts several, else across the one block met on both
+    sides.  Returns (weight, mask).
+    """
 
     def redispatch(host2, depth2):
         return _solve_raw(g, s_mask, t_mask, host2, depth2, ambient, leaves, memo)
 
-    contacted_count: dict[int, int] = {}
-    has_bipartial = False
-    on_a, on_b = set(), set()  # nontrivial blocks met wholly on each side
-    for s in bits(s_live):
-        cnt = 0
-        for idx, sides in enumerate(members):
-            hit_a, hit_b = _hits(g, s, sides)  # both-sides contact raises here
-            if not hit_a | hit_b:
-                continue
-            cnt += 1
-            if hit_a | hit_b not in sides:
-                has_bipartial = True
-            elif sides[1]:
-                (on_a if hit_a else on_b).add(idx)
-        contacted_count[s] = cnt
-
-    if has_bipartial:
-        return branch_via_bipartial(g, comp, s_live, t_live, redispatch, depth, memo)
-
-    multi = [s for s, cnt in contacted_count.items() if cnt >= 2]
+    branched = branch_via_bipartial(g, comp, s_mask, t_mask, redispatch, depth, memo)
+    if branched is not None:
+        return branched
+    # no vertex meets a block partially, and none on both sides (its
+    # _hits raised that triangle), so each contact is one whole side
+    s_live = s_mask & comp
+    members = _certified_members(g, t_mask & comp, memo)
+    contacts = {s: sum(1 for a, b in members if g.adj[s] & (a | b)) for s in bits(s_live)}
+    multi = [s for s, cnt in contacts.items() if cnt >= 2]
     if multi:
         # branch on the vertex spanning the most blocks (singletons count:
         # a vertex tying several singletons together is what breaks the
         # component's complete-bipartite shape in the first place)
-        pick = max(multi, key=contacted_count.get)
+        pick = max(multi, key=contacts.get)
         return _keep_or_drop(redispatch, comp & ~g.adj[pick], comp & ~(1 << pick), depth)
 
     # every contact is universal into one side of a single block; the
     # component can only fail its certificate by having attachments on
     # both sides of one block
-    split_blocks = [members[idx] for idx in sorted(on_a & on_b)]
+    reach = neighborhood(g, s_live)
+    split_blocks = [(a, b) for a, b in members if reach & a and reach & b]
     if len(split_blocks) != 1:
         raise StructureViolation(
             "single-contact component should split across exactly one block",
@@ -242,12 +249,7 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo):
     peeled off as certified components.  ``memo`` is the public call's
     memo (see the module docstring).
     """
-    if depth > g.n + 8:
-        # every branch removes a vertex, so only a structure assumption
-        # violated undetected can get here
-        raise StructureViolation(
-            "branching recursion exceeded its depth budget", ("depth_budget", depth)
-        )
+    _check_depth(g, depth)
     stray = host & (s_mask & t_mask | ~(s_mask | t_mask))
     if stray:
         raise StructureViolation(

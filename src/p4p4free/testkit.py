@@ -105,9 +105,7 @@ def oracle_wis(g: Graph, host: int | None = None, guard: int = 30) -> SolveResul
         GuardError: when the host exceeds ``guard`` vertices (default 30).
         InputError: when ``guard`` is negative.
     """
-    if host is None:
-        host = g.full_mask
-    g._check_host(host)
+    host = g._check_host(host)
     _check_guard(host, guard, "oracle_wis")
     adj = g.adj
     weights = g.weights
@@ -149,9 +147,7 @@ def wis_by_enumeration(g: Graph, host: int | None = None, guard: int = 20) -> So
     but affordable at k = 16).  Exists purely to cross-check ``oracle_wis``;
     same tie-break.
     """
-    if host is None:
-        host = g.full_mask
-    g._check_host(host)
+    host = g._check_host(host)
     _check_guard(host, guard, "wis_by_enumeration")
     verts = list(bits(host))
     adj = g.adj
@@ -184,9 +180,7 @@ def oracle_wis_containing(
         InputError: forced set not independent or outside the host.
         GuardError: residual host exceeds the guard.
     """
-    if host is None:
-        host = g.full_mask
-    g._check_host(host)
+    host = g._check_host(host)
     forced_mask = forced if isinstance(forced, int) else mask_of(forced)
     if forced_mask & ~host:
         raise InputError("forced vertices must lie inside the host")
@@ -206,9 +200,7 @@ def enumerate_maximal_is(
     Bron-Kerbosch with pivoting over the non-adjacency relation;
     exponential output in the worst case, hence the guard.
     """
-    if host is None:
-        host = g.full_mask
-    g._check_host(host)
+    host = g._check_host(host)
     _check_guard(host, guard, "enumerate_maximal_is")
     adj = g.adj
     nonadj = {v: host & ~adj[v] & ~(1 << v) for v in bits(host)}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import tracemalloc
 
@@ -309,8 +310,12 @@ class TestRun:
         capsys.readouterr()
 
     def test_stdin_dash(self, capsys, monkeypatch):
-        import io
-
-        monkeypatch.setattr("sys.stdin", io.StringIO(TWO))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(TWO.encode())))
         assert run(["solve", "-"]) == 0
         assert capsys.readouterr().out == "weight 7\nvertices 2\n"
+
+    def test_stdin_not_utf8_exits_3(self, capsys, monkeypatch):
+        data = b"p wis 1 0\nv 1 \xff\n"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert run(["solve", "-"]) == 3
+        assert capsys.readouterr().err == "error: cannot read -: not UTF-8 text\n"

@@ -76,6 +76,21 @@ class TestGraphConstruction:
                 assert g.adjacent(u, v) == g.adjacent(v, u)
 
 
+class TestCheckHost:
+    def test_none_is_the_full_mask(self):
+        g = path_graph(5)
+        assert g._check_host(None) == g._check_host() == g.full_mask
+
+    @pytest.mark.parametrize("host", [0, 0b10101, 0b11111])
+    def test_a_mask_in_range_comes_back(self, host):
+        assert path_graph(5)._check_host(host) == host
+
+    @pytest.mark.parametrize("host", [-1, 1 << 5, 0b111111])
+    def test_out_of_range_is_an_input_error(self, host):
+        with pytest.raises(InputError):
+            path_graph(5)._check_host(host)
+
+
 class TestNeighborhoods:
     def test_path_endpoint(self):
         g = path_graph(4)

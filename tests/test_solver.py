@@ -16,6 +16,7 @@ from conftest import (
     is_independent,
     path_graph,
     random_graph,
+    triangle_free_non_members,
     two_colorable,
     verdict_witness,
     witness_checks,
@@ -86,6 +87,23 @@ class TestPinnedShapes:
 
 
 class TestViolations:
+    def test_the_verdict_names_the_refusal_solve_raises(self):
+        fuzz = [fuzz_graph(j) for j in range(300)]
+        refused = members = 0
+        for g in fuzz + list(triangle_free_non_members(40)):
+            verdict = is_class_member(g)
+            refusal = verdict.violation()
+            if verdict.is_member:
+                assert refusal is None
+                members += 1
+                continue
+            with pytest.raises(ClassViolation) as info:
+                solve(g)
+            assert refusal.witness == info.value.witness
+            assert str(refusal) == str(info.value)
+            refused += 1
+        assert refused > 150 and members > 100
+
     def test_triangle_is_rejected(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(ClassViolation) as info:

@@ -163,6 +163,81 @@ class TestBranchingShapes:
         assert hosts == []
 
 
+class TestBadComponentDispatch:
+    """``_solve_bad_comp`` asks ``branch_via_bipartial`` exactly once per
+    call and counts contacts only when it answers None."""
+
+    @pytest.mark.parametrize(
+        "edges, s, t, keep, drop",
+        [
+            # multi-contact: 2 ties the singletons 0 and 1, so it is picked
+            ([(2, 0), (2, 1), (3, 0)], [2, 3], [0, 1], 0b1100, 0b1011),
+            # split block: 4 meets side {0, 1} wholly, 5 side {2, 3}, so
+            # the branch keeps side {0, 1} or drops it
+            (
+                [(0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (4, 1), (5, 2), (5, 3)],
+                [4, 5],
+                [0, 1, 2, 3],
+                0b100011,
+                0b111100,
+            ),
+        ],
+        ids=["multi-contact", "split-block"],
+    )
+    def test_bipartial_branch_declines_once_per_call(
+        self, monkeypatch, edges, s, t, keep, drop
+    ):
+        bad_comp = split_solver._solve_bad_comp
+        branch = split_solver.branch_via_bipartial
+        keep_or_drop = split_solver._keep_or_drop
+        calls, answers, branched = [], [], []
+
+        def counting_bad_comp(*args):
+            calls.append(args[3])
+            return bad_comp(*args)
+
+        def counting_branch(*args):
+            answers.append(branch(*args))
+            return answers[-1]
+
+        def recording_keep_or_drop(redispatch, keep_host, drop_host, depth):
+            branched.append((keep_host, drop_host))
+            return keep_or_drop(redispatch, keep_host, drop_host, depth)
+
+        monkeypatch.setattr(split_solver, "_solve_bad_comp", counting_bad_comp)
+        monkeypatch.setattr(split_solver, "branch_via_bipartial", counting_branch)
+        monkeypatch.setattr(split_solver, "_keep_or_drop", recording_keep_or_drop)
+        g = Graph.from_edges(len(s) + len(t), edges)
+        assert split(g, s, t)[0] == oracle_wis(g).weight
+        assert calls == [g.full_mask]
+        assert answers == [None]
+        assert branched == [(keep, drop)]
+
+    def test_every_call_asks_the_bipartial_branch_once(self, monkeypatch):
+        bad_comp = split_solver._solve_bad_comp
+        branch = split_solver.branch_via_bipartial
+        counts = {"bad_comp": 0, "branch": 0, "declined": 0}
+
+        def counting_bad_comp(*args):
+            counts["bad_comp"] += 1
+            return bad_comp(*args)
+
+        def counting_branch(*args):
+            counts["branch"] += 1
+            out = branch(*args)
+            counts["declined"] += out is None
+            return out
+
+        monkeypatch.setattr(split_solver, "_solve_bad_comp", counting_bad_comp)
+        monkeypatch.setattr(split_solver, "branch_via_bipartial", counting_branch)
+        for seed in range(200):
+            n, density = 6 + seed % 9, 0.3 + seed % 5 * 0.15
+            g, s_mask, t_mask = gen_split_instance(n, density, seed)
+            assert solve_raw(g, s_mask, t_mask)[0] == oracle_wis(g).weight, seed
+        assert counts["bad_comp"] == counts["branch"] > 100
+        assert 0 < counts["declined"] < counts["branch"]
+
+
 class TestForbiddenShapesSurface:
     def test_two_broken_components_raise_with_path_pair(self):
         g = TWO_PATHS
