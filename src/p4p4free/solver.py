@@ -50,14 +50,15 @@ first bounded by the weight of home minus N(a) and N(d), which holds
 it, so a path's neighborhood partition is built only once one of its
 candidates survives its bound.
 
-``solve`` also evaluates each forced pair once: a pair drawn before, by
-this path or another (the {a, c} of one path and the {b, d} of another
+Both public calls evaluate each forced pair once: a pair drawn before,
+by this path or another (the {a, c} of one path and the {b, d} of another
 are one pair when their masks are equal), is skipped before its bound
 or partition is computed.  The best set through a non-adjacent pair
 {x, y} lives in home minus N[x] and N[y], so its weight depends on the
-pair alone; the first draw weighed at most the best then (or was skipped
-by a bound at most the best), and the best only grows, so a repeat
-cannot beat it strictly.  The set of drawn pairs lives for one call.
+pair alone; the first draw weighed at most the best then (or, in
+``solve``, was skipped by a bound at most the best), and the best only
+grows, so a repeat cannot beat it strictly.  The set of drawn pairs
+lives for one call.
 
 ``solve`` stops as soon as the best reaches an upper bound U on all of
 home, computed once before the first path: the floor of home's
@@ -81,6 +82,17 @@ subgraph.  The region and home's path-free remainder are members too, and
 every member also holds all of the graph outside home.  The
 isolated-flavor step is widened with extra constrained solves so that the
 deduplicated family provably contains every maximal independent set.
+The cover skips no candidate for its bound and never stops at U, but it
+skips a repeated forced pair as ``solve`` does, and a widening pair that
+home has drawn already.  That loses no member it needs: whatever path
+draws {x, y}, its constrained host is home minus N[x] and N[y], and the
+branching of ``_solve_containing`` is exhaustive over that host's
+independent sets (the class drops and one branch per non-adjacent pair
+of the two classes, then take-or-remove, keep-or-drop and the bi-partial
+residuals below), so the leaves of one draw hold every independent set
+through the pair.  A widening host is home minus N(far) minus the same
+neighbourhoods, inside the home draw's host; its own draws stay out of
+the drawn set, since its leaves hold less than home's.
 
 Below the public calls every candidate is a ``(weight, mask)`` pair: each
 path scans its neighborhood at most once (the {b, d} partition is the
@@ -104,9 +116,9 @@ of three kinds that cannot meet:
   the pair, so every forced pair whose partition has these four classes
   gets the same answer and leaves; a cover hit appends each leaf with its
   own pair, so the members keep their order.  Each constrained solve
-  starts its depths afresh, so a hit skips no depth check.  On a complete
-  blow-up of C7 with classes of 4 the cover draws 3,584 forced pairs on
-  224 such keys.
+  starts its depths afresh, so a hit skips no depth check.  Two distinct
+  pairs can share a key: on ``gen_instance("rejection", 14, 0.6, 2)``
+  the cover draws 137 forced pairs on 72 keys.
 """
 
 from __future__ import annotations
@@ -208,27 +220,29 @@ def _per_path(
     solve the widening solves.  Returns as soon as a strictly heavier
     candidate reaches ``top``.
 
-    ``solve`` (``members`` None) adds each forced pair's mask to ``drawn``
-    and skips a pair drawn before, then any candidate whose upper bound
-    cannot beat the best: a pair's is ``_pair_bound``, the region's the
-    weight of home minus N(a) and N(d), which holds it, then its own
-    weight.  So the path's neighbourhood partition and region are built
-    only once a candidate that needs them survives its bounds.
+    Both calls add each forced pair's mask to ``drawn`` and skip a pair
+    drawn before.  ``solve`` (``members`` None) then skips any candidate
+    whose upper bound cannot beat the best: a pair's is ``_pair_bound``,
+    the region's the weight of home minus N(a) and N(d), which holds it,
+    then its own weight.  So the path's neighbourhood partition and
+    region are built only once a candidate that needs them survives its
+    bounds.
 
-    A cover solve (``members`` a list) skips nothing and appends each
-    candidate's cover members to ``members`` as it is evaluated, so the
-    members keep evaluation order.
+    A cover solve (``members`` a list) skips no candidate for its bound.
+    It skips a widening pair whose mask home has drawn, and adds no
+    widening pair to ``drawn`` (see the module docstring).  It appends
+    each candidate's cover members to ``members`` as it is evaluated, so
+    the members keep evaluation order.
     """
     cover = members is not None
     part = None
     for x, y in ((p.a, p.c), (p.b, p.d)):
-        if not cover:
-            pair = 1 << x | 1 << y
-            if pair in drawn:
-                continue
-            drawn.add(pair)
-            if _pair_bound(g, x, y, home) <= best[0]:
-                continue
+        pair = 1 << x | 1 << y
+        if pair in drawn:
+            continue
+        drawn.add(pair)
+        if not cover and _pair_bound(g, x, y, home) <= best[0]:
+            continue
         if part is None:
             part = neighborhood_partition(g, p, home)
         cand = _forced_pair(g, part if x == p.a else part.reverse(), members, memo)
@@ -261,6 +275,9 @@ def _per_path(
         (p.d, p.c, part.s_c, part.s_b, p.a),
     ):
         for x in bits(flavor & ~lonely):
+            if 1 << end | 1 << x in drawn:
+                # home's draw of {end, x} holds every set this one would
+                continue
             # every such y makes end-mid-x-y an induced path: y misses end
             # and mid by its class, x misses them by its own
             y = next(bits((other | part.anti) & g.adj[x]), None)
@@ -356,9 +373,12 @@ def solve_with_cover(g: Graph, jobs: int = 1) -> tuple[SolveResult, CoverFamily]
     The solve is instrumented so every branching base case contributes a
     leaf, and the isolated-flavor branch is widened with constrained
     solves forcing each non-isolated flavor vertex; the resulting family
-    contains every maximal independent set of g in some member.  No
-    candidate is skipped, and the result equals ``solve(g)``.  ``jobs``
-    must be an int of at least 1 and has no effect.  Refuses exactly as
-    ``solve`` does, with the witness of ``is_class_member(g)``.
+    contains every maximal independent set of g in some member.  Like
+    ``solve`` it solves each forced pair once, and it skips a widening
+    solve whose pair is solved already: the leaves of a pair's first solve
+    hold every independent set through it.  No candidate is skipped for
+    its bound, and the result equals ``solve(g)``.  ``jobs`` must be an
+    int of at least 1 and has no effect.  Refuses exactly as ``solve``
+    does, with the witness of ``is_class_member(g)``.
     """
     return _run(g, cover=True, jobs=jobs)

@@ -7,13 +7,14 @@ import json
 import tracemalloc
 
 import pytest
-from conftest import random_graph
+from conftest import blowup_graph, blowup_optimum, random_graph
 
 from p4p4free import constrained, solver, split_solver
 from p4p4free.cli import format_graph, parse_graph, run
 from p4p4free.errors import ClassViolation, ParseError, StructureViolation
 from p4p4free.graph import Graph
-from p4p4free.testkit import XorShift64Star, gen_instance
+from p4p4free.recognition import enumerate_induced_p4
+from p4p4free.testkit import XorShift64Star, enumerate_maximal_is, gen_instance
 
 TWO = "p wis 2 1\nv 1 5\nv 2 7\ne 1 2\n"
 
@@ -288,6 +289,21 @@ class TestRun:
         assert payload["size"] == len(payload["members"])
         assert payload["bipartite_members"] == payload["size"]
         assert [1, 3] in payload["members"]
+
+    def test_cover_of_repeated_pairs_is_bipartite_and_covers(self, wis_file, capsys):
+        # a C5 blow-up with classes of 3: 405 induced P4s on 45 pairs, so
+        # the cover skips most of its draws
+        g = blowup_graph(5, 3, seed=503)
+        paths = enumerate_induced_p4(g)
+        pairs = {1 << p.a | 1 << p.c for p in paths} | {1 << p.b | 1 << p.d for p in paths}
+        assert len(pairs) < len(paths)
+        assert run(["cover", wis_file(format_graph(g)), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["weight"] == blowup_optimum(g, 5)
+        assert payload["bipartite_members"] == payload["size"] == len(payload["members"])
+        members = [set(m) for m in payload["members"]]
+        for s in enumerate_maximal_is(g):
+            assert any({v + 1 for v in s} <= m for m in members), s
 
     def test_cover_text_lists_members(self, wis_file, capsys):
         assert run(["cover", wis_file(TWO)]) == 0

@@ -21,6 +21,7 @@ from conftest import (
     verdict_witness,
     witness_checks,
 )
+from test_golden import _corpus as golden_corpus
 
 from p4p4free import bipartite, constrained, graph, recognition, solver, split_solver
 from p4p4free.errors import ClassViolation, InputError, StructureViolation
@@ -612,26 +613,38 @@ def _partition_key(part) -> tuple[int, int, int, int]:
     return part.s_b, part.s_d, part.s_bd, part.anti
 
 
+def _host(part) -> int:
+    """The host a partition was built in: the path and its seven classes."""
+    return (
+        part.p.mask | part.s_a | part.s_b | part.s_c | part.s_d
+        | part.s_ac | part.s_ad | part.s_bd | part.anti
+    )
+
+
 def _record_draws(monkeypatch) -> list:
-    """Record the partition of every ``_forced_pair`` draw."""
-    parts: list = []
+    """Record every ``_forced_pair`` draw of a cover as ``(part, added)``:
+    its partition and the members it appended."""
+    draws: list = []
     real = solver._forced_pair
 
     def recording(g, part, members, memo):
-        parts.append(part)
-        return real(g, part, members, memo)
+        start = len(members)
+        got = real(g, part, members, memo)
+        draws.append((part, members[start:]))
+        return got
 
     monkeypatch.setattr(solver, "_forced_pair", recording)
-    return parts
+    return draws
 
 
 class TestForcedPairOnce:
-    # the cover draws every pair of every path, plus the widening solves,
-    # and solves each distinct partition once: its _forced_pair draws,
-    # _solve_containing calls, member count and member digest
+    # the cover draws each pair of home's paths once, and a widening pair
+    # only while home has not drawn it, and solves each distinct partition
+    # once: its _forced_pair draws, _solve_containing calls, member count
+    # and member digest
     COVER = {
-        "c7_classes_of_3": (1134, 126, 281, "94ef10fda2182790"),
-        "rejection_14": (677, 441, 464, "f64c7f0cd8cfd452"),
+        "c7_classes_of_3": (63, 63, 154, "d92de8e10181b0b2"),
+        "rejection_14": (137, 72, 203, "0a2eef89b87f1a37"),
     }
 
     @pytest.mark.parametrize("name", sorted(PAIR_GRAPHS))
@@ -648,26 +661,43 @@ class TestForcedPairOnce:
         assert is_independent(g, mask_of(got.chosen))
 
     @pytest.mark.parametrize("name", sorted(PAIR_GRAPHS))
-    def test_cover_evaluates_every_draw(self, monkeypatch, name):
+    def test_cover_draws_each_pair_once(self, monkeypatch, name):
         g = PAIR_GRAPHS[name]()
-        parts = _record_draws(monkeypatch)
+        paths = enumerate_induced_p4(g)
+        pairs = {1 << p.a | 1 << p.c for p in paths}
+        pairs |= {1 << p.b | 1 << p.d for p in paths}
+        draws = _record_draws(monkeypatch)
         solved = _count_forced_pairs(monkeypatch)
         result, family = solve_with_cover(g)
         calls, distinct, size, digest = self.COVER[name]
-        drawn = [1 << part.p.a | 1 << part.p.c for part in parts]
-        assert len(drawn) == calls
-        assert len(drawn) >= 2 * len(enumerate_induced_p4(g)) > len(set(drawn))
+        assert len(draws) == calls
+        # home's draws hold every other host: a widening host is home
+        # minus a neighbourhood
+        home = 0
+        for part, _ in draws:
+            home |= _host(part)
+        on_home: set[int] = set()
+        for part, _ in draws:
+            pair = 1 << part.p.a | 1 << part.p.c
+            # no pair home has drawn reaches _forced_pair again, on home
+            # or widening
+            assert pair not in on_home
+            if _host(part) == home:
+                on_home.add(pair)
+        # the cover visits every path, so it draws every pair on home
+        assert on_home == pairs
         # one constrained solve per distinct partition
-        assert len(solved) == len({_partition_key(part) for part in parts}) == distinct
+        keys = {_partition_key(part) for part, _ in draws}
+        assert len(solved) == len(keys) == distinct
         assert len(family.members) == size
         assert hashlib.sha256(repr(family.members).encode()).hexdigest()[:16] == digest
         monkeypatch.undo()
         assert result == solve(g)
 
     def test_a_hit_under_another_pair_carries_that_pair(self, monkeypatch):
-        # two forced pairs of this member, {0, 5} and {6, 9}, leave the same
-        # four classes to the constrained solve
-        g = gen_instance("rejection", 10, 0.6, 6)
+        # two forced pairs of this member's cover, {4, 5} and {8, 9}, leave
+        # the same four classes to the constrained solve
+        g = gen_instance("rejection", 11, 0.6, 5)
         forced_pair = solver._forced_pair
         draws = []
 
@@ -697,6 +727,40 @@ class TestForcedPairOnce:
             assert all(m & pair == pair for m in added)
             other_pairs += first_pair[key] != pair
         assert other_pairs >= 1
+
+    def test_each_pair_drawn_on_home_covers_its_maximal_sets(self, monkeypatch):
+        # the leaves of a pair's one draw hold every maximal set through
+        # it; this is what lets the cover skip the pair's other draws
+        draws = _record_draws(monkeypatch)
+        graphs = pairs_checked = sets_checked = 0
+        for g in golden_corpus():
+            if g.n > 16 or not is_class_member(g).is_member:
+                continue
+            draws.clear()
+            _, family = solve_with_cover(g)
+            # each component of each member has a complete-bipartite
+            # certificate, as the CLI's bipartite count reads it
+            for member in family.members:
+                assert not components_with_certificates(g, member)[1]
+            if not draws:
+                continue
+            graphs += 1
+            home = 0
+            for part, _ in draws:
+                home |= _host(part)
+            maximal = [mask_of(s) for s in enumerate_maximal_is(g)]
+            for part, added in draws:
+                if _host(part) != home:
+                    continue
+                pair = 1 << part.p.a | 1 << part.p.c
+                pairs_checked += 1
+                for s in maximal:
+                    if s & pair == pair:
+                        assert any(s & home & ~m == 0 for m in added), (pair, s)
+                        sets_checked += 1
+        assert graphs >= 100
+        assert pairs_checked >= 1000
+        assert sets_checked >= 3000
 
     @pytest.mark.parametrize("fault_at", [1, 3])
     @pytest.mark.parametrize("name", sorted(PAIR_GRAPHS))
