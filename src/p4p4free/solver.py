@@ -79,20 +79,22 @@ every base case reached anywhere in the branching becomes a member mask,
 the vertices the branch forced plus its final host, whose nontrivial
 components are complete bipartite, so the member induces a bipartite
 subgraph.  The region and home's path-free remainder are members too, and
-every member also holds all of the graph outside home.  The
-isolated-flavor step is widened with extra constrained solves so that the
-deduplicated family provably contains every maximal independent set.
-The cover skips no candidate for its bound and never stops at U, but it
-skips a repeated forced pair as ``solve`` does, and a widening pair that
-home has drawn already.  That loses no member it needs: whatever path
-draws {x, y}, its constrained host is home minus N[x] and N[y], and the
-branching of ``_solve_containing`` is exhaustive over that host's
-independent sets (the class drops and one branch per non-adjacent pair
-of the two classes, then take-or-remove, keep-or-drop and the bi-partial
-residuals below), so the leaves of one draw hold every independent set
-through the pair.  A widening host is home minus N(far) minus the same
-neighbourhoods, inside the home draw's host; its own draws stay out of
-the drawn set, since its leaves hold less than home's.
+every member also holds all of the graph outside home.  The cover never
+stops at U and skips no forced pair for its bound, so it draws every pair
+of every path of home, each once, and bounds only the region as ``solve``
+does (the region is a member either way).  That family contains every
+maximal independent set.  Whatever path draws {x, y}, its constrained
+host is home minus N[x] and N[y], and the branching of
+``_solve_containing`` is exhaustive over that host's independent sets
+(the class drops and one branch per non-adjacent pair of the two
+classes, then take-or-remove, keep-or-drop and the bi-partial residuals
+below), so the leaves of one draw hold every independent set through the
+pair.  The region leaves out each flavor vertex x with a neighbor y
+among the flavors and the anti-neighborhood, and the cover needs no
+extra solve for it: an x of s_b is adjacent to b and to no other path
+vertex, and y, in s_c or the anti-neighborhood (two neighbors of b are
+not adjacent), misses a and b, so a-b-x-y is an induced path of home and
+the cover draws {a, x} on home (d-c-x-y likewise for s_c).
 
 Below the public calls every candidate is a ``(weight, mask)`` pair: each
 path scans its neighborhood at most once (the {b, d} partition is the
@@ -117,8 +119,8 @@ of three kinds that cannot meet:
   gets the same answer and leaves; a cover hit appends each leaf with its
   own pair, so the members keep their order.  Each constrained solve
   starts its depths afresh, so a hit skips no depth check.  Two distinct
-  pairs can share a key: on ``gen_instance("rejection", 14, 0.6, 2)``
-  the cover draws 137 forced pairs on 72 keys.
+  pairs can share a key: on ``gen_instance("clustered", 9, 0.3, 7)`` the
+  cover draws 12 forced pairs on 11 keys.
 """
 
 from __future__ import annotations
@@ -216,23 +218,21 @@ def _per_path(
     g: Graph, p: InducedP4, home: int, best, top, drawn: set, members, memo: dict
 ):
     """The earliest heaviest of ``best`` and this path's candidates for
-    g[home], evaluated in order: {a, c}, {b, d}, the region, and in a cover
-    solve the widening solves.  Returns as soon as a strictly heavier
-    candidate reaches ``top``.
+    g[home], evaluated in order: {a, c}, {b, d}, the region.  Returns as
+    soon as a strictly heavier candidate reaches ``top``.
 
     Both calls add each forced pair's mask to ``drawn`` and skip a pair
-    drawn before.  ``solve`` (``members`` None) then skips any candidate
-    whose upper bound cannot beat the best: a pair's is ``_pair_bound``,
-    the region's the weight of home minus N(a) and N(d), which holds it,
-    then its own weight.  So the path's neighbourhood partition and
-    region are built only once a candidate that needs them survives its
-    bounds.
+    drawn before, and both skip the region's solve when its weight cannot
+    beat the best.  ``solve`` (``members`` None) also skips a pair whose
+    ``_pair_bound`` cannot beat the best, and the region when the weight
+    of home minus N(a) and N(d), which holds it, cannot.  So the path's
+    neighbourhood partition and region are built only once a candidate
+    that needs them survives its bounds.
 
-    A cover solve (``members`` a list) skips no candidate for its bound.
-    It skips a widening pair whose mask home has drawn, and adds no
-    widening pair to ``drawn`` (see the module docstring).  It appends
-    each candidate's cover members to ``members`` as it is evaluated, so
-    the members keep evaluation order.
+    A cover solve (``members`` a list) skips no forced pair for its bound.
+    It appends each candidate's cover members to ``members`` as it is
+    evaluated, the region whether or not its solve is skipped, so the
+    members keep evaluation order.
     """
     cover = members is not None
     part = None
@@ -255,41 +255,14 @@ def _per_path(
     if part is None:
         part = neighborhood_partition(g, p, home)
     q3 = _q3_region(g, p, part)
-    if not cover and g.weight_of(q3) <= best[0]:
+    if cover:
+        members.append(q3)
+    if g.weight_of(q3) <= best[0]:
         return best
+    # the region is this path's last candidate, so a stop is left to the
+    # caller
     cand = cb_weight_mask(g, q3)
-    if cand[0] > best[0]:
-        best = cand
-    if not cover:
-        # the region is this path's last candidate, so a stop is left to
-        # the caller
-        return best
-    members.append(q3)
-    # non-isolated flavor vertices are not covered by the region above;
-    # force each into a fresh path and solve constrained, pinning the far
-    # endpoint by removing its neighborhood (it rides along as an isolated
-    # vertex of every leaf)
-    lonely = q3 & (part.s_b | part.s_c)
-    for end, mid, flavor, other, far in (
-        (p.a, p.b, part.s_b, part.s_c, p.d),
-        (p.d, p.c, part.s_c, part.s_b, p.a),
-    ):
-        for x in bits(flavor & ~lonely):
-            if 1 << end | 1 << x in drawn:
-                # home's draw of {end, x} holds every set this one would
-                continue
-            # every such y makes end-mid-x-y an induced path: y misses end
-            # and mid by its class, x misses them by its own
-            y = next(bits((other | part.anti) & g.adj[x]), None)
-            if y is None:
-                continue
-            fresh = InducedP4(end, mid, x, y)
-            fresh_part = neighborhood_partition(g, fresh, home & ~g.adj[far])
-            # the fresh path's host is not home, so its pair is not keyed
-            cand = _forced_pair(g, fresh_part, members, memo)
-            if cand[0] > best[0]:
-                best = cand
-    return best
+    return cand if cand[0] > best[0] else best
 
 
 def _run(g: Graph, cover: bool, jobs: int):
@@ -371,14 +344,13 @@ def solve_with_cover(g: Graph, jobs: int = 1) -> tuple[SolveResult, CoverFamily]
     """Solve g and extract the bipartite cover family.
 
     The solve is instrumented so every branching base case contributes a
-    leaf, and the isolated-flavor branch is widened with constrained
-    solves forcing each non-isolated flavor vertex; the resulting family
-    contains every maximal independent set of g in some member.  Like
-    ``solve`` it solves each forced pair once, and it skips a widening
-    solve whose pair is solved already: the leaves of a pair's first solve
-    hold every independent set through it.  No candidate is skipped for
-    its bound, and the result equals ``solve(g)``.  ``jobs`` must be an
-    int of at least 1 and has no effect.  Refuses exactly as ``solve``
-    does, with the witness of ``is_class_member(g)``.
+    leaf; with each path's region and the path-free remainder, the
+    resulting family contains every maximal independent set of g in some
+    member.  Like ``solve`` it solves each forced pair once, all on the
+    paths' component: the leaves of a pair's solve hold every independent
+    set through it.  No forced pair is skipped for its bound, and the
+    result equals ``solve(g)``.  ``jobs`` must be an int of at least 1 and
+    has no effect.  Refuses exactly as ``solve`` does, with the witness of
+    ``is_class_member(g)``.
     """
     return _run(g, cover=True, jobs=jobs)

@@ -45,10 +45,10 @@ from p4p4free.recognition import enumerate_induced_p4, is_class_member
 from p4p4free.solver import solve, solve_with_cover
 from p4p4free.testkit import XorShift64Star, gen_instance
 
-DIGEST = "500da07a94cfdf5a6676d2fd60b4917743c6ac597a2cc3f636d1b0ad2b9ece19"
+DIGEST = "ebba4aa25b3a94b4410ab6df3898647b7705b540deed2e8e560dcdd996ba218c"
 HARD_DIGEST = "839168be3bdf41f4a7ccd3720a344993120f4e6ffeb2dfbf412c85c62c70dc91"
 REFUSAL_DIGEST = "c33f9abb4f2b45776d565704df334f5c6ccf524b8e7e4f4e1e81d43f54706fe0"
-BRANCH_DIGEST = "aa0d3859128d1d6d89faadbfe41571770f3f0687f450d5f974bb515a80f3b38c"
+BRANCH_DIGEST = "2d09a1158dd01c668bca341c724f9fa476b7e3d22834875b32a5f7f9b60a498e"
 
 
 def _corpus():

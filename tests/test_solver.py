@@ -638,13 +638,12 @@ def _record_draws(monkeypatch) -> list:
 
 
 class TestForcedPairOnce:
-    # the cover draws each pair of home's paths once, and a widening pair
-    # only while home has not drawn it, and solves each distinct partition
-    # once: its _forced_pair draws, _solve_containing calls, member count
-    # and member digest
+    # the cover draws each pair of home's paths once, all on home, and
+    # solves each distinct partition once: its _forced_pair draws,
+    # _solve_containing calls, member count and member digest
     COVER = {
         "c7_classes_of_3": (63, 63, 154, "d92de8e10181b0b2"),
-        "rejection_14": (137, 72, 203, "0a2eef89b87f1a37"),
+        "rejection_14": (42, 42, 195, "12ef7cbba85dc673"),
     }
 
     @pytest.mark.parametrize("name", sorted(PAIR_GRAPHS))
@@ -663,6 +662,7 @@ class TestForcedPairOnce:
     @pytest.mark.parametrize("name", sorted(PAIR_GRAPHS))
     def test_cover_draws_each_pair_once(self, monkeypatch, name):
         g = PAIR_GRAPHS[name]()
+        home = recognition._membership(g)[1]
         paths = enumerate_induced_p4(g)
         pairs = {1 << p.a | 1 << p.c for p in paths}
         pairs |= {1 << p.b | 1 << p.d for p in paths}
@@ -671,21 +671,13 @@ class TestForcedPairOnce:
         result, family = solve_with_cover(g)
         calls, distinct, size, digest = self.COVER[name]
         assert len(draws) == calls
-        # home's draws hold every other host: a widening host is home
-        # minus a neighbourhood
-        home = 0
-        for part, _ in draws:
-            home |= _host(part)
-        on_home: set[int] = set()
-        for part, _ in draws:
-            pair = 1 << part.p.a | 1 << part.p.c
-            # no pair home has drawn reaches _forced_pair again, on home
-            # or widening
-            assert pair not in on_home
-            if _host(part) == home:
-                on_home.add(pair)
-        # the cover visits every path, so it draws every pair on home
-        assert on_home == pairs
+        # every draw is on home
+        assert all(_host(part) == home for part, _ in draws)
+        drawn = [1 << part.p.a | 1 << part.p.c for part, _ in draws]
+        # no pair reaches _forced_pair twice, and the cover visits every
+        # path, so it draws every pair
+        assert len(drawn) == len(set(drawn))
+        assert set(drawn) == pairs
         # one constrained solve per distinct partition
         keys = {_partition_key(part) for part, _ in draws}
         assert len(solved) == len(keys) == distinct
@@ -695,9 +687,9 @@ class TestForcedPairOnce:
         assert result == solve(g)
 
     def test_a_hit_under_another_pair_carries_that_pair(self, monkeypatch):
-        # two forced pairs of this member's cover, {4, 5} and {8, 9}, leave
-        # the same four classes to the constrained solve
-        g = gen_instance("rejection", 11, 0.6, 5)
+        # two forced pairs of this member's cover, {0, 2} and {2, 6}, both
+        # drawn on home, leave the same four classes to the constrained solve
+        g = gen_instance("clustered", 9, 0.3, 7)
         forced_pair = solver._forced_pair
         draws = []
 
@@ -761,6 +753,40 @@ class TestForcedPairOnce:
         assert graphs >= 100
         assert pairs_checked >= 1000
         assert sets_checked >= 3000
+
+    def test_each_flavour_pair_is_a_pair_of_a_home_path(self):
+        # a flavour vertex x of s_b with a neighbour y in s_c or anti makes
+        # a-b-x-y an induced path of home (and d-c-x-y likewise for s_c),
+        # so the cover's loop draws {a, x} on home, and the cover needs no
+        # extra solve for the flavour vertices its region leaves out
+        graphs = checked = 0
+        for g in golden_corpus():
+            if g.n > 16:
+                continue
+            verdict, home, _, paths = recognition._membership(g)
+            if not verdict.is_member or not paths:
+                continue
+            graphs += 1
+            pairs = {1 << a | 1 << c for a, _, c, _ in paths}
+            pairs |= {1 << b | 1 << d for _, b, _, d in paths}
+            for t in paths:
+                p = recognition.InducedP4(*t)
+                part = recognition.neighborhood_partition(g, p, home)
+                ambient = part.s_b | part.s_c | part.anti
+                for end, mid, flavor, other in (
+                    (p.a, p.b, part.s_b, part.s_c),
+                    (p.d, p.c, part.s_c, part.s_b),
+                ):
+                    for x in graph.bits(flavor):
+                        if not g.adj[x] & ambient:
+                            continue
+                        y = min(graph.bits((other | part.anti) & g.adj[x]))
+                        recognition._check_induced_p4(g, (end, mid, x, y))
+                        assert mask_of((end, mid, x, y)) & ~home == 0
+                        assert 1 << end | 1 << x in pairs
+                        checked += 1
+        assert graphs >= 100
+        assert checked >= 2000
 
     @pytest.mark.parametrize("fault_at", [1, 3])
     @pytest.mark.parametrize("name", sorted(PAIR_GRAPHS))
