@@ -22,7 +22,6 @@ from .graph import (
     bits,
     certified_result,
     components_with_certificates,
-    mask_of,
 )
 from .recognition import is_class_member, uncertified_p4, verified_member
 
@@ -36,8 +35,13 @@ def side_selection(g: Graph, certified) -> tuple[int, int]:
     returns them.  Ties go to side_a, which holds the component's smallest
     vertex, so a trivial component ``(v, 0)`` yields v itself.
     """
+    weights = g.weights
     total = chosen = 0
     for side_a, side_b in certified:
+        if not side_b:
+            total += weights[side_a.bit_length() - 1]
+            chosen |= side_a
+            continue
         w_a, w_b = g.weight_of(side_a), g.weight_of(side_b)
         if w_b > w_a:
             total += w_b
@@ -80,21 +84,54 @@ def lp_bound(g: Graph, host: int) -> int:
     capacity w(v), and u' -> v'' unbounded for each edge uv of g[host] in
     both directions.  F is the least weight of a vertex cover of the
     double cover, so 2W - F is its heaviest independent set, twice the LP
-    value.  F comes from Dinic's algorithm on vertex masks: each phase
-    layers the residual graph breadth-first, alternating v' and v''
-    layers, and saturates the layers by iterative depth-first search.
+    value.  The flow starts greedy: each u', in ascending order, sends
+    what it can straight to its v'' in ascending order.  Dinic's algorithm
+    on vertex masks then augments it to a maximum: each phase layers the
+    residual graph breadth-first, alternating v' and v'' layers, and
+    saturates the layers by iterative depth-first search.  Every per-vertex
+    table holds host's vertices only.
     """
     adj, weights = g.adj, g.weights
-    nbrs = [adj[v] & host for v in range(g.n)]
+    nbrs, src, snk, back = {}, {}, {}, {}
     # the v' with residual source capacity and the v'' with residual sink
     # capacity; an isolated or weightless vertex carries no flow
-    supply = mask_of(v for v in bits(host) if nbrs[v] and weights[v])
+    supply = whole = 0
+    m = host
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        nbrs[v] = adj[v] & host
+        src[v] = snk[v] = weights[v]
+        whole += weights[v]
+        back[v] = 0  # every u' with flow into v''
+        if nbrs[v] and weights[v]:
+            supply |= low
+        m ^= low
     demand = supply
-    src, snk = list(weights), list(weights)
     flow: dict[tuple[int, int], int] = {}  # (u, v): flow on u' -> v''
-    back = [0] * g.n  # back[v]: every u' with flow into v''
     total = 0
-    while True:
+    # the greedy start: each u' in ascending order sends what it can to
+    # its v'' in ascending order
+    for u in bits(supply):
+        spare = src[u]
+        arcs = nbrs[u] & demand
+        while arcs and spare:
+            low = arcs & -arcs
+            v = low.bit_length() - 1
+            d = min(spare, snk[v])
+            flow[u, v] = d
+            back[v] |= 1 << u
+            total += d
+            spare -= d
+            snk[v] -= d
+            if not snk[v]:
+                demand ^= low
+            arcs ^= low
+        src[u] = spare
+        if not spare:
+            supply ^= 1 << u
+    # without residual source or sink capacity no augmenting path is left
+    while supply and demand:
         # (v' mask, v'' mask) per layer: u' -> v'' is never full, and
         # v'' -> u' is open while u' sends flow to v''
         layers = []
@@ -163,7 +200,7 @@ def lp_bound(g: Graph, host: int) -> int:
                     flow[w, v] -= d
                     if not flow[w, v]:
                         back[v] ^= 1 << w
-    return (2 * g.weight_of(host) - total) // 2
+    return (2 * whole - total) // 2
 
 
 def solve_cb_components(g: Graph, host: int | None = None) -> SolveResult:

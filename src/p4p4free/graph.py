@@ -8,9 +8,11 @@ vertex order, which is what makes every tie-break in the package
 deterministic.
 
 ``components_with_certificates`` is the one decomposition primitive: it
-finds and certifies each component in a single breadth-first search, and
-hands a component on as plain ints: a complete bipartite one as its two
-sides, any other as its member mask.
+certifies each complete bipartite component directly from the
+neighbourhoods of its smallest vertex and of one vertex across, collects
+any other component by a breadth-first search, and hands a component on
+as plain ints: a complete bipartite one as its two sides, any other as
+its member mask.
 """
 
 from __future__ import annotations
@@ -147,6 +149,17 @@ def neighborhood(g: Graph, u: int) -> int:
     return out & ~u
 
 
+def _all_see_exactly(adj, host: int, side: int, across: int) -> bool:
+    """Whether every vertex of ``side`` has exactly ``across`` as its
+    neighbourhood in host."""
+    while side:
+        low = side & -side
+        if adj[low.bit_length() - 1] & host != across:
+            return False
+        side ^= low
+    return True
+
+
 def components_with_certificates(
     g: Graph, host: int
 ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
@@ -157,12 +170,17 @@ def components_with_certificates(
     smallest vertex, and the member masks of the others, each in
     smallest-vertex order.  A trivial component is ``(v, 0)``.
 
-    One breadth-first search per component, from its smallest vertex,
-    puts even layers in side_a and odd layers in side_b.  While a layer is
-    expanded, the union and the intersection of its vertices' neighbour
-    sets are kept per side; the component is complete bipartite exactly
-    when, for each side, both equal the other side (within the host every
-    neighbour of a component vertex lies in the component).
+    Each component is certified directly from its smallest vertex s:
+    side_b is the host neighbourhood of s and side_a that of the smallest
+    vertex of side_b.  The component is complete bipartite exactly when
+    every vertex of side_a has exactly side_b as its host neighbourhood
+    and every vertex of side_b has exactly side_a.  Then no vertex is its
+    own neighbour, so the sides are disjoint; each side is independent,
+    every cross pair is an edge, and the union is closed under
+    neighbourhoods, so it is the whole component.  A complete bipartite
+    component passes, because its sides are the neighbourhoods of s and
+    of any vertex across.  A component that fails is collected by a plain
+    breadth-first search.
     """
     g._check_host(host)
     adj = g.adj
@@ -170,39 +188,29 @@ def components_with_certificates(
     rest = host
     while rest:
         start = rest & -rest
-        if not adj[start.bit_length() - 1] & host:
+        side_b = adj[start.bit_length() - 1] & host
+        if not side_b:
             certified.append((start, 0))
             rest ^= start
             continue
+        side_a = adj[(side_b & -side_b).bit_length() - 1] & host
+        if _all_see_exactly(adj, host, side_a, side_b) and _all_see_exactly(
+            adj, host, side_b, side_a
+        ):
+            certified.append((side_a, side_b))
+            rest &= ~(side_a | side_b)
+            continue
         comp = frontier = start
-        sides = [start, 0]
-        union = [0, 0]
-        meet = [host, host]
-        parity = 0
         while frontier:
             grow = 0
-            common = meet[parity]
             m = frontier
             while m:
                 low = m & -m
-                nbrs = adj[low.bit_length() - 1]
-                grow |= nbrs
-                common &= nbrs
+                grow |= adj[low.bit_length() - 1]
                 m ^= low
-            union[parity] |= grow
-            meet[parity] = common
             frontier = grow & host & ~comp
             comp |= frontier
-            parity ^= 1
-            sides[parity] |= frontier
-        side_a, side_b = sides
-        if (
-            union[0] & host == meet[0] & host == side_b
-            and union[1] & host == meet[1] & host == side_a
-        ):
-            certified.append((side_a, side_b))
-        else:
-            uncertified.append(comp)
+        uncertified.append(comp)
         rest &= ~comp
     return tuple(certified), tuple(uncertified)
 
@@ -230,12 +238,19 @@ def certified_result(g: Graph, mask: int) -> SolveResult:
     Raises:
         StructureViolation: the set is not independent, an internal fault.
     """
+    adj, weights = g.adj, g.weights
     total = 0
-    for v in bits(mask):
-        if g.adj[v] & mask:
+    chosen = []
+    m = mask
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        if adj[v] & mask:
             raise StructureViolation(
                 f"self-certification failed: vertex {v} has a chosen neighbor",
                 ("dependent_set", mask),
             )
-        total += g.weights[v]
-    return SolveResult(total, tuple(bits(mask)))
+        total += weights[v]
+        chosen.append(v)
+        m ^= low
+    return SolveResult(total, tuple(chosen))

@@ -393,16 +393,20 @@ def neighborhood_partition(
             path vertices; the witness is the resulting triangle.
     """
     host = g._check_host(host)
-    _check_induced_p4(g, p.vertices)
-    if p.mask & host != p.mask:
+    pv = (p.a, p.b, p.c, p.d)
+    a, b, c, d = pv
+    _check_induced_p4(g, pv)
+    path = 1 << a | 1 << b | 1 << c | 1 << d
+    if path & host != path:
         raise InputError("path vertices must lie inside the host")
-    pv = p.vertices
-    live = host & ~p.mask
-    sides = na, nb, nc, nd = [g.adj[v] & live for v in pv]
+    adj = g.adj
+    live = host & ~path
+    na, nb, nc, nd = adj[a] & live, adj[b] & live, adj[c] & live, adj[d] & live
     clash = na & nb | nb & nc | nc & nd
     if clash:
         # the least such vertex, with its first consecutive pair
         v = (clash & -clash).bit_length() - 1
+        sides = (na, nb, nc, nd)
         i = next(i for i in range(3) if (sides[i] & sides[i + 1]) >> v & 1)
         raise ClassViolation(
             f"vertex {v} is adjacent to consecutive path vertices "

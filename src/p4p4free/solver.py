@@ -105,22 +105,13 @@ returns.  The chosen set is certified once, at the end.
 Each call creates one memo after the membership verdict and passes it
 down every candidate: a plain dict, dropped when the call returns, so a
 refusal allocates none and no entry reaches another graph.  Its keys are
-of three kinds that cannot meet:
+of two kinds that cannot meet (see ``split_solver``):
 
 - a host (an int, at least 0): the split dispatcher's side selection
   of that host's certified components and the member masks of its
-  uncertified ones (see ``split_solver``);
+  uncertified ones;
 - ``~t`` for a certified block part t (an int below 0): the side pairs
-  of its components (see ``split_solver``);
-- ``(s_b, s_d, s_bd, anti)`` of a neighborhood partition: the
-  ``(weight, mask, leaves)`` of its constrained solve, ``leaves`` None
-  outside a cover.  ``_solve_containing`` reads no other field and not
-  the pair, so every forced pair whose partition has these four classes
-  gets the same answer and leaves; a cover hit appends each leaf with its
-  own pair, so the members keep their order.  Each constrained solve
-  starts its depths afresh, so a hit skips no depth check.  Two distinct
-  pairs can share a key: on ``gen_instance("clustered", 9, 0.3, 7)`` the
-  cover draws 12 forced pairs on 11 keys.
+  of its components.
 """
 
 from __future__ import annotations
@@ -130,7 +121,7 @@ from dataclasses import dataclass
 from .bipartite import cb_weight_mask, lp_bound, side_selection
 from .constrained import _solve_containing
 from .errors import InputError
-from .graph import Graph, SolveResult, bits, certified_result, mask_of
+from .graph import Graph, SolveResult, certified_result
 from .recognition import (
     InducedP4,
     _membership,
@@ -156,27 +147,26 @@ class CoverFamily:
 def _q3_region(g: Graph, p: InducedP4, part) -> int:
     """Endpoints + flavor vertices isolated among their peers + the
     anti-neighborhood: a region made of complete bipartite components."""
+    adj = g.adj
     flavors = part.s_b | part.s_c
     ambient = flavors | part.anti
-    lonely = mask_of(v for v in bits(flavors) if not g.adj[v] & ambient)
-    return (1 << p.a) | (1 << p.d) | lonely | part.anti
+    region = (1 << p.a) | (1 << p.d) | part.anti
+    while flavors:
+        low = flavors & -flavors
+        if not adj[low.bit_length() - 1] & ambient:
+            region |= low
+        flavors ^= low
+    return region
 
 
 def _forced_pair(g: Graph, part, members, memo: dict) -> tuple[int, int]:
     """(weight, mask) of the best set through {a, c} of the partition's
     path; in a cover solve each leaf it reaches, with that pair, is
-    appended to ``members``.  The constrained solve runs once per
-    partition key in ``memo``; a hit replays its leaves with this pair."""
+    appended to ``members``."""
     q = part.p
     pair = (1 << q.a) | (1 << q.c)
-    # _solve_containing reads only these four classes, never the pair, so
-    # every partition sharing them shares its answer and leaves
-    key = (part.s_b, part.s_d, part.s_bd, part.anti)
-    entry = memo.get(key)
-    if entry is None:
-        leaves = None if members is None else []
-        entry = memo[key] = (*_solve_containing(g, part, leaves, memo), leaves)
-    w, m, leaves = entry
+    leaves = None if members is None else []
+    w, m = _solve_containing(g, part, leaves, memo)
     if leaves:
         members.extend(pair | leaf for leaf in leaves)
     return w + g.weights[q.a] + g.weights[q.c], m | pair

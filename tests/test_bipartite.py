@@ -10,12 +10,14 @@ from conftest import (
     complete_graph,
     crown_graph,
     crown_optimum,
+    cycle_graph,
     path_graph,
+    triangle_free_graph,
     two_colorable,
 )
 
 from p4p4free.errors import ClassViolation, StructureViolation
-from p4p4free.graph import Graph, mask_of
+from p4p4free.graph import Graph, bits, mask_of
 from p4p4free.bipartite import lp_bound, solve_cb_components
 from p4p4free.testkit import XorShift64Star, gen_instance, oracle_wis, wis_by_enumeration
 
@@ -143,6 +145,58 @@ class TestLpBound:
             assert bound >= optimum
             loose += bound > optimum
         assert loose >= 1
+
+    @staticmethod
+    def _half_integral_lp(g: Graph, host: int) -> int:
+        """Twice the LP value of g[host], by exhaustion.
+
+        By Nemhauser–Trotter the LP has an optimum in {0, ½, 1}^host.  With
+        the vertices at 1 an independent set I, their neighbours are at 0,
+        and every other vertex can sit at ½, which weights do not penalise:
+        twice the value is the best 2·w(I) + w(host minus N[I])."""
+        best = 0
+        verts = list(bits(host))
+        for k in range(1 << len(verts)):
+            chosen = mask_of(v for i, v in enumerate(verts) if k >> i & 1)
+            if any(g.adj[v] & chosen for v in bits(chosen)):
+                continue
+            closed = chosen
+            for v in bits(chosen):
+                closed |= g.adj[v]
+            best = max(best, 2 * g.weight_of(chosen) + g.weight_of(host & ~closed))
+        return best
+
+    def test_is_the_lp_floor_off_bipartite_hosts(self):
+        # a maximum below the true one would pass a plain ">= optimum" check
+        rng = XorShift64Star(5_151)
+        graphs = []
+        for n in (5, 7, 9):
+            for _ in range(4):
+                graphs.append(cycle_graph(n, [rng.below(101) for _ in range(n)]))
+        graphs += [blowup_graph(k, s, seed=100 * k + s) for k, s in [(5, 1), (7, 1)]]
+        seed = 6_000
+        while len(graphs) < 44:
+            g = triangle_free_graph(seed, 7 + seed % 3, 0.35)
+            seed += 1
+            if not two_colorable(g, g.full_mask):
+                graphs.append(g)
+        cases = [(g, g.full_mask) for g in graphs]
+        # random hosts of at most 9 vertices holding an odd cycle, in small
+        # C5/C7 blow-ups
+        for k, s in [(5, 2), (5, 3), (7, 2)]:
+            g = blowup_graph(k, s, seed=100 * k + s)
+            hosts = 0
+            while hosts < 20:
+                host = rng.below(1 << g.n)
+                if host.bit_count() <= 9 and not two_colorable(g, host):
+                    cases.append((g, host))
+                    hosts += 1
+        loose = 0
+        for g, host in cases:
+            bound = lp_bound(g, host)
+            assert bound == self._half_integral_lp(g, host) // 2, (g, host)
+            loose += bound > oracle_wis(g, host).weight
+        assert loose >= 10
 
     def test_empty_host_is_zero(self):
         g = path_graph(5, [3, 1, 4, 1, 5])

@@ -221,6 +221,63 @@ class TestComponents:
                     rejected += 1
         assert certified >= 100 and rejected >= 30
 
+    @staticmethod
+    def _reference(g: Graph, host: int):
+        """``components_with_certificates`` by a BFS two-colouring of each
+        component from its smallest vertex, certified by an explicit check
+        that every cross pair is adjacent and each side is independent."""
+        certified, uncertified = [], []
+        seen = 0
+        for s in bits(host):
+            if seen >> s & 1:
+                continue
+            colour = {s: 0}
+            queue = [s]
+            for v in queue:
+                for w in bits(g.adj[v] & host):
+                    if w not in colour:
+                        colour[w] = colour[v] ^ 1
+                        queue.append(w)
+            comp = mask_of(colour)
+            seen |= comp
+            side_a = mask_of(v for v, c in colour.items() if c == 0)
+            side_b = comp & ~side_a
+            if (
+                all(g.adjacent(u, v) for u in bits(side_a) for v in bits(side_b))
+                and is_independent(g, side_a)
+                and is_independent(g, side_b)
+            ):
+                certified.append((side_a, side_b))
+            else:
+                uncertified.append(comp)
+        return tuple(certified), tuple(uncertified)
+
+    def test_random_hosts_match_the_reference(self):
+        """On hosts that cut through complete bipartite blocks, and on
+        blocks missing one cross edge or holding one edge inside a side,
+        the result equals the reference, order included."""
+        rng = XorShift64Star(4_242)
+        certified = uncertified = 0
+        graphs = [random_graph(5_000 + seed, 12, 0.2) for seed in range(20)]
+        graphs += [self._blocks_plus_noise(800 + seed) for seed in range(40)]
+        for a in range(1, 5):
+            for b in range(1, 5):
+                base = list(complete_bipartite(a, b).edges())
+                graphs.append(Graph.from_edges(a + b, base))
+                graphs.append(Graph.from_edges(a + b, base[1:]))  # one cross edge gone
+                if a > 1:
+                    graphs.append(Graph.from_edges(a + b, [*base, (0, a - 1)]))
+                if b > 1:
+                    graphs.append(Graph.from_edges(a + b, [*base, (a, a + b - 1)]))
+        for g in graphs:
+            hosts = [g.full_mask] + [rng.below(1 << g.n) for _ in range(25)]
+            for host in hosts:
+                expected = self._reference(g, host)
+                assert components_with_certificates(g, host) == expected, (g, host)
+                certified += sum(1 for _, b in expected[0] if b)
+                uncertified += len(expected[1])
+        assert certified >= 1_000 and uncertified >= 300
+
     def test_odd_cycle_is_uncertified(self):
         g = cycle_graph(5)
         assert components_with_certificates(g, g.full_mask) == ((), (g.full_mask,))

@@ -608,11 +608,6 @@ def _count_forced_pairs(monkeypatch, fault_at: int | None = None) -> list[int]:
     return drawn
 
 
-def _partition_key(part) -> tuple[int, int, int, int]:
-    """The classes of a partition that ``_solve_containing`` reads."""
-    return part.s_b, part.s_d, part.s_bd, part.anti
-
-
 def _host(part) -> int:
     """The host a partition was built in: the path and its seven classes."""
     return (
@@ -639,8 +634,8 @@ def _record_draws(monkeypatch) -> list:
 
 class TestForcedPairOnce:
     # the cover draws each pair of home's paths once, all on home, and
-    # solves each distinct partition once: its _forced_pair draws,
-    # _solve_containing calls, member count and member digest
+    # solves each draw once: its _forced_pair draws, _solve_containing
+    # calls, member count and member digest
     COVER = {
         "c7_classes_of_3": (63, 63, 154, "d92de8e10181b0b2"),
         "rejection_14": (42, 42, 195, "12ef7cbba85dc673"),
@@ -678,47 +673,12 @@ class TestForcedPairOnce:
         # path, so it draws every pair
         assert len(drawn) == len(set(drawn))
         assert set(drawn) == pairs
-        # one constrained solve per distinct partition
-        keys = {_partition_key(part) for part, _ in draws}
-        assert len(solved) == len(keys) == distinct
+        # one constrained solve per draw
+        assert len(solved) == distinct == calls
         assert len(family.members) == size
         assert hashlib.sha256(repr(family.members).encode()).hexdigest()[:16] == digest
         monkeypatch.undo()
         assert result == solve(g)
-
-    def test_a_hit_under_another_pair_carries_that_pair(self, monkeypatch):
-        # two forced pairs of this member's cover, {0, 2} and {2, 6}, both
-        # drawn on home, leave the same four classes to the constrained solve
-        g = gen_instance("clustered", 9, 0.3, 7)
-        forced_pair = solver._forced_pair
-        draws = []
-
-        def recording(g, part, members, memo):
-            hit = _partition_key(part) in memo
-            start = len(members)
-            got = forced_pair(g, part, members, memo)
-            draws.append((part, hit, members[start:], got))
-            return got
-
-        monkeypatch.setattr(solver, "_forced_pair", recording)
-        solve_with_cover(g)
-        first_pair: dict[tuple, int] = {}
-        other_pairs = 0
-        for part, hit, added, got in draws:
-            pair = 1 << part.p.a | 1 << part.p.c
-            key = _partition_key(part)
-            assert hit == (key in first_pair)
-            first_pair.setdefault(key, pair)
-            if not hit:
-                continue
-            # a hit returns, and appends, what a fresh solve of this
-            # partition would: every member carries this draw's pair
-            fresh: list[int] = []
-            assert forced_pair(g, part, fresh, {}) == got
-            assert added == fresh
-            assert all(m & pair == pair for m in added)
-            other_pairs += first_pair[key] != pair
-        assert other_pairs >= 1
 
     def test_each_pair_drawn_on_home_covers_its_maximal_sets(self, monkeypatch):
         # the leaves of a pair's one draw hold every maximal set through
