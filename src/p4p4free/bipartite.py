@@ -85,11 +85,11 @@ def lp_bound(g: Graph, host: int) -> int:
     both directions.  F is the least weight of a vertex cover of the
     double cover, so 2W - F is its heaviest independent set, twice the LP
     value.  The flow starts greedy: each u', in ascending order, sends
-    what it can straight to its v'' in ascending order.  Dinic's algorithm
-    on vertex masks then augments it to a maximum: each phase layers the
-    residual graph breadth-first, alternating v' and v'' layers, and
-    saturates the layers by iterative depth-first search.  Every per-vertex
-    table holds host's vertices only.
+    what it can straight to its v'' in ascending order.  Shortest
+    augmenting paths on vertex masks then raise it to a maximum: each
+    search layers the residual graph breadth-first, alternating v' and v''
+    layers, and augments along one path walked back through the layers.
+    Every per-vertex table holds host's vertices only.
     """
     adj, weights = g.adj, g.weights
     nbrs, src, snk, back = {}, {}, {}, {}
@@ -153,53 +153,38 @@ def lp_bound(g: Graph, host: int) -> int:
             seen_l |= left
         else:
             break  # the sink is out of reach: the flow is maximum
-        # the path alternates u' (even index) and v'' (odd index), the
-        # nodes at indices 2i and 2i + 1 lying in layer i, so it reaches a
-        # v'' of the last layer, open to the sink, at this length
-        full = 2 * len(layers)
-        dead_l = dead_r = 0
-        while True:
-            starts = supply & layers[0][0] & ~dead_l
-            if not starts:
-                break
-            path = [(starts & -starts).bit_length() - 1]
-            while path and len(path) < full:
-                top = path[-1]
-                i = len(path) // 2
-                if len(path) % 2:
-                    nxt = nbrs[top] & layers[i][1] & ~dead_r
-                else:
-                    nxt = back[top] & layers[i][0] & ~dead_l
-                if nxt:
-                    path.append((nxt & -nxt).bit_length() - 1)
-                    continue
-                if len(path) % 2:
-                    dead_l |= 1 << top
-                else:
-                    dead_r |= 1 << top
-                path.pop()
-            if not path:
-                continue
-            d = min(src[path[0]], snk[path[-1]])
-            for j in range(1, len(path) - 1, 2):
-                d = min(d, flow[path[j + 1], path[j]])
-            total += d
-            src[path[0]] -= d
-            if not src[path[0]]:
-                supply ^= 1 << path[0]
-            snk[path[-1]] -= d
-            if not snk[path[-1]]:
-                demand ^= 1 << path[-1]
-                dead_r |= 1 << path[-1]
-            for j in range(0, len(path), 2):
-                u, v = path[j], path[j + 1]
-                flow[u, v] = flow.get((u, v), 0) + d
-                back[v] |= 1 << u
-                if j + 2 < len(path):
-                    w = path[j + 2]
-                    flow[w, v] -= d
-                    if not flow[w, v]:
-                        back[v] ^= 1 << w
+        # one shortest augmenting path, walked back from the least v'' of
+        # the last layer: a v'' of layer i has a u' of layer i among its
+        # neighbours, and a u' of layer i > 0 sends flow to a v'' of layer
+        # i - 1; the path alternates u' (even index) and v'' (odd index)
+        v = (layers[-1][1] & -layers[-1][1]).bit_length() - 1
+        path = []
+        for i in range(len(layers) - 1, -1, -1):
+            arcs = nbrs[v] & layers[i][0]
+            u = (arcs & -arcs).bit_length() - 1
+            path += (v, u)
+            if i:
+                v = next(x for x in bits(layers[i - 1][1]) if back[x] >> u & 1)
+        path.reverse()
+        d = min(src[path[0]], snk[path[-1]])
+        for j in range(1, len(path) - 1, 2):
+            d = min(d, flow[path[j + 1], path[j]])
+        total += d
+        src[path[0]] -= d
+        if not src[path[0]]:
+            supply ^= 1 << path[0]
+        snk[path[-1]] -= d
+        if not snk[path[-1]]:
+            demand ^= 1 << path[-1]
+        for j in range(0, len(path), 2):
+            u, v = path[j], path[j + 1]
+            flow[u, v] = flow.get((u, v), 0) + d
+            back[v] |= 1 << u
+            if j + 2 < len(path):
+                w = path[j + 2]
+                flow[w, v] -= d
+                if not flow[w, v]:
+                    back[v] ^= 1 << w
     return (2 * whole - total) // 2
 
 

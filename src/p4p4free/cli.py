@@ -30,7 +30,7 @@ from .errors import (
     StructureViolation,
 )
 from .graph import Graph, bits, components_with_certificates
-from .recognition import is_class_member
+from .recognition import is_class_member, verified_member
 from .solver import solve, solve_with_cover
 from .testkit import gen_instance, oracle_wis
 
@@ -200,10 +200,15 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    refusal = is_class_member(_read_graph(args)).violation()
-    if refusal is None:
-        _emit(args, ["MEMBER"], {"member": True})
-        return 0
+    g = _read_graph(args)
+    # the refusal solve and cover would raise: its witness is re-checked,
+    # and one that does not hold leaves as a StructureViolation
+    try:
+        with verified_member(g, is_class_member(g)):
+            _emit(args, ["MEMBER"], {"member": True})
+            return 0
+    except ClassViolation as err:
+        refusal = err
     kind, body = refusal.witness
     if kind == "triangle":
         detail = {"vertices": _ids(body)}

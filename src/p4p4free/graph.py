@@ -78,8 +78,9 @@ class Graph:
             weights: per-vertex nonnegative integers; defaults to all 1.
 
         Raises:
-            InputError: on out-of-range ids, loops, or weights that are
-                negative or not integers.
+            InputError: on an edge that is not a pair of integers, on
+                out-of-range ids, loops, or weights that are negative or
+                not integers.
         """
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
@@ -92,7 +93,12 @@ class Graph:
         if any(x < 0 for x in w):
             raise InputError("weights must be nonnegative")
         adj = [0] * n
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+                u, v = operator.index(u), operator.index(v)
+            except (TypeError, ValueError) as err:
+                raise InputError(f"edge {edge!r} is no integer pair: {err}") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:

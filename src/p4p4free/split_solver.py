@@ -31,16 +31,16 @@ under different parts and depths.  What the dispatcher derives from the
 host alone, the side selection of its certified components and the
 member masks of the others, depends on the graph and the host only, so it
 is memoised in a plain dict keyed by host.  The block parts that
-``_certified_members`` decomposes repeat even more (the cover of a
-complete blow-up of C7 with classes of 4 makes 26,880 calls on one mask),
-so a certified block part's side pairs are kept in the same dict under
-``~t``, a negative int that no host meets.  The public solvers create
-that dict after their membership verdict and drop it when they return;
-nothing outlives the call, so a later graph never sees an earlier one's
-entries.  The checks that depend on the call (the depth budget, the host
-against the parts, the uncertified-component count and the leaf record)
-run on every call, hit or miss, and a block part without a certificate
-is never memoised, so it fails on every call.
+``_certified_members`` decomposes repeat even more (over the benchmark's
+``branchy`` seed 1 round 0, the covers make 1,187 calls, 911 of them on a
+part already seen), so a certified block part's side pairs are kept in the
+same dict under ``~t``, a negative int that no host meets.  The public
+solvers create that dict after their membership verdict and drop it when
+they return; nothing outlives the call, so a later graph never sees an
+earlier one's entries.  The checks that depend on the call (the depth
+budget, the host against the parts, the uncertified-component count and
+the leaf record) run on every call, hit or miss, and a block part
+without a certificate is never memoised, so it fails on every call.
 """
 
 from __future__ import annotations

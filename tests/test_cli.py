@@ -9,11 +9,11 @@ import tracemalloc
 import pytest
 from conftest import blowup_graph, blowup_optimum, random_graph
 
-from p4p4free import constrained, solver, split_solver
+from p4p4free import cli, constrained, solver, split_solver
 from p4p4free.cli import format_graph, parse_graph, run
 from p4p4free.errors import ClassViolation, ParseError, StructureViolation
 from p4p4free.graph import Graph
-from p4p4free.recognition import enumerate_induced_p4
+from p4p4free.recognition import MembershipVerdict, enumerate_induced_p4
 from p4p4free.testkit import XorShift64Star, enumerate_maximal_is, gen_instance
 
 TWO = "p wis 2 1\nv 1 5\nv 2 7\ne 1 2\n"
@@ -152,6 +152,17 @@ class TestRun:
         out = capsys.readouterr().out
         assert out.startswith("NOT_MEMBER\n")
         assert "witness p4_pair 1 2 3 4 / 5 6 7 8" in out
+
+    def test_check_with_a_witness_that_does_not_hold_exits_1(
+        self, wis_file, capsys, monkeypatch
+    ):
+        # 0, 1, 2 is a path of the file's graph, not a triangle
+        bogus = MembershipVerdict(False, triangle=(0, 1, 2))
+        monkeypatch.setattr(cli, "is_class_member", lambda g: bogus)
+        assert run(["check", wis_file(TWO_PATHS)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal error: refusal witness does not hold")
 
     def test_solve_two_paths_exits_2(self, wis_file, capsys):
         assert run(["solve", wis_file(TWO_PATHS)]) == 2

@@ -52,6 +52,15 @@ class TestGraphConstruction:
         with pytest.raises(InputError):
             Graph.from_edges(2, [(1, 1)])
 
+    @pytest.mark.parametrize(
+        "edge",
+        [(0, 1.0), (0,), (0, 1, 2), 5, "01"],
+        ids=["float", "one", "three", "int", "str"],
+    )
+    def test_rejects_an_edge_that_is_not_a_pair_of_integers(self, edge):
+        with pytest.raises(InputError, match="is no integer pair"):
+            Graph.from_edges(2, [edge])
+
     def test_rejects_negative_weight(self):
         with pytest.raises(InputError):
             Graph.from_edges(1, [], [-3])

@@ -148,6 +148,37 @@ class TestBranchingShapes:
             g = Graph.from_edges(6, edges, weights)
             assert split(g, [4, 5], [0, 1, 2, 3])[0] == oracle_wis(g).weight
 
+    @pytest.mark.parametrize(
+        "weights, best", [([1] * 10, 5), ([3, 1, 4, 1, 5, 9, 2, 6, 5, 3], 22)]
+    )
+    def test_second_bipartial_region_is_split_off(self, monkeypatch, weights, best):
+        # 0 is bi-partial to the block {4; 2, 3} and is picked; once N(0)
+        # is gone, 1 is still bi-partial to the block {7; 5, 6}, the second
+        # region, so the kept residual is split along both blocks
+        edges = [(2, 4), (3, 4), (5, 7), (6, 7), (8, 9)]
+        edges += [(0, 2), (0, 8), (1, 2), (1, 3), (1, 5)]
+        g = Graph.from_edges(10, edges, weights)
+        original = split_solver._solve_raw
+        branched = []
+
+        def recording(g_, s_mask, t_mask, host, depth, *rest):
+            if depth == 1:
+                branched.append(host)
+            return original(g_, s_mask, t_mask, host, depth, *rest)
+
+        monkeypatch.setattr(split_solver, "_solve_raw", recording)
+        leaves: list[int] = []
+        assert solve_raw(g, 0b11, mask_of(range(2, 10)), leaves)[0] == best
+        assert oracle_wis(g).weight == best
+        for chosen in enumerate_maximal_is(g):
+            assert any(mask_of(chosen) & ~leaf == 0 for leaf in leaves), chosen
+        kept = g.full_mask & ~g.adj[0]
+        # the residual without either block, and one per vertex of the
+        # second block, exist only when the second region is split off
+        assert kept & ~mask_of(range(2, 8)) in branched
+        for h in (5, 6, 7):
+            assert kept & ~g.adj[h] in branched
+
     def test_without_a_bipartial_vertex_nothing_is_branched(self):
         # 4 meets the block {0, 1; 2, 3} wholly on one side
         g = Graph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (4, 1)])
