@@ -16,13 +16,17 @@ bi-partial v meets a1 but not a2 on one side of a block and nothing of
 the other, so v-a1-b-a2 is an induced P4 of the region: only
 ``split_solver`` needs to know what bi-partial means.
 
-The {b, d} variant is the same computation on the reversed path.
+The {b, d} variant is the same computation on the reversed path, whose
+classes are those of the path relabelled (b↔c, a↔d, ac↔bd).
 
-The internal ``_solve_containing`` returns ``(weight, mask)`` for a given
-partition, the forced pair left out, and assumes a class member: it
-raises no refusal of its own.  The public solvers decide membership
-first, refusing a non-member with a re-checked witness, then fold the
-pair in and certify the result.
+The internal ``_solve_containing`` takes the four classes it reads, the
+b-only, d-only and b-and-d classes and the anti-neighborhood, as plain
+masks, and returns ``(weight, mask)``, the forced pair left out; the
+path itself never reaches it.  It assumes a class member and raises no
+refusal of its own.  The public solvers decide membership first,
+refusing a non-member with a re-checked witness, build the path's
+``NeighborhoodPartition`` in the given host and pass its masks on, then
+fold the pair in and certify the result.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from __future__ import annotations
 from .graph import Graph, SolveResult, bits, certified_result
 from .recognition import (
     InducedP4,
-    NeighborhoodPartition,
     find_induced_p4,
     is_class_member,
     neighborhood_partition,
@@ -95,37 +98,38 @@ def _solve_second_phase(
     return _keep_or_drop(redispatch, host & ~g.adj[x], host & ~(1 << x), depth)
 
 
-def _pair_branch(g: Graph, part, sb: int, sd: int, leaves, memo: dict):
-    """Best independent set of the reduced host containing the pair."""
-    stars = (1 << sb) | (1 << sd)
-    host = (part.s_b | part.s_d | part.s_bd | part.anti) & ~(g.adj[sb] | g.adj[sd])
+def _pair_branch(
+    g: Graph, s_b: int, s_d: int, s_bd: int, anti: int, vb: int, vd: int, leaves, memo
+):
+    """Best independent set of the reduced host containing the pair
+    {vb, vd} of the b- and d-classes."""
+    stars = (1 << vb) | (1 << vd)
+    host = (s_b | s_d | s_bd | anti) & ~(g.adj[vb] | g.adj[vd])
     # each pick removes a b- or d-class vertex, so the block part and its
     # blocks stay fixed through the loop
-    t_mask = part.anti & host
+    t_mask = anti & host
     t_comps = None
     best = (-1, 0)
     depth = 1
     while True:
-        live_b = part.s_b & host & ~stars
-        live_d = part.s_d & host & ~stars
+        live_b = s_b & host & ~stars
+        live_d = s_d & host & ~stars
         if not (live_b | live_d):
-            cand = _solve_raw(
-                g, stars | part.s_bd, part.anti, host, depth, 0, leaves, memo
-            )
+            cand = _solve_raw(g, stars | s_bd, anti, host, depth, 0, leaves, memo)
             return cand if cand[0] > best[0] else best
         if t_comps is None:
             t_comps = [a | b for a, b in _certified_members(g, t_mask, memo)]
         v = _select_branch_vertex(g, list(bits(live_b | live_d)), t_comps, t_mask)
         if live_b >> v & 1:
-            active, passive = part.s_d, part.s_b
+            active, passive = s_d, s_b
         else:
-            active, passive = part.s_b, part.s_d
+            active, passive = s_b, s_d
         picked = stars | (1 << v)
         cand = _solve_second_phase(
             g,
-            picked | passive | part.s_bd,
+            picked | passive | s_bd,
             active & ~picked,
-            part.anti,
+            anti,
             host & ~g.adj[v],
             depth + 1,
             leaves,
@@ -138,10 +142,17 @@ def _pair_branch(g: Graph, part, sb: int, sd: int, leaves, memo: dict):
 
 
 def _solve_containing(
-    g: Graph, part: NeighborhoodPartition, leaves: list[int] | None, memo: dict
+    g: Graph,
+    s_b: int,
+    s_d: int,
+    s_bd: int,
+    anti: int,
+    leaves: list[int] | None,
+    memo: dict,
 ) -> tuple[int, int]:
-    """(weight, mask) of a maximum weight independent set of the partition's
-    host containing {a, c} of its path, with a and c left out of both.
+    """(weight, mask) of a maximum weight independent set containing {a, c}
+    of a path, given the path's b-only, d-only and b-and-d classes and its
+    anti-neighbourhood in the host, with a and c left out of both.
 
     When ``leaves`` is a list, the base-case host masks of the branching
     are appended to it, also without a and c; ``solve_with_cover`` folds
@@ -151,17 +162,16 @@ def _solve_containing(
     best = (-1, 0)
     # class-dropping branches: no b- and no d-class, d-class only, b-class
     # only
-    for s_role in (part.s_bd, part.s_d | part.s_bd, part.s_b | part.s_bd):
-        host = s_role | part.anti
-        cand = _solve_raw(g, s_role, part.anti, host, 0, 0, leaves, memo)
+    for s_role in (s_bd, s_d | s_bd, s_b | s_bd):
+        cand = _solve_raw(g, s_role, anti, s_role | anti, 0, 0, leaves, memo)
         if cand[0] > best[0]:
             best = cand
-    for one_b in bits(part.s_b):
-        for one_d in bits(part.s_d):
-            if not g.adjacent(one_b, one_d):
-                cand = _pair_branch(g, part, one_b, one_d, leaves, memo)
-                if cand[0] > best[0]:
-                    best = cand
+    adj = g.adj
+    for vb in bits(s_b):
+        for vd in bits(s_d & ~adj[vb]):
+            cand = _pair_branch(g, s_b, s_d, s_bd, anti, vb, vd, leaves, memo)
+            if cand[0] > best[0]:
+                best = cand
     return best
 
 
@@ -177,7 +187,10 @@ def solve_containing_ac(g: Graph, p: InducedP4, host: int | None = None) -> Solv
         StructureViolation: an internal fault.
     """
     with verified_member(g, is_class_member(g)):
-        _, mask = _solve_containing(g, neighborhood_partition(g, p, host), None, {})
+        part = neighborhood_partition(g, p, host)
+        _, mask = _solve_containing(
+            g, part.s_b, part.s_d, part.s_bd, part.anti, None, {}
+        )
     return certified_result(g, mask | (1 << p.a) | (1 << p.c))
 
 

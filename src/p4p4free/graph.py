@@ -135,6 +135,9 @@ class Graph:
         """``host`` checked against the vertex range, or the full mask for None."""
         if host is None:
             return self.full_mask
+        # type(True) is bool, so a bool is refused with every non-int
+        if type(host) is not int:
+            raise InputError(f"host mask must be an int, got {host!r}")
         if host < 0 or host >> self.n:
             raise InputError(f"host mask {bin(host)} out of range for n={self.n}")
         return host

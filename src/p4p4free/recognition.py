@@ -16,15 +16,17 @@ found path-free holds none again, so both are skipped.  The witness is
 the full scan's: every skipped region holds no P4, so the first path in
 scan order whose region holds one is still searched, on that same region.
 The scan yields plain ``(a, b, c, d)`` tuples; an ``InducedP4`` is built
-only where a path is handed on (a witness, an enumeration, a path the
-solver draws).
+only where a path leaves the package (a witness, an enumeration).
 
 Around a fixed induced P4 (a, b, c, d), triangle-freeness pins every
 neighbor of the path to one of seven adjacency traces: {a}, {b}, {c}, {d},
 {a,c}, {a,d}, {b,d}.  Any other trace contains two consecutive path
-vertices and exhibits a triangle.  ``neighborhood_partition`` materializes
-those seven classes plus the anti-neighborhood; all of the branching
-machinery downstream is phrased in terms of them.
+vertices and exhibits a triangle.  ``_trace_classes`` computes those seven
+classes plus the anti-neighborhood as a plain tuple of masks, and all of
+the branching machinery downstream is phrased in terms of them;
+``neighborhood_partition`` is that kernel wrapped in a dataclass for
+callers outside the package.  The classes of the reversed path d-c-b-a
+are the same masks relabelled (``_reversed_classes``).
 
 Every public solver decides membership before it branches and refuses
 only through ``refuse``: a ``ClassViolation`` leaves once its witness
@@ -169,9 +171,9 @@ def enumerate_induced_p4(g: Graph, host: int | None = None) -> list[InducedP4]:
     return [InducedP4(*t) for t in sorted(_p4_scan(g, host))]
 
 
-def find_induced_p4(g: Graph, host: int) -> InducedP4 | None:
+def find_induced_p4(g: Graph, host: int | None = None) -> InducedP4 | None:
     """Some induced P4 of g[host], or None; deterministic, early exit."""
-    g._check_host(host)
+    host = g._check_host(host)
     t = next(_p4_scan(g, host), None)
     return None if t is None else InducedP4(*t)
 
@@ -365,37 +367,33 @@ class NeighborhoodPartition:
         """The partition of the reversed path in the same host: the trace
         classes are relabelled (a↔d, b↔c), no vertex is rescanned."""
         return NeighborhoodPartition(
-            p=self.p.reverse(),
-            s_a=self.s_d,
-            s_b=self.s_c,
-            s_c=self.s_b,
-            s_d=self.s_a,
-            s_ac=self.s_bd,
-            s_ad=self.s_ad,
-            s_bd=self.s_ac,
-            anti=self.anti,
+            self.p.reverse(),
+            *_reversed_classes(
+                (
+                    self.s_a, self.s_b, self.s_c, self.s_d,
+                    self.s_ac, self.s_ad, self.s_bd, self.anti,
+                )
+            ),
         )
 
 
-def neighborhood_partition(
-    g: Graph, p: InducedP4, host: int | None = None
-) -> NeighborhoodPartition:
-    """Partition the path's host neighbors into the seven trace classes.
+def _reversed_classes(classes: tuple[int, ...]) -> tuple[int, ...]:
+    """The trace classes of the reversed path d-c-b-a, from those of
+    a-b-c-d in the same host: a↔d, b↔c and ac↔bd swap, ad and the
+    anti-neighbourhood stay."""
+    s_a, s_b, s_c, s_d, s_ac, s_ad, s_bd, anti = classes
+    return (s_d, s_c, s_b, s_a, s_bd, s_ad, s_ac, anti)
 
-    Args:
-        g: the graph.
-        p: an induced P4 of g whose vertices all lie in ``host``.
-        host: live vertex mask (defaults to all of g).
 
-    Raises:
-        InputError: p does not induce a P4 in g, or leaves the host.
-        ClassViolation: when some neighbor's trace includes two consecutive
-            path vertices; the witness is the resulting triangle.
-    """
+def _trace_classes(
+    g: Graph, vs: tuple[int, int, int, int], host: int | None
+) -> tuple[int, int, int, int, int, int, int, int]:
+    """The masks ``(s_a, s_b, s_c, s_d, s_ac, s_ad, s_bd, anti)`` of the
+    path ``vs`` = (a, b, c, d) in g[host]: ``neighborhood_partition``
+    without the wrapping, with the same checks and errors."""
     host = g._check_host(host)
-    pv = (p.a, p.b, p.c, p.d)
-    a, b, c, d = pv
-    _check_induced_p4(g, pv)
+    a, b, c, d = vs
+    _check_induced_p4(g, vs)
     path = 1 << a | 1 << b | 1 << c | 1 << d
     if path & host != path:
         raise InputError("path vertices must lie inside the host")
@@ -410,19 +408,37 @@ def neighborhood_partition(
         i = next(i for i in range(3) if (sides[i] & sides[i + 1]) >> v & 1)
         raise ClassViolation(
             f"vertex {v} is adjacent to consecutive path vertices "
-            f"{pv[i]} and {pv[i + 1]}",
-            ("triangle", tuple(sorted((v, pv[i], pv[i + 1])))),
+            f"{vs[i]} and {vs[i + 1]}",
+            ("triangle", tuple(sorted((v, vs[i], vs[i + 1])))),
         )
     # no vertex meets two consecutive path vertices, so each of the seven
     # traces is fixed by the path vertices it can still share
-    return NeighborhoodPartition(
-        p=p,
-        s_a=na & ~(nc | nd),
-        s_b=nb & ~nd,
-        s_c=nc & ~na,
-        s_d=nd & ~(na | nb),
-        s_ac=na & nc,
-        s_ad=na & nd,
-        s_bd=nb & nd,
-        anti=live & ~(na | nb | nc | nd),
+    return (
+        na & ~(nc | nd),
+        nb & ~nd,
+        nc & ~na,
+        nd & ~(na | nb),
+        na & nc,
+        na & nd,
+        nb & nd,
+        live & ~(na | nb | nc | nd),
     )
+
+
+def neighborhood_partition(
+    g: Graph, p: InducedP4, host: int | None = None
+) -> NeighborhoodPartition:
+    """Partition the path's host neighbors into the seven trace classes.
+
+    Args:
+        g: the graph.
+        p: an induced P4 of g whose vertices all lie in ``host``.
+        host: live vertex mask (defaults to all of g).
+
+    Raises:
+        InputError: p does not induce a P4 in g, or leaves the host, or
+            host is not an int in range.
+        ClassViolation: when some neighbor's trace includes two consecutive
+            path vertices; the witness is the resulting triangle.
+    """
+    return NeighborhoodPartition(p, *_trace_classes(g, (p.a, p.b, p.c, p.d), host))

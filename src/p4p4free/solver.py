@@ -32,10 +32,11 @@ region holds one, and so the witness, unchanged.  Home, the rest's
 sides and home's paths all come from that same pass: to accept a member
 the scan visits every path of home, so the paths are scanned once and
 only sorted into canonical order here.  They arrive as plain
-``(a, b, c, d)`` tuples; the loop builds an ``InducedP4`` only for a path
-it draws, and ``solve`` often stops after a few.  Past that step the
-input is a verified member, so a refusal raised by the branching is an
-internal fault and leaves as a ``StructureViolation``.
+``(a, b, c, d)`` tuples and stay so: the loop hands each tuple on as four
+vertex ids, and no ``InducedP4`` or ``NeighborhoodPartition`` is built
+below the public call.  Past that step the input is a verified member, so
+a refusal raised by the branching is an internal fault and leaves as a
+``StructureViolation``.
 
 Candidates are evaluated in one serial loop (paths in canonical order;
 per path {a, c}, {b, d}, the region; the remainder last), and ``solve``
@@ -47,18 +48,18 @@ is a clique cover, and an independent set takes at most the heavier end
 of each edge (the clique-cover bound of weighted branch and bound).  On
 a member a skipped candidate cannot change the answer.  The region is
 first bounded by the weight of home minus N(a) and N(d), which holds
-it, so a path's neighborhood partition is built only once one of its
+it, so a path's trace classes are computed only once one of its
 candidates survives its bound.
 
 Both public calls evaluate each forced pair once: a pair drawn before,
 by this path or another (the {a, c} of one path and the {b, d} of another
 are one pair when their masks are equal), is skipped before its bound
-or partition is computed.  The best set through a non-adjacent pair
-{x, y} lives in home minus N[x] and N[y], so its weight depends on the
-pair alone; the first draw weighed at most the best then (or, in
-``solve``, was skipped by a bound at most the best), and the best only
-grows, so a repeat cannot beat it strictly.  The set of drawn pairs
-lives for one call.
+or the path's trace classes are computed.  The best set through a
+non-adjacent pair {x, y} lives in home minus N[x] and N[y], so its
+weight depends on the pair alone; the first draw weighed at most the
+best then (or, in ``solve``, was skipped by a bound at most the best),
+and the best only grows, so a repeat cannot beat it strictly.  The set
+of drawn pairs lives for one call.
 
 ``solve`` stops as soon as the best reaches an upper bound U on all of
 home, computed once before the first path: the floor of home's
@@ -96,11 +97,16 @@ vertex, and y, in s_c or the anti-neighborhood (two neighbors of b are
 not adjacent), misses a and b, so a-b-x-y is an induced path of home and
 the cover draws {a, x} on home (d-c-x-y likewise for s_c).
 
-Below the public calls every candidate is a ``(weight, mask)`` pair: each
-path scans its neighborhood at most once (the {b, d} partition is the
-{a, c} one relabelled, ``NeighborhoodPartition.reverse``) and adds each
-forced pair to what the internal ``constrained._solve_containing``
-returns.  The chosen set is certified once, at the end.
+Below the public calls every candidate is a ``(weight, mask)`` pair and
+every path is plain ints: each path scans its neighborhood at most once,
+into the eight masks of ``recognition._trace_classes`` (the seven trace
+classes and the anti-neighborhood, with the checks
+``neighborhood_partition`` makes).  The {b, d} draw is the {a, c} draw of
+the reversed path d-c-b-a, whose classes are the same masks relabelled by
+``recognition._reversed_classes``, the relabelling
+``NeighborhoodPartition.reverse`` applies too.  Each forced pair is
+added to what the internal ``constrained._solve_containing`` returns for
+the four masks it reads.  The chosen set is certified once, at the end.
 
 Each call creates one memo after the membership verdict and passes it
 down every candidate: a plain dict, dropped when the call returns, so a
@@ -123,9 +129,9 @@ from .constrained import _solve_containing
 from .errors import InputError
 from .graph import Graph, SolveResult, certified_result
 from .recognition import (
-    InducedP4,
     _membership,
-    neighborhood_partition,
+    _reversed_classes,
+    _trace_classes,
     verified_member,
 )
 
@@ -144,13 +150,13 @@ class CoverFamily:
     members: tuple[int, ...]
 
 
-def _q3_region(g: Graph, p: InducedP4, part) -> int:
+def _q3_region(g: Graph, a: int, d: int, s_b: int, s_c: int, anti: int) -> int:
     """Endpoints + flavor vertices isolated among their peers + the
     anti-neighborhood: a region made of complete bipartite components."""
     adj = g.adj
-    flavors = part.s_b | part.s_c
-    ambient = flavors | part.anti
-    region = (1 << p.a) | (1 << p.d) | part.anti
+    flavors = s_b | s_c
+    ambient = flavors | anti
+    region = (1 << a) | (1 << d) | anti
     while flavors:
         low = flavors & -flavors
         if not adj[low.bit_length() - 1] & ambient:
@@ -159,17 +165,19 @@ def _q3_region(g: Graph, p: InducedP4, part) -> int:
     return region
 
 
-def _forced_pair(g: Graph, part, members, memo: dict) -> tuple[int, int]:
-    """(weight, mask) of the best set through {a, c} of the partition's
-    path; in a cover solve each leaf it reaches, with that pair, is
-    appended to ``members``."""
-    q = part.p
-    pair = (1 << q.a) | (1 << q.c)
+def _forced_pair(g: Graph, vs, classes, members, memo: dict) -> tuple[int, int]:
+    """(weight, mask) of the best set through {a, c} of the path ``vs`` =
+    (a, b, c, d), whose trace classes in the host are ``classes``; in a
+    cover solve each leaf it reaches, with that pair, is appended to
+    ``members``."""
+    a, c = vs[0], vs[2]
+    pair = (1 << a) | (1 << c)
     leaves = None if members is None else []
-    w, m = _solve_containing(g, part, leaves, memo)
+    _, s_b, _, s_d, _, _, s_bd, anti = classes
+    w, m = _solve_containing(g, s_b, s_d, s_bd, anti, leaves, memo)
     if leaves:
         members.extend(pair | leaf for leaf in leaves)
-    return w + g.weights[q.a] + g.weights[q.c], m | pair
+    return w + g.weights[a] + g.weights[c], m | pair
 
 
 def _matching_bound(g: Graph, host: int) -> int:
@@ -204,47 +212,54 @@ def _pair_bound(g: Graph, x: int, y: int, home: int) -> int:
     return g.weights[x] + g.weights[y] + _matching_bound(g, home & ~closed)
 
 
-def _per_path(
-    g: Graph, p: InducedP4, home: int, best, top, drawn: set, members, memo: dict
-):
-    """The earliest heaviest of ``best`` and this path's candidates for
-    g[home], evaluated in order: {a, c}, {b, d}, the region.  Returns as
-    soon as a strictly heavier candidate reaches ``top``.
+def _per_path(g: Graph, vs, home: int, best, top, drawn: set, members, memo: dict):
+    """The earliest heaviest of ``best`` and the candidates of the path
+    ``vs`` = (a, b, c, d) for g[home], evaluated in order: {a, c}, {b, d},
+    the region.  Returns as soon as a strictly heavier candidate reaches
+    ``top``.
 
     Both calls add each forced pair's mask to ``drawn`` and skip a pair
     drawn before, and both skip the region's solve when its weight cannot
     beat the best.  ``solve`` (``members`` None) also skips a pair whose
     ``_pair_bound`` cannot beat the best, and the region when the weight
     of home minus N(a) and N(d), which holds it, cannot.  So the path's
-    neighbourhood partition and region are built only once a candidate
-    that needs them survives its bounds.
+    trace classes and region are computed only once a candidate that
+    needs them survives its bounds.
 
     A cover solve (``members`` a list) skips no forced pair for its bound.
     It appends each candidate's cover members to ``members`` as it is
     evaluated, the region whether or not its solve is skipped, so the
     members keep evaluation order.
     """
+    a, b, c, d = vs
     cover = members is not None
-    part = None
-    for x, y in ((p.a, p.c), (p.b, p.d)):
+    classes = None
+    for x, y in ((a, c), (b, d)):
         pair = 1 << x | 1 << y
         if pair in drawn:
             continue
         drawn.add(pair)
         if not cover and _pair_bound(g, x, y, home) <= best[0]:
             continue
-        if part is None:
-            part = neighborhood_partition(g, p, home)
-        cand = _forced_pair(g, part if x == p.a else part.reverse(), members, memo)
+        if classes is None:
+            classes = _trace_classes(g, vs, home)
+        if x == a:
+            cand = _forced_pair(g, vs, classes, members, memo)
+        else:
+            # {b, d} is {a, c} of the reversed path
+            cand = _forced_pair(
+                g, (d, c, b, a), _reversed_classes(classes), members, memo
+            )
         if cand[0] > best[0]:
             best = cand
             if best[0] == top:
                 return best
-    if not cover and g.weight_of(home & ~(g.adj[p.a] | g.adj[p.d])) <= best[0]:
+    if not cover and g.weight_of(home & ~(g.adj[a] | g.adj[d])) <= best[0]:
         return best
-    if part is None:
-        part = neighborhood_partition(g, p, home)
-    q3 = _q3_region(g, p, part)
+    if classes is None:
+        classes = _trace_classes(g, vs, home)
+    _, s_b, s_c, _, _, _, _, anti = classes
+    q3 = _q3_region(g, a, d, s_b, s_c, anti)
     if cover:
         members.append(q3)
     if g.weight_of(q3) <= best[0]:
@@ -281,7 +296,7 @@ def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool, memo: di
     # the rest cannot beat it strictly (see the module docstring)
     top = lp_bound(g, home) if paths and not cover else None
     for t in paths:
-        best = _per_path(g, InducedP4(*t), home, best, top, drawn, members, memo)
+        best = _per_path(g, t, home, best, top, drawn, members, memo)
         if best[0] == top:
             break
     else:

@@ -194,7 +194,7 @@ class TestRun:
         )
 
     def test_failed_self_certification_exits_1(self, wis_file, capsys, monkeypatch):
-        def dependent(g, part, leaves, memo):
+        def dependent(g, s_b, s_d, s_bd, anti, leaves, memo):
             return 0, g.full_mask
 
         monkeypatch.setattr(solver, "_solve_containing", dependent)

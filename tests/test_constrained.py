@@ -13,7 +13,7 @@ from conftest import (
     witness_checks,
 )
 
-from p4p4free import constrained
+from p4p4free import constrained, recognition
 from p4p4free.constrained import (
     _select_branch_vertex,
     solve_containing_ac,
@@ -268,6 +268,29 @@ class TestAgainstOracle:
                     == solve_containing_ac(g, p.reverse()).weight
                 )
 
+    def test_relabelled_classes_give_the_bd_solve(self):
+        # the solver's {b, d} draw: the internal solve on the path's trace
+        # classes relabelled, in home and in the whole graph
+        rng = XorShift64Star(98)
+        checked = 0
+        for _ in range(25):
+            g = gen_instance("clustered", 6 + rng.below(9), 0.6, rng.next_u64())
+            home = sum(components_with_certificates(g, g.full_mask)[1])
+            for p in enumerate_induced_p4(g)[:6]:
+                for host in (home, None):
+                    classes = recognition._trace_classes(g, p.vertices, host)
+                    _, s_b, _, s_d, _, _, s_bd, anti = (
+                        recognition._reversed_classes(classes)
+                    )
+                    w, m = constrained._solve_containing(
+                        g, s_b, s_d, s_bd, anti, None, {}
+                    )
+                    want = solve_containing_bd(g, p, host)
+                    assert w + g.weights[p.b] + g.weights[p.d] == want.weight
+                    assert m | 1 << p.b | 1 << p.d == mask_of(want.chosen)
+                    checked += 1
+        assert checked > 100
+
     def test_deterministic(self):
         g = gen_instance("clustered", 12, 0.6, 4242)
         p = first_p4(g)
@@ -344,7 +367,9 @@ class TestLeafRecording:
                 part = neighborhood_partition(g, p)
                 forced = (1 << p.a) | (1 << p.c)
                 leaves: list[int] = []
-                constrained._solve_containing(g, part, leaves, {})
+                constrained._solve_containing(
+                    g, part.s_b, part.s_d, part.s_bd, part.anti, leaves, {}
+                )
                 assert leaves
                 leaves = [leaf | forced for leaf in leaves]
                 ground = forced | part.s_b | part.s_d | part.s_bd | part.anti

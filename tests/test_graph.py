@@ -22,6 +22,8 @@ from p4p4free.graph import (
     mask_of,
     neighborhood,
 )
+import p4p4free as p4
+from p4p4free import recognition, testkit
 from p4p4free.testkit import XorShift64Star
 
 
@@ -85,6 +87,28 @@ class TestGraphConstruction:
                 assert g.adjacent(u, v) == g.adjacent(v, u)
 
 
+P4 = p4.InducedP4(0, 1, 2, 3)
+
+# the public entries that take a host, each as a call (g, host)
+HOST_ENTRIES = {
+    "neighborhood": neighborhood,
+    "components_with_certificates": components_with_certificates,
+    "find_triangle": p4.find_triangle,
+    "enumerate_induced_p4": p4.enumerate_induced_p4,
+    "find_induced_p4": p4.find_induced_p4,
+    "uncertified_p4": recognition.uncertified_p4,
+    "neighborhood_partition": lambda g, h: p4.neighborhood_partition(g, P4, h),
+    "solve_containing_ac": lambda g, h: p4.solve_containing_ac(g, P4, h),
+    "solve_containing_bd": lambda g, h: p4.solve_containing_bd(g, P4, h),
+    "solve_cb_components": p4.solve_cb_components,
+    "cb_weight_mask": p4.cb_weight_mask,
+    "oracle_wis": p4.oracle_wis,
+    "wis_by_enumeration": testkit.wis_by_enumeration,
+    "oracle_wis_containing": lambda g, h: p4.oracle_wis_containing(g, [0], h),
+    "enumerate_maximal_is": p4.enumerate_maximal_is,
+}
+
+
 class TestCheckHost:
     def test_none_is_the_full_mask(self):
         g = path_graph(5)
@@ -98,6 +122,21 @@ class TestCheckHost:
     def test_out_of_range_is_an_input_error(self, host):
         with pytest.raises(InputError):
             path_graph(5)._check_host(host)
+
+    # a float or a string fails the range check with a bare TypeError, and
+    # True would pass as the mask 1, so any type but int is refused first
+    @pytest.mark.parametrize("host", [1.5, 2.0, True, False, "3", 0b11111 + 0j])
+    def test_a_host_that_is_no_int_is_an_input_error(self, host):
+        with pytest.raises(InputError, match="host mask must be an int"):
+            path_graph(5)._check_host(host)
+
+    # every public entry that takes a host, called with one of each kind
+    # refused above on a class member, where nothing else refuses first
+    @pytest.mark.parametrize("host", [1.5, 2.0, True, "3"])
+    @pytest.mark.parametrize("name", sorted(HOST_ENTRIES))
+    def test_every_public_entry_refuses_a_host_that_is_no_int(self, name, host):
+        with pytest.raises(InputError, match="host mask must be an int"):
+            HOST_ENTRIES[name](path_graph(5), host)
 
 
 class TestNeighborhoods:

@@ -33,6 +33,7 @@ from p4p4free.graph import (
 from p4p4free import recognition
 from p4p4free.recognition import (
     InducedP4,
+    NeighborhoodPartition,
     _membership,
     enumerate_induced_p4,
     find_induced_p4,
@@ -130,6 +131,12 @@ class TestEnumerateP4:
         g = path_graph(5)
         inside = enumerate_induced_p4(g, mask_of([0, 1, 2, 3]))
         assert [p.vertices for p in inside] == [(0, 1, 2, 3)]
+
+    @pytest.mark.parametrize("g", [path_graph(4), cycle_graph(5), petersen()])
+    def test_find_without_a_host_searches_the_whole_graph(self, g):
+        first = min(enumerate_induced_p4(g), key=lambda p: (p.b, p.c, p.a, p.d))
+        assert find_induced_p4(g) == find_induced_p4(g, None) == first
+        assert find_induced_p4(g, g.full_mask) == first
 
     def test_find_first_matches_enumeration(self):
         rng = XorShift64Star(15)
@@ -454,3 +461,91 @@ class TestNeighborhoodPartition:
         g = path_graph(5)
         with pytest.raises(InputError):
             neighborhood_partition(g, InducedP4(*vs))
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type, message and witness of the
+    error it raises."""
+    try:
+        return call()
+    except (InputError, ClassViolation) as err:
+        return type(err), str(err), getattr(err, "witness", None)
+
+
+def _fields(part) -> tuple[int, ...]:
+    return (
+        part.s_a, part.s_b, part.s_c, part.s_d,
+        part.s_ac, part.s_ad, part.s_bd, part.anti,
+    )
+
+
+class TestTraceClasses:
+    """The solver's kernel against the public partition it wraps."""
+
+    def test_masks_equal_the_partition_and_its_reverse(self):
+        rng = XorShift64Star(2525)
+        checked = 0
+        for seed in range(60):
+            g = random_graph(seed, 8 + seed % 7, 0.2 + 0.05 * (seed % 4))
+            for p in enumerate_induced_p4(g)[:12]:
+                # the full graph, then random hosts that hold the path
+                for host in (None, *(rng.below(1 << g.n) | p.mask for _ in range(3))):
+                    try:
+                        part = neighborhood_partition(g, p, host)
+                    except ClassViolation:
+                        continue
+                    classes = recognition._trace_classes(g, p.vertices, host)
+                    assert classes == _fields(part)
+                    rev = recognition._reversed_classes(classes)
+                    assert rev == _fields(part.reverse())
+                    assert rev == recognition._trace_classes(
+                        g, p.reverse().vertices, host
+                    )
+                    checked += 1
+        assert checked > 1000
+
+    def test_errors_equal_the_partitions(self):
+        # each graph's paths, in both orientations, and random four-vertex
+        # tuples, in random hosts with and without the tuple: triangle
+        # clashes, non-paths and paths leaving the host
+        rng = XorShift64Star(2626)
+        kinds = {"clash": 0, "non-path": 0, "off-host": 0, "classes": 0}
+        for seed in range(60):
+            g = random_graph(seed, 9, 0.3)
+            paths = enumerate_induced_p4(g)[:6]
+            tuples = [p.vertices for p in paths] + [p.reverse().vertices for p in paths]
+            tuples += [tuple(rng.below(g.n) for _ in range(4)) for _ in range(6)]
+            for vs in tuples:
+                hosts = (None, rng.below(1 << g.n), rng.below(1 << g.n) | mask_of(vs))
+                for host in hosts:
+                    got = _outcome(lambda: recognition._trace_classes(g, vs, host))
+                    want = _outcome(
+                        lambda: neighborhood_partition(g, InducedP4(*vs), host)
+                    )
+                    if isinstance(want, NeighborhoodPartition):
+                        assert got == _fields(want)
+                        kinds["classes"] += 1
+                        continue
+                    assert got == want
+                    if want[0] is ClassViolation:
+                        kinds["clash"] += 1
+                    elif "host" in want[1]:
+                        kinds["off-host"] += 1
+                    else:
+                        kinds["non-path"] += 1
+        assert min(kinds.values()) >= 50, kinds
+
+    def test_a_triangle_clash_names_the_partitions_witness(self):
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (4, 0), (4, 1)])
+        for call in (
+            lambda: recognition._trace_classes(g, (0, 1, 2, 3), None),
+            lambda: neighborhood_partition(g, InducedP4(0, 1, 2, 3)),
+        ):
+            with pytest.raises(ClassViolation) as exc:
+                call()
+            assert exc.value.witness == ("triangle", (0, 1, 4))
+
+    def test_a_host_without_the_path_is_an_input_error(self):
+        g = path_graph(5)
+        with pytest.raises(InputError, match="inside the host"):
+            recognition._trace_classes(g, (0, 1, 2, 3), mask_of([1, 2, 3, 4]))

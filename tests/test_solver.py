@@ -591,41 +591,53 @@ PAIR_GRAPHS = {
 
 
 def _count_forced_pairs(monkeypatch, fault_at: int | None = None) -> list[int]:
-    """Record the pair mask of every ``_solve_containing`` call; with
-    ``fault_at``, raise a refusal on the first draw of that many-th
-    distinct pair."""
+    """Record the pair mask of every ``_solve_containing`` call, the pair
+    of the ``_forced_pair`` draw that makes it; with ``fault_at``, raise a
+    refusal on the first draw of that many-th distinct pair."""
     drawn: list[int] = []
-    real = solver._solve_containing
+    paths: list = []  # the path of the draw in progress
+    real_pair, real_containing = solver._forced_pair, solver._solve_containing
 
-    def counting(g, part, leaves, memo):
-        pair = 1 << part.p.a | 1 << part.p.c
+    def drawing(g, vs, classes, members, memo):
+        paths.append(vs)
+        try:
+            return real_pair(g, vs, classes, members, memo)
+        finally:
+            paths.pop()
+
+    def counting(g, s_b, s_d, s_bd, anti, leaves, memo):
+        vs = paths[-1]
+        pair = 1 << vs[0] | 1 << vs[2]
         if pair not in drawn and len(set(drawn)) + 1 == fault_at:
-            raise ClassViolation("bogus", ("unexpected_p4", part.p.vertices))
+            raise ClassViolation("bogus", ("unexpected_p4", vs))
         drawn.append(pair)
-        return real(g, part, leaves, memo)
+        return real_containing(g, s_b, s_d, s_bd, anti, leaves, memo)
 
+    monkeypatch.setattr(solver, "_forced_pair", drawing)
     monkeypatch.setattr(solver, "_solve_containing", counting)
     return drawn
 
 
-def _host(part) -> int:
-    """The host a partition was built in: the path and its seven classes."""
-    return (
-        part.p.mask | part.s_a | part.s_b | part.s_c | part.s_d
-        | part.s_ac | part.s_ad | part.s_bd | part.anti
-    )
+def _host(vs, classes) -> int:
+    """The host a path's trace classes were computed in: the path and its
+    seven classes."""
+    host = mask_of(vs)
+    for cls in classes:
+        host |= cls
+    return host
 
 
 def _record_draws(monkeypatch) -> list:
-    """Record every ``_forced_pair`` draw of a cover as ``(part, added)``:
-    its partition and the members it appended."""
+    """Record every ``_forced_pair`` draw of a cover as ``(vs, classes,
+    added)``: its path, the path's trace classes and the members it
+    appended."""
     draws: list = []
     real = solver._forced_pair
 
-    def recording(g, part, members, memo):
+    def recording(g, vs, classes, members, memo):
         start = len(members)
-        got = real(g, part, members, memo)
-        draws.append((part, members[start:]))
+        got = real(g, vs, classes, members, memo)
+        draws.append((vs, classes, members[start:]))
         return got
 
     monkeypatch.setattr(solver, "_forced_pair", recording)
@@ -667,8 +679,8 @@ class TestForcedPairOnce:
         calls, distinct, size, digest = self.COVER[name]
         assert len(draws) == calls
         # every draw is on home
-        assert all(_host(part) == home for part, _ in draws)
-        drawn = [1 << part.p.a | 1 << part.p.c for part, _ in draws]
+        assert all(_host(vs, classes) == home for vs, classes, _ in draws)
+        drawn = [1 << vs[0] | 1 << vs[2] for vs, _, _ in draws]
         # no pair reaches _forced_pair twice, and the cover visits every
         # path, so it draws every pair
         assert len(drawn) == len(set(drawn))
@@ -698,13 +710,13 @@ class TestForcedPairOnce:
                 continue
             graphs += 1
             home = 0
-            for part, _ in draws:
-                home |= _host(part)
+            for vs, classes, _ in draws:
+                home |= _host(vs, classes)
             maximal = [mask_of(s) for s in enumerate_maximal_is(g)]
-            for part, added in draws:
-                if _host(part) != home:
+            for vs, classes, added in draws:
+                if _host(vs, classes) != home:
                     continue
-                pair = 1 << part.p.a | 1 << part.p.c
+                pair = 1 << vs[0] | 1 << vs[2]
                 pairs_checked += 1
                 for s in maximal:
                     if s & pair == pair:
@@ -788,7 +800,7 @@ class TestDenseBlowups:
 
 class _StopTrace:
     """What one ``solve`` evaluates, recorded in order: each candidate's
-    weight (a forced pair's through ``_solve_containing``, a region's or
+    weight (a forced pair's through ``_forced_pair``, a region's or
     the remainder's through ``cb_weight_mask``), the hosts handed to
     ``cb_weight_mask``, the number of paths whose candidates were drawn,
     and home's LP bound; ``unreachable`` replaces that bound by one no
@@ -799,12 +811,12 @@ class _StopTrace:
         self.hosts: list[int] = []
         self.paths = 0
         self.bound = None
-        containing, cb_weight_mask = solver._solve_containing, solver.cb_weight_mask
+        forced_pair, cb_weight_mask = solver._forced_pair, solver.cb_weight_mask
         per_path, lp_bound = solver._per_path, solver.lp_bound
 
-        def counting_containing(g, part, leaves, memo):
-            w, m = containing(g, part, leaves, memo)
-            self.weights.append(w + g.weights[part.p.a] + g.weights[part.p.c])
+        def counting_pair(g, vs, classes, members, memo):
+            w, m = forced_pair(g, vs, classes, members, memo)
+            self.weights.append(w)
             return w, m
 
         def counting_cb(g, host):
@@ -821,7 +833,7 @@ class _StopTrace:
             self.bound = lp_bound(g, host) + (g.weight_of(host) + 1 if unreachable else 0)
             return self.bound
 
-        monkeypatch.setattr(solver, "_solve_containing", counting_containing)
+        monkeypatch.setattr(solver, "_forced_pair", counting_pair)
         monkeypatch.setattr(solver, "cb_weight_mask", counting_cb)
         monkeypatch.setattr(solver, "_per_path", counting_paths)
         monkeypatch.setattr(solver, "lp_bound", recording_bound)
