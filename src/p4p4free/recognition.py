@@ -29,21 +29,20 @@ callers outside the package.  The classes of the reversed path d-c-b-a
 are the same masks relabelled (``_reversed_classes``).
 
 Every public solver decides membership before it branches and refuses
-only through ``refuse``: a ``ClassViolation`` leaves once its witness
-re-checks against the input, and one that does not is an internal fault.
-A verdict's ``violation()`` is its refusal, written once for the solvers
-and the CLI's ``check``; ``verified_member`` refuses with it and wraps the
-branching that follows a member verdict.
+only through ``verified_member``, a plain class that guards the block
+after the verdict: building it raises the verdict's ``violation()``, the
+refusal written once for the solvers and the CLI's ``check``, once
+``witness_holds`` re-checks its witness on the adjacency masks; a witness
+that does not re-check is an internal fault, and so is a
+``ClassViolation`` raised in the block.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NoReturn
 
 from .errors import ClassViolation, InputError, StructureViolation
-from .graph import Graph, components_with_certificates, neighborhood
+from .graph import Graph, components_with_certificates
 
 __all__ = [
     "InducedP4",
@@ -55,7 +54,6 @@ __all__ = [
     "uncertified_p4",
     "is_class_member",
     "witness_holds",
-    "refuse",
     "verified_member",
     "neighborhood_partition",
 ]
@@ -222,6 +220,9 @@ class MembershipVerdict:
         return None
 
 
+_MEMBER = MembershipVerdict(True)  # every member's verdict, shared
+
+
 def is_class_member(g: Graph) -> MembershipVerdict:
     """Decide membership in the supported class, with witnesses.
 
@@ -262,7 +263,7 @@ def _membership(
     """
     tri = find_triangle(g)
     if tri is not None:
-        return MembershipVerdict(False, triangle=tri), 0, (), ()
+        return MembershipVerdict(False, tri), 0, (), ()
     certified, uncertified = components_with_certificates(g, g.full_mask)
     home = 0
     for comp in uncertified:
@@ -278,11 +279,11 @@ def _membership(
         if region.bit_count() >= 4 and region not in path_free:
             q = find_induced_p4(g, region)
             if q is not None:
-                verdict = MembershipVerdict(False, p4_pair=(InducedP4(*t), q))
+                verdict = MembershipVerdict(False, None, (InducedP4(*t), q))
                 return verdict, home, certified, ()
             path_free.add(region)
         paths.append(t)
-    return MembershipVerdict(True), home, certified, tuple(paths)
+    return _MEMBER, home, certified, tuple(paths)
 
 
 def witness_holds(g: Graph, witness) -> bool:
@@ -290,58 +291,69 @@ def witness_holds(g: Graph, witness) -> bool:
 
     Accepts ``("triangle", (u, v, w))`` with three mutually adjacent
     vertices, and ``("p4_pair", (p, q))`` with two vertex tuples that each
-    induce a P4 and are vertex-disjoint with no edge between them.
+    induce a P4 and are vertex-disjoint with no edge between them, on the
+    adjacency masks; a malformed witness does not hold.
     """
     if not isinstance(witness, tuple) or len(witness) != 2:
         return False
     kind, body = witness
+    adj, n = g.adj, g.n
     try:
         if kind == "triangle":
             u, v, w = body
+            # g has no loops, so three adjacent pairs are three vertices
             return (
-                len({u, v, w}) == 3
-                and all(0 <= x < g.n for x in body)
-                and g.adjacent(u, v)
-                and g.adjacent(v, w)
-                and g.adjacent(u, w)
+                0 <= u < n and 0 <= v < n and 0 <= w < n
+                and adj[u] >> v & adj[v] >> w & adj[u] >> w & 1 == 1
             )
         if kind == "p4_pair":
-            p, q = (InducedP4.of(g, *path) for path in body)
-            return not p.mask & (q.mask | neighborhood(g, q.mask))
+            p, q = body
+            _check_induced_p4(g, p)
+            _check_induced_p4(g, q)
+            (a, b, c, d), (w, x, y, z) = p, q
+            # each vertex of q has a neighbour on q, so this is N[q]
+            closed = adj[w] | adj[x] | adj[y] | adj[z]
+            return not (1 << a | 1 << b | 1 << c | 1 << d) & closed
     except (TypeError, ValueError):
         return False
     return False
 
 
-def refuse(g: Graph, refusal: ClassViolation) -> NoReturn:
-    """Raise ``refusal`` once its witness re-checks against g.
+class verified_member:
+    """``with verified_member(g, verdict):`` refuses a non-member before
+    the block runs: ``verdict.violation()`` is raised, with no cause, once
+    its witness re-checks against g, and a witness that does not is an
+    internal fault.  Inside the block g is a verified member, so a
+    ``ClassViolation`` raised there is an internal fault too: it leaves as
+    a ``StructureViolation`` carrying the same witness; every other
+    exception leaves as it is.
 
     Raises:
-        ClassViolation: ``refusal``, its witness re-checked.
-        StructureViolation: the witness does not hold, an internal fault.
+        ClassViolation: the verdict's refusal, its witness re-checked.
+        StructureViolation: that witness does not hold, or the block
+            raised a ``ClassViolation``.
     """
-    if not witness_holds(g, refusal.witness):
-        raise StructureViolation(
-            f"refusal witness does not hold: {refusal}",
-            ("unchecked_witness", refusal.witness),
-        ) from refusal
-    raise refusal from None
 
+    __slots__ = ()
 
-@contextmanager
-def verified_member(g: Graph, verdict: MembershipVerdict):
-    """Refuse g with the witness of a non-member ``verdict`` before the
-    block runs.  Inside the block g is a verified member, so a
-    ``ClassViolation`` raised there is an internal fault: it leaves as a
-    ``StructureViolation`` carrying the same witness.
-    """
-    refusal = verdict.violation()
-    if refusal is not None:
-        refuse(g, refusal)
-    try:
-        yield
-    except ClassViolation as err:
-        raise StructureViolation(f"class member refused: {err}", err.witness) from err
+    def __init__(self, g: Graph, verdict: MembershipVerdict):
+        refusal = verdict.violation()
+        if refusal is None:
+            return
+        if not witness_holds(g, refusal.witness):
+            raise StructureViolation(
+                f"refusal witness does not hold: {refusal}",
+                ("unchecked_witness", refusal.witness),
+            ) from refusal
+        raise refusal from None
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, err, tb) -> bool:
+        if isinstance(err, ClassViolation):
+            raise StructureViolation(f"class member refused: {err}", err.witness) from err
+        return False
 
 
 @dataclass(frozen=True)

@@ -53,20 +53,28 @@ def crown_optimum(g: Graph, k: int) -> int:
     return max(sum(w[:k]), sum(w[k:]), pair)
 
 
-def blowup_graph(k: int, s: int, seed: int) -> Graph:
-    """Complete blow-up of the cycle C_k: class i is the independent set
-    i*s .. i*s+s-1, consecutive classes are joined completely, and the
-    weights are seeded draws from 0..100.  For 5 <= k < 10 every induced
-    P4 runs through four consecutive classes and no two are separated, so
-    the graph is a class member."""
+def blowup_of(base: Graph, s: int, seed: int) -> Graph:
+    """Complete blow-up of ``base``: vertex i becomes the independent set
+    i*s .. i*s+s-1, each base edge joins two classes completely, and the
+    weights are seeded draws from 0..100 in vertex order."""
     rng = XorShift64Star(seed)
     edges = [
-        (i * s + u, (i + 1) % k * s + v)
-        for i in range(k)
+        (i * s + u, j * s + v)
+        for i in range(base.n)
+        for j in bits(base.adj[i])
+        if i < j
         for u in range(s)
         for v in range(s)
     ]
-    return Graph.from_edges(k * s, edges, [rng.below(101) for _ in range(k * s)])
+    n = base.n * s
+    return Graph.from_edges(n, edges, [rng.below(101) for _ in range(n)])
+
+
+def blowup_graph(k: int, s: int, seed: int) -> Graph:
+    """Complete blow-up of the cycle C_k.  For 5 <= k < 10 every induced
+    P4 runs through four consecutive classes and no two are separated, so
+    the graph is a class member."""
+    return blowup_of(cycle_graph(k), s, seed)
 
 
 def blowup_optimum(g: Graph, k: int) -> int:

@@ -22,7 +22,10 @@ from conftest import (
     verdict_witness,
 )
 
-from p4p4free.errors import ClassViolation, InputError
+from p4p4free import bipartite, cli, constrained, solver
+from p4p4free.bipartite import solve_cb_components
+from p4p4free.constrained import solve_containing_ac
+from p4p4free.errors import ClassViolation, InputError, StructureViolation
 from p4p4free.graph import (
     Graph,
     bits,
@@ -43,6 +46,7 @@ from p4p4free.recognition import (
     uncertified_p4,
     witness_holds,
 )
+from p4p4free.solver import solve, solve_with_cover
 from p4p4free.testkit import XorShift64Star, gen_instance
 
 
@@ -285,6 +289,16 @@ class TestMembershipRegions:
         assert len(set(paths)) == len(paths)
 
 
+TWO_PATHS = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]
+NEAR_MISS_GRAPHS = {
+    "triangle": lambda: Graph.from_edges(4, [(0, 1), (1, 3), (0, 3), (2, 3)]),
+    "two_paths": lambda: Graph.from_edges(8, TWO_PATHS),
+    "chord_0_2": lambda: Graph.from_edges(8, TWO_PATHS + [(0, 2)]),
+    "edge_1_6": lambda: Graph.from_edges(8, TWO_PATHS + [(1, 6)]),
+    "path_8": lambda: path_graph(8),
+}
+
+
 class TestWitnessHolds:
     def test_genuine_witnesses_hold(self):
         two_paths = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
@@ -310,6 +324,59 @@ class TestWitnessHolds:
     def test_malformed_or_false_witnesses_fail(self, witness):
         assert not witness_holds(path_graph(4), witness)
 
+    # near misses: each witness is one step from a genuine one on its
+    # graph (NEAR_MISS_GRAPHS), and must not re-check
+    @pytest.mark.parametrize(
+        "graph, witness",
+        [
+            # a triangle 0-1-3 (3 is n - 1) with a pendant 2 on 3
+            ("triangle", ("triangle", (0, 1, 3))),
+            ("two_paths", ("p4_pair", ((0, 1, 2, 3), (4, 5, 6, 7)))),
+        ],
+    )
+    def test_near_miss_graphs_hold_their_genuine_witness(self, graph, witness):
+        assert witness_holds(NEAR_MISS_GRAPHS[graph](), witness)
+
+    @pytest.mark.parametrize(
+        "graph, witness",
+        [
+            ("triangle", ("triangle", (0, 1, 1))),
+            ("triangle", ("triangle", (3, 3, 0))),
+            ("triangle", ("triangle", (-1, 0, 1))),
+            ("triangle", ("triangle", (0, 1, 4))),
+            ("triangle", ("triangle", (0, 1, 2))),
+            ("triangle", ("triangle", (2, 3, 0))),
+            ("triangle", ("triangle", (0, 1, 3.0))),
+            ("triangle", ("triangle", (0, "1", 3))),
+            ("triangle", ("triangle", (0, 1, None))),
+            ("triangle", ("triangle", (0, 1))),
+            ("triangle", ("triangle", (0, 1, 3, 2))),
+            ("triangle", ("triangle", 3)),
+            ("triangle", ("triangle", (0, 1, 3), "extra")),
+            ("chord_0_2", ("p4_pair", ((0, 1, 2, 3), (4, 5, 6, 7)))),
+            ("two_paths", ("p4_pair", ((0, 2, 1, 3), (4, 5, 6, 7)))),
+            ("two_paths", ("p4_pair", ((0, 1, 2, 3), (4, 5, 7, 6)))),
+            ("path_8", ("p4_pair", ((0, 1, 2, 3), (3, 4, 5, 6)))),
+            ("two_paths", ("p4_pair", ((0, 1, 2, 3), (3, 2, 1, 0)))),
+            ("edge_1_6", ("p4_pair", ((0, 1, 2, 3), (4, 5, 6, 7)))),
+            ("edge_1_6", ("p4_pair", ((4, 5, 6, 7), (0, 1, 2, 3)))),
+            ("two_paths", ("p4_pair", ((0, 1, 2), (4, 5, 6, 7)))),
+            ("two_paths", ("p4_pair", ((0, 1, 2, 3), (4, 5, 6)))),
+            ("two_paths", ("p4_pair", ((0, 1, 2, 3, 4), (4, 5, 6, 7)))),
+            ("two_paths", ("p4_pair", ((0, 1, 2, 3), (4, 5, 6, 7, 0)))),
+            ("two_paths", ("p4_pair", ((0, 1, 2, 3.0), (4, 5, 6, 7)))),
+            ("two_paths", ("p4_pair", ((0, 1, 2, 3), ("4", 5, 6, 7)))),
+            ("two_paths", ("p4_pair", ((0, 1, 2, 3), (4, 5, 6, None)))),
+            ("two_paths", ("p4_pair", ((0, 1, 2, 3), (4, 5, 6, 8)))),
+            ("two_paths", ("p4_pair", ((-1, 1, 2, 3), (4, 5, 6, 7)))),
+            ("two_paths", ("p4_pair", ((0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 2, 3)))),
+            ("two_paths", ("p4_pair", (0, 1, 2, 3))),
+            ("two_paths", ("p4_pair", None)),
+        ],
+    )
+    def test_near_misses_fail(self, graph, witness):
+        assert not witness_holds(NEAR_MISS_GRAPHS[graph](), witness)
+
     def test_agrees_with_the_recognizer_on_random_graphs(self):
         for seed in range(40):
             g = random_graph(seed, 12, 0.25)
@@ -319,6 +386,105 @@ class TestWitnessHolds:
             elif verdict.p4_pair is not None:
                 p, q = verdict.p4_pair
                 assert witness_holds(g, ("p4_pair", (p.vertices, q.vertices)))
+
+
+# each public solver with the first call its guarded block makes, looked
+# up in its module at call time: patching that call shows whether the
+# block ran, and raises inside it
+GUARDED = {
+    "solve": (solver, "side_selection", solve),
+    "solve_with_cover": (solver, "side_selection", solve_with_cover),
+    "solve_cb_components": (bipartite, "cb_weight_mask", solve_cb_components),
+    "solve_containing_ac": (
+        constrained,
+        "neighborhood_partition",
+        lambda g: solve_containing_ac(g, InducedP4(0, 1, 2, 3)),
+    ),
+}
+# non-members in which 0-1-2-3 is an induced P4
+GUARD_NON_MEMBERS = {
+    "triangle": lambda: Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 4), (1, 4)]),
+    "p4_pair": lambda: Graph.from_edges(8, TWO_PATHS),
+}
+
+
+def _raising(err):
+    def raise_it(*args, **kwargs):
+        raise err
+
+    return raise_it
+
+
+class TestVerifiedMember:
+    @pytest.mark.parametrize("kind", sorted(GUARD_NON_MEMBERS))
+    @pytest.mark.parametrize("entry", sorted(GUARDED))
+    def test_a_non_member_is_refused_before_the_block(self, monkeypatch, entry, kind):
+        module, inner, call = GUARDED[entry]
+        monkeypatch.setattr(module, inner, _raising(AssertionError("the block ran")))
+        g = GUARD_NON_MEMBERS[kind]()
+        with pytest.raises(ClassViolation) as info:
+            call(g)
+        refusal = info.value
+        assert type(refusal) is ClassViolation
+        assert refusal.witness[0] == kind and witness_holds(g, refusal.witness)
+        assert refusal.__cause__ is None and refusal.__suppress_context__
+
+    @pytest.mark.parametrize("entry", sorted(GUARDED))
+    def test_an_input_error_in_the_block_leaves_unwrapped(self, monkeypatch, entry):
+        module, inner, call = GUARDED[entry]
+        err = InputError("inside the block")
+        monkeypatch.setattr(module, inner, _raising(err))
+        with pytest.raises(InputError) as info:
+            call(path_graph(4))
+        assert info.value is err
+
+    @pytest.mark.parametrize("entry", sorted(GUARDED))
+    def test_a_refusal_in_the_block_is_an_internal_fault(self, monkeypatch, entry):
+        module, inner, call = GUARDED[entry]
+        bogus = ClassViolation("bogus", ("triangle", (0, 1, 2)))
+        monkeypatch.setattr(module, inner, _raising(bogus))
+        with pytest.raises(StructureViolation) as info:
+            call(path_graph(4))
+        assert str(info.value) == "class member refused: bogus"
+        assert info.value.witness == bogus.witness
+        assert info.value.__cause__ is bogus
+
+    def _check(self, monkeypatch, tmp_path, g, emit):
+        path = tmp_path / "g.wis"
+        path.write_text(cli.format_graph(g))
+        monkeypatch.setattr(cli, "_emit", emit)
+        return cli.run(["check", str(path)])
+
+    @pytest.mark.parametrize("kind", sorted(GUARD_NON_MEMBERS))
+    def test_check_refuses_a_non_member_before_the_block(
+        self, monkeypatch, tmp_path, capsys, kind
+    ):
+        emitted = []
+        emit = cli._emit
+
+        def recording(args, text_lines, payload):
+            emitted.append(text_lines[0])
+            emit(args, text_lines, payload)
+
+        g = GUARD_NON_MEMBERS[kind]()
+        assert self._check(monkeypatch, tmp_path, g, recording) == 0
+        assert emitted == ["NOT_MEMBER"]
+        assert f"witness {kind}" in capsys.readouterr().out
+
+    def test_check_lets_an_input_error_in_the_block_leave(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        emit = _raising(InputError("inside the block"))
+        assert self._check(monkeypatch, tmp_path, path_graph(4), emit) == 3
+        assert capsys.readouterr().err == "error: inside the block\n"
+
+    def test_check_turns_a_refusal_in_the_block_into_an_internal_fault(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        emit = _raising(ClassViolation("bogus", ("triangle", (0, 1, 2))))
+        assert self._check(monkeypatch, tmp_path, path_graph(4), emit) == 1
+        err = capsys.readouterr().err
+        assert err == "internal error: class member refused: bogus\n"
 
 
 class TestUncertifiedP4:
