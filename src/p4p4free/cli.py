@@ -133,20 +133,12 @@ def _ids(vertices) -> list[int]:
     return [v + 1 for v in vertices]
 
 
-def _witness_text(obj) -> str:
-    if isinstance(obj, int):
-        return str(obj + 1)
-    if isinstance(obj, tuple):
-        if all(isinstance(x, int) for x in obj):
-            return " ".join(str(x + 1) for x in obj)
-        return " / ".join(_witness_text(x) for x in obj)
-    return str(obj)
-
-
 def _witness_line(witness: tuple) -> str:
-    """The line naming a ``ClassViolation``'s witness, 1-based."""
+    """The line naming a ``ClassViolation``'s witness, 1-based: a
+    triangle's ids, or a P4 pair's two paths split by " / "."""
     kind, body = witness
-    return f"witness {kind} {_witness_text(body)}"
+    paths = body if isinstance(body[0], tuple) else (body,)
+    return f"witness {kind} " + " / ".join(" ".join(map(str, _ids(p))) for p in paths)
 
 
 def _emit(args, text_lines: list[str], payload: dict) -> None:

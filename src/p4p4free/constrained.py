@@ -10,8 +10,11 @@ iterative selection loop whose kept residuals go to a second phase.  It
 searches the region of the class opposite the picked vertex plus the
 anti-neighborhood for an induced P4 once (fewer than 4 vertices hold
 none): a path-free region is solved as a split instance, and one with a
-path is branched on, by ``branch_via_bipartial`` while a vertex of the
-class is bi-partial to a block, else on a vertex of the path.  A
+path is branched on, into the residual hosts ``branch_via_bipartial``
+returns while a vertex of the class is bi-partial to a block, else into
+keep or drop of a path vertex.  Every family, the pair branches and
+the class drops included, is solved in order and its earliest heaviest
+candidate kept (``split_solver._earliest_heaviest``).  A
 bi-partial v meets a1 but not a2 on one side of a block and nothing of
 the other, so v-a1-b-a2 is an induced P4 of the region: only
 ``split_solver`` needs to know what bi-partial means.
@@ -42,7 +45,7 @@ from .recognition import (
 from .split_solver import (
     _certified_members,
     _check_depth,
-    _keep_or_drop,
+    _earliest_heaviest,
     _solve_raw,
     branch_via_bipartial,
 )
@@ -79,53 +82,46 @@ def _solve_second_phase(
     memo: dict,
 ):
     """Handle a kept residual: a split instance with independent part
-    ``s_mask`` once its region holds no induced P4, else branched on (see
-    the module docstring)."""
+    ``s_mask`` once its region holds no induced P4, else the earliest
+    heaviest solve of its residual hosts (see the module docstring)."""
     _check_depth(g, depth)
-
-    def redispatch(host2: int, depth2: int):
-        return _solve_second_phase(g, s_mask, active, anti, host2, depth2, leaves, memo)
-
     region = (active | anti) & host
     found = find_induced_p4(g, region) if region.bit_count() >= 4 else None
     if found is None:
         return _solve_raw(g, s_mask, active | anti, host, depth, 0, leaves, memo)
-    branched = branch_via_bipartial(g, host, active, anti, redispatch, depth, memo)
-    if branched is not None:
-        return branched
-    # no bi-partial vertex: plain anti-neighborhood branching on the path
-    x = found.a
-    return _keep_or_drop(redispatch, host & ~g.adj[x], host & ~(1 << x), depth)
+    hosts = branch_via_bipartial(g, host, active, anti, memo)
+    if hosts is None:
+        # no bi-partial vertex: plain anti-neighborhood branching on the path
+        x = found.a
+        hosts = (host & ~g.adj[x], host & ~(1 << x))
+    cands = []
+    for h in hosts:
+        cands.append(_solve_second_phase(g, s_mask, active, anti, h, depth + 1, leaves, memo))
+    return _earliest_heaviest(cands)
 
 
-def _pair_branch(
+def _pair_branches(
     g: Graph, s_b: int, s_d: int, s_bd: int, anti: int, vb: int, vd: int, leaves, memo
 ):
-    """Best independent set of the reduced host containing the pair
-    {vb, vd} of the b- and d-classes."""
+    """Yield the candidates of the reduced host containing the pair
+    {vb, vd} of the b- and d-classes, in evaluation order: one solve per
+    pick of the selection loop, then the loop's split base case."""
     stars = (1 << vb) | (1 << vd)
     host = (s_b | s_d | s_bd | anti) & ~(g.adj[vb] | g.adj[vd])
     # each pick removes a b- or d-class vertex, so the block part and its
     # blocks stay fixed through the loop
     t_mask = anti & host
     t_comps = None
-    best = (-1, 0)
     depth = 1
-    while True:
-        live_b = s_b & host & ~stars
-        live_d = s_d & host & ~stars
-        if not (live_b | live_d):
-            cand = _solve_raw(g, stars | s_bd, anti, host, depth, 0, leaves, memo)
-            return cand if cand[0] > best[0] else best
+    live = (s_b | s_d) & host & ~stars
+    while live:
         if t_comps is None:
             t_comps = [a | b for a, b in _certified_members(g, t_mask, memo)]
-        v = _select_branch_vertex(g, list(bits(live_b | live_d)), t_comps, t_mask)
-        if live_b >> v & 1:
-            active, passive = s_d, s_b
-        else:
-            active, passive = s_b, s_d
+        v = _select_branch_vertex(g, list(bits(live)), t_comps, t_mask)
+        # the b- and d-classes are disjoint
+        active, passive = (s_d, s_b) if s_b >> v & 1 else (s_b, s_d)
         picked = stars | (1 << v)
-        cand = _solve_second_phase(
+        yield _solve_second_phase(
             g,
             picked | passive | s_bd,
             active & ~picked,
@@ -135,10 +131,10 @@ def _pair_branch(
             leaves,
             memo,
         )
-        if cand[0] > best[0]:
-            best = cand
         host &= ~(1 << v)
+        live &= ~(1 << v)
         depth += 1
+    yield _solve_raw(g, stars | s_bd, anti, host, depth, 0, leaves, memo)
 
 
 def _solve_containing(
@@ -159,20 +155,16 @@ def _solve_containing(
     them into its cover family.  ``memo`` is the public call's memo,
     shared by every branch (see the ``solver`` module docstring).
     """
-    best = (-1, 0)
-    # class-dropping branches: no b- and no d-class, d-class only, b-class
-    # only
+    # class-dropping branches (no b- and no d-class, d-class only, b-class
+    # only), then every non-adjacent pair of the two one-letter classes
+    cands = []
     for s_role in (s_bd, s_d | s_bd, s_b | s_bd):
-        cand = _solve_raw(g, s_role, anti, s_role | anti, 0, 0, leaves, memo)
-        if cand[0] > best[0]:
-            best = cand
+        cands.append(_solve_raw(g, s_role, anti, s_role | anti, 0, 0, leaves, memo))
     adj = g.adj
     for vb in bits(s_b):
         for vd in bits(s_d & ~adj[vb]):
-            cand = _pair_branch(g, s_b, s_d, s_bd, anti, vb, vd, leaves, memo)
-            if cand[0] > best[0]:
-                best = cand
-    return best
+            cands += _pair_branches(g, s_b, s_d, s_bd, anti, vb, vd, leaves, memo)
+    return _earliest_heaviest(cands)
 
 
 def solve_containing_ac(g: Graph, p: InducedP4, host: int | None = None) -> SolveResult:

@@ -95,7 +95,11 @@ def _check_induced_p4(g: Graph, vs: tuple[int, int, int, int]) -> None:
     """Raise ``InputError`` unless ``vs`` induces the path a-b-c-d in g."""
     a, b, c, d = vs
     n = g.n
-    in_range = 0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= d < n
+    # type(True) is bool, so a bool is refused with every non-int
+    in_range = (
+        type(a) is type(b) is type(c) is type(d) is int
+        and 0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= d < n
+    )
     if not in_range or len({a, b, c, d}) != 4:
         raise InputError(f"not four distinct vertices: {vs}")
     adj = g.adj
@@ -303,7 +307,8 @@ def witness_holds(g: Graph, witness) -> bool:
             u, v, w = body
             # g has no loops, so three adjacent pairs are three vertices
             return (
-                0 <= u < n and 0 <= v < n and 0 <= w < n
+                type(u) is type(v) is type(w) is int
+                and 0 <= u < n and 0 <= v < n and 0 <= w < n
                 and adj[u] >> v & adj[v] >> w & adj[u] >> w & 1 == 1
             )
         if kind == "p4_pair":

@@ -17,9 +17,12 @@ the branch vertex is a sink of the branching order (u before v when v is
 bi-partial to two blocks left after removing N(u)), found by a direct
 search over the candidates.
 
-All branching is of the form max(solve(host minus N(v)), solve(host minus
-v)) or a covering family of induced-subgraph restrictions, so the optimum
-is preserved regardless of which structural sub-case was detected.  The
+Each branching rule is a pure function from a host to its residual hosts
+in evaluation order: (host minus N(v), host minus v), or a covering family
+of induced-subgraph restrictions.  The caller solves each one level deeper
+and keeps the earliest heaviest (``_earliest_heaviest``, the one
+tie-break), so the optimum is preserved whichever structural sub-case was
+detected, and no rule calls back into the layer that asked.  The
 branching assumes a class member and refuses nothing itself: the public
 solvers that reach it (``solve``, ``solve_with_cover`` and the constrained
 solves) decide membership first, and the structural claims are enforced
@@ -44,6 +47,8 @@ without a certificate is never memoised, so it fails on every call.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .bipartite import side_selection
 from .errors import ClassViolation, StructureViolation
@@ -110,23 +115,25 @@ def _check_depth(g: Graph, depth: int) -> None:
         )
 
 
-def _keep_or_drop(redispatch, keep_host: int, drop_host: int, depth: int):
-    """The heavier of the two branches, the kept one on ties."""
-    keep = redispatch(keep_host, depth + 1)
-    drop = redispatch(drop_host, depth + 1)
-    return keep if keep[0] >= drop[0] else drop
+def _earliest_heaviest(cands):
+    """The first of the heaviest ``(weight, mask)`` candidates, taken in
+    order (``max`` keeps the first of equal keys).  Every branching family
+    is evaluated through this one rule, so ties resolve alike in every
+    layer."""
+    return max(cands, key=itemgetter(0))
 
 
-def branch_via_bipartial(g, host, active, t_mask, redispatch, depth, memo):
-    """Branch around a vertex of ``active`` that is bi-partial to a block
-    of ``t_mask & host``, or return None, calling nothing back, when no
-    vertex of ``active & host`` is.  When every such vertex touches
-    exactly one block this picks the contact-richest one and splits its
-    kept residual along the (at most one, asserted) second bi-partial
-    region; otherwise it finds a sink of the branching order first.  Every
-    residual is handed back to ``redispatch`` for re-examination, so this
-    routine is agnostic to what the caller does at its base cases.
-    ``memo`` is the public call's memo (see the module docstring).
+def branch_via_bipartial(g, host, active, t_mask, memo):
+    """The residual hosts of a branch around a vertex of ``active`` that is
+    bi-partial to a block of ``t_mask & host``, in evaluation order, or
+    None when no vertex of ``active & host`` is.  When every such vertex
+    touches exactly one block this picks the contact-richest one and
+    splits its kept residual along the (at most one, asserted) second
+    bi-partial region: the residuals, then ``host`` without the pick.
+    Otherwise it finds a sink of the branching order and returns ``(keep,
+    drop)`` around it.  The caller solves each host and keeps the
+    earliest heaviest, so this rule is agnostic to the caller's base
+    cases.  ``memo`` is the public call's memo (see the module docstring).
     """
     t_live = t_mask & host
     act = active & host
@@ -157,7 +164,7 @@ def branch_via_bipartial(g, host, active, t_mask, redispatch, depth, memo):
             raise StructureViolation(
                 "branching order has no sink", ("order_cycle", tuple(act_list))
             )
-        return _keep_or_drop(redispatch, host & ~g.adj[sink], host & ~(1 << sink), depth)
+        return host & ~g.adj[sink], host & ~(1 << sink)
 
     # single-block case: pick the vertex contacting the most nontrivial
     # blocks, the smallest on ties
@@ -191,26 +198,20 @@ def branch_via_bipartial(g, host, active, t_mask, redispatch, depth, memo):
         for hp in bits(prime & kept):
             if not g.adjacent(h, hp):
                 residuals.append(kept & ~(g.adj[h] | g.adj[hp]))
-    # ties keep the earliest residual
-    best = max((redispatch(r, depth + 1) for r in residuals), key=lambda c: c[0])
-    drop = redispatch(host & ~(1 << pick), depth + 1)
-    return best if best[0] >= drop[0] else drop
+    residuals.append(host & ~(1 << pick))
+    return residuals
 
 
-def _solve_bad_comp(g, s_mask, t_mask, comp, depth, ambient, leaves, memo):
-    """Branch on the uncertified component ``comp``: through
-    ``branch_via_bipartial`` while a vertex of the independent part is
-    bi-partial to a block, else on the vertex contacting the most blocks
-    once one contacts several, else across the one block met on both
-    sides.  Returns (weight, mask).
+def _bad_comp_hosts(g, s_mask, t_mask, comp, memo):
+    """The residual hosts of a branch on the uncertified component
+    ``comp``, in evaluation order: through ``branch_via_bipartial`` while
+    a vertex of the independent part is bi-partial to a block, else
+    ``(keep, drop)`` on the vertex contacting the most blocks once one
+    contacts several, else across the one block met on both sides.
     """
-
-    def redispatch(host2, depth2):
-        return _solve_raw(g, s_mask, t_mask, host2, depth2, ambient, leaves, memo)
-
-    branched = branch_via_bipartial(g, comp, s_mask, t_mask, redispatch, depth, memo)
-    if branched is not None:
-        return branched
+    hosts = branch_via_bipartial(g, comp, s_mask, t_mask, memo)
+    if hosts is not None:
+        return hosts
     # no vertex meets a block partially, and none on both sides (its
     # _hits raised that triangle), so each contact is one whole side
     s_live = s_mask & comp
@@ -222,7 +223,7 @@ def _solve_bad_comp(g, s_mask, t_mask, comp, depth, ambient, leaves, memo):
         # a vertex tying several singletons together is what breaks the
         # component's complete-bipartite shape in the first place)
         pick = max(multi, key=contacts.get)
-        return _keep_or_drop(redispatch, comp & ~g.adj[pick], comp & ~(1 << pick), depth)
+        return comp & ~g.adj[pick], comp & ~(1 << pick)
 
     # every contact is universal into one side of a single block; the
     # component can only fail its certificate by having attachments on
@@ -235,7 +236,7 @@ def _solve_bad_comp(g, s_mask, t_mask, comp, depth, ambient, leaves, memo):
             ("side_split_blocks", tuple(a | b for a, b in split_blocks)),
         )
     side = split_blocks[0][0]
-    return _keep_or_drop(redispatch, comp & ~neighborhood(g, side), comp & ~side, depth)
+    return comp & ~neighborhood(g, side), comp & ~side
 
 
 def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo):
@@ -270,7 +271,10 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo):
             leaves.append(ambient | host)
         return total_w, total_m
     inner_ambient = ambient | (host & ~bad[0])
-    w, m = _solve_bad_comp(
-        g, s_mask, t_mask, bad[0], depth, inner_ambient, leaves, memo
-    )
+    # a plain loop: before Python 3.12 a comprehension here would turn the
+    # locals it reads into cells on every call, leaves included
+    cands = []
+    for h in _bad_comp_hosts(g, s_mask, t_mask, bad[0], memo):
+        cands.append(_solve_raw(g, s_mask, t_mask, h, depth + 1, inner_ambient, leaves, memo))
+    w, m = _earliest_heaviest(cands)
     return total_w + w, total_m | m

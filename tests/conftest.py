@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from p4p4free.graph import Graph, bits, mask_of
-from p4p4free.recognition import is_class_member
+from p4p4free.constrained import _solve_containing
+from p4p4free.graph import Graph, bits, certified_result, mask_of
+from p4p4free.recognition import _trace_classes, is_class_member
 from p4p4free.testkit import XorShift64Star
 
 acceptance_report: list[str] = []
@@ -287,3 +288,23 @@ def witness_checks(g: Graph, witness) -> bool:
         and not set(p) & set(q)
         and not any(g.adjacent(u, v) for u in p for v in q)
     )
+
+
+def forced_pair_solvers(g: Graph):
+    """``solve_containing_ac`` and ``solve_containing_bd`` on the member g,
+    as ``(name, solve)`` pairs, with membership decided here once instead
+    of on every call.  The {a, c} solve takes the path's trace classes
+    into ``constrained._solve_containing`` and certifies its mask with
+    a and c, as the public solver does once its membership guard has
+    passed; the {b, d} solve is the {a, c} solve on the reversed path."""
+    assert is_class_member(g).is_member
+
+    def solve_ac(p):
+        _, s_b, _, s_d, _, _, s_bd, anti = _trace_classes(g, p.vertices, None)
+        _, mask = _solve_containing(g, s_b, s_d, s_bd, anti, None, {})
+        return certified_result(g, mask | 1 << p.a | 1 << p.c)
+
+    def solve_bd(p):
+        return solve_ac(p.reverse())
+
+    return (("solve_containing_ac", solve_ac), ("solve_containing_bd", solve_bd))

@@ -65,12 +65,21 @@ class TestParseGraph:
             ("v 1 5\n", 1),
             ("p wis 2 1\nq 1 2\n", 2),
             ("p twis 2 1\n", 1),
+            ("p wis -1 0\n", 1),
+            ("p wis 2 -1\n", 1),
+            ("p wis 2 0\nv 1\n", 2),
+            ("p wis 2 0\nv 1 5 7\n", 2),
+            ("e 1 2\np wis 2 1\n", 1),
+            ("p wis 2 1\nv 1 5\nv 2 7\ne 1\n", 4),
+            ("p wis 2 1\nv 1 5\nv 2 7\ne 1 2 3\n", 4),
         ],
     )
-    def test_bad_lines_carry_their_number(self, text, line):
+    def test_bad_lines_carry_their_number(self, text, line, wis_file, capsys):
         with pytest.raises(ParseError) as info:
             parse_graph(text)
         assert info.value.line == line
+        assert run(["solve", wis_file(text)]) == 3
+        assert capsys.readouterr().err == f"error: {info.value}\n"
 
     @pytest.mark.parametrize(
         "text",
@@ -78,11 +87,15 @@ class TestParseGraph:
             "v 0 5\n# no problem line at all\n" "",
             "p wis 2 1\nv 1 5\ne 1 2\n",
             "p wis 2 2\nv 1 5\nv 2 7\ne 1 2\n",
+            "# a comment, but no problem line\n",
+            "",
         ],
     )
-    def test_missing_declarations(self, text):
+    def test_missing_declarations(self, text, wis_file, capsys):
         with pytest.raises(ParseError):
             parse_graph(text)
+        assert run(["solve", wis_file(text)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_the_first_missing_vertex_is_named(self):
         with pytest.raises(ParseError, match="^vertex 2 has no weight line$"):

@@ -19,8 +19,9 @@ separated paths.
 ``BRANCH_DIGEST`` covers the members that reach the constrained second
 phase's two branches, which none of the graphs above reaches: ``solve``,
 the ``solve_with_cover`` members, and ``solve_containing_ac`` and
-``solve_containing_bd`` on every induced P4.  The test also checks that
-each graph still reaches its branch.
+``solve_containing_bd`` on every induced P4, membership decided once per
+graph (``forced_pair_solvers``).  The test also checks that each graph
+still reaches its branch.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ from conftest import (
     INTERLOCKED,
     blowup_graph,
     crown_graph,
+    forced_pair_solvers,
     fuzz_graph,
     triangle_free_graph,
     triangle_free_non_members,
 )
 
 from p4p4free import constrained
-from p4p4free.constrained import solve_containing_ac, solve_containing_bd
 from p4p4free.errors import ClassViolation
 from p4p4free.graph import Graph
 from p4p4free.recognition import enumerate_induced_p4, is_class_member
@@ -138,19 +139,15 @@ def test_refusals_match_their_digest():
 def test_second_phase_branches_match_their_digest(monkeypatch):
     reached = Counter()
     branch_via_bipartial = constrained.branch_via_bipartial
-    keep_or_drop = constrained._keep_or_drop
 
-    def bipartial(*args):
-        found = branch_via_bipartial(*args)
-        reached["bipartial"] += found is not None
-        return found
+    def counting(*args):
+        hosts = branch_via_bipartial(*args)
+        # on None the second phase falls back to a path vertex's keep or
+        # drop
+        reached["bipartial" if hosts is not None else "fallback"] += 1
+        return hosts
 
-    def fallback(*args):
-        reached["fallback"] += 1
-        return keep_or_drop(*args)
-
-    monkeypatch.setattr(constrained, "branch_via_bipartial", bipartial)
-    monkeypatch.setattr(constrained, "_keep_or_drop", fallback)
+    monkeypatch.setattr(constrained, "branch_via_bipartial", counting)
     digest = hashlib.sha256()
     for g, branch in _branch_rows():
         reached.clear()
@@ -160,10 +157,11 @@ def test_second_phase_branches_match_their_digest(monkeypatch):
         assert reached[branch] > in_solve
         assert in_solve or branch == "fallback"
         lines = [("solve", result.weight, result.chosen), ("cover", family.members)]
+        solvers = forced_pair_solvers(g)
         for p in enumerate_induced_p4(g):
-            for forced in (solve_containing_ac, solve_containing_bd):
-                result = forced(g, p)
-                lines.append((forced.__name__, p.vertices, result.weight, result.chosen))
+            for name, forced in solvers:
+                result = forced(p)
+                lines.append((name, p.vertices, result.weight, result.chosen))
         for line in lines:
             digest.update(repr(line).encode() + b"\n")
     assert digest.hexdigest() == BRANCH_DIGEST

@@ -50,6 +50,10 @@ class TestGraphConstruction:
         with pytest.raises(InputError):
             Graph.from_edges(2, [(0, 2)])
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(InputError, match="vertex count must be nonnegative"):
+            Graph.from_edges(-1, [])
+
     def test_rejects_self_loop(self):
         with pytest.raises(InputError):
             Graph.from_edges(2, [(1, 1)])

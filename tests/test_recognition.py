@@ -103,6 +103,12 @@ class TestInducedP4Type:
         with pytest.raises(InputError):
             InducedP4.of(g, 0, 1, 2, 3)
 
+    def test_of_rejects_a_bool_id(self):
+        # False and True index as 0 and 1, which would make a genuine path
+        g = path_graph(4)
+        with pytest.raises(InputError):
+            InducedP4.of(g, False, True, 2, 3)
+
     def test_reverse_swaps_orientation(self):
         g = path_graph(4)
         p = InducedP4.of(g, 0, 1, 2, 3)
@@ -349,6 +355,8 @@ class TestWitnessHolds:
             ("triangle", ("triangle", (0, 1, 3.0))),
             ("triangle", ("triangle", (0, "1", 3))),
             ("triangle", ("triangle", (0, 1, None))),
+            ("triangle", ("triangle", (True, 0, 3))),
+            ("triangle", ("triangle", (0, True, 3))),
             ("triangle", ("triangle", (0, 1))),
             ("triangle", ("triangle", (0, 1, 3, 2))),
             ("triangle", ("triangle", 3)),
@@ -367,6 +375,8 @@ class TestWitnessHolds:
             ("two_paths", ("p4_pair", ((0, 1, 2, 3.0), (4, 5, 6, 7)))),
             ("two_paths", ("p4_pair", ((0, 1, 2, 3), ("4", 5, 6, 7)))),
             ("two_paths", ("p4_pair", ((0, 1, 2, 3), (4, 5, 6, None)))),
+            ("two_paths", ("p4_pair", ((False, True, 2, 3), (4, 5, 6, 7)))),
+            ("two_paths", ("p4_pair", ((4, 5, 6, 7), (False, True, 2, 3)))),
             ("two_paths", ("p4_pair", ((0, 1, 2, 3), (4, 5, 6, 8)))),
             ("two_paths", ("p4_pair", ((-1, 1, 2, 3), (4, 5, 6, 7)))),
             ("two_paths", ("p4_pair", ((0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 2, 3)))),
@@ -624,6 +634,12 @@ class TestNeighborhoodPartition:
 
     @pytest.mark.parametrize("vs", [(-1, 0, 1, 2), (0, 1, 0, 2), (0, 1, 2, 0)])
     def test_negative_or_repeated_ids_are_input_errors(self, vs):
+        g = path_graph(5)
+        with pytest.raises(InputError):
+            neighborhood_partition(g, InducedP4(*vs))
+
+    @pytest.mark.parametrize("vs", [(False, 1, 2, 3), (True, 2, 3, 4), (0, 1.0, 2, 3)])
+    def test_ids_that_are_not_ints_are_input_errors(self, vs):
         g = path_graph(5)
         with pytest.raises(InputError):
             neighborhood_partition(g, InducedP4(*vs))

@@ -183,19 +183,12 @@ class TestBranchingShapes:
         # 4 meets the block {0, 1; 2, 3} wholly on one side
         g = Graph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (4, 1)])
         t_mask = mask_of(range(4))
-        hosts = []
-
-        def redispatch(host, depth):
-            hosts.append(host)
-            return 0, 0
-
         branch = split_solver.branch_via_bipartial
-        assert branch(g, g.full_mask, 1 << 4, t_mask, redispatch, 0, {}) is None
-        assert hosts == []
+        assert branch(g, g.full_mask, 1 << 4, t_mask, {}) is None
 
 
 class TestBadComponentDispatch:
-    """``_solve_bad_comp`` asks ``branch_via_bipartial`` exactly once per
+    """``_bad_comp_hosts`` asks ``branch_via_bipartial`` exactly once per
     call and counts contacts only when it answers None."""
 
     @pytest.mark.parametrize(
@@ -218,40 +211,40 @@ class TestBadComponentDispatch:
     def test_bipartial_branch_declines_once_per_call(
         self, monkeypatch, edges, s, t, keep, drop
     ):
-        bad_comp = split_solver._solve_bad_comp
+        bad_comp_hosts = split_solver._bad_comp_hosts
         branch = split_solver.branch_via_bipartial
-        keep_or_drop = split_solver._keep_or_drop
-        calls, answers, branched = [], [], []
+        calls, answers = [], []
 
-        def counting_bad_comp(*args):
-            calls.append(args[3])
-            return bad_comp(*args)
+        def recording_hosts(*args):
+            calls.append((args[3], bad_comp_hosts(*args)))
+            return calls[-1][1]
 
         def counting_branch(*args):
             answers.append(branch(*args))
             return answers[-1]
 
-        def recording_keep_or_drop(redispatch, keep_host, drop_host, depth):
-            branched.append((keep_host, drop_host))
-            return keep_or_drop(redispatch, keep_host, drop_host, depth)
-
-        monkeypatch.setattr(split_solver, "_solve_bad_comp", counting_bad_comp)
+        monkeypatch.setattr(split_solver, "_bad_comp_hosts", recording_hosts)
         monkeypatch.setattr(split_solver, "branch_via_bipartial", counting_branch)
-        monkeypatch.setattr(split_solver, "_keep_or_drop", recording_keep_or_drop)
         g = Graph.from_edges(len(s) + len(t), edges)
         assert split(g, s, t)[0] == oracle_wis(g).weight
-        assert calls == [g.full_mask]
+        assert calls == [(g.full_mask, (keep, drop))]
         assert answers == [None]
-        assert branched == [(keep, drop)]
+
+    def test_a_tie_keeps_the_earliest_branch(self):
+        # the multi-contact case above, with unit weights: the kept host
+        # {2, 3} and the dropped host {0, 1, 3} both weigh 2, and the
+        # earlier, kept, one wins
+        g = Graph.from_edges(4, [(2, 0), (2, 1), (3, 0)])
+        assert split(g, [2, 3], [0, 1]) == (2, 0b1100)
 
     def test_every_call_asks_the_bipartial_branch_once(self, monkeypatch):
-        bad_comp = split_solver._solve_bad_comp
+        bad_comp_hosts = split_solver._bad_comp_hosts
         branch = split_solver.branch_via_bipartial
         counts = {"bad_comp": 0, "branch": 0, "declined": 0}
 
-        def counting_bad_comp(*args):
+        def counting_hosts(*args):
             counts["bad_comp"] += 1
-            return bad_comp(*args)
+            return bad_comp_hosts(*args)
 
         def counting_branch(*args):
             counts["branch"] += 1
@@ -259,7 +252,7 @@ class TestBadComponentDispatch:
             counts["declined"] += out is None
             return out
 
-        monkeypatch.setattr(split_solver, "_solve_bad_comp", counting_bad_comp)
+        monkeypatch.setattr(split_solver, "_bad_comp_hosts", counting_hosts)
         monkeypatch.setattr(split_solver, "branch_via_bipartial", counting_branch)
         for seed in range(200):
             n, density = 6 + seed % 9, 0.3 + seed % 5 * 0.15
