@@ -22,14 +22,16 @@ the other, so v-a1-b-a2 is an induced P4 of the region: only
 The {b, d} variant is the same computation on the reversed path, whose
 classes are those of the path relabelled (b↔c, a↔d, ac↔bd).
 
-The internal ``_solve_containing`` takes the four classes it reads, the
-b-only, d-only and b-and-d classes and the anti-neighborhood, as plain
-masks, and returns ``(weight, mask)``, the forced pair left out; the
-path itself never reaches it.  It assumes a class member and raises no
-refusal of its own.  The public solvers decide membership first,
-refusing a non-member with a re-checked witness, build the path's
-``NeighborhoodPartition`` in the given host and pass its masks on, then
-fold the pair in and certify the result.
+The internal ``_solve_containing`` is the one kernel for a forced pair:
+it takes the pair and the four classes it reads (b-only, d-only, b-and-d
+and the anti-neighborhood) as plain ints and returns ``(weight, mask)``
+with the pair folded in.  The pair is the ``ambient`` of every
+``_solve_raw`` it reaches, whose ``ambient | host`` is the one rule that
+records a cover leaf.  It assumes a class member and raises no refusal
+of its own.  The public solvers decide membership first, refusing a
+non-member with a re-checked witness, build the path's
+``NeighborhoodPartition`` in the given host, pass its masks on and
+certify the result.
 """
 
 from __future__ import annotations
@@ -78,17 +80,19 @@ def _solve_second_phase(
     anti: int,
     host: int,
     depth: int,
+    ambient: int,
     leaves,
     memo: dict,
 ):
     """Handle a kept residual: a split instance with independent part
     ``s_mask`` once its region holds no induced P4, else the earliest
-    heaviest solve of its residual hosts (see the module docstring)."""
+    heaviest solve of its residual hosts (see the module docstring).
+    ``ambient`` and ``leaves`` go to every ``_solve_raw`` reached."""
     _check_depth(g, depth)
     region = (active | anti) & host
     found = find_induced_p4(g, region) if region.bit_count() >= 4 else None
     if found is None:
-        return _solve_raw(g, s_mask, active | anti, host, depth, 0, leaves, memo)
+        return _solve_raw(g, s_mask, active | anti, host, depth, ambient, leaves, memo)
     hosts = branch_via_bipartial(g, host, active, anti, memo)
     if hosts is None:
         # no bi-partial vertex: plain anti-neighborhood branching on the path
@@ -96,49 +100,16 @@ def _solve_second_phase(
         hosts = (host & ~g.adj[x], host & ~(1 << x))
     cands = []
     for h in hosts:
-        cands.append(_solve_second_phase(g, s_mask, active, anti, h, depth + 1, leaves, memo))
-    return _earliest_heaviest(cands)
-
-
-def _pair_branches(
-    g: Graph, s_b: int, s_d: int, s_bd: int, anti: int, vb: int, vd: int, leaves, memo
-):
-    """Yield the candidates of the reduced host containing the pair
-    {vb, vd} of the b- and d-classes, in evaluation order: one solve per
-    pick of the selection loop, then the loop's split base case."""
-    stars = (1 << vb) | (1 << vd)
-    host = (s_b | s_d | s_bd | anti) & ~(g.adj[vb] | g.adj[vd])
-    # each pick removes a b- or d-class vertex, so the block part and its
-    # blocks stay fixed through the loop
-    t_mask = anti & host
-    t_comps = None
-    depth = 1
-    live = (s_b | s_d) & host & ~stars
-    while live:
-        if t_comps is None:
-            t_comps = [a | b for a, b in _certified_members(g, t_mask, memo)]
-        v = _select_branch_vertex(g, list(bits(live)), t_comps, t_mask)
-        # the b- and d-classes are disjoint
-        active, passive = (s_d, s_b) if s_b >> v & 1 else (s_b, s_d)
-        picked = stars | (1 << v)
-        yield _solve_second_phase(
-            g,
-            picked | passive | s_bd,
-            active & ~picked,
-            anti,
-            host & ~g.adj[v],
-            depth + 1,
-            leaves,
-            memo,
+        cands.append(
+            _solve_second_phase(g, s_mask, active, anti, h, depth + 1, ambient, leaves, memo)
         )
-        host &= ~(1 << v)
-        live &= ~(1 << v)
-        depth += 1
-    yield _solve_raw(g, stars | s_bd, anti, host, depth, 0, leaves, memo)
+    return _earliest_heaviest(cands)
 
 
 def _solve_containing(
     g: Graph,
+    x: int,
+    y: int,
     s_b: int,
     s_d: int,
     s_bd: int,
@@ -146,25 +117,52 @@ def _solve_containing(
     leaves: list[int] | None,
     memo: dict,
 ) -> tuple[int, int]:
-    """(weight, mask) of a maximum weight independent set containing {a, c}
-    of a path, given the path's b-only, d-only and b-and-d classes and its
-    anti-neighbourhood in the host, with a and c left out of both.
-
-    When ``leaves`` is a list, the base-case host masks of the branching
-    are appended to it, also without a and c; ``solve_with_cover`` folds
-    them into its cover family.  ``memo`` is the public call's memo,
-    shared by every branch (see the ``solver`` module docstring).
+    """(weight, mask) of a maximum weight independent set containing
+    {x, y}, the {a, c} of a path, given the path's b-only, d-only and
+    b-and-d classes and its anti-neighbourhood in the host; x and y are
+    folded in.  When ``leaves`` is a list, each base case appends its host
+    with x and y to it (``solve_with_cover`` passes its members).
+    ``memo`` is the public call's memo, shared by every branch (see the
+    ``solver`` module docstring).
     """
+    pair = 1 << x | 1 << y
     # class-dropping branches (no b- and no d-class, d-class only, b-class
     # only), then every non-adjacent pair of the two one-letter classes
     cands = []
     for s_role in (s_bd, s_d | s_bd, s_b | s_bd):
-        cands.append(_solve_raw(g, s_role, anti, s_role | anti, 0, 0, leaves, memo))
+        cands.append(_solve_raw(g, s_role, anti, s_role | anti, 0, pair, leaves, memo))
     adj = g.adj
     for vb in bits(s_b):
         for vd in bits(s_d & ~adj[vb]):
-            cands += _pair_branches(g, s_b, s_d, s_bd, anti, vb, vd, leaves, memo)
-    return _earliest_heaviest(cands)
+            # the reduced host through {vb, vd}: one solve per pick of the
+            # selection loop, then the loop's split base case
+            stars = 1 << vb | 1 << vd
+            host = (s_b | s_d | s_bd | anti) & ~(adj[vb] | adj[vd])
+            # each pick removes a b- or d-class vertex, so the block part
+            # and its blocks stay fixed through the loop
+            t_mask = anti & host
+            t_comps = None
+            depth = 1
+            live = (s_b | s_d) & host & ~stars
+            while live:
+                if t_comps is None:
+                    t_comps = [a | b for a, b in _certified_members(g, t_mask, memo)]
+                v = _select_branch_vertex(g, list(bits(live)), t_comps, t_mask)
+                # the b- and d-classes are disjoint
+                active, passive = (s_d, s_b) if s_b >> v & 1 else (s_b, s_d)
+                picked = stars | 1 << v
+                cands.append(
+                    _solve_second_phase(
+                        g, picked | passive | s_bd, active & ~picked, anti,
+                        host & ~adj[v], depth + 1, pair, leaves, memo,
+                    )
+                )
+                host &= ~(1 << v)
+                live &= ~(1 << v)
+                depth += 1
+            cands.append(_solve_raw(g, stars | s_bd, anti, host, depth, pair, leaves, memo))
+    w, m = _earliest_heaviest(cands)
+    return w + g.weights[x] + g.weights[y], m | pair
 
 
 def solve_containing_ac(g: Graph, p: InducedP4, host: int | None = None) -> SolveResult:
@@ -181,9 +179,9 @@ def solve_containing_ac(g: Graph, p: InducedP4, host: int | None = None) -> Solv
     with verified_member(g, is_class_member(g)):
         part = neighborhood_partition(g, p, host)
         _, mask = _solve_containing(
-            g, part.s_b, part.s_d, part.s_bd, part.anti, None, {}
+            g, p.a, p.c, part.s_b, part.s_d, part.s_bd, part.anti, None, {}
         )
-    return certified_result(g, mask | (1 << p.a) | (1 << p.c))
+    return certified_result(g, mask)
 
 
 def solve_containing_bd(g: Graph, p: InducedP4, host: int | None = None) -> SolveResult:

@@ -78,10 +78,13 @@ class Graph:
             weights: per-vertex nonnegative integers; defaults to all 1.
 
         Raises:
-            InputError: on an edge that is not a pair of integers, on
-                out-of-range ids, loops, or weights that are negative or
-                not integers.
+            InputError: on a vertex count that is not an int (a bool is
+                not one) or is negative, on an edge that is not a pair of
+                integers, on out-of-range ids, loops, or weights that are
+                negative or not integers.
         """
+        if type(n) is not int:
+            raise InputError(f"vertex count must be an int, got {n!r}")
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
         try:

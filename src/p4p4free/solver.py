@@ -104,9 +104,10 @@ classes and the anti-neighborhood, with the checks
 ``neighborhood_partition`` makes).  The {b, d} draw is the {a, c} draw of
 the reversed path d-c-b-a, whose classes are the same masks relabelled by
 ``recognition._reversed_classes``, the relabelling
-``NeighborhoodPartition.reverse`` applies too.  Each forced pair is
-added to what the internal ``constrained._solve_containing`` returns for
-the four masks it reads.  The chosen set is certified once, at the end.
+``NeighborhoodPartition.reverse`` applies too.  Each draw is one call of
+the internal ``constrained._solve_containing``, which folds the pair into
+its best set and, in a cover solve, appends its leaves to the members.
+The chosen set is certified once, at the end.
 
 Each call creates one memo after the membership verdict and passes it
 down every candidate: a plain dict, dropped when the call returns, so a
@@ -163,21 +164,6 @@ def _q3_region(g: Graph, a: int, d: int, s_b: int, s_c: int, anti: int) -> int:
             region |= low
         flavors ^= low
     return region
-
-
-def _forced_pair(g: Graph, vs, classes, members, memo: dict) -> tuple[int, int]:
-    """(weight, mask) of the best set through {a, c} of the path ``vs`` =
-    (a, b, c, d), whose trace classes in the host are ``classes``; in a
-    cover solve each leaf it reaches, with that pair, is appended to
-    ``members``."""
-    a, c = vs[0], vs[2]
-    pair = (1 << a) | (1 << c)
-    leaves = None if members is None else []
-    _, s_b, _, s_d, _, _, s_bd, anti = classes
-    w, m = _solve_containing(g, s_b, s_d, s_bd, anti, leaves, memo)
-    if leaves:
-        members.extend(pair | leaf for leaf in leaves)
-    return w + g.weights[a] + g.weights[c], m | pair
 
 
 def _matching_bound(g: Graph, host: int) -> int:
@@ -243,13 +229,11 @@ def _per_path(g: Graph, vs, home: int, best, top, drawn: set, members, memo: dic
             continue
         if classes is None:
             classes = _trace_classes(g, vs, home)
-        if x == a:
-            cand = _forced_pair(g, vs, classes, members, memo)
-        else:
-            # {b, d} is {a, c} of the reversed path
-            cand = _forced_pair(
-                g, (d, c, b, a), _reversed_classes(classes), members, memo
-            )
+        # {b, d} is {a, c} of the reversed path
+        _, s_b, _, s_d, _, _, s_bd, anti = (
+            classes if x == a else _reversed_classes(classes)
+        )
+        cand = _solve_containing(g, x, y, s_b, s_d, s_bd, anti, members, memo)
         if cand[0] > best[0]:
             best = cand
             if best[0] == top:

@@ -86,6 +86,9 @@ def _better(cand: tuple[int, int], best: tuple[int, int]) -> bool:
 
 
 def _check_guard(host: int, guard: int, what: str) -> None:
+    # type(True) is bool, so a bool is refused with every non-int
+    if type(guard) is not int:
+        raise InputError(f"guard must be an int, got {guard!r}")
     if guard < 0:
         raise InputError(f"guard must be non-negative, got {guard}")
     size = host.bit_count()
@@ -103,7 +106,8 @@ def oracle_wis(g: Graph, host: int | None = None, guard: int = 30) -> SolveResul
 
     Raises:
         GuardError: when the host exceeds ``guard`` vertices (default 30).
-        InputError: when ``guard`` is negative.
+        InputError: when ``guard`` is not an int (a bool is not one) or
+            is negative.
     """
     host = g._check_host(host)
     _check_guard(host, guard, "oracle_wis")
@@ -385,17 +389,20 @@ def gen_instance(model: str, n: int, density: float, seed: int) -> Graph:
         seed: PRNG seed; output is a pure function of all four arguments.
 
     Raises:
-        InputError: n or density is out of range, the model is unknown, or
-            the rejection model drew 1000 non-members in a row (at n 30,
-            density 0.5, seed 7 it does; at n 40-60, density 0.9 it finds
-            a member).
+        InputError: n or seed is not an int (a bool is not one), density
+            is not an int or float, n or density is out of range, the
+            model is unknown, or the rejection model drew 1000 non-members
+            in a row (at n 30, density 0.5, seed 7 it does; at n 40-60,
+            density 0.9 it finds a member).
         StructureViolation: the clustered model built no member, even
             without its extra edges; an internal fault.
     """
-    if n < 1:
-        raise InputError(f"n must be at least 1, got {n}")
-    if not 0.0 <= density <= 1.0:
-        raise InputError(f"density must be in [0, 1], got {density}")
+    if type(n) is not int or n < 1:
+        raise InputError(f"n must be an int of at least 1, got {n!r}")
+    if type(density) not in (int, float) or not 0.0 <= density <= 1.0:
+        raise InputError(f"density must be a number in [0, 1], got {density!r}")
+    if type(seed) is not int:
+        raise InputError(f"seed must be an int, got {seed!r}")
     if model == "clustered":
         return _gen_clustered(n, density, seed)
     if model == "rejection":

@@ -294,15 +294,16 @@ def forced_pair_solvers(g: Graph):
     """``solve_containing_ac`` and ``solve_containing_bd`` on the member g,
     as ``(name, solve)`` pairs, with membership decided here once instead
     of on every call.  The {a, c} solve takes the path's trace classes
-    into ``constrained._solve_containing`` and certifies its mask with
-    a and c, as the public solver does once its membership guard has
-    passed; the {b, d} solve is the {a, c} solve on the reversed path."""
+    into ``constrained._solve_containing``, which folds a and c in, and
+    certifies its mask, as the public solver does once its membership
+    guard has passed; the {b, d} solve is the {a, c} solve on the
+    reversed path."""
     assert is_class_member(g).is_member
 
     def solve_ac(p):
         _, s_b, _, s_d, _, _, s_bd, anti = _trace_classes(g, p.vertices, None)
-        _, mask = _solve_containing(g, s_b, s_d, s_bd, anti, None, {})
-        return certified_result(g, mask | 1 << p.a | 1 << p.c)
+        _, mask = _solve_containing(g, p.a, p.c, s_b, s_d, s_bd, anti, None, {})
+        return certified_result(g, mask)
 
     def solve_bd(p):
         return solve_ac(p.reverse())

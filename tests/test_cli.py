@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from conftest import blowup_graph, blowup_optimum, random_graph
@@ -137,6 +141,45 @@ def wis_file(tmp_path):
     return write
 
 
+class TestMainProcess:
+    """``python -m p4p4free.cli`` exits with the code ``run`` returns and
+    writes what it writes."""
+
+    @pytest.mark.parametrize(
+        "text, code, out, err",
+        [
+            (PATH4, 0, "weight 2\nvertices 1 3\n", ""),
+            (
+                TRIANGLE,
+                2,
+                "",
+                "class violation: graph contains a triangle\nwitness triangle 1 2 3\n",
+            ),
+            (None, 3, "", "error: cannot read {}: No such file or directory\n"),
+        ],
+        ids=["member", "triangle", "missing-file"],
+    )
+    def test_exit_code_and_streams_are_those_of_run(
+        self, tmp_path, capsys, text, code, out, err
+    ):
+        path = tmp_path / "g.wis"
+        if text is not None:
+            path.write_text(text)
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "p4p4free.cli", "solve", str(path)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == code
+        assert done.stdout == out
+        assert done.stderr == err.format(path)
+        assert run(["solve", str(path)]) == code
+        assert capsys.readouterr() == (done.stdout, done.stderr)
+
+
 class TestRun:
     def test_solve_single_edge(self, wis_file, capsys):
         assert run(["solve", wis_file(TWO)]) == 0
@@ -207,8 +250,9 @@ class TestRun:
         )
 
     def test_failed_self_certification_exits_1(self, wis_file, capsys, monkeypatch):
-        def dependent(g, s_b, s_d, s_bd, anti, leaves, memo):
-            return 0, g.full_mask
+        def dependent(g, x, y, s_b, s_d, s_bd, anti, leaves, memo):
+            # the whole graph, weighed as such, outweighs every candidate
+            return g.weight_of(g.full_mask), g.full_mask
 
         monkeypatch.setattr(solver, "_solve_containing", dependent)
         assert run(["solve", wis_file(PATH4)]) == 1

@@ -111,7 +111,7 @@ class TestErrors:
         g = path_graph(4)
         depth = g.n + 9
         with pytest.raises(StructureViolation) as info:
-            constrained._solve_second_phase(g, 0, 0, 0, g.full_mask, depth, None, {})
+            constrained._solve_second_phase(g, 0, 0, 0, g.full_mask, depth, 0, None, {})
         assert info.value.witness == ("depth_budget", depth)
 
     def test_triangle_on_the_path_neighborhood(self):
@@ -283,11 +283,11 @@ class TestAgainstOracle:
                         recognition._reversed_classes(classes)
                     )
                     w, m = constrained._solve_containing(
-                        g, s_b, s_d, s_bd, anti, None, {}
+                        g, p.b, p.d, s_b, s_d, s_bd, anti, None, {}
                     )
                     want = solve_containing_bd(g, p, host)
-                    assert w + g.weights[p.b] + g.weights[p.d] == want.weight
-                    assert m | 1 << p.b | 1 << p.d == mask_of(want.chosen)
+                    assert w == want.weight
+                    assert m == mask_of(want.chosen)
                     checked += 1
         assert checked > 100
 
@@ -368,10 +368,9 @@ class TestLeafRecording:
                 forced = (1 << p.a) | (1 << p.c)
                 leaves: list[int] = []
                 constrained._solve_containing(
-                    g, part.s_b, part.s_d, part.s_bd, part.anti, leaves, {}
+                    g, p.a, p.c, part.s_b, part.s_d, part.s_bd, part.anti, leaves, {}
                 )
                 assert leaves
-                leaves = [leaf | forced for leaf in leaves]
                 ground = forced | part.s_b | part.s_d | part.s_bd | part.anti
                 for leaf in leaves:
                     assert leaf & forced == forced

@@ -54,6 +54,13 @@ class TestGraphConstruction:
         with pytest.raises(InputError, match="vertex count must be nonnegative"):
             Graph.from_edges(-1, [])
 
+    @pytest.mark.parametrize(
+        "n", ["3", None, 2.5, True], ids=["str", "none", "float", "bool"]
+    )
+    def test_rejects_a_vertex_count_that_is_no_int(self, n):
+        with pytest.raises(InputError, match="vertex count must be an int"):
+            Graph.from_edges(n, [])
+
     def test_rejects_self_loop(self):
         with pytest.raises(InputError):
             Graph.from_edges(2, [(1, 1)])

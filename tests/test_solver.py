@@ -600,63 +600,50 @@ SOLVE_PAIR_GRAPHS = {
 
 
 def _count_forced_pairs(monkeypatch, fault_at: int | None = None) -> list[int]:
-    """Record the pair mask of every ``_solve_containing`` call, the pair
-    of the ``_forced_pair`` draw that makes it; with ``fault_at``, raise a
-    refusal on the first draw of that many-th distinct pair."""
+    """Record the pair mask of every ``_solve_containing`` call; with
+    ``fault_at``, raise a refusal on the first draw of that many-th
+    distinct pair."""
     drawn: list[int] = []
-    paths: list = []  # the path of the draw in progress
-    real_pair, real_containing = solver._forced_pair, solver._solve_containing
+    real = solver._solve_containing
 
-    def drawing(g, vs, classes, members, memo):
-        paths.append(vs)
-        try:
-            return real_pair(g, vs, classes, members, memo)
-        finally:
-            paths.pop()
-
-    def counting(g, s_b, s_d, s_bd, anti, leaves, memo):
-        vs = paths[-1]
-        pair = 1 << vs[0] | 1 << vs[2]
+    def counting(g, x, y, s_b, s_d, s_bd, anti, leaves, memo):
+        pair = 1 << x | 1 << y
         if pair not in drawn and len(set(drawn)) + 1 == fault_at:
-            raise ClassViolation("bogus", ("unexpected_p4", vs))
+            raise ClassViolation("bogus", ("unexpected_pair", (x, y)))
         drawn.append(pair)
-        return real_containing(g, s_b, s_d, s_bd, anti, leaves, memo)
+        return real(g, x, y, s_b, s_d, s_bd, anti, leaves, memo)
 
-    monkeypatch.setattr(solver, "_forced_pair", drawing)
     monkeypatch.setattr(solver, "_solve_containing", counting)
     return drawn
 
 
-def _host(vs, classes) -> int:
-    """The host a path's trace classes were computed in: the path and its
-    seven classes."""
-    host = mask_of(vs)
-    for cls in classes:
-        host |= cls
-    return host
-
-
 def _record_draws(monkeypatch) -> list:
-    """Record every ``_forced_pair`` draw of a cover as ``(vs, classes,
-    added)``: its path, the path's trace classes and the members it
-    appended."""
+    """Record every ``_solve_containing`` draw of a cover as ``(pair, host,
+    added)``: the pair's mask, the host its path's trace classes were
+    computed in, and the members the draw appended."""
     draws: list = []
-    real = solver._forced_pair
+    hosts: list = []  # the host of the latest trace classes
+    real_classes, real_containing = solver._trace_classes, solver._solve_containing
 
-    def recording(g, vs, classes, members, memo):
+    def tracing(g, vs, host):
+        hosts.append(host)
+        return real_classes(g, vs, host)
+
+    def recording(g, x, y, s_b, s_d, s_bd, anti, members, memo):
         start = len(members)
-        got = real(g, vs, classes, members, memo)
-        draws.append((vs, classes, members[start:]))
+        got = real_containing(g, x, y, s_b, s_d, s_bd, anti, members, memo)
+        draws.append((1 << x | 1 << y, hosts[-1], members[start:]))
         return got
 
-    monkeypatch.setattr(solver, "_forced_pair", recording)
+    monkeypatch.setattr(solver, "_trace_classes", tracing)
+    monkeypatch.setattr(solver, "_solve_containing", recording)
     return draws
 
 
 class TestForcedPairOnce:
     # the cover draws each pair of home's paths once, all on home, and
-    # solves each draw once: its _forced_pair draws, _solve_containing
-    # calls, member count and member digest
+    # solves each draw once: its recorded draws, _solve_containing calls,
+    # member count and member digest
     COVER = {
         "c7_classes_of_3": (63, 63, 154, "d92de8e10181b0b2"),
         "rejection_14": (42, 42, 195, "12ef7cbba85dc673"),
@@ -688,9 +675,9 @@ class TestForcedPairOnce:
         calls, distinct, size, digest = self.COVER[name]
         assert len(draws) == calls
         # every draw is on home
-        assert all(_host(vs, classes) == home for vs, classes, _ in draws)
-        drawn = [1 << vs[0] | 1 << vs[2] for vs, _, _ in draws]
-        # no pair reaches _forced_pair twice, and the cover visits every
+        assert all(host == home for _, host, _ in draws)
+        drawn = [pair for pair, _, _ in draws]
+        # no pair reaches _solve_containing twice, and the cover visits every
         # path, so it draws every pair
         assert len(drawn) == len(set(drawn))
         assert set(drawn) == pairs
@@ -719,13 +706,12 @@ class TestForcedPairOnce:
                 continue
             graphs += 1
             home = 0
-            for vs, classes, _ in draws:
-                home |= _host(vs, classes)
+            for _, host, _ in draws:
+                home |= host
             maximal = [mask_of(s) for s in enumerate_maximal_is(g)]
-            for vs, classes, added in draws:
-                if _host(vs, classes) != home:
+            for pair, host, added in draws:
+                if host != home:
                     continue
-                pair = 1 << vs[0] | 1 << vs[2]
                 pairs_checked += 1
                 for s in maximal:
                     if s & pair == pair:
@@ -809,7 +795,7 @@ class TestDenseBlowups:
 
 class _StopTrace:
     """What one ``solve`` evaluates, recorded in order: each candidate's
-    weight (a forced pair's through ``_forced_pair``, a region's or
+    weight (a forced pair's through ``_solve_containing``, a region's or
     the remainder's through ``cb_weight_mask``), the hosts handed to
     ``cb_weight_mask``, the number of paths whose candidates were drawn,
     and home's LP bound; ``unreachable`` replaces that bound by one no
@@ -820,11 +806,11 @@ class _StopTrace:
         self.hosts: list[int] = []
         self.paths = 0
         self.bound = None
-        forced_pair, cb_weight_mask = solver._forced_pair, solver.cb_weight_mask
+        forced_pair, cb_weight_mask = solver._solve_containing, solver.cb_weight_mask
         per_path, lp_bound = solver._per_path, solver.lp_bound
 
-        def counting_pair(g, vs, classes, members, memo):
-            w, m = forced_pair(g, vs, classes, members, memo)
+        def counting_pair(g, x, y, s_b, s_d, s_bd, anti, members, memo):
+            w, m = forced_pair(g, x, y, s_b, s_d, s_bd, anti, members, memo)
             self.weights.append(w)
             return w, m
 
@@ -842,7 +828,7 @@ class _StopTrace:
             self.bound = lp_bound(g, host) + (g.weight_of(host) + 1 if unreachable else 0)
             return self.bound
 
-        monkeypatch.setattr(solver, "_forced_pair", counting_pair)
+        monkeypatch.setattr(solver, "_solve_containing", counting_pair)
         monkeypatch.setattr(solver, "cb_weight_mask", counting_cb)
         monkeypatch.setattr(solver, "_per_path", counting_paths)
         monkeypatch.setattr(solver, "lp_bound", recording_bound)

@@ -262,6 +262,59 @@ class TestBadComponentDispatch:
         assert 0 < counts["declined"] < counts["branch"]
 
 
+def _blocks_under(contacts: list[list[int]]) -> tuple[Graph, int, int]:
+    """Blocks {x, x'}-{y} under S vertices: S vertex s is 0..len(contacts)-1
+    and meets the x of each block listed in ``contacts[s]``, so it is
+    bi-partial to those blocks.  Returns the graph, S and T."""
+    ns = len(contacts)
+    k = 1 + max(i for blocks in contacts for i in blocks)
+    edges = []
+    for i in range(k):
+        x = ns + 3 * i
+        edges += [(x, x + 2), (x + 1, x + 2)]
+    for s, blocks in enumerate(contacts):
+        edges += [(s, ns + 3 * i) for i in blocks]
+    g = Graph.from_edges(ns + 3 * k, edges)
+    s_mask = (1 << ns) - 1
+    return g, s_mask, g.full_mask & ~s_mask
+
+
+class TestStructureFaults:
+    """The branching's structural claims fail loudly on hosts outside the
+    class: each raises a ``StructureViolation`` with its witness."""
+
+    def test_a_single_contact_component_without_a_split_block(self):
+        # 0 meets the whole side {1} of the edge 1-2, and nothing else
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(StructureViolation) as exc:
+            split_solver._bad_comp_hosts(g, 0b1, 0b110, 0b111, {})
+        assert str(exc.value) == (
+            "single-contact component should split across exactly one block"
+        )
+        assert exc.value.witness == ("side_split_blocks", ())
+
+    def test_two_bipartial_regions_beside_the_chosen_block(self):
+        # each block has its own bi-partial S vertex: after 0 is picked,
+        # the blocks of 1 and 2 are two more regions
+        g, s_mask, t_mask = _blocks_under([[0], [1], [2]])
+        with pytest.raises(StructureViolation) as exc:
+            split_solver.branch_via_bipartial(g, g.full_mask, s_mask, t_mask, {})
+        assert str(exc.value) == "more than one bi-partial region beside the chosen block"
+        assert exc.value.witness == (
+            "extra_bipartial_regions",
+            (mask_of([6, 7, 8]), mask_of([9, 10, 11])),
+        )
+
+    def test_a_branching_order_without_a_sink(self):
+        # 0 and 1 are each bi-partial to two blocks, and dropping N(0) or
+        # N(1) leaves the other so: neither is a sink
+        g, s_mask, t_mask = _blocks_under([[0, 1], [2, 3]])
+        with pytest.raises(StructureViolation) as exc:
+            split_solver.branch_via_bipartial(g, g.full_mask, s_mask, t_mask, {})
+        assert str(exc.value) == "branching order has no sink"
+        assert exc.value.witness == ("order_cycle", (0, 1))
+
+
 class TestForbiddenShapesSurface:
     def test_two_broken_components_raise_with_path_pair(self):
         g = TWO_PATHS

@@ -87,6 +87,24 @@ class TestOracle:
         g = path_graph(4, [10, 1, 1, 10])
         assert oracle_wis(g, mask_of([1, 2])).weight == 1
 
+    @pytest.mark.parametrize(
+        "oracle, guard, message",
+        [
+            (oracle_wis, "3", "guard must be an int"),
+            (oracle_wis, 1.5, "guard must be an int"),
+            (oracle_wis, True, "guard must be an int"),
+            (oracle_wis, -1, "guard must be non-negative"),
+            (enumerate_maximal_is, None, "guard must be an int"),
+            (enumerate_maximal_is, False, "guard must be an int"),
+        ],
+        ids=["str", "float", "bool", "negative", "none", "false"],
+    )
+    def test_a_guard_that_is_no_non_negative_int_is_an_input_error(
+        self, oracle, guard, message
+    ):
+        with pytest.raises(InputError, match=message):
+            oracle(path_graph(3), guard=guard)
+
     def test_guard_fires_and_is_overridable(self):
         g = Graph.from_edges(31, [])
         with pytest.raises(GuardError):
@@ -273,6 +291,29 @@ class TestGenerators:
         with pytest.raises(InputError):
             gen_instance("mystery", 5, 0.5, 1)
 
+    @pytest.mark.parametrize(
+        "n, density, seed, message",
+        [
+            ("5", 0.5, 1, "n must be an int"),
+            (5.0, 0.5, 1, "n must be an int"),
+            (True, 0.5, 1, "n must be an int"),
+            (5, "0.5", 1, "density must be a number"),
+            (5, None, 1, "density must be a number"),
+            (5, True, 1, "density must be a number"),
+            (5, 0.5, 1.0, "seed must be an int"),
+            (5, 0.5, "1", "seed must be an int"),
+            (5, 0.5, False, "seed must be an int"),
+        ],
+        ids=[
+            "str-n", "float-n", "bool-n", "str-density", "none-density",
+            "bool-density", "float-seed", "str-seed", "bool-seed",
+        ],
+    )
+    def test_parameters_of_the_wrong_type_are_input_errors(self, n, density, seed, message):
+        for model in ("clustered", "rejection"):
+            with pytest.raises(InputError, match=message):
+                gen_instance(model, n, density, seed)
+
     def test_no_self_loops_or_asymmetry(self):
         for seed in range(10):
             g = gen_instance("clustered", 16, 0.6, seed)
@@ -296,3 +337,6 @@ class TestGenerators:
             if any(side_b for _, side_b in certified):
                 interesting += 1
         assert interesting > 10
+
+    def test_an_empty_split_instance(self):
+        assert gen_split_instance(0, 0.5, 1) == (Graph.from_edges(0, []), 0, 0)
