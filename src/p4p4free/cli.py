@@ -7,9 +7,9 @@ Graph file format (whitespace-separated, 1-based vertex ids):
     e <u> <v>          m edge lines; duplicates collapse, self-loops rejected
     # ...              comment lines are ignored
 
-Commands: solve, check, oracle, cover, gen, bench.  Results go to stdout
-as text or, with --format json, as one deterministic JSON line (sorted
-keys).  Exit codes are part of the contract: 0 success, 1 an internal
+Commands: solve, check, oracle, cover, gen, bench.  gen prints a graph
+file; the others print text or, with --format json, one deterministic
+JSON line (sorted keys).  Exit codes are part of the contract: 0 success, 1 an internal
 fault on a graph the recognizer accepts, 2 the graph is outside the
 supported class (witness printed), 3 unusable input (bad file, bad flags),
 4 an exponential helper exceeded its size guard.
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -38,10 +39,10 @@ __all__ = ["parse_graph", "format_graph", "run", "main"]
 
 
 def _int_field(text: str, lineno: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {text!r}", lineno) from None
+    # int() alone would also take "+5", "1_000" and non-ASCII digits
+    if re.fullmatch("-?[0-9]+", text) is None:
+        raise ParseError(f"expected an integer, got {text!r}", lineno)
+    return int(text)
 
 
 def parse_graph(text: str) -> Graph:
@@ -305,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cover.add_argument("--jobs", type=int, default=1)
     p_cover.set_defaults(fn=_cmd_cover)
 
-    p_gen = sub.add_parser("gen", parents=[common], help="emit a generated class member")
+    p_gen = sub.add_parser("gen", help="emit a generated class member")
     p_gen.add_argument("--n", type=int, default=30)
     p_gen.add_argument("--density", type=float, default=0.5)
     p_gen.add_argument("--seed", type=int, default=1)

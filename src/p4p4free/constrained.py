@@ -93,7 +93,7 @@ def _solve_second_phase(
     found = find_induced_p4(g, region) if region.bit_count() >= 4 else None
     if found is None:
         return _solve_raw(g, s_mask, active | anti, host, depth, ambient, leaves, memo)
-    hosts = branch_via_bipartial(g, host, active, anti, memo)
+    hosts = branch_via_bipartial(g, host, active, _certified_members(g, anti & host, memo))
     if hosts is None:
         # no bi-partial vertex: plain anti-neighborhood branching on the path
         x = found.a

@@ -17,17 +17,20 @@ the branch vertex is a sink of the branching order (u before v when v is
 bi-partial to two blocks left after removing N(u)), found by a direct
 search over the candidates.
 
-Each branching rule is a pure function from a host to its residual hosts
-in evaluation order: (host minus N(v), host minus v), or a covering family
-of induced-subgraph restrictions.  The caller solves each one level deeper
-and keeps the earliest heaviest (``_earliest_heaviest``, the one
-tie-break), so the optimum is preserved whichever structural sub-case was
-detected, and no rule calls back into the layer that asked.  The
-branching assumes a class member and refuses nothing itself: the public
-solvers that reach it (``solve``, ``solve_with_cover`` and the constrained
-solves) decide membership first, and the structural claims are enforced
-as assertions that surface as a ``StructureViolation``, an internal fault,
-instead of a silent wrong answer.
+Each branching rule is a pure function from a host and the side pairs of
+its block part to its residual hosts in evaluation order: (host minus
+N(v), host minus v), or a covering family of induced-subgraph
+restrictions.  The caller solves each one level deeper and keeps the
+earliest heaviest (``_earliest_heaviest``, the one tie-break), so the
+optimum is preserved whichever structural sub-case was detected, and no
+rule calls back into the layer that asked.  A rule reads the blocks it
+is handed: one restricted to a vertex set stays a block while both sides
+keep a vertex, else leaves singletons, to which no vertex is bi-partial.
+The branching assumes a class member and refuses nothing itself: the
+public solvers that reach it (``solve``, ``solve_with_cover`` and the
+constrained solves) decide membership first, and the structural claims
+are enforced as assertions that surface as a ``StructureViolation``, an
+internal fault, instead of a silent wrong answer.
 
 Within one public call the branching reaches the same host many times,
 under different parts and depths.  What the dispatcher derives from the
@@ -37,9 +40,11 @@ is memoised in a plain dict keyed by host.  The block parts that
 ``_certified_members`` decomposes repeat even more (over the benchmark's
 ``branchy`` seed 1 round 0, the covers make 1,187 calls, 911 of them on a
 part already seen), so a certified block part's side pairs are kept in the
-same dict under ``~t``, a negative int that no host meets.  The public
-solvers create that dict after their membership verdict and drop it when
-they return; nothing outlives the call, so a later graph never sees an
+same dict under ``~t``, a negative int that no host meets.  Only the
+recursions (``_solve_raw`` and the constrained second phase) read the
+memo, and they hand the side pairs to the rules.  The public solvers
+create that dict after their membership verdict and drop it when they
+return; nothing outlives the call, so a later graph never sees an
 earlier one's entries.  The checks that depend on the call (the depth
 budget, the host against the parts, the uncertified-component count and
 the leaf record) run on every call, hit or miss, and a block part
@@ -57,34 +62,25 @@ from .graph import Graph, bits, components_with_certificates, neighborhood
 __all__ = ["branch_via_bipartial"]
 
 
-def _hits(g: Graph, v: int, sides: tuple[int, int]) -> tuple[int, int]:
-    """v's neighbours on each side of a certified block, ``(hit_a,
-    hit_b)``; v meets a side partially when its hit is neither empty nor
-    the whole side.
-
-    Raises:
-        ClassViolation: v has neighbours on both sides, a triangle.
-    """
-    side_a, side_b = sides
-    hit_a, hit_b = g.adj[v] & side_a, g.adj[v] & side_b
-    if hit_a and hit_b:
-        x = (hit_a & -hit_a).bit_length() - 1
-        y = (hit_b & -hit_b).bit_length() - 1
-        raise ClassViolation(
-            f"vertex {v} meets both sides of a complete bipartite component",
-            ("triangle", tuple(sorted((v, x, y)))),
-        )
-    return hit_a, hit_b
-
-
 def _bipartial_blocks(g: Graph, v: int, members) -> list[tuple[int, int]]:
     """The side pairs of the blocks that vertex v is bi-partial to: it
-    meets one side, but not all of it."""
+    meets one side, but not all of it.
+
+    Raises:
+        ClassViolation: v meets both sides of a block, a triangle.
+    """
     found = []
-    for sides in members:
-        hit_a, hit_b = _hits(g, v, sides)
-        if hit_a | hit_b not in (0, *sides):
-            found.append(sides)
+    for side_a, side_b in members:
+        hit_a, hit_b = g.adj[v] & side_a, g.adj[v] & side_b
+        if hit_a and hit_b:
+            x = (hit_a & -hit_a).bit_length() - 1
+            y = (hit_b & -hit_b).bit_length() - 1
+            raise ClassViolation(
+                f"vertex {v} meets both sides of a complete bipartite component",
+                ("triangle", tuple(sorted((v, x, y)))),
+            )
+        if hit_a | hit_b not in (0, side_a, side_b):
+            found.append((side_a, side_b))
     return found
 
 
@@ -123,26 +119,20 @@ def _earliest_heaviest(cands):
     return max(cands, key=itemgetter(0))
 
 
-def branch_via_bipartial(g, host, active, t_mask, memo):
+def branch_via_bipartial(g, host, active, members):
     """The residual hosts of a branch around a vertex of ``active`` that is
-    bi-partial to a block of ``t_mask & host``, in evaluation order, or
-    None when no vertex of ``active & host`` is.  When every such vertex
-    touches exactly one block this picks the contact-richest one and
-    splits its kept residual along the (at most one, asserted) second
-    bi-partial region: the residuals, then ``host`` without the pick.
-    Otherwise it finds a sink of the branching order and returns ``(keep,
-    drop)`` around it.  The caller solves each host and keeps the
-    earliest heaviest, so this rule is agnostic to the caller's base
-    cases.  ``memo`` is the public call's memo (see the module docstring).
+    bi-partial to a block of ``members``, the side pairs of the host's
+    block part, in evaluation order, or None when no vertex of ``active &
+    host`` is.  When every such vertex touches exactly one block this
+    picks the contact-richest one and splits its kept residual along the
+    (at most one, asserted) second bi-partial region: the residuals, then
+    ``host`` without the pick.  Otherwise it finds a sink of the branching
+    order and returns ``(keep, drop)`` around it.  The caller solves each
+    host and keeps the earliest heaviest, so this rule is agnostic to the
+    caller's base cases.
     """
-    t_live = t_mask & host
     act = active & host
-    members = _certified_members(g, t_live, memo)
-    bp_of: dict[int, list[tuple[int, int]]] = {}
-    for s in bits(act):
-        found = _bipartial_blocks(g, s, members)
-        if found:
-            bp_of[s] = found
+    bp_of = {s: found for s in bits(act) if (found := _bipartial_blocks(g, s, members))}
     if not bp_of:
         return None
 
@@ -152,12 +142,9 @@ def branch_via_bipartial(g, host, active, t_mask, memo):
         act_list = list(bits(act))
 
         def is_sink(v: int) -> bool:
-            # vertices taken from complete bipartite blocks leave blocks
-            # and singletons, so every component here is certified
-            residual = components_with_certificates(g, t_live & ~g.adj[v])[0]
-            return all(
-                w == v or len(_bipartial_blocks(g, w, residual)) < 2 for w in act_list
-            )
+            keep = ~g.adj[v]
+            residual = [(a & keep, b & keep) for a, b in members if a & keep and b & keep]
+            return all(w == v or len(_bipartial_blocks(g, w, residual)) < 2 for w in act_list)
 
         sink = next((v for v in act_list if is_sink(v)), None)
         if sink is None:
@@ -175,19 +162,19 @@ def branch_via_bipartial(g, host, active, t_mask, memo):
     prime = side_a | side_b  # the block `pick` is bi-partial to
 
     kept = host & ~g.adj[pick]
-    # at most one other block region may still hold a bi-partial vertex
+    # at most one other block may still hold a bi-partial vertex in kept
     regions = []
-    for sides in components_with_certificates(g, (t_live & ~prime) & kept)[0]:
-        if any(_bipartial_blocks(g, s, (sides,)) for s in bits(act)):
-            regions.append(sides[0] | sides[1])
+    for a, b in members:
+        left = a & kept, b & kept
+        if a | b != prime and all(left):
+            if any(_bipartial_blocks(g, s, (left,)) for s in bits(act)):
+                regions.append(a | b)
     if len(regions) > 1:
         raise StructureViolation(
             "more than one bi-partial region beside the chosen block",
             ("extra_bipartial_regions", tuple(regions)),
         )
-    other = 0
-    if regions:
-        other = next(a | b for a, b in members if (a | b) & regions[0])
+    other = regions[0] if regions else 0
 
     residuals = [kept & ~(other | prime)]
     for hp in bits(prime & kept):
@@ -202,20 +189,20 @@ def branch_via_bipartial(g, host, active, t_mask, memo):
     return residuals
 
 
-def _bad_comp_hosts(g, s_mask, t_mask, comp, memo):
+def _bad_comp_hosts(g, s_mask, comp, members):
     """The residual hosts of a branch on the uncertified component
-    ``comp``, in evaluation order: through ``branch_via_bipartial`` while
-    a vertex of the independent part is bi-partial to a block, else
-    ``(keep, drop)`` on the vertex contacting the most blocks once one
-    contacts several, else across the one block met on both sides.
+    ``comp``, whose block part has the side pairs ``members``, in
+    evaluation order: through ``branch_via_bipartial`` while a vertex of
+    the independent part is bi-partial to a block, else ``(keep, drop)``
+    on the vertex contacting the most blocks once one contacts several,
+    else across the one block met on both sides.
     """
-    hosts = branch_via_bipartial(g, comp, s_mask, t_mask, memo)
+    hosts = branch_via_bipartial(g, comp, s_mask, members)
     if hosts is not None:
         return hosts
-    # no vertex meets a block partially, and none on both sides (its
-    # _hits raised that triangle), so each contact is one whole side
+    # no vertex meets a block partially, nor both sides (a triangle that
+    # _bipartial_blocks raised), so each contact is one whole side
     s_live = s_mask & comp
-    members = _certified_members(g, t_mask & comp, memo)
     contacts = {s: sum(1 for a, b in members if g.adj[s] & (a | b)) for s in bits(s_live)}
     multi = [s for s, cnt in contacts.items() if cnt >= 2]
     if multi:
@@ -274,7 +261,8 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo):
     # a plain loop: before Python 3.12 a comprehension here would turn the
     # locals it reads into cells on every call, leaves included
     cands = []
-    for h in _bad_comp_hosts(g, s_mask, t_mask, bad[0], memo):
+    members = _certified_members(g, t_mask & bad[0], memo)
+    for h in _bad_comp_hosts(g, s_mask, bad[0], members):
         cands.append(_solve_raw(g, s_mask, t_mask, h, depth + 1, inner_ambient, leaves, memo))
     w, m = _earliest_heaviest(cands)
     return total_w + w, total_m | m

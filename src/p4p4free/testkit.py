@@ -378,6 +378,16 @@ def _gen_rejection(n: int, density: float, seed: int) -> Graph:
     )
 
 
+def _check_draw(n, density, seed, least: int) -> None:
+    """Refuse generator arguments of the wrong type or out of range."""
+    if type(n) is not int or n < least:
+        raise InputError(f"n must be an int of at least {least}, got {n!r}")
+    if type(density) not in (int, float) or not 0.0 <= density <= 1.0:
+        raise InputError(f"density must be a number in [0, 1], got {density!r}")
+    if type(seed) is not int:
+        raise InputError(f"seed must be an int, got {seed!r}")
+
+
 def gen_instance(model: str, n: int, density: float, seed: int) -> Graph:
     """Generate a class-member instance with weights uniform in [0, 100].
 
@@ -397,12 +407,7 @@ def gen_instance(model: str, n: int, density: float, seed: int) -> Graph:
         StructureViolation: the clustered model built no member, even
             without its extra edges; an internal fault.
     """
-    if type(n) is not int or n < 1:
-        raise InputError(f"n must be an int of at least 1, got {n!r}")
-    if type(density) not in (int, float) or not 0.0 <= density <= 1.0:
-        raise InputError(f"density must be a number in [0, 1], got {density!r}")
-    if type(seed) is not int:
-        raise InputError(f"seed must be an int, got {seed!r}")
+    _check_draw(n, density, seed, 1)
     if model == "clustered":
         return _gen_clustered(n, density, seed)
     if model == "rejection":
@@ -418,8 +423,10 @@ def gen_split_instance(n: int, density: float, seed: int):
     is kept inside the supported class by accept/reject against the
     recognizer.  This is plumbing for exercising the split-instance solver
     directly, including partial side attachments that the clustered model
-    only produces through recursion.
+    only produces through recursion.  Its arguments are refused as
+    ``gen_instance`` refuses them (an ``InputError``), but n may be 0.
     """
+    _check_draw(n, density, seed, 0)
     rng = XorShift64Star(seed)
     if n == 0:
         return Graph.from_edges(0, []), 0, 0

@@ -76,6 +76,11 @@ class TestParseGraph:
             ("e 1 2\np wis 2 1\n", 1),
             ("p wis 2 1\nv 1 5\nv 2 7\ne 1\n", 4),
             ("p wis 2 1\nv 1 5\nv 2 7\ne 1 2 3\n", 4),
+            ("p wis 2 0\nv 1 1_000\nv 2 7\n", 2),
+            ("p wis 2 0\nv 1 \uff15\nv 2 7\n", 2),
+            ("p wis 2 0\nv 1 +5\nv 2 7\n", 2),
+            ("p wis 2 0\nv +1 5\nv 2 7\n", 2),
+            ("p wis 1_0 0\n", 1),
         ],
     )
     def test_bad_lines_carry_their_number(self, text, line, wis_file, capsys):
@@ -336,6 +341,13 @@ class TestRun:
         assert run(["gen", "--n", "16", "--density", "0.6", "--seed", "9"]) == 0
         text = capsys.readouterr().out
         assert parse_graph(text) == gen_instance("clustered", 16, 0.6, 9)
+
+    def test_gen_takes_no_format(self, capsys):
+        # gen prints a graph file, whatever the format
+        assert run(["gen", "--n", "14", "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --format json" in captured.err
 
     def test_gen_rejection_model(self, capsys):
         assert run(["gen", "--n", "10", "--model", "rejection"]) == 0

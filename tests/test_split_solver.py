@@ -8,11 +8,19 @@ member.
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from conftest import complete_bipartite, is_independent, scan_p4s, witness_checks
+from conftest import (
+    complete_bipartite,
+    is_independent,
+    scan_p4s,
+    triangle_free_graph,
+    witness_checks,
+)
 
 from p4p4free import constrained, solve, solve_with_cover, split_solver
-from p4p4free.constrained import solve_containing_ac
+from p4p4free.constrained import solve_containing_ac, solve_containing_bd
 from p4p4free.errors import ClassViolation, StructureViolation
 from p4p4free.graph import Graph, bits, components_with_certificates, mask_of
 from p4p4free.recognition import InducedP4, enumerate_induced_p4, find_induced_p4
@@ -63,7 +71,8 @@ class TestInstanceValidation:
 
 
 class TestContactHits:
-    """How a vertex meets a certified block: its neighbours on each side."""
+    """How a vertex meets a certified block: bi-partial only when it meets
+    one side, but not all of it; both sides is a triangle."""
 
     def _k23_plus(self, extra_edges):
         # K_{2,3} on 0..4, probe vertex 5
@@ -74,24 +83,28 @@ class TestContactHits:
 
     def test_universal_to_a_side(self):
         g, sides = self._k23_plus([(5, 0), (5, 1)])
-        assert split_solver._hits(g, 5, sides) == (mask_of([0, 1]), 0)
         assert sides[0] == mask_of([0, 1])
+        assert split_solver._bipartial_blocks(g, 5, (sides,)) == []
+        # and the other side met wholly, from another probe
+        g, sides = self._k23_plus([(5, 2), (5, 3), (5, 4)])
         assert split_solver._bipartial_blocks(g, 5, (sides,)) == []
 
     def test_partial_into_a_side(self):
         g, sides = self._k23_plus([(5, 2)])
-        assert split_solver._hits(g, 5, sides) == (0, 1 << 2)
         assert split_solver._bipartial_blocks(g, 5, (sides,)) == [sides]
+        # every block met partly is listed, in the order handed
+        g, sides = self._k23_plus([(5, 0)])
+        assert split_solver._bipartial_blocks(g, 5, (sides, sides)) == [sides, sides]
 
     def test_no_contact(self):
         g, sides = self._k23_plus([])
-        assert split_solver._hits(g, 5, sides) == (0, 0)
         assert split_solver._bipartial_blocks(g, 5, (sides,)) == []
+        assert split_solver._bipartial_blocks(g, 5, ()) == []
 
     def test_both_sides_is_a_violation_with_triangle(self):
         g, sides = self._k23_plus([(5, 0), (5, 2)])
         with pytest.raises(ClassViolation) as exc:
-            split_solver._hits(g, 5, sides)
+            split_solver._bipartial_blocks(g, 5, (sides,))
         kind, (u, v, w) = exc.value.witness
         assert kind == "triangle"
         assert g.adjacent(u, v) and g.adjacent(u, w) and g.adjacent(v, w)
@@ -100,8 +113,8 @@ class TestContactHits:
         g = Graph.from_edges(2, [(0, 1)])
         (sides,), _ = components_with_certificates(g, mask_of([0]))
         assert sides == (1, 0)
-        assert split_solver._hits(g, 1, sides) == (1, 0)
         assert split_solver._bipartial_blocks(g, 1, (sides,)) == []
+        assert split_solver._bipartial_blocks(g, 0, ((2, 0),)) == []
 
 
 class TestBaseShapes:
@@ -182,9 +195,9 @@ class TestBranchingShapes:
     def test_without_a_bipartial_vertex_nothing_is_branched(self):
         # 4 meets the block {0, 1; 2, 3} wholly on one side
         g = Graph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (4, 1)])
-        t_mask = mask_of(range(4))
+        members = components_with_certificates(g, mask_of(range(4)))[0]
         branch = split_solver.branch_via_bipartial
-        assert branch(g, g.full_mask, 1 << 4, t_mask, {}) is None
+        assert branch(g, g.full_mask, 1 << 4, members) is None
 
 
 class TestBadComponentDispatch:
@@ -216,7 +229,7 @@ class TestBadComponentDispatch:
         calls, answers = [], []
 
         def recording_hosts(*args):
-            calls.append((args[3], bad_comp_hosts(*args)))
+            calls.append((args[2], bad_comp_hosts(*args)))
             return calls[-1][1]
 
         def counting_branch(*args):
@@ -262,10 +275,11 @@ class TestBadComponentDispatch:
         assert 0 < counts["declined"] < counts["branch"]
 
 
-def _blocks_under(contacts: list[list[int]]) -> tuple[Graph, int, int]:
+def _blocks_under(contacts: list[list[int]]) -> tuple[Graph, int, tuple]:
     """Blocks {x, x'}-{y} under S vertices: S vertex s is 0..len(contacts)-1
     and meets the x of each block listed in ``contacts[s]``, so it is
-    bi-partial to those blocks.  Returns the graph, S and T."""
+    bi-partial to those blocks.  Returns the graph, S and the side pairs of
+    the blocks."""
     ns = len(contacts)
     k = 1 + max(i for blocks in contacts for i in blocks)
     edges = []
@@ -276,7 +290,7 @@ def _blocks_under(contacts: list[list[int]]) -> tuple[Graph, int, int]:
         edges += [(s, ns + 3 * i) for i in blocks]
     g = Graph.from_edges(ns + 3 * k, edges)
     s_mask = (1 << ns) - 1
-    return g, s_mask, g.full_mask & ~s_mask
+    return g, s_mask, components_with_certificates(g, g.full_mask & ~s_mask)[0]
 
 
 class TestStructureFaults:
@@ -287,7 +301,7 @@ class TestStructureFaults:
         # 0 meets the whole side {1} of the edge 1-2, and nothing else
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(StructureViolation) as exc:
-            split_solver._bad_comp_hosts(g, 0b1, 0b110, 0b111, {})
+            split_solver._bad_comp_hosts(g, 0b1, 0b111, ((0b10, 0b100),))
         assert str(exc.value) == (
             "single-contact component should split across exactly one block"
         )
@@ -296,9 +310,9 @@ class TestStructureFaults:
     def test_two_bipartial_regions_beside_the_chosen_block(self):
         # each block has its own bi-partial S vertex: after 0 is picked,
         # the blocks of 1 and 2 are two more regions
-        g, s_mask, t_mask = _blocks_under([[0], [1], [2]])
+        g, s_mask, members = _blocks_under([[0], [1], [2]])
         with pytest.raises(StructureViolation) as exc:
-            split_solver.branch_via_bipartial(g, g.full_mask, s_mask, t_mask, {})
+            split_solver.branch_via_bipartial(g, g.full_mask, s_mask, members)
         assert str(exc.value) == "more than one bi-partial region beside the chosen block"
         assert exc.value.witness == (
             "extra_bipartial_regions",
@@ -308,11 +322,104 @@ class TestStructureFaults:
     def test_a_branching_order_without_a_sink(self):
         # 0 and 1 are each bi-partial to two blocks, and dropping N(0) or
         # N(1) leaves the other so: neither is a sink
-        g, s_mask, t_mask = _blocks_under([[0, 1], [2, 3]])
+        g, s_mask, members = _blocks_under([[0, 1], [2, 3]])
         with pytest.raises(StructureViolation) as exc:
-            split_solver.branch_via_bipartial(g, g.full_mask, s_mask, t_mask, {})
+            split_solver.branch_via_bipartial(g, g.full_mask, s_mask, members)
         assert str(exc.value) == "branching order has no sink"
         assert exc.value.witness == ("order_cycle", (0, 1))
+
+
+def _side_pairs_in_order(pairs) -> list[tuple[int, int]]:
+    """Side pairs oriented and ordered as ``components_with_certificates``
+    gives them: side_a holds the smallest vertex, blocks by it."""
+    pairs = [(a, b) if a & -a < b & -b else (b, a) for a, b in pairs]
+    return sorted(pairs, key=lambda sides: sides[0] & -sides[0])
+
+
+@pytest.fixture(scope="module")
+def rule_calls():
+    """Every call of the two branching rules, ``(rule, args, hosts)``,
+    while the recursions solve split instances, cover clustered graphs of
+    the benchmark's ``branchy`` design (n 14-20, density 0.3-0.9), and
+    solve a triangle-free member through each pair of each path, which
+    reaches the constrained second phase's branch."""
+    calls = []
+
+    def recorder(rule):
+        def recording(*args):
+            calls.append((rule, args, rule(*args)))
+            return calls[-1][2]
+
+        return recording
+
+    bad_comp_hosts, branch = split_solver._bad_comp_hosts, split_solver.branch_via_bipartial
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(split_solver, "_bad_comp_hosts", recorder(bad_comp_hosts))
+        m.setattr(split_solver, "branch_via_bipartial", recorder(branch))
+        m.setattr(constrained, "branch_via_bipartial", recorder(branch))
+        for seed in range(60):
+            solve_raw(*gen_split_instance(6 + seed % 9, 0.3 + seed % 5 * 0.15, seed))
+        for i in range(0, 112, 4):
+            density = (0.3, 0.5, 0.7, 0.9)[i // 7 % 4]
+            solve_with_cover(gen_instance("clustered", 14 + i % 7, density, 800_000 + i))
+        g = triangle_free_graph(1_031_684, 14, 0.35)
+        for p in enumerate_induced_p4(g):
+            solve_containing_ac(g, p)
+            solve_containing_bd(g, p)
+    return calls
+
+
+class TestHandedBlocks:
+    """The branching rules read the block part they are handed: a block
+    restricted to a vertex set stays one block while both sides keep a
+    vertex, and otherwise leaves singletons."""
+
+    def test_a_restricted_block_part_is_the_part_decomposed_afresh(self, rule_calls):
+        parts = {}
+        for seed in range(80):
+            g, _, t_mask = gen_split_instance(6 + seed % 9, 0.3 + seed % 5 * 0.15, seed)
+            parts[id(g), t_mask] = g, t_mask
+        for _, args, _ in rule_calls:
+            g, members = args[0], args[3]
+            t_mask = mask_of(v for a, b in members for v in bits(a | b))
+            assert components_with_certificates(g, t_mask) == (members, ())
+            parts[id(g), t_mask] = g, t_mask
+        rng = random.Random(5)
+        checked = 0
+        for g, t_mask in parts.values():
+            members = components_with_certificates(g, t_mask)[0]
+            keeps = [~g.adj[v] for v in range(g.n)] + [rng.getrandbits(g.n) for _ in range(8)]
+            for keep in keeps:
+                certified, uncertified = components_with_certificates(g, t_mask & keep)
+                assert uncertified == ()
+                want = [(a, b) for a, b in certified if b]
+                left = [(a & keep, b & keep) for a, b in members if a & keep and b & keep]
+                assert _side_pairs_in_order(left) == want
+                checked += bool(want)
+        assert len(parts) > 300 and checked > 3000
+
+    def test_the_rules_never_decompose(self, monkeypatch, rule_calls):
+        def unreachable(*args):
+            raise AssertionError("a branching rule decomposed a block part")
+
+        monkeypatch.setattr(split_solver, "components_with_certificates", unreachable)
+        monkeypatch.setattr(split_solver, "_certified_members", unreachable)
+        seen = {"bad_comp": 0, "declined": 0, "sink": 0, "single_block": 0}
+        for rule, args, hosts in rule_calls:
+            assert rule(*args) == hosts
+            if rule is split_solver._bad_comp_hosts:
+                seen["bad_comp"] += 1
+                continue
+            g, host, active, members = args
+            found = [split_solver._bipartial_blocks(g, v, members) for v in bits(active & host)]
+            if hosts is None:
+                seen["declined"] += 1
+            elif max(map(len, found)) >= 2:
+                seen["sink"] += 1
+            else:
+                # the region scan runs on every single-block call
+                seen["single_block"] += 1
+        assert min(seen.values()) > 0, seen
 
 
 class TestForbiddenShapesSurface:

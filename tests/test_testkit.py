@@ -303,16 +303,25 @@ class TestGenerators:
             (5, 0.5, 1.0, "seed must be an int"),
             (5, 0.5, "1", "seed must be an int"),
             (5, 0.5, False, "seed must be an int"),
+            (5, 1.5, 1, "density must be a number"),
+            (5, -0.5, 1, "density must be a number"),
         ],
         ids=[
             "str-n", "float-n", "bool-n", "str-density", "none-density",
             "bool-density", "float-seed", "str-seed", "bool-seed",
+            "high-density", "negative-density",
         ],
     )
     def test_parameters_of_the_wrong_type_are_input_errors(self, n, density, seed, message):
         for model in ("clustered", "rejection"):
             with pytest.raises(InputError, match=message):
                 gen_instance(model, n, density, seed)
+        with pytest.raises(InputError, match=message):
+            gen_split_instance(n, density, seed)
+
+    def test_a_negative_split_instance_size_is_an_input_error(self):
+        with pytest.raises(InputError, match="n must be an int of at least 0"):
+            gen_split_instance(-1, 0.5, 1)
 
     def test_no_self_loops_or_asymmetry(self):
         for seed in range(10):
