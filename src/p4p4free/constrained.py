@@ -56,21 +56,35 @@ __all__ = ["solve_containing_ac", "solve_containing_bd"]
 
 
 def _select_branch_vertex(g: Graph, cands: list[int], t_comps: list[int], t_mask: int) -> int:
-    """The loop's pick: most contacted blocks (singletons count), then a
-    containment-maximal neighborhood inside the block region, then id."""
-    counts = {v: sum(1 for c in t_comps if g.adj[v] & c) for v in cands}
-    top = max(counts.values())
-    maxers = [v for v in cands if counts[v] == top]
-    keep = []
-    for v in maxers:
-        nv = g.adj[v] & t_mask
-        dominated = any(
-            u != v and nv & ~(g.adj[u] & t_mask) == 0 and nv != g.adj[u] & t_mask
-            for u in maxers
-        )
-        if not dominated:
-            keep.append(v)
-    return min(keep)
+    """The loop's pick among ``cands``, given in ascending id: the most
+    contacted blocks of ``t_comps`` (singletons count), then the least id
+    whose neighbourhood inside the block region ``t_mask`` is not strictly
+    inside another top candidate's.
+
+    One pass keeps the top count and its candidates.  A lone one is the
+    pick; otherwise each is tested against the group's distinct masks
+    only.  Equal masks do not dominate each other, so twins go to the
+    least id, and a finite set of masks has a maximal one, so the walk
+    always returns."""
+    adj = g.adj
+    top, group = -1, []
+    for v in cands:
+        av = adj[v]
+        count = 0
+        for c in t_comps:
+            if av & c:
+                count += 1
+        if count > top:
+            top, group = count, [v]
+        elif count == top:
+            group.append(v)
+    if len(group) == 1:
+        return group[0]
+    masks = {adj[u] & t_mask for u in group}
+    for v in group:
+        nv = adj[v] & t_mask
+        if not any(nv & ~m == 0 and nv != m for m in masks):
+            return v
 
 
 def _solve_second_phase(
@@ -129,7 +143,9 @@ def _solve_containing(
     # class-dropping branches (no b- and no d-class, d-class only, b-class
     # only), then every non-adjacent pair of the two one-letter classes
     cands = []
-    for s_role in (s_bd, s_d | s_bd, s_b | s_bd):
+    # an empty one-letter class repeats a role, whose solve could neither
+    # win over the earlier one nor add a new leaf
+    for s_role in dict.fromkeys((s_bd, s_d | s_bd, s_b | s_bd)):
         cands.append(_solve_raw(g, s_role, anti, s_role | anti, 0, pair, leaves, memo))
     adj = g.adj
     for vb in bits(s_b):

@@ -211,6 +211,10 @@ class MembershipVerdict:
     triangle: tuple[int, int, int] | None = None
     p4_pair: tuple[InducedP4, InducedP4] | None = None
 
+    def __bool__(self) -> bool:
+        """``if is_class_member(g):`` reads ``is_member``."""
+        return self.is_member
+
     def violation(self) -> ClassViolation | None:
         """The refusal this verdict stands for, None for a member."""
         if self.triangle is not None:

@@ -215,6 +215,42 @@ class TestBranchVertexSelection:
                 nu = g.adj[u] & t_mask
                 assert not (nv & ~nu == 0 and nv != nu)
 
+    def test_pick_is_the_least_undominated_top_candidate(self):
+        # the exact rule, not just a maximal pick: among the top-count
+        # candidates, the least id whose neighborhood in the block region
+        # is not strictly inside another's
+        rng = XorShift64Star(2025)
+        for _ in range(60):
+            n = 9 + rng.below(4)
+            edges = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.chance(0.3)
+            ]
+            g = Graph.from_edges(n, edges)
+            split = rng.below(n - 2) + 1
+            cands = list(range(split))
+            t_mask = mask_of(range(split, n))
+            comps = components(g, t_mask)
+            counts = {u: sum(1 for c in comps if g.adj[u] & c) for u in cands}
+            top = [u for u in cands if counts[u] == max(counts.values())]
+            masks = [g.adj[u] & t_mask for u in top]
+            undominated = [
+                u
+                for u, nu in zip(top, masks)
+                if not any(nu & ~m == 0 and nu != m for m in masks)
+            ]
+            assert _select_branch_vertex(g, cands, comps, t_mask) == min(undominated)
+
+    def test_equal_masks_tie_to_the_least_id_unless_strictly_contained(self):
+        # one block 1-3-2; every candidate contacts it once
+        block = [(1, 3), (3, 2)]
+        t_mask = mask_of([1, 2, 3])
+        # N(4) == N(5) == {1} is strictly inside N(6) == {1, 2}: 6 wins
+        g = Graph.from_edges(7, block + [(4, 1), (5, 1), (6, 1), (6, 2)])
+        assert _select_branch_vertex(g, [4, 5, 6], components(g, t_mask), t_mask) == 6
+        # N(5) == N(6) == {1, 2} is maximal: the smaller id of the pair wins
+        g = Graph.from_edges(7, block + [(4, 1), (5, 1), (5, 2), (6, 1), (6, 2)])
+        assert _select_branch_vertex(g, [4, 5, 6], components(g, t_mask), t_mask) == 5
+
 
 class TestAgainstOracle:
     def test_every_path_both_ops(self):

@@ -16,6 +16,10 @@ above has at most a few hundred.
 non-members, where the corpus above has only 19 refusals by a pair of
 separated paths.
 
+``COVER_DIGEST`` covers ``solve_with_cover``'s weight, chosen set and
+members in order on three complete blow-ups, where false twins abound:
+their equal neighbourhoods tie in the selection loop's pick.
+
 ``BRANCH_DIGEST`` covers the members that reach the constrained second
 phase's two branches, which none of the graphs above reaches: ``solve``,
 the ``solve_with_cover`` members, and ``solve_containing_ac`` and
@@ -32,9 +36,11 @@ from collections import Counter
 from conftest import (
     INTERLOCKED,
     blowup_graph,
+    blowup_of,
     crown_graph,
     forced_pair_solvers,
     fuzz_graph,
+    petersen,
     triangle_free_graph,
     triangle_free_non_members,
 )
@@ -49,6 +55,7 @@ from p4p4free.testkit import XorShift64Star, gen_instance
 DIGEST = "ebba4aa25b3a94b4410ab6df3898647b7705b540deed2e8e560dcdd996ba218c"
 HARD_DIGEST = "839168be3bdf41f4a7ccd3720a344993120f4e6ffeb2dfbf412c85c62c70dc91"
 REFUSAL_DIGEST = "c33f9abb4f2b45776d565704df334f5c6ccf524b8e7e4f4e1e81d43f54706fe0"
+COVER_DIGEST = "a045ade1122ad5d078c39f12024a4549205df74a113137b0bacc912045abb53a"
 BRANCH_DIGEST = "2d09a1158dd01c668bca341c724f9fa476b7e3d22834875b32a5f7f9b60a498e"
 
 
@@ -72,6 +79,14 @@ def _hard_rows():
     yield blowup_graph(7, 5, seed=705)
     rng = XorShift64Star(3030)
     yield crown_graph(30, [rng.below(101) for _ in range(60)])
+
+
+def _twin_rows():
+    """Twin-rich members: blow-ups of C7 and C5 and of the Petersen
+    graph."""
+    yield blowup_graph(7, 4, seed=704)
+    yield blowup_graph(5, 5, seed=505)
+    yield blowup_of(petersen(), 2, seed=1002)
 
 
 def _branch_rows():
@@ -126,6 +141,15 @@ def test_hard_rows_match_their_digest():
         result = solve(g)
         digest.update(repr(("solve", result.weight, result.chosen)).encode() + b"\n")
     assert digest.hexdigest() == HARD_DIGEST
+
+
+def test_twin_rich_covers_match_their_digest():
+    digest = hashlib.sha256()
+    for g in _twin_rows():
+        result, family = solve_with_cover(g)
+        line = ("cover", result.weight, result.chosen, family.members)
+        digest.update(repr(line).encode() + b"\n")
+    assert digest.hexdigest() == COVER_DIGEST
 
 
 def test_refusals_match_their_digest():

@@ -176,6 +176,12 @@ class TestMembership:
         assert not verdict.is_member
         assert verdict.triangle == (0, 1, 2)
 
+    def test_a_verdict_is_truthy_exactly_for_a_member(self):
+        separated = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+        assert not is_class_member(complete_graph(3))
+        assert not is_class_member(separated)
+        assert is_class_member(cycle_graph(5))
+
     def test_petersen_matches_exhaustive_scan(self):
         g = petersen()
         assert is_class_member(g).is_member == scan_member(g)
