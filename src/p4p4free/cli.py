@@ -38,7 +38,7 @@ from .testkit import gen_instance, oracle_wis
 __all__ = ["parse_graph", "format_graph", "run", "main"]
 
 
-def _int_field(text: str, lineno: int) -> int:
+def _int_field(text: str, lineno: int | None) -> int:
     # int() alone would also take "+5", "1_000" and non-ASCII digits
     if re.fullmatch("-?[0-9]+", text) is None:
         raise ParseError(f"expected an integer, got {text!r}", lineno)
@@ -243,9 +243,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     try:
-        sizes = [int(s) for s in args.n.split(",") if s]
-    except ValueError:
-        raise ParseError(f"--n must be comma-separated integers, got {args.n!r}")
+        # an empty list splits to [""], which no size matches
+        sizes = [_int_field(s, None) for s in args.n.split(",")]
+    except ParseError:
+        raise ParseError(f"--n must be comma-separated integers, got {args.n!r}") from None
     rows = []
     for n in sizes:
         g = gen_instance(

@@ -6,18 +6,13 @@ nor c: the b-only, d-only and b-and-d neighbor classes plus the path's
 anti-neighborhood.  That subgraph is attacked by a covering family of
 branches: drop both one-letter classes, drop one, or commit to a concrete
 non-adjacent pair (one vertex from each one-letter class) and run an
-iterative selection loop whose kept residuals go to a second phase.  It
-searches the region of the class opposite the picked vertex plus the
-anti-neighborhood for an induced P4 once (fewer than 4 vertices hold
-none): a path-free region is solved as a split instance, and one with a
-path is branched on, into the residual hosts ``branch_via_bipartial``
-returns while a vertex of the class is bi-partial to a block, else into
-keep or drop of a path vertex.  Every family, the pair branches and
-the class drops included, is solved in order and its earliest heaviest
-candidate kept (``split_solver._earliest_heaviest``).  A
-bi-partial v meets a1 but not a2 on one side of a block and nothing of
-the other, so v-a1-b-a2 is an induced P4 of the region: only
-``split_solver`` needs to know what bi-partial means.
+iterative selection loop.  Each pick's kept residual is a split instance
+for ``split_solver._solve_raw`` whose block part still holds the class
+opposite the pick, its ``active`` part, which may close an induced P4
+with the anti-neighborhood; ``split_solver`` says how such a host is
+branched.  Every family, the pair branches and the class drops included,
+is solved in order and its earliest heaviest candidate kept
+(``split_solver._earliest_heaviest``).
 
 The {b, d} variant is the same computation on the reversed path, whose
 classes are those of the path relabelled (b↔c, a↔d, ac↔bd).
@@ -37,20 +32,8 @@ certify the result.
 from __future__ import annotations
 
 from .graph import Graph, SolveResult, bits, certified_result
-from .recognition import (
-    InducedP4,
-    find_induced_p4,
-    is_class_member,
-    neighborhood_partition,
-    verified_member,
-)
-from .split_solver import (
-    _certified_members,
-    _check_depth,
-    _earliest_heaviest,
-    _solve_raw,
-    branch_via_bipartial,
-)
+from .recognition import InducedP4, is_class_member, neighborhood_partition, verified_member
+from .split_solver import _certified_members, _earliest_heaviest, _solve_raw
 
 __all__ = ["solve_containing_ac", "solve_containing_bd"]
 
@@ -87,39 +70,6 @@ def _select_branch_vertex(g: Graph, cands: list[int], t_comps: list[int], t_mask
             return v
 
 
-def _solve_second_phase(
-    g: Graph,
-    s_mask: int,
-    active: int,
-    anti: int,
-    host: int,
-    depth: int,
-    ambient: int,
-    leaves,
-    memo: dict,
-):
-    """Handle a kept residual: a split instance with independent part
-    ``s_mask`` once its region holds no induced P4, else the earliest
-    heaviest solve of its residual hosts (see the module docstring).
-    ``ambient`` and ``leaves`` go to every ``_solve_raw`` reached."""
-    _check_depth(g, depth)
-    region = (active | anti) & host
-    found = find_induced_p4(g, region) if region.bit_count() >= 4 else None
-    if found is None:
-        return _solve_raw(g, s_mask, active | anti, host, depth, ambient, leaves, memo)
-    hosts = branch_via_bipartial(g, host, active, _certified_members(g, anti & host, memo))
-    if hosts is None:
-        # no bi-partial vertex: plain anti-neighborhood branching on the path
-        x = found.a
-        hosts = (host & ~g.adj[x], host & ~(1 << x))
-    cands = []
-    for h in hosts:
-        cands.append(
-            _solve_second_phase(g, s_mask, active, anti, h, depth + 1, ambient, leaves, memo)
-        )
-    return _earliest_heaviest(cands)
-
-
 def _solve_containing(
     g: Graph,
     x: int,
@@ -146,7 +96,7 @@ def _solve_containing(
     # an empty one-letter class repeats a role, whose solve could neither
     # win over the earlier one nor add a new leaf
     for s_role in dict.fromkeys((s_bd, s_d | s_bd, s_b | s_bd)):
-        cands.append(_solve_raw(g, s_role, anti, s_role | anti, 0, pair, leaves, memo))
+        cands.append(_solve_raw(g, s_role, anti, s_role | anti, 0, pair, leaves, memo, 0))
     adj = g.adj
     for vb in bits(s_b):
         for vd in bits(s_d & ~adj[vb]):
@@ -167,16 +117,17 @@ def _solve_containing(
                 # the b- and d-classes are disjoint
                 active, passive = (s_d, s_b) if s_b >> v & 1 else (s_b, s_d)
                 picked = stars | 1 << v
+                act = active & ~picked
                 cands.append(
-                    _solve_second_phase(
-                        g, picked | passive | s_bd, active & ~picked, anti,
-                        host & ~adj[v], depth + 1, pair, leaves, memo,
+                    _solve_raw(
+                        g, picked | passive | s_bd, act | anti, host & ~adj[v],
+                        depth + 1, pair, leaves, memo, act,
                     )
                 )
                 host &= ~(1 << v)
                 live &= ~(1 << v)
                 depth += 1
-            cands.append(_solve_raw(g, stars | s_bd, anti, host, depth, pair, leaves, memo))
+            cands.append(_solve_raw(g, stars | s_bd, anti, host, depth, pair, leaves, memo, 0))
     w, m = _earliest_heaviest(cands)
     return w + g.weights[x] + g.weights[y], m | pair
 

@@ -7,15 +7,25 @@ fail the complete-bipartite certificate (two failing components would each
 contain an induced P4, and the pair would be forbidden).  The dispatcher
 therefore solves every certified component by side selection and recurses
 only into the single uncertified one, choosing a branch vertex whose
-anti-neighborhood branching provably lands back in simpler shapes.  Like
-the constrained second phase, it branches through ``branch_via_bipartial``
-first, the one test of whether a vertex of the independent part is
-bi-partial to a block (meets one side, but not all of it); only when none
-is does it branch on a vertex contacting several blocks, or across the
-one block met on both sides.  When a vertex is bi-partial to two blocks,
-the branch vertex is a sink of the branching order (u before v when v is
-bi-partial to two blocks left after removing N(u)), found by a direct
-search over the candidates.
+anti-neighborhood branching provably lands back in simpler shapes.  It
+branches through ``branch_via_bipartial`` first, the one test of whether a
+vertex of the independent part is bi-partial to a block (meets one side,
+but not all of it); only when none is does it branch on a vertex
+contacting several blocks, or across the one block met on both sides.
+When a vertex is bi-partial to two blocks, the branch vertex is a sink of
+the branching order (u before v when v is bi-partial to two blocks left
+after removing N(u)), found by a direct search over the candidates.
+
+The constrained selection loop hands over hosts whose block part may
+still hold an induced P4, closed by its ``active`` part (the class
+opposite the loop's pick).  While ``active`` meets the uncertified
+component, the component's block part, the region, is searched for one
+once (fewer than 4 vertices hold none).  A path-free region stays so in
+every residual, so ``active`` is dropped.  A path is branched on by
+``_path_hosts``: around a vertex of ``active`` bi-partial to a block of the
+rest of the region (v meeting a1 but not a2 of one side and nothing of
+the other leaves the induced P4 v-a1-b-a2), else around the path's first
+vertex.
 
 Each branching rule is a pure function from a host and the side pairs of
 its block part to its residual hosts in evaluation order: (host minus
@@ -40,9 +50,9 @@ is memoised in a plain dict keyed by host.  The block parts that
 ``_certified_members`` decomposes repeat even more (over the benchmark's
 ``branchy`` seed 1 round 0, the covers make 1,187 calls, 911 of them on a
 part already seen), so a certified block part's side pairs are kept in the
-same dict under ``~t``, a negative int that no host meets.  Only the
-recursions (``_solve_raw`` and the constrained second phase) read the
-memo, and they hand the side pairs to the rules.  The public solvers
+same dict under ``~t``, a negative int that no host meets.  Only
+``_solve_raw`` and the constrained selection loop read the memo, and the
+rules get the side pairs handed to them.  The public solvers
 create that dict after their membership verdict and drop it when they
 return; nothing outlives the call, so a later graph never sees an
 earlier one's entries.  The checks that depend on the call (the depth
@@ -58,6 +68,7 @@ from operator import itemgetter
 from .bipartite import side_selection
 from .errors import ClassViolation, StructureViolation
 from .graph import Graph, bits, components_with_certificates, neighborhood
+from .recognition import find_induced_p4
 
 __all__ = ["branch_via_bipartial"]
 
@@ -226,12 +237,25 @@ def _bad_comp_hosts(g, s_mask, comp, members):
     return comp & ~neighborhood(g, side), comp & ~side
 
 
-def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo):
+def _path_hosts(g, comp, active, x, members):
+    """The residual hosts of a branch on ``comp`` while its region holds an
+    induced P4 with first vertex ``x``: those of ``branch_via_bipartial`` on
+    the blocks ``members`` of the rest of the region, else keep or drop x."""
+    hosts = branch_via_bipartial(g, comp, active, members)
+    if hosts is None:
+        # no bi-partial vertex: plain anti-neighborhood branching on the path
+        hosts = comp & ~g.adj[x], comp & ~(1 << x)
+    return hosts
+
+
+def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active):
     """Dispatcher: certified components by side selection, then recurse
     into the unique uncertified one.  Returns (weight, mask).
 
     ``host`` must lie inside ``s_mask | t_mask`` and hold no vertex of
-    both.  When ``leaves`` is a list, ``ambient | host`` of every
+    both.  ``active`` is the part of ``t_mask`` that may still close an
+    induced path with the rest of it (0 except below the constrained
+    selection loop).  When ``leaves`` is a list, ``ambient | host`` of every
     certified base case is appended to it, the raw material of cover
     extraction; ``ambient`` is the part of the enclosing host already
     peeled off as certified components.  ``memo`` is the public call's
@@ -257,12 +281,25 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo):
         if leaves is not None:
             leaves.append(ambient | host)
         return total_w, total_m
-    inner_ambient = ambient | (host & ~bad[0])
+    comp = bad[0]
+    region = t_mask & comp
+    found = None
+    if active & comp and region.bit_count() >= 4:
+        found = find_induced_p4(g, region)
+    if found is None:
+        # the region is a block part, and so is every residual's
+        active = 0
+        hosts = _bad_comp_hosts(g, s_mask, comp, _certified_members(g, region, memo))
+    else:
+        members = _certified_members(g, region & ~active, memo)
+        hosts = _path_hosts(g, comp, active, found.a, members)
+    inner_ambient = ambient | (host & ~comp)
     # a plain loop: before Python 3.12 a comprehension here would turn the
     # locals it reads into cells on every call, leaves included
     cands = []
-    members = _certified_members(g, t_mask & bad[0], memo)
-    for h in _bad_comp_hosts(g, s_mask, bad[0], members):
-        cands.append(_solve_raw(g, s_mask, t_mask, h, depth + 1, inner_ambient, leaves, memo))
+    for h in hosts:
+        cands.append(
+            _solve_raw(g, s_mask, t_mask, h, depth + 1, inner_ambient, leaves, memo, active)
+        )
     w, m = _earliest_heaviest(cands)
     return total_w + w, total_m | m

@@ -181,11 +181,20 @@ def oracle_wis_containing(
     set must itself be independent and lie inside the host.
 
     Raises:
-        InputError: forced set not independent or outside the host.
+        InputError: a forced id not a vertex of g, or the forced set not
+            independent or outside the host.
         GuardError: residual host exceeds the guard.
     """
     host = g._check_host(host)
-    forced_mask = forced if isinstance(forced, int) else mask_of(forced)
+    if isinstance(forced, int):
+        forced_mask = forced
+    else:
+        forced_mask = 0
+        for v in forced:
+            # type(True) is bool, so a bool is refused with every non-int
+            if type(v) is not int or not 0 <= v < g.n:
+                raise InputError(f"forced vertex {v!r} out of range for n={g.n}")
+            forced_mask |= 1 << v
     if forced_mask & ~host:
         raise InputError("forced vertices must lie inside the host")
     for v in bits(forced_mask):

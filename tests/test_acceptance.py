@@ -123,7 +123,7 @@ def test_criterion_3_self_certification():
                 verified += 1
     for seed in range(20):
         g, s_mask, t_mask = gen_split_instance(12, 0.5, seed)
-        weight, mask = _solve_raw(g, s_mask, t_mask, s_mask | t_mask, 0, 0, None, {})
+        weight, mask = _solve_raw(g, s_mask, t_mask, s_mask | t_mask, 0, 0, None, {}, 0)
         assert is_independent(g, mask)
         assert weight == g.weight_of(mask)
         verified += 1

@@ -405,6 +405,14 @@ class TestRun:
         assert run(["bench", "--n", "10,x"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("sizes", ["1_4", "+14", "１４", "", "10,,14", "10,"])
+    def test_bench_sizes_are_ascii_integers(self, capsys, sizes):
+        # int() alone took "1_4", "+14" and "１４" as 14, and "" ran no size
+        assert run(["bench", "--n", sizes]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --n must be comma-separated integers, got {sizes!r}\n"
+
     def test_stdin_dash(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(TWO.encode())))
         assert run(["solve", "-"]) == 0

@@ -13,7 +13,7 @@ from conftest import (
     witness_checks,
 )
 
-from p4p4free import constrained, recognition
+from p4p4free import constrained, recognition, split_solver
 from p4p4free.constrained import (
     _select_branch_vertex,
     solve_containing_ac,
@@ -110,9 +110,20 @@ class TestErrors:
     def test_second_phase_depth_overrun_is_a_structure_violation(self):
         g = path_graph(4)
         depth = g.n + 9
+        full = g.full_mask
         with pytest.raises(StructureViolation) as info:
-            constrained._solve_second_phase(g, 0, 0, 0, g.full_mask, depth, 0, None, {})
+            split_solver._solve_raw(g, 0, full, full, depth, 0, None, {}, 0b1)
         assert info.value.witness == ("depth_budget", depth)
+
+    def test_second_phase_path_outside_its_class_is_an_incomplete_block(self):
+        # the active vertex 4 lies in the uncertified component, but the
+        # path 0-1-2-3 lies in the rest of the block part, which is then
+        # no block part: that fault must surface, not be branched away
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (4, 0)])
+        full = g.full_mask
+        with pytest.raises(StructureViolation) as info:
+            split_solver._solve_raw(g, 0, full, full, 1, 0, None, {}, 1 << 4)
+        assert info.value.witness == ("incomplete_block", 0b1111)
 
     def test_triangle_on_the_path_neighborhood(self):
         # 4 sees both 0 and 1, so {0, 1, 4} is a triangle
@@ -338,13 +349,17 @@ class TestAgainstOracle:
 
 class TestBranchCoverage:
     def test_bipartial_machinery_is_reached(self, monkeypatch):
+        # the branch on a region that still holds a path finds a vertex
+        # bi-partial to a block
         hits = []
+        path_hosts = split_solver._path_hosts
 
-        def counting(*args, **kwargs):
-            hits.append(1)
-            return branch_via_bipartial(*args, **kwargs)
+        def counting(g, comp, active, x, members):
+            if branch_via_bipartial(g, comp, active, members) is not None:
+                hits.append(1)
+            return path_hosts(g, comp, active, x, members)
 
-        monkeypatch.setattr(constrained, "branch_via_bipartial", counting)
+        monkeypatch.setattr(split_solver, "_path_hosts", counting)
         g = Graph.from_edges(12, INTERLOCKED)
         p = InducedP4(0, 1, 2, 3)
         res = solve_containing_ac(g, p)
@@ -353,8 +368,9 @@ class TestBranchCoverage:
 
     def test_second_phase_searches_its_region_before_it_branches(self, monkeypatch):
         # a region of fewer than 4 vertices holds no P4 and is not searched,
-        # and branch_via_bipartial is asked only about a region with a path
+        # and _path_hosts is asked only about a region with a path
         events = []
+        path_hosts = split_solver._path_hosts
 
         def search(g, region):
             found = find_induced_p4(g, region)
@@ -363,11 +379,17 @@ class TestBranchCoverage:
 
         def branch(*args):
             events.append(("branch",))
-            return branch_via_bipartial(*args)
+            return path_hosts(*args)
 
-        monkeypatch.setattr(constrained, "find_induced_p4", search)
-        monkeypatch.setattr(constrained, "branch_via_bipartial", branch)
-        graphs = Graph.from_edges(12, INTERLOCKED), triangle_free_graph(1_031_684, 14, 0.35)
+        monkeypatch.setattr(split_solver, "find_induced_p4", search)
+        monkeypatch.setattr(split_solver, "_path_hosts", branch)
+        # in the last graph a class meets components whose region has
+        # fewer than 4 vertices
+        graphs = (
+            Graph.from_edges(12, INTERLOCKED),
+            triangle_free_graph(1_031_684, 14, 0.35),
+            triangle_free_graph(1_215_779, 18, 0.45),
+        )
         for g in graphs:
             for p in enumerate_induced_p4(g):
                 solve_containing_ac(g, p)

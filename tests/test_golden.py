@@ -45,7 +45,7 @@ from conftest import (
     triangle_free_non_members,
 )
 
-from p4p4free import constrained
+from p4p4free import split_solver
 from p4p4free.errors import ClassViolation
 from p4p4free.graph import Graph
 from p4p4free.recognition import enumerate_induced_p4, is_class_member
@@ -162,16 +162,16 @@ def test_refusals_match_their_digest():
 
 def test_second_phase_branches_match_their_digest(monkeypatch):
     reached = Counter()
-    branch_via_bipartial = constrained.branch_via_bipartial
+    path_hosts = split_solver._path_hosts
 
-    def counting(*args):
-        hosts = branch_via_bipartial(*args)
-        # on None the second phase falls back to a path vertex's keep or
-        # drop
-        reached["bipartial" if hosts is not None else "fallback"] += 1
-        return hosts
+    def counting(g, comp, active, x, members):
+        # where no vertex is bi-partial, the rule falls back to keep or
+        # drop of the path vertex x
+        declined = split_solver.branch_via_bipartial(g, comp, active, members) is None
+        reached["fallback" if declined else "bipartial"] += 1
+        return path_hosts(g, comp, active, x, members)
 
-    monkeypatch.setattr(constrained, "branch_via_bipartial", counting)
+    monkeypatch.setattr(split_solver, "_path_hosts", counting)
     digest = hashlib.sha256()
     for g, branch in _branch_rows():
         reached.clear()

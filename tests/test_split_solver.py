@@ -38,7 +38,7 @@ TWO_PATHS = Graph.from_edges(8, [(2, 0), (2, 1), (3, 0), (6, 4), (6, 5), (7, 4)]
 
 def solve_raw(g: Graph, s_mask: int, t_mask: int, leaves=None) -> tuple[int, int]:
     host = s_mask | t_mask
-    return split_solver._solve_raw(g, s_mask, t_mask, host, 0, 0, leaves, {})
+    return split_solver._solve_raw(g, s_mask, t_mask, host, 0, 0, leaves, {}, 0)
 
 
 def split(g: Graph, s, t) -> tuple[int, int]:
@@ -55,7 +55,7 @@ class TestInstanceValidation:
     def test_rejects_host_outside_both_parts(self):
         g = complete_bipartite(2, 3)
         with pytest.raises(StructureViolation) as exc:
-            split_solver._solve_raw(g, 0, 0b11, g.full_mask, 0, 0, None, {})
+            split_solver._solve_raw(g, 0, 0b11, g.full_mask, 0, 0, None, {}, 0)
         assert exc.value.witness == ("split_parts", 0b11100)
 
     def test_rejects_parts_that_overlap_in_the_host(self):
@@ -64,10 +64,10 @@ class TestInstanceValidation:
         g = complete_bipartite(2, 3)
         raw = split_solver._solve_raw
         with pytest.raises(StructureViolation) as exc:
-            raw(g, mask_of([0, 4]), g.full_mask, mask_of([0, 2, 3]), 0, 0, None, {})
+            raw(g, mask_of([0, 4]), g.full_mask, mask_of([0, 2, 3]), 0, 0, None, {}, 0)
         assert exc.value.witness == ("split_parts", 0b1)
         host = mask_of([1, 2, 3])
-        assert raw(g, 0b1, g.full_mask, host, 0, 0, None, {}) == (2, mask_of([2, 3]))
+        assert raw(g, 0b1, g.full_mask, host, 0, 0, None, {}, 0) == (2, mask_of([2, 3]))
 
 
 class TestContactHits:
@@ -338,11 +338,11 @@ def _side_pairs_in_order(pairs) -> list[tuple[int, int]]:
 
 @pytest.fixture(scope="module")
 def rule_calls():
-    """Every call of the two branching rules, ``(rule, args, hosts)``,
-    while the recursions solve split instances, cover clustered graphs of
+    """Every call of the three branching rules, ``(rule, args, hosts)``,
+    while the recursion solves split instances, covers clustered graphs of
     the benchmark's ``branchy`` design (n 14-20, density 0.3-0.9), and
-    solve a triangle-free member through each pair of each path, which
-    reaches the constrained second phase's branch."""
+    solves a triangle-free member through each pair of each path, which
+    reaches the branch on a region that still holds a path."""
     calls = []
 
     def recorder(rule):
@@ -352,11 +352,9 @@ def rule_calls():
 
         return recording
 
-    bad_comp_hosts, branch = split_solver._bad_comp_hosts, split_solver.branch_via_bipartial
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(split_solver, "_bad_comp_hosts", recorder(bad_comp_hosts))
-        m.setattr(split_solver, "branch_via_bipartial", recorder(branch))
-        m.setattr(constrained, "branch_via_bipartial", recorder(branch))
+        for name in ("_bad_comp_hosts", "_path_hosts", "branch_via_bipartial"):
+            m.setattr(split_solver, name, recorder(getattr(split_solver, name)))
         for seed in range(60):
             solve_raw(*gen_split_instance(6 + seed % 9, 0.3 + seed % 5 * 0.15, seed))
         for i in range(0, 112, 4):
@@ -380,7 +378,7 @@ class TestHandedBlocks:
             g, _, t_mask = gen_split_instance(6 + seed % 9, 0.3 + seed % 5 * 0.15, seed)
             parts[id(g), t_mask] = g, t_mask
         for _, args, _ in rule_calls:
-            g, members = args[0], args[3]
+            g, members = args[0], args[-1]
             t_mask = mask_of(v for a, b in members for v in bits(a | b))
             assert components_with_certificates(g, t_mask) == (members, ())
             parts[id(g), t_mask] = g, t_mask
@@ -404,11 +402,14 @@ class TestHandedBlocks:
 
         monkeypatch.setattr(split_solver, "components_with_certificates", unreachable)
         monkeypatch.setattr(split_solver, "_certified_members", unreachable)
-        seen = {"bad_comp": 0, "declined": 0, "sink": 0, "single_block": 0}
+        seen = {"bad_comp": 0, "path": 0, "declined": 0, "sink": 0, "single_block": 0}
         for rule, args, hosts in rule_calls:
             assert rule(*args) == hosts
             if rule is split_solver._bad_comp_hosts:
                 seen["bad_comp"] += 1
+                continue
+            if rule is split_solver._path_hosts:
+                seen["path"] += 1
                 continue
             g, host, active, members = args
             found = [split_solver._bipartial_blocks(g, v, members) for v in bits(active & host)]
@@ -470,7 +471,7 @@ class TestDepthBudget:
         g = complete_bipartite(2, 3)
         depth = g.n + 9
         with pytest.raises(StructureViolation) as exc:
-            split_solver._solve_raw(g, 0, g.full_mask, g.full_mask, depth, 0, None, {})
+            split_solver._solve_raw(g, 0, g.full_mask, g.full_mask, depth, 0, None, {}, 0)
         assert exc.value.witness == ("depth_budget", depth)
 
     def test_overrun_on_a_non_member_is_refused_with_a_witness(self, monkeypatch):
@@ -570,21 +571,21 @@ class TestSideFoldMemo:
         g = complete_bipartite(2, 3)
         memo: dict = {}
         raw = split_solver._solve_raw
-        assert raw(g, 0, g.full_mask, g.full_mask, 0, 0, None, memo) == (3, 0b11100)
+        assert raw(g, 0, g.full_mask, g.full_mask, 0, 0, None, memo, 0) == (3, 0b11100)
         self.hit(monkeypatch, memo, g.full_mask)
         with pytest.raises(StructureViolation) as exc:
-            raw(g, 0, 0b11, g.full_mask, 0, 0, None, memo)
+            raw(g, 0, 0b11, g.full_mask, 0, 0, None, memo, 0)
         assert exc.value.witness == ("split_parts", 0b11100)
 
     def test_depth_budget_raises_on_a_hit(self, monkeypatch):
         g = complete_bipartite(2, 3)
         memo: dict = {}
         raw = split_solver._solve_raw
-        raw(g, 0, g.full_mask, g.full_mask, 0, 0, None, memo)
+        raw(g, 0, g.full_mask, g.full_mask, 0, 0, None, memo, 0)
         self.hit(monkeypatch, memo, g.full_mask)
         depth = g.n + 9
         with pytest.raises(StructureViolation) as exc:
-            raw(g, 0, g.full_mask, g.full_mask, depth, 0, None, memo)
+            raw(g, 0, g.full_mask, g.full_mask, depth, 0, None, memo, 0)
         assert exc.value.witness == ("depth_budget", depth)
 
     def test_two_uncertified_components_raise_on_a_hit(self, monkeypatch):
@@ -596,7 +597,7 @@ class TestSideFoldMemo:
             if call:
                 self.hit(monkeypatch, memo, g.full_mask)
             with pytest.raises(StructureViolation) as exc:
-                split_solver._solve_raw(g, s_mask, t_mask, g.full_mask, 0, 0, None, memo)
+                split_solver._solve_raw(g, s_mask, t_mask, g.full_mask, 0, 0, None, memo, 0)
             witnesses.append(exc.value.witness)
         assert witnesses[0] == witnesses[1]
         assert witnesses[1][0] == "uncertified_components"
@@ -610,7 +611,7 @@ class TestSideFoldMemo:
             if call:
                 self.hit(monkeypatch, memo, host)
             leaves: list[int] = []
-            assert raw(g, 0, g.full_mask, host, 0, ambient, leaves, memo) == (
+            assert raw(g, 0, g.full_mask, host, 0, ambient, leaves, memo, 0) == (
                 2,
                 mask_of([2, 3]),
             )
@@ -640,7 +641,7 @@ class TestSideFoldMemo:
                 self.hit(monkeypatch, memo, full)
                 self.hit(monkeypatch, memo, ~full)
             assert split_solver._certified_members(g, full, memo) == want
-            assert raw(g, 0, full, full, 0, 0, None, memo) == (3, 0b11100)
+            assert raw(g, 0, full, full, 0, 0, None, memo, 0) == (3, 0b11100)
 
     def test_no_entry_outlives_its_call(self):
         # two graphs on one adjacency with different weights, solved back

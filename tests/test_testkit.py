@@ -149,6 +149,12 @@ class TestOracleContaining:
         with pytest.raises(InputError):
             oracle_wis_containing(path_graph(4), [0], host=mask_of([1, 2, 3]))
 
+    @pytest.mark.parametrize("forced", [[True], [-1], [3.0], [4], [0, False]])
+    def test_rejects_forced_ids_that_are_not_vertices(self, forced):
+        # [True] was read as vertex 1, [-1] and [3.0] raised bare errors
+        with pytest.raises(InputError, match="out of range"):
+            oracle_wis_containing(path_graph(4), forced)
+
     def test_matches_filtered_enumeration(self):
         # force vertex 0 and compare against a filtered subset scan
         for seed in range(25):
