@@ -45,6 +45,22 @@ def _int_field(text: str, lineno: int | None) -> int:
     return int(text)
 
 
+def _int_option(text: str) -> int:
+    """An integer option, by ``_int_field``'s ASCII rule."""
+    try:
+        return _int_field(text, None)
+    except ParseError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+def _decimal_option(text: str) -> float:
+    """A decimal option: ASCII digits with at most one point (float()
+    alone would also take "0.2_5", "1e-1", "nan" and non-ASCII digits)."""
+    if re.fullmatch(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)", text) is None:
+        raise argparse.ArgumentTypeError(f"expected a decimal number, got {text!r}")
+    return float(text)
+
+
 def parse_graph(text: str) -> Graph:
     """Graph from the file format above.
 
@@ -234,9 +250,7 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    g = gen_instance(
-        model=args.model, n=args.n, density=args.density, seed=args.seed
-    )
+    g = gen_instance(args.model, args.n, args.density, args.seed)
     sys.stdout.write(format_graph(g))
     return 0
 
@@ -249,9 +263,7 @@ def _cmd_bench(args) -> int:
         raise ParseError(f"--n must be comma-separated integers, got {args.n!r}") from None
     rows = []
     for n in sizes:
-        g = gen_instance(
-            model=args.model, n=n, density=args.density, seed=args.seed
-        )
+        g = gen_instance(args.model, n, args.density, args.seed)
         start = time.perf_counter()
         res = solve(g, jobs=args.jobs)
         solved = time.perf_counter()
@@ -290,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", parents=[common], help="optimal set of a graph file")
     p_solve.add_argument("file", help="graph file, or - for stdin")
-    p_solve.add_argument("--jobs", type=int, default=1)
+    p_solve.add_argument("--jobs", type=_int_option, default=1)
     p_solve.set_defaults(fn=_cmd_solve)
 
     p_check = sub.add_parser("check", parents=[common], help="class membership with witness")
@@ -299,27 +311,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", parents=[common], help="guarded brute-force reference")
     p_oracle.add_argument("file", help="graph file, or - for stdin")
-    p_oracle.add_argument("--guard-n", type=int, default=30)
+    p_oracle.add_argument("--guard-n", type=_int_option, default=30)
     p_oracle.set_defaults(fn=_cmd_oracle)
 
     p_cover = sub.add_parser("cover", parents=[common], help="bipartite cover family")
     p_cover.add_argument("file", help="graph file, or - for stdin")
-    p_cover.add_argument("--jobs", type=int, default=1)
+    p_cover.add_argument("--jobs", type=_int_option, default=1)
     p_cover.set_defaults(fn=_cmd_cover)
 
     p_gen = sub.add_parser("gen", help="emit a generated class member")
-    p_gen.add_argument("--n", type=int, default=30)
-    p_gen.add_argument("--density", type=float, default=0.5)
-    p_gen.add_argument("--seed", type=int, default=1)
+    p_gen.add_argument("--n", type=_int_option, default=30)
+    p_gen.add_argument("--density", type=_decimal_option, default=0.5)
+    p_gen.add_argument("--seed", type=_int_option, default=1)
     p_gen.add_argument("--model", choices=("clustered", "rejection"), default="clustered")
     p_gen.set_defaults(fn=_cmd_gen)
 
     p_bench = sub.add_parser("bench", parents=[common], help="timing table over generated sizes")
     p_bench.add_argument("--n", default="30,45,60", help="comma-separated sizes")
-    p_bench.add_argument("--density", type=float, default=0.5)
-    p_bench.add_argument("--seed", type=int, default=1)
+    p_bench.add_argument("--density", type=_decimal_option, default=0.5)
+    p_bench.add_argument("--seed", type=_int_option, default=1)
     p_bench.add_argument("--model", choices=("clustered", "rejection"), default="clustered")
-    p_bench.add_argument("--jobs", type=int, default=1)
+    p_bench.add_argument("--jobs", type=_int_option, default=1)
     p_bench.set_defaults(fn=_cmd_bench)
     return parser
 

@@ -86,8 +86,8 @@ def _solve_containing(
     b-and-d classes and its anti-neighbourhood in the host; x and y are
     folded in.  When ``leaves`` is a list, each base case appends its host
     with x and y to it (``solve_with_cover`` passes its members).
-    ``memo`` is the public call's memo, shared by every branch (see the
-    ``solver`` module docstring).
+    ``memo`` is the public call's host memo, shared by every branch (see
+    the ``split_solver`` module docstring).
     """
     pair = 1 << x | 1 << y
     # class-dropping branches (no b- and no d-class, d-class only, b-class
@@ -112,7 +112,7 @@ def _solve_containing(
             live = (s_b | s_d) & host & ~stars
             while live:
                 if t_comps is None:
-                    t_comps = [a | b for a, b in _certified_members(g, t_mask, memo)]
+                    t_comps = [a | b for a, b in _certified_members(g, t_mask)]
                 v = _select_branch_vertex(g, list(bits(live)), t_comps, t_mask)
                 # the b- and d-classes are disjoint
                 active, passive = (s_d, s_b) if s_b >> v & 1 else (s_b, s_d)

@@ -78,17 +78,21 @@ class Graph:
             weights: per-vertex nonnegative integers; defaults to all 1.
 
         Raises:
-            InputError: on a vertex count that is not an int (a bool is
-                not one) or is negative, on an edge that is not a pair of
-                integers, on out-of-range ids, loops, or weights that are
-                negative or not integers.
+            InputError: on a vertex count that is not an int or is
+                negative, on an edge that is not a pair of integers, on
+                out-of-range ids, loops, or weights that are negative or
+                not integers (a bool is not one here).
         """
         if type(n) is not int:
             raise InputError(f"vertex count must be an int, got {n!r}")
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
         try:
-            w = (1,) * n if weights is None else tuple(map(operator.index, weights))
+            w = (1,) * n if weights is None else tuple(weights)
+            # operator.index reads a bool as 0 or 1
+            if bool in map(type, w):
+                raise TypeError("a bool is no weight")
+            w = tuple(map(operator.index, w))
         except TypeError as err:
             raise InputError(f"weights must be integers: {err}") from None
         if len(w) != n:
@@ -99,6 +103,8 @@ class Graph:
         for edge in edges:
             try:
                 u, v = edge
+                if type(u) is bool or type(v) is bool:
+                    raise TypeError("a bool is no vertex id")
                 u, v = operator.index(u), operator.index(v)
             except (TypeError, ValueError) as err:
                 raise InputError(f"edge {edge!r} is no integer pair: {err}") from None

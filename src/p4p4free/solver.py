@@ -107,18 +107,8 @@ the reversed path d-c-b-a, whose classes are the same masks relabelled by
 ``NeighborhoodPartition.reverse`` applies too.  Each draw is one call of
 the internal ``constrained._solve_containing``, which folds the pair into
 its best set and, in a cover solve, appends its leaves to the members.
-The chosen set is certified once, at the end.
-
-Each call creates one memo after the membership verdict and passes it
-down every candidate: a plain dict, dropped when the call returns, so a
-refusal allocates none and no entry reaches another graph.  Its keys are
-of two kinds that cannot meet (see ``split_solver``):
-
-- a host (an int, at least 0): the split dispatcher's side selection
-  of that host's certified components and the member masks of its
-  uncertified ones;
-- ``~t`` for a certified block part t (an int below 0): the side pairs
-  of its components.
+The chosen set is certified once, at the end.  Each call passes one host
+memo down every candidate (see ``split_solver``).
 """
 
 from __future__ import annotations

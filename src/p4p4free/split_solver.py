@@ -43,22 +43,15 @@ are enforced as assertions that surface as a ``StructureViolation``, an
 internal fault, instead of a silent wrong answer.
 
 Within one public call the branching reaches the same host many times,
-under different parts and depths.  What the dispatcher derives from the
-host alone, the side selection of its certified components and the
-member masks of the others, depends on the graph and the host only, so it
-is memoised in a plain dict keyed by host.  The block parts that
-``_certified_members`` decomposes repeat even more (over the benchmark's
-``branchy`` seed 1 round 0, the covers make 1,187 calls, 911 of them on a
-part already seen), so a certified block part's side pairs are kept in the
-same dict under ``~t``, a negative int that no host meets.  Only
-``_solve_raw`` and the constrained selection loop read the memo, and the
-rules get the side pairs handed to them.  The public solvers
-create that dict after their membership verdict and drop it when they
-return; nothing outlives the call, so a later graph never sees an
-earlier one's entries.  The checks that depend on the call (the depth
-budget, the host against the parts, the uncertified-component count and
-the leaf record) run on every call, hit or miss, and a block part
-without a certificate is never memoised, so it fails on every call.
+under different parts and depths, and its fold (the side selection of its
+certified components, the member masks of the others) depends on the
+graph and the host only.  So each public solver keeps one memo, a plain
+dict from a host to its ``(weight, mask, uncertified)`` fold, which
+``_solve_raw`` alone reads and writes; a block part is decomposed afresh
+on every call.  The memo lives from the membership verdict to the return,
+so a refusal allocates none and no graph sees another's entries.  The
+depth budget, the host against the parts, the uncertified-component count
+and the leaf record are checked on every call, hit or miss.
 """
 
 from __future__ import annotations
@@ -95,20 +88,15 @@ def _bipartial_blocks(g: Graph, v: int, members) -> list[tuple[int, int]]:
     return found
 
 
-def _certified_members(g: Graph, t_live: int, memo: dict):
+def _certified_members(g: Graph, t_live: int):
     """Side pairs of the components of a block part, each certified
-    complete bipartite; a component without a certificate is an internal
-    fault.  Only a certified part is memoised."""
-    # ~t_live < 0, so this key cannot meet a host's (at least 0)
-    members = memo.get(~t_live)
-    if members is None:
-        members, uncertified = components_with_certificates(g, t_live)
-        if uncertified:
-            raise StructureViolation(
-                "block part lost its complete-bipartite shape",
-                ("incomplete_block", uncertified[0]),
-            )
-        memo[~t_live] = members
+    complete bipartite; an uncertified one is an internal fault."""
+    members, uncertified = components_with_certificates(g, t_live)
+    if uncertified:
+        raise StructureViolation(
+            "block part lost its complete-bipartite shape",
+            ("incomplete_block", uncertified[0]),
+        )
     return members
 
 
@@ -259,7 +247,7 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active):
     certified base case is appended to it, the raw material of cover
     extraction; ``ambient`` is the part of the enclosing host already
     peeled off as certified components.  ``memo`` is the public call's
-    memo (see the module docstring).
+    host memo (see the module docstring).
     """
     _check_depth(g, depth)
     stray = host & (s_mask & t_mask | ~(s_mask | t_mask))
@@ -289,9 +277,9 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active):
     if found is None:
         # the region is a block part, and so is every residual's
         active = 0
-        hosts = _bad_comp_hosts(g, s_mask, comp, _certified_members(g, region, memo))
+        hosts = _bad_comp_hosts(g, s_mask, comp, _certified_members(g, region))
     else:
-        members = _certified_members(g, region & ~active, memo)
+        members = _certified_members(g, region & ~active)
         hosts = _path_hosts(g, comp, active, found.a, members)
     inner_ambient = ambient | (host & ~comp)
     # a plain loop: before Python 3.12 a comprehension here would turn the

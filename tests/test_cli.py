@@ -413,6 +413,50 @@ class TestRun:
         assert out == ""
         assert err == f"error: --n must be comma-separated integers, got {sizes!r}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--n", "1_0"],
+            ["gen", "--n", "５"],
+            ["gen", "--seed", "+3"],
+            ["bench", "--seed", "٣"],
+            ["oracle", "-", "--guard-n", "1_0"],
+            ["solve", "-", "--jobs", "２"],
+            ["cover", "-", "--jobs", "+1"],
+            ["bench", "--jobs", "1.0"],
+        ],
+        ids=[
+            "gen_n_underscore",
+            "gen_n_fullwidth",
+            "gen_seed_plus",
+            "bench_seed_arabic",
+            "oracle_guard_underscore",
+            "solve_jobs_fullwidth",
+            "cover_jobs_plus",
+            "bench_jobs_float",
+        ],
+    )
+    def test_integer_options_are_ascii_integers(self, capsys, argv):
+        # int() alone took each of these, and the command ran
+        assert run(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: argument {argv[-2]}: expected an integer, got {argv[-1]!r}\n"
+
+    @pytest.mark.parametrize("command", ["gen", "bench"])
+    @pytest.mark.parametrize("density", ["٠.٥", "0.2_5", "1e-1", "nan", "+0.5", "0.5."])
+    def test_density_is_an_ascii_decimal(self, capsys, command, density):
+        # float() alone took each of these but the last
+        assert run([command, "--density", density]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: argument --density: expected a decimal number, got {density!r}\n"
+
+    @pytest.mark.parametrize("density", [".6", "0.6", "0.60"])
+    def test_density_takes_plain_decimals(self, capsys, density):
+        assert run(["gen", "--n", "12", "--density", density, "--seed", "3"]) == 0
+        assert parse_graph(capsys.readouterr().out) == gen_instance("clustered", 12, 0.6, 3)
+
     def test_stdin_dash(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(TWO.encode())))
         assert run(["solve", "-"]) == 0

@@ -67,8 +67,8 @@ class TestGraphConstruction:
 
     @pytest.mark.parametrize(
         "edge",
-        [(0, 1.0), (0,), (0, 1, 2), 5, "01"],
-        ids=["float", "one", "three", "int", "str"],
+        [(0, 1.0), (0,), (0, 1, 2), 5, "01", (True, 0), (0, False)],
+        ids=["float", "one", "three", "int", "str", "bool_first", "bool_second"],
     )
     def test_rejects_an_edge_that_is_not_a_pair_of_integers(self, edge):
         with pytest.raises(InputError, match="is no integer pair"):
@@ -80,12 +80,26 @@ class TestGraphConstruction:
 
     @pytest.mark.parametrize(
         "weights",
-        [[0.4, 0.6], ["3", "07"], [float("nan"), 1]],
-        ids=["float", "str", "nan"],
+        [[0.4, 0.6], ["3", "07"], [float("nan"), 1], [True, 5], [2, False]],
+        ids=["float", "str", "nan", "bool_true", "bool_false"],
     )
     def test_rejects_weights_that_are_not_integers(self, weights):
         with pytest.raises(InputError):
             Graph.from_edges(2, [(0, 1)], weights)
+
+    def test_accepts_any_other_integer_type(self):
+        # operator.index still reads every integer type but bool
+        class Id:
+            def __init__(self, v):
+                self.v = v
+
+            def __index__(self):
+                return self.v
+
+        g = Graph.from_edges(3, [(Id(1), Id(2))], [Id(1), 5, Id(0)])
+        assert list(g.edges()) == [(1, 2)]
+        assert g.weights == (1, 5, 0)
+        assert all(type(w) is int for w in g.weights)
 
     def test_rejects_weight_count_mismatch(self):
         with pytest.raises(InputError):

@@ -12,6 +12,7 @@ import random
 
 import pytest
 from conftest import (
+    blowup_graph,
     complete_bipartite,
     is_independent,
     scan_p4s,
@@ -19,11 +20,17 @@ from conftest import (
     witness_checks,
 )
 
-from p4p4free import constrained, solve, solve_with_cover, split_solver
+from p4p4free import constrained, solve, solve_with_cover, solver, split_solver
+from p4p4free.bipartite import side_selection
 from p4p4free.constrained import solve_containing_ac, solve_containing_bd
 from p4p4free.errors import ClassViolation, StructureViolation
 from p4p4free.graph import Graph, bits, components_with_certificates, mask_of
-from p4p4free.recognition import InducedP4, enumerate_induced_p4, find_induced_p4
+from p4p4free.recognition import (
+    InducedP4,
+    _membership,
+    enumerate_induced_p4,
+    find_induced_p4,
+)
 from p4p4free.testkit import (
     enumerate_maximal_is,
     gen_instance,
@@ -553,9 +560,8 @@ class TestLeafRecording:
 
 
 class TestSideFoldMemo:
-    """The memo of side-selection folds and block-part decompositions
-    lives for one public call, and the per-call checks run on a hit as on
-    a miss."""
+    """The memo of host folds lives for one public call, and the per-call
+    checks run on a hit as on a miss."""
 
     @staticmethod
     def hit(monkeypatch, memo, host):
@@ -618,30 +624,36 @@ class TestSideFoldMemo:
             assert leaves == [ambient | host]
 
     def test_uncertified_block_part_is_never_memoised(self):
+        # nothing keeps a block part: its certificate fails on every call
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])  # a P4 and a singleton
-        memo: dict = {}
         witnesses = []
         for _ in range(2):
             with pytest.raises(StructureViolation) as exc:
-                split_solver._certified_members(g, g.full_mask, memo)
+                split_solver._certified_members(g, g.full_mask)
             witnesses.append(exc.value.witness)
-            assert memo == {}
         assert witnesses[0] == witnesses[1] == ("incomplete_block", 0b1111)
 
-    def test_block_part_and_fold_share_a_memo(self, monkeypatch):
-        # one mask as a block part and as a host: the two entries must not
-        # meet, and neither is computed twice
-        g = complete_bipartite(2, 3)
-        full = g.full_mask
-        want = components_with_certificates(g, full)[0]
+    @pytest.mark.parametrize("kind", ["clustered", "c7_blowup"])
+    def test_the_memo_holds_hosts_only(self, kind):
+        if kind == "clustered":
+            draws = (gen_instance("clustered", 18, 0.6, s) for s in range(810_000, 810_100))
+            g = next(g for g in draws if len(enumerate_induced_p4(g)) > 1)
+        else:
+            g = blowup_graph(7, 3, seed=703)
+        # a cover solve reaches every layer that could write the memo; each
+        # key is a host inside home, each value its (weight, mask,
+        # uncertified) fold
+        verdict, home, certified, paths = _membership(g)
+        assert verdict.is_member and paths
         memo: dict = {}
-        raw = split_solver._solve_raw
-        for call in range(2):
-            if call:
-                self.hit(monkeypatch, memo, full)
-                self.hit(monkeypatch, memo, ~full)
-            assert split_solver._certified_members(g, full, memo) == want
-            assert raw(g, 0, full, full, 0, 0, None, memo, 0) == (3, 0b11100)
+        result, _ = solver._solve_all(
+            g, sorted(paths), home, side_selection(g, certified)[1], True, memo
+        )
+        assert result == solve_with_cover(g)[0]
+        assert memo
+        for key, value in memo.items():
+            assert type(key) is int and key >= 0 and key & ~home == 0
+            assert type(value) is tuple and len(value) == 3
 
     def test_no_entry_outlives_its_call(self):
         # two graphs on one adjacency with different weights, solved back
