@@ -29,12 +29,7 @@ from .recognition import (
     neighborhood_partition,
 )
 from .solver import CoverFamily, solve, solve_with_cover
-from .testkit import (
-    enumerate_maximal_is,
-    gen_instance,
-    oracle_wis,
-    oracle_wis_containing,
-)
+from .testkit import enumerate_maximal_is, gen_instance, oracle_wis
 
 __all__ = [
     "Graph",
@@ -58,7 +53,6 @@ __all__ = [
     "enumerate_induced_p4",
     "neighborhood_partition",
     "oracle_wis",
-    "oracle_wis_containing",
     "enumerate_maximal_is",
     "gen_instance",
     "InputError",

@@ -19,7 +19,7 @@ from .errors import StructureViolation
 from .graph import (
     Graph,
     SolveResult,
-    bits,
+    _union,
     certified_result,
     components_with_certificates,
 )
@@ -110,9 +110,10 @@ def lp_bound(g: Graph, host: int) -> int:
     demand = supply
     flow: dict[tuple[int, int], int] = {}  # (u, v): flow on u' -> v''
     total = 0
-    # the greedy start: each u' in ascending order sends what it can to
-    # its v'' in ascending order
-    for u in bits(supply):
+    # the greedy start: each u' in ascending order (nbrs holds host in
+    # order) sends what it can to its v'' in ascending order; a u' outside
+    # supply has no arc or no capacity, and sends nothing
+    for u in nbrs:
         spare = src[u]
         arcs = nbrs[u] & demand
         while arcs and spare:
@@ -129,7 +130,7 @@ def lp_bound(g: Graph, host: int) -> int:
             arcs ^= low
         src[u] = spare
         if not spare:
-            supply ^= 1 << u
+            supply &= ~(1 << u)
     # without residual source or sink capacity no augmenting path is left
     while supply and demand:
         # (v' mask, v'' mask) per layer: u' -> v'' is never full, and
@@ -137,26 +138,21 @@ def lp_bound(g: Graph, host: int) -> int:
         layers = []
         left, seen_l, seen_r = supply, supply, 0
         while left:
-            right = 0
-            for u in bits(left):
-                right |= nbrs[u]
-            right &= ~seen_r
+            right = _union(nbrs, left) & ~seen_r
             if right & demand:
                 layers.append((left, right & demand))
                 break
             layers.append((left, right))
             seen_r |= right
-            left = 0
-            for v in bits(right):
-                left |= back[v]
-            left &= ~seen_l
+            left = _union(back, right) & ~seen_l
             seen_l |= left
         else:
             break  # the sink is out of reach: the flow is maximum
         # one shortest augmenting path, walked back from the least v'' of
         # the last layer: a v'' of layer i has a u' of layer i among its
         # neighbours, and a u' of layer i > 0 sends flow to a v'' of layer
-        # i - 1; the path alternates u' (even index) and v'' (odd index)
+        # i - 1 (the least is taken); the path alternates u' (even index)
+        # and v'' (odd index)
         v = (layers[-1][1] & -layers[-1][1]).bit_length() - 1
         path = []
         for i in range(len(layers) - 1, -1, -1):
@@ -164,7 +160,10 @@ def lp_bound(g: Graph, host: int) -> int:
             u = (arcs & -arcs).bit_length() - 1
             path += (v, u)
             if i:
-                v = next(x for x in bits(layers[i - 1][1]) if back[x] >> u & 1)
+                m = layers[i - 1][1]
+                while not back[(m & -m).bit_length() - 1] >> u & 1:
+                    m &= m - 1
+                v = (m & -m).bit_length() - 1
         path.reverse()
         d = min(src[path[0]], snk[path[-1]])
         for j in range(1, len(path) - 1, 2):

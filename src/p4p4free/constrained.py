@@ -140,7 +140,8 @@ def solve_containing_ac(g: Graph, p: InducedP4, host: int | None = None) -> Solv
             alone would solve; decided before any branching, and the
             witness (a triangle or a separated induced P4 pair) has been
             re-checked against g.
-        InputError: p not an induced P4 of g, or not inside the host.
+        InputError: p is no ``InducedP4``, not an induced P4 of g, or not
+            inside the host.
         StructureViolation: an internal fault.
     """
     with verified_member(g, is_class_member(g)):
@@ -156,5 +157,7 @@ def solve_containing_bd(g: Graph, p: InducedP4, host: int | None = None) -> Solv
 
     The second and fourth vertices of the path are the first and third of
     its reversal, so this is the {a, c} computation on the reversed path.
+    Anything but an ``InducedP4`` goes on unreversed, for
+    ``neighborhood_partition`` to refuse.
     """
-    return solve_containing_ac(g, p.reverse(), host)
+    return solve_containing_ac(g, p.reverse() if isinstance(p, InducedP4) else p, host)

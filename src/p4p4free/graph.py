@@ -7,6 +7,10 @@ re-indexing ever happens).  Iteration over a mask is always in ascending
 vertex order, which is what makes every tie-break in the package
 deterministic.
 
+``_union`` is the one adjacency-union loop (the OR of a per-vertex table
+over a mask), for ``neighborhood``, the search below and ``lp_bound``.  A
+``Graph`` is validated however it is built, directly or by ``from_edges``.
+
 ``components_with_certificates`` is the one decomposition primitive: it
 certifies each complete bipartite component directly from the
 neighbourhoods of its smallest vertex and of one vertex across, collects
@@ -35,7 +39,10 @@ __all__ = [
 
 
 def bits(mask: int) -> Iterator[int]:
-    """Yield the vertex ids present in ``mask`` in ascending order."""
+    """Yield the vertex ids present in ``mask`` in ascending order; a mask
+    that is no nonnegative int is an ``InputError`` (-1 has no top vertex)."""
+    if type(mask) is not int or mask < 0:
+        raise InputError(f"a vertex mask must be a nonnegative int, got {mask!r}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -48,6 +55,23 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         out |= 1 << v
     return out
+
+
+def _union(table, mask: int) -> int:
+    """The OR of ``table[v]`` over the vertices v of ``mask``, unchecked."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _check_count(n) -> None:
+    if type(n) is not int:
+        raise InputError(f"vertex count must be an int, got {n!r}")
+    if n < 0:
+        raise InputError(f"vertex count must be nonnegative, got {n}")
 
 
 @dataclass(frozen=True)
@@ -63,6 +87,31 @@ class Graph:
     n: int
     weights: tuple[int, ...]
     adj: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        # each failure is an InputError; the adjacency is symmetric exactly
+        # when its arcs are twice the arcs down whose arc back up exists
+        n, weights, adj = self.n, self.weights, self.adj
+        _check_count(n)
+        # type() refuses a bool, an int subclass, with every other non-int
+        if type(weights) is not tuple or len(weights) != n or not set(map(type, weights)) <= {int}:
+            raise InputError(f"expected a tuple of {n} integer weights, got {weights!r}")
+        if min(weights, default=0) < 0:
+            raise InputError("weights must be nonnegative")
+        if type(adj) is not tuple or len(adj) != n:
+            raise InputError(f"expected a tuple of {n} adjacency masks, got {adj!r}")
+        arcs = pairs = 0
+        for v, row in enumerate(adj):
+            if type(row) is not int or row < 0 or row >> n or row >> v & 1:
+                raise InputError(f"adjacency of vertex {v} is no loopless mask in range: {row!r}")
+            arcs += row.bit_count()
+            down = row & ((1 << v) - 1)
+            while down:
+                u = down & -down
+                pairs += adj[u.bit_length() - 1] >> v & 1
+                down ^= u
+        if arcs != 2 * pairs:
+            raise InputError("adjacency is not symmetric")
 
     @staticmethod
     def from_edges(
@@ -83,10 +132,7 @@ class Graph:
                 out-of-range ids, loops, or weights that are negative or
                 not integers (a bool is not one here).
         """
-        if type(n) is not int:
-            raise InputError(f"vertex count must be an int, got {n!r}")
-        if n < 0:
-            raise InputError(f"vertex count must be nonnegative, got {n}")
+        _check_count(n)
         try:
             w = (1,) * n if weights is None else tuple(weights)
             # operator.index reads a bool as 0 or 1
@@ -95,10 +141,6 @@ class Graph:
             w = tuple(map(operator.index, w))
         except TypeError as err:
             raise InputError(f"weights must be integers: {err}") from None
-        if len(w) != n:
-            raise InputError(f"expected {n} weights, got {len(w)}")
-        if any(x < 0 for x in w):
-            raise InputError("weights must be nonnegative")
         adj = [0] * n
         for edge in edges:
             try:
@@ -158,13 +200,7 @@ def neighborhood(g: Graph, u: int) -> int:
     Returns the union of the members' neighbors minus ``u`` itself.
     """
     g._check_host(u)
-    out = 0
-    m = u
-    while m:
-        low = m & -m
-        out |= g.adj[low.bit_length() - 1]
-        m ^= low
-    return out & ~u
+    return _union(g.adj, u) & ~u
 
 
 def _all_see_exactly(adj, host: int, side: int, across: int) -> bool:
@@ -220,13 +256,7 @@ def components_with_certificates(
             continue
         comp = frontier = start
         while frontier:
-            grow = 0
-            m = frontier
-            while m:
-                low = m & -m
-                grow |= adj[low.bit_length() - 1]
-                m ^= low
-            frontier = grow & host & ~comp
+            frontier = _union(adj, frontier) & host & ~comp
             comp |= frontier
         uncertified.append(comp)
         rest &= ~comp

@@ -457,9 +457,11 @@ def neighborhood_partition(
         host: live vertex mask (defaults to all of g).
 
     Raises:
-        InputError: p does not induce a P4 in g, or leaves the host, or
-            host is not an int in range.
+        InputError: p is no ``InducedP4``, does not induce a P4 in g, or
+            leaves the host, or host is not an int in range.
         ClassViolation: when some neighbor's trace includes two consecutive
             path vertices; the witness is the resulting triangle.
     """
+    if not isinstance(p, InducedP4):
+        raise InputError(f"expected an InducedP4, got {p!r}")
     return NeighborhoodPartition(p, *_trace_classes(g, (p.a, p.b, p.c, p.d), host))

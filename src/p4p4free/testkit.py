@@ -1,4 +1,6 @@
-"""Reference oracles and instance generators used by the test suite and CLI.
+"""Reference oracles and instance generators for the CLI, the benchmark
+and the demos; the test suite's own second oracle, forced-set oracle and
+split-instance generator live in ``tests/conftest.py``.
 
 Everything here is deliberately independent of the polynomial solver: the
 oracles are exponential brute force with hard size guards, and the
@@ -10,24 +12,14 @@ PRNG rather than anything platform-dependent.
 from __future__ import annotations
 
 from .errors import GuardError, InputError, StructureViolation
-from .graph import (
-    Graph,
-    SolveResult,
-    bits,
-    certified_result,
-    mask_of,
-    neighborhood,
-)
+from .graph import Graph, SolveResult, bits, certified_result
 from .recognition import is_class_member
 
 __all__ = [
     "XorShift64Star",
     "oracle_wis",
-    "oracle_wis_containing",
-    "wis_by_enumeration",
     "enumerate_maximal_is",
     "gen_instance",
-    "gen_split_instance",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -141,68 +133,6 @@ def oracle_wis(g: Graph, host: int | None = None, guard: int = 30) -> SolveResul
 
     _, mask = rec(host)
     return certified_result(g, mask)
-
-
-def wis_by_enumeration(g: Graph, host: int | None = None, guard: int = 20) -> SolveResult:
-    """Second, independent oracle: visit every independent subset of the host.
-
-    Plain in/out recursion over the vertex list, pruning a branch as soon
-    as the subset stops being independent (equivalent to the full 2^k scan
-    but affordable at k = 16).  Exists purely to cross-check ``oracle_wis``;
-    same tie-break.
-    """
-    host = g._check_host(host)
-    _check_guard(host, guard, "wis_by_enumeration")
-    verts = list(bits(host))
-    adj = g.adj
-    weights = g.weights
-    best = [0, 0]
-
-    def rec(i: int, mask: int, w: int) -> None:
-        if i == len(verts):
-            if _better((w, mask), (best[0], best[1])):
-                best[0], best[1] = w, mask
-            return
-        v = verts[i]
-        rec(i + 1, mask, w)
-        if not adj[v] & mask:
-            rec(i + 1, mask | (1 << v), w + weights[v])
-
-    rec(0, 0, 0)
-    return certified_result(g, best[1])
-
-
-def oracle_wis_containing(
-    g: Graph, forced, host: int | None = None, guard: int = 30
-) -> SolveResult:
-    """Optimum among independent sets containing all of ``forced``.
-
-    ``forced`` may be a bitmask or an iterable of vertex ids.  The forced
-    set must itself be independent and lie inside the host.
-
-    Raises:
-        InputError: a forced id not a vertex of g, or the forced set not
-            independent or outside the host.
-        GuardError: residual host exceeds the guard.
-    """
-    host = g._check_host(host)
-    if isinstance(forced, int):
-        forced_mask = forced
-    else:
-        forced_mask = 0
-        for v in forced:
-            # type(True) is bool, so a bool is refused with every non-int
-            if type(v) is not int or not 0 <= v < g.n:
-                raise InputError(f"forced vertex {v!r} out of range for n={g.n}")
-            forced_mask |= 1 << v
-    if forced_mask & ~host:
-        raise InputError("forced vertices must lie inside the host")
-    for v in bits(forced_mask):
-        if g.adj[v] & forced_mask:
-            raise InputError(f"forced set is not independent (vertex {v})")
-    rest = host & ~forced_mask & ~neighborhood(g, forced_mask)
-    sub = oracle_wis(g, rest, guard=guard)
-    return certified_result(g, forced_mask | mask_of(sub.chosen))
 
 
 def enumerate_maximal_is(
@@ -387,10 +317,10 @@ def _gen_rejection(n: int, density: float, seed: int) -> Graph:
     )
 
 
-def _check_draw(n, density, seed, least: int) -> None:
+def _check_draw(n, density, seed) -> None:
     """Refuse generator arguments of the wrong type or out of range."""
-    if type(n) is not int or n < least:
-        raise InputError(f"n must be an int of at least {least}, got {n!r}")
+    if type(n) is not int or n < 1:
+        raise InputError(f"n must be an int of at least 1, got {n!r}")
     if type(density) not in (int, float) or not 0.0 <= density <= 1.0:
         raise InputError(f"density must be a number in [0, 1], got {density!r}")
     if type(seed) is not int:
@@ -416,48 +346,9 @@ def gen_instance(model: str, n: int, density: float, seed: int) -> Graph:
         StructureViolation: the clustered model built no member, even
             without its extra edges; an internal fault.
     """
-    _check_draw(n, density, seed, 1)
+    _check_draw(n, density, seed)
     if model == "clustered":
         return _gen_clustered(n, density, seed)
     if model == "rejection":
         return _gen_rejection(n, density, seed)
     raise InputError(f"unknown model {model!r} (expected clustered or rejection)")
-
-
-def gen_split_instance(n: int, density: float, seed: int):
-    """Generate (graph, independent_mask, cograph_mask) test instances.
-
-    The second mask is an independent set, the third induces a disjoint
-    union of singletons and complete bipartite blocks, and the whole graph
-    is kept inside the supported class by accept/reject against the
-    recognizer.  This is plumbing for exercising the split-instance solver
-    directly, including partial side attachments that the clustered model
-    only produces through recursion.  Its arguments are refused as
-    ``gen_instance`` refuses them (an ``InputError``), but n may be 0.
-    """
-    _check_draw(n, density, seed, 0)
-    rng = XorShift64Star(seed)
-    if n == 0:
-        return Graph.from_edges(0, []), 0, 0
-    n_s = rng.below(max(1, n // 2) + 1)
-    s_verts = list(range(n_s))
-    t_verts = list(range(n_s, n))
-    edges: list[tuple[int, int]] = []
-    blocks = _blocks_from_pool(rng, t_verts, edges)
-    weights = _random_weights(rng, n)
-
-    def member(extra):
-        return is_class_member(Graph.from_edges(n, edges + extra, weights)).is_member
-
-    extra: list[tuple[int, int]] = []
-    sides = [s for b in blocks for s in b] + [[t] for t in t_verts]
-    for u in s_verts:
-        for side in sides:
-            if not rng.chance(density):
-                continue
-            k = len(side) if len(side) == 1 or rng.chance(0.5) else 1 + rng.below(len(side) - 1)
-            cand = [(u, x) for x in side[:k]]
-            if member(extra + cand):
-                extra.extend(cand)
-    g = Graph.from_edges(n, edges + extra, weights)
-    return g, mask_of(s_verts), mask_of(t_verts)

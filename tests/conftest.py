@@ -1,13 +1,26 @@
-"""Shared graph builders and exhaustive mini-oracles for the test suite."""
+"""Shared graph builders and exhaustive mini-oracles for the test suite.
+
+Three of them serve only as references and inputs for the package's
+checks: ``wis_by_enumeration`` is a second, independent oracle,
+``oracle_wis_containing`` the optimum through a forced set, and
+``gen_split_instance`` draws split instances from the package's seeded
+PRNG.  They take their arguments unchecked.
+"""
 
 from __future__ import annotations
 
 from itertools import combinations
 
 from p4p4free.constrained import _solve_containing
-from p4p4free.graph import Graph, bits, certified_result, mask_of
+from p4p4free.graph import Graph, SolveResult, bits, certified_result, mask_of, neighborhood
 from p4p4free.recognition import _trace_classes, is_class_member
-from p4p4free.testkit import XorShift64Star
+from p4p4free.testkit import (
+    XorShift64Star,
+    _better,
+    _blocks_from_pool,
+    _random_weights,
+    oracle_wis,
+)
 
 acceptance_report: list[str] = []
 
@@ -111,6 +124,84 @@ INTERLOCKED = [
     (7, 3), (7, 8),
     (9, 8), (9, 10), (11, 8), (11, 10),
 ]
+
+
+def wis_by_enumeration(g: Graph, host: int | None = None) -> SolveResult:
+    """Second, independent oracle: visit every independent subset of the host.
+
+    Plain in/out recursion over the vertex list, pruning a branch as soon
+    as the subset stops being independent (equivalent to the full 2^k scan
+    but affordable at k = 16).  Exists purely to cross-check ``oracle_wis``;
+    same tie-break.
+    """
+    verts = list(bits(g.full_mask if host is None else host))
+    adj = g.adj
+    weights = g.weights
+    best = [0, 0]
+
+    def rec(i: int, mask: int, w: int) -> None:
+        if i == len(verts):
+            if _better((w, mask), (best[0], best[1])):
+                best[0], best[1] = w, mask
+            return
+        v = verts[i]
+        rec(i + 1, mask, w)
+        if not adj[v] & mask:
+            rec(i + 1, mask | (1 << v), w + weights[v])
+
+    rec(0, 0, 0)
+    return certified_result(g, best[1])
+
+
+def oracle_wis_containing(g: Graph, forced, host: int | None = None) -> SolveResult:
+    """Optimum among independent sets containing all of ``forced``.
+
+    ``forced`` may be a bitmask or an iterable of vertex ids; it must be
+    an independent set inside the host (unchecked).
+    """
+    forced_mask = forced if isinstance(forced, int) else mask_of(forced)
+    if host is None:
+        host = g.full_mask
+    rest = host & ~forced_mask & ~neighborhood(g, forced_mask)
+    sub = oracle_wis(g, rest)
+    return certified_result(g, forced_mask | mask_of(sub.chosen))
+
+
+def gen_split_instance(n: int, density: float, seed: int):
+    """Generate (graph, independent_mask, cograph_mask) test instances.
+
+    The second mask is an independent set, the third induces a disjoint
+    union of singletons and complete bipartite blocks, and the whole graph
+    is kept inside the supported class by accept/reject against the
+    recognizer.  This is plumbing for exercising the split-instance solver
+    directly, including partial side attachments that the clustered model
+    only produces through recursion.  n may be 0.
+    """
+    rng = XorShift64Star(seed)
+    if n == 0:
+        return Graph.from_edges(0, []), 0, 0
+    n_s = rng.below(max(1, n // 2) + 1)
+    s_verts = list(range(n_s))
+    t_verts = list(range(n_s, n))
+    edges: list[tuple[int, int]] = []
+    blocks = _blocks_from_pool(rng, t_verts, edges)
+    weights = _random_weights(rng, n)
+
+    def member(extra):
+        return is_class_member(Graph.from_edges(n, edges + extra, weights)).is_member
+
+    extra: list[tuple[int, int]] = []
+    sides = [s for b in blocks for s in b] + [[t] for t in t_verts]
+    for u in s_verts:
+        for side in sides:
+            if not rng.chance(density):
+                continue
+            k = len(side) if len(side) == 1 or rng.chance(0.5) else 1 + rng.below(len(side) - 1)
+            cand = [(u, x) for x in side[:k]]
+            if member(extra + cand):
+                extra.extend(cand)
+    g = Graph.from_edges(n, edges + extra, weights)
+    return g, mask_of(s_verts), mask_of(t_verts)
 
 
 def random_graph(seed: int, n: int, p: float, weighted: bool = True) -> Graph:

@@ -19,7 +19,9 @@ from conftest import (
     crown_graph,
     crown_optimum,
     forced_pair_solvers,
+    gen_split_instance,
     is_independent,
+    oracle_wis_containing,
     random_graph,
     scan_member,
     two_colorable,
@@ -34,14 +36,7 @@ from p4p4free.bipartite import solve_cb_components
 from p4p4free.recognition import enumerate_induced_p4, is_class_member
 from p4p4free.solver import solve, solve_with_cover
 from p4p4free.split_solver import _solve_raw
-from p4p4free.testkit import (
-    XorShift64Star,
-    enumerate_maximal_is,
-    gen_instance,
-    gen_split_instance,
-    oracle_wis,
-    oracle_wis_containing,
-)
+from p4p4free.testkit import XorShift64Star, enumerate_maximal_is, gen_instance, oracle_wis
 
 
 def criterion(number: int, slug: str):

@@ -14,12 +14,13 @@ from conftest import (
     path_graph,
     triangle_free_graph,
     two_colorable,
+    wis_by_enumeration,
 )
 
 from p4p4free.errors import ClassViolation, StructureViolation
 from p4p4free.graph import Graph, bits, mask_of
 from p4p4free.bipartite import lp_bound, solve_cb_components
-from p4p4free.testkit import XorShift64Star, gen_instance, oracle_wis, wis_by_enumeration
+from p4p4free.testkit import XorShift64Star, gen_instance, oracle_wis
 
 
 def test_single_edge_picks_heavier_endpoint():

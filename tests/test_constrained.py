@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     INTERLOCKED,
     is_independent,
+    oracle_wis_containing,
     path_graph,
     random_graph,
     triangle_free_graph,
@@ -28,12 +29,7 @@ from p4p4free.recognition import (
     neighborhood_partition,
 )
 from p4p4free.split_solver import branch_via_bipartial
-from p4p4free.testkit import (
-    XorShift64Star,
-    enumerate_maximal_is,
-    gen_instance,
-    oracle_wis_containing,
-)
+from p4p4free.testkit import XorShift64Star, enumerate_maximal_is, gen_instance
 
 
 def first_p4(g: Graph) -> InducedP4:
@@ -106,6 +102,15 @@ class TestErrors:
                         op(g, InducedP4(*vs))
                 refused += 1
         assert refused > 500
+
+    # read as a path, a tuple or None raised a bare AttributeError
+    @pytest.mark.parametrize("path", [(0, 1, 2, 3), None], ids=["tuple", "none"])
+    @pytest.mark.parametrize(
+        "op", [solve_containing_ac, solve_containing_bd, neighborhood_partition]
+    )
+    def test_a_path_that_is_no_induced_p4_is_an_input_error(self, op, path):
+        with pytest.raises(InputError, match="expected an InducedP4"):
+            op(path_graph(4), path)
 
     def test_second_phase_depth_overrun_is_a_structure_violation(self):
         g = path_graph(4)

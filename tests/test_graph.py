@@ -23,13 +23,20 @@ from p4p4free.graph import (
     neighborhood,
 )
 import p4p4free as p4
-from p4p4free import recognition, testkit
+from p4p4free import recognition
 from p4p4free.testkit import XorShift64Star
 
 
 def test_bits_yields_ascending_ids():
     assert list(bits(0b101101)) == [0, 2, 3, 5]
     assert list(bits(0)) == []
+
+
+@pytest.mark.parametrize("mask", [-1, True, 2.0], ids=["negative", "bool", "float"])
+def test_bits_refuses_a_mask_that_is_no_nonnegative_int(mask):
+    # list(bits(-1)) never ended, and held every vertex it yielded
+    with pytest.raises(InputError, match="nonnegative int"):
+        list(bits(mask))
 
 
 def test_mask_of_round_trips():
@@ -73,6 +80,47 @@ class TestGraphConstruction:
     def test_rejects_an_edge_that_is_not_a_pair_of_integers(self, edge):
         with pytest.raises(InputError, match="is no integer pair"):
             Graph.from_edges(2, [edge])
+
+    # a Graph built directly was taken as given: an asymmetric adjacency
+    # made is_class_member loop for ever, and a negative weight solved
+    # below the empty set's 0
+    @pytest.mark.parametrize(
+        "n, weights, adj, message",
+        [
+            (2, (1, 1), (2, 0), "not symmetric"),
+            (2, (1, 1), (0, 1), "not symmetric"),
+            (3, (1, 1, 1), (6, 1, 0), "not symmetric"),
+            (3, (1, 1, 1), (2, 0, 1), "not symmetric"),
+            (1, (-5,), (0,), "weights must be nonnegative"),
+            (1, (True,), (0,), "tuple of 1 integer weights"),
+            (1, (1.0,), (0,), "tuple of 1 integer weights"),
+            (2, [1, 1], (2, 1), "tuple of 2 integer weights"),
+            (2, (1,), (2, 1), "tuple of 2 integer weights"),
+            (2, (1, 1), (2,), "tuple of 2 adjacency masks"),
+            (2, (1, 1), [2, 1], "tuple of 2 adjacency masks"),
+            (1, (1,), (2,), "no loopless mask in range"),
+            (2, (1, 1), (1, 0), "no loopless mask in range"),
+            (2, (1, 1), (-2, 1), "no loopless mask in range"),
+            (2, (1, 1), (True, 1), "no loopless mask in range"),
+            (-1, (), (), "vertex count must be nonnegative"),
+            (True, (1,), (0,), "vertex count must be an int"),
+        ],
+        ids=[
+            "arc_up_only", "arc_down_only", "one_of_two_arcs_up",
+            "unmatched_up_and_down", "negative_weight", "bool_weight",
+            "float_weight", "weight_list", "weight_count", "adj_count",
+            "adj_list", "adj_out_of_range", "loop", "negative_row", "bool_row",
+            "negative_n", "bool_n",
+        ],
+    )
+    def test_a_graph_built_directly_is_checked(self, n, weights, adj, message):
+        with pytest.raises(InputError, match=message):
+            Graph(n, weights, adj)
+
+    def test_a_graph_built_directly_equals_its_edge_list_build(self):
+        g = random_graph(4, 12, 0.4)
+        assert Graph(g.n, g.weights, g.adj) == g
+        assert Graph(0, (), ()) == Graph.from_edges(0, [])
 
     def test_rejects_negative_weight(self):
         with pytest.raises(InputError):
@@ -128,8 +176,6 @@ HOST_ENTRIES = {
     "solve_cb_components": p4.solve_cb_components,
     "cb_weight_mask": p4.cb_weight_mask,
     "oracle_wis": p4.oracle_wis,
-    "wis_by_enumeration": testkit.wis_by_enumeration,
-    "oracle_wis_containing": lambda g, h: p4.oracle_wis_containing(g, [0], h),
     "enumerate_maximal_is": p4.enumerate_maximal_is,
 }
 

@@ -14,7 +14,9 @@ import pytest
 from conftest import (
     blowup_graph,
     complete_bipartite,
+    gen_split_instance,
     is_independent,
+    oracle_wis_containing,
     scan_p4s,
     triangle_free_graph,
     witness_checks,
@@ -31,13 +33,7 @@ from p4p4free.recognition import (
     enumerate_induced_p4,
     find_induced_p4,
 )
-from p4p4free.testkit import (
-    enumerate_maximal_is,
-    gen_instance,
-    gen_split_instance,
-    oracle_wis,
-    oracle_wis_containing,
-)
+from p4p4free.testkit import enumerate_maximal_is, gen_instance, oracle_wis
 
 # two disjoint copies of the induced path s-t-s-t; not a class member
 TWO_PATHS = Graph.from_edges(8, [(2, 0), (2, 1), (3, 0), (6, 4), (6, 5), (7, 4)])
