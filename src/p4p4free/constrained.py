@@ -105,14 +105,15 @@ def _solve_containing(
             stars = 1 << vb | 1 << vd
             host = (s_b | s_d | s_bd | anti) & ~(adj[vb] | adj[vd])
             # each pick removes a b- or d-class vertex, so the block part
-            # and its blocks stay fixed through the loop
+            # and its blocks stay fixed through the loop; an empty part or
+            # an empty loop needs no decomposition
             t_mask = anti & host
-            t_comps = None
-            depth = 1
             live = (s_b | s_d) & host & ~stars
+            t_comps = []
+            if live and t_mask:
+                t_comps = [a | b for a, b in _certified_members(g, t_mask)]
+            depth = 1
             while live:
-                if t_comps is None:
-                    t_comps = [a | b for a, b in _certified_members(g, t_mask)]
                 v = _select_branch_vertex(g, list(bits(live)), t_comps, t_mask)
                 # the b- and d-classes are disjoint
                 active, passive = (s_d, s_b) if s_b >> v & 1 else (s_b, s_d)

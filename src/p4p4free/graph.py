@@ -8,8 +8,11 @@ vertex order, which is what makes every tie-break in the package
 deterministic.
 
 ``_union`` is the one adjacency-union loop (the OR of a per-vertex table
-over a mask), for ``neighborhood``, the search below and ``lp_bound``.  A
-``Graph`` is validated however it is built, directly or by ``from_edges``.
+over a mask), for ``neighborhood``, the search below, ``lp_bound`` and
+``certified_result``, which re-checks every answer with ``_union``,
+``Graph.weight_of`` and ``bits``.  A ``Graph`` is validated however it is
+built, directly or by ``from_edges``, and ``mask_of`` and
+``Graph.adjacent`` check the vertex ids they are given.
 
 ``components_with_certificates`` is the one decomposition primitive: it
 certifies each complete bipartite component directly from the
@@ -50,9 +53,12 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def mask_of(vertices: Iterable[int]) -> int:
-    """Build a bitmask from an iterable of vertex ids."""
+    """Build a bitmask from an iterable of vertex ids; an id that is no
+    nonnegative int (a bool is none) is an ``InputError``."""
     out = 0
     for v in vertices:
+        if type(v) is not int or v < 0:
+            raise InputError(f"a vertex id must be a nonnegative int, got {v!r}")
         out |= 1 << v
     return out
 
@@ -163,6 +169,11 @@ class Graph:
         return (1 << self.n) - 1
 
     def adjacent(self, u: int, v: int) -> bool:
+        """Whether uv is an edge; an id outside 0..n-1, a bool or a
+        non-int is an ``InputError``."""
+        for x in (u, v):
+            if type(x) is not int or not 0 <= x < self.n:
+                raise InputError(f"no vertex id of a graph on {self.n} vertices: {x!r}")
         return self.adj[u] >> v & 1 == 1
 
     def weight_of(self, mask: int) -> int:
@@ -284,21 +295,16 @@ def certified_result(g: Graph, mask: int) -> SolveResult:
     the branching machinery cannot silently return garbage.
 
     Raises:
-        StructureViolation: the set is not independent, an internal fault.
+        InputError: mask is no int mask over g's vertices.
+        StructureViolation: the set is not independent, an internal fault;
+            the least vertex with a chosen neighbour is named.
     """
-    adj, weights = g.adj, g.weights
-    total = 0
-    chosen = []
-    m = mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        if adj[v] & mask:
-            raise StructureViolation(
-                f"self-certification failed: vertex {v} has a chosen neighbor",
-                ("dependent_set", mask),
-            )
-        total += weights[v]
-        chosen.append(v)
-        m ^= low
-    return SolveResult(total, tuple(chosen))
+    mask = g._check_host(mask)
+    dependent = _union(g.adj, mask) & mask
+    if dependent:
+        v = (dependent & -dependent).bit_length() - 1
+        raise StructureViolation(
+            f"self-certification failed: vertex {v} has a chosen neighbor",
+            ("dependent_set", mask),
+        )
+    return SolveResult(g.weight_of(mask), tuple(bits(mask)))

@@ -84,12 +84,6 @@ class InducedP4:
     def reverse(self) -> "InducedP4":
         return InducedP4(self.d, self.c, self.b, self.a)
 
-    @staticmethod
-    def of(g: Graph, a: int, b: int, c: int, d: int) -> "InducedP4":
-        """Validate that (a, b, c, d) really induces a P4 in ``g``."""
-        _check_induced_p4(g, (a, b, c, d))
-        return InducedP4(a, b, c, d)
-
 
 def _check_induced_p4(g: Graph, vs: tuple[int, int, int, int]) -> None:
     """Raise ``InputError`` unless ``vs`` induces the path a-b-c-d in g."""
@@ -383,19 +377,6 @@ class NeighborhoodPartition:
     s_ad: int
     s_bd: int
     anti: int
-
-    def reverse(self) -> "NeighborhoodPartition":
-        """The partition of the reversed path in the same host: the trace
-        classes are relabelled (a↔d, b↔c), no vertex is rescanned."""
-        return NeighborhoodPartition(
-            self.p.reverse(),
-            *_reversed_classes(
-                (
-                    self.s_a, self.s_b, self.s_c, self.s_d,
-                    self.s_ac, self.s_ad, self.s_bd, self.anti,
-                )
-            ),
-        )
 
 
 def _reversed_classes(classes: tuple[int, ...]) -> tuple[int, ...]:

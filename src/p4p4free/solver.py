@@ -103,8 +103,7 @@ into the eight masks of ``recognition._trace_classes`` (the seven trace
 classes and the anti-neighborhood, with the checks
 ``neighborhood_partition`` makes).  The {b, d} draw is the {a, c} draw of
 the reversed path d-c-b-a, whose classes are the same masks relabelled by
-``recognition._reversed_classes``, the relabelling
-``NeighborhoodPartition.reverse`` applies too.  Each draw is one call of
+``recognition._reversed_classes``.  Each draw is one call of
 the internal ``constrained._solve_containing``, which folds the pair into
 its best set and, in a cover solve, appends its leaves to the members.
 The chosen set is certified once, at the end.  Each call passes one host

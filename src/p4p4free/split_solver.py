@@ -182,7 +182,7 @@ def branch_via_bipartial(g, host, active, members):
         residuals.append(kept & ~g.adj[h])
     for h in bits(other & kept):
         for hp in bits(prime & kept):
-            if not g.adjacent(h, hp):
+            if not g.adj[h] >> hp & 1:
                 residuals.append(kept & ~(g.adj[h] | g.adj[hp]))
     residuals.append(host & ~(1 << pick))
     return residuals

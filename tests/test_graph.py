@@ -13,7 +13,7 @@ from conftest import (
     two_colorable,
 )
 
-from p4p4free.errors import InputError
+from p4p4free.errors import InputError, StructureViolation
 from p4p4free.graph import (
     Graph,
     bits,
@@ -42,6 +42,13 @@ def test_bits_refuses_a_mask_that_is_no_nonnegative_int(mask):
 def test_mask_of_round_trips():
     assert mask_of([5, 0, 3]) == 0b101001
     assert tuple(bits(mask_of(range(4)))) == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("ids", [[True], [-1], [2.0]], ids=["bool", "negative", "float"])
+def test_mask_of_refuses_an_id_that_is_no_nonnegative_int(ids):
+    # [True] gave vertex 1; -1 and 2.0 raised a bare ValueError and TypeError
+    with pytest.raises(InputError, match="vertex id"):
+        mask_of(ids)
 
 
 class TestGraphConstruction:
@@ -159,6 +166,14 @@ class TestGraphConstruction:
             for v in range(10):
                 assert g.adjacent(u, v) == g.adjacent(v, u)
 
+    @pytest.mark.parametrize("u, v", [(-1, 1), (5, 1), (True, 1), (1, 2.0)])
+    def test_adjacent_refuses_an_id_outside_the_graph(self, u, v):
+        # -1 read vertex 2 of the path 0-1-2 and answered True; 5 raised a
+        # bare IndexError
+        g = path_graph(3)
+        with pytest.raises(InputError, match="no vertex id"):
+            g.adjacent(u, v)
+
 
 P4 = p4.InducedP4(0, 1, 2, 3)
 
@@ -177,6 +192,8 @@ HOST_ENTRIES = {
     "cb_weight_mask": p4.cb_weight_mask,
     "oracle_wis": p4.oracle_wis,
     "enumerate_maximal_is": p4.enumerate_maximal_is,
+    # the chosen mask is checked as a host is
+    "certified_result": certified_result,
 }
 
 
@@ -418,6 +435,21 @@ class TestCertifiedResult:
         g = path_graph(4)
         with pytest.raises(RuntimeError, match="self-certification"):
             certified_result(g, mask_of([0, 1]))
+
+    def test_names_the_least_dependent_vertex(self):
+        # two clashing pairs, 1-2 and 3-4, on the path 0-1-2-3-4
+        g = path_graph(5)
+        mask = mask_of([1, 2, 3, 4])
+        with pytest.raises(StructureViolation, match="vertex 1 has") as exc:
+            certified_result(g, mask)
+        assert exc.value.witness == ("dependent_set", mask)
+
+    @pytest.mark.parametrize("mask", [-1, 8], ids=["negative", "above_n"])
+    def test_a_mask_out_of_range_is_an_input_error(self, mask):
+        # -1 was an internal fault and 8 an IndexError; a mask that is no
+        # int is refused in TestCheckHost
+        with pytest.raises(InputError, match="out of range"):
+            certified_result(path_graph(3), mask)
 
     def test_triangle_weight_sums(self):
         g = complete_graph(3, [4, 9, 2])

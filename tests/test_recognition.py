@@ -87,31 +87,31 @@ class TestFindTriangle:
 
 
 class TestInducedP4Type:
-    def test_of_validates_path_edges(self):
-        g = path_graph(4)
-        p = InducedP4.of(g, 0, 1, 2, 3)
+    def test_vertices_and_mask(self):
+        p = InducedP4(0, 1, 2, 3)
         assert p.vertices == (0, 1, 2, 3)
         assert p.mask == mask_of([0, 1, 2, 3])
 
-    def test_of_rejects_chords(self):
+    # a path is validated where it is used: neighborhood_partition, the
+    # forced-pair solvers and witness_holds share one check
+    def test_rejects_chords(self):
         g = cycle_graph(4)
         with pytest.raises(InputError):
-            InducedP4.of(g, 0, 1, 2, 3)
+            neighborhood_partition(g, InducedP4(0, 1, 2, 3))
 
-    def test_of_rejects_missing_edge(self):
+    def test_rejects_missing_edge(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(InputError):
-            InducedP4.of(g, 0, 1, 2, 3)
+            neighborhood_partition(g, InducedP4(0, 1, 2, 3))
 
-    def test_of_rejects_a_bool_id(self):
+    def test_rejects_a_bool_id(self):
         # False and True index as 0 and 1, which would make a genuine path
         g = path_graph(4)
         with pytest.raises(InputError):
-            InducedP4.of(g, False, True, 2, 3)
+            neighborhood_partition(g, InducedP4(False, True, 2, 3))
 
     def test_reverse_swaps_orientation(self):
-        g = path_graph(4)
-        p = InducedP4.of(g, 0, 1, 2, 3)
+        p = InducedP4(0, 1, 2, 3)
         assert p.reverse().vertices == (3, 2, 1, 0)
         assert p.reverse().mask == p.mask
 
@@ -520,7 +520,7 @@ class TestNeighborhoodPartition:
     def test_single_far_endpoint_attachment(self):
         # x = 4 adjacent to both path endpoints' inner anchors a and c
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (4, 0), (4, 2)])
-        part = neighborhood_partition(g, InducedP4.of(g, 0, 1, 2, 3))
+        part = neighborhood_partition(g, InducedP4(0, 1, 2, 3))
         assert part.s_ac == mask_of([4])
         assert (
             part.s_a | part.s_b | part.s_c | part.s_d | part.s_ad | part.s_bd
@@ -529,14 +529,14 @@ class TestNeighborhoodPartition:
 
     def test_path_extension_lands_in_s_d(self):
         g = path_graph(5)
-        part = neighborhood_partition(g, InducedP4.of(g, 0, 1, 2, 3))
+        part = neighborhood_partition(g, InducedP4(0, 1, 2, 3))
         assert part.s_d == mask_of([4])
         assert part.anti == 0
 
     def test_adjacent_pair_trace_is_a_violation(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (4, 0), (4, 1)])
         with pytest.raises(ClassViolation) as exc:
-            neighborhood_partition(g, InducedP4.of(g, 0, 1, 2, 3))
+            neighborhood_partition(g, InducedP4(0, 1, 2, 3))
         kind, triangle = exc.value.witness
         assert kind == "triangle"
         assert triangle == (0, 1, 4)
@@ -618,14 +618,15 @@ class TestNeighborhoodPartition:
         assert paths
         for host in (g.full_mask, home):
             for p in paths:
-                part = neighborhood_partition(g, p, host)
-                assert part.reverse() == neighborhood_partition(g, p.reverse(), host)
-                assert part.reverse().reverse() == part
+                classes = _fields(neighborhood_partition(g, p, host))
+                rev = recognition._reversed_classes(classes)
+                assert rev == _fields(neighborhood_partition(g, p.reverse(), host))
+                assert recognition._reversed_classes(rev) == classes
 
     def test_host_restriction(self):
         g = path_graph(5)
         part = neighborhood_partition(
-            g, InducedP4.of(g, 0, 1, 2, 3), host=mask_of([0, 1, 2, 3])
+            g, InducedP4(0, 1, 2, 3), host=mask_of([0, 1, 2, 3])
         )
         assert part.s_d == 0
         assert part.anti == 0
@@ -685,7 +686,7 @@ class TestTraceClasses:
                     classes = recognition._trace_classes(g, p.vertices, host)
                     assert classes == _fields(part)
                     rev = recognition._reversed_classes(classes)
-                    assert rev == _fields(part.reverse())
+                    assert rev == _fields(neighborhood_partition(g, p.reverse(), host))
                     assert rev == recognition._trace_classes(
                         g, p.reverse().vertices, host
                     )

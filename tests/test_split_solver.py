@@ -453,7 +453,7 @@ class TestForbiddenShapesSurface:
         monkeypatch.setattr(constrained, "_solve_raw", broken)
         g = TWO_PATHS
         with pytest.raises(ClassViolation) as exc:
-            solve_containing_ac(g, InducedP4.of(g, 3, 0, 2, 1))
+            solve_containing_ac(g, InducedP4(3, 0, 2, 1))
         assert witness_checks(g, exc.value.witness)
 
     def test_refusal_inside_the_branching_of_a_member_is_an_internal_fault(
@@ -486,7 +486,7 @@ class TestDepthBudget:
         monkeypatch.setattr(constrained, "_solve_raw", deep)
         g = TWO_PATHS
         with pytest.raises(ClassViolation) as exc:
-            solve_containing_ac(g, InducedP4.of(g, 3, 0, 2, 1))
+            solve_containing_ac(g, InducedP4(3, 0, 2, 1))
         assert witness_checks(g, exc.value.witness)
 
 
