@@ -9,8 +9,8 @@ deterministic.
 
 ``_union`` is the one adjacency-union loop (the OR of a per-vertex table
 over a mask), for ``neighborhood``, the search below, ``lp_bound`` and
-``certified_result``, which re-checks every answer with ``_union``,
-``Graph.weight_of`` and ``bits``.  A ``Graph`` is validated however it is
+``certified_result``, which re-checks every answer with ``_union`` and
+weighs the vertices ``bits`` lists.  A ``Graph`` is validated however it is
 built, directly or by ``from_edges``, and ``mask_of`` and
 ``Graph.adjacent`` check the vertex ids they are given.
 
@@ -307,4 +307,5 @@ def certified_result(g: Graph, mask: int) -> SolveResult:
             f"self-certification failed: vertex {v} has a chosen neighbor",
             ("dependent_set", mask),
         )
-    return SolveResult(g.weight_of(mask), tuple(bits(mask)))
+    chosen = tuple(bits(mask))
+    return SolveResult(sum(map(g.weights.__getitem__, chosen)), chosen)

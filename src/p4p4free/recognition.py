@@ -24,9 +24,10 @@ neighbor of the path to one of seven adjacency traces: {a}, {b}, {c}, {d},
 vertices and exhibits a triangle.  ``_trace_classes`` computes those seven
 classes plus the anti-neighborhood as a plain tuple of masks, and all of
 the branching machinery downstream is phrased in terms of them;
-``neighborhood_partition`` is that kernel wrapped in a dataclass for
-callers outside the package.  The classes of the reversed path d-c-b-a
-are the same masks relabelled (``_reversed_classes``).
+``neighborhood_partition`` checks a caller's path and host, the one place
+they are checked, and wraps that kernel in a dataclass.  The classes of
+the reversed path d-c-b-a are the same masks relabelled
+(``_reversed_classes``).
 
 Every public solver decides membership before it branches and refuses
 only through ``verified_member``, a plain class that guards the block
@@ -388,17 +389,13 @@ def _reversed_classes(classes: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _trace_classes(
-    g: Graph, vs: tuple[int, int, int, int], host: int | None
+    g: Graph, vs: tuple[int, int, int, int], host: int
 ) -> tuple[int, int, int, int, int, int, int, int]:
     """The masks ``(s_a, s_b, s_c, s_d, s_ac, s_ad, s_bd, anti)`` of the
-    path ``vs`` = (a, b, c, d) in g[host]: ``neighborhood_partition``
-    without the wrapping, with the same checks and errors."""
-    host = g._check_host(host)
+    induced path ``vs`` = (a, b, c, d) of g[host], an int mask holding it:
+    ``neighborhood_partition`` unwrapped, with only its triangle check."""
     a, b, c, d = vs
-    _check_induced_p4(g, vs)
     path = 1 << a | 1 << b | 1 << c | 1 << d
-    if path & host != path:
-        raise InputError("path vertices must lie inside the host")
     adj = g.adj
     live = host & ~path
     na, nb, nc, nd = adj[a] & live, adj[b] & live, adj[c] & live, adj[d] & live
@@ -445,4 +442,8 @@ def neighborhood_partition(
     """
     if not isinstance(p, InducedP4):
         raise InputError(f"expected an InducedP4, got {p!r}")
-    return NeighborhoodPartition(p, *_trace_classes(g, (p.a, p.b, p.c, p.d), host))
+    host = g._check_host(host)
+    _check_induced_p4(g, p.vertices)
+    if p.mask & ~host:
+        raise InputError("path vertices must lie inside the host")
+    return NeighborhoodPartition(p, *_trace_classes(g, p.vertices, host))

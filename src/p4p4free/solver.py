@@ -46,20 +46,16 @@ a matching bound on what the pair leaves of home: in a triangle-free
 graph every clique is a vertex or an edge, so a greedy maximal matching
 is a clique cover, and an independent set takes at most the heavier end
 of each edge (the clique-cover bound of weighted branch and bound).  On
-a member a skipped candidate cannot change the answer.  The region is
-first bounded by the weight of home minus N(a) and N(d), which holds
-it, so a path's trace classes are computed only once one of its
-candidates survives its bound.
+a member a skipped candidate cannot change the answer.
 
-Both public calls evaluate each forced pair once: a pair drawn before,
-by this path or another (the {a, c} of one path and the {b, d} of another
-are one pair when their masks are equal), is skipped before its bound
-or the path's trace classes are computed.  The best set through a
-non-adjacent pair {x, y} lives in home minus N[x] and N[y], so its
-weight depends on the pair alone; the first draw weighed at most the
-best then (or, in ``solve``, was skipped by a bound at most the best),
-and the best only grows, so a repeat cannot beat it strictly.  The set
-of drawn pairs lives for one call.
+Both public calls evaluate each forced pair once: a pair drawn before, by
+this path or another (the {a, c} of one path and the {b, d} of another
+are one pair when their masks are equal), is skipped before its bound is
+computed.  The best set through a non-adjacent pair {x, y} lives in home
+minus N[x] and N[y], so its weight depends on the pair alone; the first
+draw weighed at most the best then (or, in ``solve``, was skipped by a
+bound at most the best), and the best only grows, so a repeat cannot beat
+it strictly.  The set of drawn pairs lives for one call.
 
 ``solve`` stops as soon as the best reaches an upper bound U on all of
 home, computed once before the first path: the floor of home's
@@ -98,13 +94,13 @@ not adjacent), misses a and b, so a-b-x-y is an induced path of home and
 the cover draws {a, x} on home (d-c-x-y likewise for s_c).
 
 Below the public calls every candidate is a ``(weight, mask)`` pair and
-every path is plain ints: each path scans its neighborhood at most once,
-into the eight masks of ``recognition._trace_classes`` (the seven trace
-classes and the anti-neighborhood, with the checks
-``neighborhood_partition`` makes).  The {b, d} draw is the {a, c} draw of
-the reversed path d-c-b-a, whose classes are the same masks relabelled by
-``recognition._reversed_classes``.  Each draw is one call of
-the internal ``constrained._solve_containing``, which folds the pair into
+every path is plain ints: each path scans its neighborhood once, on
+entry, into the eight masks of ``recognition._trace_classes`` (the seven
+trace classes and the anti-neighborhood), unchecked, as the membership
+scan found the path in home.  The {b, d} draw is the {a, c} draw of the
+reversed path d-c-b-a, whose classes are the same masks relabelled by
+``recognition._reversed_classes``.  Each draw is one call of the
+internal ``constrained._solve_containing``, which folds the pair into
 its best set and, in a cover solve, appends its leaves to the members.
 The chosen set is certified once, at the end.  Each call passes one host
 memo down every candidate (see ``split_solver``).
@@ -193,13 +189,12 @@ def _per_path(g: Graph, vs, home: int, best, top, drawn: set, members, memo: dic
     the region.  Returns as soon as a strictly heavier candidate reaches
     ``top``.
 
-    Both calls add each forced pair's mask to ``drawn`` and skip a pair
-    drawn before, and both skip the region's solve when its weight cannot
-    beat the best.  ``solve`` (``members`` None) also skips a pair whose
-    ``_pair_bound`` cannot beat the best, and the region when the weight
-    of home minus N(a) and N(d), which holds it, cannot.  So the path's
-    trace classes and region are computed only once a candidate that
-    needs them survives its bounds.
+    The path's trace classes are computed once, on entry, unchecked: the
+    path is one the membership scan found in home.  Both calls add each
+    forced pair's mask to ``drawn`` and skip a pair drawn before, and both
+    skip the region's solve when its weight cannot beat the best.
+    ``solve`` (``members`` None) also skips a pair whose ``_pair_bound``
+    cannot beat the best.
 
     A cover solve (``members`` a list) skips no forced pair for its bound.
     It appends each candidate's cover members to ``members`` as it is
@@ -208,7 +203,7 @@ def _per_path(g: Graph, vs, home: int, best, top, drawn: set, members, memo: dic
     """
     a, b, c, d = vs
     cover = members is not None
-    classes = None
+    classes = _trace_classes(g, vs, home)
     for x, y in ((a, c), (b, d)):
         pair = 1 << x | 1 << y
         if pair in drawn:
@@ -216,8 +211,6 @@ def _per_path(g: Graph, vs, home: int, best, top, drawn: set, members, memo: dic
         drawn.add(pair)
         if not cover and _pair_bound(g, x, y, home) <= best[0]:
             continue
-        if classes is None:
-            classes = _trace_classes(g, vs, home)
         # {b, d} is {a, c} of the reversed path
         _, s_b, _, s_d, _, _, s_bd, anti = (
             classes if x == a else _reversed_classes(classes)
@@ -227,10 +220,6 @@ def _per_path(g: Graph, vs, home: int, best, top, drawn: set, members, memo: dic
             best = cand
             if best[0] == top:
                 return best
-    if not cover and g.weight_of(home & ~(g.adj[a] | g.adj[d])) <= best[0]:
-        return best
-    if classes is None:
-        classes = _trace_classes(g, vs, home)
     _, s_b, s_c, _, _, _, _, anti = classes
     q3 = _q3_region(g, a, d, s_b, s_c, anti)
     if cover:

@@ -77,6 +77,11 @@ def _better(cand: tuple[int, int], best: tuple[int, int]) -> bool:
     return cand[0] > best[0] or (cand[0] == best[0] and _lex_less(cand[1], best[1]))
 
 
+# the guarded helpers recurse up to once per host vertex, so no guard goes
+# above this: a larger host could exhaust Python's 1,000-frame recursion limit
+_GUARD_CEILING = 500
+
+
 def _check_guard(host: int, guard: int, what: str) -> None:
     # type(True) is bool, so a bool is refused with every non-int
     if type(guard) is not int:
@@ -84,8 +89,9 @@ def _check_guard(host: int, guard: int, what: str) -> None:
     if guard < 0:
         raise InputError(f"guard must be non-negative, got {guard}")
     size = host.bit_count()
-    if size > guard:
-        raise GuardError(f"{what} called on {size} vertices (guard is {guard})")
+    limit = min(guard, _GUARD_CEILING)
+    if size > limit:
+        raise GuardError(f"{what} called on {size} vertices (guard is {limit})")
 
 
 def oracle_wis(g: Graph, host: int | None = None, guard: int = 30) -> SolveResult:
@@ -97,7 +103,8 @@ def oracle_wis(g: Graph, host: int | None = None, guard: int = 30) -> SolveResul
     returned, so the witness is deterministic.
 
     Raises:
-        GuardError: when the host exceeds ``guard`` vertices (default 30).
+        GuardError: when the host exceeds ``guard`` vertices (default 30),
+            or 500, the ceiling on its recursion depth, whatever the guard.
         InputError: when ``guard`` is not an int (a bool is not one) or
             is negative.
     """
@@ -141,7 +148,8 @@ def enumerate_maximal_is(
     """All maximal independent sets of g[host], sorted, each sorted.
 
     Bron-Kerbosch with pivoting over the non-adjacency relation;
-    exponential output in the worst case, hence the guard.
+    exponential output in the worst case, hence the guard (default 20),
+    checked as ``oracle_wis`` checks its own.
     """
     host = g._check_host(host)
     _check_guard(host, guard, "enumerate_maximal_is")

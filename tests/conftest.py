@@ -392,7 +392,7 @@ def forced_pair_solvers(g: Graph):
     assert is_class_member(g).is_member
 
     def solve_ac(p):
-        _, s_b, _, s_d, _, _, s_bd, anti = _trace_classes(g, p.vertices, None)
+        _, s_b, _, s_d, _, _, s_bd, anti = _trace_classes(g, p.vertices, g.full_mask)
         _, mask = _solve_containing(g, p.a, p.c, s_b, s_d, s_bd, anti, None, {})
         return certified_result(g, mask)
 

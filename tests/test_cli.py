@@ -151,28 +151,37 @@ class TestMainProcess:
     writes what it writes."""
 
     @pytest.mark.parametrize(
-        "text, code, out, err",
+        "text, command, code, out, err",
         [
-            (PATH4, 0, "weight 2\nvertices 1 3\n", ""),
+            (PATH4, ["solve"], 0, "weight 2\nvertices 1 3\n", ""),
             (
                 TRIANGLE,
+                ["solve"],
                 2,
                 "",
                 "class violation: graph contains a triangle\nwitness triangle 1 2 3\n",
             ),
-            (None, 3, "", "error: cannot read {}: No such file or directory\n"),
+            (None, ["solve"], 3, "", "error: cannot read {}: No such file or directory\n"),
+            # a perfect matching the oracle recursed on past Python's limit
+            (
+                format_graph(Graph.from_edges(2400, [(v, v + 1) for v in range(0, 2400, 2)])),
+                ["oracle", "--guard-n", "3000"],
+                4,
+                "",
+                "error: oracle_wis called on 2400 vertices (guard is 500)\n",
+            ),
         ],
-        ids=["member", "triangle", "missing-file"],
+        ids=["member", "triangle", "missing-file", "oracle-past-the-recursion-ceiling"],
     )
     def test_exit_code_and_streams_are_those_of_run(
-        self, tmp_path, capsys, text, code, out, err
+        self, tmp_path, capsys, text, command, code, out, err
     ):
         path = tmp_path / "g.wis"
         if text is not None:
             path.write_text(text)
         src = Path(__file__).resolve().parent.parent / "src"
         done = subprocess.run(
-            [sys.executable, "-m", "p4p4free.cli", "solve", str(path)],
+            [sys.executable, "-m", "p4p4free.cli", *command, str(path)],
             env=dict(os.environ, PYTHONPATH=str(src)),
             capture_output=True,
             text=True,
@@ -181,7 +190,7 @@ class TestMainProcess:
         assert done.returncode == code
         assert done.stdout == out
         assert done.stderr == err.format(path)
-        assert run(["solve", str(path)]) == code
+        assert run([*command, str(path)]) == code
         assert capsys.readouterr() == (done.stdout, done.stderr)
 
 

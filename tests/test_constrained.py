@@ -329,7 +329,7 @@ class TestAgainstOracle:
             g = gen_instance("clustered", 6 + rng.below(9), 0.6, rng.next_u64())
             home = sum(components_with_certificates(g, g.full_mask)[1])
             for p in enumerate_induced_p4(g)[:6]:
-                for host in (home, None):
+                for host in (home, g.full_mask):
                     classes = recognition._trace_classes(g, p.vertices, host)
                     _, s_b, _, s_d, _, _, s_bd, anti = (
                         recognition._reversed_classes(classes)

@@ -669,7 +669,8 @@ def _fields(part) -> tuple[int, ...]:
 
 
 class TestTraceClasses:
-    """The solver's kernel against the public partition it wraps."""
+    """The solver's unchecked kernel against the public partition that
+    checks its input and wraps it."""
 
     def test_masks_equal_the_partition_and_its_reverse(self):
         rng = XorShift64Star(2525)
@@ -678,7 +679,8 @@ class TestTraceClasses:
             g = random_graph(seed, 8 + seed % 7, 0.2 + 0.05 * (seed % 4))
             for p in enumerate_induced_p4(g)[:12]:
                 # the full graph, then random hosts that hold the path
-                for host in (None, *(rng.below(1 << g.n) | p.mask for _ in range(3))):
+                hosts = (g.full_mask, *(rng.below(1 << g.n) | p.mask for _ in range(3)))
+                for host in hosts:
                     try:
                         part = neighborhood_partition(g, p, host)
                     except ClassViolation:
@@ -693,10 +695,12 @@ class TestTraceClasses:
                     checked += 1
         assert checked > 1000
 
-    def test_errors_equal_the_partitions(self):
+    def test_the_partition_checks_what_the_kernel_trusts(self):
         # each graph's paths, in both orientations, and random four-vertex
-        # tuples, in random hosts with and without the tuple: triangle
-        # clashes, non-paths and paths leaving the host
+        # tuples, in random hosts with and without the tuple: the partition
+        # refuses non-paths and paths leaving the host, and on a path
+        # inside its host it equals the unchecked kernel, triangle clashes
+        # included
         rng = XorShift64Star(2626)
         kinds = {"clash": 0, "non-path": 0, "off-host": 0, "classes": 0}
         for seed in range(60):
@@ -705,29 +709,39 @@ class TestTraceClasses:
             tuples = [p.vertices for p in paths] + [p.reverse().vertices for p in paths]
             tuples += [tuple(rng.below(g.n) for _ in range(4)) for _ in range(6)]
             for vs in tuples:
+                a, b, c, d = vs
+                is_path = (
+                    len(set(vs)) == 4
+                    and g.adjacent(a, b) and g.adjacent(b, c) and g.adjacent(c, d)
+                    and not (g.adjacent(a, c) or g.adjacent(a, d) or g.adjacent(b, d))
+                )
                 hosts = (None, rng.below(1 << g.n), rng.below(1 << g.n) | mask_of(vs))
                 for host in hosts:
-                    got = _outcome(lambda: recognition._trace_classes(g, vs, host))
-                    want = _outcome(
-                        lambda: neighborhood_partition(g, InducedP4(*vs), host)
-                    )
-                    if isinstance(want, NeighborhoodPartition):
-                        assert got == _fields(want)
+                    got = _outcome(lambda: neighborhood_partition(g, InducedP4(*vs), host))
+                    if not is_path:
+                        assert got[0] is InputError
+                        assert "not four distinct" in got[1] or "not induce" in got[1]
+                        kinds["non-path"] += 1
+                        continue
+                    live = g.full_mask if host is None else host
+                    if mask_of(vs) & ~live:
+                        assert got == (InputError, "path vertices must lie inside the host", None)
+                        kinds["off-host"] += 1
+                        continue
+                    want = _outcome(lambda: recognition._trace_classes(g, vs, live))
+                    if isinstance(got, NeighborhoodPartition):
+                        assert want == _fields(got)
                         kinds["classes"] += 1
                         continue
+                    assert got[0] is ClassViolation
                     assert got == want
-                    if want[0] is ClassViolation:
-                        kinds["clash"] += 1
-                    elif "host" in want[1]:
-                        kinds["off-host"] += 1
-                    else:
-                        kinds["non-path"] += 1
+                    kinds["clash"] += 1
         assert min(kinds.values()) >= 50, kinds
 
     def test_a_triangle_clash_names_the_partitions_witness(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (4, 0), (4, 1)])
         for call in (
-            lambda: recognition._trace_classes(g, (0, 1, 2, 3), None),
+            lambda: recognition._trace_classes(g, (0, 1, 2, 3), g.full_mask),
             lambda: neighborhood_partition(g, InducedP4(0, 1, 2, 3)),
         ):
             with pytest.raises(ClassViolation) as exc:
@@ -737,4 +751,4 @@ class TestTraceClasses:
     def test_a_host_without_the_path_is_an_input_error(self):
         g = path_graph(5)
         with pytest.raises(InputError, match="inside the host"):
-            recognition._trace_classes(g, (0, 1, 2, 3), mask_of([1, 2, 3, 4]))
+            neighborhood_partition(g, InducedP4(0, 1, 2, 3), mask_of([1, 2, 3, 4]))

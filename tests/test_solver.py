@@ -345,6 +345,38 @@ class TestScanHomeOnce:
         assert passed == [[p.vertices for p in want]]
 
 
+class TestTraceClassesOncePerPath:
+    # home's paths come from the membership scan, so the solve re-checks
+    # none of them, and each path it visits scans its neighbourhood once
+    @pytest.mark.parametrize("entry", [solve, solve_with_cover])
+    @pytest.mark.parametrize("name", sorted(SCAN_GRAPHS))
+    def test_no_path_check_and_one_scan_per_visited_path(self, monkeypatch, name, entry):
+        g = SCAN_GRAPHS[name]()
+        checked, visited, classified = [], [], []
+        check, per_path = recognition._check_induced_p4, solver._per_path
+        classes = solver._trace_classes
+
+        def counting(g, vs):
+            checked.append(vs)
+            return check(g, vs)
+
+        def visiting(g, vs, *rest):
+            visited.append(vs)
+            return per_path(g, vs, *rest)
+
+        def classifying(g, vs, host):
+            classified.append(vs)
+            return classes(g, vs, host)
+
+        monkeypatch.setattr(recognition, "_check_induced_p4", counting)
+        monkeypatch.setattr(solver, "_per_path", visiting)
+        monkeypatch.setattr(solver, "_trace_classes", classifying)
+        entry(g)
+        assert visited
+        assert checked == []
+        assert classified == visited
+
+
 class TestAgainstOracle:
     def test_random_instances_both_models(self):
         rng = XorShift64Star(99)

@@ -16,7 +16,7 @@ from conftest import (
 
 from p4p4free import testkit
 from p4p4free.errors import GuardError, InputError, StructureViolation
-from p4p4free.graph import Graph, bits, mask_of
+from p4p4free.graph import Graph, SolveResult, bits, mask_of
 from p4p4free.recognition import enumerate_induced_p4, is_class_member
 from p4p4free.testkit import XorShift64Star, enumerate_maximal_is, gen_instance, oracle_wis
 
@@ -106,6 +106,17 @@ class TestOracle:
             oracle_wis(g)
         assert oracle_wis(g, guard=31).weight == 31
 
+    def test_a_host_above_the_recursion_ceiling_is_a_guard_error(self):
+        # a perfect matching recursed past Python's limit; 500 vertices is
+        # the ceiling, which no guard raises
+        matching = Graph.from_edges(2400, [(v, v + 1) for v in range(0, 2400, 2)])
+        with pytest.raises(GuardError, match=r"2400 vertices \(guard is 500\)"):
+            oracle_wis(matching, guard=3000)
+        with pytest.raises(GuardError, match=r"502 vertices \(guard is 500\)"):
+            oracle_wis(matching, mask_of(range(502)), guard=3000)
+        # a clique at the ceiling recurses once per vertex, on one branch
+        assert oracle_wis(complete_graph(500), guard=500) == SolveResult(1, (0,))
+
     @pytest.mark.parametrize("seed", range(40))
     def test_two_independent_methods_agree(self, seed):
         n = 4 + seed % 13  # up to 16 vertices
@@ -165,6 +176,18 @@ class TestEnumerateMaximal:
     def test_guard(self):
         with pytest.raises(GuardError):
             enumerate_maximal_is(Graph.from_edges(21, []))
+
+    def test_a_host_above_the_recursion_ceiling_is_a_guard_error(self):
+        # an edgeless graph recurses once per vertex; 500 vertices is the
+        # ceiling, which no guard raises
+        g = Graph.from_edges(1200, [])
+        with pytest.raises(GuardError, match=r"1200 vertices \(guard is 500\)"):
+            enumerate_maximal_is(g, guard=2000)
+        with pytest.raises(GuardError, match=r"501 vertices \(guard is 500\)"):
+            enumerate_maximal_is(g, mask_of(range(501)), guard=2000)
+        assert enumerate_maximal_is(g, mask_of(range(500)), guard=500) == [
+            tuple(range(500))
+        ]
 
     def test_sets_are_maximal_unique_and_sorted(self):
         for seed in range(20):
