@@ -123,12 +123,12 @@ def branch_via_bipartial(g, host, active, members):
     bi-partial to a block of ``members``, the side pairs of the host's
     block part, in evaluation order, or None when no vertex of ``active &
     host`` is.  When every such vertex touches exactly one block this
-    picks the contact-richest one and splits its kept residual along the
-    (at most one, asserted) second bi-partial region: the residuals, then
-    ``host`` without the pick.  Otherwise it finds a sink of the branching
-    order and returns ``(keep, drop)`` around it.  The caller solves each
-    host and keeps the earliest heaviest, so this rule is agnostic to the
-    caller's base cases.
+    picks the contact-richest one, bi-partial to the block ``prime``, and
+    with ``kept = host - N(pick)`` returns ``kept - prime``, ``kept -
+    N(hp)`` for each hp of ``prime & kept``, then ``host - pick``: a set
+    through the pick misses ``prime`` or holds some hp, and any other
+    bi-partial block is branched one level down.  Otherwise it finds a
+    sink of the branching order and returns ``(keep, drop)`` around it.
     """
     act = active & host
     bp_of = {s: found for s in bits(act) if (found := _bipartial_blocks(g, s, members))}
@@ -161,31 +161,8 @@ def branch_via_bipartial(g, host, active, members):
     prime = side_a | side_b  # the block `pick` is bi-partial to
 
     kept = host & ~g.adj[pick]
-    # at most one other block may still hold a bi-partial vertex in kept
-    regions = []
-    for a, b in members:
-        left = a & kept, b & kept
-        if a | b != prime and all(left):
-            if any(_bipartial_blocks(g, s, (left,)) for s in bits(act)):
-                regions.append(a | b)
-    if len(regions) > 1:
-        raise StructureViolation(
-            "more than one bi-partial region beside the chosen block",
-            ("extra_bipartial_regions", tuple(regions)),
-        )
-    other = regions[0] if regions else 0
-
-    residuals = [kept & ~(other | prime)]
-    for hp in bits(prime & kept):
-        residuals.append(kept & ~g.adj[hp])
-    for h in bits(other & kept):
-        residuals.append(kept & ~g.adj[h])
-    for h in bits(other & kept):
-        for hp in bits(prime & kept):
-            if not g.adj[h] >> hp & 1:
-                residuals.append(kept & ~(g.adj[h] | g.adj[hp]))
-    residuals.append(host & ~(1 << pick))
-    return residuals
+    through_prime = [kept & ~g.adj[hp] for hp in bits(prime & kept)]
+    return [kept & ~prime, *through_prime, host & ~(1 << pick)]
 
 
 def _bad_comp_hosts(g, s_mask, comp, members):

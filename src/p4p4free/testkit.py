@@ -98,9 +98,10 @@ def oracle_wis(g: Graph, host: int | None = None, guard: int = 30) -> SolveResul
     """Exact maximum weight independent set by branching; exponential.
 
     Branches include/exclude on a maximum-degree vertex (ties to the
-    smallest id) with memoization on the host mask.  Among all optimal
-    sets, the lexicographically least (as a sorted vertex tuple) is
-    returned, so the witness is deterministic.
+    smallest id), memoized on the host less its isolated vertices, which
+    every branch and optimum keeps.  Among all optimal sets, the
+    lexicographically least (as a sorted vertex tuple) is returned, so
+    the witness is deterministic.
 
     Raises:
         GuardError: when the host exceeds ``guard`` vertices (default 30),
@@ -111,32 +112,34 @@ def oracle_wis(g: Graph, host: int | None = None, guard: int = 30) -> SolveResul
     host = g._check_host(host)
     _check_guard(host, guard, "oracle_wis")
     adj = g.adj
-    weights = g.weights
-    memo: dict[int, tuple[int, int]] = {}
+    memo: dict[int, tuple[int, int]] = {0: (0, 0)}
 
     def rec(live: int) -> tuple[int, int]:
-        if live == 0:
-            return (0, 0)
-        cached = memo.get(live)
-        if cached is not None:
-            return cached
-        pick = -1
-        pick_deg = -1
+        best = memo.get(live)
+        if best is not None:
+            return best
+        pick = pick_deg = isolated = ones = 0
         for v in bits(live):
             deg = (adj[v] & live).bit_count()
             if deg > pick_deg:
                 pick, pick_deg = v, deg
-        if pick_deg == 0:
-            best = (g.weight_of(live), live)
-            memo[live] = best
-            return best
-        bit = 1 << pick
-        w_in, m_in = rec(live & ~adj[pick] & ~bit)
-        include = (w_in + weights[pick], m_in | bit)
-        exclude = rec(live & ~bit)
-        best = include if _better(include, exclude) else exclude
-        memo[live] = best
-        return best
+            if deg == 0:
+                isolated |= 1 << v
+            elif deg == 1:
+                ones |= 1 << v
+        # the exclude branch keeps the neighbours that pick alone touched
+        core = live & ~isolated
+        best = memo.get(core)
+        if best is None:
+            bit = 1 << pick
+            freed = adj[pick] & ones
+            w_in, m_in = rec(core & ~adj[pick] & ~bit)
+            w_out, m_out = rec(core & ~bit & ~freed)
+            include = (w_in + g.weights[pick], m_in | bit)
+            exclude = (w_out + g.weight_of(freed), m_out | freed)
+            best = include if _better(include, exclude) else exclude
+            memo[core] = best
+        return best[0] + g.weight_of(isolated), best[1] | isolated
 
     _, mask = rec(host)
     return certified_result(g, mask)

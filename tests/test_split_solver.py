@@ -165,35 +165,54 @@ class TestBranchingShapes:
             assert split(g, [4, 5], [0, 1, 2, 3])[0] == oracle_wis(g).weight
 
     @pytest.mark.parametrize(
-        "weights, best", [([1] * 10, 5), ([3, 1, 4, 1, 5, 9, 2, 6, 5, 3], 22)]
+        "weights, best, chosen",
+        [
+            ([1] * 10, 5, [0, 3, 5, 6, 9]),
+            ([3, 1, 4, 1, 5, 9, 2, 6, 5, 3], 22, [0, 4, 5, 6, 9]),
+        ],
     )
-    def test_second_bipartial_region_is_split_off(self, monkeypatch, weights, best):
+    def test_second_bipartial_region_is_branched_one_level_down(
+        self, monkeypatch, weights, best, chosen
+    ):
         # 0 is bi-partial to the block {4; 2, 3} and is picked; once N(0)
-        # is gone, 1 is still bi-partial to the block {7; 5, 6}, the second
-        # region, so the kept residual is split along both blocks
+        # is gone, 1 is still bi-partial to the block {7; 5, 6}, a second
+        # region that the depth-1 hosts keep whole and branch on at depth 2
         edges = [(2, 4), (3, 4), (5, 7), (6, 7), (8, 9)]
         edges += [(0, 2), (0, 8), (1, 2), (1, 3), (1, 5)]
         g = Graph.from_edges(10, edges, weights)
         original = split_solver._solve_raw
-        branched = []
+        branched: dict[int, list[int]] = {}
 
         def recording(g_, s_mask, t_mask, host, depth, *rest):
-            if depth == 1:
-                branched.append(host)
+            branched.setdefault(depth, []).append(host)
             return original(g_, s_mask, t_mask, host, depth, *rest)
 
         monkeypatch.setattr(split_solver, "_solve_raw", recording)
         leaves: list[int] = []
-        assert solve_raw(g, 0b11, mask_of(range(2, 10)), leaves)[0] == best
+        assert solve_raw(g, 0b11, mask_of(range(2, 10)), leaves) == (best, mask_of(chosen))
         assert oracle_wis(g).weight == best
-        for chosen in enumerate_maximal_is(g):
-            assert any(mask_of(chosen) & ~leaf == 0 for leaf in leaves), chosen
+        for maximal in enumerate_maximal_is(g):
+            assert any(mask_of(maximal) & ~leaf == 0 for leaf in leaves), maximal
+        # kept without the block, kept without N(hp) for hp in {3, 4}, and
+        # the host without the pick: nothing is split along {5, 6, 7}
         kept = g.full_mask & ~g.adj[0]
-        # the residual without either block, and one per vertex of the
-        # second block, exist only when the second region is split off
-        assert kept & ~mask_of(range(2, 8)) in branched
-        for h in (5, 6, 7):
-            assert kept & ~g.adj[h] in branched
+        prime = mask_of([2, 3, 4])
+        assert branched[1] == [
+            kept & ~prime,
+            kept & ~g.adj[3],
+            kept & ~g.adj[4],
+            g.full_mask & ~1,
+        ]
+        # the first host's uncertified component {1, 5, 6, 7} branches
+        # around 1 on the block {7; 5, 6}
+        comp = mask_of([1, 5, 6, 7])
+        kept_1 = comp & ~g.adj[1]
+        assert branched[2][:4] == [
+            kept_1 & ~mask_of([5, 6, 7]),
+            kept_1 & ~g.adj[6],
+            kept_1 & ~g.adj[7],
+            comp & ~(1 << 1),
+        ]
 
     def test_without_a_bipartial_vertex_nothing_is_branched(self):
         # 4 meets the block {0, 1; 2, 3} wholly on one side
@@ -311,15 +330,20 @@ class TestStructureFaults:
         assert exc.value.witness == ("side_split_blocks", ())
 
     def test_two_bipartial_regions_beside_the_chosen_block(self):
-        # each block has its own bi-partial S vertex: after 0 is picked,
-        # the blocks of 1 and 2 are two more regions
+        # each block has its own bi-partial S vertex: the rule branches
+        # around 0 alone and leaves the other two blocks to its hosts; the
+        # host is three separated P4s, which the dispatcher refuses as
+        # uncertified components before any branch
         g, s_mask, members = _blocks_under([[0], [1], [2]])
+        hosts = split_solver.branch_via_bipartial(g, g.full_mask, s_mask, members)
+        kept = g.full_mask & ~g.adj[0]
+        prime = mask_of([3, 4, 5])
+        assert hosts == [kept & ~prime, kept & ~g.adj[4], kept & ~g.adj[5], g.full_mask & ~1]
         with pytest.raises(StructureViolation) as exc:
-            split_solver.branch_via_bipartial(g, g.full_mask, s_mask, members)
-        assert str(exc.value) == "more than one bi-partial region beside the chosen block"
+            solve_raw(g, s_mask, g.full_mask & ~s_mask)
         assert exc.value.witness == (
-            "extra_bipartial_regions",
-            (mask_of([6, 7, 8]), mask_of([9, 10, 11])),
+            "uncertified_components",
+            (mask_of([0, 3, 4, 5]), mask_of([1, 6, 7, 8]), mask_of([2, 9, 10, 11])),
         )
 
     def test_a_branching_order_without_a_sink(self):
@@ -421,7 +445,6 @@ class TestHandedBlocks:
             elif max(map(len, found)) >= 2:
                 seen["sink"] += 1
             else:
-                # the region scan runs on every single-block call
                 seen["single_block"] += 1
         assert min(seen.values()) > 0, seen
 

@@ -60,6 +60,10 @@ class TestPrng:
         assert all(rng.chance(1.0) for _ in range(50))
 
 
+def _matching(n: int) -> Graph:
+    return Graph.from_edges(n, [(v, v + 1) for v in range(0, n, 2)])
+
+
 class TestOracle:
     def test_edgeless_graph_takes_everything(self):
         g = Graph.from_edges(3, [], [1, 2, 3])
@@ -116,6 +120,24 @@ class TestOracle:
             oracle_wis(matching, mask_of(range(502)), guard=3000)
         # a clique at the ceiling recurses once per vertex, on one branch
         assert oracle_wis(complete_graph(500), guard=500) == SolveResult(1, (0,))
+
+    @pytest.mark.parametrize("sparse", [_matching, path_graph], ids=["matching", "path"])
+    def test_a_sparse_host_makes_one_degree_scan_per_vertex(self, monkeypatch, sparse):
+        # isolated vertices stay out of the memo key, so the hosts of the
+        # branches fall back on memoized ones: one scan per memoized host
+        scans = []
+
+        def counting(mask):
+            scans.append(mask)
+            return bits(mask)
+
+        monkeypatch.setattr(testkit, "bits", counting)
+        assert oracle_wis(sparse(24)).weight == 12
+        assert len(scans) <= 24 + 1
+
+    @pytest.mark.parametrize("sparse", [_matching, path_graph], ids=["matching", "path"])
+    def test_a_sparse_host_at_the_ceiling(self, sparse):
+        assert oracle_wis(sparse(400), guard=500).weight == 200
 
     @pytest.mark.parametrize("seed", range(40))
     def test_two_independent_methods_agree(self, seed):
