@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import signal
 import sys
 import time
 
@@ -360,6 +361,8 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the process as it ends cat
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

@@ -26,8 +26,8 @@ classes plus the anti-neighborhood as a plain tuple of masks, and all of
 the branching machinery downstream is phrased in terms of them;
 ``neighborhood_partition`` checks a caller's path and host, the one place
 they are checked, and wraps that kernel in a dataclass.  The classes of
-the reversed path d-c-b-a are the same masks relabelled
-(``_reversed_classes``).
+the reversed path d-c-b-a are the same masks with a↔d, b↔c and ac↔bd
+swapped, as the solver's {b, d} draw reads them.
 
 Every public solver decides membership before it branches and refuses
 only through ``verified_member``, a plain class that guards the block
@@ -378,14 +378,6 @@ class NeighborhoodPartition:
     s_ad: int
     s_bd: int
     anti: int
-
-
-def _reversed_classes(classes: tuple[int, ...]) -> tuple[int, ...]:
-    """The trace classes of the reversed path d-c-b-a, from those of
-    a-b-c-d in the same host: a↔d, b↔c and ac↔bd swap, ad and the
-    anti-neighbourhood stay."""
-    s_a, s_b, s_c, s_d, s_ac, s_ad, s_bd, anti = classes
-    return (s_d, s_c, s_b, s_a, s_bd, s_ad, s_ac, anti)
 
 
 def _trace_classes(

@@ -42,11 +42,12 @@ Candidates are evaluated in one serial loop (paths in canonical order;
 per path {a, c}, {b, d}, the region; the remainder last), and ``solve``
 skips a candidate that cannot beat the running best strictly.  Its upper
 bound is the region's weight, or for a forced pair the pair's weight plus
-a matching bound on what the pair leaves of home: in a triangle-free
-graph every clique is a vertex or an edge, so a greedy maximal matching
-is a clique cover, and an independent set takes at most the heavier end
-of each edge (the clique-cover bound of weighted branch and bound).  On
-a member a skipped candidate cannot change the answer.
+a matching bound on what the pair leaves of home, read from the path's
+masks (s_b, s_d, s_bd and anti for {a, c}): in a triangle-free graph
+every clique is a vertex or an edge, so a greedy maximal matching is a
+clique cover, and an independent set takes at most the heavier end of
+each edge (the clique-cover bound of weighted branch and bound).  On a
+member a skipped candidate cannot change the answer.
 
 Both public calls evaluate each forced pair once: a pair drawn before, by
 this path or another (the {a, c} of one path and the {b, d} of another
@@ -98,12 +99,13 @@ every path is plain ints: each path scans its neighborhood once, on
 entry, into the eight masks of ``recognition._trace_classes`` (the seven
 trace classes and the anti-neighborhood), unchecked, as the membership
 scan found the path in home.  The {b, d} draw is the {a, c} draw of the
-reversed path d-c-b-a, whose classes are the same masks relabelled by
-``recognition._reversed_classes``.  Each draw is one call of the
-internal ``constrained._solve_containing``, which folds the pair into
-its best set and, in a cover solve, appends its leaves to the members.
-The chosen set is certified once, at the end.  Each call passes one host
-memo down every candidate (see ``split_solver``).
+reversed path d-c-b-a, whose classes are the same masks relabelled (a↔d,
+b↔c, ac↔bd): it reads s_c, s_a and s_ac for s_b, s_d and s_bd.  Each
+draw is one call of the internal ``constrained._solve_containing``,
+which folds the pair into its best set and, in a cover solve, appends
+its leaves to the members.  The chosen set is certified once, at the
+end.  Each call passes one host memo down every candidate (see
+``split_solver``).
 """
 
 from __future__ import annotations
@@ -114,12 +116,7 @@ from .bipartite import cb_weight_mask, lp_bound, side_selection
 from .constrained import _solve_containing
 from .errors import InputError
 from .graph import Graph, SolveResult, certified_result
-from .recognition import (
-    _membership,
-    _reversed_classes,
-    _trace_classes,
-    verified_member,
-)
+from .recognition import _membership, _trace_classes, verified_member
 
 __all__ = ["CoverFamily", "solve", "solve_with_cover"]
 
@@ -176,13 +173,6 @@ def _matching_bound(g: Graph, host: int) -> int:
     return total
 
 
-def _pair_bound(g: Graph, x: int, y: int, home: int) -> int:
-    """Upper bound on the weight of an independent set of g[home] through
-    the non-adjacent pair {x, y}."""
-    closed = g.adj[x] | g.adj[y] | 1 << x | 1 << y
-    return g.weights[x] + g.weights[y] + _matching_bound(g, home & ~closed)
-
-
 def _per_path(g: Graph, vs, home: int, best, top, drawn: set, members, memo: dict):
     """The earliest heaviest of ``best`` and the candidates of the path
     ``vs`` = (a, b, c, d) for g[home], evaluated in order: {a, c}, {b, d},
@@ -193,8 +183,8 @@ def _per_path(g: Graph, vs, home: int, best, top, drawn: set, members, memo: dic
     path is one the membership scan found in home.  Both calls add each
     forced pair's mask to ``drawn`` and skip a pair drawn before, and both
     skip the region's solve when its weight cannot beat the best.
-    ``solve`` (``members`` None) also skips a pair whose ``_pair_bound``
-    cannot beat the best.
+    ``solve`` (``members`` None) also skips a pair whose weight plus the
+    matching bound of what it leaves of home cannot beat the best.
 
     A cover solve (``members`` a list) skips no forced pair for its bound.
     It appends each candidate's cover members to ``members`` as it is
@@ -203,24 +193,21 @@ def _per_path(g: Graph, vs, home: int, best, top, drawn: set, members, memo: dic
     """
     a, b, c, d = vs
     cover = members is not None
-    classes = _trace_classes(g, vs, home)
-    for x, y in ((a, c), (b, d)):
+    s_a, s_b, s_c, s_d, s_ac, _, s_bd, anti = _trace_classes(g, vs, home)
+    # {b, d} is {a, c} of d-c-b-a, whose classes swap a↔d, b↔c and ac↔bd
+    for x, y, s_x, s_y, s_xy in ((a, c, s_b, s_d, s_bd), (b, d, s_c, s_a, s_ac)):
         pair = 1 << x | 1 << y
         if pair in drawn:
             continue
         drawn.add(pair)
-        if not cover and _pair_bound(g, x, y, home) <= best[0]:
+        rest = s_x | s_y | s_xy | anti  # home minus N[x] and N[y]
+        if not cover and g.weights[x] + g.weights[y] + _matching_bound(g, rest) <= best[0]:
             continue
-        # {b, d} is {a, c} of the reversed path
-        _, s_b, _, s_d, _, _, s_bd, anti = (
-            classes if x == a else _reversed_classes(classes)
-        )
-        cand = _solve_containing(g, x, y, s_b, s_d, s_bd, anti, members, memo)
+        cand = _solve_containing(g, x, y, s_x, s_y, s_xy, anti, members, memo)
         if cand[0] > best[0]:
             best = cand
             if best[0] == top:
                 return best
-    _, s_b, s_c, _, _, _, _, anti = classes
     q3 = _q3_region(g, a, d, s_b, s_c, anti)
     if cover:
         members.append(q3)

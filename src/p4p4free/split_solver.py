@@ -18,10 +18,10 @@ after removing N(u)), found by a direct search over the candidates.
 
 The constrained selection loop hands over hosts whose block part may
 still hold an induced P4, closed by its ``active`` part (the class
-opposite the loop's pick).  While ``active`` meets the uncertified
-component, the component's block part, the region, is searched for one
-once (fewer than 4 vertices hold none).  A path-free region stays so in
-every residual, so ``active`` is dropped.  A path is branched on by
+opposite the loop's pick).  The uncertified component's block part, the
+region, is decomposed on every call; a connected triangle-free part
+without a certificate holds a P4, and only then is one searched for.  A
+path-free region stays so in every residual.  A path is branched on by
 ``_path_hosts``: around a vertex of ``active`` bi-partial to a block of the
 rest of the region (v meeting a1 but not a2 of one side and nothing of
 the other leaves the induced P4 v-a1-b-a2), else around the path's first
@@ -220,11 +220,12 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active):
     ``host`` must lie inside ``s_mask | t_mask`` and hold no vertex of
     both.  ``active`` is the part of ``t_mask`` that may still close an
     induced path with the rest of it (0 except below the constrained
-    selection loop).  When ``leaves`` is a list, ``ambient | host`` of every
-    certified base case is appended to it, the raw material of cover
-    extraction; ``ambient`` is the part of the enclosing host already
-    peeled off as certified components.  ``memo`` is the public call's
-    host memo (see the module docstring).
+    selection loop); a path of the component's region that avoids
+    ``active`` is an ``incomplete_block`` fault.  When ``leaves`` is a
+    list, ``ambient | host`` of every certified base case is appended to
+    it, the raw material of cover extraction; ``ambient`` is the part of
+    the enclosing host already peeled off as certified components.
+    ``memo`` is the public call's host memo (see the module docstring).
     """
     _check_depth(g, depth)
     stray = host & (s_mask & t_mask | ~(s_mask | t_mask))
@@ -248,16 +249,14 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active):
         return total_w, total_m
     comp = bad[0]
     region = t_mask & comp
-    found = None
-    if active & comp and region.bit_count() >= 4:
-        found = find_induced_p4(g, region)
-    if found is None:
+    members, paths = components_with_certificates(g, region)
+    if not paths:
         # the region is a block part, and so is every residual's
-        active = 0
-        hosts = _bad_comp_hosts(g, s_mask, comp, _certified_members(g, region))
+        hosts = _bad_comp_hosts(g, s_mask, comp, members)
     else:
-        members = _certified_members(g, region & ~active)
-        hosts = _path_hosts(g, comp, active, found.a, members)
+        # a connected triangle-free part without a certificate holds a P4
+        x = find_induced_p4(g, region).a
+        hosts = _path_hosts(g, comp, active, x, _certified_members(g, region & ~active))
     inner_ambient = ambient | (host & ~comp)
     # a plain loop: before Python 3.12 a comprehension here would turn the
     # locals it reads into cells on every call, leaves included

@@ -113,6 +113,29 @@ def petersen() -> Graph:
     return Graph.from_edges(10, edges)
 
 
+def andrasfai_graph(k: int, seed: int) -> Graph:
+    """Andrásfai(k): the Cayley graph on Z_{3k-1} whose connection set is
+    the residues ≡ 1 (mod 3), so i ~ j when (j - i) mod (3k - 1) is 1
+    (mod 3); weights are seeded draws from 0..100 in vertex order."""
+    n = 3 * k - 1
+    rng = XorShift64Star(seed)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if (j - i) % n % 3 == 1]
+    return Graph.from_edges(n, edges, [rng.below(101) for _ in range(n)])
+
+
+def andrasfai_optimum(g: Graph, k: int) -> int:
+    """Closed-form optimum of ``andrasfai_graph(k, ...)``.  Multiplying by
+    k maps the graph onto the circular clique K_{(3k-1)/k}, where an
+    independent set lies in k consecutive positions, so the optimum is the
+    heaviest circular window of k positions with vertex v at position
+    k * v mod (3k - 1); a window over consecutive ids is not one."""
+    n = g.n
+    at = [0] * n
+    for v in range(n):
+        at[k * v % n] = g.weights[v]
+    return max(sum(at[(i + j) % n] for j in range(k)) for i in range(n))
+
+
 # spine 0-1-2-3 with one extra vertex per neighbor class and a block
 # {9,11} x {8,10} contacted partially from both sides: after the pair
 # (4, 5) is committed and 6 is picked, 7 is still bi-partial to the

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -192,6 +193,27 @@ class TestMainProcess:
         assert done.stderr == err.format(path)
         assert run([*command, str(path)]) == code
         assert capsys.readouterr() == (done.stdout, done.stderr)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_reader_closing_early_ends_it_as_it_ends_cat(self, tmp_path, fmt):
+        # the answer is one line of about 110 KB, more than a pipe holds,
+        # so the write meets the closed end: the process ends by SIGPIPE,
+        # with no traceback and not with exit code 1, an internal fault
+        path = tmp_path / "edgeless.wis"
+        path.write_text(format_graph(Graph.from_edges(20_000, [])))
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "p4p4free.cli", "solve", "--format", fmt, str(path)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            bufsize=0,
+        )
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert err == b""
+        assert proc.returncode == -signal.SIGPIPE
 
 
 class TestRun:

@@ -330,12 +330,18 @@ class TestAgainstOracle:
             home = sum(components_with_certificates(g, g.full_mask)[1])
             for p in enumerate_induced_p4(g)[:6]:
                 for host in (home, g.full_mask):
-                    classes = recognition._trace_classes(g, p.vertices, host)
-                    _, s_b, _, s_d, _, _, s_bd, anti = (
-                        recognition._reversed_classes(classes)
+                    s_a, s_b, s_c, s_d, s_ac, s_ad, s_bd, anti = (
+                        recognition._trace_classes(g, p.vertices, host)
+                    )
+                    # the reversed path's masks, of which the draw reads
+                    # s_b, s_d, s_bd and anti: this path's s_c, s_a, s_ac
+                    # and anti
+                    rev = (s_d, s_c, s_b, s_a, s_bd, s_ad, s_ac, anti)
+                    assert rev == recognition._trace_classes(
+                        g, p.reverse().vertices, host
                     )
                     w, m = constrained._solve_containing(
-                        g, p.b, p.d, s_b, s_d, s_bd, anti, None, {}
+                        g, p.b, p.d, s_c, s_a, s_ac, anti, None, {}
                     )
                     want = solve_containing_bd(g, p, host)
                     assert w == want.weight
@@ -372,8 +378,10 @@ class TestBranchCoverage:
         assert res.weight == oracle_wis_containing(g, mask_of([0, 2])).weight
 
     def test_second_phase_searches_its_region_before_it_branches(self, monkeypatch):
-        # a region of fewer than 4 vertices holds no P4 and is not searched,
-        # and _path_hosts is asked only about a region with a path
+        # a region is searched only once its decomposition shows a
+        # component without a certificate, so every search finds a path
+        # (of at least 4 vertices), and _path_hosts is asked only about a
+        # region with a path
         events = []
         path_hosts = split_solver._path_hosts
 
@@ -402,7 +410,7 @@ class TestBranchCoverage:
         assert ("branch",) in events
         for before, event in zip([None, *events], events):
             if event[0] == "search":
-                assert event[1] >= 4
+                assert event[1] >= 4 and event[2]
             else:
                 assert before is not None and before[0] == "search" and before[2]
 

@@ -7,6 +7,8 @@ import random
 
 import pytest
 from conftest import (
+    andrasfai_graph,
+    andrasfai_optimum,
     blowup_graph,
     blowup_of,
     blowup_optimum,
@@ -554,6 +556,27 @@ class TestBoundAndSkip:
                     break
             assert best <= solver._matching_bound(g, host) <= g.weight_of(host)
 
+    def test_a_pairs_bound_host_is_its_classes_and_anti(self):
+        # what a forced pair leaves of home, which the pair's bound reads
+        # from the path's trace classes
+        checked = 0
+        for j in range(600):
+            g = fuzz_graph(j)
+            # a non-member's scan returns no paths
+            _, home, _, paths = recognition._membership(g)
+            for a, b, c, d in paths:
+                s_a, s_b, s_c, s_d, s_ac, _, s_bd, anti = recognition._trace_classes(
+                    g, (a, b, c, d), home
+                )
+                for x, y, rest in (
+                    (a, c, s_b | s_d | s_bd | anti),
+                    (b, d, s_a | s_c | s_ac | anti),
+                ):
+                    closed = g.adj[x] | g.adj[y] | 1 << x | 1 << y
+                    assert home & ~closed == rest
+                    checked += 1
+        assert checked > 1000
+
     @pytest.mark.parametrize("family", ["criterion_1", "crowns"])
     def test_solve_agrees_with_the_unbounded_cover_path(self, family):
         if family == "crowns":
@@ -623,7 +646,7 @@ PAIR_GRAPHS = {
     "rejection_14": lambda: gen_instance("rejection", 14, 0.6, 2),
 }
 # solve-only: on this blow-up many repeat draws of a pair have a
-# _pair_bound above the running best, so only the skip of a drawn pair
+# pair bound above the running best, so only the skip of a drawn pair
 # keeps them from a second constrained solve
 SOLVE_PAIR_GRAPHS = {
     **PAIR_GRAPHS,
@@ -823,6 +846,33 @@ class TestDenseBlowups:
     def test_cover_agrees_with_solve(self, k, s):
         g = blowup_graph(k, s, seed=100 * k + s)
         assert solve_with_cover(g)[0] == solve(g)
+
+
+class TestAndrasfai:
+    """Andrásfai(k), a twin-free non-bipartite member on 3k - 1 vertices,
+    against its circular-window optimum."""
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_solve_matches_the_window(self, k):
+        g = andrasfai_graph(k, seed=7000 + k)
+        assert is_class_member(g).is_member
+        want = andrasfai_optimum(g, k)
+        got = solve(g)
+        assert got.weight == want
+        assert is_independent(g, mask_of(got.chosen))
+        if k <= 9:
+            assert oracle_wis(g).weight == want
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_cover_holds_every_maximal_set(self, k):
+        # the 3k - 1 maximal sets are the windows' vertex sets
+        g = andrasfai_graph(k, seed=7000 + k)
+        result, family = solve_with_cover(g)
+        assert result == solve(g)
+        maximal = [mask_of(s) for s in enumerate_maximal_is(g)]
+        assert len(maximal) == 3 * k - 1
+        for m in maximal:
+            assert any(m & ~member == 0 for member in family.members)
 
 
 class _StopTrace:
