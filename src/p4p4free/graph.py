@@ -8,8 +8,8 @@ vertex order, which is what makes every tie-break in the package
 deterministic.
 
 ``_union`` is the one adjacency-union loop (the OR of a per-vertex table
-over a mask), for ``neighborhood``, the search below, ``lp_bound`` and
-``certified_result``, which re-checks every answer with ``_union`` and
+over a mask), for ``neighborhood``, the search below, ``lp_bound``,
+``solver._home_optimum`` and ``certified_result``, which re-checks every answer with ``_union`` and
 weighs the vertices ``bits`` lists.  A ``Graph`` is validated however it is
 built, directly or by ``from_edges``, and ``mask_of`` and
 ``Graph.adjacent`` check the vertex ids they are given.

@@ -59,18 +59,23 @@ bound at most the best), and the best only grows, so a repeat cannot beat
 it strictly.  The set of drawn pairs lives for one call.
 
 ``solve`` stops as soon as the best reaches an upper bound U on all of
-home, computed once before the first path: the floor of home's
-Nemhauser–Trotter LP value (``bipartite.lp_bound``, one max-flow on the
-bipartite double cover).  Every candidate is an independent set of
+home, computed once before the first path: home's optimum weight
+(``_home_optimum``: maximum-degree branching with component splitting and
+a memo on component masks).  Every candidate is an independent set of
 g[home], so none weighs more than U, and only a strictly heavier one
 replaces the best: no candidate after the stop could change the answer,
 so the output is the one the full loop returns.  The stop also skips the
 path-free remainder, which is home minus every path and so is not known
 until the last path is drawn (minus the paths drawn so far it may still
-hold a path).  U is exact on a bipartite home (König–Egerváry), where
-the best often reaches it at the first path; on a non-bipartite home,
-such as a complete blow-up of C5 or C7, it can stay above the optimum
-and every path is visited.  A solve without paths computes no bound.
+hold a path).  The branching is exponential in general, so it runs on a
+budget: once its memo would hold more than |home|² masks, or it would
+branch 400 levels deep, U falls back to the floor of home's
+Nemhauser–Trotter LP value (``bipartite.lp_bound``, one max-flow on the
+bipartite double cover).  That U is exact on a bipartite home
+(König–Egerváry); on a non-bipartite home, such as a complete blow-up of
+C5 or C7, it can stay above the optimum and every path is visited.  A
+best above U is an internal fault, raised once the chosen set is
+certified.  A solve without paths computes no bound.
 
 ``solve_with_cover`` runs the same computation with leaf instrumentation:
 every base case reached anywhere in the branching becomes a member mask,
@@ -114,8 +119,8 @@ from dataclasses import dataclass
 
 from .bipartite import cb_weight_mask, lp_bound, side_selection
 from .constrained import _solve_containing
-from .errors import InputError
-from .graph import Graph, SolveResult, certified_result
+from .errors import InputError, StructureViolation
+from .graph import Graph, SolveResult, _union, certified_result
 from .recognition import _membership, _trace_classes, verified_member
 
 __all__ = ["CoverFamily", "solve", "solve_with_cover"]
@@ -171,6 +176,72 @@ def _matching_bound(g: Graph, host: int) -> int:
         else:
             total += weights[v]
     return total
+
+
+# ``_home_optimum``'s budget: it trips once its memo would hold more than
+# _TOP_MEMO · |home|² masks (an adversarial search of members kept it at
+# most 0.17·n²), or once it would branch _TOP_DEPTH levels deep: it
+# recurses once per level, and this stays well below Python's 1,000-frame
+# recursion limit
+_TOP_MEMO = 1
+_TOP_DEPTH = 400
+
+
+class _Tripped(Exception):
+    """``_home_optimum`` ran out of budget."""
+
+
+def _home_optimum(g: Graph, home: int) -> int | None:
+    """The weight of a maximum weight independent set of g[home], or None
+    once the budget trips.
+
+    Each connected part of the live host is solved on its own: a single
+    vertex is its weight, and a larger part branches on its
+    maximum-degree vertex (ties to the least id), taken or dropped, with
+    the part's optimum memoized on its mask.  The budget trips when the
+    memo would hold more than ``_TOP_MEMO`` · |home|² masks or a branching
+    would go ``_TOP_DEPTH`` levels deep.
+    """
+    adj, weights = g.adj, g.weights
+    cap = _TOP_MEMO * home.bit_count() ** 2
+    memo: dict[int, int] = {}
+
+    def best(live: int, depth: int) -> int:
+        total = 0
+        while live:
+            part = grow = live & -live
+            while grow:
+                grow = _union(adj, grow) & live & ~part
+                part |= grow
+            live ^= part
+            if not part & (part - 1):
+                total += weights[part.bit_length() - 1]
+                continue
+            got = memo.get(part)
+            if got is None:
+                if depth == _TOP_DEPTH or len(memo) >= cap:
+                    raise _Tripped
+                pick = pick_deg = -1
+                rest = part
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    deg = (adj[low.bit_length() - 1] & part).bit_count()
+                    if deg > pick_deg:
+                        pick, pick_deg = low, deg
+                v = pick.bit_length() - 1
+                got = max(
+                    weights[v] + best(part & ~adj[v] & ~pick, depth + 1),
+                    best(part & ~pick, depth + 1),
+                )
+                memo[part] = got
+            total += got
+        return total
+
+    try:
+        return best(home, 0)
+    except _Tripped:
+        return None
 
 
 def _per_path(g: Graph, vs, home: int, best, top, drawn: set, members, memo: dict):
@@ -241,9 +312,14 @@ def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool, memo: di
     # at least 0, so the first one replaces this
     best = (-1, 0)
     drawn: set[int] = set()  # the forced-pair masks this solve has drawn
-    # no candidate outweighs home's LP bound, so once the best reaches it
-    # the rest cannot beat it strictly (see the module docstring)
-    top = lp_bound(g, home) if paths and not cover else None
+    # no candidate outweighs home's optimum, or its LP bound once the
+    # optimum's budget trips, so once the best reaches that top the rest
+    # cannot beat it strictly (see the module docstring)
+    top = None
+    if paths and not cover:
+        top = _home_optimum(g, home)
+        if top is None:
+            top = lp_bound(g, home)
     for t in paths:
         best = _per_path(g, t, home, best, top, drawn, members, memo)
         if best[0] == top:
@@ -261,6 +337,11 @@ def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool, memo: di
             best = cand
 
     result = certified_result(g, best[1] | rest_mask)
+    if top is not None and best[0] > top:
+        raise StructureViolation(
+            f"the best candidate weighs {best[0]}, above home's upper bound {top}",
+            ("above_top", (best[0], top)),
+        )
     if not cover:
         return result, None
     rest = g.full_mask & ~home
@@ -276,9 +357,11 @@ def solve(g: Graph, jobs: int = 1) -> SolveResult:
     candidate whose upper bound cannot beat the best so far is skipped.
     So is a forced vertex pair drawn before by any path: its weight depends
     on the pair alone and its first draw could not beat the best since.
-    The loop stops once the best reaches the floor of the component's LP
-    relaxation value, which no candidate exceeds, so a later candidate
-    could not replace it; the path-free remainder is then skipped too.
+    The loop stops once the best reaches the component's optimum weight,
+    found by a budgeted plain branching (or, when its budget trips, the
+    floor of the component's LP relaxation value), which no candidate
+    exceeds, so a later candidate could not replace it; the path-free
+    remainder is then skipped too.
     The rest of the graph is then added by side selection of each of its
     complete bipartite components.  The returned set is deterministic.
     ``jobs`` must be an int of at least 1 and has no effect: the loop is
@@ -289,7 +372,8 @@ def solve(g: Graph, jobs: int = 1) -> SolveResult:
             four-vertex paths, found before any branching; the witness is
             that of ``is_class_member(g)``, re-checked against g.
         InputError: ``jobs`` is below 1 or not an int (a bool is not one).
-        StructureViolation: an internal fault.
+        StructureViolation: an internal fault, such as a best that
+            outweighs the component's optimum.
     """
     return _run(g, cover=False, jobs=jobs)[0]
 

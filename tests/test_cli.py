@@ -297,6 +297,18 @@ class TestRun:
             "vertex 0 has a chosen neighbor\n"
         )
 
+    def test_a_best_above_the_top_exits_1(self, wis_file, capsys, monkeypatch):
+        # the path's optimum is 2: a top of 1 is one no candidate weighs, so
+        # the loop does not stop and its best ends above the top
+        home_optimum = solver._home_optimum
+        monkeypatch.setattr(solver, "_home_optimum", lambda g, home: home_optimum(g, home) - 1)
+        assert run(["solve", wis_file(PATH4)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "internal error: the best candidate weighs 2, above home's upper bound 1\n"
+        )
+
     def test_solve_refuses_with_the_witness_check_prints(self, wis_file, capsys):
         # draw 31 of the non-member fuzz family: the least triangle lies in
         # the first path's component, a second path in another component

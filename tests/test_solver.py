@@ -14,6 +14,7 @@ from conftest import (
     blowup_optimum,
     complete_bipartite,
     crown_graph,
+    crown_optimum,
     cycle_graph,
     fuzz_graph,
     is_independent,
@@ -816,9 +817,9 @@ class TestForcedPairOnce:
         self, monkeypatch, name, fault_at
     ):
         g = PAIR_GRAPHS[name]()
-        # both solves reach home's LP bound, and stop, before their third
-        # distinct pair; a bound no candidate reaches keeps every pair drawn
-        monkeypatch.setattr(solver, "lp_bound", lambda g, host: g.weight_of(host) + 1)
+        # both solves reach home's optimum, and stop, before their third
+        # distinct pair; a top no candidate reaches keeps every pair drawn
+        monkeypatch.setattr(solver, "_home_optimum", lambda g, home: g.weight_of(home) + 1)
         drawn = _count_forced_pairs(monkeypatch, fault_at)
         with pytest.raises(StructureViolation) as info:
             solve(g)
@@ -880,16 +881,17 @@ class _StopTrace:
     weight (a forced pair's through ``_solve_containing``, a region's or
     the remainder's through ``cb_weight_mask``), the hosts handed to
     ``cb_weight_mask``, the number of paths whose candidates were drawn,
-    and home's LP bound; ``unreachable`` replaces that bound by one no
-    candidate reaches, which turns the stop off."""
+    and the top the loop stops at: home's optimum, or its LP bound when
+    the optimum's budget trips; ``unreachable`` replaces that top by one
+    no candidate reaches, which turns the stop off."""
 
     def __init__(self, monkeypatch, unreachable: bool = False):
         self.weights: list[int] = []
         self.hosts: list[int] = []
         self.paths = 0
-        self.bound = None
+        self.top = None
         forced_pair, cb_weight_mask = solver._solve_containing, solver.cb_weight_mask
-        per_path, lp_bound = solver._per_path, solver.lp_bound
+        per_path = solver._per_path
 
         def counting_pair(g, x, y, s_b, s_d, s_bd, anti, members, memo):
             w, m = forced_pair(g, x, y, s_b, s_d, s_bd, anti, members, memo)
@@ -906,14 +908,21 @@ class _StopTrace:
             self.paths += 1
             return per_path(*args)
 
-        def recording_bound(g, host):
-            self.bound = lp_bound(g, host) + (g.weight_of(host) + 1 if unreachable else 0)
-            return self.bound
+        def recording(top):
+            def recorded(g, host):
+                got = top(g, host)
+                if got is not None:  # None: the optimum's budget tripped
+                    got += g.weight_of(host) + 1 if unreachable else 0
+                    self.top = got
+                return got
+
+            return recorded
 
         monkeypatch.setattr(solver, "_solve_containing", counting_pair)
         monkeypatch.setattr(solver, "cb_weight_mask", counting_cb)
         monkeypatch.setattr(solver, "_per_path", counting_paths)
-        monkeypatch.setattr(solver, "lp_bound", recording_bound)
+        monkeypatch.setattr(solver, "_home_optimum", recording(solver._home_optimum))
+        monkeypatch.setattr(solver, "lp_bound", recording(solver.lp_bound))
 
 
 def _on_paths(g: Graph) -> int:
@@ -936,10 +945,10 @@ class TestStopAtTheLpBound:
         on_paths = _on_paths(g)
         trace = _StopTrace(monkeypatch)
         got = solve(g)
-        assert trace.bound == got.weight == oracle_wis(g).weight
-        # the candidate that reaches the bound is the last one evaluated
-        assert trace.weights[-1] == trace.bound
-        assert all(w < trace.bound for w in trace.weights[:-1])
+        assert trace.top == got.weight == oracle_wis(g).weight
+        # the candidate that reaches the top is the last one evaluated
+        assert trace.weights[-1] == trace.top
+        assert all(w < trace.top for w in trace.weights[:-1])
         assert trace.paths < len(paths)
         # every region holds its path's endpoints; the remainder holds no
         # vertex of any path, and is never evaluated
@@ -967,13 +976,91 @@ class TestStopAtTheLpBound:
         assert enumerate_induced_p4(g, home & ~drawn)
 
     def test_a_loose_bound_visits_every_path(self, monkeypatch):
+        # a memo cap of 0 trips the optimum's budget at its first branching,
+        # so the top is home's LP bound, which stays above this optimum
         g = blowup_graph(5, 3, seed=504)
         paths = enumerate_induced_p4(g)
+        want = solve(g)
+        monkeypatch.setattr(solver, "_TOP_MEMO", 0)
         trace = _StopTrace(monkeypatch)
         got = solve(g)
+        assert got == want
         assert got.weight == blowup_optimum(g, 5) == oracle_wis(g).weight
-        assert trace.bound > got.weight
+        assert trace.top == bipartite.lp_bound(g, g.full_mask) > got.weight
         assert trace.paths == len(paths)
         # every vertex lies on a path, so the remainder is empty, and it is
         # still evaluated last
         assert trace.hosts[-1] == 0 == g.full_mask & ~_on_paths(g)
+
+
+class TestHomeOptimum:
+    """``solver._home_optimum``, the exact top of ``solve``'s loop, against
+    the oracle and the closed forms, its budget, and the stop it makes."""
+
+    def test_equals_the_oracle_on_the_fuzz_members(self):
+        members = 0
+        for j in range(600):
+            g = fuzz_graph(j)
+            verdict, home, _, _ = recognition._membership(g)
+            if not verdict.is_member:
+                continue
+            members += 1
+            assert solver._home_optimum(g, g.full_mask) == oracle_wis(g).weight, j
+            assert solver._home_optimum(g, home) == oracle_wis(g, home).weight, j
+        assert members >= 200
+
+    @pytest.mark.parametrize("k", range(2, 41))
+    def test_equals_the_crown_closed_form(self, k):
+        g = _crown(k, heavy=k % 2 == 1)
+        assert solver._home_optimum(g, g.full_mask) == crown_optimum(g, k)
+
+    @pytest.mark.parametrize("k, s", [(k, s) for k in (5, 7, 9) for s in range(1, 7)])
+    def test_equals_the_blowup_closed_form(self, k, s):
+        g = blowup_graph(k, s, seed=100 * k + s)
+        assert solver._home_optimum(g, g.full_mask) == blowup_optimum(g, k)
+
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_equals_the_andrasfai_window(self, k):
+        g = andrasfai_graph(k, seed=7000 + k)
+        assert solver._home_optimum(g, g.full_mask) == andrasfai_optimum(g, k)
+
+    def test_a_deep_branching_trips_instead_of_recursing_on(self):
+        # the crown branches about one level per matched pair, so on 1,200
+        # vertices it reaches the depth budget before the recursion limit
+        g = crown_graph(600)
+        assert solver._home_optimum(g, g.full_mask) in (None, crown_optimum(g, 600))
+
+    @pytest.mark.parametrize("budget", ["_TOP_MEMO", "_TOP_DEPTH"])
+    def test_a_tripped_budget_falls_back_with_the_same_output(self, monkeypatch, budget):
+        graphs = [g for g in golden_corpus() if g.n <= 16 and is_class_member(g).is_member]
+        graphs = [g for g in graphs if enumerate_induced_p4(g)]
+        assert len(graphs) >= 100
+        want = [solve(g) for g in graphs]
+        monkeypatch.setattr(solver, budget, 0)
+        for g, expected in zip(graphs, want):
+            assert solver._home_optimum(g, g.full_mask) is None
+            assert solve(g) == expected
+
+    def test_the_exact_top_stops_a_non_bipartite_home(self, monkeypatch):
+        # home's LP bound stays above this blow-up's optimum, so an LP top
+        # walks every path; the exact top ends the loop at the optimum
+        g = blowup_graph(7, 6, seed=706)
+        paths = enumerate_induced_p4(g)
+        trace = _StopTrace(monkeypatch)
+        got = solve(g)
+        assert trace.top == got.weight == blowup_optimum(g, 7)
+        assert bipartite.lp_bound(g, g.full_mask) > got.weight
+        assert trace.paths < len(paths)
+
+    @pytest.mark.parametrize("name", sorted(SCAN_GRAPHS))
+    def test_a_best_above_the_top_is_an_internal_fault(self, monkeypatch, name):
+        # a top one below the optimum that no candidate weighs exactly, so
+        # the loop cannot stop at it and its best ends above it
+        g = SCAN_GRAPHS[name]()
+        home_optimum = solver._home_optimum
+        monkeypatch.setattr(solver, "_home_optimum", lambda g, home: home_optimum(g, home) - 1)
+        with pytest.raises(StructureViolation) as info:
+            solve(g)
+        home = recognition._membership(g)[1]
+        best = oracle_wis(g, home).weight
+        assert info.value.witness == ("above_top", (best, best - 1))
