@@ -11,8 +11,10 @@ for ``split_solver._solve_raw`` whose block part still holds the class
 opposite the pick, its ``active`` part, which may close an induced P4
 with the anti-neighborhood; ``split_solver`` says how such a host is
 branched.  Every family, the pair branches and the class drops included,
-is solved in order and its earliest heaviest candidate kept
-(``split_solver._earliest_heaviest``).
+is evaluated in order and its earliest heaviest candidate kept
+(``split_solver._solve_family``).  ``solve`` evaluates it lazily against
+the pair's optimum, from its optimum oracle: only the first member whose
+host reaches that optimum is solved.
 
 The {b, d} variant is the same computation on the reversed path, whose
 classes are those of the path relabelled (b↔c, a↔d, ac↔bd).
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from .graph import Graph, SolveResult, bits, certified_result
 from .recognition import InducedP4, is_class_member, neighborhood_partition, verified_member
-from .split_solver import _certified_members, _earliest_heaviest, _solve_raw
+from .split_solver import _certified_members, _solve_family
 
 __all__ = ["solve_containing_ac", "solve_containing_bd"]
 
@@ -70,38 +72,23 @@ def _select_branch_vertex(g: Graph, cands: list[int], t_comps: list[int], t_mask
             return v
 
 
-def _solve_containing(
-    g: Graph,
-    x: int,
-    y: int,
-    s_b: int,
-    s_d: int,
-    s_bd: int,
-    anti: int,
-    leaves: list[int] | None,
-    memo: dict,
-) -> tuple[int, int]:
-    """(weight, mask) of a maximum weight independent set containing
-    {x, y}, the {a, c} of a path, given the path's b-only, d-only and
-    b-and-d classes and its anti-neighbourhood in the host; x and y are
-    folded in.  When ``leaves`` is a list, each base case appends its host
-    with x and y to it (``solve_with_cover`` passes its members).
-    ``memo`` is the public call's host memo, shared by every branch (see
-    the ``split_solver`` module docstring).
+def _family(g: Graph, s_b: int, s_d: int, s_bd: int, anti: int):
+    """The members of a forced pair's branching family, in evaluation
+    order, each as ``(s_mask, t_mask, host, depth, active)`` for
+    ``split_solver._solve_raw``: the class-dropping roles (no b- and no
+    d-class, d-class only, b-class only), then for every non-adjacent pair
+    {vb, vd} of the two one-letter classes one member per pick of the
+    selection loop and the loop's split base case.  A generator, so a
+    lazy solve that stops early computes no later pick.
     """
-    pair = 1 << x | 1 << y
-    # class-dropping branches (no b- and no d-class, d-class only, b-class
-    # only), then every non-adjacent pair of the two one-letter classes
-    cands = []
     # an empty one-letter class repeats a role, whose solve could neither
     # win over the earlier one nor add a new leaf
     for s_role in dict.fromkeys((s_bd, s_d | s_bd, s_b | s_bd)):
-        cands.append(_solve_raw(g, s_role, anti, s_role | anti, 0, pair, leaves, memo, 0))
+        yield s_role, anti, s_role | anti, 0, 0
     adj = g.adj
     for vb in bits(s_b):
         for vd in bits(s_d & ~adj[vb]):
-            # the reduced host through {vb, vd}: one solve per pick of the
-            # selection loop, then the loop's split base case
+            # the reduced host through {vb, vd}
             stars = 1 << vb | 1 << vd
             host = (s_b | s_d | s_bd | anti) & ~(adj[vb] | adj[vd])
             # each pick removes a b- or d-class vertex, so the block part
@@ -119,17 +106,44 @@ def _solve_containing(
                 active, passive = (s_d, s_b) if s_b >> v & 1 else (s_b, s_d)
                 picked = stars | 1 << v
                 act = active & ~picked
-                cands.append(
-                    _solve_raw(
-                        g, picked | passive | s_bd, act | anti, host & ~adj[v],
-                        depth + 1, pair, leaves, memo, act,
-                    )
-                )
+                yield picked | passive | s_bd, act | anti, host & ~adj[v], depth + 1, act
                 host &= ~(1 << v)
                 live &= ~(1 << v)
                 depth += 1
-            cands.append(_solve_raw(g, stars | s_bd, anti, host, depth, pair, leaves, memo, 0))
-    w, m = _earliest_heaviest(cands)
+            yield stars | s_bd, anti, host, depth, 0
+
+
+def _solve_containing(
+    g: Graph,
+    x: int,
+    y: int,
+    s_b: int,
+    s_d: int,
+    s_bd: int,
+    anti: int,
+    leaves: list[int] | None,
+    memo: dict,
+    opt,
+) -> tuple[int, int]:
+    """(weight, mask) of a maximum weight independent set containing
+    {x, y}, the {a, c} of a path, given the path's b-only, d-only and
+    b-and-d classes and its anti-neighbourhood in the host; x and y are
+    folded in.  When ``leaves`` is a list, each base case appends its host
+    with x and y to it (``solve_with_cover`` passes its members).
+    ``memo`` is the public call's host memo, shared by every branch (see
+    the ``split_solver`` module docstring).
+
+    ``opt`` is ``solve``'s optimum oracle, or None.  With it the family
+    (``_family``) is evaluated lazily against the pair's optimum,
+    ``opt(s_b | s_d | s_bd | anti)``: each member whose host's optimum is
+    below it is skipped, and the first one that reaches it is solved and
+    returned, the member the full evaluation picks
+    (``split_solver._solve_family``).  Without it, or once the oracle's
+    budget trips, every member left is solved.
+    """
+    pair = 1 << x | 1 << y
+    family = _family(g, s_b, s_d, s_bd, anti)
+    w, m = _solve_family(g, family, s_b | s_d | s_bd | anti, pair, leaves, memo, opt)
     return w + g.weights[x] + g.weights[y], m | pair
 
 
@@ -148,7 +162,7 @@ def solve_containing_ac(g: Graph, p: InducedP4, host: int | None = None) -> Solv
     with verified_member(g, is_class_member(g)):
         part = neighborhood_partition(g, p, host)
         _, mask = _solve_containing(
-            g, p.a, p.c, part.s_b, part.s_d, part.s_bd, part.anti, None, {}
+            g, p.a, p.c, part.s_b, part.s_d, part.s_bd, part.anti, None, {}, None
         )
     return certified_result(g, mask)
 

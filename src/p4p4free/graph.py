@@ -9,17 +9,20 @@ deterministic.
 
 ``_union`` is the one adjacency-union loop (the OR of a per-vertex table
 over a mask), for ``neighborhood``, the search below, ``lp_bound``,
-``solver._home_optimum`` and ``certified_result``, which re-checks every answer with ``_union`` and
-weighs the vertices ``bits`` lists.  A ``Graph`` is validated however it is
-built, directly or by ``from_edges``, and ``mask_of`` and
-``Graph.adjacent`` check the vertex ids they are given.
+``solver._optimum_oracle`` and ``certified_result``, which re-checks
+every answer with ``_union`` and weighs the vertices ``bits`` lists.  A
+``Graph`` is validated however it is built, directly or by
+``from_edges``, and ``mask_of`` and ``Graph.adjacent`` check the vertex
+ids they are given.
 
 ``components_with_certificates`` is the one decomposition primitive: it
 certifies each complete bipartite component directly from the
 neighbourhoods of its smallest vertex and of one vertex across, collects
 any other component by a breadth-first search, and hands a component on
 as plain ints: a complete bipartite one as its two sides, any other as
-its member mask.
+its member mask.  ``_all_certified`` runs the same certification as a
+yes-or-no test that stops at the first component to fail, for the
+membership scan's regions.
 """
 
 from __future__ import annotations
@@ -222,6 +225,26 @@ def _all_see_exactly(adj, host: int, side: int, across: int) -> bool:
         if adj[low.bit_length() - 1] & host != across:
             return False
         side ^= low
+    return True
+
+
+def _all_certified(adj, host: int) -> bool:
+    """Whether every component of host is complete bipartite, each
+    certified as ``components_with_certificates`` certifies it; in a
+    triangle-free graph, whether g[host] holds no induced P4."""
+    while host:
+        start = host & -host
+        side_b = adj[start.bit_length() - 1] & host
+        if not side_b:
+            host ^= start
+            continue
+        side_a = adj[(side_b & -side_b).bit_length() - 1] & host
+        if not (
+            _all_see_exactly(adj, host, side_a, side_b)
+            and _all_see_exactly(adj, host, side_b, side_a)
+        ):
+            return False
+        host &= ~(side_a | side_b)
     return True
 
 

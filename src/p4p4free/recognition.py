@@ -10,11 +10,13 @@ graph without an induced P4 is complete bipartite, so paths are sought
 only in the components without a certificate.
 
 Many paths share an anti-neighborhood, and most anti-neighborhoods are
-tiny, so one membership call searches each at most once.  Holding no P4
+tiny, so one membership call tests each at most once.  Holding no P4
 is hereditary: fewer than 4 vertices hold none, and a region already
-found path-free holds none again, so both are skipped.  The witness is
-the full scan's: every skipped region holds no P4, so the first path in
-scan order whose region holds one is still searched, on that same region.
+found path-free holds none again, so both are skipped.  A region is
+tested by certifying its components complete bipartite, and searched for
+a path only when one fails.  The witness is the full scan's: every
+skipped region holds no P4, so the first path in scan order whose region
+holds one is still searched, on that same region.
 The scan yields plain ``(a, b, c, d)`` tuples; an ``InducedP4`` is built
 only where a path leaves the package (a witness, an enumeration).
 
@@ -43,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ClassViolation, InputError, StructureViolation
-from .graph import Graph, components_with_certificates
+from .graph import Graph, _all_certified, components_with_certificates
 
 __all__ = [
     "InducedP4",
@@ -259,10 +261,13 @@ def _membership(
     Each path's region, home minus the path's closed neighbourhood, is
     searched for a second path at most once per call.  Holding no P4 is
     hereditary: a region of fewer than 4 vertices holds none, and neither
-    does a region already found path-free, so both are skipped.  The
-    witness is unchanged: every skipped region holds no P4, so the first
-    path in scan order whose region holds one is still searched, on that
-    same region, and ``find_induced_p4`` returns the same second path.
+    does a region already found path-free, so both are skipped.  A region
+    is found path-free by certifying its components complete bipartite
+    (g is triangle-free here), and ``find_induced_p4`` runs only on the
+    region that fails.  The witness is unchanged: every skipped region
+    holds no P4, so the first path in scan order whose region holds one is
+    still searched, on that same region, and ``find_induced_p4`` returns
+    the same second path.
     """
     tri = find_triangle(g)
     if tri is not None:
@@ -280,8 +285,10 @@ def _membership(
         # minus the path's closed neighbourhood
         region = home & ~(adj[a] | adj[b] | adj[c] | adj[d])
         if region.bit_count() >= 4 and region not in path_free:
-            q = find_induced_p4(g, region)
-            if q is not None:
+            if not _all_certified(adj, region):
+                # a connected triangle-free part without a certificate
+                # holds a P4, and the search finds the scan's first
+                q = find_induced_p4(g, region)
                 verdict = MembershipVerdict(False, None, (InducedP4(*t), q))
                 return verdict, home, certified, ()
             path_free.add(region)

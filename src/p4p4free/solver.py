@@ -25,9 +25,10 @@ graph and, when there is none, decomposes it once and scans home (for
 each path in scan order, a second path in its anti-neighborhood).  The
 verdict and witness are those of ``is_class_member(g)``; the refusal is
 raised once its witness re-checks, and a triangle is refused before any
-decomposition.  The scan searches each anti-neighborhood of at least 4
-vertices once per call: a region found path-free stays path-free, and a
-smaller one holds no P4, so skipping them leaves the first path whose
+decomposition.  The scan tests each anti-neighborhood of at least 4
+vertices once per call, by certifying its components complete bipartite,
+and searches it for a path only when that fails: a region found
+path-free stays path-free, and a smaller one holds no P4, so skipping them leaves the first path whose
 region holds one, and so the witness, unchanged.  Home, the rest's
 sides and home's paths all come from that same pass: to accept a member
 the scan visits every path of home, so the paths are scanned once and
@@ -39,54 +40,80 @@ a refusal raised by the branching is an internal fault and leaves as a
 ``StructureViolation``.
 
 Candidates are evaluated in one serial loop (paths in canonical order;
-per path {a, c}, {b, d}, the region; the remainder last), and ``solve``
-skips a candidate that cannot beat the running best strictly.  Its upper
-bound is the region's weight, or for a forced pair the pair's weight plus
-a matching bound on what the pair leaves of home, read from the path's
-masks (s_b, s_d, s_bd and anti for {a, c}): in a triangle-free graph
-every clique is a vertex or an edge, so a greedy maximal matching is a
-clique cover, and an independent set takes at most the heavier end of
-each edge (the clique-cover bound of weighted branch and bound).  On a
-member a skipped candidate cannot change the answer.
+per path {a, c}, {b, d}, the region; the remainder last), and only a
+strictly heavier candidate replaces the best, so the earliest heaviest
+wins.  ``solve`` steers that loop by home's exact optimum U and
+evaluates only a candidate that can be the answer.
 
 Both public calls evaluate each forced pair once: a pair drawn before, by
 this path or another (the {a, c} of one path and the {b, d} of another
-are one pair when their masks are equal), is skipped before its bound is
-computed.  The best set through a non-adjacent pair {x, y} lives in home
+are one pair when their masks are equal), is skipped before its weight is
+asked.  The best set through a non-adjacent pair {x, y} lives in home
 minus N[x] and N[y], so its weight depends on the pair alone; the first
-draw weighed at most the best then (or, in ``solve``, was skipped by a
-bound at most the best), and the best only grows, so a repeat cannot beat
-it strictly.  The set of drawn pairs lives for one call.
+draw weighed at most the best then (or, in ``solve``, was skipped because
+it could not reach U or beat the best), and the best only grows, so a
+repeat cannot change the answer.  The set of drawn pairs lives for one
+call.
 
-``solve`` stops as soon as the best reaches an upper bound U on all of
-home, computed once before the first path: home's optimum weight
-(``_home_optimum``: maximum-degree branching with component splitting and
-a memo on component masks).  Every candidate is an independent set of
-g[home], so none weighs more than U, and only a strictly heavier one
-replaces the best: no candidate after the stop could change the answer,
-so the output is the one the full loop returns.  The stop also skips the
-path-free remainder, which is home minus every path and so is not known
-until the last path is drawn (minus the paths drawn so far it may still
-hold a path).  The branching is exponential in general, so it runs on a
-budget: once its memo would hold more than |home|² masks, or it would
-branch 400 levels deep, U falls back to the floor of home's
-Nemhauser–Trotter LP value (``bipartite.lp_bound``, one max-flow on the
-bipartite double cover).  That U is exact on a bipartite home
-(König–Egerváry); on a non-bipartite home, such as a complete blow-up of
-C5 or C7, it can stay above the optimum and every path is visited.  A
-best above U is an internal fault, raised once the chosen set is
-certified.  A solve without paths computes no bound.
+The stop and the exact bounds.  Before the first path ``solve`` builds
+the solve's optimum oracle (``_optimum_oracle``: ``opt(mask)`` is the
+optimum weight of g[mask], by maximum-degree branching with component
+splitting and a memo on component masks) and asks it for U = opt(home).
+Every candidate is an independent set of g[home], and on a member the
+heaviest weighs U, so the answer is the first candidate that weighs U:
+the loop stops there, and no later candidate could replace it.  The
+stop also skips the path-free remainder, which is home minus every path
+and so is not known until the last path is drawn (minus the paths drawn
+so far it may still hold a path).  Before that, a forced pair {x, y}
+weighs exactly w(x) + w(y) + opt(rest), rest = s_b | s_d | s_bd | anti
+(read from the path's masks, for {a, c}), so it is solved only when that
+sum is U, and a region only when its weight reaches U.
+
+The descent.  A solved pair reaches U, and so does the one member of each
+branching family below it that the full evaluation keeps.  Each family
+(the forced pair's in ``constrained._solve_containing``, an uncertified
+component's residual hosts in ``split_solver._solve_raw``) is exhaustive,
+and the paper's branching is exact on a member, so the family's heaviest
+member weighs the family's optimum (the pair's rest, or the component),
+and the earliest heaviest is the first member whose host's optimum equals
+it.  So each family is taken lazily (``split_solver._solve_family``):
+members below the target are skipped, and only the first that reaches it
+is solved, one level further down.  A family in which no member reaches
+its target is an internal fault.
+
+The budget and the fallback.  The branching is exponential in general,
+so all of a solve's queries share one memo and one budget: once the memo
+would hold more than |home|² masks, or a query would branch 400 levels
+deep, the oracle answers None for the rest of the solve, and each caller
+falls back to the rule that needs no optimum.  If home's own query trips,
+U is the floor of home's Nemhauser–Trotter LP value
+(``bipartite.lp_bound``, one max-flow on the bipartite double cover),
+exact on a bipartite home (König–Egerváry) and possibly above the
+optimum on a non-bipartite one, such as a complete blow-up of C5 or C7,
+where every path is visited; a candidate is then skipped only when it
+cannot beat the best strictly.  A forced pair's weight is then bounded by
+w(x) + w(y) plus a matching bound on its rest: in a triangle-free graph
+every clique is a vertex or an edge, so a greedy maximal matching is a
+clique cover, and an independent set takes at most the heavier end of
+each edge (the clique-cover bound of weighted branch and bound).  A
+family whose target is unknown is solved in full, the earliest heaviest
+kept; one whose oracle trips part way solves the members left, and the
+skipped ones weighed less than its target.  On a member no skipped
+candidate can change the answer.  A best above U is an internal fault,
+and so, with an exact U, is a best below it, each raised once the chosen
+set is certified.  A solve without paths builds no oracle.
 
 ``solve_with_cover`` runs the same computation with leaf instrumentation:
 every base case reached anywhere in the branching becomes a member mask,
 the vertices the branch forced plus its final host, whose nontrivial
 components are complete bipartite, so the member induces a bipartite
 subgraph.  The region and home's path-free remainder are members too, and
-every member also holds all of the graph outside home.  The cover never
-stops at U and skips no forced pair for its bound, so it draws every pair
-of every path of home, each once, and bounds only the region as ``solve``
-does (the region is a member either way).  That family contains every
-maximal independent set.  Whatever path draws {x, y}, its constrained
+every member also holds all of the graph outside home.  The cover
+passes no oracle: it never stops at U and skips no forced pair, so it
+draws every pair of every path of home, each once, evaluates every
+family in full, and skips only the solve of a region that cannot beat
+the best (the region is a member either way).  That family contains
+every maximal independent set.  Whatever path draws {x, y}, its constrained
 host is home minus N[x] and N[y], and the branching of
 ``_solve_containing`` is exhaustive over that host's independent sets
 (the class drops and one branch per non-adjacent pair of the two
@@ -110,7 +137,8 @@ draw is one call of the internal ``constrained._solve_containing``,
 which folds the pair into its best set and, in a cover solve, appends
 its leaves to the members.  The chosen set is certified once, at the
 end.  Each call passes one host memo down every candidate (see
-``split_solver``).
+``split_solver``), and ``solve`` its optimum oracle, as the trailing
+argument of ``_solve_containing`` and ``_solve_raw``.
 """
 
 from __future__ import annotations
@@ -178,33 +206,36 @@ def _matching_bound(g: Graph, host: int) -> int:
     return total
 
 
-# ``_home_optimum``'s budget: it trips once its memo would hold more than
-# _TOP_MEMO · |home|² masks (an adversarial search of members kept it at
-# most 0.17·n²), or once it would branch _TOP_DEPTH levels deep: it
-# recurses once per level, and this stays well below Python's 1,000-frame
-# recursion limit
+# the optimum oracle's budget: it trips once its memo would hold more
+# than _TOP_MEMO · |home|² masks (an adversarial search of members kept
+# home's own query at most 0.17·n²), or once a query would branch
+# _TOP_DEPTH levels deep: it recurses once per level, and this stays well
+# below Python's 1,000-frame recursion limit
 _TOP_MEMO = 1
 _TOP_DEPTH = 400
 
 
 class _Tripped(Exception):
-    """``_home_optimum`` ran out of budget."""
+    """The optimum oracle ran out of budget."""
 
 
-def _home_optimum(g: Graph, home: int) -> int | None:
-    """The weight of a maximum weight independent set of g[home], or None
-    once the budget trips.
+def _optimum_oracle(g: Graph, home: int):
+    """One solve's optimum oracle: ``opt(mask)`` is the weight of a
+    maximum weight independent set of g[mask], for a mask inside home, or
+    None once the budget has tripped, for the rest of the solve.
 
     Each connected part of the live host is solved on its own: a single
     vertex is its weight, and a larger part branches on its
     maximum-degree vertex (ties to the least id), taken or dropped, with
-    the part's optimum memoized on its mask.  The budget trips when the
-    memo would hold more than ``_TOP_MEMO`` · |home|² masks or a branching
-    would go ``_TOP_DEPTH`` levels deep.
+    the part's optimum memoized on its mask.  Every query of the solve
+    shares the memo and the budget, which trips when the memo would hold
+    more than ``_TOP_MEMO`` · |home|² masks or a query would branch
+    ``_TOP_DEPTH`` levels deep.
     """
     adj, weights = g.adj, g.weights
     cap = _TOP_MEMO * home.bit_count() ** 2
     memo: dict[int, int] = {}
+    tripped = False
 
     def best(live: int, depth: int) -> int:
         total = 0
@@ -238,13 +269,20 @@ def _home_optimum(g: Graph, home: int) -> int | None:
             total += got
         return total
 
-    try:
-        return best(home, 0)
-    except _Tripped:
-        return None
+    def opt(mask: int) -> int | None:
+        nonlocal tripped
+        if tripped:
+            return None
+        try:
+            return best(mask, 0)
+        except _Tripped:
+            tripped = True
+            return None
+
+    return opt
 
 
-def _per_path(g: Graph, vs, home: int, best, top, drawn: set, members, memo: dict):
+def _per_path(g: Graph, vs, home: int, best, top, drawn: set, members, memo: dict, opt):
     """The earliest heaviest of ``best`` and the candidates of the path
     ``vs`` = (a, b, c, d) for g[home], evaluated in order: {a, c}, {b, d},
     the region.  Returns as soon as a strictly heavier candidate reaches
@@ -252,18 +290,23 @@ def _per_path(g: Graph, vs, home: int, best, top, drawn: set, members, memo: dic
 
     The path's trace classes are computed once, on entry, unchecked: the
     path is one the membership scan found in home.  Both calls add each
-    forced pair's mask to ``drawn`` and skip a pair drawn before, and both
-    skip the region's solve when its weight cannot beat the best.
-    ``solve`` (``members`` None) also skips a pair whose weight plus the
-    matching bound of what it leaves of home cannot beat the best.
+    forced pair's mask to ``drawn`` and skip a pair drawn before.  A
+    candidate is evaluated only when its weight (or an upper bound on it)
+    reaches a floor: ``top`` when ``top`` is home's exact optimum (``opt``
+    not None), else one above the best, so ``solve`` keeps only a
+    candidate that weighs the optimum, or beats the best strictly.  The
+    region's bound is its weight.  In ``solve`` a forced pair's weight is
+    w(x) + w(y) + ``opt`` of what it leaves of home, exact while the
+    oracle is live, and else bounded by the matching bound of that rest.
 
-    A cover solve (``members`` a list) skips no forced pair for its bound.
-    It appends each candidate's cover members to ``members`` as it is
-    evaluated, the region whether or not its solve is skipped, so the
-    members keep evaluation order.
+    A cover solve (``members`` a list, ``opt`` None) skips no forced pair
+    for its bound.  It appends each candidate's cover members to
+    ``members`` as it is evaluated, the region whether or not its solve is
+    skipped, so the members keep evaluation order.
     """
     a, b, c, d = vs
     cover = members is not None
+    weights = g.weights
     s_a, s_b, s_c, s_d, s_ac, _, s_bd, anti = _trace_classes(g, vs, home)
     # {b, d} is {a, c} of d-c-b-a, whose classes swap a↔d, b↔c and ac↔bd
     for x, y, s_x, s_y, s_xy in ((a, c, s_b, s_d, s_bd), (b, d, s_c, s_a, s_ac)):
@@ -271,10 +314,17 @@ def _per_path(g: Graph, vs, home: int, best, top, drawn: set, members, memo: dic
         if pair in drawn:
             continue
         drawn.add(pair)
-        rest = s_x | s_y | s_xy | anti  # home minus N[x] and N[y]
-        if not cover and g.weights[x] + g.weights[y] + _matching_bound(g, rest) <= best[0]:
-            continue
-        cand = _solve_containing(g, x, y, s_x, s_y, s_xy, anti, members, memo)
+        if not cover:
+            rest = s_x | s_y | s_xy | anti  # home minus N[x] and N[y]
+            got = None if opt is None else opt(rest)
+            if got is not None:
+                if weights[x] + weights[y] + got != top:
+                    continue
+            elif weights[x] + weights[y] + _matching_bound(g, rest) < (
+                best[0] + 1 if opt is None else top
+            ):
+                continue
+        cand = _solve_containing(g, x, y, s_x, s_y, s_xy, anti, members, memo, opt)
         if cand[0] > best[0]:
             best = cand
             if best[0] == top:
@@ -282,7 +332,7 @@ def _per_path(g: Graph, vs, home: int, best, top, drawn: set, members, memo: dic
     q3 = _q3_region(g, a, d, s_b, s_c, anti)
     if cover:
         members.append(q3)
-    if g.weight_of(q3) <= best[0]:
+    if g.weight_of(q3) < (best[0] + 1 if opt is None else top):
         return best
     # the region is this path's last candidate, so a stop is left to the
     # caller
@@ -313,15 +363,18 @@ def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool, memo: di
     best = (-1, 0)
     drawn: set[int] = set()  # the forced-pair masks this solve has drawn
     # no candidate outweighs home's optimum, or its LP bound once the
-    # optimum's budget trips, so once the best reaches that top the rest
-    # cannot beat it strictly (see the module docstring)
-    top = None
+    # oracle's budget trips, so once the best reaches that top the rest
+    # cannot beat it strictly (see the module docstring); opt stays only
+    # while the top is exact
+    top = opt = None
     if paths and not cover:
-        top = _home_optimum(g, home)
+        opt = _optimum_oracle(g, home)
+        top = opt(home)
         if top is None:
+            opt = None
             top = lp_bound(g, home)
     for t in paths:
-        best = _per_path(g, t, home, best, top, drawn, members, memo)
+        best = _per_path(g, t, home, best, top, drawn, members, memo, opt)
         if best[0] == top:
             break
     else:
@@ -342,6 +395,11 @@ def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool, memo: di
             f"the best candidate weighs {best[0]}, above home's upper bound {top}",
             ("above_top", (best[0], top)),
         )
+    if opt is not None and best[0] < top:
+        raise StructureViolation(
+            f"the best candidate weighs {best[0]}, below home's optimum {top}",
+            ("below_top", (best[0], top)),
+        )
     if not cover:
         return result, None
     rest = g.full_mask & ~home
@@ -353,15 +411,17 @@ def solve(g: Graph, jobs: int = 1) -> SolveResult:
 
     The paths' component is solved first: candidates are evaluated in a
     fixed order (paths in canonical order, per-path branches, then the
-    component's path-free remainder), the earliest heaviest winning, and a
-    candidate whose upper bound cannot beat the best so far is skipped.
-    So is a forced vertex pair drawn before by any path: its weight depends
-    on the pair alone and its first draw could not beat the best since.
-    The loop stops once the best reaches the component's optimum weight,
-    found by a budgeted plain branching (or, when its budget trips, the
-    floor of the component's LP relaxation value), which no candidate
-    exceeds, so a later candidate could not replace it; the path-free
-    remainder is then skipped too.
+    component's path-free remainder), the earliest heaviest winning.  Its
+    optimum weight, found by a budgeted plain branching, steers the
+    evaluation: the answer is the first candidate that weighs it, so the
+    loop stops there, a candidate is solved only when its exact weight
+    (or, for a region, its vertex weight) reaches it, and each branching
+    family below solves only its first member that reaches the family's
+    own optimum.  A forced vertex pair drawn before by any path is
+    skipped: its weight depends on the pair alone.  Once the branching's
+    budget trips, the evaluation falls back to upper bounds against the
+    best so far (the component's LP relaxation value for the stop) and
+    full families; the output is the same.
     The rest of the graph is then added by side selection of each of its
     complete bipartite components.  The returned set is deterministic.
     ``jobs`` must be an int of at least 1 and has no effect: the loop is
@@ -373,7 +433,7 @@ def solve(g: Graph, jobs: int = 1) -> SolveResult:
             that of ``is_class_member(g)``, re-checked against g.
         InputError: ``jobs`` is below 1 or not an int (a bool is not one).
         StructureViolation: an internal fault, such as a best that
-            outweighs the component's optimum.
+            outweighs the component's optimum, or falls short of it.
     """
     return _run(g, cover=False, jobs=jobs)[0]
 

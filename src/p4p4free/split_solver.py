@@ -31,9 +31,14 @@ Each branching rule is a pure function from a host and the side pairs of
 its block part to its residual hosts in evaluation order: (host minus
 N(v), host minus v), or a covering family of induced-subgraph
 restrictions.  The caller solves each one level deeper and keeps the
-earliest heaviest (``_earliest_heaviest``, the one tie-break), so the
-optimum is preserved whichever structural sub-case was detected, and no
-rule calls back into the layer that asked.  A rule reads the blocks it
+earliest heaviest (``_solve_family``, the one tie-break), so the optimum
+is preserved whichever structural sub-case was detected, and no rule
+calls back into the layer that asked.  ``_solve_family`` is written once
+for these families and the constrained solve's: given ``solve``'s
+optimum oracle it takes a family lazily, solving only the first member
+whose host's optimum equals the family's, which is the earliest
+heaviest; without one, or once the oracle's budget trips, it solves the
+members in full.  A rule reads the blocks it
 is handed: one restricted to a vertex set stays a block while both sides
 keep a vertex, else leaves singletons, to which no vertex is bi-partial.
 The branching assumes a class member and refuses nothing itself: the
@@ -108,14 +113,6 @@ def _check_depth(g: Graph, depth: int) -> None:
         raise StructureViolation(
             "branching recursion exceeded its depth budget", ("depth_budget", depth)
         )
-
-
-def _earliest_heaviest(cands):
-    """The first of the heaviest ``(weight, mask)`` candidates, taken in
-    order (``max`` keeps the first of equal keys).  Every branching family
-    is evaluated through this one rule, so ties resolve alike in every
-    layer."""
-    return max(cands, key=itemgetter(0))
 
 
 def branch_via_bipartial(g, host, active, members):
@@ -213,7 +210,53 @@ def _path_hosts(g, comp, active, x, members):
     return hosts
 
 
-def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active):
+def _solve_family(g, family, whole, ambient, leaves, memo, opt):
+    """The ``(weight, mask)`` of a branching family over the host
+    ``whole``: the first of its heaviest members' ``_solve_raw`` solves.
+    ``family`` yields each member as ``(s_mask, t_mask, host, depth,
+    active)``, in evaluation order, and every member shares ``ambient``.
+    Every family is evaluated through this one rule, so ties resolve
+    alike in every layer.
+
+    With ``solve``'s oracle ``opt``, the members are taken lazily against
+    the family's optimum ``opt(whole)``: a member whose host's optimum is
+    not it is skipped, and the first one that reaches it is solved and
+    returned.  That is the member the full evaluation picks: the family is
+    exhaustive, so its heaviest weighs the optimum, and the earliest
+    heaviest is the first member that does.  Without an oracle, or once
+    it answers None (its budget tripped), the members left are solved in
+    full; the skipped ones weighed less than the optimum, so the earliest
+    heaviest of the rest is the same member.
+
+    Raises:
+        StructureViolation: no member reaches the family's optimum, an
+            internal fault.
+    """
+    target = None if opt is None else opt(whole)
+    cands = []
+    for s_mask, t_mask, host, depth, active in family:
+        if target is not None:
+            got = opt(host)
+            if got == target:
+                return _solve_raw(
+                    g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, opt
+                )
+            if got is not None:
+                continue
+            target = None
+        cands.append(
+            _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, opt)
+        )
+    if not cands:
+        raise StructureViolation(
+            "no member of a branching family reaches its optimum",
+            ("unreached_optimum", target),
+        )
+    # max keeps the first of equal keys
+    return max(cands, key=itemgetter(0))
+
+
+def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, opt):
     """Dispatcher: certified components by side selection, then recurse
     into the unique uncertified one.  Returns (weight, mask).
 
@@ -226,6 +269,10 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active):
     it, the raw material of cover extraction; ``ambient`` is the part of
     the enclosing host already peeled off as certified components.
     ``memo`` is the public call's host memo (see the module docstring).
+    ``opt`` is ``solve``'s optimum oracle, or None: with it, the residual
+    hosts of the uncertified component are taken lazily against the
+    component's optimum (``_solve_family``), and only the first host that
+    reaches it is solved.
     """
     _check_depth(g, depth)
     stray = host & (s_mask & t_mask | ~(s_mask | t_mask))
@@ -257,13 +304,10 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active):
         # a connected triangle-free part without a certificate holds a P4
         x = find_induced_p4(g, region).a
         hosts = _path_hosts(g, comp, active, x, _certified_members(g, region & ~active))
-    inner_ambient = ambient | (host & ~comp)
     # a plain loop: before Python 3.12 a comprehension here would turn the
-    # locals it reads into cells on every call, leaves included
-    cands = []
+    # locals it reads into cells on every call
+    family = []
     for h in hosts:
-        cands.append(
-            _solve_raw(g, s_mask, t_mask, h, depth + 1, inner_ambient, leaves, memo, active)
-        )
-    w, m = _earliest_heaviest(cands)
+        family.append((s_mask, t_mask, h, depth + 1, active))
+    w, m = _solve_family(g, family, comp, ambient | (host & ~comp), leaves, memo, opt)
     return total_w + w, total_m | m

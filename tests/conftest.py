@@ -416,7 +416,7 @@ def forced_pair_solvers(g: Graph):
 
     def solve_ac(p):
         _, s_b, _, s_d, _, _, s_bd, anti = _trace_classes(g, p.vertices, g.full_mask)
-        _, mask = _solve_containing(g, p.a, p.c, s_b, s_d, s_bd, anti, None, {})
+        _, mask = _solve_containing(g, p.a, p.c, s_b, s_d, s_bd, anti, None, {}, None)
         return certified_result(g, mask)
 
     def solve_bd(p):

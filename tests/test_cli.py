@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from conftest import blowup_graph, blowup_optimum, random_graph
 
-from p4p4free import cli, constrained, solver, split_solver
+from p4p4free import cli, solver, split_solver
 from p4p4free.cli import format_graph, parse_graph, run
 from p4p4free.errors import ClassViolation, ParseError, StructureViolation
 from p4p4free.graph import Graph
@@ -286,7 +286,7 @@ class TestRun:
         )
 
     def test_failed_self_certification_exits_1(self, wis_file, capsys, monkeypatch):
-        def dependent(g, x, y, s_b, s_d, s_bd, anti, leaves, memo):
+        def dependent(g, x, y, s_b, s_d, s_bd, anti, leaves, memo, opt):
             # the whole graph, weighed as such, outweighs every candidate
             return g.weight_of(g.full_mask), g.full_mask
 
@@ -297,16 +297,36 @@ class TestRun:
             "vertex 0 has a chosen neighbor\n"
         )
 
+    @staticmethod
+    def shift_oracle(monkeypatch, by):
+        # every answer of solve's optimum oracle off by the same amount
+        real = solver._optimum_oracle
+
+        def shifted(g, home):
+            opt = real(g, home)
+            return lambda mask: opt(mask) + by
+
+        monkeypatch.setattr(solver, "_optimum_oracle", shifted)
+
     def test_a_best_above_the_top_exits_1(self, wis_file, capsys, monkeypatch):
         # the path's optimum is 2: a top of 1 is one no candidate weighs, so
         # the loop does not stop and its best ends above the top
-        home_optimum = solver._home_optimum
-        monkeypatch.setattr(solver, "_home_optimum", lambda g, home: home_optimum(g, home) - 1)
+        self.shift_oracle(monkeypatch, -1)
         assert run(["solve", wis_file(PATH4)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
             "internal error: the best candidate weighs 2, above home's upper bound 1\n"
+        )
+
+    def test_a_best_below_the_top_exits_1(self, wis_file, capsys, monkeypatch):
+        # a top of 3 that no candidate reaches: the best ends below it
+        self.shift_oracle(monkeypatch, 1)
+        assert run(["solve", wis_file(PATH4)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "internal error: the best candidate weighs 2, below home's optimum 3\n"
         )
 
     def test_solve_refuses_with_the_witness_check_prints(self, wis_file, capsys):
@@ -327,7 +347,7 @@ class TestRun:
         def deep(g, s_mask, t_mask, host, depth, *rest):
             return original(g, s_mask, t_mask, host, depth + g.n + 9, *rest)
 
-        monkeypatch.setattr(constrained, "_solve_raw", deep)
+        monkeypatch.setattr(split_solver, "_solve_raw", deep)
         assert run(["solve", wis_file(PATH4)]) == 1
         err = capsys.readouterr().err
         assert err == "internal error: branching recursion exceeded its depth budget\n"

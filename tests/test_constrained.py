@@ -117,7 +117,7 @@ class TestErrors:
         depth = g.n + 9
         full = g.full_mask
         with pytest.raises(StructureViolation) as info:
-            split_solver._solve_raw(g, 0, full, full, depth, 0, None, {}, 0b1)
+            split_solver._solve_raw(g, 0, full, full, depth, 0, None, {}, 0b1, None)
         assert info.value.witness == ("depth_budget", depth)
 
     def test_second_phase_path_outside_its_class_is_an_incomplete_block(self):
@@ -127,7 +127,7 @@ class TestErrors:
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (4, 0)])
         full = g.full_mask
         with pytest.raises(StructureViolation) as info:
-            split_solver._solve_raw(g, 0, full, full, 1, 0, None, {}, 1 << 4)
+            split_solver._solve_raw(g, 0, full, full, 1, 0, None, {}, 1 << 4, None)
         assert info.value.witness == ("incomplete_block", 0b1111)
 
     def test_triangle_on_the_path_neighborhood(self):
@@ -341,7 +341,7 @@ class TestAgainstOracle:
                         g, p.reverse().vertices, host
                     )
                     w, m = constrained._solve_containing(
-                        g, p.b, p.d, s_c, s_a, s_ac, anti, None, {}
+                        g, p.b, p.d, s_c, s_a, s_ac, anti, None, {}, None
                     )
                     want = solve_containing_bd(g, p, host)
                     assert w == want.weight
@@ -439,7 +439,7 @@ class TestLeafRecording:
                 forced = (1 << p.a) | (1 << p.c)
                 leaves: list[int] = []
                 constrained._solve_containing(
-                    g, p.a, p.c, part.s_b, part.s_d, part.s_bd, part.anti, leaves, {}
+                    g, p.a, p.c, part.s_b, part.s_d, part.s_bd, part.anti, leaves, {}, None
                 )
                 assert leaves
                 ground = forced | part.s_b | part.s_d | part.s_bd | part.anti

@@ -273,22 +273,43 @@ class TestMembershipRegions:
             verdict, _, _, paths = _membership(g)
             assert (verdict_witness(verdict), paths) == _reference_membership(g), i
 
-    @pytest.mark.parametrize("name", sorted(REGION_GRAPHS))
+    @pytest.mark.parametrize("name", sorted(REGION_GRAPHS) + ["non_members"])
     def test_each_region_of_four_or_more_is_searched_once(self, monkeypatch, name):
-        g = REGION_GRAPHS[name]()
-        home = sum(components_with_certificates(g, g.full_mask)[1])  # disjoint masks
-        regions = {_region(g, home, p.vertices) for p in enumerate_induced_p4(g, home)}
-        want = sorted(r for r in regions if r.bit_count() >= 4)
-        searched = []
-        find = recognition.find_induced_p4
+        # each distinct region of 4 or more vertices is certified once, in
+        # scan order up to the first that holds a path, and only that one
+        # is searched for a path
+        graphs = [REGION_GRAPHS[name]()] if name in REGION_GRAPHS else list(
+            triangle_free_non_members(20, start=9_000)
+        )
+        certified, searched = [], []
+        certify, find = recognition._all_certified, recognition.find_induced_p4
+
+        def certifying(adj, host):
+            certified.append(host)
+            return certify(adj, host)
 
         def counting(g, host):
             searched.append(host)
             return find(g, host)
 
+        monkeypatch.setattr(recognition, "_all_certified", certifying)
         monkeypatch.setattr(recognition, "find_induced_p4", counting)
-        assert is_class_member(g).is_member
-        assert sorted(searched) == want
+        for g in graphs:
+            certified.clear()
+            searched.clear()
+            home = sum(components_with_certificates(g, g.full_mask)[1])  # disjoint masks
+            want, refusing = [], []
+            for p in sorted(enumerate_induced_p4(g, home), key=lambda p: (p.b, p.c, p.a, p.d)):
+                region = _region(g, home, p.vertices)
+                if region.bit_count() < 4 or region in want:
+                    continue
+                want.append(region)
+                if find(g, region) is not None:
+                    refusing.append(region)
+                    break
+            assert is_class_member(g).is_member == (not refusing)
+            assert certified == want
+            assert searched == refusing
 
     @pytest.mark.parametrize("name", sorted(REGION_GRAPHS))
     def test_paths_are_tuples_in_scan_order(self, name):

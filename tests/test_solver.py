@@ -490,7 +490,6 @@ class TestComponentSplit:
             return original(g, s_mask, t_mask, host, *rest)
 
         monkeypatch.setattr(split_solver, "_solve_raw", recording)
-        monkeypatch.setattr(constrained, "_solve_raw", recording)
         solve(g)
         solve_with_cover(g)
         assert hosts
@@ -662,12 +661,12 @@ def _count_forced_pairs(monkeypatch, fault_at: int | None = None) -> list[int]:
     drawn: list[int] = []
     real = solver._solve_containing
 
-    def counting(g, x, y, s_b, s_d, s_bd, anti, leaves, memo):
+    def counting(g, x, y, s_b, s_d, s_bd, anti, leaves, memo, opt):
         pair = 1 << x | 1 << y
         if pair not in drawn and len(set(drawn)) + 1 == fault_at:
             raise ClassViolation("bogus", ("unexpected_pair", (x, y)))
         drawn.append(pair)
-        return real(g, x, y, s_b, s_d, s_bd, anti, leaves, memo)
+        return real(g, x, y, s_b, s_d, s_bd, anti, leaves, memo, opt)
 
     monkeypatch.setattr(solver, "_solve_containing", counting)
     return drawn
@@ -685,9 +684,9 @@ def _record_draws(monkeypatch) -> list:
         hosts.append(host)
         return real_classes(g, vs, host)
 
-    def recording(g, x, y, s_b, s_d, s_bd, anti, members, memo):
+    def recording(g, x, y, s_b, s_d, s_bd, anti, members, memo, opt):
         start = len(members)
-        got = real_containing(g, x, y, s_b, s_d, s_bd, anti, members, memo)
+        got = real_containing(g, x, y, s_b, s_d, s_bd, anti, members, memo, opt)
         draws.append((1 << x | 1 << y, hosts[-1], members[start:]))
         return got
 
@@ -818,8 +817,10 @@ class TestForcedPairOnce:
     ):
         g = PAIR_GRAPHS[name]()
         # both solves reach home's optimum, and stop, before their third
-        # distinct pair; a top no candidate reaches keeps every pair drawn
-        monkeypatch.setattr(solver, "_home_optimum", lambda g, home: g.weight_of(home) + 1)
+        # distinct pair; a memo cap of 0 trips the optimum oracle at home's
+        # query, and an LP top no candidate reaches keeps every pair drawn
+        monkeypatch.setattr(solver, "_TOP_MEMO", 0)
+        monkeypatch.setattr(solver, "lp_bound", lambda g, home: g.weight_of(home) + 1)
         drawn = _count_forced_pairs(monkeypatch, fault_at)
         with pytest.raises(StructureViolation) as info:
             solve(g)
@@ -881,9 +882,10 @@ class _StopTrace:
     weight (a forced pair's through ``_solve_containing``, a region's or
     the remainder's through ``cb_weight_mask``), the hosts handed to
     ``cb_weight_mask``, the number of paths whose candidates were drawn,
-    and the top the loop stops at: home's optimum, or its LP bound when
-    the optimum's budget trips; ``unreachable`` replaces that top by one
-    no candidate reaches, which turns the stop off."""
+    and the top the loop stops at: the optimum oracle's answer on home,
+    or home's LP bound when the oracle's budget trips.  ``unreachable``
+    trips the oracle at home's query and replaces the LP top by one no
+    candidate reaches, which turns the stop off."""
 
     def __init__(self, monkeypatch, unreachable: bool = False):
         self.weights: list[int] = []
@@ -891,10 +893,10 @@ class _StopTrace:
         self.paths = 0
         self.top = None
         forced_pair, cb_weight_mask = solver._solve_containing, solver.cb_weight_mask
-        per_path = solver._per_path
+        per_path, oracle, lp_bound = solver._per_path, solver._optimum_oracle, solver.lp_bound
 
-        def counting_pair(g, x, y, s_b, s_d, s_bd, anti, members, memo):
-            w, m = forced_pair(g, x, y, s_b, s_d, s_bd, anti, members, memo)
+        def counting_pair(g, x, y, s_b, s_d, s_bd, anti, members, memo, opt):
+            w, m = forced_pair(g, x, y, s_b, s_d, s_bd, anti, members, memo, opt)
             self.weights.append(w)
             return w, m
 
@@ -908,21 +910,28 @@ class _StopTrace:
             self.paths += 1
             return per_path(*args)
 
-        def recording(top):
-            def recorded(g, host):
-                got = top(g, host)
-                if got is not None:  # None: the optimum's budget tripped
-                    got += g.weight_of(host) + 1 if unreachable else 0
+        def recording_oracle(g, home):
+            opt = oracle(g, home)
+
+            def recorded(mask):
+                got = opt(mask)
+                if mask == home:  # home's query, the loop's top
                     self.top = got
                 return got
 
             return recorded
 
+        def recording_lp(g, host):
+            self.top = g.weight_of(host) + 1 if unreachable else lp_bound(g, host)
+            return self.top
+
+        if unreachable:
+            monkeypatch.setattr(solver, "_TOP_MEMO", 0)
         monkeypatch.setattr(solver, "_solve_containing", counting_pair)
         monkeypatch.setattr(solver, "cb_weight_mask", counting_cb)
         monkeypatch.setattr(solver, "_per_path", counting_paths)
-        monkeypatch.setattr(solver, "_home_optimum", recording(solver._home_optimum))
-        monkeypatch.setattr(solver, "lp_bound", recording(solver.lp_bound))
+        monkeypatch.setattr(solver, "_optimum_oracle", recording_oracle)
+        monkeypatch.setattr(solver, "lp_bound", recording_lp)
 
 
 def _on_paths(g: Graph) -> int:
@@ -993,52 +1002,135 @@ class TestStopAtTheLpBound:
         assert trace.hosts[-1] == 0 == g.full_mask & ~_on_paths(g)
 
 
+def _optimum(g: Graph, home: int):
+    """Home's query to a fresh optimum oracle, the top of ``solve``'s loop."""
+    return solver._optimum_oracle(g, home)(home)
+
+
+def _shifted_oracle(monkeypatch, by: int) -> None:
+    """Make every answer of ``solve``'s optimum oracle ``by`` off."""
+    real = solver._optimum_oracle
+
+    def shifted(g, home):
+        opt = real(g, home)
+        return lambda mask: opt(mask) + by
+
+    monkeypatch.setattr(solver, "_optimum_oracle", shifted)
+
+
+def _tripping_after(monkeypatch, answers: int) -> None:
+    """Make ``solve``'s optimum oracle answer its first ``answers``
+    queries, home's first, and None from then on, as a tripped budget."""
+    real = solver._optimum_oracle
+
+    def limited(g, home):
+        opt = real(g, home)
+        left = [answers]
+
+        def query(mask):
+            if not left[0]:
+                return None
+            left[0] -= 1
+            return opt(mask)
+
+        return query
+
+    monkeypatch.setattr(solver, "_optimum_oracle", limited)
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Record the arguments of every call of ``module.name``."""
+    calls: list = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+# non-bipartite homes: C5, C7 and C9 blow-ups and Andrásfai graphs
+NON_BIPARTITE = [blowup_graph(k, s, seed=100 * k + s) for k in (5, 7, 9) for s in range(1, 5)]
+NON_BIPARTITE += [andrasfai_graph(k, seed=7000 + k) for k in range(2, 13)]
+
+
 class TestHomeOptimum:
-    """``solver._home_optimum``, the exact top of ``solve``'s loop, against
-    the oracle and the closed forms, its budget, and the stop it makes."""
+    """``solver._optimum_oracle``, whose answer on home is the exact top of
+    ``solve``'s loop and whose later answers steer it, against the oracle
+    and the closed forms, its budget, and the stop and descent it makes."""
 
     def test_equals_the_oracle_on_the_fuzz_members(self):
-        members = 0
+        members = queries = 0
         for j in range(600):
             g = fuzz_graph(j)
-            verdict, home, _, _ = recognition._membership(g)
+            verdict, home, _, paths = recognition._membership(g)
             if not verdict.is_member:
                 continue
             members += 1
-            assert solver._home_optimum(g, g.full_mask) == oracle_wis(g).weight, j
-            assert solver._home_optimum(g, home) == oracle_wis(g, home).weight, j
+            assert _optimum(g, g.full_mask) == oracle_wis(g).weight, j
+            # one oracle answers every query of a solve from one memo
+            opt = solver._optimum_oracle(g, home)
+            assert opt(home) == oracle_wis(g, home).weight, j
+            for a, b, c, d in paths[:4]:
+                rest = home & ~(g.adj[a] | g.adj[c] | 1 << a | 1 << c)
+                assert opt(rest) == oracle_wis(g, rest).weight, j
+                queries += 1
         assert members >= 200
+        assert queries >= 300
 
     @pytest.mark.parametrize("k", range(2, 41))
     def test_equals_the_crown_closed_form(self, k):
         g = _crown(k, heavy=k % 2 == 1)
-        assert solver._home_optimum(g, g.full_mask) == crown_optimum(g, k)
+        assert _optimum(g, g.full_mask) == crown_optimum(g, k)
 
     @pytest.mark.parametrize("k, s", [(k, s) for k in (5, 7, 9) for s in range(1, 7)])
     def test_equals_the_blowup_closed_form(self, k, s):
         g = blowup_graph(k, s, seed=100 * k + s)
-        assert solver._home_optimum(g, g.full_mask) == blowup_optimum(g, k)
+        assert _optimum(g, g.full_mask) == blowup_optimum(g, k)
 
     @pytest.mark.parametrize("k", range(2, 17))
     def test_equals_the_andrasfai_window(self, k):
         g = andrasfai_graph(k, seed=7000 + k)
-        assert solver._home_optimum(g, g.full_mask) == andrasfai_optimum(g, k)
+        assert _optimum(g, g.full_mask) == andrasfai_optimum(g, k)
 
     def test_a_deep_branching_trips_instead_of_recursing_on(self):
         # the crown branches about one level per matched pair, so on 1,200
         # vertices it reaches the depth budget before the recursion limit
         g = crown_graph(600)
-        assert solver._home_optimum(g, g.full_mask) in (None, crown_optimum(g, 600))
+        assert _optimum(g, g.full_mask) in (None, crown_optimum(g, 600))
+
+    def test_a_tripped_budget_answers_none_for_the_rest_of_the_solve(self, monkeypatch):
+        g = andrasfai_graph(8, seed=7008)
+        opt = solver._optimum_oracle(g, g.full_mask)
+        assert opt(0b111) == oracle_wis(g, 0b111).weight
+        monkeypatch.setattr(solver, "_TOP_DEPTH", 0)
+        assert opt(g.full_mask) is None
+        monkeypatch.undo()
+        assert opt(0b111) is None
 
     @pytest.mark.parametrize("budget", ["_TOP_MEMO", "_TOP_DEPTH"])
     def test_a_tripped_budget_falls_back_with_the_same_output(self, monkeypatch, budget):
         graphs = [g for g in golden_corpus() if g.n <= 16 and is_class_member(g).is_member]
         graphs = [g for g in graphs if enumerate_induced_p4(g)]
         assert len(graphs) >= 100
+        graphs += NON_BIPARTITE
         want = [solve(g) for g in graphs]
         monkeypatch.setattr(solver, budget, 0)
         for g, expected in zip(graphs, want):
-            assert solver._home_optimum(g, g.full_mask) is None
+            assert _optimum(g, g.full_mask) is None
+            assert solve(g) == expected
+
+    @pytest.mark.parametrize("answers", [1, 2, 3, 5, 8, 13, 40])
+    def test_a_budget_that_trips_part_way_leaves_the_output(self, monkeypatch, answers):
+        # the oracle answers home's query and then a few more, so its
+        # budget trips in the loop, in a forced pair's family or in a
+        # descent of _solve_raw
+        graphs = [SCAN_GRAPHS[name]() for name in sorted(SCAN_GRAPHS)] + NON_BIPARTITE
+        want = [solve(g) for g in graphs]
+        _tripping_after(monkeypatch, answers)
+        for g, expected in zip(graphs, want):
             assert solve(g) == expected
 
     def test_the_exact_top_stops_a_non_bipartite_home(self, monkeypatch):
@@ -1052,15 +1144,67 @@ class TestHomeOptimum:
         assert bipartite.lp_bound(g, g.full_mask) > got.weight
         assert trace.paths < len(paths)
 
+    @pytest.mark.parametrize(
+        "make, optimum, raw_calls",
+        [
+            (lambda: andrasfai_graph(16, seed=7016), lambda g: andrasfai_optimum(g, 16), 10),
+            (lambda: blowup_graph(7, 6, seed=706), lambda g: blowup_optimum(g, 7), 5),
+        ],
+        ids=["andrasfai_16", "c7_classes_of_6"],
+    )
+    def test_the_descent_solves_one_pair(self, monkeypatch, make, optimum, raw_calls):
+        # the first pair whose exact weight is the optimum is the one
+        # solved, and each branching family solves only its first member
+        # that reaches its own optimum
+        g = make()
+        pairs = _count_calls(monkeypatch, solver, "_solve_containing")
+        raw = _count_calls(monkeypatch, split_solver, "_solve_raw")
+        got = solve(g)
+        assert got.weight == optimum(g)
+        assert len(pairs) == 1
+        assert len(raw) <= raw_calls
+
     @pytest.mark.parametrize("name", sorted(SCAN_GRAPHS))
     def test_a_best_above_the_top_is_an_internal_fault(self, monkeypatch, name):
-        # a top one below the optimum that no candidate weighs exactly, so
-        # the loop cannot stop at it and its best ends above it
+        # every answer one below the optimum: the loop and the families
+        # are steered as before, but the top is one no candidate weighs, so
+        # the loop does not stop and its best ends above it
         g = SCAN_GRAPHS[name]()
-        home_optimum = solver._home_optimum
-        monkeypatch.setattr(solver, "_home_optimum", lambda g, home: home_optimum(g, home) - 1)
+        _shifted_oracle(monkeypatch, -1)
         with pytest.raises(StructureViolation) as info:
             solve(g)
         home = recognition._membership(g)[1]
         best = oracle_wis(g, home).weight
         assert info.value.witness == ("above_top", (best, best - 1))
+
+    @pytest.mark.parametrize("name", sorted(SCAN_GRAPHS))
+    def test_a_best_below_the_top_is_an_internal_fault(self, monkeypatch, name):
+        # every answer one above the optimum: no candidate reaches the top,
+        # so the loop runs to the remainder and its best ends below it
+        g = SCAN_GRAPHS[name]()
+        _shifted_oracle(monkeypatch, 1)
+        with pytest.raises(StructureViolation) as info:
+            solve(g)
+        home = recognition._membership(g)[1]
+        best = oracle_wis(g, home).weight
+        assert info.value.witness == ("below_top", (best, best + 1))
+
+    @pytest.mark.parametrize("name", sorted(SCAN_GRAPHS))
+    def test_a_family_that_misses_its_target_is_an_internal_fault(self, name):
+        # the pair's target, the family's first query, one above its
+        # optimum: no member of its family reaches it
+        g = SCAN_GRAPHS[name]()
+        _, home, _, paths = recognition._membership(g)
+        a, b, c, d = paths[0]
+        _, s_b, _, s_d, _, _, s_bd, anti = recognition._trace_classes(g, paths[0], home)
+        real = solver._optimum_oracle(g, home)
+        queries = []
+
+        def opt(mask):
+            queries.append(mask)
+            return real(mask) + (len(queries) == 1)
+
+        want = oracle_wis(g, s_b | s_d | s_bd | anti).weight + 1
+        with pytest.raises(StructureViolation) as info:
+            constrained._solve_containing(g, a, c, s_b, s_d, s_bd, anti, None, {}, opt)
+        assert info.value.witness == ("unreached_optimum", want)

@@ -22,7 +22,7 @@ from conftest import (
     witness_checks,
 )
 
-from p4p4free import constrained, solve, solve_with_cover, solver, split_solver
+from p4p4free import solve, solve_with_cover, solver, split_solver
 from p4p4free.bipartite import side_selection
 from p4p4free.constrained import solve_containing_ac, solve_containing_bd
 from p4p4free.errors import ClassViolation, StructureViolation
@@ -41,7 +41,7 @@ TWO_PATHS = Graph.from_edges(8, [(2, 0), (2, 1), (3, 0), (6, 4), (6, 5), (7, 4)]
 
 def solve_raw(g: Graph, s_mask: int, t_mask: int, leaves=None) -> tuple[int, int]:
     host = s_mask | t_mask
-    return split_solver._solve_raw(g, s_mask, t_mask, host, 0, 0, leaves, {}, 0)
+    return split_solver._solve_raw(g, s_mask, t_mask, host, 0, 0, leaves, {}, 0, None)
 
 
 def split(g: Graph, s, t) -> tuple[int, int]:
@@ -58,7 +58,7 @@ class TestInstanceValidation:
     def test_rejects_host_outside_both_parts(self):
         g = complete_bipartite(2, 3)
         with pytest.raises(StructureViolation) as exc:
-            split_solver._solve_raw(g, 0, 0b11, g.full_mask, 0, 0, None, {}, 0)
+            split_solver._solve_raw(g, 0, 0b11, g.full_mask, 0, 0, None, {}, 0, None)
         assert exc.value.witness == ("split_parts", 0b11100)
 
     def test_rejects_parts_that_overlap_in_the_host(self):
@@ -67,10 +67,10 @@ class TestInstanceValidation:
         g = complete_bipartite(2, 3)
         raw = split_solver._solve_raw
         with pytest.raises(StructureViolation) as exc:
-            raw(g, mask_of([0, 4]), g.full_mask, mask_of([0, 2, 3]), 0, 0, None, {}, 0)
+            raw(g, mask_of([0, 4]), g.full_mask, mask_of([0, 2, 3]), 0, 0, None, {}, 0, None)
         assert exc.value.witness == ("split_parts", 0b1)
         host = mask_of([1, 2, 3])
-        assert raw(g, 0b1, g.full_mask, host, 0, 0, None, {}, 0) == (2, mask_of([2, 3]))
+        assert raw(g, 0b1, g.full_mask, host, 0, 0, None, {}, 0, None) == (2, mask_of([2, 3]))
 
 
 class TestContactHits:
@@ -473,7 +473,7 @@ class TestForbiddenShapesSurface:
         def broken(*args):
             raise StructureViolation("broken", ("side_split_blocks", ()))
 
-        monkeypatch.setattr(constrained, "_solve_raw", broken)
+        monkeypatch.setattr(split_solver, "_solve_raw", broken)
         g = TWO_PATHS
         with pytest.raises(ClassViolation) as exc:
             solve_containing_ac(g, InducedP4(3, 0, 2, 1))
@@ -485,7 +485,7 @@ class TestForbiddenShapesSurface:
         def refusing(*args):
             raise ClassViolation("bogus", ("triangle", (0, 1, 2)))
 
-        monkeypatch.setattr(constrained, "_solve_raw", refusing)
+        monkeypatch.setattr(split_solver, "_solve_raw", refusing)
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(StructureViolation) as exc:
             solve_containing_ac(g, InducedP4(0, 1, 2, 3))
@@ -497,7 +497,7 @@ class TestDepthBudget:
         g = complete_bipartite(2, 3)
         depth = g.n + 9
         with pytest.raises(StructureViolation) as exc:
-            split_solver._solve_raw(g, 0, g.full_mask, g.full_mask, depth, 0, None, {}, 0)
+            split_solver._solve_raw(g, 0, g.full_mask, g.full_mask, depth, 0, None, {}, 0, None)
         assert exc.value.witness == ("depth_budget", depth)
 
     def test_overrun_on_a_non_member_is_refused_with_a_witness(self, monkeypatch):
@@ -506,7 +506,7 @@ class TestDepthBudget:
         def deep(g, s_mask, t_mask, host, depth, *rest):
             return original(g, s_mask, t_mask, host, depth + g.n + 9, *rest)
 
-        monkeypatch.setattr(constrained, "_solve_raw", deep)
+        monkeypatch.setattr(split_solver, "_solve_raw", deep)
         g = TWO_PATHS
         with pytest.raises(ClassViolation) as exc:
             solve_containing_ac(g, InducedP4(3, 0, 2, 1))
@@ -596,21 +596,21 @@ class TestSideFoldMemo:
         g = complete_bipartite(2, 3)
         memo: dict = {}
         raw = split_solver._solve_raw
-        assert raw(g, 0, g.full_mask, g.full_mask, 0, 0, None, memo, 0) == (3, 0b11100)
+        assert raw(g, 0, g.full_mask, g.full_mask, 0, 0, None, memo, 0, None) == (3, 0b11100)
         self.hit(monkeypatch, memo, g.full_mask)
         with pytest.raises(StructureViolation) as exc:
-            raw(g, 0, 0b11, g.full_mask, 0, 0, None, memo, 0)
+            raw(g, 0, 0b11, g.full_mask, 0, 0, None, memo, 0, None)
         assert exc.value.witness == ("split_parts", 0b11100)
 
     def test_depth_budget_raises_on_a_hit(self, monkeypatch):
         g = complete_bipartite(2, 3)
         memo: dict = {}
         raw = split_solver._solve_raw
-        raw(g, 0, g.full_mask, g.full_mask, 0, 0, None, memo, 0)
+        raw(g, 0, g.full_mask, g.full_mask, 0, 0, None, memo, 0, None)
         self.hit(monkeypatch, memo, g.full_mask)
         depth = g.n + 9
         with pytest.raises(StructureViolation) as exc:
-            raw(g, 0, g.full_mask, g.full_mask, depth, 0, None, memo, 0)
+            raw(g, 0, g.full_mask, g.full_mask, depth, 0, None, memo, 0, None)
         assert exc.value.witness == ("depth_budget", depth)
 
     def test_two_uncertified_components_raise_on_a_hit(self, monkeypatch):
@@ -622,7 +622,7 @@ class TestSideFoldMemo:
             if call:
                 self.hit(monkeypatch, memo, g.full_mask)
             with pytest.raises(StructureViolation) as exc:
-                split_solver._solve_raw(g, s_mask, t_mask, g.full_mask, 0, 0, None, memo, 0)
+                split_solver._solve_raw(g, s_mask, t_mask, g.full_mask, 0, 0, None, memo, 0, None)
             witnesses.append(exc.value.witness)
         assert witnesses[0] == witnesses[1]
         assert witnesses[1][0] == "uncertified_components"
@@ -636,7 +636,7 @@ class TestSideFoldMemo:
             if call:
                 self.hit(monkeypatch, memo, host)
             leaves: list[int] = []
-            assert raw(g, 0, g.full_mask, host, 0, ambient, leaves, memo, 0) == (
+            assert raw(g, 0, g.full_mask, host, 0, ambient, leaves, memo, 0, None) == (
                 2,
                 mask_of([2, 3]),
             )
