@@ -21,8 +21,8 @@ neighbourhoods of its smallest vertex and of one vertex across, collects
 any other component by a breadth-first search, and hands a component on
 as plain ints: a complete bipartite one as its two sides, any other as
 its member mask.  ``_all_certified`` runs the same certification as a
-yes-or-no test that stops at the first component to fail, for the
-membership scan's regions.
+yes-or-no test that stops at the first component to fail, for the sets
+the membership scan tests.
 """
 
 from __future__ import annotations

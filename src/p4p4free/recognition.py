@@ -9,16 +9,14 @@ lies entirely at distance >= 2 from the first).  A connected triangle-free
 graph without an induced P4 is complete bipartite, so paths are sought
 only in the components without a certificate.
 
-Many paths share an anti-neighborhood, and most anti-neighborhoods are
-tiny, so one membership call tests each at most once.  Holding no P4
-is hereditary: fewer than 4 vertices hold none, and a region already
-found path-free holds none again, so both are skipped.  A region is
-tested by certifying its components complete bipartite, and searched for
-a path only when one fails.  The witness is the full scan's: every
-skipped region holds no P4, so the first path in scan order whose region
-holds one is still searched, on that same region.
-The scan yields plain ``(a, b, c, d)`` tuples; an ``InducedP4`` is built
-only where a path leaves the package (a witness, an enumeration).
+The membership scan keeps no path and visits few (see ``_membership``):
+the paths of a middle edge (b, c) are passed over when home minus N(b)
+and N(c), which holds each of their anti-neighborhoods, holds no P4, so
+on a crown the scan's time follows the edges, not the paths.  Paths are
+plain ``(a, b, c, d)`` tuples, drawn lazily in ascending order by
+``_canonical_p4s`` for the solver and the enumeration; an ``InducedP4``
+is built only where a path leaves the package (a witness, an
+enumeration).
 
 Around a fixed induced P4 (a, b, c, d), triangle-freeness pins every
 neighbor of the path to one of seven adjacency traces: {a}, {b}, {c}, {d},
@@ -127,9 +125,23 @@ def find_triangle(g: Graph, host: int | None = None) -> tuple[int, int, int] | N
     return None
 
 
-def _p4_scan(g: Graph, host: int):
+def _holds_no_p4(adj, known: dict, mask: int) -> bool:
+    """Whether g[mask] holds no P4, for a triangle-free g: fewer than 4
+    vertices hold none, and a larger mask is certified once per ``known``,
+    a dict from each mask tested to its answer."""
+    if mask.bit_count() < 4:
+        return True
+    free = known.get(mask)
+    if free is None:
+        free = known[mask] = _all_certified(adj, mask)
+    return free
+
+
+def _p4_scan(g: Graph, host: int, known: dict | None = None):
     """Yield the canonical induced P4s of g[host] (each exactly once,
-    a < d) as plain ``(a, b, c, d)`` tuples.
+    a < d) as plain ``(a, b, c, d)`` tuples.  Given ``known``, on a
+    triangle-free g, the paths of a middle edge (b, c) are passed over
+    when host - N(b) - N(c) holds no P4 (``_holds_no_p4``).
 
     Iterates over ordered middle edges (b, c); for the canonical
     orientation only one of the two orders survives the a < d filter, so no
@@ -151,7 +163,10 @@ def _p4_scan(g: Graph, host: int):
             adj_c = adj[c] & host
             a_cand = adj_b & ~adj_c & ~c_low
             d_cand = adj_c & ~adj_b & ~b_low
-            if not a_cand or not d_cand:
+            # a canonical path needs a d above the least a
+            if not a_cand or d_cand <= a_cand & -a_cand:
+                continue
+            if known is not None and _holds_no_p4(adj, known, host & ~(adj[b] | adj[c])):
                 continue
             while a_cand:
                 a_low = a_cand & -a_cand
@@ -164,10 +179,44 @@ def _p4_scan(g: Graph, host: int):
                     yield (a, b, c, d_low.bit_length() - 1)
 
 
+def _canonical_p4s(g: Graph, host: int):
+    """Yield the induced P4s of g[host] as ``(a, b, c, d)`` tuples with
+    a < d, in ascending tuple order: a, then b in N(a), c in N(b) - N[a],
+    and d > a in N(c) - N(a) - N(b)."""
+    adj = g.adj
+    above = host  # the vertices above a, once a is taken off
+    while above:
+        a_low = above & -above
+        above ^= a_low
+        a = a_low.bit_length() - 1
+        off_a = ~adj[a]
+        d_off_a = above & off_a
+        if not d_off_a:
+            continue
+        c_off_a = host & off_a & ~a_low
+        bs = adj[a] & host
+        while bs:
+            b_low = bs & -bs
+            bs ^= b_low
+            b = b_low.bit_length() - 1
+            adj_b = adj[b]
+            cs = adj_b & c_off_a
+            ds_off = d_off_a & ~adj_b
+            while cs and ds_off:
+                c_low = cs & -cs
+                cs ^= c_low
+                c = c_low.bit_length() - 1
+                ds = adj[c] & ds_off
+                while ds:
+                    d_low = ds & -ds
+                    ds ^= d_low
+                    yield (a, b, c, d_low.bit_length() - 1)
+
+
 def enumerate_induced_p4(g: Graph, host: int | None = None) -> list[InducedP4]:
     """All induced P4s of g[host], canonical (a < d), lexicographic order."""
     host = g._check_host(host)
-    return [InducedP4(*t) for t in sorted(_p4_scan(g, host))]
+    return [InducedP4(*t) for t in _canonical_p4s(g, host)]
 
 
 def find_induced_p4(g: Graph, host: int | None = None) -> InducedP4 | None:
@@ -244,56 +293,44 @@ def is_class_member(g: Graph) -> MembershipVerdict:
 
 def _membership(
     g: Graph,
-) -> tuple[
-    MembershipVerdict,
-    int,
-    tuple[tuple[int, int], ...],
-    tuple[tuple[int, int, int, int], ...],
-]:
+) -> tuple[MembershipVerdict, int, tuple[tuple[int, int], ...]]:
     """``is_class_member(g)`` with what it decided from: home, the union
     of the uncertified components of ``components_with_certificates(g,
-    g.full_mask)``, the side pairs of the certified ones, and on a member
-    every induced P4 of g[home] as an ``(a, b, c, d)`` tuple in scan
-    order, which the verdict had to visit; home 0 and no pairs when a
-    triangle decided it before the decomposition, and no paths on a
-    refusal.
+    g.full_mask)``, and the side pairs of the certified ones; home 0 and
+    no pairs when a triangle decided it before the decomposition.
 
-    Each path's region, home minus the path's closed neighbourhood, is
-    searched for a second path at most once per call.  Holding no P4 is
-    hereditary: a region of fewer than 4 vertices holds none, and neither
-    does a region already found path-free, so both are skipped.  A region
-    is found path-free by certifying its components complete bipartite
-    (g is triangle-free here), and ``find_induced_p4`` runs only on the
-    region that fails.  The witness is unchanged: every skipped region
-    holds no P4, so the first path in scan order whose region holds one is
-    still searched, on that same region, and ``find_induced_p4`` returns
-    the same second path.
+    The scan keeps no path.  Every path a-b-c-d has its region, home
+    minus the path's closed neighbourhood, inside S = home - N(b) - N(c),
+    and holding no P4 is hereditary, so the scan passes over the paths of
+    a middle edge (b, c) whose S holds none; the paths of any other edge
+    have their regions tested in scan order.  A mask is tested once per
+    call, by certifying its components complete bipartite (g is
+    triangle-free here), and one of fewer than 4 vertices holds no P4.
+    ``find_induced_p4`` runs only on the region that fails.  The witness
+    is the full scan's: every region passed over holds no P4, so the
+    first path in scan order whose region holds one is still searched, on
+    that same region, and the search returns the same second path.
     """
     tri = find_triangle(g)
     if tri is not None:
-        return MembershipVerdict(False, tri), 0, (), ()
+        return MembershipVerdict(False, tri), 0, ()
     certified, uncertified = components_with_certificates(g, g.full_mask)
     home = 0
     for comp in uncertified:
         home |= comp
     adj = g.adj
-    paths = []
-    path_free = set()  # regions of at least 4 vertices searched in vain
-    for t in _p4_scan(g, home):
+    known: dict[int, bool] = {}
+    for t in _p4_scan(g, home, known):
         a, b, c, d = t
         # each path vertex is a neighbour of another, so this is home
         # minus the path's closed neighbourhood
         region = home & ~(adj[a] | adj[b] | adj[c] | adj[d])
-        if region.bit_count() >= 4 and region not in path_free:
-            if not _all_certified(adj, region):
-                # a connected triangle-free part without a certificate
-                # holds a P4, and the search finds the scan's first
-                q = find_induced_p4(g, region)
-                verdict = MembershipVerdict(False, None, (InducedP4(*t), q))
-                return verdict, home, certified, ()
-            path_free.add(region)
-        paths.append(t)
-    return _MEMBER, home, certified, tuple(paths)
+        if not _holds_no_p4(adj, known, region):
+            # a connected triangle-free part without a certificate holds a
+            # P4, and the search finds the scan's first
+            q = find_induced_p4(g, region)
+            return MembershipVerdict(False, None, (InducedP4(*t), q)), home, certified
+    return _MEMBER, home, certified
 
 
 def witness_holds(g: Graph, witness) -> bool:

@@ -25,19 +25,16 @@ graph and, when there is none, decomposes it once and scans home (for
 each path in scan order, a second path in its anti-neighborhood).  The
 verdict and witness are those of ``is_class_member(g)``; the refusal is
 raised once its witness re-checks, and a triangle is refused before any
-decomposition.  The scan tests each anti-neighborhood of at least 4
-vertices once per call, by certifying its components complete bipartite,
-and searches it for a path only when that fails: a region found
-path-free stays path-free, and a smaller one holds no P4, so skipping them leaves the first path whose
-region holds one, and so the witness, unchanged.  Home, the rest's
-sides and home's paths all come from that same pass: to accept a member
-the scan visits every path of home, so the paths are scanned once and
-only sorted into canonical order here.  They arrive as plain
-``(a, b, c, d)`` tuples and stay so: the loop hands each tuple on as four
-vertex ids, and no ``InducedP4`` or ``NeighborhoodPartition`` is built
-below the public call.  Past that step the input is a verified member, so
-a refusal raised by the branching is an internal fault and leaves as a
-``StructureViolation``.
+decomposition.  The scan keeps no path and visits few (see
+``recognition._membership``); home and the rest's sides come from that
+same pass.  Home's paths are then drawn lazily from
+``recognition._canonical_p4s``, in canonical order, as plain
+``(a, b, c, d)`` tuples: ``solve`` stops at home's optimum after a few
+of them, and the cover visits them all, keeping none.  The loop hands
+each tuple on as four vertex ids, and no ``InducedP4`` or
+``NeighborhoodPartition`` is built below the public call.  Past that
+step the input is a verified member, so a refusal raised by the
+branching is an internal fault and leaves as a ``StructureViolation``.
 
 Candidates are evaluated in one serial loop (paths in canonical order;
 per path {a, c}, {b, d}, the region; the remainder last), and only a
@@ -129,8 +126,8 @@ the cover draws {a, x} on home (d-c-x-y likewise for s_c).
 Below the public calls every candidate is a ``(weight, mask)`` pair and
 every path is plain ints: each path scans its neighborhood once, on
 entry, into the eight masks of ``recognition._trace_classes`` (the seven
-trace classes and the anti-neighborhood), unchecked, as the membership
-scan found the path in home.  The {b, d} draw is the {a, c} draw of the
+trace classes and the anti-neighborhood), unchecked, as the canonical
+draw found the path in home.  The {b, d} draw is the {a, c} draw of the
 reversed path d-c-b-a, whose classes are the same masks relabelled (a↔d,
 b↔c, ac↔bd): it reads s_c, s_a and s_ac for s_b, s_d and s_bd.  Each
 draw is one call of the internal ``constrained._solve_containing``,
@@ -149,7 +146,7 @@ from .bipartite import cb_weight_mask, lp_bound, side_selection
 from .constrained import _solve_containing
 from .errors import InputError, StructureViolation
 from .graph import Graph, SolveResult, _union, certified_result
-from .recognition import _membership, _trace_classes, verified_member
+from .recognition import _canonical_p4s, _membership, _trace_classes, verified_member
 
 __all__ = ["CoverFamily", "solve", "solve_with_cover"]
 
@@ -289,7 +286,7 @@ def _per_path(g: Graph, vs, home: int, best, top, drawn: set, members, memo: dic
     ``top``.
 
     The path's trace classes are computed once, on entry, unchecked: the
-    path is one the membership scan found in home.  Both calls add each
+    path is one the canonical draw found in home.  Both calls add each
     forced pair's mask to ``drawn`` and skip a pair drawn before.  A
     candidate is evaluated only when its weight (or an upper bound on it)
     reaches a floor: ``top`` when ``top`` is home's exact optimum (``opt``
@@ -344,13 +341,14 @@ def _run(g: Graph, cover: bool, jobs: int):
     # type(True) is bool, so a bool is refused with every non-int
     if type(jobs) is not int or jobs < 1:
         raise InputError(f"jobs must be an int of at least 1, got {jobs!r}")
-    verdict, home, certified, paths = _membership(g)
+    verdict, home, certified = _membership(g)
     with verified_member(g, verdict):
         # side selection solves every component outside home once for all
         # candidates
         rest_mask = side_selection(g, certified)[1]
-        # the membership scan's paths, in canonical order
-        paths = sorted(paths)
+        # home's paths in canonical order, drawn lazily: solve stops at
+        # the top, the cover visits them all
+        paths = _canonical_p4s(g, home)
         # this call's repeated subproblems (see the module docstring)
         memo: dict = {}
         return _solve_all(g, paths, home, rest_mask, cover, memo)
@@ -367,22 +365,24 @@ def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool, memo: di
     # cannot beat it strictly (see the module docstring); opt stays only
     # while the top is exact
     top = opt = None
-    if paths and not cover:
+    # on a member every uncertified component holds a path
+    if home and not cover:
         opt = _optimum_oracle(g, home)
         top = opt(home)
         if top is None:
             opt = None
             top = lp_bound(g, home)
+    # home minus the paths drawn so far
+    white_host = home
     for t in paths:
+        a, b, c, d = t
+        white_host &= ~(1 << a | 1 << b | 1 << c | 1 << d)
         best = _per_path(g, t, home, best, top, drawn, members, memo, opt)
         if best[0] == top:
             break
     else:
         # the path-free remainder of home, only known once every path has
         # been drawn
-        white_host = home
-        for a, b, c, d in paths:
-            white_host &= ~(1 << a | 1 << b | 1 << c | 1 << d)
         if cover:
             members.append(white_host)
         cand = cb_weight_mask(g, white_host)

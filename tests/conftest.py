@@ -1,10 +1,12 @@
 """Shared graph builders and exhaustive mini-oracles for the test suite.
 
-Three of them serve only as references and inputs for the package's
+Four of them serve only as references and inputs for the package's
 checks: ``wis_by_enumeration`` is a second, independent oracle,
-``oracle_wis_containing`` the optimum through a forced set, and
-``gen_split_instance`` draws split instances from the package's seeded
-PRNG.  They take their arguments unchecked.
+``oracle_wis_containing`` the optimum through a forced set,
+``konig_optimum`` the bipartite optimum by a minimum cut, sharing no code
+with the package's ``bipartite``, and ``gen_split_instance`` draws split
+instances from the package's seeded PRNG.  They take their arguments
+unchecked.
 """
 
 from __future__ import annotations
@@ -111,6 +113,13 @@ def petersen() -> Graph:
     edges += [(i, i + 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return Graph.from_edges(10, edges)
+
+
+def clebsch() -> Graph:
+    """The Clebsch graph as the folded 5-cube: the 4-bit strings, adjacent
+    when they differ in one bit or in all four."""
+    edges = [(u, v) for u in range(16) for v in range(u + 1, 16) if (u ^ v).bit_count() in (1, 4)]
+    return Graph.from_edges(16, edges)
 
 
 def andrasfai_graph(k: int, seed: int) -> Graph:
@@ -367,8 +376,8 @@ def verdict_witness(verdict):
     return None
 
 
-def two_colorable(g: Graph, mask: int) -> bool:
-    """BFS two-coloring of g[mask]."""
+def two_coloring(g: Graph, mask: int) -> dict[int, int] | None:
+    """BFS two-coloring of g[mask] as {vertex: 0 or 1}, or None."""
     color: dict[int, int] = {}
     for start in bits(mask):
         if start in color:
@@ -382,8 +391,64 @@ def two_colorable(g: Graph, mask: int) -> bool:
                     color[w] = color[v] ^ 1
                     queue.append(w)
                 elif color[w] == color[v]:
-                    return False
-    return True
+                    return None
+    return color
+
+
+def two_colorable(g: Graph, mask: int) -> bool:
+    """Whether g[mask] has a two-coloring."""
+    return two_coloring(g, mask) is not None
+
+
+def konig_optimum(g: Graph, mask: int) -> int:
+    """Maximum weight of an independent set of the bipartite g[mask].
+
+    By König's theorem it is the total weight minus a minimum weight
+    vertex cover, which is a minimum cut of the network source → color 0
+    → color 1 → sink: each vertex's arc carries its weight, each edge's
+    arc is uncuttable.  The maximum flow grows along shortest augmenting
+    paths (Edmonds–Karp)."""
+    color = two_coloring(g, mask)
+    assert color is not None, "g[mask] is not bipartite"
+    source, sink = -1, -2
+    total = sum(g.weights[v] for v in color)
+    residual: dict[tuple[int, int], int] = {}
+    out: dict[int, list[int]] = {source: [], sink: []}
+    out.update((v, []) for v in color)
+
+    def arc(u: int, v: int, cap: int) -> None:
+        residual[u, v] = cap
+        residual[v, u] = 0
+        out[u].append(v)
+        out[v].append(u)
+
+    for v, side in color.items():
+        if side == 0:
+            arc(source, v, g.weights[v])
+            for u in bits(g.adj[v] & mask):
+                arc(v, u, total + 1)
+        else:
+            arc(v, sink, g.weights[v])
+    flow = 0
+    while True:
+        parent = {source: source}
+        queue = [source]
+        for u in queue:
+            for v in out[u]:
+                if v not in parent and residual[u, v]:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            return total - flow
+        path, v = [], sink
+        while v != source:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(residual[e] for e in path)
+        for u, v in path:
+            residual[u, v] -= push
+            residual[v, u] += push
+        flow += push
 
 
 def witness_checks(g: Graph, witness) -> bool:

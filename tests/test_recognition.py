@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from conftest import (
     blowup_graph,
@@ -37,6 +39,7 @@ from p4p4free import recognition
 from p4p4free.recognition import (
     InducedP4,
     NeighborhoodPartition,
+    _canonical_p4s,
     _membership,
     enumerate_induced_p4,
     find_induced_p4,
@@ -137,6 +140,19 @@ class TestEnumerateP4:
         g = random_graph(seed, 10, 0.3)
         assert {p.vertices for p in enumerate_induced_p4(g)} == scan_p4s(g)
 
+    def test_equals_the_sorted_four_subset_scan_on_the_fuzz_members(self):
+        members = 0
+        for j in range(600):
+            g = fuzz_graph(j)
+            if not is_class_member(g).is_member:
+                continue
+            members += 1
+            home = _membership(g)[1]
+            for host in (g.full_mask, home):
+                got = [p.vertices for p in enumerate_induced_p4(g, host)]
+                assert got == sorted(scan_p4s(g, host)), j
+        assert members >= 200
+
     def test_host_restriction(self):
         g = path_graph(5)
         inside = enumerate_induced_p4(g, mask_of([0, 1, 2, 3]))
@@ -235,21 +251,44 @@ def _region(g: Graph, home: int, t) -> int:
 
 
 def _reference_membership(g: Graph):
-    """The membership scan without its region memo or size skip: every
-    path of home, in scan order, has its region searched.  Returns the
-    witness in ``verdict_witness`` form (None for a member) and, on a
-    member, the paths as vertex tuples."""
+    """The membership scan without its region memo, size skip or edge
+    skip: every path of home, in scan order, has its region searched.
+    Returns the witness in ``verdict_witness`` form (None for a member)
+    and, on a member, home's paths in ascending tuple order, from the
+    four-subset scan."""
     tri = find_triangle(g)
     if tri is not None:
         return ("triangle", tri), ()
     home = sum(components_with_certificates(g, g.full_mask)[1])  # disjoint masks
-    paths = enumerate_induced_p4(g, home)
-    paths.sort(key=lambda p: (p.b, p.c, p.a, p.d))
-    for p in paths:
-        q = find_induced_p4(g, _region(g, home, p.vertices))
+    paths = sorted(scan_p4s(g, home))
+    for t in sorted(paths, key=lambda t: (t[1], t[2], t[0], t[3])):
+        q = find_induced_p4(g, _region(g, home, t))
         if q is not None:
-            return ("p4_pair", (p.vertices, q.vertices)), ()
-    return None, tuple(p.vertices for p in paths)
+            return ("p4_pair", (t, q.vertices)), ()
+    return None, tuple(paths)
+
+
+def _verdict_and_paths(g: Graph):
+    """``_reference_membership``'s form of ``_membership``, with home's
+    paths drawn from ``_canonical_p4s`` on a member."""
+    verdict, home, _ = _membership(g)
+    paths = tuple(_canonical_p4s(g, home)) if verdict.is_member else ()
+    return verdict_witness(verdict), paths
+
+
+def _middle_edges(g: Graph, home: int):
+    """The ordered edges (b, c) of g[home], ascending, with a neighbour
+    of b off c, and a neighbour of c off b above the least of those: the
+    middles the scan walks."""
+    adj = [m & home for m in g.adj]
+    edges = []
+    for b in bits(home):
+        for c in bits(adj[b]):
+            a_cand = adj[b] & ~adj[c] & ~(1 << c)
+            d_cand = adj[c] & ~adj[b] & ~(1 << b)
+            if a_cand and max(bits(d_cand), default=-1) > min(bits(a_cand)):
+                edges.append((b, c))
+    return edges
 
 
 REGION_GRAPHS = {
@@ -263,21 +302,21 @@ class TestMembershipRegions:
     def test_verdict_and_paths_equal_the_unmemoised_scan_on_fuzz_draws(self):
         for j in range(600):
             g = fuzz_graph(j)
-            verdict, _, _, paths = _membership(g)
-            assert (verdict_witness(verdict), paths) == _reference_membership(g), j
+            assert _verdict_and_paths(g) == _reference_membership(g), j
 
     def test_verdict_equals_the_unmemoised_scan_on_triangle_free_graphs(self):
         graphs = list(triangle_free_non_members(120, start=5_000))
         graphs += [triangle_free_graph(seed, 12 + seed % 9, 0.2) for seed in range(60)]
         for i, g in enumerate(graphs):
-            verdict, _, _, paths = _membership(g)
-            assert (verdict_witness(verdict), paths) == _reference_membership(g), i
+            assert _verdict_and_paths(g) == _reference_membership(g), i
 
     @pytest.mark.parametrize("name", sorted(REGION_GRAPHS) + ["non_members"])
     def test_each_region_of_four_or_more_is_searched_once(self, monkeypatch, name):
-        # each distinct region of 4 or more vertices is certified once, in
-        # scan order up to the first that holds a path, and only that one
-        # is searched for a path
+        # each middle edge's S, home minus N(b) and N(c), is certified
+        # first; only an edge whose S holds a path has its paths' regions
+        # certified, in (a, d) order, and only a region that holds a path
+        # is searched for one, which ends the scan.  A mask of fewer than
+        # 4 vertices is never certified, and no mask twice
         graphs = [REGION_GRAPHS[name]()] if name in REGION_GRAPHS else list(
             triangle_free_non_members(20, start=9_000)
         )
@@ -298,28 +337,52 @@ class TestMembershipRegions:
             certified.clear()
             searched.clear()
             home = sum(components_with_certificates(g, g.full_mask)[1])  # disjoint masks
-            want, refusing = [], []
-            for p in sorted(enumerate_induced_p4(g, home), key=lambda p: (p.b, p.c, p.a, p.d)):
-                region = _region(g, home, p.vertices)
-                if region.bit_count() < 4 or region in want:
+            paths = scan_p4s(g, home)
+            want, refusing, known = [], [], {}
+
+            def holds_a_path(mask):
+                if mask.bit_count() < 4:
+                    return False
+                if mask not in known:
+                    want.append(mask)
+                    known[mask] = find(g, mask) is not None
+                return known[mask]
+
+            for b, c in _middle_edges(g, home):
+                if not holds_a_path(home & ~(g.adj[b] | g.adj[c])):
                     continue
-                want.append(region)
-                if find(g, region) is not None:
-                    refusing.append(region)
+                for t in sorted(t for t in paths if t[1:3] == (b, c)):
+                    region = _region(g, home, t)
+                    if holds_a_path(region):
+                        refusing.append(region)
+                        break
+                if refusing:
                     break
             assert is_class_member(g).is_member == (not refusing)
             assert certified == want
             assert searched == refusing
 
+    @pytest.mark.parametrize("entry", [is_class_member, solve])
+    def test_the_front_step_keeps_no_paths(self, entry):
+        # crown_graph(60) has 205,320 induced P4s; a front step that kept
+        # them as tuples peaked at about 17 MiB
+        g = crown_graph(60)
+        tracemalloc.start()
+        try:
+            entry(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     @pytest.mark.parametrize("name", sorted(REGION_GRAPHS))
-    def test_paths_are_tuples_in_scan_order(self, name):
+    def test_canonical_paths_are_tuples_in_ascending_order(self, name):
         g = REGION_GRAPHS[name]()
-        verdict, home, _, paths = _membership(g)
+        verdict, home, _ = _membership(g)
+        paths = list(_canonical_p4s(g, home))
         assert verdict.is_member and paths
         assert all(type(t) is tuple for t in paths)
-        assert list(paths) == sorted(paths, key=lambda t: (t[1], t[2], t[0], t[3]))
-        assert set(paths) == {p.vertices for p in enumerate_induced_p4(g, home)}
-        assert len(set(paths)) == len(paths)
+        assert paths == sorted(scan_p4s(g, home))
 
 
 TWO_PATHS = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]

@@ -12,15 +12,18 @@ from conftest import (
     blowup_graph,
     blowup_of,
     blowup_optimum,
+    clebsch,
     complete_bipartite,
     crown_graph,
     crown_optimum,
     cycle_graph,
     fuzz_graph,
     is_independent,
+    konig_optimum,
     path_graph,
     petersen,
     random_graph,
+    scan_p4s,
     triangle_free_non_members,
     two_colorable,
     verdict_witness,
@@ -32,6 +35,8 @@ from p4p4free import bipartite, constrained, graph, recognition, solver, split_s
 from p4p4free.errors import ClassViolation, InputError, StructureViolation
 from p4p4free.graph import (
     Graph,
+    SolveResult,
+    bits,
     certified_result,
     components_with_certificates,
     mask_of,
@@ -42,7 +47,7 @@ from p4p4free.recognition import (
     is_class_member,
     witness_holds,
 )
-from p4p4free.solver import solve, solve_with_cover
+from p4p4free.solver import CoverFamily, solve, solve_with_cover
 from p4p4free.testkit import (
     XorShift64Star,
     enumerate_maximal_is,
@@ -187,7 +192,7 @@ class TestViolations:
         self, monkeypatch, entry
     ):
         def wrong(g):
-            return MembershipVerdict(False, triangle=(0, 1, 2)), 0, (), ()
+            return MembershipVerdict(False, triangle=(0, 1, 2)), 0, ()
 
         monkeypatch.setattr(solver, "_membership", wrong)
         with pytest.raises(StructureViolation) as info:
@@ -327,25 +332,51 @@ class TestScanHomeOnce:
     def test_one_scan_of_home_per_public_call(self, monkeypatch, name, entry):
         g = SCAN_GRAPHS[name]()
         home = sum(components_with_certificates(g, g.full_mask)[1])  # disjoint masks
-        want = enumerate_induced_p4(g, home)
+        want = sorted(scan_p4s(g, home))
         assert want
-        scanned, passed = [], []
-        scan, solve_all = recognition._p4_scan, solver._solve_all
+        scanned = []
+        scan = recognition._p4_scan
 
-        def counting(g, host):
+        def counting(g, host, known=None):
             scanned.append(host)
-            return scan(g, host)
-
-        def recording(g, paths, *rest):
-            passed.append(list(paths))
-            return solve_all(g, paths, *rest)
+            return scan(g, host, known)
 
         monkeypatch.setattr(recognition, "_p4_scan", counting)
-        monkeypatch.setattr(solver, "_solve_all", recording)
+        hosts, drawn = _record_path_draws(monkeypatch)
         entry(g)
+        # the membership scan runs once on home, and home's paths are
+        # drawn once
         assert scanned.count(home) == 1
-        # _solve_all takes the paths as (a, b, c, d) tuples
-        assert passed == [[p.vertices for p in want]]
+        assert hosts == [home]
+        # (a, b, c, d) tuples in canonical order, each at most once
+        assert len(set(drawn)) == len(drawn)
+        assert drawn == want[: len(drawn)]
+        if entry is solve_with_cover:
+            assert drawn == want
+
+    def test_solve_draws_fewer_paths_than_home_has(self, monkeypatch):
+        # the stop at home's optimum leaves the rest of the paths undrawn
+        g = crown_graph(9)
+        home = recognition._membership(g)[1]
+        _, drawn = _record_path_draws(monkeypatch)
+        solve(g)
+        assert 0 < len(drawn) < len(scan_p4s(g, home))
+
+
+def _record_path_draws(monkeypatch):
+    """Record the hosts of the solver's ``_canonical_p4s`` calls and the
+    paths drawn from them, as they are drawn."""
+    hosts, drawn = [], []
+    canonical = solver._canonical_p4s
+
+    def recording(g, host):
+        hosts.append(host)
+        for t in canonical(g, host):
+            drawn.append(t)
+            yield t
+
+    monkeypatch.setattr(solver, "_canonical_p4s", recording)
+    return hosts, drawn
 
 
 class TestTraceClassesOncePerPath:
@@ -562,9 +593,10 @@ class TestBoundAndSkip:
         checked = 0
         for j in range(600):
             g = fuzz_graph(j)
-            # a non-member's scan returns no paths
-            _, home, _, paths = recognition._membership(g)
-            for a, b, c, d in paths:
+            verdict, home, _ = recognition._membership(g)
+            if not verdict.is_member:
+                continue
+            for a, b, c, d in recognition._canonical_p4s(g, home):
                 s_a, s_b, s_c, s_d, s_ac, _, s_bd, anti = recognition._trace_classes(
                     g, (a, b, c, d), home
                 )
@@ -785,9 +817,10 @@ class TestForcedPairOnce:
         for g in golden_corpus():
             if g.n > 16:
                 continue
-            verdict, home, _, paths = recognition._membership(g)
-            if not verdict.is_member or not paths:
+            verdict, home, _ = recognition._membership(g)
+            if not verdict.is_member or not home:
                 continue
+            paths = list(recognition._canonical_p4s(g, home))
             graphs += 1
             pairs = {1 << a | 1 << c for a, _, c, _ in paths}
             pairs |= {1 << b | 1 << d for _, b, _, d in paths}
@@ -1065,9 +1098,10 @@ class TestHomeOptimum:
         members = queries = 0
         for j in range(600):
             g = fuzz_graph(j)
-            verdict, home, _, paths = recognition._membership(g)
+            verdict, home, _ = recognition._membership(g)
             if not verdict.is_member:
                 continue
+            paths = list(recognition._canonical_p4s(g, home))
             members += 1
             assert _optimum(g, g.full_mask) == oracle_wis(g).weight, j
             # one oracle answers every query of a solve from one memo
@@ -1194,9 +1228,10 @@ class TestHomeOptimum:
         # the pair's target, the family's first query, one above its
         # optimum: no member of its family reaches it
         g = SCAN_GRAPHS[name]()
-        _, home, _, paths = recognition._membership(g)
-        a, b, c, d = paths[0]
-        _, s_b, _, s_d, _, _, s_bd, anti = recognition._trace_classes(g, paths[0], home)
+        home = recognition._membership(g)[1]
+        first = next(recognition._canonical_p4s(g, home))
+        a, b, c, d = first
+        _, s_b, _, s_d, _, _, s_bd, anti = recognition._trace_classes(g, first, home)
         real = solver._optimum_oracle(g, home)
         queries = []
 
@@ -1208,3 +1243,52 @@ class TestHomeOptimum:
         with pytest.raises(StructureViolation) as info:
             constrained._solve_containing(g, a, c, s_b, s_d, s_bd, anti, None, {}, opt)
         assert info.value.witness == ("unreached_optimum", want)
+
+
+# members of every size class the claims are checked on: twin-rich
+# blow-ups, twin-free Andrásfai graphs and a crown, each weighted
+CLAIM_GRAPHS = {
+    **{f"c7_classes_of_{s}": (lambda s=s: blowup_graph(7, s, seed=700 + s)) for s in (4, 5)},
+    **{f"andrasfai_{k}": (lambda k=k: andrasfai_graph(k, seed=7000 + k)) for k in range(7, 11)},
+    "crown_30": lambda: _crown(30, heavy=False),
+    "clebsch_classes_of_2": lambda: blowup_of(clebsch(), 2, seed=1002),
+}
+
+
+def _check_claims(g: Graph, result: SolveResult, family: CoverFamily) -> None:
+    """Claim (ii), every cover member induces a bipartite subgraph, and
+    claim (i), the solve is a maximum: the best bipartite optimum over the
+    members is the solve's weight, and its chosen set lies in a member."""
+    for m in family.members:
+        assert two_colorable(g, m), bin(m)
+    assert max(konig_optimum(g, m) for m in family.members) == result.weight
+    chosen = mask_of(result.chosen)
+    assert any(chosen & ~m == 0 for m in family.members)
+
+
+class TestClaimsAgree:
+    @pytest.mark.parametrize("name", sorted(CLAIM_GRAPHS))
+    def test_the_covers_bipartite_optimum_is_the_solve(self, name):
+        g = CLAIM_GRAPHS[name]()
+        _check_claims(g, solve(g), solve_with_cover(g)[1])
+
+    def test_the_check_fails_on_each_mutation(self):
+        g = CLAIM_GRAPHS["c7_classes_of_4"]()
+        result, family = solve(g), solve_with_cover(g)[1]
+        _check_claims(g, result, family)
+        chosen = mask_of(result.chosen)
+        holding = [m for m in family.members if chosen & ~m == 0]
+        assert holding
+        without = CoverFamily(tuple(m for m in family.members if m not in holding))
+        lighter = SolveResult(result.weight - 1, result.chosen)
+        # two neighbours of one vertex of a member, joined: a triangle
+        # inside that member
+        m, w = next(
+            (m, w) for m in family.members for w in bits(m) if (g.adj[w] & m).bit_count() >= 2
+        )
+        u, v = list(bits(g.adj[w] & m))[:2]
+        edges = [(x, y) for x in range(g.n) for y in bits(g.adj[x]) if x < y]
+        joined = Graph.from_edges(g.n, edges + [(u, v)], g.weights)
+        for mutated in ((g, result, without), (g, lighter, family), (joined, result, family)):
+            with pytest.raises(AssertionError):
+                _check_claims(*mutated)

@@ -29,6 +29,7 @@ from p4p4free.errors import ClassViolation, StructureViolation
 from p4p4free.graph import Graph, bits, components_with_certificates, mask_of
 from p4p4free.recognition import (
     InducedP4,
+    _canonical_p4s,
     _membership,
     enumerate_induced_p4,
     find_induced_p4,
@@ -662,11 +663,12 @@ class TestSideFoldMemo:
         # a cover solve reaches every layer that could write the memo; each
         # key is a host inside home, each value its (weight, mask,
         # uncertified) fold
-        verdict, home, certified, paths = _membership(g)
-        assert verdict.is_member and paths
+        verdict, home, certified = _membership(g)
+        assert verdict.is_member and home
         memo: dict = {}
+        paths = list(_canonical_p4s(g, home))
         result, _ = solver._solve_all(
-            g, sorted(paths), home, side_selection(g, certified)[1], True, memo
+            g, paths, home, side_selection(g, certified)[1], True, memo
         )
         assert result == solve_with_cover(g)[0]
         assert memo
