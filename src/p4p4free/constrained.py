@@ -22,7 +22,8 @@ classes are those of the path relabelled (b↔c, a↔d, ac↔bd).
 The internal ``_solve_containing`` is the one kernel for a forced pair:
 it takes the pair and the four classes it reads (b-only, d-only, b-and-d
 and the anti-neighborhood) as plain ints and returns ``(weight, mask)``
-with the pair folded in.  The pair is the ``ambient`` of every
+with the pair folded in, or, given the cover's leaf list, walks the
+pair's family without weighing it.  The pair is the ``ambient`` of every
 ``_solve_raw`` it reaches, whose ``ambient | host`` is the one rule that
 records a cover leaf.  It assumes a class member and raises no refusal
 of its own.  The public solvers decide membership first, refusing a
@@ -128,10 +129,11 @@ def _solve_containing(
     """(weight, mask) of a maximum weight independent set containing
     {x, y}, the {a, c} of a path, given the path's b-only, d-only and
     b-and-d classes and its anti-neighbourhood in the host; x and y are
-    folded in.  When ``leaves`` is a list, each base case appends its host
-    with x and y to it (``solve_with_cover`` passes its members).
-    ``memo`` is the public call's host memo, shared by every branch (see
-    the ``split_solver`` module docstring).
+    folded in.  When ``leaves`` is a list the family is walked instead,
+    weighing nothing: each base case appends its host with x and y to it
+    (the cover's walk passes its members), and None is returned.  ``memo``
+    is the caller's host memo, shared by every branch (see the
+    ``split_solver`` module docstring).
 
     ``opt`` is ``solve``'s optimum oracle, or None.  With it the family
     (``_family``) is evaluated lazily against the pair's optimum,
@@ -143,8 +145,8 @@ def _solve_containing(
     """
     pair = 1 << x | 1 << y
     family = _family(g, s_b, s_d, s_bd, anti)
-    w, m = _solve_family(g, family, s_b | s_d | s_bd | anti, pair, leaves, memo, opt)
-    return w + g.weights[x] + g.weights[y], m | pair
+    got = _solve_family(g, family, s_b | s_d | s_bd | anti, pair, leaves, memo, opt)
+    return None if leaves is not None else (got[0] + g.weights[x] + g.weights[y], got[1] | pair)
 
 
 def solve_containing_ac(g: Graph, p: InducedP4, host: int | None = None) -> SolveResult:

@@ -30,9 +30,9 @@ decomposition.  The scan keeps no path and visits few (see
 same pass.  Home's paths are then drawn lazily from
 ``recognition._canonical_p4s``, in canonical order, as plain
 ``(a, b, c, d)`` tuples: ``solve`` stops at home's optimum after a few
-of them, and the cover visits them all, keeping none.  The loop hands
-each tuple on as four vertex ids, and no ``InducedP4`` or
-``NeighborhoodPartition`` is built below the public call.  Past that
+of them, and the cover's walk visits them all, keeping none.  No
+``InducedP4`` or ``NeighborhoodPartition`` is built below the public
+call.  Past that
 step the input is a verified member, so a refusal raised by the
 branching is an internal fault and leaves as a ``StructureViolation``.
 
@@ -40,30 +40,22 @@ Candidates are evaluated in one serial loop (paths in canonical order;
 per path {a, c}, {b, d}, the region; the remainder last), and only a
 strictly heavier candidate replaces the best, so the earliest heaviest
 wins.  ``solve`` steers that loop by home's exact optimum U and
-evaluates only a candidate that can be the answer.
+evaluates only a candidate that can be the answer.  It evaluates each
+forced pair once: a pair drawn before (the {a, c} of one path and the
+{b, d} of another are one pair when their masks are equal) is skipped,
+since the best set through a non-adjacent pair {x, y} lives in home
+minus N[x] and N[y], so its weight depends on the pair alone, and the
+best only grows.  The set of drawn pairs lives for one call.
 
-Both public calls evaluate each forced pair once: a pair drawn before, by
-this path or another (the {a, c} of one path and the {b, d} of another
-are one pair when their masks are equal), is skipped before its weight is
-asked.  The best set through a non-adjacent pair {x, y} lives in home
-minus N[x] and N[y], so its weight depends on the pair alone; the first
-draw weighed at most the best then (or, in ``solve``, was skipped because
-it could not reach U or beat the best), and the best only grows, so a
-repeat cannot change the answer.  The set of drawn pairs lives for one
-call.
-
-The stop and the exact bounds.  Before the first path ``solve`` builds
-the solve's optimum oracle (``_optimum_oracle``: ``opt(mask)`` is the
-optimum weight of g[mask], by maximum-degree branching with component
-splitting and a memo on component masks) and asks it for U = opt(home).
-Every candidate is an independent set of g[home], and on a member the
-heaviest weighs U, so the answer is the first candidate that weighs U:
-the loop stops there, and no later candidate could replace it.  The
-stop also skips the path-free remainder, which is home minus every path
-and so is not known until the last path is drawn (minus the paths drawn
-so far it may still hold a path).  Before that, a forced pair {x, y}
-weighs exactly w(x) + w(y) + opt(rest), rest = s_b | s_d | s_bd | anti
-(read from the path's masks, for {a, c}), so it is solved only when that
+The stop and the exact bounds.  Before the first path ``solve`` asks its
+optimum oracle (``_optimum_oracle``: ``opt(mask)`` is the optimum weight
+of g[mask], by maximum-degree branching with component splitting and a
+memo on component masks) for U = opt(home).  Every candidate is an
+independent set of g[home], and on a member the heaviest weighs U, so
+the loop stops at the first candidate that weighs U, which skips the
+path-free remainder, not known until the last path is drawn.  Before
+that, a forced pair {x, y} weighs exactly w(x) + w(y) + opt(rest), rest
+= s_b | s_d | s_bd | anti (for {a, c}), so it is solved only when that
 sum is U, and a region only when its weight reaches U.
 
 The descent.  A solved pair reaches U, and so does the one member of each
@@ -79,63 +71,59 @@ is solved, one level further down.  A family in which no member reaches
 its target is an internal fault.
 
 The budget and the fallback.  The branching is exponential in general,
-so all of a solve's queries share one memo and one budget: once the memo
-would hold more than |home|² masks, or a query would branch 400 levels
-deep, the oracle answers None for the rest of the solve, and each caller
-falls back to the rule that needs no optimum.  If home's own query trips,
-U is the floor of home's Nemhauser–Trotter LP value
-(``bipartite.lp_bound``, one max-flow on the bipartite double cover),
+so a solve's queries share one memo and one budget: once the memo would
+hold more than |home|² masks, or a query would branch 400 levels deep,
+the oracle answers None for the rest of the solve, and each caller falls
+back to the rule that needs no optimum.  If home's own query trips, U is
+the floor of home's Nemhauser–Trotter LP value (``bipartite.lp_bound``),
 exact on a bipartite home (König–Egerváry) and possibly above the
 optimum on a non-bipartite one, such as a complete blow-up of C5 or C7,
-where every path is visited; a candidate is then skipped only when it
-cannot beat the best strictly.  A forced pair's weight is then bounded by
-w(x) + w(y) plus a matching bound on its rest: in a triangle-free graph
-every clique is a vertex or an edge, so a greedy maximal matching is a
-clique cover, and an independent set takes at most the heavier end of
-each edge (the clique-cover bound of weighted branch and bound).  A
-family whose target is unknown is solved in full, the earliest heaviest
-kept; one whose oracle trips part way solves the members left, and the
-skipped ones weighed less than its target.  On a member no skipped
-candidate can change the answer.  A best above U is an internal fault,
-and so, with an exact U, is a best below it, each raised once the chosen
-set is certified.  A solve without paths builds no oracle.
+where every path is then visited; a candidate is then skipped only when
+it cannot beat the best strictly.  A forced pair's weight is then
+bounded by w(x) + w(y) plus a greedy maximal matching's bound on its
+rest: in a triangle-free graph a matching is a clique cover, and an
+independent set takes at most the heavier end of each edge.  A family
+whose target is unknown is solved in full; one whose oracle trips part
+way solves the members left, and the skipped ones weighed less than its
+target.  A best above U is an internal fault, and so, with an exact U,
+is a best below it, each raised once the chosen set is certified.  A
+solve without paths builds no oracle.
 
-``solve_with_cover`` runs the same computation with leaf instrumentation:
-every base case reached anywhere in the branching becomes a member mask,
-the vertices the branch forced plus its final host, whose nontrivial
-components are complete bipartite, so the member induces a bipartite
-subgraph.  The region and home's path-free remainder are members too, and
-every member also holds all of the graph outside home.  The cover
-passes no oracle: it never stops at U and skips no forced pair, so it
-draws every pair of every path of home, each once, evaluates every
-family in full, and skips only the solve of a region that cannot beat
-the best (the region is a member either way).  That family contains
-every maximal independent set.  Whatever path draws {x, y}, its constrained
-host is home minus N[x] and N[y], and the branching of
-``_solve_containing`` is exhaustive over that host's independent sets
-(the class drops and one branch per non-adjacent pair of the two
-classes, then take-or-remove, keep-or-drop and the bi-partial residuals
-below), so the leaves of one draw hold every independent set through the
-pair.  The region leaves out each flavor vertex x with a neighbor y
-among the flavors and the anti-neighborhood, and the cover needs no
-extra solve for it: an x of s_b is adjacent to b and to no other path
-vertex, and y, in s_c or the anti-neighborhood (two neighbors of b are
-not adjacent), misses a and b, so a-b-x-y is an induced path of home and
-the cover draws {a, x} on home (d-c-x-y likewise for s_c).
+``solve_with_cover`` takes its answer from the same steered loop, so it
+equals ``solve(g)`` by construction, and its members from ``_walk``, a
+walk that weighs nothing over the same lazy draw: it walks every path,
+handing each to the loop until the stop.  Per path it walks each pair
+not walked before through every member of its families, in order, and
+each base case becomes a member: the vertices the branch forced plus its
+final host, whose nontrivial components are complete bipartite.  The
+path's region follows, and home's path-free remainder comes last, each
+distinct one certified once.  Every member holds all of the graph outside
+home, and the family contains every maximal independent set: whatever
+path draws {x, y}, its host is home minus N[x] and N[y], and the
+branching of ``_solve_containing`` is exhaustive over that host's
+independent sets (the class drops and one branch per non-adjacent pair of
+the two classes, then take-or-remove, keep-or-drop and the bi-partial
+residuals below), so the leaves of one draw hold every independent set
+through the pair.  The region leaves out each flavor vertex x with a
+neighbor y among the flavors and the anti-neighborhood, and the cover
+needs no extra walk for it: an x of s_b is adjacent to b and to no other
+path vertex, and y, in s_c or the anti-neighborhood (two neighbors of b
+are not adjacent), misses a and b, so a-b-x-y is an induced path of home
+and the walk draws {a, x} on home (d-c-x-y likewise for s_c).
 
 Below the public calls every candidate is a ``(weight, mask)`` pair and
-every path is plain ints: each path scans its neighborhood once, on
-entry, into the eight masks of ``recognition._trace_classes`` (the seven
-trace classes and the anti-neighborhood), unchecked, as the canonical
-draw found the path in home.  The {b, d} draw is the {a, c} draw of the
+every path is plain ints: each path drawn scans its neighborhood once
+into the eight masks of ``recognition._trace_classes`` (the seven trace
+classes and the anti-neighborhood), unchecked, as the canonical draw
+found the path in home.  The {b, d} draw is the {a, c} draw of the
 reversed path d-c-b-a, whose classes are the same masks relabelled (a↔d,
 b↔c, ac↔bd): it reads s_c, s_a and s_ac for s_b, s_d and s_bd.  Each
 draw is one call of the internal ``constrained._solve_containing``,
-which folds the pair into its best set and, in a cover solve, appends
-its leaves to the members.  The chosen set is certified once, at the
-end.  Each call passes one host memo down every candidate (see
-``split_solver``), and ``solve`` its optimum oracle, as the trailing
-argument of ``_solve_containing`` and ``_solve_raw``.
+which folds the pair into its best set or, given the walk's members,
+appends its leaves to them.  The chosen set is certified once, at the
+end.  The loop and the walk each pass their own host memo down (see
+``split_solver``), and the loop its optimum oracle, as the trailing
+arguments of ``_solve_containing`` and ``_solve_raw``.
 """
 
 from __future__ import annotations
@@ -145,7 +133,7 @@ from dataclasses import dataclass
 from .bipartite import cb_weight_mask, lp_bound, side_selection
 from .constrained import _solve_containing
 from .errors import InputError, StructureViolation
-from .graph import Graph, SolveResult, _union, certified_result
+from .graph import Graph, SolveResult, _all_certified, _union, certified_result
 from .recognition import _canonical_p4s, _membership, _trace_classes, verified_member
 
 __all__ = ["CoverFamily", "solve", "solve_with_cover"]
@@ -279,62 +267,76 @@ def _optimum_oracle(g: Graph, home: int):
     return opt
 
 
-def _per_path(g: Graph, vs, home: int, best, top, drawn: set, members, memo: dict, opt):
+def _per_path(g: Graph, vs, classes, home: int, best, top, drawn: set, memo: dict, opt):
     """The earliest heaviest of ``best`` and the candidates of the path
-    ``vs`` = (a, b, c, d) for g[home], evaluated in order: {a, c}, {b, d},
-    the region.  Returns as soon as a strictly heavier candidate reaches
-    ``top``.
+    ``vs`` = (a, b, c, d), whose eight trace class masks in home are
+    ``classes``, evaluated in order: {a, c}, {b, d}, the region.  Returns
+    as soon as a strictly heavier candidate reaches ``top``.
 
-    The path's trace classes are computed once, on entry, unchecked: the
-    path is one the canonical draw found in home.  Both calls add each
-    forced pair's mask to ``drawn`` and skip a pair drawn before.  A
+    A forced pair drawn before (its mask in ``drawn``) is skipped.  A
     candidate is evaluated only when its weight (or an upper bound on it)
     reaches a floor: ``top`` when ``top`` is home's exact optimum (``opt``
-    not None), else one above the best, so ``solve`` keeps only a
-    candidate that weighs the optimum, or beats the best strictly.  The
-    region's bound is its weight.  In ``solve`` a forced pair's weight is
-    w(x) + w(y) + ``opt`` of what it leaves of home, exact while the
-    oracle is live, and else bounded by the matching bound of that rest.
-
-    A cover solve (``members`` a list, ``opt`` None) skips no forced pair
-    for its bound.  It appends each candidate's cover members to
-    ``members`` as it is evaluated, the region whether or not its solve is
-    skipped, so the members keep evaluation order.
+    not None), else one above the best.  The region's bound is its
+    weight; a forced pair's is w(x) + w(y) + ``opt`` of what it leaves of
+    home, exact while the oracle is live, else the matching bound of that
+    rest.
     """
     a, b, c, d = vs
-    cover = members is not None
     weights = g.weights
-    s_a, s_b, s_c, s_d, s_ac, _, s_bd, anti = _trace_classes(g, vs, home)
+    s_a, s_b, s_c, s_d, s_ac, _, s_bd, anti = classes
     # {b, d} is {a, c} of d-c-b-a, whose classes swap a↔d, b↔c and ac↔bd
     for x, y, s_x, s_y, s_xy in ((a, c, s_b, s_d, s_bd), (b, d, s_c, s_a, s_ac)):
         pair = 1 << x | 1 << y
         if pair in drawn:
             continue
         drawn.add(pair)
-        if not cover:
-            rest = s_x | s_y | s_xy | anti  # home minus N[x] and N[y]
-            got = None if opt is None else opt(rest)
-            if got is not None:
-                if weights[x] + weights[y] + got != top:
-                    continue
-            elif weights[x] + weights[y] + _matching_bound(g, rest) < (
-                best[0] + 1 if opt is None else top
-            ):
+        rest = s_x | s_y | s_xy | anti  # home minus N[x] and N[y]
+        got = None if opt is None else opt(rest)
+        if got is not None:
+            if weights[x] + weights[y] + got != top:
                 continue
-        cand = _solve_containing(g, x, y, s_x, s_y, s_xy, anti, members, memo, opt)
+        elif weights[x] + weights[y] + _matching_bound(g, rest) < (
+            best[0] + 1 if opt is None else top
+        ):
+            continue
+        cand = _solve_containing(g, x, y, s_x, s_y, s_xy, anti, None, memo, opt)
         if cand[0] > best[0]:
             best = cand
             if best[0] == top:
                 return best
     q3 = _q3_region(g, a, d, s_b, s_c, anti)
-    if cover:
-        members.append(q3)
     if g.weight_of(q3) < (best[0] + 1 if opt is None else top):
         return best
     # the region is this path's last candidate, so a stop is left to the
     # caller
     cand = cb_weight_mask(g, q3)
     return cand if cand[0] > best[0] else best
+
+
+def _walk(g: Graph, home: int, members: list):
+    """Home's paths in canonical order with their trace classes, each
+    yielded once the cover has walked it into ``members`` (see the module
+    docstring).  The walk keeps its own walked pairs and host memo."""
+    # the walked pairs, the distinct regions in walk order, the host memo
+    walked, regions, memo = set(), {}, {}
+    white_host = home
+    for vs in _canonical_p4s(g, home):
+        a, b, c, d = vs
+        white_host &= ~(1 << a | 1 << b | 1 << c | 1 << d)
+        classes = s_a, s_b, s_c, s_d, s_ac, _, s_bd, anti = _trace_classes(g, vs, home)
+        for x, y, s_x, s_y, s_xy in ((a, c, s_b, s_d, s_bd), (b, d, s_c, s_a, s_ac)):
+            pair = 1 << x | 1 << y
+            if pair not in walked:
+                walked.add(pair)
+                _solve_containing(g, x, y, s_x, s_y, s_xy, anti, members, memo, None)
+        q3 = _q3_region(g, a, d, s_b, s_c, anti)
+        regions[q3] = None
+        members.append(q3)
+        yield vs, classes
+    members.append(white_host)
+    for mask in (*regions, white_host):
+        if not _all_certified(g.adj, mask):
+            cb_weight_mask(g, mask)  # raises its incomplete_component fault
 
 
 def _run(g: Graph, cover: bool, jobs: int):
@@ -346,16 +348,23 @@ def _run(g: Graph, cover: bool, jobs: int):
         # side selection solves every component outside home once for all
         # candidates
         rest_mask = side_selection(g, certified)[1]
-        # home's paths in canonical order, drawn lazily: solve stops at
-        # the top, the cover visits them all
-        paths = _canonical_p4s(g, home)
+        # home's paths in canonical order with their trace classes, drawn
+        # lazily: solve stops at the top, and the cover's walk goes on
+        members: list[int] = []
+        paths = _walk(g, home, members) if cover else (
+            (vs, _trace_classes(g, vs, home)) for vs in _canonical_p4s(g, home)
+        )
         # this call's repeated subproblems (see the module docstring)
-        memo: dict = {}
-        return _solve_all(g, paths, home, rest_mask, cover, memo)
+        result = _solve_all(g, paths, home, rest_mask, {})
+        if not cover:
+            return result, None
+        for _ in paths:  # the walk goes on past the loop's stop
+            pass
+        rest = g.full_mask & ~home
+        return result, CoverFamily(tuple(dict.fromkeys(m | rest for m in members)))
 
 
-def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool, memo: dict):
-    members: list[int] | None = [] if cover else None
+def _solve_all(g: Graph, paths, home: int, rest_mask: int, memo: dict) -> SolveResult:
     # the earliest heaviest (weight, mask) so far; every candidate weighs
     # at least 0, so the first one replaces this
     best = (-1, 0)
@@ -366,7 +375,7 @@ def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool, memo: di
     # while the top is exact
     top = opt = None
     # on a member every uncertified component holds a path
-    if home and not cover:
+    if home:
         opt = _optimum_oracle(g, home)
         top = opt(home)
         if top is None:
@@ -374,17 +383,15 @@ def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool, memo: di
             top = lp_bound(g, home)
     # home minus the paths drawn so far
     white_host = home
-    for t in paths:
-        a, b, c, d = t
+    for vs, classes in paths:
+        a, b, c, d = vs
         white_host &= ~(1 << a | 1 << b | 1 << c | 1 << d)
-        best = _per_path(g, t, home, best, top, drawn, members, memo, opt)
+        best = _per_path(g, vs, classes, home, best, top, drawn, memo, opt)
         if best[0] == top:
             break
     else:
         # the path-free remainder of home, only known once every path has
         # been drawn
-        if cover:
-            members.append(white_host)
         cand = cb_weight_mask(g, white_host)
         if cand[0] > best[0]:
             best = cand
@@ -400,10 +407,7 @@ def _solve_all(g: Graph, paths, home: int, rest_mask: int, cover: bool, memo: di
             f"the best candidate weighs {best[0]}, below home's optimum {top}",
             ("below_top", (best[0], top)),
         )
-    if not cover:
-        return result, None
-    rest = g.full_mask & ~home
-    return result, CoverFamily(tuple(dict.fromkeys(m | rest for m in members)))
+    return result
 
 
 def solve(g: Graph, jobs: int = 1) -> SolveResult:
@@ -441,14 +445,14 @@ def solve(g: Graph, jobs: int = 1) -> SolveResult:
 def solve_with_cover(g: Graph, jobs: int = 1) -> tuple[SolveResult, CoverFamily]:
     """Solve g and extract the bipartite cover family.
 
-    The solve is instrumented so every branching base case contributes a
-    leaf; with each path's region and the path-free remainder, the
-    resulting family contains every maximal independent set of g in some
-    member.  Like ``solve`` it solves each forced pair once, all on the
-    paths' component: the leaves of a pair's solve hold every independent
-    set through it.  No forced pair is skipped for its bound, and the
-    result equals ``solve(g)``.  ``jobs`` must be an int of at least 1 and
-    has no effect.  Refuses exactly as ``solve`` does, with the witness of
+    The result is ``solve(g)``'s.  The family comes from a walk that
+    weighs nothing over every path of the paths' component: each forced
+    pair is walked once, through every member of its branching, and each
+    base case is a leaf.  With each path's region and the path-free
+    remainder, each certified (a failure is a ``StructureViolation``),
+    the family contains every maximal independent set of g in some
+    member.  ``jobs`` must be an int of at least 1 and has no effect.
+    Refuses exactly as ``solve`` does, with the witness of
     ``is_class_member(g)``.
     """
     return _run(g, cover=True, jobs=jobs)

@@ -38,9 +38,9 @@ for these families and the constrained solve's: given ``solve``'s
 optimum oracle it takes a family lazily, solving only the first member
 whose host's optimum equals the family's, which is the earliest
 heaviest; without one, or once the oracle's budget trips, it solves the
-members in full.  A rule reads the blocks it
-is handed: one restricted to a vertex set stays a block while both sides
-keep a vertex, else leaves singletons, to which no vertex is bi-partial.
+members in full.  A rule reads the blocks it is handed: one restricted to
+a vertex set stays a block while both sides keep a vertex, else leaves
+singletons, to which no vertex is bi-partial.
 The branching assumes a class member and refuses nothing itself: the
 public solvers that reach it (``solve``, ``solve_with_cover`` and the
 constrained solves) decide membership first, and the structural claims
@@ -50,13 +50,16 @@ internal fault, instead of a silent wrong answer.
 Within one public call the branching reaches the same host many times,
 under different parts and depths, and its fold (the side selection of its
 certified components, the member masks of the others) depends on the
-graph and the host only.  So each public solver keeps one memo, a plain
-dict from a host to its ``(weight, mask, uncertified)`` fold, which
-``_solve_raw`` alone reads and writes; a block part is decomposed afresh
-on every call.  The memo lives from the membership verdict to the return,
-so a refusal allocates none and no graph sees another's entries.  The
-depth budget, the host against the parts, the uncertified-component count
-and the leaf record are checked on every call, hit or miss.
+graph and the host only.  So a solve keeps one memo, a plain dict from a
+host to its ``(weight, mask, uncertified)`` fold, and the cover's leaf
+walk its own, from a host to its uncertified components alone: there a
+host that passes ``graph._all_certified`` is a leaf and is not
+decomposed.  ``_solve_raw`` alone reads and writes them; a block part is
+decomposed afresh on every call.  Each memo lives from the membership
+verdict to the return, so a refusal allocates none and no graph sees
+another's entries.  The depth budget, the host against the parts, the
+uncertified-component count and the leaf record are checked on every
+call, hit or miss.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from operator import itemgetter
 
 from .bipartite import side_selection
 from .errors import ClassViolation, StructureViolation
-from .graph import Graph, bits, components_with_certificates, neighborhood
+from .graph import Graph, _all_certified, bits, components_with_certificates, neighborhood
 from .recognition import find_induced_p4
 
 __all__ = ["branch_via_bipartial"]
@@ -226,12 +229,17 @@ def _solve_family(g, family, whole, ambient, leaves, memo, opt):
     heaviest is the first member that does.  Without an oracle, or once
     it answers None (its budget tripped), the members left are solved in
     full; the skipped ones weighed less than the optimum, so the earliest
-    heaviest of the rest is the same member.
+    heaviest of the rest is the same member.  Given a leaf list
+    (``leaves``), it walks every member in order and returns None.
 
     Raises:
         StructureViolation: no member reaches the family's optimum, an
             internal fault.
     """
+    if leaves is not None:
+        for s_mask, t_mask, host, depth, active in family:
+            _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, None)
+        return None
     target = None if opt is None else opt(whole)
     cands = []
     for s_mask, t_mask, host, depth, active in family:
@@ -265,9 +273,10 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, op
     induced path with the rest of it (0 except below the constrained
     selection loop); a path of the component's region that avoids
     ``active`` is an ``incomplete_block`` fault.  When ``leaves`` is a
-    list, ``ambient | host`` of every certified base case is appended to
-    it, the raw material of cover extraction; ``ambient`` is the part of
-    the enclosing host already peeled off as certified components.
+    list the call is a leaf walk, which returns None: ``ambient | host``
+    of every certified base case is appended to it, the raw material of
+    cover extraction; ``ambient`` is the part of the enclosing host
+    already peeled off as certified components.
     ``memo`` is the public call's host memo (see the module docstring).
     ``opt`` is ``solve``'s optimum oracle, or None: with it, the residual
     hosts of the uncertified component are taken lazily against the
@@ -282,18 +291,24 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, op
         )
     fold = memo.get(host)
     if fold is None:
-        certified, uncertified = components_with_certificates(g, host)
-        fold = memo[host] = (*side_selection(g, certified), uncertified)
-    total_w, total_m, bad = fold
+        if leaves is None:
+            certified, uncertified = components_with_certificates(g, host)
+            fold = (*side_selection(g, certified), uncertified)
+        else:
+            # a leaf walk keeps the uncertified components alone
+            fold = () if _all_certified(g.adj, host) else components_with_certificates(g, host)[1]
+        memo[host] = fold
+    bad = fold if leaves is not None else fold[2]
     if len(bad) > 1:
         # in a class member each would hold an induced P4, a separated pair
         raise StructureViolation(
             "more than one uncertified component", ("uncertified_components", bad)
         )
     if not bad:
-        if leaves is not None:
-            leaves.append(ambient | host)
-        return total_w, total_m
+        if leaves is None:
+            return fold[:2]
+        leaves.append(ambient | host)
+        return None
     comp = bad[0]
     region = t_mask & comp
     members, paths = components_with_certificates(g, region)
@@ -309,5 +324,5 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, op
     family = []
     for h in hosts:
         family.append((s_mask, t_mask, h, depth + 1, active))
-    w, m = _solve_family(g, family, comp, ambient | (host & ~comp), leaves, memo, opt)
-    return total_w + w, total_m | m
+    got = _solve_family(g, family, comp, ambient | (host & ~comp), leaves, memo, opt)
+    return None if leaves is not None else (fold[0] + got[0], fold[1] | got[1])

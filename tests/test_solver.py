@@ -164,7 +164,7 @@ class TestViolations:
     def test_internal_fault_on_a_member_is_reraised(self, monkeypatch):
         fault = StructureViolation("internal", ("side_split_blocks", ()))
 
-        def broken(g, paths, home, rest_mask, cover, memo):
+        def broken(g, paths, home, rest_mask, memo):
             raise fault
 
         monkeypatch.setattr(solver, "_solve_all", broken)
@@ -386,6 +386,7 @@ class TestTraceClassesOncePerPath:
     @pytest.mark.parametrize("name", sorted(SCAN_GRAPHS))
     def test_no_path_check_and_one_scan_per_visited_path(self, monkeypatch, name, entry):
         g = SCAN_GRAPHS[name]()
+        home = recognition._membership(g)[1]
         checked, visited, classified = [], [], []
         check, per_path = recognition._check_induced_p4, solver._per_path
         classes = solver._trace_classes
@@ -408,7 +409,14 @@ class TestTraceClassesOncePerPath:
         entry(g)
         assert visited
         assert checked == []
-        assert classified == visited
+        # the steered loop visits a prefix of the paths, each scanned once;
+        # the cover's walk scans every path of home once, and hands the
+        # steered loop the classes of the paths it visits
+        assert classified[: len(visited)] == visited
+        if entry is solve:
+            assert classified == visited
+        else:
+            assert classified == sorted(scan_p4s(g, home))
 
 
 class TestAgainstOracle:
@@ -572,6 +580,17 @@ def _crown(k: int, heavy: bool) -> Graph:
     return crown_graph(k, weights)
 
 
+def _unsteered(monkeypatch, graphs) -> list[SolveResult]:
+    """``solve`` on each graph with the full earliest-heaviest evaluation:
+    the optimum oracle's budget trips at home's query, and an LP top that
+    no candidate reaches turns the stop off, so every path is visited and
+    every branching family is solved in full."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_TOP_MEMO", 0)
+        patch.setattr(solver, "lp_bound", lambda g, home: g.weight_of(home) + 1)
+        return [solve(g) for g in graphs]
+
+
 class TestBoundAndSkip:
     def test_matching_bound_is_an_upper_bound(self):
         rng = XorShift64Star(606)
@@ -610,7 +629,7 @@ class TestBoundAndSkip:
         assert checked > 1000
 
     @pytest.mark.parametrize("family", ["criterion_1", "crowns"])
-    def test_solve_agrees_with_the_unbounded_cover_path(self, family):
+    def test_solve_agrees_with_the_unsteered_evaluation(self, monkeypatch, family):
         if family == "crowns":
             graphs = [_crown(k, heavy=k % 2 == 1) for k in range(4, 11)]
         else:
@@ -623,8 +642,7 @@ class TestBoundAndSkip:
                 )
                 for i in range(99)  # each (n, density) pair once
             ]
-        for g in graphs:
-            assert solve(g) == solve_with_cover(g)[0]
+        assert [solve(g) for g in graphs] == _unsteered(monkeypatch, graphs)
 
     @pytest.mark.parametrize("k", range(4, 21))
     def test_crown_matches_its_closed_form(self, k):
@@ -705,9 +723,10 @@ def _count_forced_pairs(monkeypatch, fault_at: int | None = None) -> list[int]:
 
 
 def _record_draws(monkeypatch) -> list:
-    """Record every ``_solve_containing`` draw of a cover as ``(pair, host,
-    added)``: the pair's mask, the host its path's trace classes were
-    computed in, and the members the draw appended."""
+    """Record every ``_solve_containing`` draw of a cover's walk as
+    ``(pair, host, added)``: the pair's mask, the host its path's trace
+    classes were computed in, and the members the draw appended.  The
+    steered loop's draws, which pass no member list, are not recorded."""
     draws: list = []
     hosts: list = []  # the host of the latest trace classes
     real_classes, real_containing = solver._trace_classes, solver._solve_containing
@@ -717,6 +736,8 @@ def _record_draws(monkeypatch) -> list:
         return real_classes(g, vs, host)
 
     def recording(g, x, y, s_b, s_d, s_bd, anti, members, memo, opt):
+        if members is None:
+            return real_containing(g, x, y, s_b, s_d, s_bd, anti, members, memo, opt)
         start = len(members)
         got = real_containing(g, x, y, s_b, s_d, s_bd, anti, members, memo, opt)
         draws.append((1 << x | 1 << y, hosts[-1], members[start:]))
@@ -728,12 +749,12 @@ def _record_draws(monkeypatch) -> list:
 
 
 class TestForcedPairOnce:
-    # the cover draws each pair of home's paths once, all on home, and
-    # solves each draw once: its recorded draws, _solve_containing calls,
-    # member count and member digest
+    # the cover's walk draws each pair of home's paths once, all on home,
+    # and walks each draw once: its recorded draws, member count and
+    # member digest
     COVER = {
-        "c7_classes_of_3": (63, 63, 154, "d92de8e10181b0b2"),
-        "rejection_14": (42, 42, 195, "12ef7cbba85dc673"),
+        "c7_classes_of_3": (63, 154, "d92de8e10181b0b2"),
+        "rejection_14": (42, 195, "12ef7cbba85dc673"),
     }
 
     @pytest.mark.parametrize("name", sorted(SOLVE_PAIR_GRAPHS))
@@ -759,21 +780,23 @@ class TestForcedPairOnce:
         draws = _record_draws(monkeypatch)
         solved = _count_forced_pairs(monkeypatch)
         result, family = solve_with_cover(g)
-        calls, distinct, size, digest = self.COVER[name]
+        calls, size, digest = self.COVER[name]
         assert len(draws) == calls
         # every draw is on home
         assert all(host == home for _, host, _ in draws)
         drawn = [pair for pair, _, _ in draws]
-        # no pair reaches _solve_containing twice, and the cover visits every
-        # path, so it draws every pair
+        # no pair is walked twice, and the walk visits every path, so it
+        # draws every pair
         assert len(drawn) == len(set(drawn))
         assert set(drawn) == pairs
-        # one constrained solve per draw
-        assert len(solved) == distinct == calls
         assert len(family.members) == size
         assert hashlib.sha256(repr(family.members).encode()).hexdigest()[:16] == digest
+        # beside one walk per pair, the cover solves the draws of solve's
+        # steered loop and no others
         monkeypatch.undo()
+        steered = _count_forced_pairs(monkeypatch)
         assert result == solve(g)
+        assert len(solved) == calls + len(steered)
 
     def test_each_pair_drawn_on_home_covers_its_maximal_sets(self, monkeypatch):
         # the leaves of a pair's one draw hold every maximal set through
@@ -861,6 +884,55 @@ class TestForcedPairOnce:
         assert len(set(drawn)) == fault_at - 1
 
 
+class TestCoverWalk:
+    """The cover's members come from a walk that weighs nothing, and its
+    answer from ``solve``'s steered loop."""
+
+    @pytest.mark.parametrize(
+        "weights, solved",
+        [([0, 9, 0, 9, 0, 9, 0], True), ([9, 0, 0, 9, 0, 0, 9], False)],
+        ids=["light", "heavy"],
+    )
+    def test_a_region_that_fails_its_certificate_is_an_internal_fault(
+        self, monkeypatch, weights, solved
+    ):
+        # on the path 0-1-...-6, vertex 4 added to the region {0, 3, 5, 6}
+        # of 0-1-2-3 closes the path 3-4-5-6.  The light region weighs 18,
+        # below the optimum 27, so the steered loop never solves it and
+        # only the walk's certificate catches it; the heavy one weighs 27
+        g = path_graph(7, weights)
+        real = solver._q3_region
+        monkeypatch.setattr(solver, "_q3_region", lambda *args: real(*args) | 1 << 4)
+        with pytest.raises(StructureViolation) as info:
+            solve_with_cover(g)
+        assert info.value.witness[:2] == ("incomplete_component", 0b1111000)
+        if solved:
+            assert solve(g).weight == 27
+        else:
+            with pytest.raises(StructureViolation):
+                solve(g)
+
+    @pytest.mark.parametrize("name", sorted(SCAN_GRAPHS))
+    def test_the_walk_makes_no_side_selection(self, monkeypatch, name):
+        # a cover call side-selects only in its front step and its steered
+        # loop, which are solve's
+        g = SCAN_GRAPHS[name]()
+        calls = []
+        real = bipartite.side_selection
+
+        def counting(g, certified):
+            calls.append(certified)
+            return real(g, certified)
+
+        for module in (solver, split_solver, bipartite):
+            monkeypatch.setattr(module, "side_selection", counting)
+        solve(g)
+        solved = len(calls)
+        calls.clear()
+        solve_with_cover(g)
+        assert len(calls) == solved
+
+
 # complete blow-ups of C5 and C7: dense, not bipartite, and members
 BLOWUPS = [(5, s) for s in range(2, 7)] + [(7, s) for s in range(2, 5)]
 
@@ -878,9 +950,9 @@ class TestDenseBlowups:
         assert is_independent(g, mask_of(got.chosen))
 
     @pytest.mark.parametrize("k, s", BLOWUPS)
-    def test_cover_agrees_with_solve(self, k, s):
+    def test_solve_agrees_with_the_unsteered_evaluation(self, monkeypatch, k, s):
         g = blowup_graph(k, s, seed=100 * k + s)
-        assert solve_with_cover(g)[0] == solve(g)
+        assert [solve(g)] == _unsteered(monkeypatch, [g])
 
 
 class TestAndrasfai:

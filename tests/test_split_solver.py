@@ -22,14 +22,12 @@ from conftest import (
     witness_checks,
 )
 
-from p4p4free import solve, solve_with_cover, solver, split_solver
-from p4p4free.bipartite import side_selection
+from p4p4free import solve, solve_with_cover, split_solver
 from p4p4free.constrained import solve_containing_ac, solve_containing_bd
 from p4p4free.errors import ClassViolation, StructureViolation
 from p4p4free.graph import Graph, bits, components_with_certificates, mask_of
 from p4p4free.recognition import (
     InducedP4,
-    _canonical_p4s,
     _membership,
     enumerate_induced_p4,
     find_induced_p4,
@@ -189,9 +187,15 @@ class TestBranchingShapes:
             return original(g_, s_mask, t_mask, host, depth, *rest)
 
         monkeypatch.setattr(split_solver, "_solve_raw", recording)
-        leaves: list[int] = []
-        assert solve_raw(g, 0b11, mask_of(range(2, 10)), leaves) == (best, mask_of(chosen))
+        s_mask, t_mask = 0b11, mask_of(range(2, 10))
+        assert solve_raw(g, s_mask, t_mask) == (best, mask_of(chosen))
         assert oracle_wis(g).weight == best
+        # a leaf walk branches on the same hosts as the full evaluation
+        solved = dict(branched)
+        branched.clear()
+        leaves: list[int] = []
+        assert solve_raw(g, s_mask, t_mask, leaves) is None
+        assert branched == solved
         for maximal in enumerate_maximal_is(g):
             assert any(mask_of(maximal) & ~leaf == 0 for leaf in leaves), maximal
         # kept without the block, kept without N(hp) for hp in {3, 4}, and
@@ -585,13 +589,14 @@ class TestSideFoldMemo:
 
     @staticmethod
     def hit(monkeypatch, memo, host):
-        # a second call on ``host`` must not decompose it again
+        # a second call on ``host`` must not decompose or certify it again
         assert host in memo
 
         def unreachable(*args):
             raise AssertionError("a memoised host was decomposed again")
 
         monkeypatch.setattr(split_solver, "components_with_certificates", unreachable)
+        monkeypatch.setattr(split_solver, "_all_certified", unreachable)
 
     def test_out_of_parts_host_raises_on_a_hit(self, monkeypatch):
         g = complete_bipartite(2, 3)
@@ -629,6 +634,8 @@ class TestSideFoldMemo:
         assert witnesses[1][0] == "uncertified_components"
 
     def test_certified_host_records_its_leaf_on_a_hit(self, monkeypatch):
+        # a leaf walk weighs nothing: its memo keeps a certified host's
+        # (empty) uncertified components alone
         g = complete_bipartite(2, 3)
         memo: dict = {}
         host = mask_of([0, 2, 3])
@@ -637,11 +644,38 @@ class TestSideFoldMemo:
             if call:
                 self.hit(monkeypatch, memo, host)
             leaves: list[int] = []
-            assert raw(g, 0, g.full_mask, host, 0, ambient, leaves, memo, 0, None) == (
-                2,
-                mask_of([2, 3]),
-            )
+            assert raw(g, 0, g.full_mask, host, 0, ambient, leaves, memo, 0, None) is None
             assert leaves == [ambient | host]
+            assert memo == {host: ()}
+
+    def test_a_leaf_walk_hit_runs_every_check(self, monkeypatch):
+        # the depth budget, the stray parts and the uncertified count are
+        # checked on a leaf walk's hit as on a miss, and raise before any
+        # leaf is recorded
+        raw = split_solver._solve_raw
+        g = complete_bipartite(2, 3)
+        memo: dict = {}
+        leaves: list[int] = []
+        raw(g, 0, g.full_mask, g.full_mask, 0, 0, leaves, memo, 0, None)
+        paths = TWO_PATHS
+        s_mask, t_mask = mask_of([2, 3, 6, 7]), mask_of([0, 1, 4, 5])
+        paths_memo: dict = {}
+        with pytest.raises(StructureViolation):
+            raw(paths, s_mask, t_mask, paths.full_mask, 0, 0, [], paths_memo, 0, None)
+        self.hit(monkeypatch, memo, g.full_mask)
+        self.hit(monkeypatch, paths_memo, paths.full_mask)
+        depth = g.n + 9
+        for args, witness in (
+            ((g, 0, g.full_mask, g.full_mask, depth), ("depth_budget", depth)),
+            ((g, 0, 0b11, g.full_mask, 0), ("split_parts", 0b11100)),
+        ):
+            with pytest.raises(StructureViolation) as exc:
+                raw(*args, 0, leaves, memo, 0, None)
+            assert exc.value.witness == witness
+        with pytest.raises(StructureViolation) as exc:
+            raw(paths, s_mask, t_mask, paths.full_mask, 0, 0, leaves, paths_memo, 0, None)
+        assert exc.value.witness == ("uncertified_components", (0b1111, 0b11110000))
+        assert leaves == [g.full_mask]
 
     def test_uncertified_block_part_is_never_memoised(self):
         # nothing keeps a block part: its certificate fails on every call
@@ -654,27 +688,39 @@ class TestSideFoldMemo:
         assert witnesses[0] == witnesses[1] == ("incomplete_block", 0b1111)
 
     @pytest.mark.parametrize("kind", ["clustered", "c7_blowup"])
-    def test_the_memo_holds_hosts_only(self, kind):
+    def test_the_memo_holds_hosts_only(self, monkeypatch, kind):
         if kind == "clustered":
             draws = (gen_instance("clustered", 18, 0.6, s) for s in range(810_000, 810_100))
             g = next(g for g in draws if len(enumerate_induced_p4(g)) > 1)
         else:
             g = blowup_graph(7, 3, seed=703)
-        # a cover solve reaches every layer that could write the memo; each
-        # key is a host inside home, each value its (weight, mask,
-        # uncertified) fold
-        verdict, home, certified = _membership(g)
+        # a cover call reaches every layer that could write a memo, and
+        # keeps two: the steered loop's, whose values are (weight, mask,
+        # uncertified) folds, and the walk's, whose values are the
+        # uncertified components alone; each key is a host inside home
+        verdict, home, _ = _membership(g)
         assert verdict.is_member and home
-        memo: dict = {}
-        paths = list(_canonical_p4s(g, home))
-        result, _ = solver._solve_all(
-            g, paths, home, side_selection(g, certified)[1], True, memo
-        )
-        assert result == solve_with_cover(g)[0]
-        assert memo
-        for key, value in memo.items():
-            assert type(key) is int and key >= 0 and key & ~home == 0
-            assert type(value) is tuple and len(value) == 3
+        memos: dict = {}
+        raw = split_solver._solve_raw
+
+        def recording(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, opt):
+            memos[id(memo)] = memo, leaves is not None
+            return raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, opt)
+
+        monkeypatch.setattr(split_solver, "_solve_raw", recording)
+        result, _ = solve_with_cover(g)
+        monkeypatch.undo()
+        assert result == solve(g)
+        assert sorted(walk for _, walk in memos.values()) == [False, True]
+        for memo, walk in memos.values():
+            assert memo
+            for key, value in memo.items():
+                assert type(key) is int and key >= 0 and key & ~home == 0
+                assert type(value) is tuple
+                if walk:
+                    assert all(type(c) is int and c and c & ~key == 0 for c in value)
+                else:
+                    assert len(value) == 3
 
     def test_no_entry_outlives_its_call(self):
         # two graphs on one adjacency with different weights, solved back
