@@ -11,32 +11,33 @@ for ``split_solver._solve_raw`` whose block part still holds the class
 opposite the pick, its ``active`` part, which may close an induced P4
 with the anti-neighborhood; ``split_solver`` says how such a host is
 branched.  Every family, the pair branches and the class drops included,
-is evaluated in order and its earliest heaviest candidate kept
-(``split_solver._solve_family``).  ``solve`` evaluates it lazily against
-the pair's optimum, from its optimum oracle: only the first member whose
-host reaches that optimum is solved.
+is walked in order down to its leaves (``split_solver._solve_family``),
+and the first heaviest leaf is the answer
+(``split_solver._heaviest_leaf``).  ``solve`` steers the walk by the
+pair's optimum, from its optimum oracle: only the first member whose
+host reaches that optimum is walked, down to one leaf.
 
 The {b, d} variant is the same computation on the reversed path, whose
 classes are those of the path relabelled (b↔c, a↔d, ac↔bd).
 
 The internal ``_solve_containing`` is the one kernel for a forced pair:
 it takes the pair and the four classes it reads (b-only, d-only, b-and-d
-and the anti-neighborhood) as plain ints and returns ``(weight, mask)``
-with the pair folded in, or, given the cover's leaf list, walks the
-pair's family without weighing it.  The pair is the ``ambient`` of every
-``_solve_raw`` it reaches, whose ``ambient | host`` is the one rule that
-records a cover leaf.  It assumes a class member and raises no refusal
-of its own.  The public solvers decide membership first, refusing a
-non-member with a re-checked witness, build the path's
-``NeighborhoodPartition`` in the given host, pass its masks on and
-certify the result.
+and the anti-neighborhood) as plain ints and walks the pair's family
+into a leaf list, the cover's members when it passes them, else a fresh
+one that it weighs into ``(weight, mask)`` with the pair folded in.  The
+pair is the ``ambient`` of every ``_solve_raw`` it reaches, whose
+``ambient | host`` is the one rule that records a leaf.  It assumes a
+class member and raises no refusal of its own.  The public solvers
+decide membership first, refusing a non-member with a re-checked
+witness, build the path's ``NeighborhoodPartition`` in the given host,
+pass its masks on and certify the result.
 """
 
 from __future__ import annotations
 
 from .graph import Graph, SolveResult, bits, certified_result
 from .recognition import InducedP4, is_class_member, neighborhood_partition, verified_member
-from .split_solver import _certified_members, _solve_family
+from .split_solver import _certified_members, _heaviest_leaf, _solve_family
 
 __all__ = ["solve_containing_ac", "solve_containing_bd"]
 
@@ -80,10 +81,10 @@ def _family(g: Graph, s_b: int, s_d: int, s_bd: int, anti: int):
     d-class, d-class only, b-class only), then for every non-adjacent pair
     {vb, vd} of the two one-letter classes one member per pick of the
     selection loop and the loop's split base case.  A generator, so a
-    lazy solve that stops early computes no later pick.
+    steered walk that stops early computes no later pick.
     """
-    # an empty one-letter class repeats a role, whose solve could neither
-    # win over the earlier one nor add a new leaf
+    # an empty one-letter class repeats a role, whose walk could add no
+    # new leaf
     for s_role in dict.fromkeys((s_bd, s_d | s_bd, s_b | s_bd)):
         yield s_role, anti, s_role | anti, 0, 0
     adj = g.adj
@@ -125,28 +126,29 @@ def _solve_containing(
     leaves: list[int] | None,
     memo: dict,
     opt,
-) -> tuple[int, int]:
-    """(weight, mask) of a maximum weight independent set containing
-    {x, y}, the {a, c} of a path, given the path's b-only, d-only and
-    b-and-d classes and its anti-neighbourhood in the host; x and y are
-    folded in.  When ``leaves`` is a list the family is walked instead,
-    weighing nothing: each base case appends its host with x and y to it
-    (the cover's walk passes its members), and None is returned.  ``memo``
-    is the caller's host memo, shared by every branch (see the
+) -> tuple[int, int] | None:
+    """Walk the family of the pair {x, y}, the {a, c} of a path, given the
+    path's b-only, d-only and b-and-d classes and its anti-neighbourhood
+    in the host: each base case appends its host with x and y to
+    ``leaves`` (the cover's walk passes its members), and None is
+    returned.  Given None for ``leaves``, the walk is weighed instead:
+    (weight, mask) of a maximum weight independent set containing {x,
+    y}, the first heaviest of its leaves (``split_solver._heaviest_leaf``).
+    ``memo`` is the caller's host memo, shared by every branch (see the
     ``split_solver`` module docstring).
 
     ``opt`` is ``solve``'s optimum oracle, or None.  With it the family
-    (``_family``) is evaluated lazily against the pair's optimum,
+    (``_family``) is walked lazily against the pair's optimum,
     ``opt(s_b | s_d | s_bd | anti)``: each member whose host's optimum is
-    below it is skipped, and the first one that reaches it is solved and
-    returned, the member the full evaluation picks
+    below it is skipped, and only the first one that reaches it is walked,
+    down to the full walk's first heaviest leaf
     (``split_solver._solve_family``).  Without it, or once the oracle's
-    budget trips, every member left is solved.
+    budget trips, every member left is walked.
     """
-    pair = 1 << x | 1 << y
+    walked = [] if leaves is None else leaves
     family = _family(g, s_b, s_d, s_bd, anti)
-    got = _solve_family(g, family, s_b | s_d | s_bd | anti, pair, leaves, memo, opt)
-    return None if leaves is not None else (got[0] + g.weights[x] + g.weights[y], got[1] | pair)
+    _solve_family(g, family, s_b | s_d | s_bd | anti, 1 << x | 1 << y, walked, memo, opt)
+    return _heaviest_leaf(g, walked) if leaves is None else None
 
 
 def solve_containing_ac(g: Graph, p: InducedP4, host: int | None = None) -> SolveResult:

@@ -67,8 +67,9 @@ member weighs the family's optimum (the pair's rest, or the component),
 and the earliest heaviest is the first member whose host's optimum equals
 it.  So each family is taken lazily (``split_solver._solve_family``):
 members below the target are skipped, and only the first that reaches it
-is solved, one level further down.  A family in which no member reaches
-its target is an internal fault.
+is walked, one level further down, so a solved pair's walk reaches one
+leaf, its answer.  A family in which no member reaches its target is an
+internal fault.
 
 The budget and the fallback.  The branching is exponential in general,
 so a solve's queries share one memo and one budget: once the memo would
@@ -83,11 +84,12 @@ it cannot beat the best strictly.  A forced pair's weight is then
 bounded by w(x) + w(y) plus a greedy maximal matching's bound on its
 rest: in a triangle-free graph a matching is a clique cover, and an
 independent set takes at most the heavier end of each edge.  A family
-whose target is unknown is solved in full; one whose oracle trips part
-way solves the members left, and the skipped ones weighed less than its
-target.  A best above U is an internal fault, and so, with an exact U,
-is a best below it, each raised once the chosen set is certified.  A
-solve without paths builds no oracle.
+whose target is unknown is walked in full; one whose oracle trips part
+way walks the members left, and the skipped ones weighed less than its
+target; the pair's answer is then the first heaviest of its leaves.  A
+best above U is an internal fault, and so, with an exact U, is a best
+below it, each raised once the chosen set is certified.  A solve
+without paths builds no oracle.
 
 ``solve_with_cover`` takes its answer from the same steered loop, so it
 equals ``solve(g)`` by construction, and its members from ``_walk``, a
@@ -119,11 +121,11 @@ found the path in home.  The {b, d} draw is the {a, c} draw of the
 reversed path d-c-b-a, whose classes are the same masks relabelled (a↔d,
 b↔c, ac↔bd): it reads s_c, s_a and s_ac for s_b, s_d and s_bd.  Each
 draw is one call of the internal ``constrained._solve_containing``,
-which folds the pair into its best set or, given the walk's members,
-appends its leaves to them.  The chosen set is certified once, at the
-end.  The loop and the walk each pass their own host memo down (see
-``split_solver``), and the loop its optimum oracle, as the trailing
-arguments of ``_solve_containing`` and ``_solve_raw``.
+which walks the pair's family into the cover's members or, for the loop,
+into its own leaves, weighed into the pair's best set.  The chosen set
+is certified once, at the end.  The loop and the walk pass one host memo
+down (see ``split_solver``), and the loop its optimum oracle, as the
+trailing arguments of ``_solve_containing`` and ``_solve_raw``.
 """
 
 from __future__ import annotations
@@ -313,12 +315,13 @@ def _per_path(g: Graph, vs, classes, home: int, best, top, drawn: set, memo: dic
     return cand if cand[0] > best[0] else best
 
 
-def _walk(g: Graph, home: int, members: list):
+def _walk(g: Graph, home: int, members: list, memo: dict):
     """Home's paths in canonical order with their trace classes, each
     yielded once the cover has walked it into ``members`` (see the module
-    docstring).  The walk keeps its own walked pairs and host memo."""
-    # the walked pairs, the distinct regions in walk order, the host memo
-    walked, regions, memo = set(), {}, {}
+    docstring).  The walk keeps its own walked pairs and shares the host
+    memo ``memo`` with the loop."""
+    # the walked pairs, the distinct regions in walk order
+    walked, regions = set(), {}
     white_host = home
     for vs in _canonical_p4s(g, home):
         a, b, c, d = vs
@@ -348,14 +351,15 @@ def _run(g: Graph, cover: bool, jobs: int):
         # side selection solves every component outside home once for all
         # candidates
         rest_mask = side_selection(g, certified)[1]
+        # this call's repeated subproblems (see the module docstring)
+        memo: dict = {}
         # home's paths in canonical order with their trace classes, drawn
         # lazily: solve stops at the top, and the cover's walk goes on
         members: list[int] = []
-        paths = _walk(g, home, members) if cover else (
+        paths = _walk(g, home, members, memo) if cover else (
             (vs, _trace_classes(g, vs, home)) for vs in _canonical_p4s(g, home)
         )
-        # this call's repeated subproblems (see the module docstring)
-        result = _solve_all(g, paths, home, rest_mask, {})
+        result = _solve_all(g, paths, home, rest_mask, memo)
         if not cover:
             return result, None
         for _ in paths:  # the walk goes on past the loop's stop
@@ -420,7 +424,7 @@ def solve(g: Graph, jobs: int = 1) -> SolveResult:
     evaluation: the answer is the first candidate that weighs it, so the
     loop stops there, a candidate is solved only when its exact weight
     (or, for a region, its vertex weight) reaches it, and each branching
-    family below solves only its first member that reaches the family's
+    family below walks only its first member that reaches the family's
     own optimum.  A forced vertex pair drawn before by any path is
     skipped: its weight depends on the pair alone.  Once the branching's
     budget trips, the evaluation falls back to upper bounds against the

@@ -5,8 +5,9 @@ disjoint union of singletons and complete bipartite blocks.  In the
 supported graph class, at most one connected component of such a host can
 fail the complete-bipartite certificate (two failing components would each
 contain an induced P4, and the pair would be forbidden).  The dispatcher
-therefore solves every certified component by side selection and recurses
-only into the single uncertified one, choosing a branch vertex whose
+therefore peels off every certified component, which its leaf solves by
+side selection, and recurses only into the single uncertified one,
+choosing a branch vertex whose
 anti-neighborhood branching provably lands back in simpler shapes.  It
 branches through ``branch_via_bipartial`` first, the one test of whether a
 vertex of the independent part is bi-partial to a block (meets one side,
@@ -30,17 +31,22 @@ vertex.
 Each branching rule is a pure function from a host and the side pairs of
 its block part to its residual hosts in evaluation order: (host minus
 N(v), host minus v), or a covering family of induced-subgraph
-restrictions.  The caller solves each one level deeper and keeps the
-earliest heaviest (``_solve_family``, the one tie-break), so the optimum
-is preserved whichever structural sub-case was detected, and no rule
-calls back into the layer that asked.  ``_solve_family`` is written once
-for these families and the constrained solve's: given ``solve``'s
-optimum oracle it takes a family lazily, solving only the first member
-whose host's optimum equals the family's, which is the earliest
-heaviest; without one, or once the oracle's budget trips, it solves the
-members in full.  A rule reads the blocks it is handed: one restricted to
-a vertex set stays a block while both sides keep a vertex, else leaves
-singletons, to which no vertex is bi-partial.
+restrictions.  There is one recursion, a walk: the caller walks each
+residual host one level deeper (``_solve_family``, written once for
+these families and the constrained solve's), and each certified base
+case is a leaf, the host with every component its branch peeled off as
+certified.  A leaf is weighed by side selection, and the answer is the
+first heaviest leaf in walk order (``_heaviest_leaf``, the one
+tie-break), which is the earliest heaviest member of every family above
+it, so the optimum is preserved whichever structural sub-case was
+detected, and no rule calls back into the layer that asked.  Given
+``solve``'s optimum oracle, a family is walked lazily: only the first
+member whose host's optimum equals the family's is walked, which holds
+the first heaviest leaf, so a steered walk reaches one leaf; once the
+oracle's budget trips, the members left are walked in full.  A rule
+reads the blocks it is handed: one restricted to a vertex set stays a
+block while both sides keep a vertex, else leaves singletons, to which
+no vertex is bi-partial.
 The branching assumes a class member and refuses nothing itself: the
 public solvers that reach it (``solve``, ``solve_with_cover`` and the
 constrained solves) decide membership first, and the structural claims
@@ -48,14 +54,13 @@ are enforced as assertions that surface as a ``StructureViolation``, an
 internal fault, instead of a silent wrong answer.
 
 Within one public call the branching reaches the same host many times,
-under different parts and depths, and its fold (the side selection of its
-certified components, the member masks of the others) depends on the
-graph and the host only.  So a solve keeps one memo, a plain dict from a
-host to its ``(weight, mask, uncertified)`` fold, and the cover's leaf
-walk its own, from a host to its uncertified components alone: there a
-host that passes ``graph._all_certified`` is a leaf and is not
-decomposed.  ``_solve_raw`` alone reads and writes them; a block part is
-decomposed afresh on every call.  Each memo lives from the membership
+under different parts and depths, and its uncertified components depend
+on the graph and the host only.  So a public call keeps one memo, a
+plain dict from a host to its uncertified components, shared by the
+steered loop and the cover's walk: a host that passes
+``graph._all_certified`` is a leaf, kept as ``()``, and is not
+decomposed.  ``_solve_raw`` alone reads and writes it; a block part is
+decomposed afresh on every call.  The memo lives from the membership
 verdict to the return, so a refusal allocates none and no graph sees
 another's entries.  The depth budget, the host against the parts, the
 uncertified-component count and the leaf record are checked on every
@@ -66,7 +71,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .bipartite import side_selection
+from .bipartite import cb_weight_mask
 from .errors import ClassViolation, StructureViolation
 from .graph import Graph, _all_certified, bits, components_with_certificates, neighborhood
 from .recognition import find_induced_p4
@@ -214,74 +219,69 @@ def _path_hosts(g, comp, active, x, members):
 
 
 def _solve_family(g, family, whole, ambient, leaves, memo, opt):
-    """The ``(weight, mask)`` of a branching family over the host
-    ``whole``: the first of its heaviest members' ``_solve_raw`` solves.
+    """Walk a branching family over the host ``whole`` into ``leaves``.
     ``family`` yields each member as ``(s_mask, t_mask, host, depth,
     active)``, in evaluation order, and every member shares ``ambient``.
-    Every family is evaluated through this one rule, so ties resolve
-    alike in every layer.
+    Every family is walked through this one rule, so ties resolve alike
+    in every layer (``_heaviest_leaf``).
 
-    With ``solve``'s oracle ``opt``, the members are taken lazily against
-    the family's optimum ``opt(whole)``: a member whose host's optimum is
-    not it is skipped, and the first one that reaches it is solved and
-    returned.  That is the member the full evaluation picks: the family is
-    exhaustive, so its heaviest weighs the optimum, and the earliest
-    heaviest is the first member that does.  Without an oracle, or once
-    it answers None (its budget tripped), the members left are solved in
-    full; the skipped ones weighed less than the optimum, so the earliest
-    heaviest of the rest is the same member.  Given a leaf list
-    (``leaves``), it walks every member in order and returns None.
+    Without ``solve``'s oracle ``opt`` every member is walked.  With it,
+    only the first member whose host's optimum equals the family's
+    optimum ``opt(whole)`` is walked: the family is exhaustive, so its
+    heaviest leaf weighs that optimum, and the first heaviest lies under
+    the first member that reaches it.  Once the oracle answers None (its
+    budget tripped), every member left is walked; the leaves of the
+    skipped ones weigh less than the optimum.
 
     Raises:
         StructureViolation: no member reaches the family's optimum, an
             internal fault.
     """
-    if leaves is not None:
-        for s_mask, t_mask, host, depth, active in family:
-            _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, None)
-        return None
     target = None if opt is None else opt(whole)
-    cands = []
     for s_mask, t_mask, host, depth, active in family:
         if target is not None:
             got = opt(host)
             if got == target:
-                return _solve_raw(
-                    g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, opt
-                )
+                _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, opt)
+                return
             if got is not None:
                 continue
             target = None
-        cands.append(
-            _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, opt)
-        )
-    if not cands:
+        _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, opt)
+    if target is not None:
         raise StructureViolation(
             "no member of a branching family reaches its optimum",
             ("unreached_optimum", target),
         )
-    # max keeps the first of equal keys
-    return max(cands, key=itemgetter(0))
+
+
+def _heaviest_leaf(g, leaves) -> tuple[int, int]:
+    """The ``(weight, mask)`` of the first heaviest of ``leaves``, each
+    solved by side selection: the one earliest-heaviest tie-break.  A leaf
+    holds the components each level of its branch certified, so its
+    weight is the branch's, and the first heaviest leaf in walk order is
+    the earliest heaviest member of every family above it."""
+    # a repeated leaf weighs what its first copy does, so it is weighed
+    # once; max keeps the first of equal keys
+    return max((cb_weight_mask(g, leaf) for leaf in dict.fromkeys(leaves)), key=itemgetter(0))
 
 
 def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, opt):
-    """Dispatcher: certified components by side selection, then recurse
-    into the unique uncertified one.  Returns (weight, mask).
+    """Dispatcher: walk the host down to its certified base cases,
+    recursing into the unique uncertified component, and append
+    ``ambient | host`` of each to the list ``leaves``; ``ambient`` is the
+    part of the enclosing host already peeled off as certified
+    components.  Returns nothing: ``_heaviest_leaf`` weighs the leaves.
 
     ``host`` must lie inside ``s_mask | t_mask`` and hold no vertex of
     both.  ``active`` is the part of ``t_mask`` that may still close an
     induced path with the rest of it (0 except below the constrained
     selection loop); a path of the component's region that avoids
-    ``active`` is an ``incomplete_block`` fault.  When ``leaves`` is a
-    list the call is a leaf walk, which returns None: ``ambient | host``
-    of every certified base case is appended to it, the raw material of
-    cover extraction; ``ambient`` is the part of the enclosing host
-    already peeled off as certified components.
+    ``active`` is an ``incomplete_block`` fault.
     ``memo`` is the public call's host memo (see the module docstring).
-    ``opt`` is ``solve``'s optimum oracle, or None: with it, the residual
-    hosts of the uncertified component are taken lazily against the
-    component's optimum (``_solve_family``), and only the first host that
-    reaches it is solved.
+    ``opt`` is ``solve``'s optimum oracle, or None: with it, the walk is
+    steered down the residual hosts that reach the component's optimum
+    (``_solve_family``).
     """
     _check_depth(g, depth)
     stray = host & (s_mask & t_mask | ~(s_mask | t_mask))
@@ -289,26 +289,18 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, op
         raise StructureViolation(
             "host vertices outside both parts or inside both", ("split_parts", stray)
         )
-    fold = memo.get(host)
-    if fold is None:
-        if leaves is None:
-            certified, uncertified = components_with_certificates(g, host)
-            fold = (*side_selection(g, certified), uncertified)
-        else:
-            # a leaf walk keeps the uncertified components alone
-            fold = () if _all_certified(g.adj, host) else components_with_certificates(g, host)[1]
-        memo[host] = fold
-    bad = fold if leaves is not None else fold[2]
+    bad = memo.get(host)
+    if bad is None:
+        bad = () if _all_certified(g.adj, host) else components_with_certificates(g, host)[1]
+        memo[host] = bad
     if len(bad) > 1:
         # in a class member each would hold an induced P4, a separated pair
         raise StructureViolation(
             "more than one uncertified component", ("uncertified_components", bad)
         )
     if not bad:
-        if leaves is None:
-            return fold[:2]
         leaves.append(ambient | host)
-        return None
+        return
     comp = bad[0]
     region = t_mask & comp
     members, paths = components_with_certificates(g, region)
@@ -324,5 +316,4 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, op
     family = []
     for h in hosts:
         family.append((s_mask, t_mask, h, depth + 1, active))
-    got = _solve_family(g, family, comp, ambient | (host & ~comp), leaves, memo, opt)
-    return None if leaves is not None else (fold[0] + got[0], fold[1] | got[1])
+    _solve_family(g, family, comp, ambient | (host & ~comp), leaves, memo, opt)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -924,7 +925,7 @@ class TestCoverWalk:
             calls.append(certified)
             return real(g, certified)
 
-        for module in (solver, split_solver, bipartite):
+        for module in (solver, bipartite):
             monkeypatch.setattr(module, "side_selection", counting)
         solve(g)
         solved = len(calls)
@@ -1269,6 +1270,41 @@ class TestHomeOptimum:
         assert got.weight == optimum(g)
         assert len(pairs) == 1
         assert len(raw) <= raw_calls
+
+    @pytest.mark.parametrize(
+        "make",
+        [SCAN_GRAPHS[name] for name in sorted(SCAN_GRAPHS)]
+        + [lambda k=k: andrasfai_graph(k, seed=7000 + k) for k in range(7, 11)],
+        ids=sorted(SCAN_GRAPHS) + [f"andrasfai_{k}" for k in range(7, 11)],
+    )
+    def test_a_steered_walk_reaches_one_leaf(self, make):
+        # a live oracle steers a forced pair's walk down to one leaf: the
+        # first heaviest leaf of the same pair's full walk
+        g = make()
+        home = recognition._membership(g)[1]
+        drawn: set[int] = set()
+        walks = 0
+        for vs in itertools.islice(recognition._canonical_p4s(g, home), 30):
+            a, b, c, d = vs
+            s_a, s_b, s_c, s_d, s_ac, _, s_bd, anti = recognition._trace_classes(g, vs, home)
+            for x, y, s_x, s_y, s_xy in ((a, c, s_b, s_d, s_bd), (b, d, s_c, s_a, s_ac)):
+                if 1 << x | 1 << y in drawn:
+                    continue
+                drawn.add(1 << x | 1 << y)
+                # a fresh oracle per pair, whose budget does not trip
+                opt = solver._optimum_oracle(g, home)
+                steered: list[int] = []
+                full: list[int] = []
+                for leaves, oracle in ((steered, opt), (full, None)):
+                    constrained._solve_containing(g, x, y, s_x, s_y, s_xy, anti, leaves, {}, oracle)
+                weights = [bipartite.cb_weight_mask(g, leaf)[0] for leaf in full]
+                assert steered == [full[weights.index(max(weights))]]
+                assert bipartite.cb_weight_mask(g, steered[0]) == split_solver._heaviest_leaf(
+                    g, full
+                )
+                assert opt(home) is not None
+                walks += len(full) > 1
+        assert walks >= 6
 
     @pytest.mark.parametrize("name", sorted(SCAN_GRAPHS))
     def test_a_best_above_the_top_is_an_internal_fault(self, monkeypatch, name):

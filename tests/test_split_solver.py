@@ -2,8 +2,9 @@
 
 ``split_solver._solve_raw`` is driven directly on hosts ``S | T`` with S
 independent and G[T] a disjoint union of singletons and complete
-bipartite blocks; it returns ``(weight, mask)`` and assumes a class
-member.
+bipartite blocks; it walks the host into a leaf list, which
+``split_solver._heaviest_leaf`` weighs into ``(weight, mask)``, and
+assumes a class member.
 """
 
 from __future__ import annotations
@@ -38,9 +39,16 @@ from p4p4free.testkit import enumerate_maximal_is, gen_instance, oracle_wis
 TWO_PATHS = Graph.from_edges(8, [(2, 0), (2, 1), (3, 0), (6, 4), (6, 5), (7, 4)])
 
 
-def solve_raw(g: Graph, s_mask: int, t_mask: int, leaves=None) -> tuple[int, int]:
+def walk(g: Graph, s_mask: int, t_mask: int) -> list[int]:
+    """The leaves of the host ``S | T``'s walk, in walk order."""
+    leaves: list[int] = []
     host = s_mask | t_mask
-    return split_solver._solve_raw(g, s_mask, t_mask, host, 0, 0, leaves, {}, 0, None)
+    assert split_solver._solve_raw(g, s_mask, t_mask, host, 0, 0, leaves, {}, 0, None) is None
+    return leaves
+
+
+def solve_raw(g: Graph, s_mask: int, t_mask: int) -> tuple[int, int]:
+    return split_solver._heaviest_leaf(g, walk(g, s_mask, t_mask))
 
 
 def split(g: Graph, s, t) -> tuple[int, int]:
@@ -69,7 +77,9 @@ class TestInstanceValidation:
             raw(g, mask_of([0, 4]), g.full_mask, mask_of([0, 2, 3]), 0, 0, None, {}, 0, None)
         assert exc.value.witness == ("split_parts", 0b1)
         host = mask_of([1, 2, 3])
-        assert raw(g, 0b1, g.full_mask, host, 0, 0, None, {}, 0, None) == (2, mask_of([2, 3]))
+        leaves: list[int] = []
+        raw(g, 0b1, g.full_mask, host, 0, 0, leaves, {}, 0, None)
+        assert split_solver._heaviest_leaf(g, leaves) == (2, mask_of([2, 3]))
 
 
 class TestContactHits:
@@ -188,14 +198,9 @@ class TestBranchingShapes:
 
         monkeypatch.setattr(split_solver, "_solve_raw", recording)
         s_mask, t_mask = 0b11, mask_of(range(2, 10))
-        assert solve_raw(g, s_mask, t_mask) == (best, mask_of(chosen))
+        leaves = walk(g, s_mask, t_mask)
+        assert split_solver._heaviest_leaf(g, leaves) == (best, mask_of(chosen))
         assert oracle_wis(g).weight == best
-        # a leaf walk branches on the same hosts as the full evaluation
-        solved = dict(branched)
-        branched.clear()
-        leaves: list[int] = []
-        assert solve_raw(g, s_mask, t_mask, leaves) is None
-        assert branched == solved
         for maximal in enumerate_maximal_is(g):
             assert any(mask_of(maximal) & ~leaf == 0 for leaf in leaves), maximal
         # kept without the block, kept without N(hp) for hp in {3, 4}, and
@@ -567,8 +572,7 @@ class TestLeafRecording:
     def test_every_maximal_set_lies_in_a_leaf(self):
         for seed in range(100):
             g, s_mask, t_mask = gen_split_instance(11, 0.5, seed)
-            leaves: list[int] = []
-            solve_raw(g, s_mask, t_mask, leaves)
+            leaves = walk(g, s_mask, t_mask)
             assert leaves
             for chosen in enumerate_maximal_is(g):
                 m = mask_of(chosen)
@@ -577,15 +581,13 @@ class TestLeafRecording:
     def test_leaves_decompose_into_certified_blocks(self):
         for seed in range(40):
             g, s_mask, t_mask = gen_split_instance(11, 0.5, seed)
-            leaves: list[int] = []
-            solve_raw(g, s_mask, t_mask, leaves)
-            for leaf in leaves:
+            for leaf in walk(g, s_mask, t_mask):
                 assert not components_with_certificates(g, leaf)[1]
 
 
 class TestSideFoldMemo:
-    """The memo of host folds lives for one public call, and the per-call
-    checks run on a hit as on a miss."""
+    """The memo of a host's uncertified components lives for one public
+    call, and the per-call checks run on a hit as on a miss."""
 
     @staticmethod
     def hit(monkeypatch, memo, host):
@@ -602,7 +604,9 @@ class TestSideFoldMemo:
         g = complete_bipartite(2, 3)
         memo: dict = {}
         raw = split_solver._solve_raw
-        assert raw(g, 0, g.full_mask, g.full_mask, 0, 0, None, memo, 0, None) == (3, 0b11100)
+        leaves: list[int] = []
+        raw(g, 0, g.full_mask, g.full_mask, 0, 0, leaves, memo, 0, None)
+        assert split_solver._heaviest_leaf(g, leaves) == (3, 0b11100)
         self.hit(monkeypatch, memo, g.full_mask)
         with pytest.raises(StructureViolation) as exc:
             raw(g, 0, 0b11, g.full_mask, 0, 0, None, memo, 0, None)
@@ -612,7 +616,7 @@ class TestSideFoldMemo:
         g = complete_bipartite(2, 3)
         memo: dict = {}
         raw = split_solver._solve_raw
-        raw(g, 0, g.full_mask, g.full_mask, 0, 0, None, memo, 0, None)
+        raw(g, 0, g.full_mask, g.full_mask, 0, 0, [], memo, 0, None)
         self.hit(monkeypatch, memo, g.full_mask)
         depth = g.n + 9
         with pytest.raises(StructureViolation) as exc:
@@ -634,7 +638,7 @@ class TestSideFoldMemo:
         assert witnesses[1][0] == "uncertified_components"
 
     def test_certified_host_records_its_leaf_on_a_hit(self, monkeypatch):
-        # a leaf walk weighs nothing: its memo keeps a certified host's
+        # the walk weighs nothing: its memo keeps a certified host's
         # (empty) uncertified components alone
         g = complete_bipartite(2, 3)
         memo: dict = {}
@@ -650,8 +654,8 @@ class TestSideFoldMemo:
 
     def test_a_leaf_walk_hit_runs_every_check(self, monkeypatch):
         # the depth budget, the stray parts and the uncertified count are
-        # checked on a leaf walk's hit as on a miss, and raise before any
-        # leaf is recorded
+        # checked on a hit as on a miss, and raise before any leaf is
+        # recorded
         raw = split_solver._solve_raw
         g = complete_bipartite(2, 3)
         memo: dict = {}
@@ -695,32 +699,28 @@ class TestSideFoldMemo:
         else:
             g = blowup_graph(7, 3, seed=703)
         # a cover call reaches every layer that could write a memo, and
-        # keeps two: the steered loop's, whose values are (weight, mask,
-        # uncertified) folds, and the walk's, whose values are the
-        # uncertified components alone; each key is a host inside home
+        # keeps one, shared by the steered loop and the cover's walk: each
+        # key is a host inside home, and its value the host's uncertified
+        # components alone
         verdict, home, _ = _membership(g)
         assert verdict.is_member and home
         memos: dict = {}
         raw = split_solver._solve_raw
 
         def recording(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, opt):
-            memos[id(memo)] = memo, leaves is not None
+            memos[id(memo)] = memo
             return raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, opt)
 
         monkeypatch.setattr(split_solver, "_solve_raw", recording)
         result, _ = solve_with_cover(g)
         monkeypatch.undo()
         assert result == solve(g)
-        assert sorted(walk for _, walk in memos.values()) == [False, True]
-        for memo, walk in memos.values():
-            assert memo
-            for key, value in memo.items():
-                assert type(key) is int and key >= 0 and key & ~home == 0
-                assert type(value) is tuple
-                if walk:
-                    assert all(type(c) is int and c and c & ~key == 0 for c in value)
-                else:
-                    assert len(value) == 3
+        (memo,) = memos.values()
+        assert memo
+        for key, value in memo.items():
+            assert type(key) is int and key >= 0 and key & ~home == 0
+            assert type(value) is tuple
+            assert all(type(c) is int and c and c & ~key == 0 for c in value)
 
     def test_no_entry_outlives_its_call(self):
         # two graphs on one adjacency with different weights, solved back
