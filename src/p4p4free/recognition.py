@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ClassViolation, InputError, StructureViolation
-from .graph import Graph, _all_certified, components_with_certificates
+from .graph import Graph, _all_certified, bits, components_with_certificates
 
 __all__ = [
     "InducedP4",
@@ -331,6 +331,53 @@ def _membership(
             q = find_induced_p4(g, region)
             return MembershipVerdict(False, None, (InducedP4(*t), q)), home, certified
     return _MEMBER, home, certified
+
+
+def _stays_member(adj, edges) -> bool:
+    """Whether a member stays one when ``edges``, pairs of non-adjacent
+    vertices, are added to it.  ``adj`` must be the adjacency of a class
+    member, a precondition not checked; it is left as it is.
+
+    Every forbidden pattern of the new graph uses a new edge.  A triangle
+    of old edges would lie in the member.  Of two separated induced P4s,
+    one has a new edge as a path edge: a path whose three edges are old
+    is induced in the member too, which has no edge the new graph lacks,
+    and two such paths, separated in the new graph, are separated in the
+    member.  So each new edge (x, y) is tested for a triangle, and then
+    only the induced P4s with a new path edge are drawn, that edge at an
+    end (x-y-r-s, in both orientations) or in the middle (a-x-y-d).  Each
+    has its region, the vertices off its closed neighbourhood, tested
+    for a P4 by certification, exact on a triangle-free graph.
+    """
+    adj = list(adj)
+    for x, y in edges:
+        adj[x] |= 1 << y
+        adj[y] |= 1 << x
+    for x, y in edges:
+        if adj[x] & adj[y]:
+            return False
+    full = (1 << len(adj)) - 1
+    known: dict[int, bool] = {}
+    for x, y in edges:
+        # a path through x and y has its region off N(x) and N(y), and
+        # holding no P4 is hereditary
+        if _holds_no_p4(adj, known, full & ~(adj[x] | adj[y])):
+            continue
+        # no triangle, so a-x-y-d and x-y-r-s are induced once a, d and
+        # s avoid the neighbours shown
+        paths = [
+            (a, x, y, d)
+            for a in bits(adj[x] & ~(1 << y))
+            for d in bits(adj[y] & ~(1 << x) & ~adj[a])
+        ]
+        for p, q in ((x, y), (y, x)):
+            for r in bits(adj[q] & ~(1 << p)):
+                paths += [(p, q, r, s) for s in bits(adj[r] & ~adj[p] & ~(1 << q))]
+        for a, b, c, d in paths:
+            region = full & ~(adj[a] | adj[b] | adj[c] | adj[d])
+            if not _holds_no_p4(adj, known, region):
+                return False
+    return True
 
 
 def witness_holds(g: Graph, witness) -> bool:

@@ -4,7 +4,9 @@ split-instance generator live in ``tests/conftest.py``.
 
 Everything here is deliberately independent of the polynomial solver: the
 oracles are exponential brute force with hard size guards, and the
-generators only rely on the recognizer.  Reproducibility across runs (and
+generators only rely on the recognizer.  The clustered model decides each
+edge batch it proposes by the recognizer's delta test, exact on a member,
+and checks the graph it emits in full.  Reproducibility across runs (and
 across reimplementations in other languages) is pinned by a tiny explicit
 PRNG rather than anything platform-dependent.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from .errors import GuardError, InputError, StructureViolation
 from .graph import Graph, SolveResult, bits, certified_result
-from .recognition import is_class_member
+from .recognition import _stays_member, is_class_member
 
 __all__ = [
     "XorShift64Star",
@@ -231,13 +233,17 @@ def _gen_clustered(n: int, density: float, seed: int) -> Graph:
     vertices joins the seven trace classes (pinned to their path vertices);
     the rest becomes singletons and complete bipartite blocks, which is
     exactly what the path's anti-neighborhood may look like.  Extra edges
-    (side attachments, class-class edges) are then proposed in seeded order
-    and each kept only if the recognizer still accepts the graph.  Above 20
-    vertices only whole-side attachments to one distinguished block are
-    proposed, unchecked, so large instances stay cheap to produce; when the
-    recognizer refuses the result (at n 30-60, density 0.5, 53 of 600
-    seeds) every extra edge is dropped, and the planted structure alone is
-    checked and returned.
+    (side attachments, class-class edges) are then proposed in seeded
+    batches, and a batch is kept only if the graph stays a member.  The
+    planted structure is one (every induced P4 takes two vertices of the
+    path 0-1-2-3, and every split of the path into two pairs has an edge
+    across), so ``_stays_member`` decides each batch exactly on one
+    adjacency list, and only the emitted graph is built and recognized in
+    full.  Above 20 vertices only whole-side attachments to one
+    distinguished block are proposed, unchecked, so large instances stay
+    cheap to produce; when the recognizer refuses the result (at n 30-60,
+    density 0.5, 53 of 600 seeds) every extra edge is dropped, and the
+    planted structure alone is checked and returned.
     """
     rng = XorShift64Star(seed)
     if n < 4:
@@ -262,6 +268,15 @@ def _gen_clustered(n: int, density: float, seed: int) -> Graph:
     extra: list[tuple[int, int]] = []
     if blocks and class_vertices:
         if n <= 20:
+            adj = list(build([]).adj)  # the member so far
+
+            def keep(cand: list[tuple[int, int]]) -> None:
+                if _stays_member(adj, cand):
+                    extra.extend(cand)
+                    for u, v in cand:
+                        adj[u] |= 1 << v
+                        adj[v] |= 1 << u
+
             sides = [s for b in blocks for s in b]
             for u in class_vertices:
                 for side in sides:
@@ -272,17 +287,14 @@ def _gen_clustered(n: int, density: float, seed: int) -> Graph:
                         target = side[:k]  # partial attachment
                     else:
                         target = side  # universal attachment
-                    cand = [(u, x) for x in target]
-                    if is_class_member(build(extra + cand)).is_member:
-                        extra.extend(cand)
+                    keep([(u, x) for x in target])
             for i, u in enumerate(class_vertices):
                 for v in class_vertices[i + 1 :]:
                     if set(class_label[u]) & set(class_label[v]) != {"s", "_"}:
                         continue  # shared path letter would close a triangle
                     if not rng.chance(density):
                         continue
-                    if is_class_member(build(extra + [(u, v)])).is_member:
-                        extra.append((u, v))
+                    keep([(u, v)])
         else:
             side = blocks[0][0]
             for u in class_vertices:

@@ -26,6 +26,12 @@ the ``solve_with_cover`` members, and ``solve_containing_ac`` and
 ``solve_containing_bd`` on every induced P4, membership decided once per
 graph (``forced_pair_solvers``).  The test also checks that each graph
 still reaches its branch.
+
+``GEN_DIGEST`` covers the clustered generator below 21 vertices, where
+it proposes edge batches and keeps each that leaves a member: n, weights
+and adjacency of 8,400 draws.  A shadow test checks, over the same
+draws, that each batch is decided as full recognition of the graph with
+the batch decides it, and that the graph it is added to is a member.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from conftest import (
     triangle_free_non_members,
 )
 
-from p4p4free import split_solver
+from p4p4free import split_solver, testkit
 from p4p4free.errors import ClassViolation
 from p4p4free.graph import Graph
 from p4p4free.recognition import enumerate_induced_p4, is_class_member
@@ -57,6 +63,7 @@ HARD_DIGEST = "839168be3bdf41f4a7ccd3720a344993120f4e6ffeb2dfbf412c85c62c70dc91"
 REFUSAL_DIGEST = "c33f9abb4f2b45776d565704df334f5c6ccf524b8e7e4f4e1e81d43f54706fe0"
 COVER_DIGEST = "a045ade1122ad5d078c39f12024a4549205df74a113137b0bacc912045abb53a"
 BRANCH_DIGEST = "2d09a1158dd01c668bca341c724f9fa476b7e3d22834875b32a5f7f9b60a498e"
+GEN_DIGEST = "3864364041387c185df5c66168f650c68dd5a3a2cee46477ad6ad5d0692d4b5b"
 
 
 def _corpus():
@@ -106,6 +113,15 @@ def _branch_rows():
         (1_215_779, 18, 0.45),
     ):
         yield triangle_free_graph(seed, n, p), "fallback"
+
+
+def _gen_draws():
+    """The clustered generator at n 1-20, seven densities from 0 to 1 and
+    60 seeds each."""
+    for n in range(1, 21):
+        for density in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+            for s in range(60):
+                yield n, gen_instance("clustered", n, density, 800_000 + 7 * s + n)
 
 
 def _outputs(g):
@@ -189,3 +205,34 @@ def test_second_phase_branches_match_their_digest(monkeypatch):
         for line in lines:
             digest.update(repr(line).encode() + b"\n")
     assert digest.hexdigest() == BRANCH_DIGEST
+
+
+def test_generated_members_match_their_digest():
+    digest = hashlib.sha256()
+    for n, g in _gen_draws():
+        digest.update(repr((n, g.weights, g.adj)).encode() + b"\n")
+    assert digest.hexdigest() == GEN_DIGEST
+
+
+def test_each_proposed_batch_is_decided_as_full_recognition_decides_it(monkeypatch):
+    # a graph is recognized as a member once, before its first batch or
+    # as a batch that grew it was kept
+    stays_member = testkit._stays_member
+    members = set()
+    answers = Counter()
+
+    def shadowed(adj, edges):
+        got = stays_member(adj, edges)
+        g = Graph(len(adj), (0,) * len(adj), tuple(adj))
+        assert g.adj in members or is_class_member(g).is_member
+        grown = Graph.from_edges(g.n, [*g.edges(), *edges])
+        assert got == is_class_member(grown).is_member, (g.adj, edges)
+        if got:
+            members.add(grown.adj)
+        answers[got] += 1
+        return got
+
+    monkeypatch.setattr(testkit, "_stays_member", shadowed)
+    for _ in _gen_draws():
+        pass
+    assert answers[True] > 1000 and answers[False] > 1000

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import tracemalloc
+from collections import Counter
 
 import pytest
 from conftest import (
+    andrasfai_graph,
     blowup_graph,
     complete_graph,
     crown_graph,
@@ -41,6 +43,7 @@ from p4p4free.recognition import (
     NeighborhoodPartition,
     _canonical_p4s,
     _membership,
+    _stays_member,
     enumerate_induced_p4,
     find_induced_p4,
     find_triangle,
@@ -383,6 +386,101 @@ class TestMembershipRegions:
         assert verdict.is_member and paths
         assert all(type(t) is tuple for t in paths)
         assert paths == sorted(scan_p4s(g, home))
+
+
+def _with_small_parts(g: Graph) -> Graph:
+    """g beside a path on three vertices, an edge and a lone vertex, none
+    of which holds a P4: a maximal triangle-free g gains non-edges that
+    close no triangle."""
+    n = g.n
+    extra = [(n, n + 1), (n + 1, n + 2), (n + 3, n + 4)]
+    return Graph.from_edges(n + 6, [*g.edges(), *extra])
+
+
+def _delta_members(family: str):
+    """Seeded class members of one family, for the delta test."""
+    if family == "clustered":
+        for n in range(4, 21):
+            for density in (0.1, 0.5, 0.9):
+                yield gen_instance("clustered", n, density, 910_000 + n)
+    elif family == "triangle_free":
+        for seed in range(120):
+            g = triangle_free_graph(920_000 + seed, 8 + seed % 13, 0.12 + seed % 4 * 0.06)
+            if is_class_member(g).is_member:
+                yield g
+    elif family == "blowups":
+        for k in (5, 7):
+            for s in (1, 2, 3):
+                yield _with_small_parts(blowup_graph(k, s, seed=930_000 + 10 * k + s))
+    else:
+        for k in range(4, 11):
+            yield _with_small_parts(andrasfai_graph(k, 940_000 + k))
+
+
+def _delta_batches(g: Graph, seed: int):
+    """Seeded batches of 1-4 non-edges of g, eight of each kind: drawn at
+    random; pairwise vertex-disjoint; led by a pair at distance two, which
+    closes a triangle; led by a pair joining two components."""
+    rng = XorShift64Star(seed)
+    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.adj[u] >> v & 1]
+    certified, uncertified = components_with_certificates(g, g.full_mask)
+    comps = [a | b for a, b in certified] + list(uncertified)
+    leads = {
+        "random": non_edges,
+        "disjoint": non_edges,
+        "triangle": [(u, v) for u, v in non_edges if g.adj[u] & g.adj[v]],
+        "joining": [
+            (u, v) for u, v in non_edges if not any(c >> u & c >> v & 1 for c in comps)
+        ],
+    }
+    for kind, pool in leads.items():
+        for _ in range(8 if pool else 0):
+            batch = [pool[rng.below(len(pool))]]
+            for _ in range(rng.below(4)):
+                u, v = non_edges[rng.below(len(non_edges))]
+                used = {x for e in batch for x in e}
+                if (u, v) in batch or kind == "disjoint" and used & {u, v}:
+                    continue
+                batch.append((u, v))
+            yield kind, batch
+
+
+# each graph holds the path 0-1-2-3; the batch makes a second induced
+# P4 separated from it, with its new edge at an end, in the middle or
+# closing a triangle, or the batch leaves a member
+DELTA_CASES = {
+    "end_edge": (8, [(0, 1), (1, 2), (2, 3), (5, 6), (6, 7)], [(4, 5)], False),
+    "middle_edge": (8, [(0, 1), (1, 2), (2, 3), (4, 5), (6, 7)], [(5, 6)], False),
+    "triangle": (6, [(0, 1), (1, 2), (2, 3), (4, 5)], [(0, 2)], False),
+    "two_new_edges": (8, [(0, 1), (1, 2), (2, 3), (4, 5)], [(5, 6), (6, 7)], False),
+    "member": (8, [(0, 1), (1, 2), (2, 3), (4, 5), (6, 7)], [(3, 4), (5, 6)], True),
+}
+
+
+class TestStaysMember:
+    @pytest.mark.parametrize("name", sorted(DELTA_CASES))
+    def test_each_way_a_batch_can_break_a_member(self, name):
+        n, edges, batch, want = DELTA_CASES[name]
+        g = Graph.from_edges(n, edges)
+        grown = Graph.from_edges(n, edges + batch)
+        assert is_class_member(g).is_member
+        assert is_class_member(grown).is_member == want
+        assert _stays_member(g.adj, batch) == want
+
+    @pytest.mark.parametrize("family", ["clustered", "triangle_free", "blowups", "andrasfai"])
+    def test_agrees_with_full_recognition(self, family):
+        answers = Counter()
+        for i, g in enumerate(_delta_members(family)):
+            assert is_class_member(g).is_member
+            for kind, batch in _delta_batches(g, 950_000 + i):
+                adj = list(g.adj)
+                got = _stays_member(adj, batch)
+                grown = Graph.from_edges(g.n, [*g.edges(), *batch])
+                assert got == is_class_member(grown).is_member, (family, i, batch)
+                assert adj == list(g.adj)
+                answers[kind, got] += 1
+        assert answers["triangle", False] and not answers["triangle", True]
+        assert answers["joining", True] and answers["joining", False]
 
 
 TWO_PATHS = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]

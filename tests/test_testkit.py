@@ -281,7 +281,8 @@ class TestGenerators:
     @pytest.mark.parametrize("n", [14, 30])
     def test_clustered_without_a_member_raises(self, monkeypatch, n):
         # a recognizer that refuses everything refuses the final graph and
-        # the planted structure (below 21 vertices, every proposed edge too)
+        # the planted structure (below 21 vertices the proposed edges are
+        # decided by the delta test, which does not call it)
         refused = is_class_member(complete_graph(3))
         monkeypatch.setattr(testkit, "is_class_member", lambda g: refused)
         with pytest.raises(StructureViolation) as info:
