@@ -27,10 +27,10 @@ verdict and witness are those of ``is_class_member(g)``; the refusal is
 raised once its witness re-checks, and a triangle is refused before any
 decomposition.  The scan keeps no path and visits few (see
 ``recognition._membership``); home and the rest's sides come from that
-same pass.  Home's paths are then drawn lazily from
+same pass.  Each pass over home then draws home's paths lazily from
 ``recognition._canonical_p4s``, in canonical order, as plain
-``(a, b, c, d)`` tuples: ``solve`` stops at home's optimum after a few
-of them, and the cover's walk visits them all, keeping none.  No
+``(a, b, c, d)`` tuples: ``solve``'s loop stops at home's optimum after
+a few of them, and the cover's walk draws them all, keeping none.  No
 ``InducedP4`` or ``NeighborhoodPartition`` is built below the public
 call.  Past that
 step the input is a verified member, so a refusal raised by the
@@ -91,12 +91,12 @@ best above U is an internal fault, and so, with an exact U, is a best
 below it, each raised once the chosen set is certified.  A solve
 without paths builds no oracle.
 
-``solve_with_cover`` takes its answer from the same steered loop, so it
-equals ``solve(g)`` by construction, and its members from ``_walk``, a
-walk that weighs nothing over the same lazy draw: it walks every path,
-handing each to the loop until the stop.  Per path it walks each pair
-not walked before through every member of its families, in order, and
-each base case becomes a member: the vertices the branch forced plus its
+``solve_with_cover`` is two independent passes over home: its answer is
+the steered loop's, so it equals ``solve(g)`` by construction, and its
+members are those ``_walk`` returns, a walk that weighs nothing over its
+own draw of every path.  Per path it walks each pair not walked before
+through every member of its families, in order, and each base case
+becomes a member: the vertices the branch forced plus its
 final host, whose nontrivial components are complete bipartite.  The
 path's region follows, and home's path-free remainder comes last, each
 distinct one certified once.  Every member holds all of the graph outside
@@ -123,9 +123,12 @@ b↔c, ac↔bd): it reads s_c, s_a and s_ac for s_b, s_d and s_bd.  Each
 draw is one call of the internal ``constrained._solve_containing``,
 which walks the pair's family into the cover's members or, for the loop,
 into its own leaves, weighed into the pair's best set.  The chosen set
-is certified once, at the end.  The loop and the walk pass one host memo
-down (see ``split_solver``), and the loop its optimum oracle, as the
-trailing arguments of ``_solve_containing`` and ``_solve_raw``.
+is certified once, at the end.  The walk passes its one host memo down
+(see ``split_solver``) as a trailing argument of ``_solve_containing``
+and ``_solve_raw``.  The loop passes its optimum oracle there, and a
+fresh memo for each pair it solves: with a live oracle it solves at most
+one pair, whose walk descends one chain of strictly smaller hosts that
+no memo could hit, and only after a trip do pairs walk unsteered.
 """
 
 from __future__ import annotations
@@ -269,7 +272,7 @@ def _optimum_oracle(g: Graph, home: int):
     return opt
 
 
-def _per_path(g: Graph, vs, classes, home: int, best, top, drawn: set, memo: dict, opt):
+def _per_path(g: Graph, vs, classes, best, top, drawn: set, opt):
     """The earliest heaviest of ``best`` and the candidates of the path
     ``vs`` = (a, b, c, d), whose eight trace class masks in home are
     ``classes``, evaluated in order: {a, c}, {b, d}, the region.  Returns
@@ -281,7 +284,8 @@ def _per_path(g: Graph, vs, classes, home: int, best, top, drawn: set, memo: dic
     not None), else one above the best.  The region's bound is its
     weight; a forced pair's is w(x) + w(y) + ``opt`` of what it leaves of
     home, exact while the oracle is live, else the matching bound of that
-    rest.
+    rest.  A solved pair walks with a fresh host memo (see the module
+    docstring).
     """
     a, b, c, d = vs
     weights = g.weights
@@ -301,7 +305,7 @@ def _per_path(g: Graph, vs, classes, home: int, best, top, drawn: set, memo: dic
             best[0] + 1 if opt is None else top
         ):
             continue
-        cand = _solve_containing(g, x, y, s_x, s_y, s_xy, anti, None, memo, opt)
+        cand = _solve_containing(g, x, y, s_x, s_y, s_xy, anti, None, {}, opt)
         if cand[0] > best[0]:
             best = cand
             if best[0] == top:
@@ -315,18 +319,21 @@ def _per_path(g: Graph, vs, classes, home: int, best, top, drawn: set, memo: dic
     return cand if cand[0] > best[0] else best
 
 
-def _walk(g: Graph, home: int, members: list, memo: dict):
-    """Home's paths in canonical order with their trace classes, each
-    yielded once the cover has walked it into ``members`` (see the module
-    docstring).  The walk keeps its own walked pairs and shares the host
-    memo ``memo`` with the loop."""
+def _walk(g: Graph, home: int) -> list[int]:
+    """The cover's members inside home, in walk order (see the module
+    docstring): every path's walked pairs' leaves and its region, in
+    canonical path order, then home's path-free remainder.  The walk
+    draws home's paths itself and keeps its walked pairs and one host
+    memo for all of them."""
+    members: list[int] = []
+    memo: dict = {}
     # the walked pairs, the distinct regions in walk order
     walked, regions = set(), {}
     white_host = home
     for vs in _canonical_p4s(g, home):
         a, b, c, d = vs
         white_host &= ~(1 << a | 1 << b | 1 << c | 1 << d)
-        classes = s_a, s_b, s_c, s_d, s_ac, _, s_bd, anti = _trace_classes(g, vs, home)
+        s_a, s_b, s_c, s_d, s_ac, _, s_bd, anti = _trace_classes(g, vs, home)
         for x, y, s_x, s_y, s_xy in ((a, c, s_b, s_d, s_bd), (b, d, s_c, s_a, s_ac)):
             pair = 1 << x | 1 << y
             if pair not in walked:
@@ -335,11 +342,11 @@ def _walk(g: Graph, home: int, members: list, memo: dict):
         q3 = _q3_region(g, a, d, s_b, s_c, anti)
         regions[q3] = None
         members.append(q3)
-        yield vs, classes
     members.append(white_host)
     for mask in (*regions, white_host):
         if not _all_certified(g.adj, mask):
             cb_weight_mask(g, mask)  # raises its incomplete_component fault
+    return members
 
 
 def _run(g: Graph, cover: bool, jobs: int):
@@ -351,24 +358,14 @@ def _run(g: Graph, cover: bool, jobs: int):
         # side selection solves every component outside home once for all
         # candidates
         rest_mask = side_selection(g, certified)[1]
-        # this call's repeated subproblems (see the module docstring)
-        memo: dict = {}
-        # home's paths in canonical order with their trace classes, drawn
-        # lazily: solve stops at the top, and the cover's walk goes on
-        members: list[int] = []
-        paths = _walk(g, home, members, memo) if cover else (
-            (vs, _trace_classes(g, vs, home)) for vs in _canonical_p4s(g, home)
-        )
-        result = _solve_all(g, paths, home, rest_mask, memo)
+        result = _solve_all(g, home, rest_mask)
         if not cover:
             return result, None
-        for _ in paths:  # the walk goes on past the loop's stop
-            pass
         rest = g.full_mask & ~home
-        return result, CoverFamily(tuple(dict.fromkeys(m | rest for m in members)))
+        return result, CoverFamily(tuple(dict.fromkeys(m | rest for m in _walk(g, home))))
 
 
-def _solve_all(g: Graph, paths, home: int, rest_mask: int, memo: dict) -> SolveResult:
+def _solve_all(g: Graph, home: int, rest_mask: int) -> SolveResult:
     # the earliest heaviest (weight, mask) so far; every candidate weighs
     # at least 0, so the first one replaces this
     best = (-1, 0)
@@ -387,10 +384,11 @@ def _solve_all(g: Graph, paths, home: int, rest_mask: int, memo: dict) -> SolveR
             top = lp_bound(g, home)
     # home minus the paths drawn so far
     white_host = home
-    for vs, classes in paths:
+    # home's paths in canonical order, drawn lazily up to the stop
+    for vs in _canonical_p4s(g, home):
         a, b, c, d = vs
         white_host &= ~(1 << a | 1 << b | 1 << c | 1 << d)
-        best = _per_path(g, vs, classes, home, best, top, drawn, memo, opt)
+        best = _per_path(g, vs, _trace_classes(g, vs, home), best, top, drawn, opt)
         if best[0] == top:
             break
     else:

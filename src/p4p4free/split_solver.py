@@ -53,18 +53,19 @@ constrained solves) decide membership first, and the structural claims
 are enforced as assertions that surface as a ``StructureViolation``, an
 internal fault, instead of a silent wrong answer.
 
-Within one public call the branching reaches the same host many times,
-under different parts and depths, and its uncertified components depend
-on the graph and the host only.  So a public call keeps one memo, a
-plain dict from a host to its uncertified components, shared by the
-steered loop and the cover's walk: a host that passes
-``graph._all_certified`` is a leaf, kept as ``()``, and is not
+An unsteered walk reaches the same host many times, under different
+parts and depths, and its uncertified components depend on the graph and
+the host only.  So the cover's walk keeps one memo for all of its pairs,
+a plain dict from a host to its uncertified components: a host that
+passes ``graph._all_certified`` is a leaf, kept as ``()``, and is not
 decomposed.  ``_solve_raw`` alone reads and writes it; a block part is
-decomposed afresh on every call.  The memo lives from the membership
-verdict to the return, so a refusal allocates none and no graph sees
-another's entries.  The depth budget, the host against the parts, the
-uncertified-component count and the leaf record are checked on every
-call, hit or miss.
+decomposed afresh on every call.  A constrained solve keeps one for its
+pair, and each pair ``solve``'s loop solves walks with a fresh one: a
+steered walk descends one chain of strictly smaller hosts, which no memo
+could hit.  A memo is made after the membership verdict and dropped on
+return, so a refusal allocates none and no graph sees another's entries.  The depth budget,
+the host against the parts, the uncertified-component count and the leaf
+record are checked on every call, hit or miss.
 """
 
 from __future__ import annotations
@@ -278,7 +279,7 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, op
     induced path with the rest of it (0 except below the constrained
     selection loop); a path of the component's region that avoids
     ``active`` is an ``incomplete_block`` fault.
-    ``memo`` is the public call's host memo (see the module docstring).
+    ``memo`` is the walk's host memo (see the module docstring).
     ``opt`` is ``solve``'s optimum oracle, or None: with it, the walk is
     steered down the residual hosts that reach the component's optimum
     (``_solve_family``).

@@ -301,7 +301,7 @@ def _gen_clustered(n: int, density: float, seed: int) -> Graph:
                 if rng.chance(density):
                     extra.extend((u, x) for x in side)
     weights[:] = _random_weights(rng, n)
-    for g in (build(extra), build([])):
+    for g in (build(kept) for kept in (extra, [])):
         if is_class_member(g).is_member:
             return g
     raise StructureViolation(

@@ -266,7 +266,7 @@ class TestRun:
         assert "witness triangle 1 2 3" in capsys.readouterr().err
 
     def test_internal_fault_on_a_member_exits_1(self, wis_file, capsys, monkeypatch):
-        def broken(g, paths, home, rest_mask, memo):
+        def broken(g, home, rest_mask):
             raise StructureViolation("internal", ("side_split_blocks", ()))
 
         monkeypatch.setattr(solver, "_solve_all", broken)

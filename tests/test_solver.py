@@ -165,7 +165,7 @@ class TestViolations:
     def test_internal_fault_on_a_member_is_reraised(self, monkeypatch):
         fault = StructureViolation("internal", ("side_split_blocks", ()))
 
-        def broken(g, paths, home, rest_mask, memo):
+        def broken(g, home, rest_mask):
             raise fault
 
         monkeypatch.setattr(solver, "_solve_all", broken)
@@ -343,41 +343,44 @@ class TestScanHomeOnce:
             return scan(g, host, known)
 
         monkeypatch.setattr(recognition, "_p4_scan", counting)
-        hosts, drawn = _record_path_draws(monkeypatch)
+        hosts, draws = _record_path_draws(monkeypatch)
         entry(g)
-        # the membership scan runs once on home, and home's paths are
-        # drawn once
+        # the membership scan runs once on home, and each pass draws
+        # home's paths once: the steered loop, then the cover's walk
         assert scanned.count(home) == 1
-        assert hosts == [home]
-        # (a, b, c, d) tuples in canonical order, each at most once
-        assert len(set(drawn)) == len(drawn)
-        assert drawn == want[: len(drawn)]
+        assert hosts == [home] * (1 if entry is solve else 2)
+        # (a, b, c, d) tuples in canonical order: the loop draws a prefix,
+        # each path at most once, and the walk draws all of them
+        assert draws[0] == want[: len(draws[0])]
         if entry is solve_with_cover:
-            assert drawn == want
+            assert draws[1] == want
 
     def test_solve_draws_fewer_paths_than_home_has(self, monkeypatch):
         # the stop at home's optimum leaves the rest of the paths undrawn
         g = crown_graph(9)
         home = recognition._membership(g)[1]
-        _, drawn = _record_path_draws(monkeypatch)
+        _, draws = _record_path_draws(monkeypatch)
         solve(g)
+        (drawn,) = draws
         assert 0 < len(drawn) < len(scan_p4s(g, home))
 
 
 def _record_path_draws(monkeypatch):
-    """Record the hosts of the solver's ``_canonical_p4s`` calls and the
-    paths drawn from them, as they are drawn."""
-    hosts, drawn = [], []
+    """Record the hosts of the solver's ``_canonical_p4s`` calls and, per
+    call, the paths drawn from it, as they are drawn."""
+    hosts, draws = [], []
     canonical = solver._canonical_p4s
 
     def recording(g, host):
         hosts.append(host)
+        drawn = []
+        draws.append(drawn)
         for t in canonical(g, host):
             drawn.append(t)
             yield t
 
     monkeypatch.setattr(solver, "_canonical_p4s", recording)
-    return hosts, drawn
+    return hosts, draws
 
 
 class TestTraceClassesOncePerPath:
@@ -410,14 +413,15 @@ class TestTraceClassesOncePerPath:
         entry(g)
         assert visited
         assert checked == []
-        # the steered loop visits a prefix of the paths, each scanned once;
-        # the cover's walk scans every path of home once, and hands the
-        # steered loop the classes of the paths it visits
+        # each pass scans each path it visits once: the steered loop a
+        # prefix of the paths, then the cover's walk every path of home
+        want = sorted(scan_p4s(g, home))
+        assert visited == want[: len(visited)]
         assert classified[: len(visited)] == visited
         if entry is solve:
             assert classified == visited
         else:
-            assert classified == sorted(scan_p4s(g, home))
+            assert classified[len(visited) :] == want
 
 
 class TestAgainstOracle:
@@ -1162,6 +1166,15 @@ NON_BIPARTITE = [blowup_graph(k, s, seed=100 * k + s) for k in (5, 7, 9) for s i
 NON_BIPARTITE += [andrasfai_graph(k, seed=7000 + k) for k in range(2, 13)]
 
 
+def _descent_graphs(andrasfai_up_to: int) -> list[Graph]:
+    """The golden corpus's members, ``SCAN_GRAPHS``, Andrásfai(7) up to
+    Andrásfai(``andrasfai_up_to``) and C7 blow-ups with classes of 3-6."""
+    graphs = [g for g in golden_corpus() if is_class_member(g).is_member]
+    graphs += [SCAN_GRAPHS[name]() for name in sorted(SCAN_GRAPHS)]
+    graphs += [andrasfai_graph(k, seed=7000 + k) for k in range(7, andrasfai_up_to + 1)]
+    return graphs + [blowup_graph(7, s, seed=700 + s) for s in range(3, 7)]
+
+
 class TestHomeOptimum:
     """``solver._optimum_oracle``, whose answer on home is the exact top of
     ``solve``'s loop and whose later answers steer it, against the oracle
@@ -1270,6 +1283,60 @@ class TestHomeOptimum:
         assert got.weight == optimum(g)
         assert len(pairs) == 1
         assert len(raw) <= raw_calls
+
+    def test_a_live_solve_descends_through_distinct_hosts(self, monkeypatch):
+        # with a live oracle the loop solves at most one forced pair, whose
+        # steered walk descends one chain of strictly smaller hosts, so no
+        # host memo could hit: each solved pair walks with a fresh one
+        answers: list = []
+        oracle = solver._optimum_oracle
+
+        def recording_oracle(g, home):
+            opt = oracle(g, home)
+
+            def recorded(mask):
+                answers.append(opt(mask))
+                return answers[-1]
+
+            return recorded
+
+        monkeypatch.setattr(solver, "_optimum_oracle", recording_oracle)
+        pairs = _count_calls(monkeypatch, solver, "_solve_containing")
+        raw = _count_calls(monkeypatch, split_solver, "_solve_raw")
+        solved = 0
+        for g in _descent_graphs(16):
+            for calls in (answers, pairs, raw):
+                calls.clear()
+            solve(g)
+            assert None not in answers
+            assert len(pairs) <= 1
+            hosts = [args[3] for args in raw]
+            assert len(set(hosts)) == len(hosts)
+            solved += len(pairs)
+        assert solved >= 100
+
+    def test_a_cover_walk_keeps_one_memo(self, monkeypatch):
+        # every _solve_raw call of the cover's walk, the call's last pass,
+        # receives the walk's one host memo
+        raw = _count_calls(monkeypatch, split_solver, "_solve_raw")
+        starts: list[int] = []
+        walk = solver._walk
+
+        def flagged(g, home):
+            starts.append(len(raw))
+            return walk(g, home)
+
+        monkeypatch.setattr(solver, "_walk", flagged)
+        walked = 0
+        for g in _descent_graphs(12):
+            raw.clear()
+            starts.clear()
+            solve_with_cover(g)
+            (start,) = starts
+            memos = {id(args[7]) for args in raw[start:]}
+            assert len(memos) <= 1
+            walked += len(memos)
+        assert walked >= 120
 
     @pytest.mark.parametrize(
         "make",

@@ -23,7 +23,7 @@ from conftest import (
     witness_checks,
 )
 
-from p4p4free import solve, solve_with_cover, split_solver
+from p4p4free import solve, solve_with_cover, solver, split_solver
 from p4p4free.constrained import solve_containing_ac, solve_containing_bd
 from p4p4free.errors import ClassViolation, StructureViolation
 from p4p4free.graph import Graph, bits, components_with_certificates, mask_of
@@ -586,8 +586,9 @@ class TestLeafRecording:
 
 
 class TestSideFoldMemo:
-    """The memo of a host's uncertified components lives for one public
-    call, and the per-call checks run on a hit as on a miss."""
+    """The memo of a host's uncertified components lives for one cover
+    walk or one solved forced pair, and the per-call checks run on a hit
+    as on a miss."""
 
     @staticmethod
     def hit(monkeypatch, memo, host):
@@ -698,20 +699,28 @@ class TestSideFoldMemo:
             g = next(g for g in draws if len(enumerate_induced_p4(g)) > 1)
         else:
             g = blowup_graph(7, 3, seed=703)
-        # a cover call reaches every layer that could write a memo, and
-        # keeps one, shared by the steered loop and the cover's walk: each
-        # key is a host inside home, and its value the host's uncertified
-        # components alone
+        # a cover call's walk reaches every layer that could write a memo,
+        # and keeps one for all of its pairs: each key is a host inside
+        # home, and its value the host's uncertified components alone
         verdict, home, _ = _membership(g)
         assert verdict.is_member and home
         memos: dict = {}
-        raw = split_solver._solve_raw
+        raw, walk = split_solver._solve_raw, solver._walk
+        walking = False
 
         def recording(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, opt):
-            memos[id(memo)] = memo
+            if walking:
+                memos[id(memo)] = memo
             return raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, opt)
 
+        def flagged(g, home):
+            # the walk is a cover call's last pass
+            nonlocal walking
+            walking = True
+            return walk(g, home)
+
         monkeypatch.setattr(split_solver, "_solve_raw", recording)
+        monkeypatch.setattr(solver, "_walk", flagged)
         result, _ = solve_with_cover(g)
         monkeypatch.undo()
         assert result == solve(g)
