@@ -15,14 +15,19 @@ every answer with ``_union`` and weighs the vertices ``bits`` lists.  A
 ``from_edges``, and ``mask_of`` and ``Graph.adjacent`` check the vertex
 ids they are given.
 
-``components_with_certificates`` is the one decomposition primitive: it
-certifies each complete bipartite component directly from the
-neighbourhoods of its smallest vertex and of one vertex across, collects
-any other component by a breadth-first search, and hands a component on
-as plain ints: a complete bipartite one as its two sides, any other as
-its member mask.  ``_all_certified`` runs the same certification as a
-yes-or-no test that stops at the first component to fail, for the sets
-the membership scan tests.
+``_certificate`` is the one complete-bipartite certificate: the sides of
+a vertex's component, from the neighbourhoods of that vertex and of one
+vertex across, when every vertex of each side sees exactly the other.
+It has three callers.  ``components_with_certificates``, the one
+decomposition primitive, certifies each component from its smallest
+vertex, collects any other component by a breadth-first search, and
+hands a component on as plain ints: a complete bipartite one as its two
+sides, any other as its member mask.  ``_all_certified`` is the same
+test as a yes-or-no answer that stops at the first component to fail,
+for the sets the membership scan tests.  ``recognition._front``, the
+membership's front pass, certifies each component as its triangle search
+reaches it.  Each reads a vertex's host neighbourhood first, and takes a
+lone vertex as its own component without the certificate.
 """
 
 from __future__ import annotations
@@ -217,34 +222,55 @@ def neighborhood(g: Graph, u: int) -> int:
     return _union(g.adj, u) & ~u
 
 
-def _all_see_exactly(adj, host: int, side: int, across: int) -> bool:
-    """Whether every vertex of ``side`` has exactly ``across`` as its
-    neighbourhood in host."""
-    while side:
-        low = side & -side
-        if adj[low.bit_length() - 1] & host != across:
-            return False
-        side ^= low
-    return True
+def _certificate(adj, host: int, low: int, side_b: int) -> tuple[int, int] | None:
+    """The sides ``(side_a, side_b)`` of the component of g[host] holding
+    the vertex s of the one-bit mask ``low`` when that component is
+    complete bipartite, side_a holding s, else None.  ``side_b`` is the
+    host neighbourhood of s, which the caller has read: nonzero, since a
+    lone vertex is its own component ``(low, 0)`` and needs no check.
+
+    side_a is the host neighbourhood of the smallest vertex of side_b.
+    The component is complete bipartite exactly when every vertex of
+    side_a has exactly side_b as its host neighbourhood and every vertex
+    of side_b has exactly side_a.  Then no vertex is its own neighbour,
+    so the sides are disjoint; each side is independent, every cross pair
+    is an edge, and the union is closed under neighbourhoods, so it is
+    the whole component.  A complete bipartite component passes from any
+    of its vertices, because its sides are the neighbourhoods of s and of
+    any vertex across.
+    """
+    first = side_b & -side_b
+    side_a = adj[first.bit_length() - 1] & host
+    # s sees side_b and first sees side_a by their definitions
+    rest = side_b ^ first
+    while rest:
+        v = rest & -rest
+        if adj[v.bit_length() - 1] & host != side_a:
+            return None
+        rest ^= v
+    rest = side_a ^ low
+    while rest:
+        v = rest & -rest
+        if adj[v.bit_length() - 1] & host != side_b:
+            return None
+        rest ^= v
+    return side_a, side_b
 
 
 def _all_certified(adj, host: int) -> bool:
     """Whether every component of host is complete bipartite, each
-    certified as ``components_with_certificates`` certifies it; in a
-    triangle-free graph, whether g[host] holds no induced P4."""
+    certified by ``_certificate``; in a triangle-free graph, whether
+    g[host] holds no induced P4."""
     while host:
-        start = host & -host
-        side_b = adj[start.bit_length() - 1] & host
-        if not side_b:
-            host ^= start
+        low = host & -host
+        row = adj[low.bit_length() - 1] & host
+        if not row:
+            host ^= low  # a lone vertex
             continue
-        side_a = adj[(side_b & -side_b).bit_length() - 1] & host
-        if not (
-            _all_see_exactly(adj, host, side_a, side_b)
-            and _all_see_exactly(adj, host, side_b, side_a)
-        ):
+        sides = _certificate(adj, host, low, row)
+        if sides is None:
             return False
-        host &= ~(side_a | side_b)
+        host &= ~(sides[0] | sides[1])
     return True
 
 
@@ -258,16 +284,8 @@ def components_with_certificates(
     smallest vertex, and the member masks of the others, each in
     smallest-vertex order.  A trivial component is ``(v, 0)``.
 
-    Each component is certified directly from its smallest vertex s:
-    side_b is the host neighbourhood of s and side_a that of the smallest
-    vertex of side_b.  The component is complete bipartite exactly when
-    every vertex of side_a has exactly side_b as its host neighbourhood
-    and every vertex of side_b has exactly side_a.  Then no vertex is its
-    own neighbour, so the sides are disjoint; each side is independent,
-    every cross pair is an edge, and the union is closed under
-    neighbourhoods, so it is the whole component.  A complete bipartite
-    component passes, because its sides are the neighbourhoods of s and
-    of any vertex across.  A component that fails is collected by a plain
+    Each component is certified from its smallest vertex
+    (``_certificate``), and one that fails is collected by a plain
     breadth-first search.
     """
     g._check_host(host)
@@ -276,17 +294,11 @@ def components_with_certificates(
     rest = host
     while rest:
         start = rest & -rest
-        side_b = adj[start.bit_length() - 1] & host
-        if not side_b:
-            certified.append((start, 0))
-            rest ^= start
-            continue
-        side_a = adj[(side_b & -side_b).bit_length() - 1] & host
-        if _all_see_exactly(adj, host, side_a, side_b) and _all_see_exactly(
-            adj, host, side_b, side_a
-        ):
-            certified.append((side_a, side_b))
-            rest &= ~(side_a | side_b)
+        row = adj[start.bit_length() - 1] & host
+        sides = _certificate(adj, host, start, row) if row else (start, 0)
+        if sides is not None:
+            certified.append(sides)
+            rest &= ~(sides[0] | sides[1])
             continue
         comp = frontier = start
         while frontier:

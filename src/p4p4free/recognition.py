@@ -2,12 +2,16 @@
 
 The solver works on triangle-free graphs that contain no two induced P4s
 that are vertex-disjoint and mutually non-adjacent.  Membership is decided
-directly from that definition: a triangle scan first, then for every
+directly from that definition: a triangle search first, then for every
 induced P4 a search for a second P4 inside its anti-neighborhood (any two
 independent P4s certify non-membership this way, because the second one
 lies entirely at distance >= 2 from the first).  A connected triangle-free
 graph without an induced P4 is complete bipartite, so paths are sought
-only in the components without a certificate.
+only in the components without a certificate.  One front pass
+(``_front``) searches for the least triangle and finds those components
+together: a component that certifies complete bipartite holds no
+triangle, and leaves the pass before any of its other vertices is
+searched.
 
 The membership scan keeps no path and visits few (see ``_membership``):
 the paths of a middle edge (b, c) are passed over when home minus N(b)
@@ -43,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ClassViolation, InputError, StructureViolation
-from .graph import Graph, _all_certified, bits, components_with_certificates
+from .graph import Graph, _all_certified, _certificate, bits
 
 __all__ = [
     "InducedP4",
@@ -105,24 +109,9 @@ def _check_induced_p4(g: Graph, vs: tuple[int, int, int, int]) -> None:
 
 
 def find_triangle(g: Graph, host: int | None = None) -> tuple[int, int, int] | None:
-    """Lexicographically least triangle (u, v, w), u < v < w, or None."""
-    host = g._check_host(host)
-    adj = g.adj
-    above_u = host
-    while above_u:
-        low = above_u & -above_u
-        above_u ^= low
-        cand = adj[low.bit_length() - 1] & above_u
-        m = cand
-        while m:
-            v_low = m & -m
-            # the least v of cand with a neighbour in cand has none below it
-            common = adj[v_low.bit_length() - 1] & cand
-            if common:
-                u, v = low.bit_length() - 1, v_low.bit_length() - 1
-                return (u, v, (common & -common).bit_length() - 1)
-            m ^= v_low
-    return None
+    """Lexicographically least triangle (u, v, w), u < v < w, or None;
+    the front pass's (``_front``)."""
+    return _front(g.adj, g._check_host(host))[0]
 
 
 def _holds_no_p4(adj, known: dict, mask: int) -> bool:
@@ -280,7 +269,9 @@ _MEMBER = MembershipVerdict(True)  # every member's verdict, shared
 def is_class_member(g: Graph) -> MembershipVerdict:
     """Decide membership in the supported class, with witnesses.
 
-    A triangle is searched first, over the whole graph.  Then, only in the
+    The least triangle is searched first, in one pass that skips every
+    component certified complete bipartite (see ``_front``); a triangle
+    is refused when the pass reaches its least vertex.  Then, only in the
     components without a certificate (where every P4 lies), each induced
     P4 in scan order has its anti-neighborhood searched for a second P4;
     the two are disjoint and mutually non-adjacent, a genuine witness.
@@ -291,13 +282,64 @@ def is_class_member(g: Graph) -> MembershipVerdict:
     return _membership(g)[0]
 
 
+def _front(adj, host: int):
+    """One pass over the vertices of ``host`` in ascending order, the
+    front step of ``_membership``: ``(triangle, home, side pairs)``.
+    ``triangle`` is the lexicographically least triangle of g[host], and
+    home and the pairs are then 0 and ``()``; else it is None, home is the
+    union of the components without a complete-bipartite certificate, and
+    the side pairs are the certified ones', as
+    ``components_with_certificates(g, host)`` gives them.
+
+    Each live vertex u is searched for a triangle whose least vertex is
+    u: the least neighbour v above u with a neighbour among u's
+    neighbours above u, and the least such neighbour w of v, which lies
+    above v.  A vertex with no neighbour below it then tries the
+    certificate (``graph._certificate``): it may be the least vertex of
+    its component, and a certified component leaves the live set at once,
+    so none of its vertices is searched or visited again.  A neighbour
+    below u lies in u's component, which is then one whose least vertex
+    failed the certificate.  Every triangle lies in a component without a
+    certificate, whose every vertex is searched in order, so the first
+    triangle found is the least.
+    """
+    certified = []
+    done = 0  # the certified vertices
+    live = host
+    while live:
+        low = live & -live
+        live ^= low
+        row = adj[low.bit_length() - 1] & host
+        # live is every vertex above u less the certified components,
+        # which hold no neighbour of u: cand is every neighbour above u
+        m = cand = row & live
+        while m:
+            v_low = m & -m
+            common = adj[v_low.bit_length() - 1] & cand
+            if common:
+                u, v = low.bit_length() - 1, v_low.bit_length() - 1
+                return (u, v, (common & -common).bit_length() - 1), 0, ()
+            m ^= v_low
+        if row != cand:
+            continue  # u has a neighbour below it
+        sides = _certificate(adj, host, low, row) if row else (low, 0)
+        if sides is not None:
+            certified.append(sides)
+            comp = sides[0] | sides[1]
+            done |= comp
+            live &= ~comp
+    return None, host & ~done, tuple(certified)
+
+
 def _membership(
     g: Graph,
 ) -> tuple[MembershipVerdict, int, tuple[tuple[int, int], ...]]:
     """``is_class_member(g)`` with what it decided from: home, the union
-    of the uncertified components of ``components_with_certificates(g,
-    g.full_mask)``, and the side pairs of the certified ones; home 0 and
-    no pairs when a triangle decided it before the decomposition.
+    of the components without a complete-bipartite certificate, and the
+    side pairs of the certified ones, as ``components_with_certificates(g,
+    g.full_mask)`` gives them; home 0 and no pairs when a triangle decided
+    it.  All three come from one front pass (``_front``), which refuses a
+    triangle on reaching its least vertex.
 
     The scan keeps no path.  Every path a-b-c-d has its region, home
     minus the path's closed neighbourhood, inside S = home - N(b) - N(c),
@@ -311,13 +353,9 @@ def _membership(
     first path in scan order whose region holds one is still searched, on
     that same region, and the search returns the same second path.
     """
-    tri = find_triangle(g)
+    tri, home, certified = _front(g.adj, g.full_mask)
     if tri is not None:
         return MembershipVerdict(False, tri), 0, ()
-    certified, uncertified = components_with_certificates(g, g.full_mask)
-    home = 0
-    for comp in uncertified:
-        home |= comp
     adj = g.adj
     known: dict[int, bool] = {}
     for t in _p4_scan(g, home, known):

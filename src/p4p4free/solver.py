@@ -20,21 +20,22 @@ the same choice outside home: the best candidate of home plus the side
 selection of the rest is the optimum of the whole graph.
 
 Membership is decided before any branching, in one front step: the
-recognizer's own pass, which looks for the least triangle of the whole
-graph and, when there is none, decomposes it once and scans home (for
-each path in scan order, a second path in its anti-neighborhood).  The
-verdict and witness are those of ``is_class_member(g)``; the refusal is
-raised once its witness re-checks, and a triangle is refused before any
-decomposition.  The scan keeps no path and visits few (see
-``recognition._membership``); home and the rest's sides come from that
-same pass.  Each pass over home then draws home's paths lazily from
-``recognition._canonical_p4s``, in canonical order, as plain
-``(a, b, c, d)`` tuples: ``solve``'s loop stops at home's optimum after
-a few of them, and the cover's walk draws them all, keeping none.  No
-``InducedP4`` or ``NeighborhoodPartition`` is built below the public
-call.  Past that
-step the input is a verified member, so a refusal raised by the
-branching is an internal fault and leaves as a ``StructureViolation``.
+recognizer's own, whose one pass over the vertices looks for the least
+triangle and certifies the complete bipartite components on the way,
+skipping each certified one, and, when there is no triangle, scans home
+(for each path in scan order, a second path in its anti-neighborhood).
+The verdict and witness are those of ``is_class_member(g)``; the refusal
+is raised once its witness re-checks, and a triangle is refused when the
+pass reaches its least vertex, with nothing above it certified.  The
+scan keeps no path and visits few (see ``recognition._membership``);
+home and the rest's sides come from that same pass.  Each pass over home
+then draws home's paths lazily from ``recognition._canonical_p4s``, in
+canonical order, as plain ``(a, b, c, d)`` tuples: ``solve``'s loop
+stops at home's optimum after a few of them, and the cover's walk draws
+them all, keeping none.  No ``InducedP4`` or ``NeighborhoodPartition``
+is built below the public call.  Past that step the input is a verified
+member, so a refusal raised by the branching is an internal fault and
+leaves as a ``StructureViolation``.
 
 Candidates are evaluated in one serial loop (paths in canonical order;
 per path {a, c}, {b, d}, the region; the remainder last), and only a
@@ -125,10 +126,11 @@ which walks the pair's family into the cover's members or, for the loop,
 into its own leaves, weighed into the pair's best set.  The chosen set
 is certified once, at the end.  The walk passes its one host memo down
 (see ``split_solver``) as a trailing argument of ``_solve_containing``
-and ``_solve_raw``.  The loop passes its optimum oracle there, and a
-fresh memo for each pair it solves: with a live oracle it solves at most
-one pair, whose walk descends one chain of strictly smaller hosts that
-no memo could hit, and only after a trip do pairs walk unsteered.
+and ``_solve_raw``.  The loop passes its optimum oracle there, and one
+memo of its own for every pair it solves.  With a live oracle it solves
+at most one pair, whose walk descends one chain of strictly smaller
+hosts that no memo could hit; only after a trip do pairs walk
+unsteered, and then they meet each other's hosts.
 """
 
 from __future__ import annotations
@@ -272,7 +274,7 @@ def _optimum_oracle(g: Graph, home: int):
     return opt
 
 
-def _per_path(g: Graph, vs, classes, best, top, drawn: set, opt):
+def _per_path(g: Graph, vs, classes, best, top, drawn: set, memo: dict, opt):
     """The earliest heaviest of ``best`` and the candidates of the path
     ``vs`` = (a, b, c, d), whose eight trace class masks in home are
     ``classes``, evaluated in order: {a, c}, {b, d}, the region.  Returns
@@ -284,8 +286,8 @@ def _per_path(g: Graph, vs, classes, best, top, drawn: set, opt):
     not None), else one above the best.  The region's bound is its
     weight; a forced pair's is w(x) + w(y) + ``opt`` of what it leaves of
     home, exact while the oracle is live, else the matching bound of that
-    rest.  A solved pair walks with a fresh host memo (see the module
-    docstring).
+    rest.  A solved pair walks with ``memo``, the loop's one host memo
+    (see the module docstring).
     """
     a, b, c, d = vs
     weights = g.weights
@@ -305,7 +307,7 @@ def _per_path(g: Graph, vs, classes, best, top, drawn: set, opt):
             best[0] + 1 if opt is None else top
         ):
             continue
-        cand = _solve_containing(g, x, y, s_x, s_y, s_xy, anti, None, {}, opt)
+        cand = _solve_containing(g, x, y, s_x, s_y, s_xy, anti, None, memo, opt)
         if cand[0] > best[0]:
             best = cand
             if best[0] == top:
@@ -370,6 +372,7 @@ def _solve_all(g: Graph, home: int, rest_mask: int) -> SolveResult:
     # at least 0, so the first one replaces this
     best = (-1, 0)
     drawn: set[int] = set()  # the forced-pair masks this solve has drawn
+    memo: dict = {}  # the host memo of every pair this solve walks
     # no candidate outweighs home's optimum, or its LP bound once the
     # oracle's budget trips, so once the best reaches that top the rest
     # cannot beat it strictly (see the module docstring); opt stays only
@@ -388,7 +391,7 @@ def _solve_all(g: Graph, home: int, rest_mask: int) -> SolveResult:
     for vs in _canonical_p4s(g, home):
         a, b, c, d = vs
         white_host &= ~(1 << a | 1 << b | 1 << c | 1 << d)
-        best = _per_path(g, vs, _trace_classes(g, vs, home), best, top, drawn, opt)
+        best = _per_path(g, vs, _trace_classes(g, vs, home), best, top, drawn, memo, opt)
         if best[0] == top:
             break
     else:

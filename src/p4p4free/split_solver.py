@@ -60,10 +60,11 @@ a plain dict from a host to its uncertified components: a host that
 passes ``graph._all_certified`` is a leaf, kept as ``()``, and is not
 decomposed.  ``_solve_raw`` alone reads and writes it; a block part is
 decomposed afresh on every call.  A constrained solve keeps one for its
-pair, and each pair ``solve``'s loop solves walks with a fresh one: a
-steered walk descends one chain of strictly smaller hosts, which no memo
-could hit.  A memo is made after the membership verdict and dropped on
-return, so a refusal allocates none and no graph sees another's entries.  The depth budget,
+pair, and ``solve``'s loop one for every pair it solves: a steered walk
+descends one chain of strictly smaller hosts, which no memo could hit,
+but the unsteered walks after a trip meet each other's hosts.  A memo is
+made after the membership verdict and dropped on return, so a refusal
+allocates none and no graph sees another's entries.  The depth budget,
 the host against the parts, the uncertified-component count and the leaf
 record are checked on every call, hit or miss.
 """

@@ -40,6 +40,7 @@ from p4p4free.graph import (
 from p4p4free import recognition
 from p4p4free.recognition import (
     InducedP4,
+    MembershipVerdict,
     NeighborhoodPartition,
     _canonical_p4s,
     _membership,
@@ -386,6 +387,131 @@ class TestMembershipRegions:
         assert verdict.is_member and paths
         assert all(type(t) is tuple for t in paths)
         assert paths == sorted(scan_p4s(g, home))
+
+
+def _least_triangle(g: Graph):
+    """The lexicographically least triangle, by a search over every
+    vertex u and each neighbour v above it, for a common neighbour above
+    v."""
+    for u in range(g.n):
+        above = g.adj[u] >> (u + 1) << (u + 1)
+        for v in bits(above):
+            ws = g.adj[v] & above >> (v + 1) << (v + 1)
+            if ws:
+                return (u, v, (ws & -ws).bit_length() - 1)
+    return None
+
+
+def _two_pass_membership(g: Graph):
+    """``_membership`` by two passes over every vertex: a triangle search
+    (``_least_triangle``), then ``components_with_certificates(g,
+    g.full_mask)``, then every path of home in scan order has its region
+    searched."""
+    tri = _least_triangle(g)
+    if tri is not None:
+        return MembershipVerdict(False, tri), 0, ()
+    certified, uncertified = components_with_certificates(g, g.full_mask)
+    home = sum(uncertified)  # disjoint masks
+    for t in recognition._p4_scan(g, home):
+        q = find_induced_p4(g, _region(g, home, t))
+        if q is not None:
+            return MembershipVerdict(False, None, (InducedP4(*t), q)), home, certified
+    return MembershipVerdict(True), home, certified
+
+
+def _scattered_parts(seed: int) -> Graph:
+    """Up to five parts (a complete bipartite graph, a path, a cycle, a
+    triangle with a pendant, a lone vertex), each chosen at random, on
+    vertex ids shuffled so that the parts interleave."""
+    rng = XorShift64Star(seed)
+    parts = []
+    for _ in range(1 + rng.below(5)):
+        kind, k = rng.below(5), 2 + rng.below(4)
+        if kind == 0:
+            a = 1 + rng.below(3)
+            parts.append((a + k, [(i, j) for i in range(a) for j in range(a, a + k)]))
+        elif kind == 1:
+            parts.append((k + 2, [(i, i + 1) for i in range(k + 1)]))
+        elif kind == 2:
+            parts.append((k + 3, [(i, (i + 1) % (k + 3)) for i in range(k + 3)]))
+        elif kind == 3:
+            parts.append((4, [(0, 1), (1, 2), (0, 2), (2, 3)]))
+        else:
+            parts.append((1, []))
+    n = sum(size for size, _ in parts)
+    ids = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        ids[i], ids[j] = ids[j], ids[i]
+    edges, base = [], 0
+    for size, part in parts:
+        edges += [(ids[base + u], ids[base + v]) for u, v in part]
+        base += size
+    return Graph.from_edges(n, edges)
+
+
+# layouts for the front pass, each named for what it puts in the pass's way
+FRONT_LAYOUTS = {
+    # a star on 0-2 and the lone vertex 3 come before the triangle 4-5-6
+    "triangle_above_certified": Graph.from_edges(
+        8, [(0, 1), (0, 2), (4, 5), (4, 6), (5, 6), (6, 7)]
+    ),
+    # K_{2,2} on the even ids 0-6 beside the path 1-3-5-7
+    "interleaved_components": Graph.from_edges(
+        8, [(0, 2), (0, 6), (4, 2), (4, 6), (1, 3), (3, 5), (5, 7)]
+    ),
+    # the path 0-3-1-4-2: 1 and 2 have no neighbour below them, yet lie in
+    # the component that 0 fails to certify, and 3 and 4 have one
+    "uncertified_without_lower_neighbours": Graph.from_edges(
+        5, [(0, 3), (3, 1), (1, 4), (4, 2)]
+    ),
+    # the component of 0 holds the triangle 5-6-7, that of 1 the least
+    # triangle 2-3-4
+    "lower_component_later_triangle": Graph.from_edges(
+        8, [(0, 5), (5, 6), (6, 7), (5, 7), (1, 2), (2, 3), (3, 4), (2, 4)]
+    ),
+}
+
+
+class TestFrontPass:
+    @pytest.mark.parametrize("name", sorted(FRONT_LAYOUTS))
+    def test_layouts_equal_the_two_passes(self, name):
+        g = FRONT_LAYOUTS[name]
+        assert _membership(g) == _two_pass_membership(g)
+
+    def test_layout_outcomes(self):
+        # what each layout is for, so that a layout stays one
+        got = {name: _membership(g) for name, g in FRONT_LAYOUTS.items()}
+        assert got["triangle_above_certified"][0].triangle == (4, 5, 6)
+        verdict, home, certified = got["interleaved_components"]
+        assert verdict.is_member and home == mask_of([1, 3, 5, 7])
+        assert certified == ((mask_of([0, 4]), mask_of([2, 6])),)
+        assert got["uncertified_without_lower_neighbours"][1:] == (0b11111, ())
+        assert got["lower_component_later_triangle"][0].triangle == (2, 3, 4)
+
+    def test_random_graphs_equal_the_two_passes(self):
+        # 10,000 seeded draws: sparse and denser random graphs, triangle-
+        # free ones, and interleaved parts; they reach triangles, separated
+        # paths, members with paths and graphs without any
+        seen = Counter()
+        for seed in range(2_500):
+            n = seed % 41
+            graphs = (
+                random_graph(3_000_000 + seed, n, 0.02 + (seed % 7) * 0.02, weighted=False),
+                random_graph(3_100_000 + seed, n % 16, 0.1 + (seed % 5) * 0.08, weighted=False),
+                triangle_free_graph(3_200_000 + seed, n, 0.04 + (seed % 6) * 0.03),
+                _scattered_parts(3_300_000 + seed),
+            )
+            for i, g in enumerate(graphs):
+                got = _membership(g)
+                assert got == _two_pass_membership(g), (seed, i)
+                verdict, home, _ = got
+                seen[
+                    "triangle" if verdict.triangle
+                    else "p4_pair" if verdict.p4_pair
+                    else "home" if home else "no_home"
+                ] += 1
+        assert set(seen) == {"triangle", "p4_pair", "home", "no_home"}, seen
 
 
 def _with_small_parts(g: Graph) -> Graph:

@@ -264,11 +264,34 @@ class TestViolations:
         for module in (recognition, solver):
             if hasattr(module, "components_with_certificates"):
                 monkeypatch.setattr(module, "components_with_certificates", tripwire)
-        # a triangle beside a path
-        g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)])
-        with pytest.raises(ClassViolation) as info:
-            entry(g)
-        assert info.value.witness == ("triangle", (0, 1, 2))
+        # the front pass certifies no component above the triangle's least
+        # vertex: it refuses as soon as it reaches it
+        certificate, tried = recognition._certificate, []
+
+        def recording(adj, host, low, side_b):
+            tried.append(low.bit_length() - 1)
+            return certificate(adj, host, low, side_b)
+
+        monkeypatch.setattr(recognition, "_certificate", recording)
+        cases = [
+            # a triangle beside a path
+            ([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)], (0, 1, 2), []),
+            # a star on 0-2 and the lone vertex 3 below the triangle 4-5-6,
+            # the path 7-8-9-10 above it; only the star needs the check
+            (
+                [(0, 1), (0, 2), (4, 5), (4, 6), (5, 6), (7, 8), (8, 9), (9, 10)],
+                (4, 5, 6),
+                [0],
+            ),
+        ]
+        for edges, want, certified in cases:
+            tried.clear()
+            g = Graph.from_edges(max(map(max, edges)) + 1, edges)
+            with pytest.raises(ClassViolation) as info:
+                entry(g)
+            assert info.value.witness == ("triangle", want)
+            assert all(v < want[0] for v in tried)
+            assert tried == certified
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(InputError):
@@ -301,20 +324,28 @@ class TestCertifyOnce:
 class TestDecomposeOnce:
     @pytest.mark.parametrize("entry", [solve, solve_with_cover])
     def test_one_full_decomposition_per_public_call(self, monkeypatch, entry):
+        # the whole graph is decomposed once, by the front pass, which
+        # finds its certified components without components_with_certificates
         g = gen_instance(model="clustered", n=30, density=0.5, seed=11)
         assert enumerate_induced_p4(g)
-        hosts = []
-        original = graph.components_with_certificates
+        hosts, fronts = [], []
+        original, front = graph.components_with_certificates, recognition._front
 
         def counting(g, host):
             hosts.append(host)
             return original(g, host)
 
+        def counting_front(adj, full):
+            fronts.append(full)
+            return front(adj, full)
+
         for module in (recognition, solver, bipartite, constrained, split_solver):
             if hasattr(module, "components_with_certificates"):
                 monkeypatch.setattr(module, "components_with_certificates", counting)
+        monkeypatch.setattr(recognition, "_front", counting_front)
         entry(g)
-        assert hosts.count(g.full_mask) == 1
+        assert fronts == [g.full_mask]
+        assert g.full_mask not in hosts
 
 
 # members with home's paths everywhere: clustered, rejection, a complete
