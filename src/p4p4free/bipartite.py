@@ -23,7 +23,7 @@ from .graph import (
     certified_result,
     components_with_certificates,
 )
-from .recognition import is_class_member, uncertified_p4, verified_member
+from .recognition import _membership, _refusal, uncertified_p4, verified_member
 
 __all__ = ["solve_cb_components", "cb_weight_mask", "side_selection", "lp_bound"]
 
@@ -197,6 +197,9 @@ def solve_cb_components(g: Graph, host: int | None = None) -> SolveResult:
             bipartite (the witness carries an induced P4 of it).
     """
     host = g._check_host(host)
-    with verified_member(g, is_class_member(g)):
+    witness = _membership(g)[0]
+    if witness is not None:
+        raise _refusal(g, witness) from None
+    with verified_member():
         _, mask = cb_weight_mask(g, host)
     return certified_result(g, mask)

@@ -32,7 +32,7 @@ from .errors import (
     StructureViolation,
 )
 from .graph import Graph, bits, components_with_certificates
-from .recognition import is_class_member, verified_member
+from .recognition import _refusal, is_class_member, verified_member
 from .solver import solve, solve_with_cover
 from .testkit import gen_instance, oracle_wis
 
@@ -211,14 +211,13 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_check(args) -> int:
     g = _read_graph(args)
-    # the refusal solve and cover would raise: its witness is re-checked,
-    # and one that does not hold leaves as a StructureViolation
-    try:
-        with verified_member(g, is_class_member(g)):
+    refusal = is_class_member(g).violation()
+    if refusal is None:
+        with verified_member():
             _emit(args, ["MEMBER"], {"member": True})
-            return 0
-    except ClassViolation as err:
-        refusal = err
+        return 0
+    # solve's refusal, re-checked: a witness that fails is a StructureViolation
+    refusal = _refusal(g, refusal.witness)
     kind, body = refusal.witness
     if kind == "triangle":
         detail = {"vertices": _ids(body)}

@@ -36,7 +36,7 @@ pass its masks on and certify the result.
 from __future__ import annotations
 
 from .graph import Graph, SolveResult, bits, certified_result
-from .recognition import InducedP4, is_class_member, neighborhood_partition, verified_member
+from .recognition import InducedP4, _membership, _refusal, neighborhood_partition, verified_member
 from .split_solver import _certified_members, _heaviest_leaf, _solve_family
 
 __all__ = ["solve_containing_ac", "solve_containing_bd"]
@@ -163,7 +163,10 @@ def solve_containing_ac(g: Graph, p: InducedP4, host: int | None = None) -> Solv
             inside the host.
         StructureViolation: an internal fault.
     """
-    with verified_member(g, is_class_member(g)):
+    witness = _membership(g)[0]
+    if witness is not None:
+        raise _refusal(g, witness) from None
+    with verified_member():
         part = neighborhood_partition(g, p, host)
         _, mask = _solve_containing(
             g, p.a, p.c, part.s_b, part.s_d, part.s_bd, part.anti, None, {}, None

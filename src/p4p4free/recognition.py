@@ -13,7 +13,7 @@ together: a component that certifies complete bipartite holds no
 triangle, and leaves the pass before any of its other vertices is
 searched.
 
-The membership scan keeps no path and visits few (see ``_membership``):
+The membership scan keeps no path and visits few (see ``_p4_pair``):
 the paths of a middle edge (b, c) are passed over when home minus N(b)
 and N(c), which holds each of their anti-neighborhoods, holds no P4, so
 on a crown the scan's time follows the edges, not the paths.  Paths are
@@ -33,13 +33,13 @@ they are checked, and wraps that kernel in a dataclass.  The classes of
 the reversed path d-c-b-a are the same masks with a↔d, b↔c and ac↔bd
 swapped, as the solver's {b, d} draw reads them.
 
-Every public solver decides membership before it branches and refuses
-only through ``verified_member``, a plain class that guards the block
-after the verdict: building it raises the verdict's ``violation()``, the
-refusal written once for the solvers and the CLI's ``check``, once
-``witness_holds`` re-checks its witness on the adjacency masks; a witness
-that does not re-check is an internal fault, and so is a
-``ClassViolation`` raised in the block.
+Every public solver decides membership before it branches.  A refusal
+is a plain witness in ints until the public call raises it, in its own
+frame with no cause: ``_refusal`` (the one spelling, for the solvers, the
+CLI's ``check`` and ``MembershipVerdict.violation()``) re-checks it with
+``witness_holds`` and returns the ``ClassViolation``; a witness that does
+not re-check is an internal fault, and so is a ``ClassViolation`` raised
+in a member's block (``verified_member``).
 """
 
 from __future__ import annotations
@@ -251,15 +251,11 @@ class MembershipVerdict:
         return self.is_member
 
     def violation(self) -> ClassViolation | None:
-        """The refusal this verdict stands for, None for a member."""
+        """The refusal this verdict stands for, unchecked; None for a member."""
         if self.triangle is not None:
-            return ClassViolation("graph contains a triangle", ("triangle", self.triangle))
+            return _refusal(None, ("triangle", self.triangle))
         if self.p4_pair is not None:
-            return ClassViolation(
-                "an induced four-vertex path lies fully outside another's "
-                "closed neighborhood",
-                ("p4_pair", tuple(p.vertices for p in self.p4_pair)),
-            )
+            return _refusal(None, ("p4_pair", tuple(p.vertices for p in self.p4_pair)))
         return None
 
 
@@ -277,14 +273,20 @@ def is_class_member(g: Graph) -> MembershipVerdict:
     the two are disjoint and mutually non-adjacent, a genuine witness.
     Verdict and witness equal those of the same scan over the whole graph,
     though an anti-neighborhood that cannot hold a P4 is not searched (see
-    ``_membership``).
+    ``_p4_pair``).  The verdict is built where its witness is found.
     """
-    return _membership(g)[0]
+    tri, home, _ = _front(g.adj, g.full_mask)
+    if tri is not None:
+        return MembershipVerdict(False, tri)
+    pair = _p4_pair(g, home)
+    if pair is None:
+        return _MEMBER
+    return MembershipVerdict(False, None, (InducedP4(*pair[0]), pair[1]))
 
 
 def _front(adj, host: int):
     """One pass over the vertices of ``host`` in ascending order, the
-    front step of ``_membership``: ``(triangle, home, side pairs)``.
+    front step of membership: ``(triangle, home, side pairs)``.
     ``triangle`` is the lexicographically least triangle of g[host], and
     home and the pairs are then 0 and ``()``; else it is None, home is the
     union of the components without a complete-bipartite certificate, and
@@ -331,31 +333,38 @@ def _front(adj, host: int):
     return None, host & ~done, tuple(certified)
 
 
-def _membership(
-    g: Graph,
-) -> tuple[MembershipVerdict, int, tuple[tuple[int, int], ...]]:
-    """``is_class_member(g)`` with what it decided from: home, the union
-    of the components without a complete-bipartite certificate, and the
-    side pairs of the certified ones, as ``components_with_certificates(g,
-    g.full_mask)`` gives them; home 0 and no pairs when a triangle decided
-    it.  All three come from one front pass (``_front``), which refuses a
-    triangle on reaching its least vertex.
-
-    The scan keeps no path.  Every path a-b-c-d has its region, home
-    minus the path's closed neighbourhood, inside S = home - N(b) - N(c),
-    and holding no P4 is hereditary, so the scan passes over the paths of
-    a middle edge (b, c) whose S holds none; the paths of any other edge
-    have their regions tested in scan order.  A mask is tested once per
-    call, by certifying its components complete bipartite (g is
-    triangle-free here), and one of fewer than 4 vertices holds no P4.
-    ``find_induced_p4`` runs only on the region that fails.  The witness
-    is the full scan's: every region passed over holds no P4, so the
-    first path in scan order whose region holds one is still searched, on
-    that same region, and the search returns the same second path.
+def _membership(g: Graph) -> tuple[tuple | None, int, tuple[tuple[int, int], ...]]:
+    """``(witness, home, side pairs)``: the refusal's witness in plain
+    ints, as ``ClassViolation`` carries it, None for a member; home, the
+    union of the components without a complete-bipartite certificate; and
+    the certified ones' side pairs, as ``components_with_certificates(g,
+    g.full_mask)`` gives them (home 0 and no pairs after a triangle).  The
+    front pass (``_front``) gives all three, refusing a triangle on
+    reaching its least vertex, and ``_p4_pair`` the pair.
     """
     tri, home, certified = _front(g.adj, g.full_mask)
     if tri is not None:
-        return MembershipVerdict(False, tri), 0, ()
+        return ("triangle", tri), 0, ()
+    pair = _p4_pair(g, home)
+    if pair is not None:
+        return ("p4_pair", (pair[0], pair[1].vertices)), home, certified
+    return None, home, certified
+
+
+def _p4_pair(g: Graph, home: int) -> tuple[tuple, InducedP4] | None:
+    """The first path of the triangle-free g[home] in scan order whose
+    region, home minus its closed neighbourhood, holds a P4, with the P4
+    found there, or None.  The scan keeps no path.  Every region lies in
+    S = home - N(b) - N(c) of its middle edge (b, c), and holding no P4 is
+    hereditary, so the scan passes over the paths of an edge whose S holds
+    none, and tests the regions of the others' paths in scan order.  A
+    mask is tested once per call, by certifying its components complete
+    bipartite, and one of fewer than 4 vertices holds no P4.
+    ``find_induced_p4`` runs only on the region that fails.  The pair is
+    the full scan's: every region passed over holds no P4, so the first
+    path in scan order whose region holds one is still searched, on that
+    same region, and the search returns the same second path.
+    """
     adj = g.adj
     known: dict[int, bool] = {}
     for t in _p4_scan(g, home, known):
@@ -366,9 +375,8 @@ def _membership(
         if not _holds_no_p4(adj, known, region):
             # a connected triangle-free part without a certificate holds a
             # P4, and the search finds the scan's first
-            q = find_induced_p4(g, region)
-            return MembershipVerdict(False, None, (InducedP4(*t), q)), home, certified
-    return _MEMBER, home, certified
+            return t, find_induced_p4(g, region)
+    return None
 
 
 def _stays_member(adj, edges) -> bool:
@@ -452,33 +460,36 @@ def witness_holds(g: Graph, witness) -> bool:
     return False
 
 
+def _refusal(g: Graph | None, witness: tuple) -> ClassViolation:
+    """The ``ClassViolation`` refusing g with the plain ``witness``, for
+    the public call to raise, once ``witness_holds`` re-checks it against
+    g (g None: unchecked, for ``MembershipVerdict.violation()``); one that
+    does not hold raises an internal fault, the ``StructureViolation``
+    ``("unchecked_witness", witness)``, from the refusal."""
+    refusal = ClassViolation(
+        "graph contains a triangle" if witness[0] == "triangle"
+        else "an induced four-vertex path lies fully outside another's closed neighborhood",
+        witness,
+    )
+    if g is None or witness_holds(g, witness):
+        return refusal
+    raise StructureViolation(
+        f"refusal witness does not hold: {refusal}", ("unchecked_witness", witness)
+    ) from refusal
+
+
 class verified_member:
-    """``with verified_member(g, verdict):`` refuses a non-member before
-    the block runs: ``verdict.violation()`` is raised, with no cause, once
-    its witness re-checks against g, and a witness that does not is an
-    internal fault.  Inside the block g is a verified member, so a
-    ``ClassViolation`` raised there is an internal fault too: it leaves as
-    a ``StructureViolation`` carrying the same witness; every other
+    """``with verified_member():`` guards a block run on a verified
+    member, once the public call has raised any refusal itself: a
+    ``ClassViolation`` raised in the block is an internal fault and leaves
+    as a ``StructureViolation`` carrying the same witness; every other
     exception leaves as it is.
 
     Raises:
-        ClassViolation: the verdict's refusal, its witness re-checked.
-        StructureViolation: that witness does not hold, or the block
-            raised a ``ClassViolation``.
+        StructureViolation: the block raised a ``ClassViolation``.
     """
 
     __slots__ = ()
-
-    def __init__(self, g: Graph, verdict: MembershipVerdict):
-        refusal = verdict.violation()
-        if refusal is None:
-            return
-        if not witness_holds(g, refusal.witness):
-            raise StructureViolation(
-                f"refusal witness does not hold: {refusal}",
-                ("unchecked_witness", refusal.witness),
-            ) from refusal
-        raise refusal from None
 
     def __enter__(self) -> None:
         pass

@@ -24,12 +24,13 @@ recognizer's own, whose one pass over the vertices looks for the least
 triangle and certifies the complete bipartite components on the way,
 skipping each certified one, and, when there is no triangle, scans home
 (for each path in scan order, a second path in its anti-neighborhood).
-The verdict and witness are those of ``is_class_member(g)``; the refusal
-is raised once its witness re-checks, and a triangle is refused when the
-pass reaches its least vertex, with nothing above it certified.  The
-scan keeps no path and visits few (see ``recognition._membership``);
-home and the rest's sides come from that same pass.  Each pass over home
-then draws home's paths lazily from ``recognition._canonical_p4s``, in
+It returns ``is_class_member(g)``'s witness in plain ints, not a
+verdict, and ``_run`` raises ``recognition._refusal(g, witness)`` itself
+with no cause, once the witness re-checks.  A triangle is refused when
+the pass reaches its least vertex, with nothing above it certified.  The
+scan keeps no path and visits few (see ``recognition._p4_pair``); home
+and the rest's sides come from that same pass.  Each pass over home then
+draws home's paths lazily from ``recognition._canonical_p4s``, in
 canonical order, as plain ``(a, b, c, d)`` tuples: ``solve``'s loop
 stops at home's optimum after a few of them, and the cover's walk draws
 them all, keeping none.  No ``InducedP4`` or ``NeighborhoodPartition``
@@ -141,7 +142,7 @@ from .bipartite import cb_weight_mask, lp_bound, side_selection
 from .constrained import _solve_containing
 from .errors import InputError, StructureViolation
 from .graph import Graph, SolveResult, _all_certified, _union, certified_result
-from .recognition import _canonical_p4s, _membership, _trace_classes, verified_member
+from .recognition import _canonical_p4s, _membership, _refusal, _trace_classes, verified_member
 
 __all__ = ["CoverFamily", "solve", "solve_with_cover"]
 
@@ -355,8 +356,10 @@ def _run(g: Graph, cover: bool, jobs: int):
     # type(True) is bool, so a bool is refused with every non-int
     if type(jobs) is not int or jobs < 1:
         raise InputError(f"jobs must be an int of at least 1, got {jobs!r}")
-    verdict, home, certified = _membership(g)
-    with verified_member(g, verdict):
+    witness, home, certified = _membership(g)
+    if witness is not None:
+        raise _refusal(g, witness) from None
+    with verified_member():
         # side selection solves every component outside home once for all
         # candidates
         rest_mask = side_selection(g, certified)[1]
@@ -438,8 +441,8 @@ def solve(g: Graph, jobs: int = 1) -> SolveResult:
 
     Raises:
         ClassViolation: g contains a triangle or two separated induced
-            four-vertex paths, found before any branching; the witness is
-            that of ``is_class_member(g)``, re-checked against g.
+            four-vertex paths, found before any branching, with no cause;
+            the witness is ``is_class_member(g)``'s, re-checked against g.
         InputError: ``jobs`` is below 1 or not an int (a bool is not one).
         StructureViolation: an internal fault, such as a best that
             outweighs the component's optimum, or falls short of it.

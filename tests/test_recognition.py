@@ -275,9 +275,9 @@ def _reference_membership(g: Graph):
 def _verdict_and_paths(g: Graph):
     """``_reference_membership``'s form of ``_membership``, with home's
     paths drawn from ``_canonical_p4s`` on a member."""
-    verdict, home, _ = _membership(g)
-    paths = tuple(_canonical_p4s(g, home)) if verdict.is_member else ()
-    return verdict_witness(verdict), paths
+    witness, home, _ = _membership(g)
+    paths = tuple(_canonical_p4s(g, home)) if witness is None else ()
+    return witness, paths
 
 
 def _middle_edges(g: Graph, home: int):
@@ -382,9 +382,9 @@ class TestMembershipRegions:
     @pytest.mark.parametrize("name", sorted(REGION_GRAPHS))
     def test_canonical_paths_are_tuples_in_ascending_order(self, name):
         g = REGION_GRAPHS[name]()
-        verdict, home, _ = _membership(g)
+        witness, home, _ = _membership(g)
         paths = list(_canonical_p4s(g, home))
-        assert verdict.is_member and paths
+        assert witness is None and paths
         assert all(type(t) is tuple for t in paths)
         assert paths == sorted(scan_p4s(g, home))
 
@@ -409,14 +409,14 @@ def _two_pass_membership(g: Graph):
     searched."""
     tri = _least_triangle(g)
     if tri is not None:
-        return MembershipVerdict(False, tri), 0, ()
+        return ("triangle", tri), 0, ()
     certified, uncertified = components_with_certificates(g, g.full_mask)
     home = sum(uncertified)  # disjoint masks
     for t in recognition._p4_scan(g, home):
         q = find_induced_p4(g, _region(g, home, t))
         if q is not None:
-            return MembershipVerdict(False, None, (InducedP4(*t), q)), home, certified
-    return MembershipVerdict(True), home, certified
+            return ("p4_pair", (t, q.vertices)), home, certified
+    return None, home, certified
 
 
 def _scattered_parts(seed: int) -> Graph:
@@ -482,12 +482,12 @@ class TestFrontPass:
     def test_layout_outcomes(self):
         # what each layout is for, so that a layout stays one
         got = {name: _membership(g) for name, g in FRONT_LAYOUTS.items()}
-        assert got["triangle_above_certified"][0].triangle == (4, 5, 6)
-        verdict, home, certified = got["interleaved_components"]
-        assert verdict.is_member and home == mask_of([1, 3, 5, 7])
+        assert got["triangle_above_certified"][0] == ("triangle", (4, 5, 6))
+        witness, home, certified = got["interleaved_components"]
+        assert witness is None and home == mask_of([1, 3, 5, 7])
         assert certified == ((mask_of([0, 4]), mask_of([2, 6])),)
         assert got["uncertified_without_lower_neighbours"][1:] == (0b11111, ())
-        assert got["lower_component_later_triangle"][0].triangle == (2, 3, 4)
+        assert got["lower_component_later_triangle"][0] == ("triangle", (2, 3, 4))
 
     def test_random_graphs_equal_the_two_passes(self):
         # 10,000 seeded draws: sparse and denser random graphs, triangle-
@@ -505,12 +505,8 @@ class TestFrontPass:
             for i, g in enumerate(graphs):
                 got = _membership(g)
                 assert got == _two_pass_membership(g), (seed, i)
-                verdict, home, _ = got
-                seen[
-                    "triangle" if verdict.triangle
-                    else "p4_pair" if verdict.p4_pair
-                    else "home" if home else "no_home"
-                ] += 1
+                witness, home, _ = got
+                seen[witness[0] if witness else "home" if home else "no_home"] += 1
         assert set(seen) == {"triangle", "p4_pair", "home", "no_home"}, seen
 
 
@@ -809,6 +805,69 @@ class TestVerifiedMember:
         assert self._check(monkeypatch, tmp_path, path_graph(4), emit) == 1
         err = capsys.readouterr().err
         assert err == "internal error: class member refused: bogus\n"
+
+
+class TestOneRefusal:
+    """A refusal is a plain witness until the public call raises it: each
+    refuser raises the one ``ClassViolation`` that ``_refusal`` spells,
+    its witness re-checked, and no verdict object lies on the way."""
+
+    def test_every_refuser_raises_the_verdicts_refusal_on_fuzz_draws(
+        self, tmp_path, capsys
+    ):
+        kinds = Counter()
+        path = tmp_path / "g.wis"
+        for j in range(600):
+            g = fuzz_graph(j)
+            want = is_class_member(g).violation()
+            if want is None:
+                continue
+            kinds[want.witness[0]] += 1
+            for call in (solve, solve_with_cover, solve_cb_components):
+                with pytest.raises(ClassViolation) as info:
+                    call(g)
+                refusal = info.value
+                assert type(refusal) is ClassViolation
+                assert (str(refusal), refusal.witness) == (str(want), want.witness), j
+                assert witness_holds(g, refusal.witness)
+                assert refusal.__cause__ is None and refusal.__suppress_context__
+            path.write_text(cli.format_graph(g))
+            assert cli.run(["solve", str(path)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err[0] == f"class violation: {want}" and len(err) == 2, j
+            assert cli.run(["check", str(path)]) == 0
+            assert capsys.readouterr().out.splitlines() == ["NOT_MEMBER", err[1]], j
+        assert kinds["triangle"] and kinds["p4_pair"], kinds
+
+    def test_the_solvers_build_no_verdict(self, monkeypatch):
+        member = path_graph(4)
+        solved = solve(member)
+        refusals = {kind: make() for kind, make in GUARD_NON_MEMBERS.items()}
+        wants = {kind: is_class_member(g).violation() for kind, g in refusals.items()}
+        bogus = MembershipVerdict(False, (0, 1, 2)).violation()
+
+        def no_verdict(*args, **kwargs):
+            raise AssertionError("a MembershipVerdict was built")
+
+        monkeypatch.setattr(recognition, "MembershipVerdict", no_verdict)
+        for call in (solve, solve_with_cover):
+            for kind, g in refusals.items():
+                with pytest.raises(ClassViolation) as info:
+                    call(g)
+                refusal, want = info.value, wants[kind]
+                assert (str(refusal), refusal.witness) == (str(want), want.witness)
+                assert witness_holds(g, refusal.witness)
+            got = solve(member) if call is solve else solve_with_cover(member)[0]
+            assert (got.weight, got.chosen) == (solved.weight, solved.chosen)
+        # 0, 1, 2 is a path of the member, not a triangle
+        monkeypatch.setattr(recognition, "_front", lambda adj, host: ((0, 1, 2), 0, ()))
+        for call in (solve, solve_with_cover):
+            with pytest.raises(StructureViolation) as info:
+                call(member)
+            assert info.value.witness == ("unchecked_witness", bogus.witness)
+            cause = info.value.__cause__
+            assert type(cause) is ClassViolation
+            assert (str(cause), cause.witness) == (str(bogus), bogus.witness)
 
 
 class TestUncertifiedP4:

@@ -43,7 +43,6 @@ from p4p4free.graph import (
     mask_of,
 )
 from p4p4free.recognition import (
-    MembershipVerdict,
     enumerate_induced_p4,
     is_class_member,
     witness_holds,
@@ -193,7 +192,7 @@ class TestViolations:
         self, monkeypatch, entry
     ):
         def wrong(g):
-            return MembershipVerdict(False, triangle=(0, 1, 2)), 0, ()
+            return ("triangle", (0, 1, 2)), 0, ()
 
         monkeypatch.setattr(solver, "_membership", wrong)
         with pytest.raises(StructureViolation) as info:
@@ -648,8 +647,8 @@ class TestBoundAndSkip:
         checked = 0
         for j in range(600):
             g = fuzz_graph(j)
-            verdict, home, _ = recognition._membership(g)
-            if not verdict.is_member:
+            witness, home, _ = recognition._membership(g)
+            if witness is not None:
                 continue
             for a, b, c, d in recognition._canonical_p4s(g, home):
                 s_a, s_b, s_c, s_d, s_ac, _, s_bd, anti = recognition._trace_classes(
@@ -711,7 +710,7 @@ class TestBoundAndSkip:
             solve(g)
         assert witness_holds(g, info.value.witness)
         assert witness_checks(g, info.value.witness)
-        assert [v.is_member for v in verdicts] == [False]
+        assert [w is None for w in verdicts] == [False]
 
     def test_fuzz_non_members_are_refused_with_checked_witnesses(self):
         refused = 0
@@ -876,8 +875,8 @@ class TestForcedPairOnce:
         for g in golden_corpus():
             if g.n > 16:
                 continue
-            verdict, home, _ = recognition._membership(g)
-            if not verdict.is_member or not home:
+            witness, home, _ = recognition._membership(g)
+            if witness is not None or not home:
                 continue
             paths = list(recognition._canonical_p4s(g, home))
             graphs += 1
@@ -1215,8 +1214,8 @@ class TestHomeOptimum:
         members = queries = 0
         for j in range(600):
             g = fuzz_graph(j)
-            verdict, home, _ = recognition._membership(g)
-            if not verdict.is_member:
+            witness, home, _ = recognition._membership(g)
+            if witness is not None:
                 continue
             paths = list(recognition._canonical_p4s(g, home))
             members += 1

@@ -702,8 +702,8 @@ class TestSideFoldMemo:
         # a cover call's walk reaches every layer that could write a memo,
         # and keeps one for all of its pairs: each key is a host inside
         # home, and its value the host's uncertified components alone
-        verdict, home, _ = _membership(g)
-        assert verdict.is_member and home
+        witness, home, _ = _membership(g)
+        assert witness is None and home
         memos: dict = {}
         raw, walk = split_solver._solve_raw, solver._walk
         walking = False
