@@ -58,7 +58,7 @@ the loop stops at the first candidate that weighs U, which skips the
 path-free remainder, not known until the last path is drawn.  Before
 that, a forced pair {x, y} weighs exactly w(x) + w(y) + opt(rest), rest
 = s_b | s_d | s_bd | anti (for {a, c}), so it is solved only when that
-sum is U, and a region only when its weight reaches U.
+sum reaches U, and a region only when its weight reaches U.
 
 The descent.  A solved pair reaches U, and so does the one member of each
 branching family below it that the full evaluation keeps.  Each family
@@ -82,10 +82,10 @@ the floor of home's Nemhauser–Trotter LP value (``bipartite.lp_bound``),
 exact on a bipartite home (König–Egerváry) and possibly above the
 optimum on a non-bipartite one, such as a complete blow-up of C5 or C7,
 where every path is then visited; a candidate is then skipped only when
-it cannot beat the best strictly.  A forced pair's weight is then
-bounded by w(x) + w(y) plus a greedy maximal matching's bound on its
-rest: in a triangle-free graph a matching is a clique cover, and an
-independent set takes at most the heavier end of each edge.  A family
+it cannot beat the best strictly.  A forced pair's weight is bounded
+the same way whenever its own query trips: by w(x) + w(y) plus the LP
+floor of its rest, the one upper bound of the fallback.  The floor
+skips nearly every pair, so a tripped solve solves a few.  A family
 whose target is unknown is walked in full; one whose oracle trips part
 way walks the members left, and the skipped ones weighed less than its
 target; the pair's answer is then the first heaviest of its leaves.  A
@@ -127,11 +127,10 @@ which walks the pair's family into the cover's members or, for the loop,
 into its own leaves, weighed into the pair's best set.  The chosen set
 is certified once, at the end.  The walk passes its one host memo down
 (see ``split_solver``) as a trailing argument of ``_solve_containing``
-and ``_solve_raw``.  The loop passes its optimum oracle there, and one
-memo of its own for every pair it solves.  With a live oracle it solves
-at most one pair, whose walk descends one chain of strictly smaller
-hosts that no memo could hit; only after a trip do pairs walk
-unsteered, and then they meet each other's hosts.
+and ``_solve_raw``.  The loop passes its optimum oracle there, and a
+fresh memo for each pair it solves: with a live oracle it solves at
+most one pair, whose walk descends one chain of strictly smaller hosts
+that no memo could hit, and after a trip the LP floor leaves it a few.
 """
 
 from __future__ import annotations
@@ -172,31 +171,6 @@ def _q3_region(g: Graph, a: int, d: int, s_b: int, s_c: int, anti: int) -> int:
             region |= low
         flavors ^= low
     return region
-
-
-def _matching_bound(g: Graph, host: int) -> int:
-    """Upper bound on the weight of an independent set of g[host].
-
-    A greedy maximal matching, taken in ascending vertex order, covers
-    host by edges and single vertices, and an independent set meets each
-    edge at most once: each matched edge counts its heavier end, each
-    unmatched vertex its own weight.
-    """
-    adj, weights = g.adj, g.weights
-    total = 0
-    left = host
-    while left:
-        low = left & -left
-        v = low.bit_length() - 1
-        left ^= low
-        mates = adj[v] & left
-        if mates:
-            mate = mates & -mates
-            left ^= mate
-            total += max(weights[v], weights[mate.bit_length() - 1])
-        else:
-            total += weights[v]
-    return total
 
 
 # the optimum oracle's budget: it trips once its memo would hold more
@@ -275,7 +249,7 @@ def _optimum_oracle(g: Graph, home: int):
     return opt
 
 
-def _per_path(g: Graph, vs, classes, best, top, drawn: set, memo: dict, opt):
+def _per_path(g: Graph, vs, classes, best, top, drawn: set, opt):
     """The earliest heaviest of ``best`` and the candidates of the path
     ``vs`` = (a, b, c, d), whose eight trace class masks in home are
     ``classes``, evaluated in order: {a, c}, {b, d}, the region.  Returns
@@ -286,9 +260,8 @@ def _per_path(g: Graph, vs, classes, best, top, drawn: set, memo: dict, opt):
     reaches a floor: ``top`` when ``top`` is home's exact optimum (``opt``
     not None), else one above the best.  The region's bound is its
     weight; a forced pair's is w(x) + w(y) + ``opt`` of what it leaves of
-    home, exact while the oracle is live, else the matching bound of that
-    rest.  A solved pair walks with ``memo``, the loop's one host memo
-    (see the module docstring).
+    home, exact while the oracle is live, else ``lp_bound`` of that rest.
+    A solved pair walks with a fresh host memo (see the module docstring).
     """
     a, b, c, d = vs
     weights = g.weights
@@ -301,14 +274,11 @@ def _per_path(g: Graph, vs, classes, best, top, drawn: set, memo: dict, opt):
         drawn.add(pair)
         rest = s_x | s_y | s_xy | anti  # home minus N[x] and N[y]
         got = None if opt is None else opt(rest)
-        if got is not None:
-            if weights[x] + weights[y] + got != top:
-                continue
-        elif weights[x] + weights[y] + _matching_bound(g, rest) < (
-            best[0] + 1 if opt is None else top
-        ):
+        if got is None:
+            got = lp_bound(g, rest)
+        if weights[x] + weights[y] + got < (best[0] + 1 if opt is None else top):
             continue
-        cand = _solve_containing(g, x, y, s_x, s_y, s_xy, anti, None, memo, opt)
+        cand = _solve_containing(g, x, y, s_x, s_y, s_xy, anti, None, {}, opt)
         if cand[0] > best[0]:
             best = cand
             if best[0] == top:
@@ -375,11 +345,11 @@ def _solve_all(g: Graph, home: int, rest_mask: int) -> SolveResult:
     # at least 0, so the first one replaces this
     best = (-1, 0)
     drawn: set[int] = set()  # the forced-pair masks this solve has drawn
-    memo: dict = {}  # the host memo of every pair this solve walks
     # no candidate outweighs home's optimum, or its LP bound once the
     # oracle's budget trips, so once the best reaches that top the rest
     # cannot beat it strictly (see the module docstring); opt stays only
-    # while the top is exact
+    # while the top is exact, and a forced pair whose own query trips is
+    # bounded by the same lp_bound of its rest
     top = opt = None
     # on a member every uncertified component holds a path
     if home:
@@ -394,7 +364,7 @@ def _solve_all(g: Graph, home: int, rest_mask: int) -> SolveResult:
     for vs in _canonical_p4s(g, home):
         a, b, c, d = vs
         white_host &= ~(1 << a | 1 << b | 1 << c | 1 << d)
-        best = _per_path(g, vs, _trace_classes(g, vs, home), best, top, drawn, memo, opt)
+        best = _per_path(g, vs, _trace_classes(g, vs, home), best, top, drawn, opt)
         if best[0] == top:
             break
     else:

@@ -627,20 +627,6 @@ def _unsteered(monkeypatch, graphs) -> list[SolveResult]:
 
 
 class TestBoundAndSkip:
-    def test_matching_bound_is_an_upper_bound(self):
-        rng = XorShift64Star(606)
-        for i in range(80):
-            g = random_graph(60_000 + i, 4 + rng.below(9), 0.1 + 0.05 * rng.below(9))
-            host = rng.below(1 << g.n)
-            best = sub = 0
-            while True:  # every independent subset of host
-                if is_independent(g, sub):
-                    best = max(best, g.weight_of(sub))
-                sub = (sub - host) & host
-                if not sub:
-                    break
-            assert best <= solver._matching_bound(g, host) <= g.weight_of(host)
-
     def test_a_pairs_bound_host_is_its_classes_and_anti(self):
         # what a forced pair leaves of home, which the pair's bound reads
         # from the path's trace classes
@@ -1062,8 +1048,12 @@ class _StopTrace:
             return recorded
 
         def recording_lp(g, host):
-            self.top = g.weight_of(host) + 1 if unreachable else lp_bound(g, host)
-            return self.top
+            got = g.weight_of(host) + 1 if unreachable else lp_bound(g, host)
+            # home's call comes first; a forced pair's bound calls it later
+            # on what the pair leaves of home
+            if self.top is None:
+                self.top = got
+            return got
 
         if unreachable:
             monkeypatch.setattr(solver, "_TOP_MEMO", 0)
@@ -1313,6 +1303,27 @@ class TestHomeOptimum:
         assert got.weight == optimum(g)
         assert len(pairs) == 1
         assert len(raw) <= raw_calls
+
+    @pytest.mark.parametrize(
+        "make, optimum",
+        [
+            (lambda: blowup_graph(7, 6, seed=706), lambda g: blowup_optimum(g, 7)),
+            (lambda: andrasfai_graph(12, seed=7012), lambda g: andrasfai_optimum(g, 12)),
+        ],
+        ids=["c7_classes_of_6", "andrasfai_12"],
+    )
+    def test_a_tripped_solve_solves_few_pairs(self, monkeypatch, make, optimum):
+        # home's LP bound stays above these optima, so a tripped solve
+        # visits every path; each forced pair is bounded by its weight plus
+        # the LP bound of what it leaves, which lets through only a few
+        g = make()
+        live = solve(g)
+        monkeypatch.setattr(solver, "_TOP_MEMO", 0)
+        pairs = _count_calls(monkeypatch, solver, "_solve_containing")
+        got = solve(g)
+        assert got == live
+        assert got.weight == optimum(g) < bipartite.lp_bound(g, g.full_mask)
+        assert 1 <= len(pairs) <= 3
 
     def test_a_live_solve_descends_through_distinct_hosts(self, monkeypatch):
         # with a live oracle the loop solves at most one forced pair, whose
