@@ -20,24 +20,24 @@ host reaches that optimum is walked, down to one leaf.
 The {b, d} variant is the same computation on the reversed path, whose
 classes are those of the path relabelled (b↔c, a↔d, ac↔bd).
 
-The internal ``_solve_containing`` is the one kernel for a forced pair:
-it takes the pair and the four classes it reads (b-only, d-only, b-and-d
-and the anti-neighborhood) as plain ints and walks the pair's family
-into a leaf list, the cover's members when it passes them, else a fresh
-one that it weighs into ``(weight, mask)`` with the pair folded in.  The
-pair is the ``ambient`` of every ``_solve_raw`` it reaches, whose
-``ambient | host`` is the one rule that records a leaf.  It assumes a
-class member and raises no refusal of its own.  The public solvers
-decide membership first, refusing a non-member with a re-checked
-witness, build the path's ``NeighborhoodPartition`` in the given host,
-pass its masks on and certify the result.
+A forced pair has no kernel of its own: ``_family`` yields its members
+from the four classes it reads (b-only, d-only, b-and-d and the
+anti-neighborhood) as plain ints, and ``split_solver._solve_family``
+walks them over the pair's rest into a ``split_solver._Walk``, the
+cover's one walk or a fresh one weighed by ``_heaviest_leaf``.  The pair
+is the ``ambient`` of every ``_solve_raw`` it reaches, whose ``ambient |
+host`` is the one rule that records a leaf, so each leaf holds it.  The
+walk assumes a class member and raises no refusal of its own.  The
+public solvers decide membership first, refusing a non-member with a
+re-checked witness, build the path's ``NeighborhoodPartition`` in the
+given host, walk its masks and certify the result.
 """
 
 from __future__ import annotations
 
 from .graph import Graph, SolveResult, bits, certified_result
 from .recognition import InducedP4, _membership, _refusal, neighborhood_partition, verified_member
-from .split_solver import _certified_members, _heaviest_leaf, _solve_family
+from .split_solver import _certified_members, _heaviest_leaf, _solve_family, _Walk
 
 __all__ = ["solve_containing_ac", "solve_containing_bd"]
 
@@ -115,42 +115,6 @@ def _family(g: Graph, s_b: int, s_d: int, s_bd: int, anti: int):
             yield stars | s_bd, anti, host, depth, 0
 
 
-def _solve_containing(
-    g: Graph,
-    x: int,
-    y: int,
-    s_b: int,
-    s_d: int,
-    s_bd: int,
-    anti: int,
-    leaves: list[int] | None,
-    memo: dict,
-    opt,
-) -> tuple[int, int] | None:
-    """Walk the family of the pair {x, y}, the {a, c} of a path, given the
-    path's b-only, d-only and b-and-d classes and its anti-neighbourhood
-    in the host: each base case appends its host with x and y to
-    ``leaves`` (the cover's walk passes its members), and None is
-    returned.  Given None for ``leaves``, the walk is weighed instead:
-    (weight, mask) of a maximum weight independent set containing {x,
-    y}, the first heaviest of its leaves (``split_solver._heaviest_leaf``).
-    ``memo`` is the caller's host memo, shared by every branch (see the
-    ``split_solver`` module docstring).
-
-    ``opt`` is ``solve``'s optimum oracle, or None.  With it the family
-    (``_family``) is walked lazily against the pair's optimum,
-    ``opt(s_b | s_d | s_bd | anti)``: each member whose host's optimum is
-    below it is skipped, and only the first one that reaches it is walked,
-    down to the full walk's first heaviest leaf
-    (``split_solver._solve_family``).  Without it, or once the oracle's
-    budget trips, every member left is walked.
-    """
-    walked = [] if leaves is None else leaves
-    family = _family(g, s_b, s_d, s_bd, anti)
-    _solve_family(g, family, s_b | s_d | s_bd | anti, 1 << x | 1 << y, walked, memo, opt)
-    return _heaviest_leaf(g, walked) if leaves is None else None
-
-
 def solve_containing_ac(g: Graph, p: InducedP4, host: int | None = None) -> SolveResult:
     """Maximum weight independent set of g[host] containing {p.a, p.c}.
 
@@ -168,9 +132,11 @@ def solve_containing_ac(g: Graph, p: InducedP4, host: int | None = None) -> Solv
         raise _refusal(g, witness) from None
     with verified_member():
         part = neighborhood_partition(g, p, host)
-        _, mask = _solve_containing(
-            g, p.a, p.c, part.s_b, part.s_d, part.s_bd, part.anti, None, {}, None
-        )
+        s_b, s_d, s_bd, anti = part.s_b, part.s_d, part.s_bd, part.anti
+        walk = _Walk()
+        family = _family(g, s_b, s_d, s_bd, anti)
+        _solve_family(g, family, s_b | s_d | s_bd | anti, 1 << p.a | 1 << p.c, walk)
+        _, mask = _heaviest_leaf(g, walk.leaves)
     return certified_result(g, mask)
 
 

@@ -62,7 +62,7 @@ sum reaches U, and a region only when its weight reaches U.
 
 The descent.  A solved pair reaches U, and so does the one member of each
 branching family below it that the full evaluation keeps.  Each family
-(the forced pair's in ``constrained._solve_containing``, an uncertified
+(the forced pair's from ``constrained._family``, an uncertified
 component's residual hosts in ``split_solver._solve_raw``) is exhaustive,
 and the paper's branching is exact on a member, so the family's heaviest
 member weighs the family's optimum (the pair's rest, or the component),
@@ -104,7 +104,7 @@ path's region follows, and home's path-free remainder comes last, each
 distinct one certified once.  Every member holds all of the graph outside
 home, and the family contains every maximal independent set: whatever
 path draws {x, y}, its host is home minus N[x] and N[y], and the
-branching of ``_solve_containing`` is exhaustive over that host's
+branching of the pair's family is exhaustive over that host's
 independent sets (the class drops and one branch per non-adjacent pair of
 the two classes, then take-or-remove, keep-or-drop and the bi-partial
 residuals below), so the leaves of one draw hold every independent set
@@ -122,15 +122,17 @@ classes and the anti-neighborhood), unchecked, as the canonical draw
 found the path in home.  The {b, d} draw is the {a, c} draw of the
 reversed path d-c-b-a, whose classes are the same masks relabelled (a↔d,
 b↔c, ac↔bd): it reads s_c, s_a and s_ac for s_b, s_d and s_bd.  Each
-draw is one call of the internal ``constrained._solve_containing``,
-which walks the pair's family into the cover's members or, for the loop,
-into its own leaves, weighed into the pair's best set.  The chosen set
-is certified once, at the end.  The walk passes its one host memo down
-(see ``split_solver``) as a trailing argument of ``_solve_containing``
-and ``_solve_raw``.  The loop passes its optimum oracle there, and a
-fresh memo for each pair it solves: with a live oracle it solves at
-most one pair, whose walk descends one chain of strictly smaller hosts
-that no memo could hit, and after a trip the LP floor leaves it a few.
+draw is one call of ``split_solver._solve_family`` on the pair's family
+(``constrained._family``) over its rest, with the pair as the ambient
+of every leaf.  The walk's state is one ``split_solver._Walk``, its last
+argument: its leaves, its host memo and the optimum oracle.  The cover
+builds one, with no oracle, for its whole walk, and its leaves are the
+members.  The loop builds one with its oracle for each pair it solves
+and weighs its leaves into the pair's best set (``_heaviest_leaf``):
+with a live oracle it solves at most one pair, whose walk descends one
+chain of strictly smaller hosts that no memo could hit, and after a
+trip the LP floor leaves it a few.  The chosen set is certified once,
+at the end.
 """
 
 from __future__ import annotations
@@ -138,10 +140,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bipartite import cb_weight_mask, lp_bound, side_selection
-from .constrained import _solve_containing
+from .constrained import _family
 from .errors import InputError, StructureViolation
 from .graph import Graph, SolveResult, _all_certified, _union, certified_result
 from .recognition import _canonical_p4s, _membership, _refusal, _trace_classes, verified_member
+from .split_solver import _heaviest_leaf, _solve_family, _Walk
 
 __all__ = ["CoverFamily", "solve", "solve_with_cover"]
 
@@ -261,7 +264,7 @@ def _per_path(g: Graph, vs, classes, best, top, drawn: set, opt):
     not None), else one above the best.  The region's bound is its
     weight; a forced pair's is w(x) + w(y) + ``opt`` of what it leaves of
     home, exact while the oracle is live, else ``lp_bound`` of that rest.
-    A solved pair walks with a fresh host memo (see the module docstring).
+    A solved pair walks with a fresh ``_Walk`` (see the module docstring).
     """
     a, b, c, d = vs
     weights = g.weights
@@ -278,7 +281,9 @@ def _per_path(g: Graph, vs, classes, best, top, drawn: set, opt):
             got = lp_bound(g, rest)
         if weights[x] + weights[y] + got < (best[0] + 1 if opt is None else top):
             continue
-        cand = _solve_containing(g, x, y, s_x, s_y, s_xy, anti, None, {}, opt)
+        walk = _Walk(opt)
+        _solve_family(g, _family(g, s_x, s_y, s_xy, anti), rest, pair, walk)
+        cand = _heaviest_leaf(g, walk.leaves)
         if cand[0] > best[0]:
             best = cand
             if best[0] == top:
@@ -296,10 +301,10 @@ def _walk(g: Graph, home: int) -> list[int]:
     """The cover's members inside home, in walk order (see the module
     docstring): every path's walked pairs' leaves and its region, in
     canonical path order, then home's path-free remainder.  The walk
-    draws home's paths itself and keeps its walked pairs and one host
-    memo for all of them."""
-    members: list[int] = []
-    memo: dict = {}
+    draws home's paths itself and keeps its walked pairs and one
+    ``_Walk`` for all of them, whose leaves are the members."""
+    walk = _Walk()
+    members = walk.leaves
     # the walked pairs, the distinct regions in walk order
     walked, regions = set(), {}
     white_host = home
@@ -311,7 +316,8 @@ def _walk(g: Graph, home: int) -> list[int]:
             pair = 1 << x | 1 << y
             if pair not in walked:
                 walked.add(pair)
-                _solve_containing(g, x, y, s_x, s_y, s_xy, anti, members, memo, None)
+                rest = s_x | s_y | s_xy | anti
+                _solve_family(g, _family(g, s_x, s_y, s_xy, anti), rest, pair, walk)
         q3 = _q3_region(g, a, d, s_b, s_c, anti)
         regions[q3] = None
         members.append(q3)

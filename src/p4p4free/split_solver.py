@@ -33,8 +33,8 @@ its block part to its residual hosts in evaluation order: (host minus
 N(v), host minus v), or a covering family of induced-subgraph
 restrictions.  There is one recursion, a walk: the caller walks each
 residual host one level deeper (``_solve_family``, written once for
-these families and the constrained solve's), and each certified base
-case is a leaf, the host with every component its branch peeled off as
+these families and a forced pair's), and each certified base case is a
+leaf, the host with every component its branch peeled off as
 certified.  A leaf is weighed by side selection, and the answer is the
 first heaviest leaf in walk order (``_heaviest_leaf``, the one
 tie-break), which is the earliest heaviest member of every family above
@@ -53,16 +53,21 @@ constrained solves) decide membership first, and the structural claims
 are enforced as assertions that surface as a ``StructureViolation``, an
 internal fault, instead of a silent wrong answer.
 
-An unsteered walk reaches the same host many times, under different
-parts and depths, and its uncertified components depend on the graph and
-the host only.  So the cover's walk keeps one memo for all of its pairs,
-a plain dict from a host to its uncertified components: a host that
-passes ``graph._all_certified`` is a leaf, kept as ``()``, and is not
-decomposed.  ``_solve_raw`` alone reads and writes it; a block part is
-decomposed afresh on every call.  A constrained solve keeps one for its
-pair, and so does each pair ``solve``'s loop solves: a steered walk
+A walk's state is one object, ``_Walk``: the leaves it records, its
+host memo and ``solve``'s optimum oracle, or None.  Every activation of
+``_solve_family`` and ``_solve_raw`` in the walk takes it as its last
+argument, and the outermost ``_solve_family`` activations are the
+forced-pair solves of ``solver`` and ``constrained``.  An unsteered walk
+reaches the same host many times, under different parts and depths, and
+its uncertified components depend on the graph and the host only.  So
+the memo is a plain dict from a host to its uncertified components: a
+host that passes ``graph._all_certified`` is a leaf, kept as ``()``,
+and is not decomposed.  ``_solve_raw`` alone reads and writes it; a
+block part is decomposed afresh on every call.  The cover's walk is one
+``_Walk`` for all of its pairs; a public constrained solve makes one for
+its pair, and so does each pair ``solve``'s loop solves: a steered walk
 descends one chain of strictly smaller hosts, which no memo could hit,
-and after a trip the loop's LP bound leaves it a few pairs.  A memo is
+and after a trip the loop's LP bound leaves it a few pairs.  A walk is
 made after the membership verdict and dropped on return, so a refusal
 allocates none and no graph sees another's entries.  The depth budget,
 the host against the parts, the uncertified-component count and the leaf
@@ -220,15 +225,29 @@ def _path_hosts(g, comp, active, x, members):
     return hosts
 
 
-def _solve_family(g, family, whole, ambient, leaves, memo, opt):
-    """Walk a branching family over the host ``whole`` into ``leaves``.
-    ``family`` yields each member as ``(s_mask, t_mask, host, depth,
-    active)``, in evaluation order, and every member shares ``ambient``.
-    Every family is walked through this one rule, so ties resolve alike
-    in every layer (``_heaviest_leaf``).
+class _Walk:
+    """One walk over a branching: the leaves it records, in walk order,
+    its host memo (see the module docstring) and ``solve``'s optimum
+    oracle ``opt``, or None.  Every ``_solve_raw`` and ``_solve_family``
+    activation of the walk shares it."""
 
-    Without ``solve``'s oracle ``opt`` every member is walked.  With it,
-    only the first member whose host's optimum equals the family's
+    __slots__ = ("leaves", "memo", "opt")
+
+    def __init__(self, opt=None):
+        self.leaves: list[int] = []
+        self.memo: dict = {}
+        self.opt = opt
+
+
+def _solve_family(g, family, whole, ambient, walk):
+    """Walk a branching family over the host ``whole`` into
+    ``walk.leaves``.  ``family`` yields each member as ``(s_mask, t_mask,
+    host, depth, active)``, in evaluation order, and every member shares
+    ``ambient``.  Every family is walked through this one rule, so ties
+    resolve alike in every layer (``_heaviest_leaf``).
+
+    Without ``solve``'s oracle ``walk.opt`` every member is walked.  With
+    it, only the first member whose host's optimum equals the family's
     optimum ``opt(whole)`` is walked: the family is exhaustive, so its
     heaviest leaf weighs that optimum, and the first heaviest lies under
     the first member that reaches it.  Once the oracle answers None (its
@@ -239,17 +258,18 @@ def _solve_family(g, family, whole, ambient, leaves, memo, opt):
         StructureViolation: no member reaches the family's optimum, an
             internal fault.
     """
+    opt = walk.opt
     target = None if opt is None else opt(whole)
     for s_mask, t_mask, host, depth, active in family:
         if target is not None:
             got = opt(host)
             if got == target:
-                _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, opt)
+                _solve_raw(g, s_mask, t_mask, host, depth, ambient, active, walk)
                 return
             if got is not None:
                 continue
             target = None
-        _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, opt)
+        _solve_raw(g, s_mask, t_mask, host, depth, ambient, active, walk)
     if target is not None:
         raise StructureViolation(
             "no member of a branching family reaches its optimum",
@@ -268,10 +288,10 @@ def _heaviest_leaf(g, leaves) -> tuple[int, int]:
     return max((cb_weight_mask(g, leaf) for leaf in dict.fromkeys(leaves)), key=itemgetter(0))
 
 
-def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, opt):
+def _solve_raw(g, s_mask, t_mask, host, depth, ambient, active, walk):
     """Dispatcher: walk the host down to its certified base cases,
     recursing into the unique uncertified component, and append
-    ``ambient | host`` of each to the list ``leaves``; ``ambient`` is the
+    ``ambient | host`` of each to ``walk.leaves``; ``ambient`` is the
     part of the enclosing host already peeled off as certified
     components.  Returns nothing: ``_heaviest_leaf`` weighs the leaves.
 
@@ -280,10 +300,9 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, op
     induced path with the rest of it (0 except below the constrained
     selection loop); a path of the component's region that avoids
     ``active`` is an ``incomplete_block`` fault.
-    ``memo`` is the walk's host memo (see the module docstring).
-    ``opt`` is ``solve``'s optimum oracle, or None: with it, the walk is
-    steered down the residual hosts that reach the component's optimum
-    (``_solve_family``).
+    ``walk`` is the walk's state (``_Walk``): with an optimum oracle,
+    the walk is steered down the residual hosts that reach the
+    component's optimum (``_solve_family``).
     """
     _check_depth(g, depth)
     stray = host & (s_mask & t_mask | ~(s_mask | t_mask))
@@ -291,6 +310,7 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, op
         raise StructureViolation(
             "host vertices outside both parts or inside both", ("split_parts", stray)
         )
+    memo = walk.memo
     bad = memo.get(host)
     if bad is None:
         bad = () if _all_certified(g.adj, host) else components_with_certificates(g, host)[1]
@@ -301,7 +321,7 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, op
             "more than one uncertified component", ("uncertified_components", bad)
         )
     if not bad:
-        leaves.append(ambient | host)
+        walk.leaves.append(ambient | host)
         return
     comp = bad[0]
     region = t_mask & comp
@@ -318,4 +338,4 @@ def _solve_raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, op
     family = []
     for h in hosts:
         family.append((s_mask, t_mask, h, depth + 1, active))
-    _solve_family(g, family, comp, ambient | (host & ~comp), leaves, memo, opt)
+    _solve_family(g, family, comp, ambient | (host & ~comp), walk)

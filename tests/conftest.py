@@ -6,14 +6,15 @@ checks: ``wis_by_enumeration`` is a second, independent oracle,
 ``konig_optimum`` the bipartite optimum by a minimum cut, sharing no code
 with the package's ``bipartite``, and ``gen_split_instance`` draws split
 instances from the package's seeded PRNG.  They take their arguments
-unchecked.
+unchecked.  ``raw_walk`` and ``pair_walk`` are the tests' one way into
+the internal walks of ``split_solver._solve_raw`` and of a forced pair.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from p4p4free.constrained import _solve_containing
+from p4p4free import constrained, split_solver
 from p4p4free.graph import Graph, SolveResult, bits, certified_result, mask_of, neighborhood
 from p4p4free.recognition import _trace_classes, is_class_member
 from p4p4free.testkit import (
@@ -473,18 +474,42 @@ def forced_pair_solvers(g: Graph):
     """``solve_containing_ac`` and ``solve_containing_bd`` on the member g,
     as ``(name, solve)`` pairs, with membership decided here once instead
     of on every call.  The {a, c} solve takes the path's trace classes
-    into ``constrained._solve_containing``, which folds a and c in, and
-    certifies its mask, as the public solver does once its membership
+    into ``pair_walk``, whose leaves each hold a and c, weighs them and
+    certifies the mask, as the public solver does once its membership
     guard has passed; the {b, d} solve is the {a, c} solve on the
     reversed path."""
     assert is_class_member(g).is_member
 
     def solve_ac(p):
         _, s_b, _, s_d, _, _, s_bd, anti = _trace_classes(g, p.vertices, g.full_mask)
-        _, mask = _solve_containing(g, p.a, p.c, s_b, s_d, s_bd, anti, None, {}, None)
-        return certified_result(g, mask)
+        walk = pair_walk(g, p.a, p.c, s_b, s_d, s_bd, anti)
+        return certified_result(g, split_solver._heaviest_leaf(g, walk.leaves)[1])
 
     def solve_bd(p):
         return solve_ac(p.reverse())
 
     return (("solve_containing_ac", solve_ac), ("solve_containing_bd", solve_bd))
+
+
+# The two internal walks the tests drive directly, each called from this
+# one place, so a change of their signatures edits one line here.
+
+
+def raw_walk(g: Graph, s_mask, t_mask, host, depth=0, ambient=0, active=0, walk=None):
+    """One ``split_solver._solve_raw`` call on ``host`` into ``walk`` (a
+    fresh ``split_solver._Walk`` when None), which it returns."""
+    walk = split_solver._Walk() if walk is None else walk
+    assert split_solver._solve_raw(g, s_mask, t_mask, host, depth, ambient, active, walk) is None
+    return walk
+
+
+def pair_walk(g: Graph, x: int, y: int, s_x: int, s_y: int, s_xy: int, anti: int, walk=None):
+    """The walk of the forced pair {x, y}, the {a, c} of a path whose
+    b-only, d-only and b-and-d classes and anti-neighbourhood are ``s_x``,
+    ``s_y``, ``s_xy`` and ``anti``, as ``solver`` and ``constrained`` make
+    it: ``split_solver._solve_family`` on the pair's family over its rest,
+    into ``walk`` (a fresh ``split_solver._Walk`` when None), returned."""
+    walk = split_solver._Walk() if walk is None else walk
+    family = constrained._family(g, s_x, s_y, s_xy, anti)
+    split_solver._solve_family(g, family, s_x | s_y | s_xy | anti, 1 << x | 1 << y, walk)
+    return walk

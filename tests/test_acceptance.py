@@ -23,6 +23,7 @@ from conftest import (
     is_independent,
     oracle_wis_containing,
     random_graph,
+    raw_walk,
     scan_member,
     two_colorable,
     witness_checks,
@@ -35,7 +36,7 @@ from p4p4free.graph import Graph, bits, mask_of
 from p4p4free.bipartite import solve_cb_components
 from p4p4free.recognition import enumerate_induced_p4, is_class_member
 from p4p4free.solver import solve, solve_with_cover
-from p4p4free.split_solver import _heaviest_leaf, _solve_raw
+from p4p4free.split_solver import _heaviest_leaf
 from p4p4free.testkit import XorShift64Star, enumerate_maximal_is, gen_instance, oracle_wis
 
 
@@ -118,9 +119,8 @@ def test_criterion_3_self_certification():
                 verified += 1
     for seed in range(20):
         g, s_mask, t_mask = gen_split_instance(12, 0.5, seed)
-        leaves: list[int] = []
-        _solve_raw(g, s_mask, t_mask, s_mask | t_mask, 0, 0, leaves, {}, 0, None)
-        weight, mask = _heaviest_leaf(g, leaves)
+        walk = raw_walk(g, s_mask, t_mask, s_mask | t_mask)
+        weight, mask = _heaviest_leaf(g, walk.leaves)
         assert is_independent(g, mask)
         assert weight == g.weight_of(mask)
         verified += 1

@@ -279,18 +279,19 @@ class TestRun:
         def bogus(*args):
             raise ClassViolation("bogus", ("unexpected_p4", (0, 1, 2, 3)))
 
-        monkeypatch.setattr(solver, "_solve_containing", bogus)
+        monkeypatch.setattr(solver, "_solve_family", bogus)
         assert run(["solve", wis_file(PATH4)]) == 1
         assert capsys.readouterr().err == (
             "internal error: class member refused: bogus\n"
         )
 
     def test_failed_self_certification_exits_1(self, wis_file, capsys, monkeypatch):
-        def dependent(g, x, y, s_b, s_d, s_bd, anti, leaves, memo, opt):
-            # the whole graph, weighed as such, outweighs every candidate
+        def dependent(g, leaves):
+            # a forced pair's best set: the whole graph, weighed as such,
+            # outweighs every candidate
             return g.weight_of(g.full_mask), g.full_mask
 
-        monkeypatch.setattr(solver, "_solve_containing", dependent)
+        monkeypatch.setattr(solver, "_heaviest_leaf", dependent)
         assert run(["solve", wis_file(PATH4)]) == 1
         assert capsys.readouterr().err == (
             "internal error: self-certification failed: "

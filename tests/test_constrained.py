@@ -7,8 +7,10 @@ from conftest import (
     INTERLOCKED,
     is_independent,
     oracle_wis_containing,
+    pair_walk,
     path_graph,
     random_graph,
+    raw_walk,
     triangle_free_graph,
     two_colorable,
     witness_checks,
@@ -117,7 +119,7 @@ class TestErrors:
         depth = g.n + 9
         full = g.full_mask
         with pytest.raises(StructureViolation) as info:
-            split_solver._solve_raw(g, 0, full, full, depth, 0, None, {}, 0b1, None)
+            raw_walk(g, 0, full, full, depth, active=0b1)
         assert info.value.witness == ("depth_budget", depth)
 
     def test_second_phase_path_outside_its_class_is_an_incomplete_block(self):
@@ -127,7 +129,7 @@ class TestErrors:
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (4, 0)])
         full = g.full_mask
         with pytest.raises(StructureViolation) as info:
-            split_solver._solve_raw(g, 0, full, full, 1, 0, None, {}, 1 << 4, None)
+            raw_walk(g, 0, full, full, 1, active=1 << 4)
         assert info.value.witness == ("incomplete_block", 0b1111)
 
     def test_triangle_on_the_path_neighborhood(self):
@@ -154,7 +156,7 @@ class TestErrors:
         def refusing(*args):
             raise ClassViolation("bogus", ("unexpected_p4", (0, 1, 2, 3)))
 
-        monkeypatch.setattr(constrained, "_solve_containing", refusing)
+        monkeypatch.setattr(constrained, "_solve_family", refusing)
         with pytest.raises(StructureViolation) as err:
             solve_containing_bd(path_graph(4), InducedP4(0, 1, 2, 3))
         assert err.value.witness == ("unexpected_p4", (0, 1, 2, 3))
@@ -340,9 +342,8 @@ class TestAgainstOracle:
                     assert rev == recognition._trace_classes(
                         g, p.reverse().vertices, host
                     )
-                    w, m = constrained._solve_containing(
-                        g, p.b, p.d, s_c, s_a, s_ac, anti, None, {}, None
-                    )
+                    walk = pair_walk(g, p.b, p.d, s_c, s_a, s_ac, anti)
+                    w, m = split_solver._heaviest_leaf(g, walk.leaves)
                     want = solve_containing_bd(g, p, host)
                     assert w == want.weight
                     assert m == mask_of(want.chosen)
@@ -437,10 +438,8 @@ class TestLeafRecording:
             for p in enumerate_induced_p4(g)[:4]:
                 part = neighborhood_partition(g, p)
                 forced = (1 << p.a) | (1 << p.c)
-                leaves: list[int] = []
-                constrained._solve_containing(
-                    g, p.a, p.c, part.s_b, part.s_d, part.s_bd, part.anti, leaves, {}, None
-                )
+                walk = pair_walk(g, p.a, p.c, part.s_b, part.s_d, part.s_bd, part.anti)
+                leaves = walk.leaves
                 assert leaves
                 ground = forced | part.s_b | part.s_d | part.s_bd | part.anti
                 for leaf in leaves:

@@ -21,6 +21,7 @@ from conftest import (
     fuzz_graph,
     is_independent,
     konig_optimum,
+    pair_walk,
     path_graph,
     petersen,
     random_graph,
@@ -181,7 +182,7 @@ class TestViolations:
         def refusing(*args):
             raise bogus
 
-        monkeypatch.setattr(solver, "_solve_containing", refusing)
+        monkeypatch.setattr(solver, "_solve_family", refusing)
         with pytest.raises(StructureViolation) as info:
             entry(path_graph(4))
         assert info.value.witness == bogus.witness
@@ -726,46 +727,55 @@ SOLVE_PAIR_GRAPHS = {
 
 
 def _count_forced_pairs(monkeypatch, fault_at: int | None = None) -> list[int]:
-    """Record the pair mask of every ``_solve_containing`` call; with
-    ``fault_at``, raise a refusal on the first draw of that many-th
-    distinct pair."""
+    """Record the pair mask of every forced-pair walk, a ``_solve_family``
+    call of ``solver``, whose ambient is the pair; with ``fault_at``,
+    raise a refusal on the first draw of that many-th distinct pair."""
     drawn: list[int] = []
-    real = solver._solve_containing
+    real = solver._solve_family
 
-    def counting(g, x, y, s_b, s_d, s_bd, anti, leaves, memo, opt):
-        pair = 1 << x | 1 << y
+    def counting(g, family, whole, pair, walk):
         if pair not in drawn and len(set(drawn)) + 1 == fault_at:
-            raise ClassViolation("bogus", ("unexpected_pair", (x, y)))
+            raise ClassViolation("bogus", ("unexpected_pair", tuple(bits(pair))))
         drawn.append(pair)
-        return real(g, x, y, s_b, s_d, s_bd, anti, leaves, memo, opt)
+        return real(g, family, whole, pair, walk)
 
-    monkeypatch.setattr(solver, "_solve_containing", counting)
+    monkeypatch.setattr(solver, "_solve_family", counting)
     return drawn
 
 
 def _record_draws(monkeypatch) -> list:
-    """Record every ``_solve_containing`` draw of a cover's walk as
-    ``(pair, host, added)``: the pair's mask, the host its path's trace
-    classes were computed in, and the members the draw appended.  The
-    steered loop's draws, which pass no member list, are not recorded."""
+    """Record every forced-pair draw of a cover's walk as ``(pair, host,
+    added)``: the pair's mask, the host its path's trace classes were
+    computed in, and the members the draw appended.  The steered loop's
+    draws, made before the walk, are not recorded."""
     draws: list = []
     hosts: list = []  # the host of the latest trace classes
-    real_classes, real_containing = solver._trace_classes, solver._solve_containing
+    real_classes, real_family, real_walk = solver._trace_classes, solver._solve_family, solver._walk
+    walking = False
 
     def tracing(g, vs, host):
         hosts.append(host)
         return real_classes(g, vs, host)
 
-    def recording(g, x, y, s_b, s_d, s_bd, anti, members, memo, opt):
-        if members is None:
-            return real_containing(g, x, y, s_b, s_d, s_bd, anti, members, memo, opt)
-        start = len(members)
-        got = real_containing(g, x, y, s_b, s_d, s_bd, anti, members, memo, opt)
-        draws.append((1 << x | 1 << y, hosts[-1], members[start:]))
+    def recording(g, family, whole, pair, walk):
+        if not walking:
+            return real_family(g, family, whole, pair, walk)
+        start = len(walk.leaves)
+        got = real_family(g, family, whole, pair, walk)
+        draws.append((pair, hosts[-1], walk.leaves[start:]))
         return got
 
+    def flagged(g, home):
+        nonlocal walking
+        walking = True
+        try:
+            return real_walk(g, home)
+        finally:
+            walking = False
+
     monkeypatch.setattr(solver, "_trace_classes", tracing)
-    monkeypatch.setattr(solver, "_solve_containing", recording)
+    monkeypatch.setattr(solver, "_solve_family", recording)
+    monkeypatch.setattr(solver, "_walk", flagged)
     return draws
 
 
@@ -1005,7 +1015,7 @@ class TestAndrasfai:
 
 class _StopTrace:
     """What one ``solve`` evaluates, recorded in order: each candidate's
-    weight (a forced pair's through ``_solve_containing``, a region's or
+    weight (a forced pair's through ``_heaviest_leaf``, a region's or
     the remainder's through ``cb_weight_mask``), the hosts handed to
     ``cb_weight_mask``, the number of paths whose candidates were drawn,
     and the top the loop stops at: the optimum oracle's answer on home,
@@ -1018,11 +1028,11 @@ class _StopTrace:
         self.hosts: list[int] = []
         self.paths = 0
         self.top = None
-        forced_pair, cb_weight_mask = solver._solve_containing, solver.cb_weight_mask
+        forced_pair, cb_weight_mask = solver._heaviest_leaf, solver.cb_weight_mask
         per_path, oracle, lp_bound = solver._per_path, solver._optimum_oracle, solver.lp_bound
 
-        def counting_pair(g, x, y, s_b, s_d, s_bd, anti, members, memo, opt):
-            w, m = forced_pair(g, x, y, s_b, s_d, s_bd, anti, members, memo, opt)
+        def counting_pair(g, leaves):
+            w, m = forced_pair(g, leaves)
             self.weights.append(w)
             return w, m
 
@@ -1057,7 +1067,7 @@ class _StopTrace:
 
         if unreachable:
             monkeypatch.setattr(solver, "_TOP_MEMO", 0)
-        monkeypatch.setattr(solver, "_solve_containing", counting_pair)
+        monkeypatch.setattr(solver, "_heaviest_leaf", counting_pair)
         monkeypatch.setattr(solver, "cb_weight_mask", counting_cb)
         monkeypatch.setattr(solver, "_per_path", counting_paths)
         monkeypatch.setattr(solver, "_optimum_oracle", recording_oracle)
@@ -1297,7 +1307,7 @@ class TestHomeOptimum:
         # solved, and each branching family solves only its first member
         # that reaches its own optimum
         g = make()
-        pairs = _count_calls(monkeypatch, solver, "_solve_containing")
+        pairs = _count_calls(monkeypatch, solver, "_solve_family")
         raw = _count_calls(monkeypatch, split_solver, "_solve_raw")
         got = solve(g)
         assert got.weight == optimum(g)
@@ -1319,7 +1329,7 @@ class TestHomeOptimum:
         g = make()
         live = solve(g)
         monkeypatch.setattr(solver, "_TOP_MEMO", 0)
-        pairs = _count_calls(monkeypatch, solver, "_solve_containing")
+        pairs = _count_calls(monkeypatch, solver, "_solve_family")
         got = solve(g)
         assert got == live
         assert got.weight == optimum(g) < bipartite.lp_bound(g, g.full_mask)
@@ -1342,7 +1352,7 @@ class TestHomeOptimum:
             return recorded
 
         monkeypatch.setattr(solver, "_optimum_oracle", recording_oracle)
-        pairs = _count_calls(monkeypatch, solver, "_solve_containing")
+        pairs = _count_calls(monkeypatch, solver, "_solve_family")
         raw = _count_calls(monkeypatch, split_solver, "_solve_raw")
         solved = 0
         for g in _descent_graphs(16):
@@ -1374,7 +1384,7 @@ class TestHomeOptimum:
             starts.clear()
             solve_with_cover(g)
             (start,) = starts
-            memos = {id(args[7]) for args in raw[start:]}
+            memos = {id(args[7].memo) for args in raw[start:]}
             assert len(memos) <= 1
             walked += len(memos)
         assert walked >= 120
@@ -1401,10 +1411,8 @@ class TestHomeOptimum:
                 drawn.add(1 << x | 1 << y)
                 # a fresh oracle per pair, whose budget does not trip
                 opt = solver._optimum_oracle(g, home)
-                steered: list[int] = []
-                full: list[int] = []
-                for leaves, oracle in ((steered, opt), (full, None)):
-                    constrained._solve_containing(g, x, y, s_x, s_y, s_xy, anti, leaves, {}, oracle)
+                steered = pair_walk(g, x, y, s_x, s_y, s_xy, anti, split_solver._Walk(opt)).leaves
+                full = pair_walk(g, x, y, s_x, s_y, s_xy, anti).leaves
                 weights = [bipartite.cb_weight_mask(g, leaf)[0] for leaf in full]
                 assert steered == [full[weights.index(max(weights))]]
                 assert bipartite.cb_weight_mask(g, steered[0]) == split_solver._heaviest_leaf(
@@ -1457,7 +1465,7 @@ class TestHomeOptimum:
 
         want = oracle_wis(g, s_b | s_d | s_bd | anti).weight + 1
         with pytest.raises(StructureViolation) as info:
-            constrained._solve_containing(g, a, c, s_b, s_d, s_bd, anti, None, {}, opt)
+            pair_walk(g, a, c, s_b, s_d, s_bd, anti, split_solver._Walk(opt))
         assert info.value.witness == ("unreached_optimum", want)
 
 

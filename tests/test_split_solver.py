@@ -1,10 +1,10 @@
 """Split-instance dispatcher: base shapes, branching order, oracle battles.
 
-``split_solver._solve_raw`` is driven directly on hosts ``S | T`` with S
-independent and G[T] a disjoint union of singletons and complete
-bipartite blocks; it walks the host into a leaf list, which
-``split_solver._heaviest_leaf`` weighs into ``(weight, mask)``, and
-assumes a class member.
+``split_solver._solve_raw`` is driven directly, through ``conftest.raw_walk``,
+on hosts ``S | T`` with S independent and G[T] a disjoint union of
+singletons and complete bipartite blocks; it walks the host into a walk's
+leaves, which ``split_solver._heaviest_leaf`` weighs into ``(weight,
+mask)``, and assumes a class member.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ from conftest import (
     gen_split_instance,
     is_independent,
     oracle_wis_containing,
+    raw_walk,
     scan_p4s,
     triangle_free_graph,
     witness_checks,
 )
 
-from p4p4free import solve, solve_with_cover, solver, split_solver
+from p4p4free import constrained, solve, solve_with_cover, solver, split_solver
 from p4p4free.constrained import solve_containing_ac, solve_containing_bd
 from p4p4free.errors import ClassViolation, StructureViolation
 from p4p4free.graph import Graph, bits, components_with_certificates, mask_of
@@ -41,10 +42,7 @@ TWO_PATHS = Graph.from_edges(8, [(2, 0), (2, 1), (3, 0), (6, 4), (6, 5), (7, 4)]
 
 def walk(g: Graph, s_mask: int, t_mask: int) -> list[int]:
     """The leaves of the host ``S | T``'s walk, in walk order."""
-    leaves: list[int] = []
-    host = s_mask | t_mask
-    assert split_solver._solve_raw(g, s_mask, t_mask, host, 0, 0, leaves, {}, 0, None) is None
-    return leaves
+    return raw_walk(g, s_mask, t_mask, s_mask | t_mask).leaves
 
 
 def solve_raw(g: Graph, s_mask: int, t_mask: int) -> tuple[int, int]:
@@ -65,20 +63,17 @@ class TestInstanceValidation:
     def test_rejects_host_outside_both_parts(self):
         g = complete_bipartite(2, 3)
         with pytest.raises(StructureViolation) as exc:
-            split_solver._solve_raw(g, 0, 0b11, g.full_mask, 0, 0, None, {}, 0, None)
+            raw_walk(g, 0, 0b11, g.full_mask)
         assert exc.value.witness == ("split_parts", 0b11100)
 
     def test_rejects_parts_that_overlap_in_the_host(self):
         # vertex 0 lies in both parts; outside the host an overlap is
         # harmless
         g = complete_bipartite(2, 3)
-        raw = split_solver._solve_raw
         with pytest.raises(StructureViolation) as exc:
-            raw(g, mask_of([0, 4]), g.full_mask, mask_of([0, 2, 3]), 0, 0, None, {}, 0, None)
+            raw_walk(g, mask_of([0, 4]), g.full_mask, mask_of([0, 2, 3]))
         assert exc.value.witness == ("split_parts", 0b1)
-        host = mask_of([1, 2, 3])
-        leaves: list[int] = []
-        raw(g, 0b1, g.full_mask, host, 0, 0, leaves, {}, 0, None)
+        leaves = raw_walk(g, 0b1, g.full_mask, mask_of([1, 2, 3])).leaves
         assert split_solver._heaviest_leaf(g, leaves) == (2, mask_of([2, 3]))
 
 
@@ -507,7 +502,7 @@ class TestDepthBudget:
         g = complete_bipartite(2, 3)
         depth = g.n + 9
         with pytest.raises(StructureViolation) as exc:
-            split_solver._solve_raw(g, 0, g.full_mask, g.full_mask, depth, 0, None, {}, 0, None)
+            raw_walk(g, 0, g.full_mask, g.full_mask, depth)
         assert exc.value.witness == ("depth_budget", depth)
 
     def test_overrun_on_a_non_member_is_refused_with_a_witness(self, monkeypatch):
@@ -603,37 +598,32 @@ class TestSideFoldMemo:
 
     def test_out_of_parts_host_raises_on_a_hit(self, monkeypatch):
         g = complete_bipartite(2, 3)
-        memo: dict = {}
-        raw = split_solver._solve_raw
-        leaves: list[int] = []
-        raw(g, 0, g.full_mask, g.full_mask, 0, 0, leaves, memo, 0, None)
-        assert split_solver._heaviest_leaf(g, leaves) == (3, 0b11100)
-        self.hit(monkeypatch, memo, g.full_mask)
+        walk = raw_walk(g, 0, g.full_mask, g.full_mask)
+        assert split_solver._heaviest_leaf(g, walk.leaves) == (3, 0b11100)
+        self.hit(monkeypatch, walk.memo, g.full_mask)
         with pytest.raises(StructureViolation) as exc:
-            raw(g, 0, 0b11, g.full_mask, 0, 0, None, memo, 0, None)
+            raw_walk(g, 0, 0b11, g.full_mask, walk=walk)
         assert exc.value.witness == ("split_parts", 0b11100)
 
     def test_depth_budget_raises_on_a_hit(self, monkeypatch):
         g = complete_bipartite(2, 3)
-        memo: dict = {}
-        raw = split_solver._solve_raw
-        raw(g, 0, g.full_mask, g.full_mask, 0, 0, [], memo, 0, None)
-        self.hit(monkeypatch, memo, g.full_mask)
+        walk = raw_walk(g, 0, g.full_mask, g.full_mask)
+        self.hit(monkeypatch, walk.memo, g.full_mask)
         depth = g.n + 9
         with pytest.raises(StructureViolation) as exc:
-            raw(g, 0, g.full_mask, g.full_mask, depth, 0, None, memo, 0, None)
+            raw_walk(g, 0, g.full_mask, g.full_mask, depth, walk=walk)
         assert exc.value.witness == ("depth_budget", depth)
 
     def test_two_uncertified_components_raise_on_a_hit(self, monkeypatch):
         g = TWO_PATHS
         s_mask, t_mask = mask_of([2, 3, 6, 7]), mask_of([0, 1, 4, 5])
-        memo: dict = {}
+        walk = split_solver._Walk()
         witnesses = []
         for call in range(2):
             if call:
-                self.hit(monkeypatch, memo, g.full_mask)
+                self.hit(monkeypatch, walk.memo, g.full_mask)
             with pytest.raises(StructureViolation) as exc:
-                split_solver._solve_raw(g, s_mask, t_mask, g.full_mask, 0, 0, None, memo, 0, None)
+                raw_walk(g, s_mask, t_mask, g.full_mask, walk=walk)
             witnesses.append(exc.value.witness)
         assert witnesses[0] == witnesses[1]
         assert witnesses[1][0] == "uncertified_components"
@@ -642,45 +632,41 @@ class TestSideFoldMemo:
         # the walk weighs nothing: its memo keeps a certified host's
         # (empty) uncertified components alone
         g = complete_bipartite(2, 3)
-        memo: dict = {}
+        walk = split_solver._Walk()
         host = mask_of([0, 2, 3])
-        raw = split_solver._solve_raw
         for call, ambient in enumerate((0, 0b10)):
             if call:
-                self.hit(monkeypatch, memo, host)
-            leaves: list[int] = []
-            assert raw(g, 0, g.full_mask, host, 0, ambient, leaves, memo, 0, None) is None
-            assert leaves == [ambient | host]
-            assert memo == {host: ()}
+                self.hit(monkeypatch, walk.memo, host)
+            raw_walk(g, 0, g.full_mask, host, 0, ambient, walk=walk)
+            assert walk.leaves[call:] == [ambient | host]
+            assert walk.memo == {host: ()}
 
     def test_a_leaf_walk_hit_runs_every_check(self, monkeypatch):
         # the depth budget, the stray parts and the uncertified count are
         # checked on a hit as on a miss, and raise before any leaf is
         # recorded
-        raw = split_solver._solve_raw
         g = complete_bipartite(2, 3)
-        memo: dict = {}
-        leaves: list[int] = []
-        raw(g, 0, g.full_mask, g.full_mask, 0, 0, leaves, memo, 0, None)
+        walk = raw_walk(g, 0, g.full_mask, g.full_mask)
         paths = TWO_PATHS
         s_mask, t_mask = mask_of([2, 3, 6, 7]), mask_of([0, 1, 4, 5])
-        paths_memo: dict = {}
+        paths_walk = split_solver._Walk()
         with pytest.raises(StructureViolation):
-            raw(paths, s_mask, t_mask, paths.full_mask, 0, 0, [], paths_memo, 0, None)
-        self.hit(monkeypatch, memo, g.full_mask)
-        self.hit(monkeypatch, paths_memo, paths.full_mask)
+            raw_walk(paths, s_mask, t_mask, paths.full_mask, walk=paths_walk)
+        self.hit(monkeypatch, walk.memo, g.full_mask)
+        self.hit(monkeypatch, paths_walk.memo, paths.full_mask)
         depth = g.n + 9
         for args, witness in (
             ((g, 0, g.full_mask, g.full_mask, depth), ("depth_budget", depth)),
             ((g, 0, 0b11, g.full_mask, 0), ("split_parts", 0b11100)),
         ):
             with pytest.raises(StructureViolation) as exc:
-                raw(*args, 0, leaves, memo, 0, None)
+                raw_walk(*args, walk=walk)
             assert exc.value.witness == witness
         with pytest.raises(StructureViolation) as exc:
-            raw(paths, s_mask, t_mask, paths.full_mask, 0, 0, leaves, paths_memo, 0, None)
+            raw_walk(paths, s_mask, t_mask, paths.full_mask, walk=paths_walk)
         assert exc.value.witness == ("uncertified_components", (0b1111, 0b11110000))
-        assert leaves == [g.full_mask]
+        assert walk.leaves == [g.full_mask]
+        assert paths_walk.leaves == []
 
     def test_uncertified_block_part_is_never_memoised(self):
         # nothing keeps a block part: its certificate fails on every call
@@ -708,10 +694,10 @@ class TestSideFoldMemo:
         raw, walk = split_solver._solve_raw, solver._walk
         walking = False
 
-        def recording(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, opt):
+        def recording(g, s_mask, t_mask, host, depth, ambient, active, state):
             if walking:
-                memos[id(memo)] = memo
-            return raw(g, s_mask, t_mask, host, depth, ambient, leaves, memo, active, opt)
+                memos[id(state.memo)] = state.memo
+            return raw(g, s_mask, t_mask, host, depth, ambient, active, state)
 
         def flagged(g, home):
             # the walk is a cover call's last pass
@@ -752,3 +738,91 @@ class TestSideFoldMemo:
                 assert got == oracle_wis_containing(g, forced).weight
                 checked += 1
         assert checked >= 9
+
+
+class TestOneWalk:
+    """A walk's state, ``_Walk``, is made only after the membership
+    verdict: one per forced pair ``solve``'s loop solves, one for the
+    cover's whole walk and one per public constrained solve, each with a
+    leaf list and a memo of its own."""
+
+    # a triangle 0-1-4 on the induced path 0-1-2-3, and two separated paths
+    TRIANGLE = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (4, 0), (4, 1)]), InducedP4(0, 1, 2, 3)
+    P4_PAIR = TWO_PATHS, InducedP4(3, 0, 2, 1)
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        """Every ``_Walk`` the package makes from now on, in order."""
+        made: list = []
+
+        class Counted(split_solver._Walk):
+            __slots__ = ()
+
+            def __init__(self, opt=None):
+                super().__init__(opt)
+                made.append(self)
+
+        for module in (split_solver, solver, constrained):
+            monkeypatch.setattr(module, "_Walk", Counted)
+        return made
+
+    @pytest.mark.parametrize("case", ["triangle", "p4_pair"])
+    def test_a_refusal_makes_no_walk(self, monkeypatch, case):
+        g, p = self.TRIANGLE if case == "triangle" else self.P4_PAIR
+        made = self.counted(monkeypatch)
+        calls = (solve, solve_with_cover, solve_containing_ac, solve_containing_bd)
+        for call in calls:
+            with pytest.raises(ClassViolation) as exc:
+                call(g) if call in (solve, solve_with_cover) else call(g, p)
+            assert exc.value.witness[0] == case
+        assert made == []
+
+    @pytest.mark.parametrize("tripped", [False, True], ids=["live", "tripped"])
+    def test_one_walk_per_solved_pair_and_one_for_the_cover(self, monkeypatch, tripped):
+        graphs = [blowup_graph(7, 3, seed=703), blowup_graph(5, 4, seed=504)]
+        draws = (gen_instance("clustered", 16, 0.6, s) for s in range(811_000, 811_060))
+        graphs += [g for g in draws if len(enumerate_induced_p4(g)) > 1][:12]
+        if tripped:
+            monkeypatch.setattr(solver, "_TOP_MEMO", 0)
+        made = self.counted(monkeypatch)
+        walks: list = []  # the walk of each forced pair solver walks
+        real = solver._solve_family
+
+        def recording(g, family, whole, pair, walk):
+            walks.append(walk)
+            return real(g, family, whole, pair, walk)
+
+        monkeypatch.setattr(solver, "_solve_family", recording)
+        kept: list = []
+        solved = 0
+        for g in graphs:
+            made.clear()
+            walks.clear()
+            solve(g)
+            # each solved pair walks with its own, made for it
+            assert made == walks
+            assert all((w.opt is None) == tripped for w in made)
+            solved += len(made)
+            kept += made
+            steered = len(made)
+            made.clear()
+            walks.clear()
+            solve_with_cover(g)
+            # the loop's walks, then one for the cover's whole walk, which
+            # every pair it walks shares and which holds no oracle
+            assert len(made) == steered + 1
+            cover = made[-1]
+            assert cover.opt is None
+            assert walks[:steered] == made[:-1]
+            assert walks[steered:] and all(w is cover for w in walks[steered:])
+            kept += made
+            for p in enumerate_induced_p4(g)[:2]:
+                made.clear()
+                solve_containing_ac(g, p)
+                solve_containing_bd(g, p)
+                assert len(made) == 2
+                kept += made
+        assert solved >= 10
+        # no two walks share a memo or a leaf list
+        assert len({id(w.memo) for w in kept}) == len(kept)
+        assert len({id(w.leaves) for w in kept}) == len(kept)
